@@ -1,17 +1,21 @@
 //! Chaos determinism check + recovery-time measurement.
 //!
-//! Runs each scripted chaos scenario **twice** with the same `(seed,
-//! schedule)` pair and demands byte-identical final-chain digests — the
-//! replayability property the chaos harness is built on (faults are
-//! data, all randomness flows from seeded RNGs). Alongside, it measures
-//! the observed recovery time: virtual seconds from the last fault
-//! clearing until every honest node is back on one common chain that
-//! has grown at least two rounds past the fault window.
+//! Runs each scripted chaos scenario, traced and monitored, with the
+//! same `(seed, schedule)` pair at one worker **twice** and then at 2
+//! and 4 workers, and demands byte-identical final-chain digests,
+//! recovery times, invariant-monitor verdicts and exported trace JSONL
+//! from all four runs — the replayability property the chaos harness is
+//! built on (faults are data, all randomness flows from seeded RNGs) and
+//! the engine's core contract (worker threads change wall-clock, never
+//! results). Alongside, it measures the observed recovery time: virtual
+//! seconds from the last fault clearing until every honest node is back
+//! on one common chain that has grown at least two rounds past the
+//! fault window.
 //!
-//! Exit code is non-zero on any determinism mismatch or missed
-//! recovery, so CI can gate on it. Output feeds `results/chaos.txt`.
+//! Exit code is non-zero on any divergence, missed recovery or monitor
+//! violation, so CI can gate on it. Output feeds `results/chaos.txt`.
 
-use algorand_sim::{FaultSchedule, Micros, SimConfig, Simulation};
+use algorand_sim::{DesConfig, FaultSchedule, Micros, SimConfig, Simulation};
 
 const SEC: Micros = 1_000_000;
 
@@ -114,12 +118,32 @@ fn converged(sim: &Simulation, n_honest: usize, target: u64) -> bool {
     true
 }
 
-/// One run: returns (digest, recovery seconds if converged, report line).
-fn run_once(s: &Scenario) -> ([u8; 32], Option<f64>, String) {
+/// Everything one run produces that every other run of the same
+/// `(seed, schedule)` must reproduce byte for byte.
+#[derive(PartialEq)]
+struct Outcome {
+    digest: [u8; 32],
+    /// Virtual seconds from the last fault clearing to convergence.
+    recovery: Option<f64>,
+    /// The invariant monitor's rendered report and its violation count.
+    monitor: String,
+    violations: u64,
+    trace: String,
+}
+
+/// One traced, monitored run at the given worker count: the outcome
+/// plus the fault-report line.
+fn run_once(s: &Scenario, workers: usize) -> (Outcome, String) {
     let mut cfg = SimConfig::new(s.n);
     cfg.n_malicious = s.n_malicious;
     cfg.seed = s.seed;
-    let mut sim = Simulation::new(cfg);
+    cfg.trace = true;
+    cfg.monitor = true;
+    let mut sim = Simulation::new(DesConfig {
+        sim: cfg,
+        workers,
+        trace_node_budget: 0,
+    });
     let schedule = (s.schedule)(s.n);
     let clear = schedule.last_event_at();
     sim.set_fault_schedule(schedule);
@@ -149,7 +173,15 @@ fn run_once(s: &Scenario) -> ([u8; 32], Option<f64>, String) {
         report.recoveries_completed,
         report.catchups_applied,
     );
-    (sim.chain_digest(), recovery, line)
+    let monitor = sim.monitor_report().expect("monitor attached");
+    let outcome = Outcome {
+        digest: sim.chain_digest(),
+        recovery,
+        monitor: monitor.to_string(),
+        violations: monitor.total_violations(),
+        trace: sim.export_trace(s.name),
+    };
+    (outcome, line)
 }
 
 fn hex8(d: &[u8; 32]) -> String {
@@ -161,34 +193,37 @@ fn main() {
     println!();
     let mut failed = false;
     for s in scenarios() {
-        let (digest_a, recovery_a, line) = run_once(&s);
-        let (digest_b, recovery_b, _) = run_once(&s);
-        let deterministic = digest_a == digest_b && recovery_a == recovery_b;
-        let recovery = match recovery_a {
+        let (first, line) = run_once(&s, 1);
+        let replay = run_once(&s, 1).0 == first;
+        let parallel = [2, 4].iter().all(|&w| run_once(&s, w).0 == first);
+        let verdict = |same| if same { "identical" } else { "DIVERGED" };
+        let recovery = match first.recovery {
             Some(r) => format!("{r:>6.1} s"),
             None => "  MISS ".to_string(),
         };
+        let clean = first.violations == 0;
         println!(
-            "{:<26} n={:<3} recovery={} digest={} replay={}",
+            "{:<26} n={:<3} recovery={} digest={} replay={} workers 2/4={}{}",
             s.name,
             s.n,
             recovery,
-            hex8(&digest_a),
-            if deterministic {
-                "identical"
-            } else {
-                "DIVERGED"
-            },
+            hex8(&first.digest),
+            verdict(replay),
+            verdict(parallel),
+            if clean { "" } else { " [monitor violations]" },
         );
         println!("  {line}");
-        if !deterministic || recovery_a.is_none() {
+        if !replay || !parallel || first.recovery.is_none() || !clean {
             failed = true;
         }
     }
     println!();
     if failed {
-        println!("FAIL: determinism mismatch or missed recovery");
+        println!("FAIL: divergence, missed recovery or monitor violation");
         std::process::exit(1);
     }
-    println!("OK: all scenarios recovered; every (seed, schedule) replay was identical");
+    println!(
+        "OK: all scenarios recovered with a clean monitor verdict; every (seed, schedule) run \
+         was byte-identical at 1, 1 (replay), 2 and 4 workers"
+    );
 }

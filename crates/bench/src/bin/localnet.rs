@@ -281,15 +281,10 @@ fn main() {
 
     let _ = std::fs::remove_dir_all(&root);
     let wall = t0.elapsed().as_secs_f64();
-    let mean_rate = health
-        .round_rates
-        .as_ref()
-        .map_or(0.0, |r| r.iter().sum::<f64>() / r.len().max(1) as f64);
     Baseline::new("localnet")
         .metric(baseline::WALL_CLOCK_S, wall)
         .metric("nodes", N as f64)
         .metric("rounds_finalized", target_b as f64)
-        .metric("mid_run_round_rate_per_s", mean_rate)
         .metric("cross_process_chains", cross_chains as f64)
         .write()
         .expect("write localnet baseline");

@@ -1,22 +1,20 @@
 //! Scale gate: 1,000 real protocol nodes per run.
 //!
 //! The paper's testbed is 1,000 EC2 VMs (§10); this gate proves the
-//! parallel discrete-event engine carries the same population in a
-//! CI-feasible wall-clock budget, and that worker threads are invisible
-//! to results:
+//! discrete-event engine carries the same population in a CI-feasible
+//! wall-clock budget, and that worker threads are invisible to results:
 //!
 //!   1. a 1,000-node payment run must finalize ≥ 5 rounds,
-//!   2. the final-chain digest must be identical at 1 and 4 workers,
-//!   3. the parallel engine (4 workers) must finish no slower than the
-//!      legacy single-threaded event loop on the same configuration,
-//!   4. a traced run under a per-node retention budget must export
+//!   2. the final-chain digest must be identical at 1 and 4 workers
+//!      (the wall-clock ratio of the two is reported, not gated),
+//!   3. a traced run under a per-node retention budget must export
 //!      under a fixed byte ceiling with exact `trimmed` accounting.
 //!
 //! Wall-clock numbers go to stdout (CI log) and `results/scale.txt`.
 //! Exit code is non-zero on any gate failure.
 
 use algorand_bench::baseline::{self, Baseline};
-use algorand_sim::{DesConfig, Micros, ParallelSim, SimConfig, Simulation};
+use algorand_sim::{DesConfig, Micros, ParallelSim, SimConfig};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -102,61 +100,17 @@ fn main() -> ExitCode {
         );
     }
 
-    // Gate 3: the legacy single-threaded event loop on the same config.
-    let mut old = Simulation::new(config());
-    let t0 = Instant::now();
-    let mut t = 0;
-    let old_done = |s: &Simulation| {
-        (0..N)
-            .map(|i| s.honest_node(i).chain().tip().round)
-            .min()
-            .unwrap()
-            >= ROUNDS
-    };
-    while !old_done(&old) && t < T_CAP {
-        t += 10 * SEC;
-        old.run_until(t);
-        eprintln!(
-            "[scale] legacy engine: virtual {:>4}s, wall {:.0}s",
-            t / SEC,
-            t0.elapsed().as_secs_f64()
-        );
-    }
-    let wall_old = t0.elapsed().as_secs_f64();
-    let old_tip = (0..N)
-        .map(|i| old.honest_node(i).chain().tip().round)
-        .min()
-        .unwrap();
-    let _ = writeln!(
-        out,
-        "  legacy engine: {old_tip} rounds in {wall_old:.2}s wall ({:.1}s virtual)",
-        old.now() as f64 / 1e6
-    );
-    // The wall-clock gate compares the engine at whichever worker count
-    // suits this machine: on a single-core runner the 4-worker leg pays
+    // Reported, not gated: on a single-core host the 4-worker leg pays
     // pure thread overhead (it exists to exercise the cross-thread
-    // determinism path at scale, and does), so the fair perf claim is
-    // best-of — on a multi-core runner that is the 4-worker leg.
+    // determinism path at scale, and does).
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (best_label, best) = if wall4 <= wall1 {
-        ("workers=4", wall4)
-    } else {
-        ("workers=1", wall1)
-    };
     let _ = writeln!(
         out,
-        "  speedup vs legacy: {:.2}x (des {best_label}; {cores} core(s) available)",
-        wall_old / best
+        "  workers=4 over workers=1: {:.2}x wall ({cores} core(s) available)",
+        wall4 / wall1
     );
-    if best > wall_old {
-        let _ = writeln!(
-            out,
-            "  FAILED: parallel engine slower than the legacy event loop"
-        );
-        ok = false;
-    }
 
-    // Gate 4: traced at scale under a per-node retention budget.
+    // Gate 3: traced at scale under a per-node retention budget.
     let budget = 64;
     let mut traced = ParallelSim::new(DesConfig {
         sim: {
@@ -212,13 +166,9 @@ fn main() -> ExitCode {
         .metric("rounds_finalized", tip4 as f64)
         .metric("wall_s_des_workers1", wall1)
         .metric("wall_s_des_workers4", wall4)
-        .metric("wall_s_legacy", wall_old)
-        .metric("speedup_vs_legacy", wall_old / best)
+        .metric("workers4_over_workers1", wall4 / wall1)
         .metric("wall_s_traced", wall_traced)
-        .metric(
-            baseline::WALL_CLOCK_S,
-            wall1 + wall4 + wall_old + wall_traced,
-        )
+        .metric(baseline::WALL_CLOCK_S, wall1 + wall4 + wall_traced)
         .write()
         .expect("write baseline");
     if ok {

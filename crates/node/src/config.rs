@@ -19,7 +19,7 @@
 //! tx_count = 24
 //! ```
 //!
-//! The derivations mirror `sim::runner` exactly — same key-seed formula,
+//! The derivations mirror `sim::harness` exactly — same key-seed formula,
 //! same genesis seed, same equal-stake allocation — which is what lets a
 //! localhost deployment be cross-checked against the simulator's chain
 //! digest for the same `seed`.
@@ -33,7 +33,7 @@ use algorand_sortition::binomial::binomial_cdf;
 use std::io;
 use std::path::PathBuf;
 
-/// Genesis seed shared with `sim::runner::GENESIS_SEED`.
+/// Genesis seed shared with `sim::GENESIS_SEED`.
 pub const GENESIS_SEED: [u8; 32] = [0x47u8; 32];
 
 /// Configuration for one `algorand-node` process.
@@ -321,7 +321,7 @@ fn committee_upper_bound(total_weight: u64, tau: f64) -> u64 {
     k
 }
 
-/// Derives the deployment's keypairs — the same formula `sim::runner`
+/// Derives the deployment's keypairs — the same formula `sim::harness`
 /// uses, so process `i` here *is* user `i` there.
 pub fn derive_keypairs(seed: u64, n_users: usize) -> Vec<Keypair> {
     (0..n_users)

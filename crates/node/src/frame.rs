@@ -20,10 +20,8 @@
 //!   peer exchange, §4's relay discovery stand-in.
 //! * [`STATUS`] — payload is the sender's telemetry-bearing status (see
 //!   [`encode_status`]): tip round, trace-drop and monitor-violation
-//!   counts, and per-peer send-queue drop counters. A bare 8-byte `u64`
-//!   tip (the v1 format) still decodes, so mixed-version deployments
-//!   interoperate. Feeds [`crate::blocksync`]'s choice of catch-up
-//!   server.
+//!   counts, and per-peer send-queue drop counters. Feeds
+//!   [`crate::blocksync`]'s choice of catch-up server.
 //! * [`TELEMETRY`] — an on-demand scrape channel. The payload's first
 //!   byte is an op code ([`TEL_METRICS_REQ`] … [`TEL_FLIGHT_RESP`]); the
 //!   rest is the body (empty for requests, the metrics exposition text
@@ -93,7 +91,7 @@ pub struct StatusInfo {
     pub peer_drops: Vec<(String, u64)>,
 }
 
-/// Encodes a [`STATUS`] payload (v2):
+/// Encodes a [`STATUS`] payload:
 ///
 /// ```text
 /// u64 tip | u64 trace_dropped | u64 monitor_violations |
@@ -114,15 +112,8 @@ pub fn encode_status(info: &StatusInfo) -> Vec<u8> {
     out
 }
 
-/// Decodes a [`STATUS`] payload; `None` on malformation. An 8-byte
-/// payload is the v1 bare-tip format and decodes with zeroed telemetry.
+/// Decodes a [`STATUS`] payload; `None` on malformation.
 pub fn decode_status(payload: &[u8]) -> Option<StatusInfo> {
-    if payload.len() == 8 {
-        return Some(StatusInfo {
-            tip: u64::from_le_bytes(payload.try_into().ok()?),
-            ..StatusInfo::default()
-        });
-    }
     let mut pos = 0usize;
     let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
         let s = payload.get(*pos..*pos + n)?;
@@ -315,7 +306,7 @@ mod tests {
     }
 
     #[test]
-    fn status_v2_roundtrips() {
+    fn status_roundtrips() {
         let info = StatusInfo {
             tip: 17,
             trace_dropped: 3,
@@ -335,45 +326,21 @@ mod tests {
     }
 
     #[test]
-    fn status_v1_bare_tip_still_decodes() {
-        let info = decode_status(&41u64.to_le_bytes()).unwrap();
-        assert_eq!(info.tip, 41);
-        assert_eq!(info.trace_dropped, 0);
-        assert_eq!(info.monitor_violations, 0);
-        assert!(info.peer_drops.is_empty());
-    }
-
-    #[test]
-    fn status_mixed_version_stream_decodes() {
-        // A v1 node and a v2 node announce on the same stream: both
-        // decode, and neither format is mistaken for the other.
-        let v2 = StatusInfo {
-            tip: 12,
-            trace_dropped: 1,
-            monitor_violations: 0,
-            peer_drops: vec![("127.0.0.1:9001".to_string(), 2)],
-        };
-        let mut buf = Vec::new();
-        write_frame(&mut buf, STATUS, &41u64.to_le_bytes()).unwrap();
-        write_frame(&mut buf, STATUS, &encode_status(&v2)).unwrap();
-        write_frame(&mut buf, STATUS, &7u64.to_le_bytes()).unwrap();
-        let mut cur = Cursor::new(buf);
-        let mut decoded = Vec::new();
-        while let Ok((kind, payload)) = read_frame(&mut cur) {
-            assert_eq!(kind, STATUS);
-            decoded.push(decode_status(&payload).expect("status decodes"));
-        }
-        assert_eq!(decoded.len(), 3);
-        assert_eq!(decoded[0].tip, 41);
-        assert!(decoded[0].peer_drops.is_empty());
-        assert_eq!(decoded[1], v2);
-        assert_eq!(decoded[2].tip, 7);
-        // A v2 payload with zero peers is 28 bytes, never 8: the v1
-        // sniff cannot swallow it, and truncating a v2 payload down to
-        // 8 bytes decodes as the (different) v1 tip rather than v2.
-        let enc = encode_status(&v2);
-        assert_eq!(decode_status(&enc[..8]).unwrap().tip, v2.tip);
-        assert!(decode_status(&enc[..9]).is_none());
+    fn formats_nobody_deployed_are_decode_errors() {
+        // A bare 8-byte tip (the STATUS layout before telemetry rode on
+        // it) is a truncated payload, not a tip with zeroed telemetry.
+        assert_eq!(decode_status(&41u64.to_le_bytes()), None);
+        // Likewise a version-1 trace header: rejected by name, its
+        // missing causal fields never defaulted.
+        let v1 = "{\"trace\":\"algorand\",\"version\":1,\"seed\":3,\"schedule\":\"s\",\"events\":1,\"dropped\":0}\n\
+                  {\"kind\":\"verify\",\"node\":2,\"round\":5,\"step\":1,\"label\":\"vote\",\"start\":10,\"end\":10,\"value\":0,\"ok\":true}\n";
+        let err = algorand_obs::parse_jsonl(v1).unwrap_err();
+        assert!(err.contains("unsupported trace version 1"), "{err}");
+        // The same event line under a current header is still an error.
+        let v2 = v1.replace("\"version\":1", "\"version\":2");
+        assert!(algorand_obs::parse_jsonl(&v2)
+            .unwrap_err()
+            .contains("\"id\""));
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! * [`config`] — the node's config file (keys, peers, genesis, WAL dir)
 //!   and the deterministic key/workload derivations shared with the
 //!   simulator so a localhost deployment finalizes the *same chain
-//!   digest* as `sim::runner` under the same seed;
+//!   digest* as `sim::Simulation` under the same seed;
 //! * [`runtime`] — the single-threaded event loop tying it together, and
 //!   the `algorand-node` binary's whole substance;
 //! * [`telemetry`] — the scrape client for the TELEMETRY frame (metrics

@@ -10,14 +10,14 @@
 //!
 //! Determinism: recording only *reads* values the simulation already
 //! computed — it never draws randomness, never reorders events, and the
-//! instrumented hot paths are no-ops when the tracer is disabled. In the
-//! single-threaded simulation loop, buffer order is a pure function of
-//! `(seed, schedule)` and the export is byte-stable — the property the
-//! CI trace-determinism gate asserts. The parallel DES engine instead
-//! gives every node its own tracer and stamps each event with a canonical
-//! *order hint* ([`Tracer::set_order_hint`]); merging per-node buffers by
-//! hint reproduces one canonical order no matter how many worker threads
-//! ran, so the export stays byte-stable across worker counts.
+//! instrumented hot paths are no-ops when the tracer is disabled. With
+//! one recording thread (a real node), buffer order is a pure function
+//! of the inputs and the export is byte-stable. The simulator instead
+//! gives every node its own tracer and stamps each event with a
+//! canonical *order hint* ([`Tracer::set_order_hint`]); merging per-node
+//! buffers by hint reproduces one canonical order no matter how many
+//! worker threads ran, so the export stays byte-stable across worker
+//! counts — the property the CI trace-determinism gate asserts.
 
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
@@ -193,9 +193,9 @@ pub fn fanout(observers: Vec<Box<dyn TraceObserver>>) -> Box<dyn TraceObserver> 
 
 struct Buffer {
     events: Vec<TraceEvent>,
-    /// Canonical-order keys assigned by the parallel DES engine, one per
-    /// buffered event (see [`Tracer::set_order_hint`]). All zeros in
-    /// single-threaded use, where buffer order *is* canonical order.
+    /// Canonical-order keys assigned by the simulation engine, one per
+    /// buffered event (see [`Tracer::set_order_hint`]). All zeros on a
+    /// real node, where buffer order *is* canonical order.
     hints: Vec<u64>,
     /// The hint stamped onto the next recorded events.
     hint: u64,
@@ -259,11 +259,11 @@ impl Tracer {
     }
 
     /// Stamps every subsequently recorded event with `hint`, a canonical
-    /// ordering key. The parallel DES engine sets this before handing an
-    /// event to a node so per-node buffers can later be merged into the
-    /// exact order a single-threaded run would have produced, regardless
-    /// of worker count or thread interleaving. Single-threaded users
-    /// never call this and rely on buffer order alone.
+    /// ordering key. The simulation engine sets this before handing an
+    /// event to a node so per-node buffers can later be merged into one
+    /// canonical order, regardless of worker count or thread
+    /// interleaving. A real node never calls this and relies on buffer
+    /// order alone.
     pub fn set_order_hint(&self, hint: u64) {
         if let Some(buf) = &self.0 {
             buf.lock().expect("trace lock").hint = hint;
@@ -272,7 +272,7 @@ impl Tracer {
 
     /// Drains the buffered events together with their order hints,
     /// leaving the cumulative `dropped` count in place. Used by the
-    /// parallel DES engine to empty per-node buffers at every barrier.
+    /// simulation engine to empty per-node buffers at every barrier.
     pub fn drain_with_hints(&self) -> Vec<(u64, TraceEvent)> {
         let Some(buf) = &self.0 else {
             return Vec::new();
@@ -450,7 +450,7 @@ pub fn write_jsonl(seed: u64, schedule: &str, dropped: u64, events: &[TraceEvent
 /// per-node budget deliberately retained a prefix per node, with the
 /// excess accounted here — the retained prefix is still canonical and
 /// byte-stable. The field is emitted only when non-zero, so untrimmed
-/// exports stay byte-identical to the version-2 format.
+/// exports carry the plain header.
 pub fn write_jsonl_trimmed(
     seed: u64,
     schedule: &str,
@@ -541,8 +541,8 @@ pub(crate) fn field_u64(line: &str, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing or bad field {key:?} in {line:?}"))
 }
 
-/// Like [`field_u64`] but tolerates an absent key (version-1 traces
-/// predate the causal fields).
+/// Like [`field_u64`] but tolerates an absent key (the `trimmed` header
+/// field is written only when non-zero).
 fn field_u64_or(line: &str, key: &str, default: u64) -> Result<u64, String> {
     match field_raw(line, key) {
         None => Ok(default),
@@ -591,12 +591,17 @@ pub(crate) fn field_str(line: &str, key: &str) -> Result<String, String> {
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed line.
+/// Returns a description of the first malformed line; a header of any
+/// version other than the one [`write_jsonl`] emits is malformed.
 pub fn parse_jsonl(input: &str) -> Result<Trace, String> {
     let mut lines = input.lines();
     let header = lines.next().ok_or("empty trace")?;
     if field_str(header, "trace")? != "algorand" {
         return Err("not an algorand trace".into());
+    }
+    let version = field_u64(header, "version")?;
+    if version != 2 {
+        return Err(format!("unsupported trace version {version}"));
     }
     let mut trace = Trace {
         seed: field_u64(header, "seed")?,
@@ -622,9 +627,9 @@ pub fn parse_jsonl(input: &str) -> Result<Trace, String> {
             end: field_u64(line, "end")?,
             value: field_u64(line, "value")?,
             ok: field_raw(line, "ok").map(str::trim) == Some("true"),
-            id: field_u64_or(line, "id", 0)?,
-            cause: field_u64_or(line, "cause", 0)?,
-            peer: field_u64_or(line, "peer", NO_NODE as u64)? as u32,
+            id: field_u64(line, "id")?,
+            cause: field_u64(line, "cause")?,
+            peer: field_u64(line, "peer")? as u32,
         });
     }
     Ok(trace)
@@ -738,17 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn version1_lines_parse_with_default_causal_fields() {
-        let v1 = "{\"trace\":\"algorand\",\"version\":1,\"seed\":3,\"schedule\":\"s\",\"events\":1,\"dropped\":0}\n\
-                  {\"kind\":\"verify\",\"node\":2,\"round\":5,\"step\":1,\"label\":\"vote\",\"start\":10,\"end\":10,\"value\":0,\"ok\":true}\n";
-        let parsed = parse_jsonl(v1).unwrap();
-        assert_eq!(parsed.events.len(), 1);
-        assert_eq!(parsed.events[0].id, 0);
-        assert_eq!(parsed.events[0].cause, 0);
-        assert_eq!(parsed.events[0].peer, NO_NODE);
-    }
-
-    #[test]
     fn causal_ids_are_stable_and_nonzero() {
         assert_ne!(stable_id(&[0u8; 32]), 0);
         assert_eq!(stable_id(&[9u8; 32]), stable_id(&[9u8; 32]));
@@ -783,7 +777,7 @@ mod tests {
         let parsed = parse_jsonl(&with).unwrap();
         assert_eq!(parsed.trimmed, 9);
         assert_eq!(parsed.dropped, 0);
-        // Untrimmed exports keep the exact version-2 header bytes.
+        // Untrimmed exports keep the plain header bytes.
         let without = write_jsonl_trimmed(1, "s", 0, 0, &events);
         assert_eq!(without, write_jsonl(1, "s", 0, &events));
         assert_eq!(parse_jsonl(&without).unwrap().trimmed, 0);

@@ -1,4 +1,7 @@
-//! The conservative parallel discrete-event engine.
+//! The simulation engine: N Algorand users over a gossip network in
+//! virtual time — the stand-in for the paper's 1,000-VM EC2 testbed
+//! (§10) — run as a conservative discrete-event simulation whose node
+//! phase may be spread over worker threads.
 //!
 //! # Execution model
 //!
@@ -18,7 +21,8 @@
 //!    each a monotone *order hint* from the engine-global counter.
 //! 2. **Node phase (parallel).** Work units — one per honest node, plus
 //!    a single unit holding *all* malicious nodes so coalition state is
-//!    mutated in canonical order — are claimed by workers. Each unit
+//!    mutated in canonical order — are claimed by workers, each unit a
+//!    disjoint `&mut` loan of the engine's node cells. Each unit
 //!    processes its events in key order, touching only per-node state
 //!    (protocol node, relay view, private tracer, pending wake). Sends
 //!    are buffered as intents; chained timer wakes that land inside the
@@ -32,11 +36,14 @@
 //!    buffers are then drained, merged by hint, fed to the invariant
 //!    monitor, and retained under the per-node budget.
 //!
+//! Global events (workload injections, scripted faults) run between
+//! windows, before any node event at the same instant.
+//!
 //! Every shared-state mutation happens in a sequential phase in an order
 //! derived only from canonical keys — never from thread interleaving —
 //! so for any seed the chain digests, monitor verdicts, and exported
 //! traces are byte-identical at 1, 2, or N workers. The determinism gate
-//! (`bench/src/bin/des_determinism.rs`) enforces exactly that.
+//! (`bench/src/bin/chaos_determinism.rs`) enforces exactly that.
 
 use crate::adversary::{AdversaryShared, Outgoing};
 use crate::des::queue::{OrderKey, ShardedQueue, CLASS_DELIVER, CLASS_WAKE};
@@ -46,27 +53,30 @@ use crate::harness::{
     self, FaultReport, InjectStep, KindBytes, NodeCarry, PipelineReport, Prewarmer, SimConfig,
     SimMsg, Slot, TxRecord, TxStats, Workload, ANNOUNCE_SIZE, GENESIS_SEED, TRACE_CAP,
 };
-use crate::network::Network;
+use crate::metrics::{round_stats, RoundStats};
+use crate::network::{Filter, Network};
 use algorand_core::{Node, PipelineVerifier, RoundRecord, VerifyPool, WireMessage};
 use algorand_crypto::rng::Rng;
 use algorand_crypto::Keypair;
 use algorand_gossip::{RelayDecision, RelayMetrics, RelayState, Topology};
-use algorand_ledger::Blockchain;
+use algorand_ledger::{Blockchain, Transaction};
 use algorand_obs::{
-    stable_id, write_jsonl_trimmed, MonitorHandle, MonitorReport, Registry, SpanKind, TraceEvent,
-    TraceObserver, Tracer, NO_NODE,
+    stable_id, write_jsonl_trimmed, Histogram, MonitorHandle, MonitorReport, Registry, SpanKind,
+    TraceEvent, TraceObserver, Tracer, NO_NODE,
 };
 use algorand_txpool::PoolMetrics;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::sync::{Arc, Mutex};
 
-/// Below this many window events the parallel engine stays on the
-/// calling thread: spawning workers for a handful of events costs more
-/// than it saves.
+/// Below this many window events the node phase stays on the calling
+/// thread: spawning workers for a handful of events costs more than it
+/// saves.
 const PARALLEL_THRESHOLD: usize = 192;
 
-/// Configuration for the parallel engine.
+/// Engine configuration: the simulated deployment plus how to run it.
+/// A bare [`SimConfig`] converts into one worker and unlimited trace
+/// retention.
 #[derive(Clone, Debug)]
 pub struct DesConfig {
     /// The shared population/workload/fault configuration.
@@ -80,11 +90,10 @@ pub struct DesConfig {
     pub trace_node_budget: usize,
 }
 
-impl DesConfig {
-    /// Default parallel configuration for `n` users.
-    pub fn new(n: usize) -> DesConfig {
+impl From<SimConfig> for DesConfig {
+    fn from(sim: SimConfig) -> DesConfig {
         DesConfig {
-            sim: SimConfig::new(n),
+            sim,
             workers: 1,
             trace_node_budget: 0,
         }
@@ -108,32 +117,27 @@ enum GlobalKind {
 struct InEvent {
     hint: u64,
     time: Micros,
-    kind: InKind,
-}
-
-enum InKind {
-    Deliver { from: usize, msg: Arc<SimMsg> },
-    Wake,
+    kind: DesEvent,
 }
 
 impl InEvent {
     fn class(&self) -> u8 {
         match self.kind {
-            InKind::Deliver { .. } => CLASS_DELIVER,
-            InKind::Wake => CLASS_WAKE,
+            DesEvent::Deliver { .. } => CLASS_DELIVER,
+            DesEvent::Wake => CLASS_WAKE,
         }
     }
 
     fn tiebreak(&self, node: usize) -> u64 {
         match self.kind {
-            InKind::Deliver { .. } => self.hint,
-            InKind::Wake => node as u64,
+            DesEvent::Deliver { .. } => self.hint,
+            DesEvent::Wake => node as u64,
         }
     }
 }
 
-/// A deferred send, replayed against shared network state at the
-/// barrier in `(hint, seq)` order.
+/// A deferred send, replayed against shared network state in a
+/// sequential phase in `(hint, seq)` order.
 struct Intent {
     hint: u64,
     seq: u64,
@@ -164,48 +168,60 @@ struct NodeCell {
     /// The wake time currently enqueued in the shared queue (`MAX` if
     /// none) — avoids duplicate queue entries for an unchanged wake.
     enqueued_wake: Micros,
+    /// Signed clock skew: the node's local clock reads `now + skew`.
     clock_skew: i64,
+    /// Down, not processing events.
     crashed: bool,
+    /// Durable state saved at crash, for restart.
     snapshot: Option<Vec<u8>>,
     /// Window inbox, filled by the sequential extract phase.
     inbox: Vec<InEvent>,
-    /// Send intents buffered during the parallel phase.
+    /// Send intents buffered until the next sequential phase.
     outbox: Vec<Intent>,
-    /// Emission counter for intent ordering, monotone per window.
+    /// Emission counter for intent ordering, monotone per node.
     out_seq: u64,
     /// Hint of the last processed event (inherited by chained wakes).
     last_hint: u64,
 }
 
-/// The parallel discrete-event simulation.
-pub struct ParallelSim {
-    cfg: DesConfig,
-    cells: Vec<Mutex<NodeCell>>,
+/// The simulation.
+pub struct Simulation {
+    cfg: SimConfig,
+    workers: usize,
+    trace_node_budget: usize,
+    cells: Vec<NodeCell>,
     keypairs: Vec<Keypair>,
     topology: Topology,
     net: Network,
     queue: ShardedQueue<DesEvent>,
     /// Global events (workload injections, scripted faults), processed
     /// sequentially between windows.
-    globals: std::collections::BinaryHeap<std::cmp::Reverse<(Micros, u64, GlobalKind)>>,
+    globals: BinaryHeap<Reverse<(Micros, u64, GlobalKind)>>,
+    /// Scripted faults, indexed by queued [`GlobalKind::Fault`]s.
     faults: Vec<FaultEvent>,
     next_churn: Micros,
     churn_epoch: u64,
     verifier: Arc<PipelineVerifier>,
     pool: VerifyPool,
+    /// Batch hand-off of in-flight messages to the verify pool.
     prewarm: Prewarmer,
     adversary: Arc<Mutex<AdversaryShared>>,
     workload: Option<Workload>,
     started: bool,
     restarts: usize,
     partitions_activated: usize,
+    /// The process-wide metrics registry every node publishes into.
     registry: Registry,
     /// Engine-owned tracer for hop/fault spans (sequential phases only).
     engine_tracer: Tracer,
+    /// The online invariant checker (present only when `cfg.monitor`).
     monitor: Option<MonitorHandle>,
     /// The monitor's live feed, driven manually with the merged stream.
     monitor_feed: Option<Box<dyn TraceObserver>>,
+    /// Per-kind transmitted-byte totals, exported with the trace.
     kind_bytes: KindBytes,
+    /// Counters carried over from nodes replaced by crash/restart,
+    /// keyed by node id.
     carry: HashMap<usize, NodeCarry>,
     /// Engine-global canonical order counter: event hints and delivery
     /// sequence numbers, advanced only in sequential phases.
@@ -217,92 +233,83 @@ pub struct ParallelSim {
     trimmed: u64,
 }
 
-impl ParallelSim {
-    /// Builds the engine: same population, topology, network, and
-    /// workload construction as [`crate::runner::Simulation`], but with
-    /// per-node trace buffers and a sharded queue.
-    pub fn new(mut cfg: DesConfig) -> ParallelSim {
-        cfg.sim.apply_injected_bug();
-        let sim = &cfg.sim;
-        let keypairs = sim.build_keypairs();
+/// The engine under the name it has when run on several workers.
+pub type ParallelSim = Simulation;
+
+impl Simulation {
+    /// Builds the simulation: deterministic keys, equal genesis stake, a
+    /// weighted gossip topology, and one node per user.
+    pub fn new(cfg: impl Into<DesConfig>) -> Simulation {
+        let DesConfig {
+            sim: mut cfg,
+            workers,
+            trace_node_budget,
+        } = cfg.into();
+        cfg.apply_injected_bug();
+        let keypairs = cfg.build_keypairs();
         let verifier = Arc::new(PipelineVerifier::new());
         let adversary = Arc::new(Mutex::new(AdversaryShared::default()));
         let registry = Registry::new();
-        let trace = sim.trace;
-        let monitor = (sim.monitor && trace).then(|| MonitorHandle::new(sim.monitor_config()));
+        let new_tracer = || {
+            if cfg.trace {
+                Tracer::bounded(TRACE_CAP)
+            } else {
+                Tracer::disabled()
+            }
+        };
+        let monitor = (cfg.monitor && cfg.trace).then(|| MonitorHandle::new(cfg.monitor_config()));
         let monitor_feed = monitor.as_ref().map(MonitorHandle::observer);
         let pool_metrics = PoolMetrics::registered(&registry);
-        let mut node_tracers: Vec<Tracer> = (0..sim.n_users)
-            .map(|_| {
-                if trace {
-                    Tracer::bounded(TRACE_CAP)
-                } else {
-                    Tracer::disabled()
-                }
-            })
-            .collect();
+        let tracers: Vec<Tracer> = (0..cfg.n_users).map(|_| new_tracer()).collect();
         let slots =
-            harness::build_slots(sim, &keypairs, &verifier, &adversary, &pool_metrics, |i| {
-                node_tracers[i].clone()
+            harness::build_slots(&cfg, &keypairs, &verifier, &adversary, &pool_metrics, |i| {
+                tracers[i].clone()
             });
-        let mut topo_rng = Rng::seed_from_u64(sim.seed);
-        let weights = vec![sim.stake_per_user; sim.n_users];
-        let topology = Topology::weighted(sim.n_users, sim.out_degree, &weights, &mut topo_rng);
         let relay_metrics = RelayMetrics::registered(&registry);
         let cells = slots
             .into_iter()
+            .zip(tracers)
             .enumerate()
-            .map(|(i, slot)| {
-                Mutex::new(NodeCell {
-                    id: i,
-                    slot,
-                    relay: RelayState::with_metrics(relay_metrics.clone()),
-                    tracer: std::mem::take(&mut node_tracers[i]),
-                    next_wake: Micros::MAX,
-                    enqueued_wake: Micros::MAX,
-                    clock_skew: 0,
-                    crashed: false,
-                    snapshot: None,
-                    inbox: Vec::new(),
-                    outbox: Vec::new(),
-                    out_seq: 0,
-                    last_hint: 0,
-                })
+            .map(|(id, (slot, tracer))| NodeCell {
+                id,
+                slot,
+                relay: RelayState::with_metrics(relay_metrics.clone()),
+                tracer,
+                next_wake: Micros::MAX,
+                enqueued_wake: Micros::MAX,
+                clock_skew: 0,
+                crashed: false,
+                snapshot: None,
+                inbox: Vec::new(),
+                outbox: Vec::new(),
+                out_seq: 0,
+                last_hint: 0,
             })
             .collect();
-        let net = Network::new(sim.n_users, sim.net.clone());
-        let workload = Workload::from_config(sim);
-        // A few nodes per shard keeps heaps small without fragmenting.
-        let n_shards = (sim.n_users / 16).clamp(1, 64);
-        let n_users = sim.n_users;
-        ParallelSim {
+        Simulation {
             cells,
-            keypairs,
-            topology,
-            net,
-            queue: ShardedQueue::new(n_shards),
-            globals: std::collections::BinaryHeap::new(),
+            topology: draw_topology(&cfg, cfg.seed),
+            net: Network::new(cfg.n_users, cfg.net.clone()),
+            // A few nodes per shard keeps heaps small without fragmenting.
+            queue: ShardedQueue::new((cfg.n_users / 16).clamp(1, 64)),
+            globals: BinaryHeap::new(),
             faults: Vec::new(),
-            next_churn: if sim.peer_churn_interval > 0 {
-                sim.peer_churn_interval
+            next_churn: if cfg.peer_churn_interval > 0 {
+                cfg.peer_churn_interval
             } else {
                 u64::MAX
             },
             churn_epoch: 0,
             verifier,
-            pool: VerifyPool::new(sim.verify_pool_workers),
+            pool: VerifyPool::new(cfg.verify_pool_workers),
             prewarm: Prewarmer::new(),
             adversary,
-            workload,
+            workload: Workload::from_config(&cfg),
             started: false,
             restarts: 0,
             partitions_activated: 0,
             registry,
-            engine_tracer: if trace {
-                Tracer::bounded(TRACE_CAP)
-            } else {
-                Tracer::disabled()
-            },
+            engine_tracer: new_tracer(),
             monitor,
             monitor_feed,
             kind_bytes: KindBytes::default(),
@@ -310,28 +317,74 @@ impl ParallelSim {
             order: 0,
             now: 0,
             retained: Vec::new(),
-            retained_per_node: vec![0; n_users],
+            retained_per_node: vec![0; cfg.n_users],
             trimmed: 0,
+            keypairs,
+            workers,
+            trace_node_budget,
             cfg,
         }
     }
 
-    /// Installs a scripted fault schedule (accumulates, as on the serial
-    /// runner).
+    /// Installs a network fault filter (partition, targeted DoS).
+    pub fn set_network_filter(&mut self, filter: Option<Filter>) {
+        self.net.set_filter(filter);
+    }
+
+    /// Installs a scripted fault schedule: every event runs at its exact
+    /// virtual instant, interleaving deterministically with message
+    /// deliveries and timer wakes. May be called before or during a run;
+    /// schedules accumulate.
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
         let base = self.faults.len();
         let events = schedule.into_events();
         for (k, e) in events.iter().enumerate() {
-            let seq = self.next_order();
-            self.globals
-                .push(std::cmp::Reverse((e.at, seq, GlobalKind::Fault(base + k))));
+            self.schedule_global(e.at, GlobalKind::Fault(base + k));
         }
         self.faults.extend(events);
     }
 
-    /// The shared adversary state.
-    pub fn adversary(&self) -> Arc<Mutex<AdversaryShared>> {
-        self.adversary.clone()
+    /// Whether node `i` is currently crashed.
+    pub fn is_crashed(&self, i: usize) -> bool {
+        self.cells[i].crashed
+    }
+
+    /// Submits a transaction via node `node`, gossiping it to the network
+    /// exactly as a user's client would (§4).
+    pub fn submit_transaction(&mut self, node: usize, tx: Transaction) {
+        self.submit(node, tx, self.now);
+        self.flush_traces();
+    }
+
+    /// Injects an arbitrary wire message into the network at node `via`,
+    /// as if an attacker-controlled peer delivered it. The receiving node
+    /// processes it through the normal validation path, and the gossip
+    /// relay rules decide whether it spreads.
+    pub fn inject_message(&mut self, via: usize, msg: WireMessage) {
+        // A self-loop `from` keeps the relay from skipping a peer.
+        self.schedule_delivery(via, via, SimMsg::new(msg), self.now);
+    }
+
+    /// The keypair of user `i` (deterministic; useful for crafting
+    /// transactions in tests and benches).
+    pub fn keypair(&self, i: usize) -> &Keypair {
+        &self.keypairs[i]
+    }
+
+    /// Admits `txs` directly into every node's mempool, bypassing gossip.
+    ///
+    /// This models a pre-agreed workload that every deployment loads
+    /// identically before round 1 — the fixture the real-process harness
+    /// uses to cross-check chain digests: with identical pools at every
+    /// proposer, block assembly is a pure function of the chain seed.
+    pub fn preload_transactions(&mut self, txs: &[Transaction]) {
+        for cell in &mut self.cells {
+            let node = cell.slot.node_mut();
+            let accounts = node.chain().accounts().clone();
+            for tx in txs {
+                let _ = node.pool.admit(tx.clone(), &accounts);
+            }
+        }
     }
 
     /// Starts every node at time 0.
@@ -340,20 +393,16 @@ impl ParallelSim {
         self.started = true;
         for i in 0..self.cells.len() {
             let hint = self.next_order();
-            let outgoing = {
-                let mut g = self.cells[i].lock().expect("cell");
-                g.tracer.set_order_hint(hint);
-                g.slot.start(0)
-            };
+            let cell = &mut self.cells[i];
+            cell.tracer.set_order_hint(hint);
+            let outgoing = cell.slot.start(0);
             self.dispatch_sequential(i, outgoing, 0, hint);
             self.reschedule_sequential(i);
         }
         if let Some(wl) = &self.workload {
-            let at = wl.interval;
-            let seq = self.next_order();
-            self.globals
-                .push(std::cmp::Reverse((at, seq, GlobalKind::Inject)));
+            self.schedule_global(wl.interval, GlobalKind::Inject);
         }
+        self.flush_traces();
     }
 
     /// Runs until virtual time `t_end` or until all queues drain.
@@ -361,37 +410,23 @@ impl ParallelSim {
         if !self.started {
             self.start();
         }
-        loop {
-            let next_node = self.queue.next_time();
-            let next_global = self.globals.peek().map(|std::cmp::Reverse((t, _, _))| *t);
-            let t = match (next_node, next_global) {
-                (None, None) => break,
-                (a, b) => a.unwrap_or(u64::MAX).min(b.unwrap_or(u64::MAX)),
-            };
-            if t > t_end {
-                break;
-            }
+        while let Some(t) = self.next_event_time().filter(|&t| t <= t_end) {
             self.now = t;
-            // §8.4 peer churn: regenerate the gossip topology between
-            // windows, so a window never straddles a topology change.
+            // §8.4: users periodically replace their gossip peers, which
+            // also recovers anyone stranded in a disconnected component.
+            // Between windows, so a window never straddles the change.
             while t >= self.next_churn {
                 self.churn_epoch += 1;
                 self.next_churn = self
                     .next_churn
-                    .saturating_add(self.cfg.sim.peer_churn_interval.max(1));
-                let mut rng = Rng::seed_from_u64(self.cfg.sim.seed ^ (self.churn_epoch << 32));
-                let weights = vec![self.cfg.sim.stake_per_user; self.cfg.sim.n_users];
-                self.topology = Topology::weighted(
-                    self.cfg.sim.n_users,
-                    self.cfg.sim.out_degree,
-                    &weights,
-                    &mut rng,
-                );
+                    .saturating_add(self.cfg.peer_churn_interval.max(1));
+                self.topology = draw_topology(&self.cfg, self.cfg.seed ^ (self.churn_epoch << 32));
             }
             // Global events at the frontier run sequentially, before any
             // node window (a fixed canonical rule on time ties).
-            if next_global.is_some_and(|g| g <= next_node.unwrap_or(u64::MAX)) {
-                let std::cmp::Reverse((at, _, kind)) = self.globals.pop().expect("peeked");
+            let next_global = self.globals.peek().map(|Reverse((at, _, _))| *at);
+            if next_global == Some(t) {
+                let Reverse((at, _, kind)) = self.globals.pop().expect("peeked");
                 match kind {
                     GlobalKind::Inject => self.inject_next_tx(at),
                     GlobalKind::Fault(idx) => {
@@ -409,62 +444,66 @@ impl ParallelSim {
                 .min(t_end.saturating_add(1));
             self.run_window(window_end);
         }
+        self.flush_traces();
     }
 
-    /// Runs until every live node's chain has `rounds` rounds, or until
-    /// `t_cap` virtual time passes.
+    /// Runs until every honest node's chain has reached `rounds` rounds,
+    /// or until `t_cap` virtual time passes (whichever comes first).
+    ///
+    /// Progress is judged by chain height, not per-round records: a node
+    /// that re-synced via catch-up has the rounds without having measured
+    /// them.
     pub fn run_rounds(&mut self, rounds: u64, t_cap: Micros) {
         if !self.started {
             self.start();
         }
-        loop {
-            let all_done = self.cells.iter().all(|c| {
-                let g = c.lock().expect("cell");
-                g.crashed || g.slot.node().chain().tip().round >= rounds
-            });
-            if all_done {
+        // A crashed node cannot make progress; it is not waited on.
+        while !self
+            .cells
+            .iter()
+            .all(|c| c.crashed || c.slot.node().chain().tip().round >= rounds)
+        {
+            let Some(next) = self.next_event_time().filter(|&t| t <= t_cap) else {
                 return;
-            }
-            let next_node = self.queue.next_time();
-            let next_global = self.globals.peek().map(|std::cmp::Reverse((t, _, _))| *t);
-            let next = match (next_node, next_global) {
-                (None, None) => return,
-                (a, b) => a.unwrap_or(u64::MAX).min(b.unwrap_or(u64::MAX)),
             };
-            if next > t_cap {
-                return;
-            }
+            // Advance in one-second slices so the completion check runs
+            // periodically without scanning after every event.
             self.run_until((next + 1_000_000).min(t_cap));
         }
     }
 
     // --- Window machinery ----------------------------------------------------
 
+    /// The earliest pending node or global event.
+    fn next_event_time(&self) -> Option<Micros> {
+        let next_global = self.globals.peek().map(|Reverse((at, _, _))| *at);
+        match (self.queue.next_time(), next_global) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
     /// One window: extract, parallel node phase, sequential barrier.
     fn run_window(&mut self, window_end: Micros) {
         // Phase 1 — extract: pop in canonical order, stamp hints, route.
         let popped = self.queue.pop_window(window_end);
+        let n_events = popped.len();
         let mut touched: Vec<usize> = Vec::new();
-        let mut n_events = 0usize;
-        for (key, ev) in popped {
+        for (key, kind) in popped {
             let hint = self.next_order();
-            n_events += 1;
-            let (node, kind) = match ev {
-                DesEvent::Deliver { from, msg } => (
-                    key.tiebreak_node_for_deliver(),
-                    InKind::Deliver { from, msg },
-                ),
-                DesEvent::Wake => (key.tiebreak as usize, InKind::Wake),
+            let node = match kind {
+                DesEvent::Deliver { .. } => key.tiebreak_node_for_deliver(),
+                DesEvent::Wake => key.tiebreak as usize,
             };
-            let mut g = self.cells[node].lock().expect("cell");
-            if matches!(kind, InKind::Wake) {
+            let cell = &mut self.cells[node];
+            if matches!(kind, DesEvent::Wake) {
                 // The enqueued entry just left the queue.
-                g.enqueued_wake = Micros::MAX;
+                cell.enqueued_wake = Micros::MAX;
             }
-            if g.inbox.is_empty() {
+            if cell.inbox.is_empty() {
                 touched.push(node);
             }
-            g.inbox.push(InEvent {
+            cell.inbox.push(InEvent {
                 hint,
                 time: key.time,
                 kind,
@@ -475,146 +514,136 @@ impl ParallelSim {
         }
         touched.sort_unstable();
 
-        // Work units: one per honest node; all malicious nodes together,
-        // so the shared coalition state mutates in canonical order.
-        let n_honest = self.cfg.sim.n_users - self.cfg.sim.n_malicious;
-        let mut units: Vec<Vec<usize>> = Vec::new();
-        let mut malicious_unit: Vec<usize> = Vec::new();
-        for &n in &touched {
-            if n < n_honest {
-                units.push(vec![n]);
-            } else {
-                malicious_unit.push(n);
-            }
+        // Phase 2 — node phase. Work units: one per honest node; all
+        // malicious nodes (the top of the index space) together, so the
+        // shared coalition state mutates in canonical order.
+        let n_honest = self.cfg.n_users - self.cfg.n_malicious;
+        let mut lent = disjoint_mut(&mut self.cells, &touched);
+        let (honest, malicious) = lent.split_at_mut(touched.partition_point(|&n| n < n_honest));
+        let mut units: Vec<&mut [&mut NodeCell]> = honest.chunks_mut(1).collect();
+        if !malicious.is_empty() {
+            units.push(malicious);
         }
-        if !malicious_unit.is_empty() {
-            units.push(malicious_unit);
-        }
-
-        // Phase 2 — node phase, parallel when it pays off.
         let ctx = UnitCtx {
             window_end,
-            relay_all_blocks: self.cfg.sim.relay_all_blocks,
-            ignore_catchup: self.cfg.sim.injected_bug
-                == Some(crate::harness::InjectedBug::IgnoreCatchupResponses),
+            cfg: &self.cfg,
         };
-        let cells = &self.cells;
-        let workers = self.cfg.workers.max(1);
-        if workers == 1 || units.len() < 2 || n_events < PARALLEL_THRESHOLD {
-            for unit in &units {
-                process_unit(cells, unit, &ctx);
+        let threads = self.workers.min(units.len());
+        if threads < 2 || n_events < PARALLEL_THRESHOLD {
+            for unit in units {
+                process_unit(unit, &ctx);
             }
         } else {
-            let cursor = AtomicUsize::new(0);
-            let units_ref = &units;
-            let ctx_ref = &ctx;
+            let work = Mutex::new(units.into_iter());
+            let drain = || loop {
+                let next = work
+                    .lock()
+                    .expect("nothing under the work-queue lock can panic")
+                    .next();
+                let Some(unit) = next else { break };
+                process_unit(unit, &ctx);
+            };
             std::thread::scope(|s| {
-                for _ in 0..workers.min(units.len()) - 1 {
-                    s.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(unit) = units_ref.get(i) else { break };
-                        process_unit(cells, unit, ctx_ref);
-                    });
+                for _ in 1..threads {
+                    s.spawn(drain);
                 }
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(unit) = units_ref.get(i) else { break };
-                    process_unit(cells, unit, ctx_ref);
-                }
+                drain();
             });
         }
 
-        // Phase 3 — barrier: replay intents canonically, then merge
-        // traces and arm wakes.
+        // Phase 3 — barrier: replay intents canonically, then arm wakes
+        // and merge traces.
         let mut intents: Vec<Intent> = Vec::new();
         for &n in &touched {
-            let mut g = self.cells[n].lock().expect("cell");
-            intents.append(&mut g.outbox);
+            intents.append(&mut self.cells[n].outbox);
         }
         // (hint, seq) is unique: hints are per-event, and a chained wake
         // sharing its trigger's hint continues the same cell's seq run.
         intents.sort_unstable_by_key(|i| (i.hint, i.seq));
         for intent in intents {
-            match intent.kind {
-                IntentKind::Forward { ref msg, exclude } => {
-                    let peers: Vec<usize> = self.topology.neighbors(intent.from).to_vec();
-                    for p in peers {
-                        if Some(p) == exclude {
-                            continue;
-                        }
-                        self.transmit(intent.from, p, msg, intent.time, intent.hint);
-                    }
-                }
-                IntentKind::Split { ref a, ref b } => {
-                    let peers: Vec<usize> = self.topology.neighbors(intent.from).to_vec();
-                    for (idx, &p) in peers.iter().enumerate() {
-                        let msg = if idx % 2 == 0 { a } else { b };
-                        self.transmit(intent.from, p, msg, intent.time, intent.hint);
-                    }
-                }
-            }
+            self.replay(intent);
         }
         for &n in &touched {
-            let mut g = self.cells[n].lock().expect("cell");
-            if g.next_wake < g.enqueued_wake {
-                g.enqueued_wake = g.next_wake;
-                let key = OrderKey {
-                    time: g.next_wake,
-                    class: CLASS_WAKE,
-                    tiebreak: n as u64,
-                };
-                self.queue.schedule(n, key, DesEvent::Wake);
-            }
+            self.arm_wake(n);
         }
         self.flush_traces();
     }
 
+    /// Fans one send intent out over the sender's current peers.
+    fn replay(&mut self, intent: Intent) {
+        let Intent {
+            hint,
+            time,
+            from,
+            kind,
+            ..
+        } = intent;
+        let peers: Vec<usize> = self.topology.neighbors(from).to_vec();
+        match kind {
+            IntentKind::Forward { msg, exclude } => {
+                for p in peers {
+                    if Some(p) != exclude {
+                        self.transmit(from, p, &msg, time, hint);
+                    }
+                }
+            }
+            IntentKind::Split { a, b } => {
+                for (idx, p) in peers.into_iter().enumerate() {
+                    let msg = if idx % 2 == 0 { &a } else { &b };
+                    self.transmit(from, p, msg, time, hint);
+                }
+            }
+        }
+    }
+
     /// Serializes one transmission onto the shared network, tracing the
     /// hop and pre-warming the verification cache, and schedules the
-    /// delivery under the next canonical sequence number.
+    /// delivery.
     fn transmit(&mut self, from: usize, to: usize, msg: &Arc<SimMsg>, now: Micros, hint: u64) {
-        let size = {
-            let g = self.cells[to].lock().expect("cell");
-            if msg.pull_based && g.relay.has_seen(&msg.id) {
-                ANNOUNCE_SIZE.min(msg.size)
-            } else {
-                msg.size
-            }
+        // Pull-based bodies: a peer that already holds the content costs
+        // only the announcement round-trip.
+        let size = if msg.pull_based && self.cells[to].relay.has_seen(&msg.id) {
+            ANNOUNCE_SIZE.min(msg.size)
+        } else {
+            msg.size
         };
         if let Some(arrival) = self.net.transmit(from, to, size, now) {
             if self.engine_tracer.is_enabled() {
                 self.trace_hop(from, to, msg, size, now, arrival, hint);
             }
-            {
-                let g0 = self.cells[0].lock().expect("cell");
-                self.prewarm.enqueue(
-                    msg,
-                    g0.slot.node().chain(),
-                    &self.cfg.sim.params,
-                    &self.pool,
-                    &self.verifier,
-                );
-            }
-            let seq = self.next_order();
-            self.queue.schedule(
-                to,
-                OrderKey {
-                    time: arrival,
-                    class: CLASS_DELIVER,
-                    // The low bits carry the target node so extraction
-                    // can route without a payload peek; see OrderKey ext.
-                    tiebreak: pack_deliver_tiebreak(seq, to),
-                },
-                DesEvent::Deliver {
-                    from,
-                    msg: msg.clone(),
-                },
+            self.prewarm.enqueue(
+                msg,
+                self.cells[0].slot.node().chain(),
+                &self.cfg.params,
+                &self.pool,
+                &self.verifier,
             );
+            self.schedule_delivery(to, from, msg.clone(), arrival);
         }
     }
 
-    /// Per-kind byte accounting plus one causally stamped gossip-hop
-    /// span per content transfer (same rules as the serial runner).
+    /// Queues a delivery under the next canonical sequence number.
+    fn schedule_delivery(&mut self, to: usize, from: usize, msg: Arc<SimMsg>, at: Micros) {
+        let seq = self.next_order();
+        self.queue.schedule(
+            to,
+            OrderKey {
+                time: at,
+                class: CLASS_DELIVER,
+                // The low bits carry the target node so extraction can
+                // route without a payload peek.
+                tiebreak: pack_deliver_tiebreak(seq, to),
+            },
+            DesEvent::Deliver { from, msg },
+        );
+    }
+
+    /// Accumulates the per-kind byte counters and records one causally
+    /// stamped gossip-hop span per protocol-message transfer the
+    /// critical-path walker follows: votes, priorities, and *full*
+    /// block/fork bodies (an announcement-sized exchange means the
+    /// receiver already held the content, so it is not a content hop).
+    /// Transactions and catch-up traffic only count bytes.
     #[allow(clippy::too_many_arguments)]
     fn trace_hop(
         &mut self,
@@ -668,14 +697,14 @@ impl ParallelSim {
     /// Drains every per-node tracer plus the engine tracer, merges by
     /// hint into one canonical stream, feeds the invariant monitor the
     /// *full* stream, and retains events under the per-node budget.
+    /// Hints only grow, so flushing more often never changes the stream.
     fn flush_traces(&mut self) {
         if !self.engine_tracer.is_enabled() {
             return;
         }
         let mut batch: Vec<(u64, TraceEvent)> = Vec::new();
         for cell in &self.cells {
-            let g = cell.lock().expect("cell");
-            batch.extend(g.tracer.drain_with_hints());
+            batch.extend(cell.tracer.drain_with_hints());
         }
         // Engine spans last: at an equal hint, the node's own events
         // precede the hops they caused (stable sort keeps source order).
@@ -686,7 +715,7 @@ impl ParallelSim {
                 feed.observe(ev);
             }
         }
-        let budget = self.cfg.trace_node_budget;
+        let budget = self.trace_node_budget;
         for (_, ev) in batch {
             let n = ev.node;
             if budget > 0 && n != NO_NODE {
@@ -701,10 +730,19 @@ impl ParallelSim {
         }
     }
 
-    // --- Sequential-phase dispatch (start, inject, restart) -----------------
+    // --- Sequential phases (start, globals, public entry points) ------------
 
-    /// Immediately fans node-originated messages out onto the network —
-    /// only callable from sequential phases.
+    fn next_order(&mut self) -> u64 {
+        self.order += 1;
+        self.order
+    }
+
+    fn schedule_global(&mut self, at: Micros, kind: GlobalKind) {
+        let seq = self.next_order();
+        self.globals.push(Reverse((at, seq, kind)));
+    }
+
+    /// Immediately fans node-originated messages out onto the network.
     fn dispatch_sequential(
         &mut self,
         from: usize,
@@ -712,123 +750,79 @@ impl ParallelSim {
         now: Micros,
         hint: u64,
     ) {
-        for o in outgoing {
-            match o {
-                Outgoing::Broadcast(wire) => {
-                    let msg = SimMsg::new(wire);
-                    self.cells[from]
-                        .lock()
-                        .expect("cell")
-                        .relay
-                        .classify(msg.id, msg.relay_slot);
-                    let peers: Vec<usize> = self.topology.neighbors(from).to_vec();
-                    for p in peers {
-                        self.transmit(from, p, &msg, now, hint);
-                    }
-                }
-                Outgoing::Split(wire_a, wire_b) => {
-                    let msg_a = SimMsg::new(wire_a);
-                    let msg_b = SimMsg::new(wire_b);
-                    {
-                        let mut g = self.cells[from].lock().expect("cell");
-                        g.relay.classify(msg_a.id, msg_a.relay_slot);
-                        g.relay.classify(msg_b.id, msg_b.relay_slot);
-                    }
-                    let peers: Vec<usize> = self.topology.neighbors(from).to_vec();
-                    for (idx, &p) in peers.iter().enumerate() {
-                        let msg = if idx % 2 == 0 { &msg_a } else { &msg_b };
-                        self.transmit(from, p, msg, now, hint);
-                    }
-                }
-            }
+        let cell = &mut self.cells[from];
+        buffer_outgoing(cell, hint, now, outgoing);
+        for intent in std::mem::take(&mut cell.outbox) {
+            self.replay(intent);
         }
     }
 
-    /// Arms node `i`'s wake from its current deadline (sequential
-    /// phases).
+    /// Arms node `i`'s wake from its current deadline.
     fn reschedule_sequential(&mut self, i: usize) {
-        let mut g = self.cells[i].lock().expect("cell");
-        if let Some(d) = g.slot.next_deadline() {
-            let d = harness::unskewed_global(d, g.clock_skew);
-            if d < g.next_wake {
-                g.next_wake = d;
-            }
-        }
-        if g.next_wake < g.enqueued_wake {
-            g.enqueued_wake = g.next_wake;
+        reschedule_local(&mut self.cells[i]);
+        self.arm_wake(i);
+    }
+
+    /// Puts node `n`'s pending wake on the shared queue unless an entry
+    /// at least as early is already there.
+    fn arm_wake(&mut self, n: usize) {
+        let cell = &mut self.cells[n];
+        if cell.next_wake < cell.enqueued_wake {
+            cell.enqueued_wake = cell.next_wake;
             let key = OrderKey {
-                time: g.next_wake,
+                time: cell.next_wake,
                 class: CLASS_WAKE,
-                tiebreak: i as u64,
+                tiebreak: n as u64,
             };
-            drop(g);
-            self.queue.schedule(i, key, DesEvent::Wake);
+            self.queue.schedule(n, key, DesEvent::Wake);
         }
     }
 
-    /// Injects the next workload payment (global event).
+    /// Hands `tx` to `node` and gossips it if the node's pool accepts
+    /// it; `false` if the pool refused.
+    fn submit(&mut self, node: usize, tx: Transaction, now: Micros) -> bool {
+        let hint = self.next_order();
+        let cell = &mut self.cells[node];
+        cell.tracer.set_order_hint(hint);
+        let Some(msg) = cell.slot.node_mut().submit_transaction(tx) else {
+            return false;
+        };
+        self.dispatch_sequential(node, vec![Outgoing::Broadcast(msg)], now, hint);
+        true
+    }
+
+    /// Injects the next workload payment and schedules the one after.
     fn inject_next_tx(&mut self, now: Micros) {
         let Some(mut wl) = self.workload.take() else {
             return;
         };
-        if wl.remaining == 0 {
-            self.workload = Some(wl);
-            return;
-        }
-        let crashed: Vec<bool> = self
-            .cells
-            .iter()
-            .map(|c| c.lock().expect("cell").crashed)
-            .collect();
-        let schedule_next = |sim: &mut ParallelSim, at: Micros| {
-            let seq = sim.next_order();
-            sim.globals
-                .push(std::cmp::Reverse((at, seq, GlobalKind::Inject)));
-        };
-        match wl.plan(&crashed) {
-            InjectStep::Quiet => {
-                self.workload = Some(wl);
-            }
-            InjectStep::Retry => {
-                let at = now + wl.interval;
-                self.workload = Some(wl);
-                schedule_next(self, at);
-            }
-            InjectStep::Pay { sender, to, amount } => {
-                let tx = wl.payment(&self.keypairs, sender, to, amount);
-                let hint = self.next_order();
-                let submitted = {
-                    let mut g = self.cells[sender].lock().expect("cell");
-                    g.tracer.set_order_hint(hint);
-                    g.slot.node_mut().submit_transaction(tx.clone())
-                };
-                if let Some(msg) = submitted {
-                    wl.commit(
-                        sender,
-                        amount,
-                        TxRecord {
-                            id: tx.id(),
+        if wl.remaining > 0 {
+            match wl.plan(|i| self.cells[i].crashed) {
+                InjectStep::Quiet => {}
+                InjectStep::Retry => self.schedule_global(now + wl.interval, GlobalKind::Inject),
+                InjectStep::Pay { sender, to, amount } => {
+                    let tx = wl.payment(&self.keypairs, sender, to, amount);
+                    let id = tx.id();
+                    // A refusal (e.g. the sender's unconfirmed nonce run
+                    // hit the per-sender cap) skips this tick.
+                    if self.submit(sender, tx, now) {
+                        let record = TxRecord {
+                            id,
                             sender,
                             submitted: now,
-                        },
-                    );
-                    let at = now + wl.interval;
-                    let again = wl.remaining > 0;
-                    self.workload = Some(wl);
-                    self.dispatch_sequential(sender, vec![Outgoing::Broadcast(msg)], now, hint);
-                    if again {
-                        schedule_next(self, at);
+                        };
+                        wl.commit(sender, amount, record);
                     }
-                } else {
-                    let at = now + wl.interval;
-                    self.workload = Some(wl);
-                    schedule_next(self, at);
+                    if wl.remaining > 0 {
+                        self.schedule_global(now + wl.interval, GlobalKind::Inject);
+                    }
                 }
             }
         }
+        self.workload = Some(wl);
     }
 
-    /// Applies one scripted fault (global event).
+    /// Applies one scripted fault.
     fn apply_fault(&mut self, action: FaultAction, now: Micros) {
         if self.engine_tracer.is_enabled() {
             let (label, node) = match &action {
@@ -862,84 +856,92 @@ impl ParallelSim {
             FaultAction::Crash(i) => self.crash_node(i),
             FaultAction::Restart(i) => self.restart_node(i, now),
             FaultAction::ClockSkew { node, skew } => {
-                self.cells[node].lock().expect("cell").clock_skew = skew;
+                self.cells[node].clock_skew = skew;
+                // The node's next deadline moved on the global clock.
                 self.reschedule_sequential(node);
             }
         }
     }
 
+    /// Crashes an honest node: its durable state (chain + certificates)
+    /// is snapshotted through the wire codec, everything else is lost,
+    /// and it stops processing events.
     fn crash_node(&mut self, i: usize) {
-        let mut g = self.cells[i].lock().expect("cell");
-        if g.crashed {
+        let cell = &mut self.cells[i];
+        if cell.crashed {
             return;
         }
-        let Slot::Honest(node) = &g.slot else {
+        let Slot::Honest(node) = &cell.slot else {
             debug_assert!(false, "chaos scripts crash honest nodes only");
             return;
         };
-        g.snapshot = Some(node.snapshot());
-        g.crashed = true;
-        g.next_wake = Micros::MAX;
+        cell.snapshot = Some(node.snapshot());
+        cell.crashed = true;
+        // Pending wakes for the dead process become stale.
+        cell.next_wake = Micros::MAX;
     }
 
+    /// Restarts a crashed node from its snapshot. The node revalidates
+    /// the snapshot as it would a catch-up batch, comes back with empty
+    /// volatile state (fresh relay view, empty mempool), and rejoins the
+    /// round loop — fetching whatever it missed while down via §8.3
+    /// catch-up.
     fn restart_node(&mut self, i: usize, now: Micros) {
         let hint = self.next_order();
-        let (outgoing, local) = {
-            let mut g = self.cells[i].lock().expect("cell");
-            if !g.crashed {
-                return;
-            }
-            let snapshot = g.snapshot.take().unwrap_or_default();
-            if let Slot::Honest(old) = &g.slot {
-                self.carry.entry(i).or_default().fold_from(old);
-            }
-            let alloc: Vec<_> = self
-                .keypairs
-                .iter()
-                .map(|k| (k.pk, self.cfg.sim.stake_per_user))
-                .collect();
-            let genesis = Blockchain::new(self.cfg.sim.params.chain, alloc, GENESIS_SEED);
-            let local = harness::skewed_local(now, g.clock_skew);
-            let mut node = Node::restore(
-                self.keypairs[i].clone(),
-                genesis,
-                self.cfg.sim.params,
-                self.verifier.clone(),
-                &snapshot,
-                local,
-            );
-            node.payload_bytes = self.cfg.sim.payload_bytes;
-            node.block_tx_bytes = self.cfg.sim.block_tx_bytes;
-            node.set_tracer(g.tracer.clone(), i as u32);
-            node.pool
-                .set_metrics(PoolMetrics::registered(&self.registry));
-            g.slot = Slot::Honest(Box::new(node));
-            g.relay = RelayState::with_metrics(RelayMetrics::registered(&self.registry));
-            g.crashed = false;
-            g.tracer.set_order_hint(hint);
-            let outgoing = g.slot.start(local);
-            (outgoing, local)
-        };
+        let cell = &mut self.cells[i];
+        if !cell.crashed {
+            return;
+        }
+        let snapshot = cell.snapshot.take().unwrap_or_default();
+        // Fold the dying node's counters into the carry before its slot
+        // is overwritten, so aggregated reports keep its pre-crash
+        // history without ever double-counting it.
+        if let Slot::Honest(old) = &cell.slot {
+            self.carry.entry(i).or_default().fold_from(old);
+        }
+        let alloc: Vec<_> = self
+            .keypairs
+            .iter()
+            .map(|k| (k.pk, self.cfg.stake_per_user))
+            .collect();
+        let genesis = Blockchain::new(self.cfg.params.chain, alloc, GENESIS_SEED);
+        let local = harness::skewed_local(now, cell.clock_skew);
+        let mut node = Node::restore(
+            self.keypairs[i].clone(),
+            genesis,
+            self.cfg.params,
+            self.verifier.clone(),
+            &snapshot,
+            local,
+        );
+        node.payload_bytes = self.cfg.payload_bytes;
+        node.block_tx_bytes = self.cfg.block_tx_bytes;
+        node.set_tracer(cell.tracer.clone(), i as u32);
+        node.pool
+            .set_metrics(PoolMetrics::registered(&self.registry));
+        cell.slot = Slot::Honest(Box::new(node));
+        cell.relay = RelayState::with_metrics(RelayMetrics::registered(&self.registry));
+        cell.crashed = false;
+        cell.tracer.set_order_hint(hint);
+        let outgoing = cell.slot.start(local);
         self.restarts += 1;
-        let _ = local;
         self.dispatch_sequential(i, outgoing, now, hint);
         self.reschedule_sequential(i);
     }
 
-    fn next_order(&mut self) -> u64 {
-        self.order += 1;
-        self.order
-    }
-
     // --- Results and reports -------------------------------------------------
+
+    fn slots(&self) -> Vec<&Slot> {
+        self.cells.iter().map(|c| &c.slot).collect()
+    }
 
     /// The current virtual time.
     pub fn now(&self) -> Micros {
         self.now
     }
 
-    /// The configuration this engine runs with.
-    pub fn config(&self) -> &DesConfig {
+    /// The configuration this simulation runs with.
+    pub fn config(&self) -> &SimConfig {
         &self.cfg
     }
 
@@ -948,63 +950,72 @@ impl ParallelSim {
         &self.net
     }
 
-    /// Honest node 0's chain tip round (progress probe).
+    /// The shared adversary state (tests inspect recorded equivocations).
+    pub fn adversary(&self) -> Arc<Mutex<AdversaryShared>> {
+        self.adversary.clone()
+    }
+
+    /// Immutable access to node `i`'s protocol state (for a malicious
+    /// user, the honest node its wrapper drives).
+    pub fn honest_node(&self, i: usize) -> &Node {
+        self.cells[i].slot.node()
+    }
+
+    /// Node `i`'s chain tip round (progress probe).
     pub fn tip_round(&self, i: usize) -> u64 {
-        self.cells[i]
-            .lock()
-            .expect("cell")
-            .slot
-            .node()
-            .chain()
-            .tip()
-            .round
+        self.honest_node(i).chain().tip().round
     }
 
-    /// A digest of every honest node's canonical chain — must be
-    /// byte-identical for any worker count at the same seed.
+    /// A digest of every honest node's canonical chain, for the
+    /// determinism check: identical `(seed, schedule)` runs must produce
+    /// identical digests, at any worker count.
     pub fn chain_digest(&self) -> [u8; 32] {
-        let guards: Vec<_> = self.cells.iter().map(|c| c.lock().expect("cell")).collect();
-        let slots: Vec<&Slot> = guards.iter().map(|g| &g.slot).collect();
-        harness::chain_digest(&slots)
+        harness::chain_digest(&self.slots())
     }
 
-    /// Per-honest-node round records including pre-crash history.
+    /// Per-honest-node round records.
+    pub fn honest_records(&self) -> Vec<&[RoundRecord]> {
+        self.cells
+            .iter()
+            .filter_map(|c| c.slot.honest().map(Node::records))
+            .collect()
+    }
+
+    /// Per-honest-node round records *including* those a node measured
+    /// before a crash/restart cycle replaced it, deduplicated by round
+    /// per node (a record carried from before the crash wins over a
+    /// hypothetical re-measurement after it).
     pub fn combined_records(&self) -> Vec<Vec<RoundRecord>> {
-        let guards: Vec<_> = self.cells.iter().map(|c| c.lock().expect("cell")).collect();
-        let slots: Vec<&Slot> = guards.iter().map(|g| &g.slot).collect();
-        harness::combined_records(&slots, &self.carry)
+        harness::combined_records(&self.slots(), &self.carry)
     }
 
-    /// Aggregated staged-pipeline counters.
+    /// Aggregated stats for one round.
+    pub fn round_stats(&self, round: u64) -> Option<RoundStats> {
+        let combined = self.combined_records();
+        let views: Vec<&[RoundRecord]> = combined.iter().map(|v| v.as_slice()).collect();
+        round_stats(&views, round)
+    }
+
+    /// Number of distinct vote verifications performed (CPU-cost proxy).
+    pub fn unique_verifications(&self) -> usize {
+        self.verifier.unique_vote_verifications()
+    }
+
+    /// Aggregated staged-pipeline counters across honest nodes plus the
+    /// process-wide cache, for the metrics report.
     pub fn pipeline_report(&self) -> PipelineReport {
-        let guards: Vec<_> = self.cells.iter().map(|c| c.lock().expect("cell")).collect();
-        let slots: Vec<&Slot> = guards.iter().map(|g| &g.slot).collect();
-        harness::pipeline_report(&slots, &self.carry, &self.verifier, &self.pool)
+        harness::pipeline_report(&self.slots(), &self.carry, &self.verifier, &self.pool)
     }
 
-    /// Fault-injection and recovery counters.
+    /// Fault-injection and recovery counters for this run.
     pub fn fault_report(&self) -> FaultReport {
-        let guards: Vec<_> = self.cells.iter().map(|c| c.lock().expect("cell")).collect();
-        let slots: Vec<&Slot> = guards.iter().map(|g| &g.slot).collect();
         harness::fault_report(
-            &slots,
+            &self.slots(),
             &self.carry,
             &self.net,
             self.partitions_activated,
             self.restarts,
         )
-    }
-
-    /// End-to-end transaction metrics for the workload (if one ran).
-    pub fn tx_stats(&self) -> Option<TxStats> {
-        let wl = self.workload.as_ref()?;
-        let combined = self.combined_records();
-        let g0 = self.cells[0].lock().expect("cell");
-        Some(harness::tx_stats(
-            &wl.injected,
-            g0.slot.node().chain(),
-            &combined,
-        ))
     }
 
     /// The transactions the workload has injected so far.
@@ -1014,21 +1025,79 @@ impl ParallelSim {
             .map_or_else(Vec::new, |wl| wl.injected.clone())
     }
 
-    /// The invariant monitor's report, if one was attached. The monitor
-    /// is fed the canonically merged stream, so its verdicts are
-    /// worker-count independent too.
-    pub fn monitor_report(&mut self) -> Option<MonitorReport> {
-        self.flush_traces();
+    /// End-to-end transaction metrics for the workload (if one ran).
+    pub fn tx_stats(&self) -> Option<TxStats> {
+        let wl = self.workload.as_ref()?;
+        Some(harness::tx_stats(
+            &wl.injected,
+            self.honest_node(0).chain(),
+            &self.combined_records(),
+        ))
+    }
+
+    /// The process-wide metrics registry (gossip relay and mempool
+    /// counters tick into it live; [`Simulation::publish_metrics`] folds
+    /// in the per-run aggregates).
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// Publishes this run's aggregate reports onto the registry.
+    ///
+    /// Idempotent: gauges are overwritten and histograms replaced, so
+    /// calling it again after more rounds simply refreshes the values —
+    /// restarted nodes never double-count.
+    pub fn publish_metrics(&self) {
+        let p = self.pipeline_report();
+        let reg = &self.registry;
+        reg.gauge("pipeline.ingested").set(p.stages.ingested as i64);
+        reg.gauge("pipeline.verified").set(p.stages.verified as i64);
+        reg.gauge("pipeline.rejected_verify")
+            .set(p.stages.rejected_verify as i64);
+        reg.gauge("pipeline.emitted").set(p.stages.emitted as i64);
+        reg.gauge("verify.cache_hits").set(p.cache_hits as i64);
+        reg.gauge("verify.cache_misses").set(p.cache_misses as i64);
+        reg.gauge("verify.unique_votes").set(p.unique_votes as i64);
+        let f = self.fault_report();
+        reg.gauge("faults.partitions")
+            .set(f.partitions_activated as i64);
+        reg.gauge("faults.restarts").set(f.restarts as i64);
+        reg.gauge("recovery.timeout_escalations")
+            .set(f.timeout_escalations as i64);
+        reg.gauge("recovery.watchdog_catchups")
+            .set(f.watchdog_catchups as i64);
+        reg.gauge("recovery.fork_recoveries")
+            .set(f.recoveries_completed as i64);
+        reg.gauge("recovery.catchups_applied")
+            .set(f.catchups_applied as i64);
+        reg.gauge("net.total_bytes_sent")
+            .set(self.net.total_bytes_sent() as i64);
+        reg.gauge("trace.dropped").set(self.trace_dropped() as i64);
+        // Round-completion latency across all nodes and rounds, µs.
+        let mut lat = Histogram::new();
+        for recs in self.combined_records() {
+            for r in &recs {
+                lat.record(r.total());
+            }
+        }
+        reg.histogram("round.latency_us").replace(lat);
+        if let Some(t) = self.tx_stats() {
+            reg.gauge("workload.injected").set(t.injected as i64);
+            reg.gauge("workload.committed").set(t.committed as i64);
+        }
+    }
+
+    /// The invariant monitor's report, if [`SimConfig::monitor`] attached
+    /// one to this run. The monitor is fed the canonically merged
+    /// stream, so its verdicts are worker-count independent too.
+    pub fn monitor_report(&self) -> Option<MonitorReport> {
         self.monitor.as_ref().map(MonitorHandle::report)
     }
 
     /// Events dropped by tracer buffer caps (0 = complete stream).
     pub fn trace_dropped(&self) -> u64 {
-        let mut dropped = self.engine_tracer.dropped();
-        for cell in &self.cells {
-            dropped += cell.lock().expect("cell").tracer.dropped();
-        }
-        dropped
+        let per_node: u64 = self.cells.iter().map(|c| c.tracer.dropped()).sum();
+        self.engine_tracer.dropped() + per_node
     }
 
     /// Events deliberately trimmed by the per-node retention budget.
@@ -1041,17 +1110,13 @@ impl ParallelSim {
         self.retained.len()
     }
 
-    /// The process-wide metrics registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Exports the canonically merged trace as byte-stable JSONL, with
-    /// the same bandwidth summary records as the serial runner and a
-    /// `trimmed` count in the header when the per-node budget dropped
-    /// events.
-    pub fn export_trace(&mut self, schedule: &str) -> String {
-        self.flush_traces();
+    /// Exports the canonically merged trace as byte-stable JSONL keyed
+    /// by `(seed, schedule)`, with one per-node bandwidth summary pair
+    /// (uplink/downlink byte totals) appended so `trace_report` can
+    /// reproduce the paper's per-user bandwidth figure from the trace
+    /// alone, and a `trimmed` count in the header when the per-node
+    /// budget dropped events.
+    pub fn export_trace(&self, schedule: &str) -> String {
         let mut events: Vec<TraceEvent> = self.retained.clone();
         let now = self.now;
         let summary = |node: u32, label: &'static str, value: u64| TraceEvent {
@@ -1068,7 +1133,7 @@ impl ParallelSim {
             cause: 0,
             peer: NO_NODE,
         };
-        for i in 0..self.cfg.sim.n_users {
+        for i in 0..self.cfg.n_users {
             events.push(summary(i as u32, "uplink_total", self.net.bytes_sent(i)));
             events.push(summary(
                 i as u32,
@@ -1076,19 +1141,45 @@ impl ParallelSim {
                 self.net.bytes_received(i),
             ));
         }
+        // Network-wide per-kind byte totals, in a fixed label order. The
+        // counters only accumulate while tracing, so an untraced export
+        // stays the plain per-node summary pairs.
         if self.engine_tracer.is_enabled() {
             for (label, bytes) in self.kind_bytes.summary() {
                 events.push(summary(NO_NODE, label, bytes));
             }
         }
         write_jsonl_trimmed(
-            self.cfg.sim.seed,
+            self.cfg.seed,
             schedule,
             self.trace_dropped(),
             self.trimmed,
             &events,
         )
     }
+}
+
+/// A stake-weighted gossip topology over the whole population.
+fn draw_topology(cfg: &SimConfig, seed: u64) -> Topology {
+    let weights = vec![cfg.stake_per_user; cfg.n_users];
+    let mut rng = Rng::seed_from_u64(seed);
+    Topology::weighted(cfg.n_users, cfg.out_degree, &weights, &mut rng)
+}
+
+/// Disjoint `&mut` loans of `cells[i]` for every `i` in the strictly
+/// ascending `indices`, in time proportional to `indices.len()`.
+fn disjoint_mut<'a, T>(mut rest: &'a mut [T], indices: &[usize]) -> Vec<&'a mut T> {
+    let mut base = 0;
+    let mut out = Vec::with_capacity(indices.len());
+    for &i in indices {
+        let (cell, tail) = std::mem::take(&mut rest)[i - base..]
+            .split_first_mut()
+            .expect("index within the slice");
+        out.push(cell);
+        rest = tail;
+        base = i + 1;
+    }
+    out
 }
 
 impl OrderKey {
@@ -1113,33 +1204,27 @@ fn pack_deliver_tiebreak(seq: u64, node: usize) -> u64 {
 }
 
 /// Read-only context shared by every work unit in one window.
-struct UnitCtx {
+struct UnitCtx<'a> {
     window_end: Micros,
-    relay_all_blocks: bool,
-    /// Planted defect: honest ingest swallows catch-up responses.
-    ignore_catchup: bool,
+    cfg: &'a SimConfig,
 }
 
 /// Processes every inbox event of one work unit's cells in canonical
 /// key order, including chained wakes that land inside the window. Only
 /// per-node state is touched; sends become buffered intents.
-fn process_unit(cells: &[Mutex<NodeCell>], unit: &[usize], ctx: &UnitCtx) {
-    let mut guards: Vec<MutexGuard<NodeCell>> = unit
-        .iter()
-        .map(|&i| cells[i].lock().expect("cell"))
-        .collect();
-    let inboxes: Vec<Vec<InEvent>> = guards
+fn process_unit(unit: &mut [&mut NodeCell], ctx: &UnitCtx) {
+    let inboxes: Vec<Vec<InEvent>> = unit
         .iter_mut()
         .map(|g| std::mem::take(&mut g.inbox))
         .collect();
-    let mut cursor = vec![0usize; guards.len()];
+    let mut cursor = vec![0usize; unit.len()];
     loop {
         // Pick the smallest (time, class, tiebreak) among every cell's
         // next inbox entry and pending in-window wake; on an exact tie
         // between an inbox wake and the cell's own pending wake (the
         // same wake, seen twice) consume the inbox entry.
         let mut best: Option<((Micros, u8, u64), usize, bool)> = None;
-        for (ci, g) in guards.iter().enumerate() {
+        for (ci, g) in unit.iter().enumerate() {
             if let Some(e) = inboxes[ci].get(cursor[ci]) {
                 let k = (e.time, e.class(), e.tiebreak(g.id));
                 if best.is_none_or(|(bk, _, bl)| k < bk || (k == bk && bl)) {
@@ -1154,19 +1239,24 @@ fn process_unit(cells: &[Mutex<NodeCell>], unit: &[usize], ctx: &UnitCtx) {
             }
         }
         let Some((_, ci, local)) = best else { break };
-        let g = &mut guards[ci];
+        let g = &mut *unit[ci];
         if local {
             let t = g.next_wake;
             let hint = g.last_hint;
-            run_wake(g, t, hint, false, ctx);
+            run_wake(g, t, hint, false);
         } else {
             let e = &inboxes[ci][cursor[ci]];
             cursor[ci] += 1;
             match &e.kind {
-                InKind::Wake => run_wake(g, e.time, e.hint, true, ctx),
-                InKind::Deliver { from, msg } => run_deliver(g, e.time, e.hint, *from, msg, ctx),
+                DesEvent::Wake => run_wake(g, e.time, e.hint, true),
+                DesEvent::Deliver { from, msg } => run_deliver(g, e.time, e.hint, *from, msg, ctx),
             }
         }
+    }
+    // Hand the emptied inboxes back so their allocations are reused.
+    for (g, mut inbox) in unit.iter_mut().zip(inboxes) {
+        inbox.clear();
+        g.inbox = inbox;
     }
 }
 
@@ -1182,7 +1272,7 @@ fn run_deliver(
     if g.crashed {
         return; // In-flight packets to a dead process.
     }
-    if ctx.ignore_catchup && matches!(msg.wire, WireMessage::CatchupResponse(_)) {
+    if ctx.cfg.bug_swallows(&msg.wire) {
         return; // Planted defect: ingest drops it.
     }
     g.last_hint = hint;
@@ -1193,16 +1283,18 @@ fn run_deliver(
     }
     let now_t = harness::skewed_local(time, g.clock_skew);
     let outgoing = g.slot.on_message(&msg.wire, now_t);
-    // §6 discard rules, identical to the serial runner.
-    let discard = g.slot.discards(&msg.wire, ctx.relay_all_blocks);
+    // §6: honest users discard block bodies that are not the
+    // highest-priority proposal they have seen; a transaction spreads
+    // only while its receiver still pools it (rejects and evictions die
+    // out here).
+    let discard = g.slot.discards(&msg.wire, ctx.cfg.relay_all_blocks);
     if decision == RelayDecision::Relay && !discard {
         let seq = g.out_seq;
         g.out_seq += 1;
         g.outbox.push(Intent {
             hint,
             seq,
-            // Relay-forward happens on the node's local clock, exactly
-            // as on the serial runner.
+            // Relay-forward happens on the node's local clock.
             time: now_t,
             from: g.id,
             kind: IntentKind::Forward {
@@ -1212,15 +1304,13 @@ fn run_deliver(
         });
     }
     buffer_outgoing(g, hint, time, outgoing);
-    let round = g.slot.node().current_round();
-    let horizon = g.slot.node().params().relay_stall_horizon();
-    g.relay.prune(round, time, horizon);
+    prune_relay(g, time);
     reschedule_local(g);
 }
 
 /// One timer wake on a node (parallel phase). `from_inbox` wakes carry
 /// the staleness check; local chained wakes are exact by construction.
-fn run_wake(g: &mut NodeCell, t: Micros, hint: u64, from_inbox: bool, _ctx: &UnitCtx) {
+fn run_wake(g: &mut NodeCell, t: Micros, hint: u64, from_inbox: bool) {
     if g.crashed {
         return;
     }
@@ -1233,55 +1323,62 @@ fn run_wake(g: &mut NodeCell, t: Micros, hint: u64, from_inbox: bool, _ctx: &Uni
     let local = harness::skewed_local(t, g.clock_skew);
     let outgoing = g.slot.on_tick(local);
     buffer_outgoing(g, hint, t, outgoing);
-    let round = g.slot.node().current_round();
-    let horizon = g.slot.node().params().relay_stall_horizon();
-    g.relay.prune(round, t, horizon);
+    prune_relay(g, t);
     reschedule_local(g);
 }
 
-/// Buffers node-originated messages as send intents (the serial
-/// runner's `dispatch`, deferred to the barrier). Origin-relay marking
-/// is per-node state and happens here.
+/// Lets the node's relay state rotate out messages two rounds old — or,
+/// during a stall, older than the relay stall horizon.
+fn prune_relay(g: &mut NodeCell, now: Micros) {
+    let node = g.slot.node();
+    let horizon = node.params().relay_stall_horizon();
+    g.relay.prune(node.current_round(), now, horizon);
+}
+
+/// Buffers node-originated messages as send intents, to be fanned out
+/// to all (or, for an equivocation split, alternating halves) of the
+/// node's peers in the next sequential phase. Origin-relay marking is
+/// per-node state and happens here.
 fn buffer_outgoing(g: &mut NodeCell, hint: u64, global_time: Micros, outgoing: Vec<Outgoing>) {
     for o in outgoing {
-        match o {
-            Outgoing::Broadcast(wire) => {
-                let msg = SimMsg::new(wire);
-                // Mark as seen so an echoed copy is not re-processed.
-                g.relay.classify(msg.id, msg.relay_slot);
-                let seq = g.out_seq;
-                g.out_seq += 1;
-                g.outbox.push(Intent {
-                    hint,
-                    seq,
-                    time: global_time,
-                    from: g.id,
-                    kind: IntentKind::Forward { msg, exclude: None },
-                });
-            }
-            Outgoing::Split(wire_a, wire_b) => {
-                let a = SimMsg::new(wire_a);
-                let b = SimMsg::new(wire_b);
-                g.relay.classify(a.id, a.relay_slot);
-                g.relay.classify(b.id, b.relay_slot);
-                let seq = g.out_seq;
-                g.out_seq += 1;
-                g.outbox.push(Intent {
-                    hint,
-                    seq,
-                    time: global_time,
-                    from: g.id,
-                    kind: IntentKind::Split { a, b },
-                });
-            }
-        }
+        // Mark as seen so an echoed copy is not re-processed.
+        let mut originate = |wire| {
+            let msg = SimMsg::new(wire);
+            g.relay.classify(msg.id, msg.relay_slot);
+            msg
+        };
+        let kind = match o {
+            Outgoing::Broadcast(wire) => IntentKind::Forward {
+                msg: originate(wire),
+                exclude: None,
+            },
+            Outgoing::Split(wire_a, wire_b) => IntentKind::Split {
+                a: originate(wire_a),
+                b: originate(wire_b),
+            },
+        };
+        g.outbox.push(Intent {
+            hint,
+            seq: g.out_seq,
+            time: global_time,
+            from: g.id,
+            kind,
+        });
+        g.out_seq += 1;
     }
 }
 
-/// Folds the node's next deadline into its pending wake (parallel
-/// phase: cell state only; the barrier arms the shared queue).
+/// Folds the node's next deadline into its pending wake (cell state
+/// only; a sequential phase arms the shared queue).
 fn reschedule_local(g: &mut NodeCell) {
+    if g.crashed {
+        // A dead process has no timers (a clock-skew fault may land on
+        // one); restart arms its wake afresh.
+        return;
+    }
     if let Some(d) = g.slot.next_deadline() {
+        // Node deadlines are on the node's (possibly skewed) local
+        // clock; the queue runs on global time.
         let d = harness::unskewed_global(d, g.clock_skew);
         if d < g.next_wake {
             g.next_wake = d;

@@ -1,12 +1,12 @@
-//! Parallel discrete-event simulation core.
+//! The discrete-event simulation core.
 //!
 //! [`queue`] holds the sharded future-event set with its shard-stable
 //! ordering key; [`engine`] holds the conservative-lookahead window
-//! engine ([`ParallelSim`]) that runs node phases in parallel while
+//! engine ([`Simulation`]) that may run node phases in parallel while
 //! keeping every result byte-identical to a single-worker run.
 
 pub mod engine;
 pub mod queue;
 
-pub use engine::{DesConfig, ParallelSim};
+pub use engine::{DesConfig, ParallelSim, Simulation};
 pub use queue::{OrderKey, ShardedQueue, CLASS_DELIVER, CLASS_WAKE};

@@ -1,165 +1,4 @@
-//! The discrete-event queue: virtual time, deterministic ordering.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! Virtual time.
 
 /// Virtual microseconds since simulation start.
 pub type Micros = u64;
-
-/// A scheduled simulation event.
-#[derive(Clone, Debug)]
-pub enum Event<M> {
-    /// Deliver a message to a node.
-    Deliver {
-        /// The receiving node.
-        to: usize,
-        /// The node it came from (not forwarded back there).
-        from: usize,
-        /// The message payload.
-        msg: M,
-    },
-    /// Wake a node so it can fire timeouts.
-    Wake {
-        /// The node to tick.
-        node: usize,
-    },
-    /// Inject the next workload transaction (open-loop traffic source).
-    Inject,
-    /// Apply the `idx`-th scripted fault from the installed
-    /// [`FaultSchedule`](crate::faults::FaultSchedule).
-    Fault {
-        /// Index into the simulation's fault-event list.
-        idx: usize,
-    },
-}
-
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct Key(Micros, u64);
-
-/// A deterministic time-ordered event queue.
-///
-/// Ties are broken by insertion sequence, so identical runs replay
-/// identically regardless of heap internals.
-pub struct EventQueue<M> {
-    heap: BinaryHeap<Reverse<Key>>,
-    payloads: std::collections::HashMap<u64, Event<M>>,
-    seq: u64,
-    now: Micros,
-}
-
-impl<M> Default for EventQueue<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<M> EventQueue<M> {
-    /// Creates an empty queue at time 0.
-    pub fn new() -> EventQueue<M> {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            payloads: std::collections::HashMap::new(),
-            seq: 0,
-            now: 0,
-        }
-    }
-
-    /// The current virtual time.
-    pub fn now(&self) -> Micros {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules an event at an absolute time (clamped to now).
-    pub fn schedule(&mut self, at: Micros, event: Event<M>) {
-        let at = at.max(self.now);
-        let id = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Key(at, id)));
-        self.payloads.insert(id, event);
-    }
-
-    /// The time of the next scheduled event, without popping it.
-    pub fn next_time(&self) -> Option<Micros> {
-        self.heap.peek().map(|Reverse(Key(t, _))| *t)
-    }
-
-    /// Pops the next event, advancing virtual time.
-    pub fn pop(&mut self) -> Option<(Micros, Event<M>)> {
-        let Reverse(Key(at, id)) = self.heap.pop()?;
-        self.now = at;
-        let event = self.payloads.remove(&id).expect("payload exists");
-        Some((at, event))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.schedule(30, Event::Wake { node: 3 });
-        q.schedule(10, Event::Wake { node: 1 });
-        q.schedule(20, Event::Wake { node: 2 });
-        let order: Vec<Micros> = std::iter::from_fn(|| q.pop().map(|(t, _)| t)).collect();
-        assert_eq!(order, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn ties_break_by_insertion_order() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        for node in 0..5 {
-            q.schedule(42, Event::Wake { node });
-        }
-        let nodes: Vec<usize> = std::iter::from_fn(|| {
-            q.pop().map(|(_, e)| match e {
-                Event::Wake { node } => node,
-                _ => unreachable!(),
-            })
-        })
-        .collect();
-        assert_eq!(nodes, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn time_never_goes_backwards() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.schedule(10, Event::Wake { node: 0 });
-        q.pop();
-        assert_eq!(q.now(), 10);
-        // Scheduling in the past clamps to now.
-        q.schedule(5, Event::Wake { node: 1 });
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, 10);
-    }
-
-    #[test]
-    fn deliver_carries_payload() {
-        let mut q: EventQueue<&'static str> = EventQueue::new();
-        q.schedule(
-            1,
-            Event::Deliver {
-                to: 2,
-                from: 1,
-                msg: "hello",
-            },
-        );
-        match q.pop().unwrap().1 {
-            Event::Deliver { to, from, msg } => {
-                assert_eq!((to, from, msg), (2, 1, "hello"));
-            }
-            _ => panic!("expected deliver"),
-        }
-    }
-}

@@ -30,11 +30,11 @@
 //! under `tests/corpus/` and replayed forever after.
 
 use crate::adversary::AdversaryKind;
+use crate::des::Simulation;
 use crate::event::Micros;
 use crate::faults::{FaultAction, FaultEvent, FaultSchedule};
 use crate::harness::{InjectedBug, SimConfig};
 use crate::network::PartitionSpec;
-use crate::runner::Simulation;
 use algorand_crypto::rng::Rng;
 use algorand_obs::Invariant;
 use std::fmt;

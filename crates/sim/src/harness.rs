@@ -1,14 +1,10 @@
-//! Engine-agnostic simulation harness: configuration, node slots,
+//! The simulation harness under the engine: configuration, node slots,
 //! in-flight messages, the open-loop workload, carried counters, and the
 //! aggregate reports.
 //!
-//! Two engines drive this layer: the original single-threaded
-//! [`crate::runner::Simulation`] (one global event queue, the oracle the
-//! chaos/replay gates pin) and the conservative parallel
-//! [`crate::des::ParallelSim`] (sharded queues, lookahead windows). Both
-//! build the same node population, inject the same workload, and report
-//! through the same aggregation helpers, so their results are directly
-//! comparable.
+//! [`crate::des::Simulation`] owns the schedule (sharded queues,
+//! lookahead windows); everything here is what it schedules and how a
+//! finished run is summarized.
 
 use crate::adversary::{AdversaryKind, AdversaryShared, MaliciousNode, Outgoing};
 use crate::event::Micros;
@@ -182,9 +178,7 @@ impl SimConfig {
     }
 
     /// Folds declarative knobs that live in other layers into the
-    /// config: called by both engines at construction so the serial
-    /// runner and the parallel DES engine interpret [`InjectedBug`]
-    /// identically.
+    /// config, at construction.
     pub(crate) fn apply_injected_bug(&mut self) {
         if self.injected_bug == Some(InjectedBug::NoTimeoutBackoff) {
             self.params.ba.disable_backoff = true;
@@ -225,9 +219,8 @@ impl SimConfig {
 
 /// Builds the node population: equal genesis stake, deterministic keys,
 /// malicious users at the end of the index space. `tracer_for` supplies
-/// each node's recording handle — the single-threaded runner hands every
-/// node the same shared tracer, the parallel engine one private buffer
-/// per node (merged canonically at barriers).
+/// each node's recording handle: one private buffer per node, merged
+/// canonically at barriers.
 pub(crate) fn build_slots(
     cfg: &SimConfig,
     keypairs: &[Keypair],
@@ -480,8 +473,9 @@ impl Workload {
     /// Picks the next payment (sender, recipient, amount) or reports why
     /// none can be injected right now. Draws from the workload RNG in a
     /// fixed order, so the plan — and therefore the whole run — is a
-    /// deterministic function of the config seed and crash state.
-    pub(crate) fn plan(&mut self, crashed: &[bool]) -> InjectStep {
+    /// deterministic function of the config seed and crash state
+    /// (`crashed(i)`: is user `i` down).
+    pub(crate) fn plan(&mut self, crashed: impl Fn(usize) -> bool) -> InjectStep {
         let n_honest = self.spendable.len();
         let richest = self.spendable.iter().copied().max().unwrap_or(0);
         if richest == 0 {
@@ -494,13 +488,13 @@ impl Workload {
         let mut sender = None;
         for _ in 0..8 {
             let c = self.rng.gen_range_usize(n_honest);
-            if !crashed[c] && self.spendable[c] >= amount {
+            if !crashed(c) && self.spendable[c] >= amount {
                 sender = Some(c);
                 break;
             }
         }
         let sender =
-            sender.or_else(|| (0..n_honest).find(|&i| !crashed[i] && self.spendable[i] >= amount));
+            sender.or_else(|| (0..n_honest).find(|&i| !crashed(i) && self.spendable[i] >= amount));
         let Some(s) = sender else {
             if (0..n_honest).any(|i| self.spendable[i] >= amount) {
                 return InjectStep::Retry;
@@ -674,7 +668,7 @@ pub(crate) fn wrap_broadcast(msgs: Vec<WireMessage>) -> Vec<Outgoing> {
     msgs.into_iter().map(Outgoing::Broadcast).collect()
 }
 
-// --- Aggregation helpers shared by both engines --------------------------
+// --- Aggregation helpers -------------------------------------------------
 
 /// A digest of every honest node's canonical chain, for the determinism
 /// check: identical `(seed, schedule)` runs must produce identical
@@ -976,11 +970,10 @@ mod tests {
         let mut cfg = SimConfig::new(8);
         cfg.tx_rate = 10.0;
         cfg.tx_total = 5;
-        let crashed = vec![false; 8];
         let mut a = Workload::from_config(&cfg).unwrap();
         let mut b = Workload::from_config(&cfg).unwrap();
         for _ in 0..5 {
-            match (a.plan(&crashed), b.plan(&crashed)) {
+            match (a.plan(|_| false), b.plan(|_| false)) {
                 (
                     InjectStep::Pay {
                         sender: s1,

@@ -19,12 +19,11 @@ pub mod harness;
 pub mod latency;
 pub mod metrics;
 pub mod network;
-pub mod runner;
 
 pub use adversary::{AdversaryKind, AdversaryShared, MaliciousNode, Outgoing};
-pub use des::{DesConfig, ParallelSim};
+pub use des::{DesConfig, ParallelSim, Simulation};
 pub use epidemic::EpidemicConfig;
-pub use event::{Event, EventQueue, Micros};
+pub use event::Micros;
 pub use faults::{FaultAction, FaultEvent, FaultSchedule, ScheduleError};
 pub use fuzz::{
     generate, parse_case, run_campaign, run_case, serialize_case, shrink, CampaignConfig,
@@ -35,7 +34,6 @@ pub use harness::{
 };
 pub use metrics::{round_stats, Percentiles, RoundStats};
 pub use network::{NetConfig, Network, PartitionSpec};
-pub use runner::Simulation;
 
 // The shared observability layer (tracing + metrics registry), re-exported
 // so harnesses driving the simulator need not depend on the crate directly.

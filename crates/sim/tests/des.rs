@@ -10,6 +10,8 @@
 //! validate the engine against the analytic epidemic model at an
 //! overlapping network size.
 
+use algorand_core::WireMessage;
+use algorand_ledger::Transaction;
 use algorand_sim::{DesConfig, EpidemicConfig, FaultSchedule, Micros, ParallelSim, SimConfig};
 
 const SEC: Micros = 1_000_000;
@@ -54,18 +56,52 @@ fn chaos_results_are_identical_across_worker_counts() {
     assert!(t1.contains("round"), "trace is empty");
 }
 
-/// A payment workload with an equivocating minority; compares digests,
-/// traces, and end-to-end tx accounting across worker counts.
+/// A payment workload with an equivocating minority, plus every entry
+/// point a caller drives by hand — before the first window and between
+/// windows; compares digests, traces, and end-to-end tx accounting
+/// across worker counts. 40 users, so that vote bursts cross the
+/// engine's events-per-window threshold and windows really run on
+/// worker threads.
 fn payment_run(workers: usize) -> ([u8; 32], String, String) {
-    let mut cfg = SimConfig::new(16);
+    let n = 40;
+    let mut cfg = SimConfig::new(n);
     cfg.seed = 77;
-    cfg.n_malicious = 3;
+    cfg.n_malicious = 6;
     cfg.tx_rate = 4.0;
     cfg.tx_total = 24;
     cfg.trace = true;
     cfg.monitor = true;
     let mut sim = des(cfg, workers);
-    sim.run_rounds(4, 240 * SEC);
+    // Hand-made payments are signed by the malicious users' keys: the
+    // workload never picks those as senders, so their nonces are ours.
+    let pay = |sim: &ParallelSim, from: usize, nonce: u64| {
+        Transaction::payment(sim.keypair(from), sim.keypair(0).pk, 1, nonce)
+    };
+    let by_hand = [
+        pay(&sim, n - 1, 1),
+        pay(&sim, n - 2, 1),
+        pay(&sim, n - 3, 1),
+        pay(&sim, n - 2, 2),
+        pay(&sim, n - 3, 2),
+    ];
+    sim.preload_transactions(&by_hand[..1]);
+    sim.submit_transaction(2, by_hand[1].clone());
+    sim.inject_message(3, WireMessage::Transaction(by_hand[2].clone()));
+    // Node 5 cannot send for the first five seconds.
+    sim.set_network_filter(Some(Box::new(|now, from, _| now >= 5 * SEC || from != 5)));
+    sim.run_rounds(2, 240 * SEC);
+    sim.submit_transaction(4, by_hand[3].clone());
+    sim.inject_message(6, WireMessage::Transaction(by_hand[4].clone()));
+    sim.run_rounds(5, 240 * SEC);
+
+    assert!(sim.fault_report().dropped_by_filter > 0, "filter never bit");
+    let chain = sim.honest_node(0).chain();
+    for (i, tx) in by_hand.iter().enumerate() {
+        assert!(
+            chain.confirmed_round(&tx.id()).is_some(),
+            "hand-made payment {i} never committed"
+        );
+    }
     let digest = sim.chain_digest();
     let stats = format!("{:?}", sim.tx_stats());
     let trace = sim.export_trace("des-payment");
