@@ -1,221 +1,8 @@
-//! Ablation: the common coin (§7.4, Algorithm 9).
-//!
-//! The "getting unstuck" attack: honest users are split into group A
-//! (votes the empty hash) and group B (votes a block hash). The adversary
-//! schedules message delivery so that
-//!
-//! * in steps ≡ 1 (mod 3) it adds its own votes to group A's just before
-//!   the timeout, pushing A across the threshold for `empty` (crossing on
-//!   empty never decides there), while B times out and falls back to its
-//!   own `block_hash`;
-//! * in steps ≡ 2 (mod 3) it adds nothing: neither value crosses, everyone
-//!   times out to `empty`;
-//! * in steps ≡ 0 (mod 3) it delays all honest votes past the timeout.
-//!   **This is the step the coin defends.** Without the coin the fallback
-//!   is the user's own `block_hash` input — group B deterministically
-//!   re-splits, and the loop repeats forever. With the coin, each B user
-//!   flips to `empty` with probability ~1/2 per loop, so the split decays
-//!   and consensus follows within a few iterations.
-//!
-//! The harness drives BA⋆ engines directly with exactly this schedule and
-//! reports the concluding step (or a hang at MaxSteps).
+//! Ablation: the common coin (§7.4, Algorithm 9) under the split attack.
+//! The experiment is [`algorand_bench::ablation::common_coin`].
 
-use algorand_ba::{
-    AblationFlags, BaParams, BaStar, CachedVerifier, Output, RoundWeights, StepKind, VoteMessage,
-    SECOND,
-};
+use algorand_bench::ablation::{common_coin, COIN_ADVERSARIES, COIN_GROUP_A, HONEST_USERS};
 use algorand_bench::header;
-use algorand_crypto::Keypair;
-use std::collections::HashMap;
-use std::sync::Arc;
-
-const EMPTY: [u8; 32] = [0xee; 32];
-const BLOCK: [u8; 32] = [0xbb; 32];
-const PREV: [u8; 32] = [0x11; 32];
-const SEED: [u8; 32] = [0x22; 32];
-const N_A: usize = 13; // Group A: 65% of honest users, starts with EMPTY.
-const N_B: usize = 7; // Group B: starts with BLOCK.
-const N_ADV: usize = 5; // 20% of total stake.
-
-struct Attack {
-    engines: Vec<BaStar>,
-    decided: Vec<Option<([u8; 32], u32)>>,
-    pending: Vec<VoteMessage>,
-    bank: HashMap<(u32, [u8; 32]), Vec<VoteMessage>>,
-    now: u64,
-    lambda: u64,
-}
-
-impl Attack {
-    fn new(disable_coin: bool, max_steps: u32) -> Attack {
-        let n_honest = N_A + N_B;
-        let keypairs: Vec<Keypair> = (0..n_honest + N_ADV)
-            .map(|i| {
-                let mut s = [0u8; 32];
-                s[..8].copy_from_slice(&(i as u64 + 1).to_le_bytes());
-                Keypair::from_seed(s)
-            })
-            .collect();
-        let weights = Arc::new(RoundWeights::from_pairs(
-            keypairs.iter().map(|k| (k.pk, 10u64)),
-        ));
-        let total = (n_honest + N_ADV) as f64 * 10.0;
-        let params = BaParams {
-            tau_step: total,
-            t_step: 0.685,
-            tau_final: total,
-            t_final: 0.74,
-            max_steps,
-            lambda_step: SECOND,
-            lambda_block: SECOND,
-            disable_backoff: false,
-        };
-        let verifier = Arc::new(CachedVerifier::new());
-        let mut engines = Vec::new();
-        let mut pending = Vec::new();
-        for (i, kp) in keypairs.iter().enumerate().take(n_honest) {
-            let initial = if i < N_A { EMPTY } else { BLOCK };
-            let (mut e, out) = BaStar::start_without_reduction(
-                params,
-                kp.clone(),
-                1,
-                SEED,
-                PREV,
-                initial,
-                EMPTY,
-                weights.clone(),
-                verifier.clone(),
-                0,
-            );
-            e.set_ablation(AblationFlags {
-                disable_common_coin: disable_coin,
-                disable_extra_votes: false,
-            });
-            for o in out {
-                if let Output::Gossip(v) = o {
-                    pending.push(v);
-                }
-            }
-            engines.push(e);
-        }
-        let mut bank: HashMap<(u32, [u8; 32]), Vec<VoteMessage>> = HashMap::new();
-        for kp in keypairs.iter().skip(n_honest) {
-            for step in 1..=max_steps {
-                let role = algorand_sortition::Role::Committee { round: 1, step };
-                let p = algorand_sortition::SortitionParams {
-                    tau: params.tau_step,
-                    total_weight: weights.total(),
-                };
-                if let Some(sel) = algorand_sortition::select(kp, &SEED, role, &p, 10) {
-                    bank.entry((step, EMPTY))
-                        .or_default()
-                        .push(VoteMessage::sign(
-                            kp,
-                            1,
-                            StepKind::Main(step),
-                            sel.vrf_output,
-                            sel.proof,
-                            PREV,
-                            EMPTY,
-                        ));
-                }
-            }
-        }
-        Attack {
-            engines,
-            decided: vec![None; n_honest],
-            pending,
-            bank,
-            now: 0,
-            lambda: params.lambda_step,
-        }
-    }
-
-    /// Delivers pending honest votes — except votes cast for coin steps
-    /// (≡ 0 mod 3), which the adversary delays past the timeout (dropped
-    /// here; a delayed vote changes nothing once the step concluded).
-    fn drain(&mut self) {
-        while !self.pending.is_empty() {
-            let batch: Vec<VoteMessage> = self.pending.drain(..).collect();
-            for i in 0..self.engines.len() {
-                for v in &batch {
-                    if let StepKind::Main(s) = v.step {
-                        if s % 3 == 0 {
-                            continue; // Withheld by the scheduler.
-                        }
-                    }
-                    let outs = self.engines[i].on_vote(v, self.now);
-                    self.absorb(i, outs);
-                }
-            }
-        }
-    }
-
-    fn absorb(&mut self, i: usize, outputs: Vec<Output>) {
-        for o in outputs {
-            match o {
-                Output::Gossip(v) => self.pending.push(v),
-                Output::BinaryDecided { value, step } => self.decided[i] = Some((value, step)),
-                _ => {}
-            }
-        }
-    }
-
-    fn converged(&self) -> Option<([u8; 32], u32)> {
-        let values: Vec<([u8; 32], u32)> = self.decided.iter().flatten().copied().collect();
-        (values.len() > (N_A + N_B) / 2 && values.windows(2).all(|w| w[0].0 == w[1].0)).then(|| {
-            let max_step = values.iter().map(|(_, s)| *s).max().unwrap_or(0);
-            (values[0].0, max_step)
-        })
-    }
-
-    /// Runs the schedule; returns the max binary step reached at
-    /// convergence, or `None` if the attack outlasted MaxSteps.
-    fn run(&mut self) -> Option<u32> {
-        loop {
-            self.drain();
-            if let Some((_, step)) = self.converged() {
-                return Some(step);
-            }
-            let next_deadline = self
-                .engines
-                .iter()
-                .filter_map(|e| e.next_deadline())
-                .min()?;
-            // Adversary assist: group A engines in a step ≡ 1 (mod 3) get
-            // the adversary's EMPTY votes just before their deadline.
-            self.now = next_deadline.saturating_sub(self.lambda / 10).max(self.now);
-            for i in 0..N_A.min(self.engines.len()) {
-                let Some(step) = self.engines[i].current_binary_step() else {
-                    continue;
-                };
-                if step % 3 != 1 {
-                    continue;
-                }
-                if let Some(votes) = self.bank.get(&(step, EMPTY)).cloned() {
-                    for v in &votes {
-                        let outs = self.engines[i].on_vote(v, self.now);
-                        self.absorb(i, outs);
-                    }
-                }
-            }
-            self.drain();
-            if let Some((_, step)) = self.converged() {
-                return Some(step);
-            }
-            // Fire timeouts for everyone else.
-            self.now = next_deadline;
-            for i in 0..self.engines.len() {
-                let outs = self.engines[i].on_tick(self.now);
-                self.absorb(i, outs);
-            }
-            let hung = self.engines.iter().filter(|e| e.is_finished()).count();
-            if hung > (N_A + N_B) / 2 && self.converged().is_none() {
-                return None; // Most engines hung at MaxSteps: attack won.
-            }
-        }
-    }
-}
 
 fn main() {
     header(
@@ -225,16 +12,17 @@ fn main() {
     );
     let max_steps = 45;
     println!(
-        "attack: {N_A}/{N_B} honest split, {N_ADV} adversary users (20% stake), \
-         adversary-scheduled delivery, MaxSteps {max_steps}"
+        "attack: {COIN_GROUP_A}/{} honest split, {COIN_ADVERSARIES} adversary users (20% stake), \
+         adversary-scheduled delivery, MaxSteps {max_steps}",
+        HONEST_USERS - COIN_GROUP_A
     );
-    match Attack::new(false, max_steps).run() {
+    match common_coin(false, max_steps) {
         Some(step) => {
             println!("  WITH common coin:    honest users converged by binary step {step}")
         }
         None => println!("  WITH common coin:    no convergence within {max_steps} steps"),
     }
-    match Attack::new(true, max_steps).run() {
+    match common_coin(true, max_steps) {
         Some(step) => println!("  WITHOUT common coin: converged at step {step} (attack failed)"),
         None => println!(
             "  WITHOUT common coin: honest users still split after {max_steps} steps — \

@@ -1,131 +1,8 @@
-//! Ablation: the three extra votes after deciding (§7.4).
-//!
-//! "It is also crucial that BinaryBA⋆ is able to collect enough votes in
-//! the next step to carry forward the value that A already reached
-//! consensus on" — so every user that returns consensus votes in the next
-//! three steps with the decided value. Without this, a straggler whose
-//! step-1 votes were delayed finds the network silent: everyone else has
-//! decided and stopped voting, no threshold can ever be crossed again, and
-//! the straggler grinds through timeouts to MaxSteps.
+//! Ablation: the three extra votes after deciding (§7.4). The experiment
+//! is [`algorand_bench::ablation::extra_votes`].
 
-use algorand_ba::{
-    AblationFlags, BaParams, BaStar, CachedVerifier, Output, RoundWeights, VoteMessage, SECOND,
-};
+use algorand_bench::ablation::extra_votes;
 use algorand_bench::header;
-use algorand_crypto::Keypair;
-use std::sync::Arc;
-
-const EMPTY: [u8; 32] = [0xee; 32];
-const BLOCK: [u8; 32] = [0xbb; 32];
-const PREV: [u8; 32] = [0x11; 32];
-const SEED: [u8; 32] = [0x22; 32];
-
-/// Runs 19 well-connected users plus one straggler whose incoming votes
-/// are delayed by a bit more than λ_step. Returns the straggler's fate:
-/// `Some(step)` it decided at, or `None` if it hung at MaxSteps.
-fn run(disable_extra_votes: bool) -> Option<u32> {
-    let n = 20usize;
-    let straggler = n - 1;
-    let keypairs: Vec<Keypair> = (0..n)
-        .map(|i| {
-            let mut s = [0u8; 32];
-            s[..8].copy_from_slice(&(i as u64 + 1).to_le_bytes());
-            Keypair::from_seed(s)
-        })
-        .collect();
-    let weights = Arc::new(RoundWeights::from_pairs(
-        keypairs.iter().map(|k| (k.pk, 10u64)),
-    ));
-    let params = BaParams {
-        tau_step: n as f64 * 10.0,
-        t_step: 0.685,
-        tau_final: n as f64 * 10.0,
-        t_final: 0.74,
-        max_steps: 12,
-        lambda_step: SECOND,
-        lambda_block: SECOND,
-        disable_backoff: false,
-    };
-    let verifier = Arc::new(CachedVerifier::new());
-    let mut engines = Vec::new();
-    let mut pending: Vec<VoteMessage> = Vec::new();
-    for kp in keypairs.iter() {
-        let (mut e, out) = BaStar::start_without_reduction(
-            params,
-            kp.clone(),
-            1,
-            SEED,
-            PREV,
-            BLOCK,
-            EMPTY,
-            weights.clone(),
-            verifier.clone(),
-            0,
-        );
-        e.set_ablation(AblationFlags {
-            disable_common_coin: false,
-            disable_extra_votes,
-        });
-        for o in out {
-            if let Output::Gossip(v) = o {
-                pending.push(v);
-            }
-        }
-        engines.push(e);
-    }
-    // Phase 1: deliver step-1 votes to everyone except the straggler; the
-    // fast 19 decide BLOCK at step 1 (190 > 171.25 even without the
-    // straggler's vote).
-    let step1: Vec<VoteMessage> = std::mem::take(&mut pending);
-    let mut straggler_decided: Option<u32> = None;
-    for (i, e) in engines.iter_mut().enumerate() {
-        if i == straggler {
-            continue;
-        }
-        for v in &step1 {
-            for o in e.on_vote(v, 0) {
-                match o {
-                    Output::Gossip(nv) => pending.push(nv),
-                    Output::BinaryDecided { .. } => {}
-                    _ => {}
-                }
-            }
-        }
-    }
-    // Phase 2: the straggler's λ_step expires; it times out step 1 and
-    // moves to step 2 (voting BLOCK again, per the timeout rule).
-    let mut now = params.lambda_step + 1;
-    for o in engines[straggler].on_tick(now) {
-        if let Output::Gossip(v) = o {
-            pending.push(v);
-        }
-    }
-    // Phase 3: the delayed traffic finally arrives at the straggler — the
-    // original step-1 votes plus whatever the deciders emitted (with the
-    // rule on: votes for steps 2–4 and the final step; with it off:
-    // nothing).
-    let late: Vec<VoteMessage> = step1.iter().cloned().chain(pending.drain(..)).collect();
-    for v in &late {
-        for o in engines[straggler].on_vote(v, now) {
-            if let Output::BinaryDecided { step, .. } = o {
-                straggler_decided = Some(step);
-            }
-        }
-    }
-    // Phase 4: let the straggler run out its timeouts.
-    while straggler_decided.is_none() && !engines[straggler].is_finished() {
-        let Some(d) = engines[straggler].next_deadline() else {
-            break;
-        };
-        now = d;
-        for o in engines[straggler].on_tick(now) {
-            if let Output::BinaryDecided { step, .. } = o {
-                straggler_decided = Some(step);
-            }
-        }
-    }
-    straggler_decided
-}
 
 fn main() {
     header(
@@ -133,13 +10,13 @@ fn main() {
         "deciders vote the next three steps so stragglers can still cross thresholds",
     );
     println!("scenario: 19 users decide at step 1; one straggler's inbox is delayed past λ_step");
-    match run(false) {
+    match extra_votes(false) {
         Some(step) => {
             println!("  WITH extra votes:    straggler caught up and decided at step {step}")
         }
         None => println!("  WITH extra votes:    straggler hung (unexpected)"),
     }
-    match run(true) {
+    match extra_votes(true) {
         Some(step) => {
             println!("  WITHOUT extra votes: straggler decided at step {step} (unexpected)")
         }

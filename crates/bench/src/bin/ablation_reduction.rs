@@ -1,144 +1,8 @@
-//! Ablation: the reduction phase (§7.3, Algorithm 7).
-//!
-//! Reduction converts agreement on an *arbitrary* hash into agreement on
-//! one of exactly two values (a block hash or the empty hash) in two fixed
-//! steps — "this reduction is important to ensure liveness". This harness
-//! starts every user with a *different* block hash (the worst case of a
-//! malicious highest-priority proposer sending everyone distinct blocks)
-//! and measures how long BinaryBA⋆ takes to conclude with and without the
-//! reduction in front of it.
-//!
-//! With reduction: no hash can win reduction step 1, everyone enters
-//! BinaryBA⋆ with the empty hash and concludes at binary step 2.
-//! Without reduction: honest inputs stay many-valued; the timeout cascade
-//! must burn through the deterministic fallbacks (≥ 5 binary steps, i.e.
-//! 3 extra λ_step windows — a full minute at paper timeouts) before the
-//! network drifts to the empty hash.
+//! Ablation: the reduction phase (§7.3, Algorithm 7). The experiment is
+//! [`algorand_bench::ablation::reduction`].
 
-use algorand_ba::{
-    BaParams, BaStar, CachedVerifier, ConsensusKind, Output, RoundWeights, VoteMessage, SECOND,
-};
+use algorand_bench::ablation::reduction;
 use algorand_bench::header;
-use algorand_crypto::Keypair;
-use std::sync::Arc;
-
-const EMPTY: [u8; 32] = [0xee; 32];
-const PREV: [u8; 32] = [0x11; 32];
-const SEED: [u8; 32] = [0x22; 32];
-
-/// Runs a 20-user cluster with per-user distinct initial hashes; returns
-/// (max binary concluding step, virtual seconds, any final?).
-fn run(with_reduction: bool) -> (u32, f64, bool) {
-    let n = 20usize;
-    let keypairs: Vec<Keypair> = (0..n)
-        .map(|i| {
-            let mut s = [0u8; 32];
-            s[..8].copy_from_slice(&(i as u64 + 1).to_le_bytes());
-            Keypair::from_seed(s)
-        })
-        .collect();
-    let weights = Arc::new(RoundWeights::from_pairs(
-        keypairs.iter().map(|k| (k.pk, 10u64)),
-    ));
-    let params = BaParams {
-        tau_step: n as f64 * 10.0,
-        t_step: 0.685,
-        tau_final: n as f64 * 10.0,
-        t_final: 0.74,
-        max_steps: 30,
-        lambda_step: SECOND,
-        lambda_block: SECOND,
-        disable_backoff: false,
-    };
-    let verifier = Arc::new(CachedVerifier::new());
-    let mut engines = Vec::new();
-    let mut pending: Vec<VoteMessage> = Vec::new();
-    let mut now = 0u64;
-    for (i, kp) in keypairs.iter().enumerate() {
-        let mut initial = [0u8; 32];
-        initial[0] = 0xb0 + i as u8; // Everyone starts with a distinct hash.
-        initial[1] = 0x77;
-        let (e, out) = if with_reduction {
-            BaStar::start(
-                params,
-                kp.clone(),
-                1,
-                SEED,
-                PREV,
-                initial,
-                EMPTY,
-                weights.clone(),
-                verifier.clone(),
-                now,
-            )
-        } else {
-            BaStar::start_without_reduction(
-                params,
-                kp.clone(),
-                1,
-                SEED,
-                PREV,
-                initial,
-                EMPTY,
-                weights.clone(),
-                verifier.clone(),
-                now,
-            )
-        };
-        for o in out {
-            if let Output::Gossip(v) = o {
-                pending.push(v);
-            }
-        }
-        engines.push(e);
-    }
-    let mut max_step = 0u32;
-    let mut any_final = false;
-    let mut decided = 0usize;
-    for _ in 0..4000 {
-        // Deliver to quiescence at the current instant.
-        while !pending.is_empty() {
-            let batch: Vec<VoteMessage> = std::mem::take(&mut pending);
-            for e in engines.iter_mut() {
-                for v in &batch {
-                    for o in e.on_vote(v, now) {
-                        match o {
-                            Output::Gossip(nv) => pending.push(nv),
-                            Output::BinaryDecided { step, .. } => max_step = max_step.max(step),
-                            Output::Decided(d) => {
-                                decided += 1;
-                                any_final |= d.kind == ConsensusKind::Final;
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-        }
-        if decided == n {
-            break;
-        }
-        // Advance to the earliest deadline.
-        let Some(next) = engines.iter().filter_map(|e| e.next_deadline()).min() else {
-            break;
-        };
-        now = next;
-        for e in engines.iter_mut() {
-            for o in e.on_tick(now) {
-                match o {
-                    Output::Gossip(nv) => pending.push(nv),
-                    Output::BinaryDecided { step, .. } => max_step = max_step.max(step),
-                    Output::Decided(d) => {
-                        decided += 1;
-                        any_final |= d.kind == ConsensusKind::Final;
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    (max_step, now as f64 / 1e6, any_final)
-}
 
 fn main() {
     header(
@@ -147,11 +11,11 @@ fn main() {
          many-valued start must decay through timeout fallbacks",
     );
     println!("worst case: every one of 20 users starts BA* with a distinct block hash");
-    let (step, secs, _final) = run(true);
+    let (step, secs) = reduction(true);
     println!(
         "  WITH reduction:    concluded at binary step {step} after {secs:.1} virtual seconds"
     );
-    let (step_no, secs_no, _) = run(false);
+    let (step_no, secs_no) = reduction(false);
     println!(
         "  WITHOUT reduction: concluded at binary step {step_no} after {secs_no:.1} virtual seconds"
     );

@@ -18,6 +18,7 @@
 //! done
 //! ```
 
+pub mod ablation;
 pub mod baseline;
 pub mod timing;
 

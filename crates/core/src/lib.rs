@@ -10,13 +10,12 @@
 //!   are the *only* inputs the consensus stage accepts;
 //! * [`round`] — stage 3: the per-round state machine ([`round::RoundContext`])
 //!   plus the cross-round buffers (block bodies, future votes);
-//! * [`emit`] — stage 4: the single exit point for outbound gossip;
-//! * [`pool`] — a dependency-free worker pool that batch-verifies
-//!   messages into the stage-2 cache ahead of consumption.
+//! * [`emit`] — stage 4: the single exit point for outbound gossip.
 //!
 //! Around the pipeline:
 //!
-//! * [`params`] — the Figure 4 parameter set, plus laptop-scale variants;
+//! * [`params`] — the Figure 4 parameter set, laptop-scale variants, and
+//!   the key / genesis / monitor-bound derivations of a deployment;
 //! * [`proposal`] — block proposal with VRF-derived priorities (§6);
 //! * [`node`] — the sans-io round loop: propose → wait → BA⋆ → append (§4,
 //!   §8);
@@ -32,7 +31,6 @@ pub mod ingest;
 pub mod metrics;
 pub mod node;
 pub mod params;
-pub mod pool;
 pub mod proposal;
 pub mod recovery;
 pub mod round;
@@ -41,8 +39,7 @@ pub mod wire;
 
 pub use metrics::{PipelineStats, RoundRecord};
 pub use node::Node;
-pub use params::AlgorandParams;
-pub use pool::{VerifyJob, VerifyPool};
+pub use params::{derive_keypairs, AlgorandParams, GENESIS_SEED};
 pub use proposal::{BlockMessage, PriorityMessage};
 pub use recovery::ForkProposalMessage;
 pub use verify::{PipelineVerifier, VerifiedBlock, VerifiedForkProposal, VerifiedPriority};

@@ -295,36 +295,44 @@ impl Node {
         self.stepvar_backoff
     }
 
-    /// Whether a just-processed block message is worth relaying (§6):
-    /// "Algorand users discard messages about blocks that do not have the
-    /// highest priority seen by that user so far."
+    /// Whether a just-processed message is worth relaying onward — the
+    /// relay filter every driver of a node applies:
     ///
-    /// Blocks for other rounds are relayed (peers may be ahead or behind).
-    pub fn should_relay_block(&self, b: &crate::proposal::BlockMessage) -> bool {
-        if b.block.round != self.ctx.round() {
-            return true;
-        }
-        self.ctx.relay_worthy(b.block.hash())
-    }
-
-    /// Whether a just-processed vote is worth relaying, consulting the
-    /// verify stage's cached verdict instead of re-verifying (§8.4: "only
-    /// relay messages after validating them").
+    /// * **Block** (§6): "Algorand users discard messages about blocks
+    ///   that do not have the highest priority seen by that user so far."
+    ///   Blocks for other rounds are relayed (peers may be ahead or
+    ///   behind).
+    /// * **Transaction**: only first admissions propagate, so a
+    ///   transaction traverses each node once (rejects and evictions die
+    ///   out here).
+    /// * **Vote** (§8.4: "only relay messages after validating them"),
+    ///   consulting the verify stage's cached verdict instead of
+    ///   re-verifying. Conservative by design: a vote is dropped only
+    ///   when it targets the round this node is actively running BA⋆ for
+    ///   *and* the cache holds a known-invalid verdict under this round's
+    ///   seed — exactly the votes [`Node::on_message`] just verified.
+    ///   Anything the node has not verified itself (other rounds, other
+    ///   phases) is relayed, so cache warmth never changes relay
+    ///   behavior.
     ///
-    /// Conservative by design: a vote is dropped only when it targets the
-    /// round this node is actively running BA⋆ for *and* the cache holds a
-    /// known-invalid verdict under this round's seed — exactly the votes
-    /// [`Node::on_message`] just verified. Anything the node has not
-    /// verified itself (other rounds, other phases) is relayed, so cache
-    /// warmth never changes relay behavior.
-    pub fn should_relay_vote(&self, v: &VoteMessage) -> bool {
-        if v.round != self.ctx.round() || !matches!(self.phase, Phase::Ba { .. }) {
-            return true;
+    /// Every other kind is relayed; whether catch-up traffic is gossiped
+    /// at all is the transport's routing decision, not a filter.
+    pub fn should_relay(&self, msg: &WireMessage) -> bool {
+        match msg {
+            WireMessage::Block(b) => {
+                b.block.round != self.ctx.round() || self.ctx.relay_worthy(b.block.hash())
+            }
+            WireMessage::Transaction(tx) => self.pool.contains(&tx.id()),
+            WireMessage::Vote(v) => {
+                v.round != self.ctx.round()
+                    || !matches!(self.phase, Phase::Ba { .. })
+                    || !matches!(
+                        self.verifier.vote_status(v.message_id(), *self.ctx.seed()),
+                        Some(None)
+                    )
+            }
+            _ => true,
         }
-        !matches!(
-            self.verifier.vote_status(v.message_id(), *self.ctx.seed()),
-            Some(None)
-        )
     }
 
     /// Queues a transaction for inclusion in a future proposal and returns
@@ -724,13 +732,6 @@ impl Node {
     /// duplicates; out-of-order nonces are buffered.
     fn on_transaction(&mut self, tx: &Transaction) {
         let _ = self.pool.admit(tx.clone(), self.chain.accounts());
-    }
-
-    /// Whether a just-processed transaction message is new enough to be
-    /// worth relaying: only first admissions propagate, so a transaction
-    /// traverses each node once.
-    pub fn should_relay_transaction(&self, tx: &Transaction) -> bool {
-        self.pool.contains(&tx.id())
     }
 
     /// Advances clocks; fires any due timeouts.

@@ -1,7 +1,44 @@
-//! The full Algorand parameter set (Figure 4), plus simulation scaling.
+//! The full Algorand parameter set (Figure 4), plus simulation scaling
+//! and the derivations every deployment of one `(seed, n_users, stake)`
+//! shares: keys, genesis, and the invariant monitor's bounds. The
+//! simulator and the real-process node both take them from here, which
+//! is what makes process `i` of a localhost deployment *be* user `i` of
+//! the simulator's run and lets their chain digests be compared.
 
 use algorand_ba::{BaParams, Micros, SECOND};
-use algorand_ledger::ChainParams;
+use algorand_crypto::Keypair;
+use algorand_ledger::{Blockchain, ChainParams};
+use algorand_obs::MonitorConfig;
+use algorand_sortition::binomial::binomial_cdf;
+
+/// Genesis seed shared by every node of every deployment (and by
+/// restarts).
+pub const GENESIS_SEED: [u8; 32] = [0x47u8; 32];
+
+/// The deterministic keypair of every user of a deployment.
+pub fn derive_keypairs(seed: u64, n_users: usize) -> Vec<Keypair> {
+    (0..n_users)
+        .map(|i| {
+            let mut s = [0u8; 32];
+            s[..8].copy_from_slice(&(seed ^ 0x5eed).to_le_bytes());
+            s[8..16].copy_from_slice(&(i as u64 + 1).to_le_bytes());
+            Keypair::from_seed(s)
+        })
+        .collect()
+}
+
+/// Smallest `k` whose binomial upper tail `P[Binomial(W, τ/W) > k]` falls
+/// below ~1e-12 — the §7.5 bound the monitor enforces on the
+/// deduplicated committee weight of any (round, step).
+fn committee_upper_bound(total_weight: u64, tau: f64) -> u64 {
+    let w = total_weight.max(1);
+    let p = (tau / w as f64).min(1.0);
+    let mut k = (tau as u64).min(w);
+    while k < w && 1.0 - binomial_cdf(k, w, p) >= 1e-12 {
+        k += 1;
+    }
+    k
+}
 
 /// All implementation parameters of Figure 4, plus the chain-level ones.
 #[derive(Clone, Copy, Debug)]
@@ -95,6 +132,26 @@ impl AlgorandParams {
         p
     }
 
+    /// The genesis chain of a deployment: `stake_per_user` currency units
+    /// to each of `keypairs` (equal split, as in §10).
+    pub fn genesis(&self, keypairs: &[Keypair], stake_per_user: u64) -> Blockchain {
+        let alloc = keypairs.iter().map(|k| (k.pk, stake_per_user));
+        Blockchain::new(self.chain, alloc, GENESIS_SEED)
+    }
+
+    /// The invariant-monitor thresholds a population of `total_weight`
+    /// currency units implies (§7.5 tail bounds), of which `honest_nodes`
+    /// users are expected to finalize every round.
+    pub fn monitor_config(&self, total_weight: u64, honest_nodes: usize) -> MonitorConfig {
+        MonitorConfig {
+            committee_hi_step: committee_upper_bound(total_weight, self.ba.tau_step),
+            committee_hi_final: committee_upper_bound(total_weight, self.ba.tau_final),
+            max_future_gap: crate::ingest::FUTURE_ROUND_WINDOW as u32,
+            max_future_buffer: crate::round::FutureVotes::MAX_TOTAL as u64,
+            honest_nodes: honest_nodes as u32,
+        }
+    }
+
     /// The proposal wait before adopting a highest-priority block (§6):
     /// λ_priority + λ_stepvar.
     pub fn proposal_wait(&self) -> Micros {
@@ -147,6 +204,12 @@ mod tests {
             let margin = (1.0 - p.ba.t_step) * p.ba.tau_step / sigma;
             assert!(margin > 3.0, "n={n} margin={margin}");
         }
+    }
+
+    #[test]
+    fn committee_bound_is_at_least_tau() {
+        assert!(committee_upper_bound(10_000, 250.0) >= 250);
+        assert!(committee_upper_bound(10_000, 250.0) < 10_000);
     }
 
     #[test]

@@ -17,10 +17,9 @@
 //!   depends only on `(message, seed, weights, τ)`; the weight snapshot
 //!   and τ are deterministic functions of the same chain prefix the
 //!   seed commits to, so binding the seed binds the whole context. A
-//!   lookup under any other seed (a diverged fork, a recovery epoch, a
-//!   speculative prefetch by the verify pool) simply misses and
-//!   re-verifies — a wrong-context warm can waste work but never
-//!   change a result.
+//!   lookup under any other seed (a diverged fork, a recovery epoch)
+//!   simply misses and re-verifies — a wrong-context warm can waste
+//!   work but never change a result.
 //!
 //! In the simulator, where N nodes observe the same gossiped message,
 //! this turns N identical signature + VRF verifications into one.
@@ -136,8 +135,8 @@ impl VerifiedForkProposal {
     }
 }
 
-/// The process-wide verification stage shared by every node (and the
-/// verify pool's workers).
+/// The process-wide verification stage shared by every node, from
+/// whichever of the simulator's worker threads is running it.
 ///
 /// Votes are cached in the wrapped [`CachedVerifier`]; proposal-shaped
 /// messages (priorities, blocks, fork proposals) share one map — their

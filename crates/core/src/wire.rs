@@ -216,6 +216,25 @@ impl WireMessage {
         }
     }
 
+    /// The gossip-hop label and round the trace plane files this message
+    /// under — one vocabulary for the simulator's hop spans and a real
+    /// node's send/arrival instants, so a merged cluster trace and a
+    /// simulator trace of the same run agree. A fork proposal is filed
+    /// under the round of the block it proposes (its `epoch` is a wall-
+    /// clock recovery counter, not a round). Transactions and catch-up
+    /// traffic are not hop-traced.
+    pub fn hop_label(&self) -> Option<(&'static str, u64)> {
+        match self {
+            WireMessage::Priority(p) => Some(("priority", p.round)),
+            WireMessage::Block(b) => Some(("block_body", b.block.round)),
+            WireMessage::Vote(v) => Some(("vote", v.round)),
+            WireMessage::ForkProposal(f) => Some(("fork_body", f.block.round)),
+            WireMessage::Transaction(_)
+            | WireMessage::CatchupRequest { .. }
+            | WireMessage::CatchupResponse(_) => None,
+        }
+    }
+
     /// Appends the canonical wire encoding: a tag byte plus the payload.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -358,6 +377,80 @@ mod tests {
             votes: Vec::new(),
         };
         (block, cert)
+    }
+
+    #[test]
+    fn hop_label_and_round_pinned_for_every_kind() {
+        use crate::proposal::proposer_sortition;
+        use algorand_ba::RoundWeights;
+        use algorand_crypto::Keypair;
+
+        let kp = Keypair::from_seed([1u8; 32]);
+        let weights = RoundWeights::from_pairs([(kp.pk, 100u64)]);
+        let (out, proof, _) =
+            proposer_sortition(&kp, &[4u8; 32], 7, &weights, 100.0).expect("selected");
+        let block = |round| Block::empty(round, [9u8; 32], &[8u8; 32]);
+        let cases = [
+            (
+                WireMessage::Priority(PriorityMessage::sign(&kp, 7, out, proof, [7u8; 32])),
+                Some(("priority", 7)),
+            ),
+            (
+                WireMessage::Block(BlockMessage {
+                    block: block(8),
+                    sorthash: out,
+                    sort_proof: proof,
+                }),
+                Some(("block_body", 8)),
+            ),
+            (
+                WireMessage::Vote(VoteMessage::sign(
+                    &kp,
+                    9,
+                    StepKind::Main(2),
+                    out,
+                    proof,
+                    [9u8; 32],
+                    [6u8; 32],
+                )),
+                Some(("vote", 9)),
+            ),
+            // Epoch 3, proposing a round-11 block: filed under round 11.
+            (
+                WireMessage::ForkProposal(ForkProposalMessage::sign(
+                    &kp,
+                    3,
+                    0,
+                    out,
+                    proof,
+                    block(11),
+                )),
+                Some(("fork_body", 11)),
+            ),
+            (
+                WireMessage::Transaction(Transaction::payment(&kp, kp.pk, 1, 1)),
+                None,
+            ),
+            (
+                WireMessage::CatchupRequest {
+                    have: 5,
+                    tip_hash: [7u8; 32],
+                },
+                None,
+            ),
+            (
+                WireMessage::CatchupResponse(CatchupBatch {
+                    entries: vec![entry(1, 0)],
+                }),
+                None,
+            ),
+        ];
+        // One case per tag byte: a new kind must be given a verdict here.
+        for (tag, (msg, expected)) in (1u8..).zip(&cases) {
+            assert_eq!(WireKind::from_tag(tag), Some(msg.kind()));
+            assert_eq!(msg.hop_label(), *expected, "{}", msg.kind().name());
+        }
+        assert_eq!(WireKind::from_tag(cases.len() as u8 + 1), None);
     }
 
     #[test]

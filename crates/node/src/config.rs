@@ -19,22 +19,20 @@
 //! tx_count = 24
 //! ```
 //!
-//! The derivations mirror `sim::harness` exactly — same key-seed formula,
-//! same genesis seed, same equal-stake allocation — which is what lets a
-//! localhost deployment be cross-checked against the simulator's chain
-//! digest for the same `seed`.
+//! The derivations are `algorand_core::params`'s — the ones the
+//! simulator uses — which is what lets a localhost deployment be
+//! cross-checked against the simulator's chain digest for the same
+//! `seed`.
 
 use algorand_core::AlgorandParams;
 use algorand_crypto::rng::Rng;
 use algorand_crypto::Keypair;
 use algorand_ledger::{Blockchain, Transaction};
 use algorand_obs::MonitorConfig;
-use algorand_sortition::binomial::binomial_cdf;
 use std::io;
 use std::path::PathBuf;
 
-/// Genesis seed shared with `sim::GENESIS_SEED`.
-pub const GENESIS_SEED: [u8; 32] = [0x47u8; 32];
+pub use algorand_core::derive_keypairs;
 
 /// Configuration for one `algorand-node` process.
 #[derive(Clone, Debug)]
@@ -269,21 +267,13 @@ impl NodeConfig {
     }
 
     /// The in-process invariant-monitor thresholds this deployment
-    /// implies — the same §7.5 binomial tail bounds `sim` computes, so
-    /// a live node holds its own trace stream to the exact standard the
-    /// simulator holds the fleet's.
+    /// implies, so a live node holds its own trace stream to the exact
+    /// standard the simulator holds the fleet's. A deployment config has
+    /// no adversary roster; all users count as honest, the strictest
+    /// reading.
     pub fn monitor_config(&self) -> MonitorConfig {
         let total_weight = self.n_users as u64 * self.stake_per_user;
-        let params = self.params();
-        MonitorConfig {
-            committee_hi_step: committee_upper_bound(total_weight, params.ba.tau_step),
-            committee_hi_final: committee_upper_bound(total_weight, params.ba.tau_final),
-            max_future_gap: algorand_core::ingest::FUTURE_ROUND_WINDOW as u32,
-            max_future_buffer: algorand_core::round::FutureVotes::MAX_TOTAL as u64,
-            // A deployment config has no adversary roster; all users
-            // count as honest, the strictest reading.
-            honest_nodes: self.n_users as u32,
-        }
+        self.params().monitor_config(total_weight, self.n_users)
     }
 
     /// This node's keypair.
@@ -293,11 +283,8 @@ impl NodeConfig {
 
     /// The shared genesis chain.
     pub fn genesis(&self) -> Blockchain {
-        let alloc: Vec<_> = derive_keypairs(self.seed, self.n_users)
-            .iter()
-            .map(|k| (k.pk, self.stake_per_user))
-            .collect();
-        Blockchain::new(self.params().chain, alloc, GENESIS_SEED)
+        let keypairs = derive_keypairs(self.seed, self.n_users);
+        self.params().genesis(&keypairs, self.stake_per_user)
     }
 
     /// The deterministic preloaded workload for this deployment.
@@ -305,33 +292,6 @@ impl NodeConfig {
         let keypairs = derive_keypairs(self.seed, self.n_users);
         workload_transactions(self.seed, &keypairs, self.stake_per_user, self.tx_count)
     }
-}
-
-/// Smallest `k` whose binomial upper tail `P[Binomial(W, τ/W) > k]`
-/// falls below ~1e-12 — the §7.5 bound the monitor enforces on the
-/// deduplicated committee weight of any (round, step). Mirrors
-/// `sim::harness::committee_upper_bound` exactly.
-fn committee_upper_bound(total_weight: u64, tau: f64) -> u64 {
-    let w = total_weight.max(1);
-    let p = (tau / w as f64).min(1.0);
-    let mut k = (tau as u64).min(w);
-    while k < w && 1.0 - binomial_cdf(k, w, p) >= 1e-12 {
-        k += 1;
-    }
-    k
-}
-
-/// Derives the deployment's keypairs — the same formula `sim::harness`
-/// uses, so process `i` here *is* user `i` there.
-pub fn derive_keypairs(seed: u64, n_users: usize) -> Vec<Keypair> {
-    (0..n_users)
-        .map(|i| {
-            let mut s = [0u8; 32];
-            s[..8].copy_from_slice(&(seed ^ 0x5eed).to_le_bytes());
-            s[8..16].copy_from_slice(&(i as u64 + 1).to_le_bytes());
-            Keypair::from_seed(s)
-        })
-        .collect()
 }
 
 /// Generates the deterministic preloaded workload: `count` random

@@ -410,7 +410,7 @@ impl Runtime {
         // instant lives in *its* trace; `obs::merge` fuses the two into
         // the simulator-shaped hop span (peer = sender, start = send).
         if self.tracer.is_enabled() {
-            if let Some((label, round)) = hop_label(&msg) {
+            if let Some((label, round)) = msg.hop_label() {
                 self.tracer
                     .span(
                         SpanKind::GossipHop,
@@ -426,18 +426,13 @@ impl Runtime {
         }
         let outputs = self.node.on_message(&msg, self.now());
 
-        // §6 discard rules, mirrored from the simulator: losing block
-        // bodies, rejected transactions, and invalid votes stop here.
-        let discard = match &msg {
-            WireMessage::Block(b) => !self.node.should_relay_block(b),
-            WireMessage::Transaction(tx) => !self.node.should_relay_transaction(tx),
-            WireMessage::Vote(v) => !self.node.should_relay_vote(v),
-            // Catch-up traffic is point-to-point on this transport: the
-            // requester asked *us*, and our response goes only to them.
-            WireMessage::CatchupRequest { .. } | WireMessage::CatchupResponse(_) => true,
-            _ => false,
-        };
-        if decision == RelayDecision::Relay && !discard {
+        // Catch-up traffic is point-to-point on this transport: the
+        // requester asked *us*, and our response goes only to them.
+        let point_to_point = matches!(
+            msg,
+            WireMessage::CatchupRequest { .. } | WireMessage::CatchupResponse(_)
+        );
+        if decision == RelayDecision::Relay && !point_to_point && self.node.should_relay(&msg) {
             self.trace_send(&msg, bytes.len());
             self.transport.broadcast_gossip(bytes, Some(from));
         }
@@ -454,7 +449,7 @@ impl Runtime {
         if !self.tracer.is_enabled() {
             return;
         }
-        let Some((_, round)) = hop_label(msg) else {
+        let Some((_, round)) = msg.hop_label() else {
             return;
         };
         let depth = self.transport.max_send_queue_depth();
@@ -744,20 +739,6 @@ impl Runtime {
             timed_out,
             transport: t,
         })
-    }
-}
-
-/// The hop label and round for a wire message the trace plane follows —
-/// the same vocabulary the simulator's hop spans use (`"vote"`,
-/// `"priority"`, `"block_body"`, `"fork_body"`). Transactions and
-/// catch-up traffic are not hop-traced there either.
-fn hop_label(msg: &WireMessage) -> Option<(&'static str, u64)> {
-    match msg {
-        WireMessage::Priority(p) => Some(("priority", p.round)),
-        WireMessage::Block(b) => Some(("block_body", b.block.round)),
-        WireMessage::Vote(v) => Some(("vote", v.round)),
-        WireMessage::ForkProposal(f) => Some(("fork_body", f.epoch)),
-        _ => None,
     }
 }
 

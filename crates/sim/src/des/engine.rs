@@ -31,10 +31,9 @@
 //!    `(hint, emission index)` and replayed against the shared state in
 //!    that canonical order: topology fan-out, uplink serialization,
 //!    jitter/loss RNG draws, delivery scheduling (which assigns the next
-//!    window's sequence numbers), gossip-hop tracing, and batched
-//!    verification pre-warm via the [`VerifyPool`]. Per-node trace
-//!    buffers are then drained, merged by hint, fed to the invariant
-//!    monitor, and retained under the per-node budget.
+//!    window's sequence numbers), and gossip-hop tracing. Per-node
+//!    trace buffers are then drained, merged by hint, fed to the
+//!    invariant monitor, and retained under the per-node budget.
 //!
 //! Global events (workload injections, scripted faults) run between
 //! windows, before any node event at the same instant.
@@ -50,16 +49,16 @@ use crate::des::queue::{OrderKey, ShardedQueue, CLASS_DELIVER, CLASS_WAKE};
 use crate::event::Micros;
 use crate::faults::{FaultAction, FaultEvent, FaultSchedule};
 use crate::harness::{
-    self, FaultReport, InjectStep, KindBytes, NodeCarry, PipelineReport, Prewarmer, SimConfig,
-    SimMsg, Slot, TxRecord, TxStats, Workload, ANNOUNCE_SIZE, GENESIS_SEED, TRACE_CAP,
+    self, FaultReport, InjectStep, KindBytes, NodeCarry, PipelineReport, SimConfig, SimMsg, Slot,
+    TxRecord, TxStats, Workload, ANNOUNCE_SIZE, TRACE_CAP,
 };
 use crate::metrics::{round_stats, RoundStats};
 use crate::network::{Filter, Network};
-use algorand_core::{Node, PipelineVerifier, RoundRecord, VerifyPool, WireMessage};
+use algorand_core::{derive_keypairs, Node, PipelineVerifier, RoundRecord, WireKind, WireMessage};
 use algorand_crypto::rng::Rng;
 use algorand_crypto::Keypair;
 use algorand_gossip::{RelayDecision, RelayMetrics, RelayState, Topology};
-use algorand_ledger::{Blockchain, Transaction};
+use algorand_ledger::Transaction;
 use algorand_obs::{
     stable_id, write_jsonl_trimmed, Histogram, MonitorHandle, MonitorReport, Registry, SpanKind,
     TraceEvent, TraceObserver, Tracer, NO_NODE,
@@ -202,9 +201,6 @@ pub struct Simulation {
     next_churn: Micros,
     churn_epoch: u64,
     verifier: Arc<PipelineVerifier>,
-    pool: VerifyPool,
-    /// Batch hand-off of in-flight messages to the verify pool.
-    prewarm: Prewarmer,
     adversary: Arc<Mutex<AdversaryShared>>,
     workload: Option<Workload>,
     started: bool,
@@ -246,7 +242,7 @@ impl Simulation {
             trace_node_budget,
         } = cfg.into();
         cfg.apply_injected_bug();
-        let keypairs = cfg.build_keypairs();
+        let keypairs = derive_keypairs(cfg.seed, cfg.n_users);
         let verifier = Arc::new(PipelineVerifier::new());
         let adversary = Arc::new(Mutex::new(AdversaryShared::default()));
         let registry = Registry::new();
@@ -257,7 +253,11 @@ impl Simulation {
                 Tracer::disabled()
             }
         };
-        let monitor = (cfg.monitor && cfg.trace).then(|| MonitorHandle::new(cfg.monitor_config()));
+        let monitor = (cfg.monitor && cfg.trace).then(|| {
+            let total_weight = cfg.n_users as u64 * cfg.stake_per_user;
+            let n_honest = cfg.n_users - cfg.n_malicious;
+            MonitorHandle::new(cfg.params.monitor_config(total_weight, n_honest))
+        });
         let monitor_feed = monitor.as_ref().map(MonitorHandle::observer);
         let pool_metrics = PoolMetrics::registered(&registry);
         let tracers: Vec<Tracer> = (0..cfg.n_users).map(|_| new_tracer()).collect();
@@ -301,8 +301,6 @@ impl Simulation {
             },
             churn_epoch: 0,
             verifier,
-            pool: VerifyPool::new(cfg.verify_pool_workers),
-            prewarm: Prewarmer::new(),
             adversary,
             workload: Workload::from_config(&cfg),
             started: false,
@@ -597,8 +595,7 @@ impl Simulation {
     }
 
     /// Serializes one transmission onto the shared network, tracing the
-    /// hop and pre-warming the verification cache, and schedules the
-    /// delivery.
+    /// hop, and schedules the delivery.
     fn transmit(&mut self, from: usize, to: usize, msg: &Arc<SimMsg>, now: Micros, hint: u64) {
         // Pull-based bodies: a peer that already holds the content costs
         // only the announcement round-trip.
@@ -611,13 +608,6 @@ impl Simulation {
             if self.engine_tracer.is_enabled() {
                 self.trace_hop(from, to, msg, size, now, arrival, hint);
             }
-            self.prewarm.enqueue(
-                msg,
-                self.cells[0].slot.node().chain(),
-                &self.cfg.params,
-                &self.pool,
-                &self.verifier,
-            );
             self.schedule_delivery(to, from, msg.clone(), arrival);
         }
     }
@@ -655,34 +645,16 @@ impl Simulation {
         arrival: Micros,
         hint: u64,
     ) {
-        let full_body = size == msg.size;
-        let hop = match &msg.wire {
-            WireMessage::Vote(v) => {
-                self.kind_bytes.vote += size as u64;
-                Some(("vote", v.round))
-            }
-            WireMessage::Priority(p) => {
-                self.kind_bytes.priority += size as u64;
-                Some(("priority", p.round))
-            }
-            WireMessage::Block(b) => {
-                self.kind_bytes.block += size as u64;
-                full_body.then_some(("block_body", b.block.round))
-            }
-            WireMessage::ForkProposal(f) => {
-                self.kind_bytes.fork += size as u64;
-                full_body.then_some(("fork_body", f.block.round))
-            }
-            WireMessage::Transaction(_) => {
-                self.kind_bytes.tx += size as u64;
-                None
-            }
-            WireMessage::CatchupRequest { .. } | WireMessage::CatchupResponse(_) => {
-                self.kind_bytes.catchup += size as u64;
-                None
-            }
+        let total = match msg.wire.kind() {
+            WireKind::Vote => &mut self.kind_bytes.vote,
+            WireKind::Priority => &mut self.kind_bytes.priority,
+            WireKind::Block => &mut self.kind_bytes.block,
+            WireKind::ForkProposal => &mut self.kind_bytes.fork,
+            WireKind::Transaction => &mut self.kind_bytes.tx,
+            WireKind::CatchupRequest | WireKind::CatchupResponse => &mut self.kind_bytes.catchup,
         };
-        if let Some((label, round)) = hop {
+        *total += size as u64;
+        if let Some((label, round)) = msg.wire.hop_label().filter(|_| size == msg.size) {
             self.engine_tracer.set_order_hint(hint);
             self.engine_tracer
                 .span(SpanKind::GossipHop, to as u32, round, now)
@@ -899,12 +871,10 @@ impl Simulation {
         if let Slot::Honest(old) = &cell.slot {
             self.carry.entry(i).or_default().fold_from(old);
         }
-        let alloc: Vec<_> = self
-            .keypairs
-            .iter()
-            .map(|k| (k.pk, self.cfg.stake_per_user))
-            .collect();
-        let genesis = Blockchain::new(self.cfg.params.chain, alloc, GENESIS_SEED);
+        let genesis = self
+            .cfg
+            .params
+            .genesis(&self.keypairs, self.cfg.stake_per_user);
         let local = harness::skewed_local(now, cell.clock_skew);
         let mut node = Node::restore(
             self.keypairs[i].clone(),
@@ -1004,7 +974,7 @@ impl Simulation {
     /// Aggregated staged-pipeline counters across honest nodes plus the
     /// process-wide cache, for the metrics report.
     pub fn pipeline_report(&self) -> PipelineReport {
-        harness::pipeline_report(&self.slots(), &self.carry, &self.verifier, &self.pool)
+        harness::pipeline_report(&self.slots(), &self.carry, &self.verifier)
     }
 
     /// Fault-injection and recovery counters for this run.

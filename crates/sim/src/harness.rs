@@ -10,28 +10,16 @@ use crate::adversary::{AdversaryKind, AdversaryShared, MaliciousNode, Outgoing};
 use crate::event::Micros;
 use crate::metrics::Percentiles;
 use crate::network::{NetConfig, Network};
-use algorand_ba::{RoundWeights, StepKind, VoteContext};
 use algorand_core::{
-    AlgorandParams, Node, PipelineStats, PipelineVerifier, RoundRecord, VerifyJob, VerifyPool,
-    WireMessage,
+    AlgorandParams, Node, PipelineStats, PipelineVerifier, RoundRecord, WireMessage,
 };
 use algorand_crypto::rng::Rng;
 use algorand_crypto::Keypair;
-use algorand_ledger::seed::selection_seed_round;
 use algorand_ledger::{Blockchain, Transaction};
-use algorand_obs::{MonitorConfig, Tracer};
-use algorand_sortition::binomial::binomial_cdf;
+use algorand_obs::Tracer;
 use algorand_txpool::PoolMetrics;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
-
-/// Verification jobs buffered before a batch is handed to the pool.
-pub(crate) const PREWARM_BATCH: usize = 32;
-
-/// Genesis seed shared by every node (and by restarts). Public so the
-/// real-process harness (`crates/node`) can boot the *same* genesis and
-/// cross-check chain digests against the simulator.
-pub const GENESIS_SEED: [u8; 32] = [0x47u8; 32];
 
 /// Bound on buffered trace events per run (~100 bytes each); past it
 /// events are counted as dropped rather than growing memory unbounded.
@@ -93,11 +81,6 @@ pub struct SimConfig {
     pub peer_churn_interval: u64,
     /// Seed for topology and deterministic keys.
     pub seed: u64,
-    /// Worker threads for the parallel verify pool (0 = serial; behavior
-    /// is byte-identical either way — the pool only pre-warms the shared
-    /// verification cache ahead of each delivery, never reordering
-    /// events).
-    pub verify_pool_workers: usize,
     /// Record structured trace spans into the bounded in-memory buffer
     /// (exported with `export_trace`). Tracing is write-only and consumes
     /// no randomness, so it cannot change the simulation's behavior:
@@ -170,7 +153,6 @@ impl SimConfig {
             // Default: re-draw peers roughly once per expected round.
             peer_churn_interval: 15_000_000,
             seed: 1,
-            verify_pool_workers: 0,
             trace: false,
             monitor: false,
             injected_bug: None,
@@ -191,30 +173,6 @@ impl SimConfig {
         self.injected_bug == Some(InjectedBug::IgnoreCatchupResponses)
             && matches!(wire, WireMessage::CatchupResponse(_))
     }
-
-    /// The deterministic keypair of every user.
-    pub(crate) fn build_keypairs(&self) -> Vec<Keypair> {
-        (0..self.n_users)
-            .map(|i| {
-                let mut seed = [0u8; 32];
-                seed[..8].copy_from_slice(&(self.seed ^ 0x5eed).to_le_bytes());
-                seed[8..16].copy_from_slice(&(i as u64 + 1).to_le_bytes());
-                Keypair::from_seed(seed)
-            })
-            .collect()
-    }
-
-    /// The monitor thresholds this population implies (§7.5 tail bounds).
-    pub(crate) fn monitor_config(&self) -> MonitorConfig {
-        let total_weight = self.n_users as u64 * self.stake_per_user;
-        MonitorConfig {
-            committee_hi_step: committee_upper_bound(total_weight, self.params.ba.tau_step),
-            committee_hi_final: committee_upper_bound(total_weight, self.params.ba.tau_final),
-            max_future_gap: algorand_core::ingest::FUTURE_ROUND_WINDOW as u32,
-            max_future_buffer: algorand_core::round::FutureVotes::MAX_TOTAL as u64,
-            honest_nodes: (self.n_users - self.n_malicious) as u32,
-        }
-    }
 }
 
 /// Builds the node population: equal genesis stake, deterministic keys,
@@ -229,14 +187,10 @@ pub(crate) fn build_slots(
     pool_metrics: &PoolMetrics,
     mut tracer_for: impl FnMut(usize) -> Tracer,
 ) -> Vec<Slot> {
-    let alloc: Vec<_> = keypairs
-        .iter()
-        .map(|k| (k.pk, cfg.stake_per_user))
-        .collect();
     let n_honest = cfg.n_users - cfg.n_malicious;
     (0..cfg.n_users)
         .map(|i| {
-            let chain = Blockchain::new(cfg.params.chain, alloc.iter().copied(), GENESIS_SEED);
+            let chain = cfg.params.genesis(keypairs, cfg.stake_per_user);
             let mut node = Node::new(keypairs[i].clone(), chain, cfg.params, verifier.clone());
             node.payload_bytes = cfg.payload_bytes;
             node.block_tx_bytes = cfg.block_tx_bytes;
@@ -281,19 +235,6 @@ impl KindBytes {
             ("bytes_catchup", self.catchup),
         ]
     }
-}
-
-/// Smallest `k` whose binomial upper tail `P[Binomial(W, τ/W) > k]` falls
-/// below ~1e-12 — the §7.5 bound the monitor enforces on the
-/// deduplicated committee weight of any (round, step).
-pub(crate) fn committee_upper_bound(total_weight: u64, tau: f64) -> u64 {
-    let w = total_weight.max(1);
-    let p = (tau / w as f64).min(1.0);
-    let mut k = (tau as u64).min(w);
-    while k < w && 1.0 - binomial_cdf(k, w, p) >= 1e-12 {
-        k += 1;
-    }
-    k
 }
 
 /// One node slot: the honest protocol, or its adversarial wrapper.
@@ -355,16 +296,13 @@ impl Slot {
         }
     }
 
-    /// §6 discard rules: whether the node declines to relay this message
-    /// onward (malicious nodes relay everything).
+    /// Whether the node declines to relay this message onward
+    /// ([`Node::should_relay`]). Malicious nodes relay everything, and
+    /// the `relay_all_blocks` ablation switches §6's block rule off.
     pub(crate) fn discards(&self, msg: &WireMessage, relay_all_blocks: bool) -> bool {
         let Slot::Honest(n) = self else { return false };
-        match msg {
-            WireMessage::Block(b) => !relay_all_blocks && !n.should_relay_block(b),
-            WireMessage::Transaction(tx) => !n.should_relay_transaction(tx),
-            WireMessage::Vote(v) => !n.should_relay_vote(v),
-            _ => false,
-        }
+        let exempt = relay_all_blocks && matches!(msg, WireMessage::Block(_));
+        !exempt && !n.should_relay(msg)
     }
 }
 
@@ -582,8 +520,6 @@ pub struct PipelineReport {
     pub unique_votes: usize,
     /// Distinct priority/block/fork-proposal verifications performed.
     pub unique_proposals: usize,
-    /// Verify-pool worker threads (0 = serial).
-    pub pool_workers: usize,
 }
 
 impl std::fmt::Display for PipelineReport {
@@ -606,11 +542,7 @@ impl std::fmt::Display for PipelineReport {
             self.unique_votes,
             self.unique_proposals,
         )?;
-        write!(
-            f,
-            "emit:     emitted={} pool_workers={}",
-            self.stages.emitted, self.pool_workers
-        )
+        write!(f, "emit:     emitted={}", self.stages.emitted)
     }
 }
 
@@ -724,7 +656,6 @@ pub(crate) fn pipeline_report(
     slots: &[&Slot],
     carry: &HashMap<usize, NodeCarry>,
     verifier: &PipelineVerifier,
-    pool: &VerifyPool,
 ) -> PipelineReport {
     let mut stages = PipelineStats::default();
     for slot in slots {
@@ -740,7 +671,6 @@ pub(crate) fn pipeline_report(
         cache_misses: verifier.cache_misses(),
         unique_votes: verifier.unique_vote_verifications(),
         unique_proposals: verifier.unique_proposal_verifications(),
-        pool_workers: pool.workers(),
     }
 }
 
@@ -847,123 +777,9 @@ pub(crate) fn tx_stats(
     }
 }
 
-// --- Batch verification pre-warm -----------------------------------------
-
-/// Hands in-flight messages to the [`VerifyPool`] in batches so the
-/// process-wide verification cache is warm before delivery. Each message
-/// is verified once no matter how many nodes it is in flight to.
-///
-/// Determinism: jobs only populate the `(message id, seed)`-keyed cache,
-/// whose verdicts are pure functions of their key. Event order is
-/// untouched, and a job built under a stale context lands on a key no
-/// consumer asks for — wasted work, never a wrong answer.
-pub(crate) struct Prewarmer {
-    /// Message ids already queued for pre-warming (first transmit wins).
-    prewarmed: HashSet<[u8; 32]>,
-    /// Weight snapshots reused across a round's pre-warm jobs.
-    weights: HashMap<u64, Arc<RoundWeights>>,
-    /// Verification jobs awaiting a batch hand-off to the pool.
-    pending: Vec<VerifyJob>,
-}
-
-impl Prewarmer {
-    pub(crate) fn new() -> Prewarmer {
-        Prewarmer {
-            prewarmed: HashSet::new(),
-            weights: HashMap::new(),
-            pending: Vec::new(),
-        }
-    }
-
-    /// Queues a message for cache pre-warming, flushing a full batch to
-    /// the pool. `chain` is the context oracle (honest node 0's chain).
-    pub(crate) fn enqueue(
-        &mut self,
-        msg: &SimMsg,
-        chain: &Blockchain,
-        params: &AlgorandParams,
-        pool: &VerifyPool,
-        verifier: &Arc<PipelineVerifier>,
-    ) {
-        if pool.workers() == 0 || !self.prewarmed.insert(msg.id) {
-            return;
-        }
-        if let Some(job) = self.job(&msg.wire, chain, params) {
-            self.pending.push(job);
-            if self.pending.len() >= PREWARM_BATCH {
-                let jobs = std::mem::take(&mut self.pending);
-                pool.verify_batch(verifier, jobs);
-            }
-        }
-    }
-
-    /// Builds the verification job for an in-flight message. Messages
-    /// whose context is not yet derivable exactly (selection seed still
-    /// in the future) are skipped — the consuming node verifies those
-    /// inline.
-    fn job(
-        &mut self,
-        wire: &WireMessage,
-        chain: &Blockchain,
-        params: &AlgorandParams,
-    ) -> Option<VerifyJob> {
-        let tip = chain.tip().round;
-        let interval = params.chain.seed_refresh_interval;
-        let round = match wire {
-            WireMessage::Vote(v) => v.round,
-            WireMessage::Priority(p) => p.round,
-            WireMessage::Block(b) => b.block.round,
-            _ => return None,
-        };
-        if selection_seed_round(round, interval) > tip {
-            return None;
-        }
-        let seed = chain.selection_seed(round);
-        let weights = match self.weights.get(&round) {
-            Some(w) => w.clone(),
-            None => {
-                let w = Arc::new(chain.weights_for_round(round));
-                self.weights.insert(round, w.clone());
-                self.weights.retain(|&r, _| r + 8 > round);
-                w
-            }
-        };
-        Some(match wire {
-            WireMessage::Vote(v) => VerifyJob::Vote {
-                msg: v.clone(),
-                ctx: VoteContext {
-                    round,
-                    seed,
-                    tau: params.ba.tau_for(v.step == StepKind::Final),
-                },
-                weights,
-            },
-            WireMessage::Priority(p) => VerifyJob::Priority {
-                msg: p.clone(),
-                seed,
-                weights,
-                tau: params.tau_proposer,
-            },
-            WireMessage::Block(b) => VerifyJob::Block {
-                msg: b.clone(),
-                seed,
-                weights,
-                tau: params.tau_proposer,
-            },
-            _ => unreachable!("round extraction above filtered the rest"),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn committee_bound_is_at_least_tau() {
-        assert!(committee_upper_bound(10_000, 250.0) >= 250);
-        assert!(committee_upper_bound(10_000, 250.0) < 10_000);
-    }
 
     #[test]
     fn workload_plan_is_deterministic() {
@@ -987,7 +803,7 @@ mod tests {
                     },
                 ) => {
                     assert_eq!((s1, t1, a1), (s2, t2, a2));
-                    let kp = cfg.build_keypairs();
+                    let kp = algorand_core::derive_keypairs(cfg.seed, cfg.n_users);
                     let tx = a.payment(&kp, s1, t1, a1);
                     a.commit(
                         s1,

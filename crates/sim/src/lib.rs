@@ -21,6 +21,7 @@ pub mod metrics;
 pub mod network;
 
 pub use adversary::{AdversaryKind, AdversaryShared, MaliciousNode, Outgoing};
+pub use algorand_core::GENESIS_SEED;
 pub use des::{DesConfig, ParallelSim, Simulation};
 pub use epidemic::EpidemicConfig;
 pub use event::Micros;
@@ -29,9 +30,7 @@ pub use fuzz::{
     generate, parse_case, run_campaign, run_case, serialize_case, shrink, CampaignConfig,
     CampaignResult, FuzzCase, ShrinkOutcome, Verdict, VerdictClass,
 };
-pub use harness::{
-    FaultReport, InjectedBug, PipelineReport, SimConfig, TxRecord, TxStats, GENESIS_SEED,
-};
+pub use harness::{FaultReport, InjectedBug, PipelineReport, SimConfig, TxRecord, TxStats};
 pub use metrics::{round_stats, Percentiles, RoundStats};
 pub use network::{NetConfig, Network, PartitionSpec};
 

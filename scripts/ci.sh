@@ -1,76 +1,9 @@
 #!/usr/bin/env bash
 # CI gate for the repository. Fully offline; no network access needed.
+# Each gate's `== … ==` line says what it checks; the bin or test it
+# runs documents the details, and results/README.md the artifacts.
 #
-#   1. tier-1 gate: release build + facade test suite (the invariant
-#      every PR must keep green),
-#   2. the full workspace test suite (every crate's unit, integration
-#      and doc tests),
-#   3. a 50-user / 200-transaction end-to-end smoke simulation that
-#      fails unless >=95% of injected transactions finalize, each
-#      exactly once (see crates/bench/src/bin/txpool_smoke.rs),
-#   4. the chaos suite (fixed seeds) plus the determinism gate: every
-#      scripted fault schedule is run, traced and monitored, at one
-#      worker twice and at 2 and 4 workers; all four runs must produce
-#      byte-identical final-chain digests, monitor verdicts and trace
-#      JSONL, and recover within the schedule's horizon (see
-#      crates/bench/src/bin/chaos_determinism.rs),
-#   5. the trace-determinism gate: the same seed traced twice must
-#      export byte-identical trace JSONL (with zero dropped events),
-#      and tracing on/off must not change the chain digest (see
-#      crates/bench/src/bin/trace_report.rs),
-#   6. the causal-profiler gate: the critical-path report renders
-#      byte-identically across reruns, every chain is contiguous, and
-#      every finalized round's chain explains >=95% of its measured
-#      latency (see crates/bench/src/bin/critical_path.rs),
-#   7. the invariant monitor: all chaos schedules run with the online
-#      monitor attached and must report zero violations (asserted
-#      inside the chaos suite of step 4), while the violation-injection
-#      self-test must flag every seeded violation class (see
-#      crates/sim/tests/monitor.rs),
-#   8. the localnet gate: five real `algorand-node` processes over
-#      loopback TCP must finalize the exact chain digest the simulator
-#      produces for the same seed, and a kill -9'd process must rejoin
-#      via WAL replay plus blocksync; mid-run, every process must answer
-#      a TELEMETRY scrape with a clean in-process monitor verdict and
-#      non-zero transport/WAL/pipeline counters (the merged report lands
-#      in results/cluster_health.txt), and the SIGKILL'd process must
-#      leave no crash.jsonl; the same run drains every process's trace
-#      buffer over TRACE_DRAIN, merges them into one causal cluster
-#      trace (results/cluster_trace.{jsonl,txt}), and requires the
-#      merged critical path to explain >=90% of each finalized round
-#      with at least one cross-process chain (see
-#      crates/bench/src/bin/{localnet,trace_collect}.rs),
-#   8b. the telemetry-smoke gate: two TELEMETRY scrapes of an idle node
-#      must return byte-identical exposition text, its flight-recorder
-#      dump must parse as ordinary trace JSONL, and a connection
-#      hammering past the configured burst must get TEL_THROTTLED
-#      error frames while fresh connections stay served (see
-#      crates/bench/src/bin/telemetry_smoke.rs),
-#   8c. the cluster-trace gate: the merged artifact the localnet run
-#      archived must re-parse, re-render byte-identically, and pass the
-#      merged critical-path checks offline (see
-#      crates/bench/src/bin/critical_path.rs, --trace mode),
-#   9. the scale gate: 1,000 real protocol nodes must finalize >=5
-#      rounds in the CI wall-clock budget, with identical digests at
-#      1 and 4 workers (their wall-clock ratio is reported, not
-#      gated); numbers land in results/scale.txt (see
-#      crates/bench/src/bin/scale_smoke.rs),
-#  10. the epidemic-validation gate: the analytic large-scale model must
-#      agree with the real engine at 100-1,000 users within a factor
-#      band; the table lands in results/epidemic_vs_des.txt (see
-#      crates/bench/src/bin/epidemic_vs_des.rs),
-#  11. the schedule-space fuzzing gate: 1,000 generated (seed, schedule)
-#      pairs must pass every oracle on the honest build, the whole
-#      campaign report must be byte-identical when re-run, and a planted
-#      catch-up defect must be caught and shrunk to a <=8-event
-#      reproducer that replays deterministically (see
-#      crates/bench/src/bin/fuzz_campaign.rs); the archived corpus under
-#      crates/sim/tests/corpus/ must replay with its recorded verdicts
-#      and the shrinker property test must hold (see
-#      crates/sim/tests/{corpus,fuzz}.rs),
-#  12. style gates: rustfmt and clippy with warnings denied.
-#
-# Usage: scripts/ci.sh
+# Usage: scripts/ci.sh   (from any directory)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,8 +19,11 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-echo "== workspace tests =="
+echo "== workspace tests (incl. the ablation-shape test, crates/bench/tests) =="
 cargo test --workspace -q
+
+echo "== benchmark package: fmt, clippy, tests against this workspace's API =="
+bash benchmark/check.sh
 
 echo "== txpool smoke simulation =="
 cargo run --release -p algorand-bench --bin txpool_smoke
