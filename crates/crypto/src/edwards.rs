@@ -9,9 +9,41 @@
 //! their defining equations — d from −121665/121666 and the basepoint from
 //! y = 4/5 — rather than transcribed, so they cannot be mistyped; tests pin
 //! the well-known compressed basepoint encoding.
+//!
+//! # Three shapes of one point
+//!
+//! An addition or doubling first produces four factors (a
+//! `CompletedPoint`) and then multiplies them out: three products give
+//! (X : Y : Z), a fourth gives T. Doubling never reads T, so inside a run
+//! of doublings the fourth product is skipped (`ProjectivePoint`); an
+//! addend that is used more than once is stored as
+//! (Y+X, Y−X, Z, 2d·T) (`CachedPoint`), which is what the addition
+//! formula reads. [`EdwardsPoint`] is the only shape callers see.
+//!
+//! # Two kinds of multiplication
+//!
+//! * [`EdwardsPoint::scalar_mul`] and [`EdwardsPoint::basepoint_mul`] are
+//!   the **secret-scalar** paths (key derivation, signing, VRF proving):
+//!   fixed 4-bit windows, the same sequence of doublings whatever the
+//!   scalar. `scalar_mul` is also the reference every faster routine is
+//!   tested against.
+//! * [`EdwardsPoint::double_scalar_mul_basepoint`],
+//!   [`EdwardsPoint::vartime_double_scalar_mul_sub`] and
+//!   [`EdwardsPoint::is_torsion_free`] are **variable-time** and run only
+//!   on public inputs — signatures, proofs and keys taken off the wire.
+//!   All three are one routine: every scalar is recoded into a sparse
+//!   signed-digit form (width-5 NAF: odd digits in ±1..±15, at most one
+//!   in any five positions; width 8 for the basepoint), and a single run
+//!   of at most 254 doublings serves every term, adding `±d·P` from a
+//!   table of odd multiples wherever a digit is set. The eight odd
+//!   multiples of a variable point are rebuilt per call (about 1 µs);
+//!   the 64 odd multiples of B (10 KB) are built once per process.
+//!   Nothing is cached per key: a `PublicKey` is `Copy` and sits in
+//!   every vote and payment.
 
 use crate::field::FieldElement;
-use crate::scalar::Scalar;
+use crate::scalar::{Scalar, ORDER_NAF};
+use std::sync::OnceLock;
 
 /// A point on edwards25519 in extended twisted Edwards coordinates.
 #[derive(Clone, Copy, Debug)]
@@ -22,9 +54,34 @@ pub struct EdwardsPoint {
     t: FieldElement,
 }
 
+/// A point as (X : Y : Z), without the T coordinate.
+struct ProjectivePoint {
+    x: FieldElement,
+    y: FieldElement,
+    z: FieldElement,
+}
+
+/// The factors of a sum or a double before they are multiplied out: the
+/// point is (X·T : Y·Z : Z·T), and its T coordinate is X·Y.
+struct CompletedPoint {
+    x: FieldElement,
+    y: FieldElement,
+    z: FieldElement,
+    t: FieldElement,
+}
+
+/// An addend in the form the addition formula reads: (Y+X, Y−X, Z, 2d·T).
+#[derive(Clone, Copy)]
+struct CachedPoint {
+    y_plus_x: FieldElement,
+    y_minus_x: FieldElement,
+    z: FieldElement,
+    t2d: FieldElement,
+}
+
 /// The curve constant d = −121665/121666 mod p.
 pub fn d() -> FieldElement {
-    static D: std::sync::OnceLock<FieldElement> = std::sync::OnceLock::new();
+    static D: OnceLock<FieldElement> = OnceLock::new();
     *D.get_or_init(|| {
         FieldElement::from_u64(121665)
             .neg()
@@ -34,8 +91,132 @@ pub fn d() -> FieldElement {
 
 /// The curve constant 2d, used by the addition formulas.
 fn d2() -> FieldElement {
-    static D2: std::sync::OnceLock<FieldElement> = std::sync::OnceLock::new();
+    static D2: OnceLock<FieldElement> = OnceLock::new();
     *D2.get_or_init(|| d().add(&d()))
+}
+
+impl ProjectivePoint {
+    /// Doubles the point (4 squarings; reads no T).
+    fn double(&self) -> CompletedPoint {
+        let xx = self.x.square();
+        let yy = self.y.square();
+        let zz = self.z.square();
+        let yy_plus_xx = yy.add_lazy(&xx);
+        let yy_minus_xx = yy.sub(&xx);
+        CompletedPoint {
+            x: self.x.add_lazy(&self.y).square().sub(&yy_plus_xx),
+            y: yy_plus_xx,
+            z: yy_minus_xx,
+            t: zz.add_lazy(&zz).sub(&yy_minus_xx),
+        }
+    }
+}
+
+impl CompletedPoint {
+    /// The identity, (0 : 1 : 1) once multiplied out.
+    const IDENTITY: CompletedPoint = CompletedPoint {
+        x: FieldElement::ZERO,
+        y: FieldElement::ONE,
+        z: FieldElement::ONE,
+        t: FieldElement::ONE,
+    };
+
+    /// Multiplies out (X : Y : Z) only — enough for a doubling to follow.
+    fn to_projective(&self) -> ProjectivePoint {
+        ProjectivePoint {
+            x: self.x.mul(&self.t),
+            y: self.y.mul(&self.z),
+            z: self.z.mul(&self.t),
+        }
+    }
+
+    /// Multiplies out all four coordinates.
+    fn to_extended(&self) -> EdwardsPoint {
+        EdwardsPoint {
+            x: self.x.mul(&self.t),
+            y: self.y.mul(&self.z),
+            z: self.z.mul(&self.t),
+            t: self.x.mul(&self.y),
+        }
+    }
+}
+
+impl CachedPoint {
+    fn neg(&self) -> CachedPoint {
+        CachedPoint {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            z: self.z,
+            t2d: self.t2d.neg(),
+        }
+    }
+
+    /// `start, start + step, start + 2·step, …` — with `step = start` the
+    /// multiples 1·P..N·P, with `step = 2·start` the odd ones.
+    fn multiples<const N: usize>(start: &EdwardsPoint, step: &EdwardsPoint) -> [CachedPoint; N] {
+        let step = step.to_cached();
+        let mut point = *start;
+        let mut table = [start.to_cached(); N];
+        for entry in table.iter_mut().skip(1) {
+            point = point.add_cached(&step).to_extended();
+            *entry = point.to_cached();
+        }
+        table
+    }
+
+    /// `digit·P` from a table of odd multiples P, 3P, 5P, … for an odd
+    /// `digit` of either sign.
+    fn odd_multiple(table: &[CachedPoint], digit: i8) -> CachedPoint {
+        let entry = table[usize::from(digit.unsigned_abs() / 2)];
+        if digit < 0 {
+            entry.neg()
+        } else {
+            entry
+        }
+    }
+}
+
+/// Odd multiples B, 3B, …, 127B of the basepoint: every non-zero digit of
+/// a width-8 NAF.
+fn basepoint_odd_multiples() -> &'static [CachedPoint; 64] {
+    static TABLE: OnceLock<[CachedPoint; 64]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let b = EdwardsPoint::basepoint();
+        CachedPoint::multiples(&b, &b.double())
+    })
+}
+
+/// Computes `Σ dᵢ·Pᵢ + e·B` from signed-digit expansions of the
+/// multipliers (`Pᵢ` digits odd and within ±15, `B` digits within ±127),
+/// in one interleaved pass: one doubling per digit position for all
+/// terms together, one addition per non-zero digit.
+///
+/// Variable-time: which positions add depends on the digits.
+fn vartime_multiscalar_mul<const N: usize>(
+    terms: [(&[i8; 256], &EdwardsPoint); N],
+    basepoint_digits: &[i8; 256],
+) -> EdwardsPoint {
+    let used = |i: &usize| basepoint_digits[*i] != 0 || terms.iter().any(|(d, _)| d[*i] != 0);
+    let Some(top) = (0..256).rev().find(used) else {
+        return EdwardsPoint::identity();
+    };
+    let tables = terms.map(|(_, p)| CachedPoint::multiples::<8>(p, &p.double()));
+    let base_table = basepoint_odd_multiples();
+    let mut sum = CompletedPoint::IDENTITY;
+    for i in (0..=top).rev() {
+        sum = sum.to_projective().double();
+        for ((digits, _), table) in terms.iter().zip(&tables) {
+            if digits[i] != 0 {
+                let addend = CachedPoint::odd_multiple(table, digits[i]);
+                sum = sum.to_extended().add_cached(&addend);
+            }
+        }
+        if basepoint_digits[i] != 0 {
+            let addend = CachedPoint::odd_multiple(base_table, basepoint_digits[i]);
+            sum = sum.to_extended().add_cached(&addend);
+        }
+    }
+    sum.to_extended()
 }
 
 impl EdwardsPoint {
@@ -51,7 +232,7 @@ impl EdwardsPoint {
 
     /// The standard basepoint, with y = 4/5 and x even.
     pub fn basepoint() -> EdwardsPoint {
-        static B: std::sync::OnceLock<EdwardsPoint> = std::sync::OnceLock::new();
+        static B: OnceLock<EdwardsPoint> = OnceLock::new();
         *B.get_or_init(|| {
             let y = FieldElement::from_u64(4).mul(&FieldElement::from_u64(5).invert());
             let yy = y.square();
@@ -74,40 +255,56 @@ impl EdwardsPoint {
         }
     }
 
+    fn to_projective(self) -> ProjectivePoint {
+        ProjectivePoint {
+            x: self.x,
+            y: self.y,
+            z: self.z,
+        }
+    }
+
+    fn to_cached(self) -> CachedPoint {
+        CachedPoint {
+            y_plus_x: self.y.add_lazy(&self.x),
+            y_minus_x: self.y.sub(&self.x),
+            z: self.z,
+            t2d: self.t.mul(&d2()),
+        }
+    }
+
+    /// Adds a prepared addend (complete formula; valid for any pair of
+    /// inputs).
+    fn add_cached(&self, rhs: &CachedPoint) -> CompletedPoint {
+        let pp = self.y.add_lazy(&self.x).mul(&rhs.y_plus_x);
+        let mm = self.y.sub(&self.x).mul(&rhs.y_minus_x);
+        let tt2d = self.t.mul(&rhs.t2d);
+        let zz = self.z.mul(&rhs.z);
+        let zz2 = zz.add_lazy(&zz);
+        CompletedPoint {
+            x: pp.sub(&mm),
+            y: pp.add_lazy(&mm),
+            z: zz2.add_lazy(&tt2d),
+            t: zz2.sub(&tt2d),
+        }
+    }
+
     /// Adds two points (complete formula; valid for any pair of inputs).
     pub fn add(&self, rhs: &EdwardsPoint) -> EdwardsPoint {
-        let a = self.y.sub(&self.x).mul(&rhs.y.sub(&rhs.x));
-        let b = self.y.add(&self.x).mul(&rhs.y.add(&rhs.x));
-        let c = self.t.mul(&d2()).mul(&rhs.t);
-        let dd = self.z.mul(&rhs.z).mul_u64(2);
-        let e = b.sub(&a);
-        let f = dd.sub(&c);
-        let g = dd.add(&c);
-        let h = b.add(&a);
-        EdwardsPoint {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            z: f.mul(&g),
-            t: e.mul(&h),
-        }
+        self.add_cached(&rhs.to_cached()).to_extended()
     }
 
     /// Doubles the point.
     pub fn double(&self) -> EdwardsPoint {
-        let a = self.x.square();
-        let b = self.y.square();
-        let c = self.z.square().mul_u64(2);
-        let dd = a.neg();
-        let e = self.x.add(&self.y).square().sub(&a).sub(&b);
-        let g = dd.add(&b);
-        let f = g.sub(&c);
-        let h = dd.sub(&b);
-        EdwardsPoint {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            z: f.mul(&g),
-            t: e.mul(&h),
+        self.mul_pow2(1)
+    }
+
+    /// Doubles the point `k ≥ 1` times; only the last doubling computes T.
+    fn mul_pow2(&self, k: u32) -> EdwardsPoint {
+        let mut doubled = self.to_projective().double();
+        for _ in 1..k {
+            doubled = doubled.to_projective().double();
         }
+        doubled.to_extended()
     }
 
     /// Negates the point.
@@ -126,27 +323,24 @@ impl EdwardsPoint {
     }
 
     /// Multiplies the point by a scalar (4-bit fixed-window method).
+    ///
+    /// The path for secret scalars, and the reference the variable-time
+    /// routines are tested against.
     pub fn scalar_mul(&self, k: &Scalar) -> EdwardsPoint {
-        // Precompute 0P..15P.
-        let mut table = [EdwardsPoint::identity(); 16];
-        table[1] = *self;
-        for i in 2..16 {
-            table[i] = table[i - 1].add(self);
-        }
+        // table[j − 1] = j·P for j in 1..=15.
+        let table = CachedPoint::multiples::<15>(self, self);
         let bytes = k.to_bytes();
         let mut acc = EdwardsPoint::identity();
         let mut started = false;
         for byte_idx in (0..32).rev() {
             for nibble_idx in [1u32, 0] {
                 if started {
-                    acc = acc.double().double().double().double();
+                    acc = acc.mul_pow2(4);
                 }
                 let nib = ((bytes[byte_idx] >> (4 * nibble_idx)) & 0x0f) as usize;
                 if nib != 0 {
-                    acc = acc.add(&table[nib]);
+                    acc = acc.add_cached(&table[nib - 1]).to_extended();
                     started = true;
-                } else if started {
-                    // Nothing to add this window.
                 }
             }
         }
@@ -155,27 +349,22 @@ impl EdwardsPoint {
 
     /// Multiplies the basepoint by a scalar using a precomputed table.
     ///
-    /// Signing, VRF proving, and every verification perform a basepoint
+    /// Signing, VRF proving and key derivation perform a basepoint
     /// multiplication; a radix-16 fixed-base table (64 windows × 15
     /// multiples, built once per process) replaces the 256 doublings of
     /// the generic ladder with 63 additions.
     pub fn basepoint_mul(k: &Scalar) -> EdwardsPoint {
-        static TABLE: std::sync::OnceLock<Vec<[EdwardsPoint; 15]>> = std::sync::OnceLock::new();
+        static TABLE: OnceLock<Vec<[CachedPoint; 15]>> = OnceLock::new();
         let table = TABLE.get_or_init(|| {
             // window[i][j-1] = j · 16^i · B for j in 1..=15.
-            let mut windows = Vec::with_capacity(64);
             let mut base = EdwardsPoint::basepoint();
-            for _ in 0..64 {
-                let mut row = [EdwardsPoint::identity(); 15];
-                row[0] = base;
-                for j in 1..15 {
-                    row[j] = row[j - 1].add(&base);
-                }
-                // Next window's base: 16 · current base.
-                base = row[14].add(&base);
-                windows.push(row);
-            }
-            windows
+            (0..64)
+                .map(|_| {
+                    let row = CachedPoint::multiples(&base, &base);
+                    base = base.mul_pow2(4);
+                    row
+                })
+                .collect()
         });
         let bytes = k.to_bytes();
         let mut acc = EdwardsPoint::identity();
@@ -183,28 +372,51 @@ impl EdwardsPoint {
             let byte = bytes[i / 2];
             let nib = if i % 2 == 0 { byte & 0x0f } else { byte >> 4 } as usize;
             if nib != 0 {
-                acc = acc.add(&window[nib - 1]);
+                acc = acc.add_cached(&window[nib - 1]).to_extended();
             }
         }
         acc
     }
 
-    /// Computes `a·A + b·B` where B is the basepoint.
+    /// Computes `a·A + b·B` where B is the basepoint, in variable time.
     ///
     /// This is the verification workhorse: signature verification computes
-    /// `s·B − c·PK` and VRF verification computes `s·B − c·Y` and
-    /// `s·H − c·Γ`.
+    /// `s·B − c·PK` and VRF verification computes `s·B − c·Y`. `a` is
+    /// taken as the integer in [0, ℓ), so the result is exact for any
+    /// curve point `A`, in the prime-order subgroup or not.
     pub fn double_scalar_mul_basepoint(
         a: &Scalar,
         point_a: &EdwardsPoint,
         b: &Scalar,
     ) -> EdwardsPoint {
-        point_a.scalar_mul(a).add(&EdwardsPoint::basepoint_mul(b))
+        vartime_multiscalar_mul(
+            [(&a.non_adjacent_form(5), point_a)],
+            &b.non_adjacent_form(8),
+        )
+    }
+
+    /// Computes `a·A − b·C` for two arbitrary points, in variable time.
+    ///
+    /// VRF verification's `s·H − c·Γ`. Both scalars are taken as the
+    /// integers in [0, ℓ) and `b`'s digits are negated, not `b` itself:
+    /// Γ comes off the wire without a subgroup check, and for a point
+    /// with a torsion component `(ℓ − b)·C` is not `−b·C`.
+    pub fn vartime_double_scalar_mul_sub(
+        a: &Scalar,
+        point_a: &EdwardsPoint,
+        b: &Scalar,
+        point_c: &EdwardsPoint,
+    ) -> EdwardsPoint {
+        let minus_b = b.non_adjacent_form(5).map(|digit| -digit);
+        vartime_multiscalar_mul(
+            [(&a.non_adjacent_form(5), point_a), (&minus_b, point_c)],
+            &[0; 256],
+        )
     }
 
     /// Multiplies by the cofactor 8.
     pub fn mul_by_cofactor(&self) -> EdwardsPoint {
-        self.double().double().double()
+        self.mul_pow2(3)
     }
 
     /// Returns true if this is the identity element.
@@ -214,11 +426,13 @@ impl EdwardsPoint {
     }
 
     /// Returns true if the point lies in the prime-order subgroup.
+    ///
+    /// Variable-time; the point is public wherever this is asked (a key
+    /// or a proof taken off the wire).
     pub fn is_torsion_free(&self) -> bool {
-        use crate::scalar::Scalar;
-        // ℓ·P = identity iff P has order dividing ℓ.
-        let l_minus_1 = Scalar::ZERO.sub(&Scalar::ONE);
-        self.scalar_mul(&l_minus_1).add(self).is_identity()
+        // ℓ·P = identity iff P has order dividing ℓ. ℓ is not a `Scalar`
+        // (it reduces to zero), so its digits are a constant.
+        vartime_multiscalar_mul([(&ORDER_NAF, self)], &[0; 256]).is_identity()
     }
 
     /// Checks the curve equation −x² + y² = 1 + d·x²·y² in affine form.
@@ -235,9 +449,24 @@ impl EdwardsPoint {
 
     /// Compresses to the 32-byte encoding: y with the sign of x in bit 255.
     pub fn compress(&self) -> [u8; 32] {
-        let zinv = self.z.invert();
-        let x = self.x.mul(&zinv);
-        let y = self.y.mul(&zinv);
+        self.compress_with(&self.z.invert())
+    }
+
+    /// Compresses several points for the price of one field inversion.
+    pub fn compress_batch<const N: usize>(points: [&EdwardsPoint; N]) -> [[u8; 32]; N] {
+        // Z is never zero: the addition law is complete.
+        let mut zinv = points.map(|p| p.z);
+        FieldElement::batch_invert(&mut zinv);
+        let mut out = [[0u8; 32]; N];
+        for ((bytes, point), zinv) in out.iter_mut().zip(points).zip(&zinv) {
+            *bytes = point.compress_with(zinv);
+        }
+        out
+    }
+
+    fn compress_with(&self, zinv: &FieldElement) -> [u8; 32] {
+        let x = self.x.mul(zinv);
+        let y = self.y.mul(zinv);
         let mut bytes = y.to_bytes();
         bytes[31] |= (x.is_negative() as u8) << 7;
         bytes

@@ -117,12 +117,11 @@ fn hash_to_curve(pk: &PublicKey, alpha: &[u8]) -> EdwardsPoint {
     }
 }
 
-/// Derives the output β from Γ.
-fn output_from_gamma(gamma: &EdwardsPoint) -> VrfOutput {
-    let cleared = gamma.mul_by_cofactor();
+/// Derives the output β from the encoding of the cofactor-cleared 8·Γ.
+fn output_from_cleared_gamma(cleared_gamma: &[u8; 32]) -> VrfOutput {
     let mut h = Sha256::new();
     h.update(DOM_OUT);
-    h.update(&cleared.compress());
+    h.update(cleared_gamma);
     VrfOutput(h.finalize())
 }
 
@@ -143,13 +142,15 @@ fn dleq_challenge(
 /// key verify it.
 pub fn prove(keypair: &Keypair, alpha: &[u8]) -> (VrfOutput, VrfProof) {
     let h_point = hash_to_curve(&keypair.pk, alpha);
-    let h_bytes = h_point.compress();
     let gamma = h_point.scalar_mul(keypair.sk.scalar());
-    let gamma_bytes = gamma.compress();
+    // Five points are encoded, in two groups (the nonce needs H's bytes
+    // before U and V exist); each group shares one field inversion.
+    let [h_bytes, gamma_bytes, cleared_gamma] =
+        EdwardsPoint::compress_batch([&h_point, &gamma, &gamma.mul_by_cofactor()]);
     // Deterministic nonce bound to the H point.
     let k = keypair.sk.nonce(b"vrf", &[&h_bytes, alpha]);
-    let u = EdwardsPoint::basepoint_mul(&k).compress();
-    let v = h_point.scalar_mul(&k).compress();
+    let [u, v] =
+        EdwardsPoint::compress_batch([&EdwardsPoint::basepoint_mul(&k), &h_point.scalar_mul(&k)]);
     let c = dleq_challenge(&keypair.pk, &h_bytes, &gamma_bytes, &u, &v);
     let s = k.add(&c.mul(keypair.sk.scalar()));
     let proof = VrfProof {
@@ -157,7 +158,7 @@ pub fn prove(keypair: &Keypair, alpha: &[u8]) -> (VrfOutput, VrfProof) {
         c,
         s,
     };
-    (output_from_gamma(&gamma), proof)
+    (output_from_cleared_gamma(&cleared_gamma), proof)
 }
 
 /// Verifies a VRF proof and returns the output it certifies.
@@ -172,16 +173,17 @@ pub fn prove(keypair: &Keypair, alpha: &[u8]) -> (VrfOutput, VrfProof) {
 pub fn verify(pk: &PublicKey, alpha: &[u8], proof: &VrfProof) -> Result<VrfOutput, CryptoError> {
     let gamma = EdwardsPoint::decompress(&proof.gamma).ok_or(CryptoError::InvalidProof)?;
     let h_point = hash_to_curve(pk, alpha);
-    let h_bytes = h_point.compress();
-    // U = s·B − c·PK and V = s·H − c·Γ; for an honest proof these equal
-    // k·B and k·H respectively.
+    // U = s·B − c·PK and V = s·H − c·Γ, one interleaved pass each; for an
+    // honest proof these equal k·B and k·H respectively.
     let u = EdwardsPoint::double_scalar_mul_basepoint(&proof.c.neg(), pk.point(), &proof.s);
-    let v = h_point
-        .scalar_mul(&proof.s)
-        .sub(&gamma.scalar_mul(&proof.c));
-    let c_prime = dleq_challenge(pk, &h_bytes, &proof.gamma, &u.compress(), &v.compress());
+    let v = EdwardsPoint::vartime_double_scalar_mul_sub(&proof.s, &h_point, &proof.c, &gamma);
+    // 8·Γ is only wanted if the proof holds, but encoding it with the
+    // other three costs three multiplications, not an inversion.
+    let [h_bytes, u_bytes, v_bytes, cleared_gamma] =
+        EdwardsPoint::compress_batch([&h_point, &u, &v, &gamma.mul_by_cofactor()]);
+    let c_prime = dleq_challenge(pk, &h_bytes, &proof.gamma, &u_bytes, &v_bytes);
     if c_prime == proof.c {
-        Ok(output_from_gamma(&gamma))
+        Ok(output_from_cleared_gamma(&cleared_gamma))
     } else {
         Err(CryptoError::InvalidProof)
     }

@@ -5,6 +5,15 @@
 //! inputs, complementing the fixed-vector unit tests in each module. The
 //! inputs come from the in-repo deterministic RNG, so failures replay
 //! exactly.
+//!
+//! The second half is differential: every fast path under signature and
+//! VRF verification — the addition chains, the interleaved variable-time
+//! multiplications, the subgroup check, the folding scalar reduction, the
+//! shared-inversion encodings — against the slow path it replaced
+//! (`pow`, `scalar_mul`, Horner's rule over single-limb products), on
+//! random inputs and on the edges of each representation. The checks
+//! that need a limb array or a digit string rather than a value live
+//! beside the code, in `field.rs` and `scalar.rs`.
 
 use algorand_crypto::edwards::EdwardsPoint;
 use algorand_crypto::field::FieldElement;
@@ -230,6 +239,272 @@ fn vrf_proof_does_not_transfer() {
         let (_, proof) = vrf::prove(&a, &alpha);
         assert!(vrf::verify(&b.pk, &alpha, &proof).is_err());
     }
+}
+
+// --- Fast paths against their references -------------------------------------
+
+/// p = 2^255 − 19, little-endian.
+const P_BYTES: [u8; 32] = {
+    let mut b = [0xff; 32];
+    b[0] = 0xed;
+    b[31] = 0x7f;
+    b
+};
+
+/// ℓ, little-endian.
+const L_BYTES: [u8; 32] = [
+    0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
+    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x10,
+];
+
+/// `bytes + delta` as a 256-bit little-endian integer (wrapping).
+fn offset(bytes: &[u8; 32], delta: i8) -> [u8; 32] {
+    let mut out = *bytes;
+    let mut carry = delta as i16;
+    for b in out.iter_mut() {
+        let v = *b as i16 + carry;
+        *b = v.rem_euclid(256) as u8;
+        carry = v.div_euclid(256);
+    }
+    out
+}
+
+/// Field values on the edges of the encoding: around 0, around p (which
+/// `from_bytes` accepts and reduces), and the largest 255-bit value.
+fn edge_fields() -> Vec<FieldElement> {
+    let mut top = [0xff; 32];
+    top[31] = 0x7f;
+    [
+        [0u8; 32],
+        offset(&[0u8; 32], 1),
+        offset(&P_BYTES, -1),
+        P_BYTES,
+        offset(&P_BYTES, 1),
+        top,
+    ]
+    .iter()
+    .map(FieldElement::from_bytes)
+    .collect()
+}
+
+/// Scalars on the edges of the recoding: 0, 1, ℓ − 1, 2^252 (the fold
+/// point of the reduction and the top digit of a width-5 NAF), 2^252 − 1
+/// (all-ones nibbles: every window full, a carry out of each), and byte
+/// patterns that put every residue in a window.
+fn edge_scalars() -> Vec<Scalar> {
+    let mut two_252 = [0u8; 32];
+    two_252[31] = 0x10;
+    let mut v = vec![
+        Scalar::ZERO,
+        Scalar::ONE,
+        Scalar::from_canonical_bytes(&offset(&L_BYTES, -1)).expect("l - 1 is canonical"),
+        Scalar::from_canonical_bytes(&two_252).expect("2^252 < l"),
+        Scalar::from_canonical_bytes(&offset(&two_252, -1)).expect("2^252 - 1 < l"),
+    ];
+    for pattern in [0x55u8, 0xaa, 0x0f, 0xf0, 0x7f, 0x80, 0x11, 0xee, 0xff] {
+        v.push(Scalar::from_bytes_mod_order(&[pattern; 32]));
+    }
+    v
+}
+
+/// Points a verifier can be handed: the basepoint and its negative, the
+/// identity, a small-order point, a prime-order point, and a point with
+/// both components (a hash that decompresses, cofactor not cleared).
+fn edge_points(rng: &mut Rng) -> Vec<EdwardsPoint> {
+    let base = EdwardsPoint::basepoint();
+    let mixed = loop {
+        if let Some(p) = EdwardsPoint::decompress(&rng.gen_bytes32()) {
+            if !p.is_torsion_free() {
+                break p;
+            }
+        }
+    };
+    // ℓ·mixed: what is left is the component of order 2, 4 or 8.
+    let torsion = mixed
+        .scalar_mul(&Scalar::from_bytes_mod_order(&offset(&L_BYTES, -1)))
+        .add(&mixed);
+    vec![
+        base,
+        base.neg(),
+        EdwardsPoint::identity(),
+        torsion,
+        base.scalar_mul(&rand_scalar(rng)),
+        mixed,
+    ]
+}
+
+#[test]
+fn addition_chains_match_square_and_multiply() {
+    let mut rng = rng(20);
+    let mut inputs = edge_fields();
+    inputs.extend((0..CASES).map(|_| rand_field(&mut rng)));
+    let p_minus_2 = offset(&P_BYTES, -2);
+    // (p − 5)/8 = 2^252 − 3.
+    let mut p58 = [0xff; 32];
+    p58[0] = 0xfd;
+    p58[31] = 0x0f;
+    for x in &inputs {
+        assert_eq!(x.invert(), x.pow(&p_minus_2), "invert");
+        assert_eq!(x.pow2k(7), x.pow(&offset(&[0u8; 32], 127)).mul(x), "pow2k");
+        for v in &inputs {
+            // The reference square root of x/v, by the generic power.
+            let v3 = v.square().mul(v);
+            let v7 = v3.square().mul(v);
+            let mut r = x.mul(&v3).mul(&x.mul(&v7).pow(&p58));
+            let check = v.mul(&r.square());
+            let want = if check == *x {
+                Some(r)
+            } else if check == x.neg() {
+                r = r.mul(&FieldElement::sqrt_m1());
+                Some(r)
+            } else {
+                None
+            };
+            let want = want.map(|r| if r.is_negative() { r.neg() } else { r });
+            assert_eq!(FieldElement::sqrt_ratio(x, v), want, "sqrt_ratio");
+        }
+    }
+}
+
+#[test]
+fn field_edges_obey_the_ring_laws() {
+    let mut rng = rng(21);
+    let edges = edge_fields();
+    let minus_one = FieldElement::ZERO.sub(&FieldElement::ONE);
+    for a in &edges {
+        let r = rand_field(&mut rng);
+        assert_eq!(a.square(), a.mul(a));
+        assert_eq!(a.add(&r).sub(&r), *a);
+        assert_eq!(a.sub(&r).add(&r), *a);
+        assert_eq!(a.neg(), a.mul(&minus_one));
+        assert_eq!(a.mul(&r).mul(&r.invert()), *a);
+        for b in &edges {
+            assert_eq!(a.add(b).mul(&r), a.mul(&r).add(&b.mul(&r)));
+            assert_eq!(a.sub(b).square(), b.sub(a).square());
+        }
+    }
+    // p − 1, p, p + 1 are −1, 0, 1.
+    assert_eq!(edges[2], minus_one);
+    assert!(edges[3].is_zero());
+    assert_eq!(edges[4], FieldElement::ONE);
+    assert_eq!(edges[5], FieldElement::from_u64(18));
+}
+
+#[test]
+fn batch_inversion_and_batch_encoding_match_one_at_a_time() {
+    let mut rng = rng(22);
+    for _ in 0..CASES {
+        let mut xs = [(); 5].map(|_| rand_field(&mut rng));
+        let want = xs.map(|x| x.invert());
+        FieldElement::batch_invert(&mut xs);
+        assert_eq!(xs, want);
+    }
+    let points = edge_points(&mut rng);
+    let all: [&EdwardsPoint; 6] = std::array::from_fn(|i| &points[i]);
+    assert_eq!(
+        EdwardsPoint::compress_batch(all),
+        all.map(EdwardsPoint::compress)
+    );
+    assert_eq!(
+        EdwardsPoint::compress_batch([&points[5]]),
+        [points[5].compress()]
+    );
+}
+
+#[test]
+fn interleaved_multiplications_match_separate_ones() {
+    let mut rng = rng(23);
+    let base = EdwardsPoint::basepoint();
+    let points = edge_points(&mut rng);
+    let mut scalars = edge_scalars();
+    scalars.extend((0..4).map(|_| rand_scalar(&mut rng)));
+    for a in &scalars {
+        // Pair every scalar with an edge one and a random one.
+        for b in [&scalars[rng.gen_range_usize(14)], &rand_scalar(&mut rng)] {
+            for pa in &points {
+                let got = EdwardsPoint::double_scalar_mul_basepoint(a, pa, b);
+                let want = pa.scalar_mul(a).add(&base.scalar_mul(b));
+                assert_eq!(got, want);
+                assert_eq!(got.compress(), want.compress());
+                let pc = &points[rng.gen_range_usize(points.len())];
+                let got = EdwardsPoint::vartime_double_scalar_mul_sub(a, pa, b, pc);
+                let want = pa.scalar_mul(a).sub(&pc.scalar_mul(b));
+                assert_eq!(got, want);
+                assert_eq!(got.compress(), want.compress());
+            }
+        }
+    }
+}
+
+#[test]
+fn subgroup_check_matches_multiplying_by_the_order() {
+    let mut rng = rng(24);
+    let l_minus_1 = Scalar::from_bytes_mod_order(&offset(&L_BYTES, -1));
+    let mut points = edge_points(&mut rng);
+    let torsion = points[3];
+    for _ in 0..CASES {
+        let p = EdwardsPoint::basepoint().scalar_mul(&rand_scalar(&mut rng));
+        points.push(p);
+        // A random coset of the prime-order subgroup.
+        let k = Scalar::from_u64(rng.gen_range_u64(8));
+        points.push(p.add(&torsion.scalar_mul(&k)));
+    }
+    let mut outside = 0;
+    for p in &points {
+        let want = p.scalar_mul(&l_minus_1).add(p).is_identity();
+        assert_eq!(p.is_torsion_free(), want);
+        outside += !want as usize;
+    }
+    assert!(outside > CASES / 4, "the check was exercised both ways");
+}
+
+#[test]
+fn wide_reduction_matches_horners_rule() {
+    // Σ bᵢ·256^i by Horner's rule reduces only products of a scalar and
+    // one byte, so it leans on none of the wide reduction's folds.
+    fn horner(bytes: &[u8; 64]) -> Scalar {
+        let radix = Scalar::from_u64(256);
+        bytes.iter().rev().fold(Scalar::ZERO, |acc, &b| {
+            acc.mul(&radix).add(&Scalar::from_u64(b as u64))
+        })
+    }
+    let mut rng = rng(25);
+    let mut two_252 = [0u8; 32];
+    two_252[31] = 0x10;
+    let halves = [
+        [0u8; 32],
+        [0xff; 32],
+        offset(&L_BYTES, -1),
+        L_BYTES,
+        offset(&L_BYTES, 1),
+        two_252,
+        offset(&two_252, -1),
+        rng.gen_bytes32(),
+    ];
+    let mut inputs = Vec::new();
+    for lo in &halves {
+        for hi in &halves {
+            let mut wide = [0u8; 64];
+            wide[..32].copy_from_slice(lo);
+            wide[32..].copy_from_slice(hi);
+            inputs.push(wide);
+        }
+    }
+    for _ in 0..CASES {
+        let mut wide = [0u8; 64];
+        rng.fill_bytes(&mut wide);
+        inputs.push(wide);
+    }
+    for wide in &inputs {
+        let got = Scalar::from_bytes_mod_order_wide(wide);
+        assert_eq!(got, horner(wide));
+        assert_eq!(
+            Scalar::from_canonical_bytes(&got.to_bytes()),
+            Some(got),
+            "fully reduced"
+        );
+    }
+    assert!(Scalar::from_bytes_mod_order(&L_BYTES).is_zero());
 }
 
 // --- SHA-256 -----------------------------------------------------------------

@@ -223,6 +223,21 @@ impl Block {
         now: Micros,
         max_skew: Micros,
     ) -> Result<(), BlockError> {
+        self.validated_state(prev, accounts, now, max_skew)
+            .map(|_| ())
+    }
+
+    /// [`Block::validate`], returning the account state after the block:
+    /// validating applies every payment to a copy of `accounts`, and
+    /// [`crate::Blockchain::append`] keeps that copy rather than applying
+    /// (and signature-checking) every payment a second time.
+    pub(crate) fn validated_state(
+        &self,
+        prev: &Block,
+        accounts: &Accounts,
+        now: Micros,
+        max_skew: Micros,
+    ) -> Result<Accounts, BlockError> {
         if self.round != prev.round + 1 {
             return Err(BlockError::BadRound);
         }
@@ -235,7 +250,7 @@ impl Block {
             if self.hash() != canonical.hash() {
                 return Err(BlockError::BadSeed);
             }
-            return Ok(());
+            return Ok(accounts.clone());
         }
         let (Some(proposer), Some(seed_proof)) = (&self.proposer, &self.seed_proof) else {
             return Err(BlockError::MissingProposer);
@@ -254,7 +269,7 @@ impl Block {
         for tx in &self.txs {
             state.apply(tx).map_err(|_| BlockError::BadTransaction)?;
         }
-        Ok(())
+        Ok(state)
     }
 }
 

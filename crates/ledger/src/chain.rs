@@ -259,17 +259,13 @@ impl Blockchain {
         if block.prev_hash != self.tip_hash() {
             return Err(ChainError::UnknownParent);
         }
-        block.validate(
+        let state = block.validated_state(
             self.tip(),
             self.accounts(),
             now,
             self.params.max_timestamp_skew,
         )?;
-        let mut state = self.accounts().clone();
         for tx in &block.txs {
-            state
-                .apply(tx)
-                .expect("validate() already checked every transaction");
             self.tx_index.insert(tx.id(), block.round);
         }
         let hash = block.hash();

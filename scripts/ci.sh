@@ -22,6 +22,9 @@ cargo test -q
 echo "== workspace tests (incl. the ablation-shape test, crates/bench/tests) =="
 cargo test --workspace -q
 
+echo "== crypto tests, release build (limb arithmetic wraps silently there and debug_assert! is compiled out) =="
+cargo test --release -q -p algorand-crypto
+
 echo "== benchmark package: fmt, clippy, tests against this workspace's API =="
 bash benchmark/check.sh
 
