@@ -320,7 +320,8 @@ impl Node {
     pub fn should_relay(&self, msg: &WireMessage) -> bool {
         match msg {
             WireMessage::Block(b) => {
-                b.block.round != self.ctx.round() || self.ctx.relay_worthy(b.block.hash())
+                b.block.round != self.ctx.round()
+                    || self.ctx.relay_worthy(self.blocks.hash_of(&b.block))
             }
             WireMessage::Transaction(tx) => self.pool.contains(&tx.id()),
             WireMessage::Vote(v) => {
@@ -728,8 +729,10 @@ impl Node {
 
     /// Admits a gossiped payment into the mempool (§4: each user collects
     /// a block of pending transactions in case they are chosen to
-    /// propose). The pool screens signatures (cached), replays, and
-    /// duplicates; out-of-order nonces are buffered.
+    /// propose). The pool screens signatures, replays, and duplicates;
+    /// out-of-order nonces are buffered. The clone shares the gossiped
+    /// payment's body, so whichever holder checks the signature first
+    /// has checked it for the pool, the proposal and the chain.
     fn on_transaction(&mut self, tx: &Transaction) {
         let _ = self.pool.admit(tx.clone(), self.chain.accounts());
     }
@@ -813,9 +816,8 @@ impl Node {
                 .value(1)
                 .instant();
             let block = self.assemble_block(now);
-            let block_hash = block.hash();
+            let block_hash = self.chain.observe_block(block.clone());
             self.blocks.insert(block_hash, block.clone());
-            self.chain.observe_block(block.clone());
             let msg = PriorityMessage::sign(
                 &self.keypair,
                 self.ctx.round(),
@@ -845,7 +847,7 @@ impl Node {
                     };
                     if self.tracer.is_enabled() {
                         self.block_msg_ids
-                            .insert(block_hash, stable_id(&bm.message_id()));
+                            .insert(block_hash, stable_id(&bm.message_id_for(&block_hash)));
                     }
                     out.push(WireMessage::Block(bm));
                 }
@@ -911,24 +913,25 @@ impl Node {
     }
 
     fn on_block(&mut self, b: &BlockMessage, now: Micros, out: &mut Outbox) {
-        let hash = b.block.hash();
+        // The one hash this node takes of the body; everything below, and
+        // `should_relay` afterwards, works from it.
+        let hash = self.chain.observe_block(b.block.clone());
         self.blocks.insert(hash, b.block.clone());
-        self.chain.observe_block(b.block.clone());
         if b.block.round != self.ctx.round() {
             return;
         }
+        let msg_id = stable_id(&b.message_id_for(&hash));
         if self.tracer.is_enabled() {
-            self.block_msg_ids
-                .entry(hash)
-                .or_insert_with(|| stable_id(&b.message_id()));
+            self.block_msg_ids.entry(hash).or_insert(msg_id);
         }
         // Equivocation is settled on hashes alone; only a proposer's first
         // block of the round is worth verifying.
         if let Some(proposer) = &b.block.proposer {
             let sender = proposer.to_bytes();
             if self.ctx.note_block(sender, hash) == BlockSighting::New {
-                let verdict = self.verifier.verify_block(
+                let verdict = self.verifier.verify_block_hashed(
                     b,
+                    hash,
                     self.ctx.seed(),
                     self.ctx.weights(),
                     self.params.tau_proposer,
@@ -936,7 +939,7 @@ impl Node {
                 self.tracer
                     .span(SpanKind::Verify, self.trace_node, b.block.round, now)
                     .label("block")
-                    .id(stable_id(&b.message_id()))
+                    .id(msg_id)
                     .value(b.block.wire_size() as u64)
                     .ok(verdict.is_some())
                     .instant();
@@ -1110,16 +1113,7 @@ impl Node {
                 let valid = self
                     .blocks
                     .get(&hash)
-                    .map(|b| {
-                        b.validate(
-                            self.chain.tip(),
-                            self.chain.accounts(),
-                            now,
-                            self.params.chain.max_timestamp_skew,
-                        )
-                        .is_ok()
-                    })
-                    .unwrap_or(false);
+                    .is_some_and(|b| self.chain.validate_next(b, now).is_ok());
                 if valid {
                     hash
                 } else {

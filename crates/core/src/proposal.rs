@@ -210,9 +210,15 @@ impl BlockMessage {
     /// sortition attachment (so a corrupted proof cannot alias the valid
     /// message in relay dedup).
     pub fn message_id(&self) -> [u8; 32] {
+        self.message_id_for(&self.block.hash())
+    }
+
+    /// [`BlockMessage::message_id`] for a caller that already holds the
+    /// block's hash.
+    pub(crate) fn message_id_for(&self, block_hash: &[u8; 32]) -> [u8; 32] {
         sha256_concat(&[
             b"block-id",
-            &self.block.hash(),
+            block_hash,
             &self.sorthash.0,
             &self.sort_proof.to_bytes(),
         ])

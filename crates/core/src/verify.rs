@@ -197,14 +197,27 @@ impl PipelineVerifier {
         weights: &RoundWeights,
         tau_proposer: f64,
     ) -> Option<VerifiedBlock> {
+        self.verify_block_hashed(msg, msg.block.hash(), seed, weights, tau_proposer)
+    }
+
+    /// [`PipelineVerifier::verify_block`] for the ingest path, which has
+    /// already hashed the block it is handing over.
+    pub(crate) fn verify_block_hashed(
+        &self,
+        msg: &BlockMessage,
+        hash: [u8; 32],
+        seed: &[u8; 32],
+        weights: &RoundWeights,
+        tau_proposer: f64,
+    ) -> Option<VerifiedBlock> {
         let proposer = msg.block.proposer.as_ref()?.to_bytes();
-        let priority = self.cached_proposal(msg.message_id(), seed, || {
+        let priority = self.cached_proposal(msg.message_id_for(&hash), seed, || {
             msg.verify(seed, weights, tau_proposer)
         })?;
         Some(VerifiedBlock {
             round: msg.block.round,
             proposer,
-            hash: msg.block.hash(),
+            hash,
             priority,
         })
     }

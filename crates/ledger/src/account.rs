@@ -200,10 +200,18 @@ mod tests {
         let b = kp(2);
         let thief = kp(3);
         let mut acc = Accounts::genesis([(a.pk, 100)]);
-        // Thief signs a payment claiming to be from a.
-        let mut tx = Transaction::payment(&thief, b.pk, 100, 1);
-        tx.from = a.pk;
+        // Thief signs a payment, then claims it is from a.
+        let signed = Transaction::payment(&thief, b.pk, 100, 1);
+        let tx = Transaction::from_parts(a.pk, signed.to, signed.amount, signed.nonce, signed.sig);
         assert_eq!(acc.apply(&tx), Err(TxError::BadSignature));
+        assert_eq!(tx.verdict(), Some(false));
+        // The remembered refusal still outranks the nonce and balance
+        // checks: a stale, overdrawn forgery is a forgery first.
+        let mut later = acc.clone();
+        later
+            .apply(&Transaction::payment(&a, b.pk, 100, 1))
+            .unwrap();
+        assert_eq!(later.check(&tx), Err(TxError::BadSignature));
     }
 
     #[test]

@@ -51,8 +51,9 @@ impl std::fmt::Display for BlockError {
 
 impl std::error::Error for BlockError {}
 
-/// One block of the Algorand ledger.
-#[derive(Clone, Debug)]
+/// One block of the Algorand ledger. Equal blocks encode, and therefore
+/// hash, identically.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Block {
     /// The round this block was agreed in.
     pub round: u64,
@@ -223,17 +224,19 @@ impl Block {
         now: Micros,
         max_skew: Micros,
     ) -> Result<(), BlockError> {
-        self.validated_state(prev, accounts, now, max_skew)
+        self.validated_state(prev, &prev.hash(), accounts, now, max_skew)
             .map(|_| ())
     }
 
-    /// [`Block::validate`], returning the account state after the block:
+    /// [`Block::validate`] for a caller that already holds `prev`'s hash
+    /// (the chain stores it), returning the account state after the block:
     /// validating applies every payment to a copy of `accounts`, and
-    /// [`crate::Blockchain::append`] keeps that copy rather than applying
-    /// (and signature-checking) every payment a second time.
+    /// [`crate::Blockchain`] keeps that copy rather than applying every
+    /// payment a second time.
     pub(crate) fn validated_state(
         &self,
         prev: &Block,
+        prev_hash: &[u8; 32],
         accounts: &Accounts,
         now: Micros,
         max_skew: Micros,
@@ -241,7 +244,7 @@ impl Block {
         if self.round != prev.round + 1 {
             return Err(BlockError::BadRound);
         }
-        if self.prev_hash != prev.hash() {
+        if self.prev_hash != *prev_hash {
             return Err(BlockError::BadPrevHash);
         }
         if self.is_empty_block() {

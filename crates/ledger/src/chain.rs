@@ -243,6 +243,27 @@ impl Blockchain {
         }
     }
 
+    /// [`Block::validate`] for a successor of the tip, against the tip's
+    /// stored hash instead of a fresh one: what a node asks of a proposal
+    /// before handing its hash to BA⋆ (§8.1).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`BlockError`] found.
+    pub fn validate_next(&self, block: &Block, now: Micros) -> Result<(), BlockError> {
+        self.validated_next(block, now).map(|_| ())
+    }
+
+    fn validated_next(&self, block: &Block, now: Micros) -> Result<Accounts, BlockError> {
+        block.validated_state(
+            self.tip(),
+            &self.tip_hash(),
+            self.accounts(),
+            now,
+            self.params.max_timestamp_skew,
+        )
+    }
+
     /// Appends a block to the canonical chain after validating it.
     ///
     /// # Errors
@@ -259,12 +280,7 @@ impl Blockchain {
         if block.prev_hash != self.tip_hash() {
             return Err(ChainError::UnknownParent);
         }
-        let state = block.validated_state(
-            self.tip(),
-            self.accounts(),
-            now,
-            self.params.max_timestamp_skew,
-        )?;
+        let state = self.validated_next(&block, now)?;
         for tx in &block.txs {
             self.tx_index.insert(tx.id(), block.round);
         }
@@ -335,14 +351,16 @@ impl Blockchain {
     }
 
     /// Stores a block that is *not* (yet) on the canonical chain — fork
-    /// tracking for recovery (§8.2).
-    pub fn observe_block(&mut self, block: Block) {
+    /// tracking for recovery (§8.2) — and returns the hash it was stored
+    /// under, so the caller need not hash the body again.
+    pub fn observe_block(&mut self, block: Block) -> [u8; 32] {
         let hash = block.hash();
         self.all_blocks.entry(hash).or_insert(Stored {
             block,
             certificate: None,
             finalized: false,
         });
+        hash
     }
 
     /// The round a transaction was confirmed in, if on the canonical chain.
@@ -478,10 +496,14 @@ impl Blockchain {
             let prev = &self.all_blocks[&pair[0]].block;
             let block = &self.all_blocks[&pair[1]].block;
             let state = states.last().expect("nonempty");
-            block.validate(prev, state, now, self.params.max_timestamp_skew)?;
-            let mut next = state.clone();
+            let next = block.validated_state(
+                prev,
+                &pair[0],
+                state,
+                now,
+                self.params.max_timestamp_skew,
+            )?;
             for tx in &block.txs {
-                next.apply(tx).expect("validated");
                 tx_index.insert(tx.id(), block.round);
             }
             states.push(next);

@@ -3,14 +3,28 @@
 //! Each transaction is "a payment signed by one user's public key
 //! transferring money to another user's public key". A per-sender sequence
 //! number prevents replay.
+//!
+//! A [`Transaction`] is a handle on one immutable, shared [`TxBody`]: a
+//! clone is a reference-count bump, and the body memoizes the two things
+//! every layer keeps asking of a payment — its content id and whether its
+//! signature verifies — so each is computed at most once per body. The
+//! pool, a proposal, the gossiped block and the appended block all hold
+//! the same body, hence the same verdict. The memo is sound because the
+//! body cannot change under it: there is no `DerefMut` and no setter, and
+//! a payment with any field altered is a *new* body
+//! ([`Transaction::from_parts`]) that starts unverified. It is never
+//! serialized, so bytes from outside ([`Transaction::decode`]) always
+//! start unverified too.
 
 use crate::codec::{DecodeError, Reader, WriteExt};
 use algorand_crypto::sig::{self, Signature};
 use algorand_crypto::{sha256, Keypair, PublicKey};
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
-/// A signed payment.
-#[derive(Clone, Debug)]
-pub struct Transaction {
+/// The fields of a signed payment, read through [`Transaction`]'s `Deref`.
+#[derive(Debug)]
+pub struct TxBody {
     /// The paying account.
     pub from: PublicKey,
     /// The receiving account.
@@ -22,6 +36,36 @@ pub struct Transaction {
     pub nonce: u64,
     /// Signature by `from` over all fields above.
     pub sig: Signature,
+    /// `sha256` of the canonical encoding, once asked for.
+    id: OnceLock<[u8; 32]>,
+    /// Whether `sig` verifies under `from`, once checked. A `false` is
+    /// remembered as firmly as a `true`.
+    verdict: OnceLock<bool>,
+}
+
+/// A signed payment: a cheaply clonable handle on an immutable [`TxBody`].
+#[derive(Clone, Debug)]
+pub struct Transaction(Arc<TxBody>);
+
+impl Deref for Transaction {
+    type Target = TxBody;
+
+    fn deref(&self) -> &TxBody {
+        &self.0
+    }
+}
+
+/// Equality of the signed fields, i.e. of the canonical encodings; two
+/// handles on one body are equal without looking.
+impl PartialEq for Transaction {
+    fn eq(&self, other: &Transaction) -> bool {
+        self.same_body(other)
+            || (self.from == other.from
+                && self.to == other.to
+                && self.amount == other.amount
+                && self.nonce == other.nonce
+                && self.sig == other.sig)
+    }
 }
 
 impl Transaction {
@@ -41,24 +85,57 @@ impl Transaction {
     /// Creates and signs a payment of `amount` from `keypair` to `to`.
     pub fn payment(keypair: &Keypair, to: PublicKey, amount: u64, nonce: u64) -> Transaction {
         let digest = Self::signing_digest(&keypair.pk, &to, amount, nonce);
-        Transaction {
-            from: keypair.pk,
+        Self::from_parts(keypair.pk, to, amount, nonce, sig::sign(keypair, &digest))
+    }
+
+    /// A payment with exactly these fields and nothing known about it: a
+    /// fresh body whose signature has not been checked. This is the only
+    /// way to obtain a payment that differs from an existing one in any
+    /// field, which is why a verdict can never describe other bytes than
+    /// the ones it was computed from.
+    pub fn from_parts(
+        from: PublicKey,
+        to: PublicKey,
+        amount: u64,
+        nonce: u64,
+        sig: Signature,
+    ) -> Transaction {
+        Transaction(Arc::new(TxBody {
+            from,
             to,
             amount,
             nonce,
-            sig: sig::sign(keypair, &digest),
-        }
+            sig,
+            id: OnceLock::new(),
+            verdict: OnceLock::new(),
+        }))
     }
 
-    /// Verifies the sender's signature.
+    /// Whether the sender's signature verifies; checked on first call,
+    /// remembered by the body (and so by every clone) afterwards.
     pub fn signature_valid(&self) -> bool {
-        let digest = Self::signing_digest(&self.from, &self.to, self.amount, self.nonce);
-        sig::verify(&self.from, &digest, &self.sig).is_ok()
+        *self.0.verdict.get_or_init(|| {
+            let digest = Self::signing_digest(&self.from, &self.to, self.amount, self.nonce);
+            sig::verify(&self.from, &digest, &self.sig).is_ok()
+        })
     }
 
-    /// A content hash identifying this transaction.
+    /// The remembered verdict: `None` until [`Transaction::signature_valid`]
+    /// has run on this body. Each body is checked at most once, so the
+    /// signature checks a process spent on a payment are the distinct
+    /// bodies ([`Transaction::same_body`]) of it that answer `Some`.
+    pub fn verdict(&self) -> Option<bool> {
+        self.0.verdict.get().copied()
+    }
+
+    /// True if both handles share one body (and therefore one memo).
+    pub fn same_body(&self, other: &Transaction) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// A content hash identifying this transaction; hashed on first call.
     pub fn id(&self) -> [u8; 32] {
-        sha256(&self.encoded())
+        *self.0.id.get_or_init(|| sha256(&self.encoded()))
     }
 
     /// Appends the canonical encoding.
@@ -77,7 +154,8 @@ impl Transaction {
         out
     }
 
-    /// Decodes a transaction, validating key and signature encodings.
+    /// Decodes a transaction, validating key and signature encodings. The
+    /// result is unverified whatever the sender knew about its own copy.
     ///
     /// # Errors
     ///
@@ -90,13 +168,7 @@ impl Transaction {
         let mut sig_bytes = [0u8; 64];
         sig_bytes.copy_from_slice(r.bytes(64)?);
         let sig = Signature::from_bytes(&sig_bytes).map_err(|_| DecodeError::Invalid)?;
-        Ok(Transaction {
-            from,
-            to,
-            amount,
-            nonce,
-            sig,
-        })
+        Ok(Self::from_parts(from, to, amount, nonce, sig))
     }
 }
 
@@ -120,9 +192,45 @@ mod tests {
     fn tampered_amount_breaks_signature() {
         let a = kp(1);
         let b = kp(2);
-        let mut tx = Transaction::payment(&a, b.pk, 50, 1);
-        tx.amount = 500;
-        assert!(!tx.signature_valid());
+        let tx = Transaction::payment(&a, b.pk, 50, 1);
+        let tampered = Transaction::from_parts(tx.from, tx.to, 500, tx.nonce, tx.sig);
+        assert!(!tampered.signature_valid());
+    }
+
+    #[test]
+    fn clones_share_one_verdict_and_one_id() {
+        let tx = Transaction::payment(&kp(1), kp(2).pk, 50, 1);
+        let copy = tx.clone();
+        assert!(copy.same_body(&tx));
+        assert_eq!(copy.verdict(), None, "signing is not verifying");
+        assert!(tx.signature_valid());
+        assert_eq!(copy.verdict(), Some(true), "the clone sees the check");
+        assert_eq!(copy.id(), tx.id());
+    }
+
+    #[test]
+    fn a_verdict_never_follows_the_fields_into_a_new_body() {
+        let tx = Transaction::payment(&kp(1), kp(2).pk, 50, 1);
+        assert!(tx.signature_valid());
+        let rebuilt = Transaction::from_parts(tx.from, tx.to, tx.amount, tx.nonce, tx.sig);
+        assert!(!rebuilt.same_body(&tx));
+        assert_eq!(rebuilt.verdict(), None);
+        assert!(rebuilt.signature_valid(), "same fields, checked afresh");
+        let other_sig = Transaction::payment(&kp(1), kp(2).pk, 51, 1).sig;
+        let forgeries = [
+            Transaction::from_parts(kp(3).pk, tx.to, tx.amount, tx.nonce, tx.sig),
+            Transaction::from_parts(tx.from, kp(3).pk, tx.amount, tx.nonce, tx.sig),
+            Transaction::from_parts(tx.from, tx.to, tx.amount + 1, tx.nonce, tx.sig),
+            Transaction::from_parts(tx.from, tx.to, tx.amount, tx.nonce + 1, tx.sig),
+            Transaction::from_parts(tx.from, tx.to, tx.amount, tx.nonce, other_sig),
+        ];
+        for forged in forgeries {
+            assert_eq!(forged.verdict(), None, "starts unverified");
+            assert_ne!(forged.id(), tx.id());
+            assert!(!forged.signature_valid());
+            assert_eq!(forged.verdict(), Some(false), "a refusal is remembered");
+        }
+        assert_eq!(tx.verdict(), Some(true), "the original is untouched");
     }
 
     #[test]
@@ -133,9 +241,11 @@ mod tests {
         let bytes = tx.encoded();
         assert_eq!(bytes.len(), Transaction::WIRE_SIZE);
         let mut r = Reader::new(&bytes);
+        assert!(tx.signature_valid());
         let back = Transaction::decode(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.id(), tx.id());
+        assert_eq!(back.verdict(), None, "the memo is not on the wire");
         assert!(back.signature_valid());
         assert_eq!(back.amount, 123);
         assert_eq!(back.nonce, 7);

@@ -3,7 +3,7 @@
 use algorand_ba::{BaParams, Certificate, RealVerifier, StepKind, VoteMessage, SECOND};
 use algorand_crypto::Keypair;
 use algorand_ledger::seed::propose_seed;
-use algorand_ledger::{Block, Blockchain, ChainError, ChainParams, Transaction};
+use algorand_ledger::{Block, BlockError, Blockchain, ChainError, ChainParams, Transaction};
 use algorand_sortition::{select, Role, SortitionParams};
 
 const GENESIS_SEED: [u8; 32] = [3u8; 32];
@@ -125,6 +125,39 @@ fn append_advances_tip_and_applies_txs() {
     assert_eq!(chain.confirmed_round(&tx_id), Some(1));
     // Not yet safely confirmed: nothing final past round 0.
     assert!(!chain.is_safely_confirmed(&tx_id));
+}
+
+#[test]
+fn a_remembered_refusal_is_refused_by_validate_and_append() {
+    let keypairs = users(3);
+    let mut chain = new_chain(&keypairs);
+    // keypairs[2] signs, then the payment is rebuilt under keypairs[0]'s
+    // name. The pool (say) has already checked and refused it.
+    let signed = Transaction::payment(&keypairs[2], keypairs[1].pk, 25, 1);
+    let forged = Transaction::from_parts(
+        keypairs[0].pk,
+        signed.to,
+        signed.amount,
+        signed.nonce,
+        signed.sig,
+    );
+    assert!(!forged.signature_valid());
+    let block = make_block(&chain, &keypairs[2], vec![forged.clone()]);
+    assert_eq!(
+        block.validate(chain.tip(), chain.accounts(), NOW + 1, HOUR),
+        Err(BlockError::BadTransaction)
+    );
+    assert_eq!(
+        chain.validate_next(&block, NOW + 1),
+        Err(BlockError::BadTransaction)
+    );
+    assert_eq!(
+        chain.append(block, None, false, NOW + 1),
+        Err(ChainError::Block(BlockError::BadTransaction))
+    );
+    assert_eq!(forged.verdict(), Some(false));
+    assert_eq!(chain.next_round(), 1, "nothing was appended");
+    assert_eq!(chain.accounts().balance(&keypairs[0].pk), 100);
 }
 
 #[test]

@@ -470,7 +470,8 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().to_string()
         };
-        let health = ClusterHealth::collect(&[addr.clone()], Duration::from_millis(200));
+        let health =
+            ClusterHealth::collect(std::slice::from_ref(&addr), Duration::from_millis(200));
         assert!(health.nodes.is_empty());
         assert_eq!(health.unreachable.len(), 1);
         assert!(health.render().contains("UNREACHABLE"));

@@ -823,7 +823,6 @@ fn reader_loop(stream: TcpStream, id: PeerId, shared: &Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
 
     fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
         for _ in 0..200 {

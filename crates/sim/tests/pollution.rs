@@ -66,8 +66,9 @@ fn forged_transactions_never_enter_blocks() {
     let mut sim = Simulation::new(cfg);
     let victim = sim.keypair(0).pk;
     let thief = Keypair::from_seed([0xE2u8; 32]);
-    let mut forged = Transaction::payment(&thief, thief.pk, 10, 1);
-    forged.from = victim;
+    let signed = Transaction::payment(&thief, thief.pk, 10, 1);
+    let forged =
+        Transaction::from_parts(victim, signed.to, signed.amount, signed.nonce, signed.sig);
     let forged_id = forged.id();
     for i in 0..n {
         sim.submit_transaction(i, forged.clone());

@@ -4,10 +4,11 @@
 //! "Each user collects a block of pending transactions that they hear
 //! about" (§5); this crate is that collection. It admits transactions
 //! arriving out of order from gossip, buffers per-sender nonce chains,
-//! rejects duplicates and replays, pre-verifies signatures once (with a
-//! cache, so a transaction gossiped along many paths is checked once),
-//! evicts the lowest-priority traffic under byte/count caps, and hands a
-//! proposer a balance- and nonce-consistent prefix via [`TxPool::take_block`].
+//! rejects duplicates and replays, screens signatures (the payment
+//! remembers its own verdict, so one gossiped along many paths, taken
+//! into a proposal and handed back is checked once), evicts the
+//! lowest-priority traffic under byte/count caps, and hands a proposer a
+//! balance- and nonce-consistent prefix via [`TxPool::take_block`].
 //! Transactions from proposals that lose BA⋆ are fed back with
 //! [`TxPool::reinsert`] so they are not lost, and [`TxPool::prune`] drops
 //! whatever a newly finalized block made stale.
@@ -82,9 +83,6 @@ impl std::fmt::Display for AdmitError {
 
 impl std::error::Error for AdmitError {}
 
-/// Upper bound on the signature-verification cache before it resets.
-const SIG_CACHE_MAX: usize = 1 << 16;
-
 /// Fleet-wide mempool counters, shared across nodes via a [`Registry`].
 /// The default (unregistered) metrics are inert no-ops on plain atomics.
 #[derive(Clone, Debug, Default)]
@@ -117,11 +115,6 @@ pub struct TxPool {
     by_sender: HashMap<[u8; 32], BTreeMap<u64, Transaction>>,
     /// Hashes of every queued transaction, for duplicate rejection.
     ids: HashSet<[u8; 32]>,
-    /// Hashes whose signature already verified (survives removal from the
-    /// pool, so re-gossiped copies skip the expensive check).
-    sig_ok: HashSet<[u8; 32]>,
-    /// Total wire bytes queued.
-    bytes: usize,
     /// Shared admit/take counters (inert unless registered).
     metrics: PoolMetrics,
 }
@@ -133,8 +126,6 @@ impl TxPool {
             cfg,
             by_sender: HashMap::new(),
             ids: HashSet::new(),
-            sig_ok: HashSet::new(),
-            bytes: 0,
             metrics: PoolMetrics::default(),
         }
     }
@@ -144,9 +135,10 @@ impl TxPool {
         self.metrics = metrics;
     }
 
-    /// Number of queued transactions.
+    /// Number of queued transactions (each has exactly one entry in the
+    /// duplicate index).
     pub fn len(&self) -> usize {
-        self.by_sender.values().map(BTreeMap::len).sum()
+        self.ids.len()
     }
 
     /// True when nothing is queued.
@@ -156,27 +148,12 @@ impl TxPool {
 
     /// Total wire bytes queued.
     pub fn bytes(&self) -> usize {
-        self.bytes
+        self.len() * Transaction::WIRE_SIZE
     }
 
     /// True if a transaction with this hash is queued.
     pub fn contains(&self, id: &[u8; 32]) -> bool {
         self.ids.contains(id)
-    }
-
-    /// Verifies the signature, consulting and filling the cache.
-    fn signature_ok(&mut self, id: &[u8; 32], tx: &Transaction) -> bool {
-        if self.sig_ok.contains(id) {
-            return true;
-        }
-        if !tx.signature_valid() {
-            return false;
-        }
-        if self.sig_ok.len() >= SIG_CACHE_MAX {
-            self.sig_ok.clear();
-        }
-        self.sig_ok.insert(*id);
-        true
     }
 
     /// Admits a transaction heard from gossip (or submitted locally).
@@ -216,7 +193,7 @@ impl TxPool {
         if tx.amount > accounts.balance(&tx.from) {
             return Err(AdmitError::InsufficientBalance);
         }
-        if !self.signature_ok(&id, &tx) {
+        if !tx.signature_valid() {
             return Err(AdmitError::BadSignature);
         }
         let sender = tx.from.to_bytes();
@@ -233,7 +210,6 @@ impl TxPool {
         }
         chain.insert(tx.nonce, tx);
         self.ids.insert(id);
-        self.bytes += Transaction::WIRE_SIZE;
         self.evict_overflow();
         if self.ids.contains(&id) {
             Ok(())
@@ -248,7 +224,7 @@ impl TxPool {
     /// Only each sender's highest nonce is a candidate, so surviving
     /// chains stay contiguous and proposable.
     fn evict_overflow(&mut self) {
-        while self.bytes > self.cfg.max_bytes || self.len() > self.cfg.max_txs {
+        while self.bytes() > self.cfg.max_bytes || self.len() > self.cfg.max_txs {
             let victim = self
                 .by_sender
                 .values()
@@ -268,7 +244,6 @@ impl TxPool {
             self.by_sender.remove(sender);
         }
         self.ids.remove(&tx.id());
-        self.bytes -= Transaction::WIRE_SIZE;
         Some(tx)
     }
 
@@ -286,9 +261,11 @@ impl TxPool {
         let mut taken = Vec::new();
         let budget = max_bytes / Transaction::WIRE_SIZE;
         while taken.len() < budget {
-            // Best ready head across all senders. The sender count is
-            // modest in our deployments; a linear scan keeps the pool
-            // index-free. (A heap of heads would drop this to log n.)
+            // Best ready head across all senders: one map lookup and one
+            // key comparison per sender (ids are remembered, not hashed
+            // per candidate). The sender count is modest in our
+            // deployments; a linear scan keeps the pool index-free. (A
+            // heap of heads would drop this to log n.)
             let best = self
                 .by_sender
                 .iter()
@@ -419,15 +396,30 @@ mod tests {
     }
 
     #[test]
-    fn bad_signature_rejected_and_not_cached() {
+    fn bad_signature_rejected_and_remembered_as_bad() {
         let a = kp(1);
         let accounts = Accounts::genesis([(a.pk, 100)]);
         let mut pool = TxPool::new(PoolConfig::default());
-        let mut tx = Transaction::payment(&kp(3), kp(2).pk, 5, 1);
-        tx.from = a.pk; // Forged sender.
-        let id = tx.id();
-        assert_eq!(pool.admit(tx, &accounts), Err(AdmitError::BadSignature));
-        assert!(!pool.sig_ok.contains(&id));
+        let signed = Transaction::payment(&kp(3), kp(2).pk, 5, 1);
+        // Forged sender: kp(3)'s signature under a's name.
+        let tx = Transaction::from_parts(a.pk, signed.to, signed.amount, signed.nonce, signed.sig);
+        assert_eq!(
+            pool.admit(tx.clone(), &accounts),
+            Err(AdmitError::BadSignature)
+        );
+        assert_eq!(tx.verdict(), Some(false), "never remembered as good");
+        assert_eq!(
+            pool.admit(tx.clone(), &accounts),
+            Err(AdmitError::BadSignature),
+            "the remembered refusal refuses again"
+        );
+        assert!(pool.is_empty());
+        // The cheaper screens still come first, as before the memo.
+        let mut spent = accounts.clone();
+        spent
+            .apply(&Transaction::payment(&a, kp(2).pk, 5, 1))
+            .unwrap();
+        assert_eq!(pool.admit(tx, &spent), Err(AdmitError::Replay));
     }
 
     #[test]
@@ -651,16 +643,19 @@ mod tests {
     }
 
     #[test]
-    fn sig_cache_skips_reverification_after_removal() {
+    fn verdict_outlives_removal_from_the_pool() {
         let a = kp(1);
         let b = kp(2);
         let accounts = Accounts::genesis([(a.pk, 100)]);
         let mut pool = TxPool::new(PoolConfig::default());
         let tx = Transaction::payment(&a, b.pk, 1, 1);
+        assert_eq!(tx.verdict(), None);
         pool.admit(tx.clone(), &accounts).unwrap();
         let taken = pool.take_block(&accounts, 1 << 20);
-        assert!(
-            pool.sig_ok.contains(&tx.id()),
+        assert!(taken[0].same_body(&tx), "the pool hands back what it took");
+        assert_eq!(
+            taken[0].verdict(),
+            Some(true),
             "verification outlives removal"
         );
         pool.reinsert(taken, &accounts);

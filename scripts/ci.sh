@@ -10,8 +10,8 @@ cd "$(dirname "$0")/.."
 echo "== style: cargo fmt --check =="
 cargo fmt --check
 
-echo "== style: cargo clippy (deny warnings) =="
-cargo clippy --workspace -- -D warnings
+echo "== style: cargo clippy, test and bench targets included (deny warnings) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier-1: cargo build --release =="
 cargo build --release
