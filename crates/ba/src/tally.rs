@@ -14,11 +14,8 @@ use std::collections::{HashMap, HashSet};
 pub struct StepTally {
     counts: HashMap<Value, u64>,
     voters: HashSet<[u8; 32]>,
-    /// Lowest `H(sorthash ‖ j)` over all sub-user indices of all counted
-    /// votes — the committee-member hash minimum that drives the common
+    /// Retained messages, for certificate assembly (§8.3) and the common
     /// coin (Algorithm 9).
-    min_subhash: Option<[u8; 32]>,
-    /// Retained messages, for certificate assembly (§8.3).
     messages: Vec<(VoteMessage, u64)>,
 }
 
@@ -42,14 +39,6 @@ impl StepTally {
             return false;
         }
         *self.counts.entry(msg.value).or_insert(0) += votes;
-        // Fold this member's sub-user hashes into the coin minimum.
-        for j in 0..votes {
-            let h = sha256_concat(&[&msg.sorthash.0, &j.to_le_bytes()]);
-            match &self.min_subhash {
-                Some(cur) if *cur <= h => {}
-                _ => self.min_subhash = Some(h),
-            }
-        }
         self.messages.push((msg.clone(), votes));
         true
     }
@@ -80,15 +69,19 @@ impl StepTally {
     }
 
     /// The common coin for this step (Algorithm 9): the least-significant
-    /// bit of the lowest committee-member sub-hash observed.
+    /// bit of the lowest `H(sorthash ‖ j)` over all sub-user indices of all
+    /// counted votes. Folded on demand — only a timed-out coin step asks.
     ///
     /// With no votes at all the initial `minhash = 2^hashlen` of the paper
     /// is even, giving coin 0.
     pub fn common_coin(&self) -> u8 {
-        match &self.min_subhash {
-            Some(h) => h[31] & 1,
-            None => 0,
-        }
+        self.messages
+            .iter()
+            .flat_map(|(m, votes)| {
+                (0..*votes).map(|j| sha256_concat(&[&m.sorthash.0, &j.to_le_bytes()]))
+            })
+            .min()
+            .map_or(0, |h| h[31] & 1)
     }
 
     /// The most recently counted message voting for `value` — when a step
@@ -171,13 +164,30 @@ mod tests {
 
     #[test]
     fn coin_is_deterministic_in_messages() {
-        let mut a = StepTally::new();
-        let mut b = StepTally::new();
-        for (seed, val, votes) in [(1u8, 7u8, 2u64), (2, 7, 1), (3, 8, 3)] {
-            a.add(&vote(seed, val, votes));
-            b.add(&vote(seed, val, votes));
+        // Enough members that both coin values occur across prefixes.
+        let votes: Vec<VerifiedVote> = (1..=8u8)
+            .map(|s| vote(s, 7 + s % 2, 1 + s as u64 % 3))
+            .collect();
+        let mut coins = HashSet::new();
+        for n in 1..=votes.len() {
+            // Algorithm 9, written naively from the inserted votes.
+            let mut minhash = [0xffu8; 32];
+            for v in &votes[..n] {
+                for j in 0..v.votes() {
+                    let h = sha256_concat(&[&v.message().sorthash.0, &j.to_le_bytes()]);
+                    minhash = minhash.min(h);
+                }
+            }
+            let mut forward = StepTally::new();
+            let mut backward = StepTally::new();
+            for (f, b) in votes[..n].iter().zip(votes[..n].iter().rev()) {
+                assert!(forward.add(f) && backward.add(b));
+            }
+            assert_eq!(forward.common_coin(), minhash[31] & 1);
+            assert_eq!(backward.common_coin(), minhash[31] & 1);
+            coins.insert(minhash[31] & 1);
         }
-        assert_eq!(a.common_coin(), b.common_coin());
+        assert_eq!(coins.len(), 2, "fixture never exercises both coin values");
         // Empty tally defaults to 0.
         assert_eq!(StepTally::new().common_coin(), 0);
     }

@@ -7,7 +7,7 @@
 //! the same workload with the discard rule on (paper behaviour) and off
 //! (every block relayed everywhere) and compares bytes on the wire.
 
-use algorand_bench::{header, run_experiment};
+use algorand_bench::{header, mean_median_completion, run_experiment};
 use algorand_sim::SimConfig;
 
 fn run(relay_all: bool) -> (f64, f64) {
@@ -18,8 +18,7 @@ fn run(relay_all: bool) -> (f64, f64) {
     let rounds = 3;
     let (sim, stats) = run_experiment(cfg, rounds);
     let mb = sim.network().total_bytes_sent() as f64 / 1e6;
-    let median = stats.iter().map(|s| s.completion.median).sum::<f64>() / stats.len().max(1) as f64;
-    (mb, median)
+    (mb, mean_median_completion(&stats))
 }
 
 fn main() {

@@ -7,11 +7,9 @@
 //! measures the BinaryBA⋆ concluding-step distribution with and without
 //! the §10.4 adversary.
 
-use algorand_bench::baseline::{self, Baseline};
 use algorand_bench::{header, run_experiment};
 use algorand_sim::SimConfig;
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 fn distribution(cfg: SimConfig, rounds: u64) -> BTreeMap<u32, usize> {
     let (sim, _) = run_experiment(cfg, rounds);
@@ -36,7 +34,6 @@ fn print_dist(label: &str, dist: &BTreeMap<u32, usize>) {
 }
 
 fn main() {
-    let wall = Instant::now();
     header(
         "§7 — BA* step counts (common case vs adversarial proposer)",
         "honest proposer: 4 interactive steps (BinaryBA* step 1); malicious: expected ≤11 binary steps",
@@ -64,10 +61,4 @@ fn main() {
     println!(
         "shape check: under attack the worst observed concluding step was {max_attacked} (paper bound: expected 11)"
     );
-    Baseline::new("ba_steps")
-        .metric("honest_step1_fraction", frac_step1)
-        .metric("attacked_max_concluding_step", f64::from(max_attacked))
-        .metric(baseline::WALL_CLOCK_S, wall.elapsed().as_secs_f64())
-        .write()
-        .expect("write baseline");
 }

@@ -6,10 +6,8 @@
 //! 1 MB blocks), and proportional savings from sharding storage.
 
 use algorand_ba::VoteMessage;
-use algorand_bench::baseline::{self, Baseline};
 use algorand_bench::{header, run_experiment};
 use algorand_sim::SimConfig;
-use std::time::Instant;
 
 fn main() {
     header(
@@ -22,9 +20,7 @@ fn main() {
     let mut cfg = SimConfig::new(n_users);
     cfg.payload_bytes = payload;
     cfg.seed = 23;
-    let wall = Instant::now();
     let (sim, _stats) = run_experiment(cfg, rounds);
-    let wall = wall.elapsed();
     let virtual_s = sim.now() as f64 / 1e6;
 
     // --- Bandwidth -----------------------------------------------------------
@@ -39,7 +35,6 @@ fn main() {
     let uniques = sim.unique_verifications();
     println!("cpu:");
     println!("  unique vote verifications {uniques:>9}   (each = 1 signature + 1 VRF check)");
-    println!("  harness wall time         {:>9.2} s", wall.as_secs_f64());
 
     // --- Storage ---------------------------------------------------------------
     let node = sim.honest_node(0);
@@ -91,15 +86,4 @@ fn main() {
     println!(
         "forgery check: per-step certificate-forgery probability <= 10^{log10:.0} (paper: < 2^-166 = 10^-50)"
     );
-    Baseline::new("costs")
-        .metric(baseline::BYTES_PER_USER, total_sent / n_users as f64)
-        .metric("per_user_mbit_per_s", per_user_mbps)
-        .metric("unique_verifications", uniques as f64)
-        .metric(
-            "certificate_overhead_pct",
-            cert_bytes as f64 / block_bytes.max(1) as f64 * 100.0,
-        )
-        .metric(baseline::WALL_CLOCK_S, wall.as_secs_f64())
-        .write()
-        .expect("write baseline");
 }

@@ -25,10 +25,9 @@
 //! finalized round's latency (real clocks leave alignment residue the
 //! simulator does not), and at least one chain crossing processes.
 
-use algorand_bench::T_CAP;
+use algorand_bench::run_payment_workload;
 use algorand_obs::merge::{parse_merged, render_report};
 use algorand_obs::{critical_paths, parse_jsonl, CriticalPath, EdgeKind, NO_NODE};
-use algorand_sim::{SimConfig, Simulation};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -44,24 +43,6 @@ const MIN_COVERAGE_MERGED: f64 = 0.90;
 /// Edges printed per round before the listing is elided (the
 /// attribution sums always cover the full chain).
 const MAX_EDGES_SHOWN: usize = 24;
-
-/// The same 50-user payment workload as `trace_report`, always traced —
-/// this report is meaningless without causal ids.
-fn workload_cfg() -> SimConfig {
-    let mut cfg = SimConfig::new(50);
-    cfg.stake_per_user = 50;
-    cfg.tx_rate = 25.0;
-    cfg.tx_total = 200;
-    cfg.seed = 23;
-    cfg.trace = true;
-    cfg
-}
-
-fn run_workload() -> Simulation {
-    let mut sim = Simulation::new(workload_cfg());
-    sim.run_rounds(8, T_CAP);
-    sim
-}
 
 fn secs(us: u64) -> f64 {
     us as f64 / 1e6
@@ -329,8 +310,8 @@ fn run_merged(path: &str, check: bool) -> ExitCode {
 }
 
 fn check() -> ExitCode {
-    let a = run_workload();
-    let b = run_workload();
+    let a = run_payment_workload(true);
+    let b = run_payment_workload(true);
     let jsonl_a = a.export_trace("payment-50");
     let jsonl_b = b.export_trace("payment-50");
     let mut ok = true;
@@ -405,7 +386,7 @@ fn main() -> ExitCode {
     if check_flag {
         return check();
     }
-    let sim = run_workload();
+    let sim = run_payment_workload(true);
     let jsonl = sim.export_trace("payment-50");
     match render(&jsonl) {
         Ok(report) => {

@@ -8,13 +8,10 @@
 //! committee sizes — and hence message counts per user — are independent
 //! of the population, and gossip depth grows only logarithmically.
 
-use algorand_bench::baseline::{self, Baseline};
-use algorand_bench::{fmt_percentiles, header, run_experiment};
+use algorand_bench::{fmt_percentiles, header, mean_completion, run_experiment};
 use algorand_sim::SimConfig;
-use std::time::Instant;
 
 fn main() {
-    let wall = Instant::now();
     header(
         "Figure 5 — round latency vs number of users",
         "5k→50k users at 1 MB blocks: ~12 s median, flat in user count",
@@ -26,29 +23,13 @@ fn main() {
         "users", "rounds", "min", "p25", "median", "p75", "max"
     );
     let mut medians = Vec::new();
-    let mut base = Baseline::new("fig5_latency_users");
     for &n in &user_counts {
         let mut cfg = SimConfig::new(n);
         cfg.payload_bytes = 64 * 1024;
         cfg.seed = 11;
         let (_sim, stats) = run_experiment(cfg, rounds);
-        let measured = stats.len() as u64;
-        // Average the five-number summaries over rounds.
-        let avg = |f: fn(&algorand_sim::RoundStats) -> f64| {
-            stats.iter().map(f).sum::<f64>() / stats.len().max(1) as f64
-        };
-        let p = algorand_sim::Percentiles {
-            min: avg(|s| s.completion.min),
-            p25: avg(|s| s.completion.p25),
-            median: avg(|s| s.completion.median),
-            p75: avg(|s| s.completion.p75),
-            p99: avg(|s| s.completion.p99),
-            max: avg(|s| s.completion.max),
-        };
-        println!("{:>7} {:>8}   {}", n, measured, fmt_percentiles(&p));
-        base = base
-            .metric(&format!("p50_latency_s_users_{n}"), p.median)
-            .metric(&format!("p99_latency_s_users_{n}"), p.p99);
+        let p = mean_completion(&stats);
+        println!("{:>7} {:>8}   {}", n, stats.len(), fmt_percentiles(&p));
         medians.push(p.median);
     }
     println!();
@@ -64,9 +45,4 @@ fn main() {
         last / first
     );
     println!("paper: latency nearly constant from 5k to 50k users");
-    base.metric(baseline::P50_LATENCY_S, last)
-        .metric("latency_ratio_16x_users", last / first)
-        .metric(baseline::WALL_CLOCK_S, wall.elapsed().as_secs_f64())
-        .write()
-        .expect("write baseline");
 }

@@ -8,14 +8,11 @@
 //! expected shape: ~4× the Figure 5 latency, and roughly flat up to 500k
 //! users.
 
-use algorand_bench::baseline::{self, Baseline};
 use algorand_bench::header;
 use algorand_core::AlgorandParams;
 use algorand_sim::EpidemicConfig;
-use std::time::Instant;
 
 fn main() {
-    let wall = Instant::now();
     header(
         "Figure 6 — round latency at 50k..500k users (bandwidth-bound)",
         "~4x Figure 5's latency; roughly flat from 50k to 500k users",
@@ -24,12 +21,10 @@ fn main() {
     println!("{:>9} {:>7} {:>16}", "users", "hops", "round latency(s)");
     let mut first = None;
     let mut last = 0.0;
-    let mut base = Baseline::new("fig6_latency_largescale");
     for n in [50_000usize, 100_000, 150_000, 250_000, 350_000, 500_000] {
         let cfg = EpidemicConfig::figure6(n);
         let latency = cfg.round_latency_s(&params);
         println!("{:>9} {:>7.0} {:>16.1}", n, cfg.hops(), latency);
-        base = base.metric(&format!("p50_latency_s_users_{n}"), latency);
         first.get_or_insert(latency);
         last = latency;
     }
@@ -44,10 +39,4 @@ fn main() {
     fig5_regime.bandwidth_bps = 20e6;
     let ratio = first / fig5_regime.round_latency_s(&params);
     println!("regime check: fig6 latency / fig5 latency at 50k users = {ratio:.1}x (paper: ~4x)");
-    base.metric(baseline::P50_LATENCY_S, last)
-        .metric("latency_ratio_10x_users", last / first)
-        .metric("regime_ratio_vs_fig5", ratio)
-        .metric(baseline::WALL_CLOCK_S, wall.elapsed().as_secs_f64())
-        .write()
-        .expect("write baseline");
 }

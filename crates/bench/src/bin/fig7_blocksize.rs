@@ -8,13 +8,10 @@
 //! waits) but must show the same structure: agreement time independent of
 //! block size, proposal time linear in it.
 
-use algorand_bench::baseline::{self, Baseline};
-use algorand_bench::{header, run_experiment};
+use algorand_bench::{header, round_mean, run_experiment};
 use algorand_sim::SimConfig;
-use std::time::Instant;
 
 fn main() {
-    let wall = Instant::now();
     header(
         "Figure 7 — latency breakdown vs block size",
         "proposal grows with block size; BA* (~12 s) and final step (~6 s) flat",
@@ -33,7 +30,6 @@ fn main() {
         "block", "proposal(s)", "BA*(s)", "final(s)", "total(s)"
     );
     let mut rows = Vec::new();
-    let mut base = Baseline::new("fig7_blocksize");
     for (bytes, label) in sizes {
         let mut cfg = SimConfig::new(n_users);
         // The paper's fixed 10 s proposal wait absorbs block transmission
@@ -44,12 +40,9 @@ fn main() {
         cfg.payload_bytes = bytes;
         cfg.seed = 13;
         let (_sim, stats) = run_experiment(cfg, rounds);
-        let avg = |f: fn(&algorand_sim::RoundStats) -> f64| {
-            stats.iter().map(f).sum::<f64>() / stats.len().max(1) as f64
-        };
-        let proposal = avg(|s| s.proposal_median);
-        let ba = avg(|s| s.ba_median);
-        let fin = avg(|s| s.final_median);
+        let proposal = round_mean(&stats, |s| s.proposal_median);
+        let ba = round_mean(&stats, |s| s.ba_median);
+        let fin = round_mean(&stats, |s| s.final_median);
         println!(
             "{:>8} {:>12.2} {:>10.2} {:>12.2} {:>10.2}",
             label,
@@ -58,11 +51,6 @@ fn main() {
             fin,
             proposal + ba + fin
         );
-        let key = label.to_ascii_lowercase();
-        base = base
-            .metric(&format!("proposal_s_{key}"), proposal)
-            .metric(&format!("ba_s_{key}"), ba)
-            .metric(&format!("total_s_{key}"), proposal + ba + fin);
         rows.push((bytes, proposal, ba));
     }
     println!();
@@ -79,8 +67,4 @@ fn main() {
     println!(
         "shape check: beyond the proposal window (2MB here, 10MB in the paper) the round          is dominated by block dissemination, not agreement"
     );
-    base.metric("ba_flatness_ratio_1mb_vs_1kb", one_mb_ba / small_ba)
-        .metric(baseline::WALL_CLOCK_S, wall.elapsed().as_secs_f64())
-        .write()
-        .expect("write baseline");
 }

@@ -5,7 +5,7 @@
 //! malicious committee members vote for both versions. Result: latency is
 //! "not significantly affected" from 0% to 20% malicious weight.
 
-use algorand_bench::{fmt_percentiles, header, run_experiment};
+use algorand_bench::{fmt_percentiles, header, mean_completion, run_experiment};
 use algorand_sim::SimConfig;
 
 fn main() {
@@ -26,17 +26,7 @@ fn main() {
         cfg.payload_bytes = 16 * 1024;
         cfg.seed = 17;
         let (_sim, stats) = run_experiment(cfg, rounds);
-        let avg = |f: fn(&algorand_sim::RoundStats) -> f64| {
-            stats.iter().map(f).sum::<f64>() / stats.len().max(1) as f64
-        };
-        let p = algorand_sim::Percentiles {
-            min: avg(|s| s.completion.min),
-            p25: avg(|s| s.completion.p25),
-            median: avg(|s| s.completion.median),
-            p75: avg(|s| s.completion.p75),
-            p99: avg(|s| s.completion.p99),
-            max: avg(|s| s.completion.max),
-        };
+        let p = mean_completion(&stats);
         println!("{:>10}% {:>8}   {}", pct, stats.len(), fmt_percentiles(&p));
         medians.push(p.median);
     }

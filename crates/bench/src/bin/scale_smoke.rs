@@ -13,7 +13,6 @@
 //! Wall-clock numbers go to stdout (CI log) and `results/scale.txt`.
 //! Exit code is non-zero on any gate failure.
 
-use algorand_bench::baseline::{self, Baseline};
 use algorand_sim::{DesConfig, Micros, ParallelSim, SimConfig};
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -161,16 +160,6 @@ fn main() -> ExitCode {
     if let Err(e) = std::fs::write("results/scale.txt", &out) {
         eprintln!("warning: could not write results/scale.txt: {e}");
     }
-    Baseline::new("scale_smoke")
-        .metric("nodes", N as f64)
-        .metric("rounds_finalized", tip4 as f64)
-        .metric("wall_s_des_workers1", wall1)
-        .metric("wall_s_des_workers4", wall4)
-        .metric("workers4_over_workers1", wall4 / wall1)
-        .metric("wall_s_traced", wall_traced)
-        .metric(baseline::WALL_CLOCK_S, wall1 + wall4 + wall_traced)
-        .write()
-        .expect("write baseline");
     if ok {
         ExitCode::SUCCESS
     } else {

@@ -14,14 +14,11 @@
 //! the bottleneck — the same "BA⋆ time is flat, payload amortizes"
 //! shape as the paper's Figure 7-derived numbers.
 
-use algorand_bench::baseline::{self, Baseline};
 use algorand_bench::{header, BITCOIN_MB_PER_HOUR, T_CAP};
 use algorand_ledger::Transaction;
 use algorand_sim::{SimConfig, Simulation};
-use std::time::Instant;
 
 fn main() {
-    let wall = Instant::now();
     header(
         "§10.2 — committed transaction throughput vs Bitcoin",
         "2MB block: ~22 s round -> 327 MB/h; 10MB -> 750 MB/h = 125x Bitcoin (6 MB/h)",
@@ -33,7 +30,6 @@ fn main() {
         "cap", "injected", "committed", "tx/s", "p50(s)", "p99(s)", "MB/hour", "x Bitcoin"
     );
     let mut rates = Vec::new();
-    let mut base = Baseline::new("tput_throughput");
     for (cap, label) in [
         (32usize << 10, "32KB"),
         (64 << 10, "64KB"),
@@ -62,20 +58,6 @@ fn main() {
             "{label:>8} {:>9} {:>10} {:>9.1} {p50:>8.2} {p99:>8.2} {mb_per_hour:>9.2} {ratio:>10.2}",
             stats.injected, stats.committed, stats.tx_per_sec
         );
-        // The canonical tx/s, p50/p99 latency, and MB/hour track the
-        // largest cap — the closest analogue of the paper's headline row.
-        base = base
-            .metric(
-                &format!("tx_per_s_cap_{}", label.to_ascii_lowercase()),
-                stats.tx_per_sec,
-            )
-            .metric(baseline::TX_PER_S, stats.tx_per_sec)
-            .metric("committed_mb_per_hour", mb_per_hour);
-        if p50.is_finite() && p99.is_finite() {
-            base = base
-                .metric(baseline::P50_LATENCY_S, p50)
-                .metric(baseline::P99_LATENCY_S, p99);
-        }
         rates.push(stats.tx_per_sec);
     }
     println!();
@@ -89,7 +71,4 @@ fn main() {
          come from MB-scale blocks (reproduced by fig7_blocksize with synthetic payload)"
     );
     println!("paper: 125x Bitcoin at 10 MB blocks on the EC2 testbed");
-    base.metric(baseline::WALL_CLOCK_S, wall.elapsed().as_secs_f64())
-        .write()
-        .expect("write baseline");
 }

@@ -21,25 +21,13 @@
 //! is fine; silent truncation is not). Exit code is non-zero on any
 //! mismatch, so CI gates on it.
 
-use algorand_bench::baseline::{self, Baseline};
-use algorand_bench::T_CAP;
+use algorand_bench::run_payment_workload;
 use algorand_obs::{parse_jsonl, Percentiles, SpanKind, Trace, TraceEvent};
 use algorand_sim::{DesConfig, FaultSchedule, Micros, ParallelSim, SimConfig, Simulation};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 const SEC: Micros = 1_000_000;
-
-/// The 50-user payment-workload configuration (mirrors `txpool_smoke`).
-fn workload_cfg(trace: bool) -> SimConfig {
-    let mut cfg = SimConfig::new(50);
-    cfg.stake_per_user = 50;
-    cfg.tx_rate = 25.0;
-    cfg.tx_total = 200;
-    cfg.seed = 23;
-    cfg.trace = trace;
-    cfg
-}
 
 /// A 16-user chaos scenario: a healed bipartition plus a crash/restart,
 /// so the trace contains fault, catch-up and recovery spans to align.
@@ -51,12 +39,6 @@ fn chaos_cfg() -> (SimConfig, FaultSchedule) {
         .bipartition(16, 8, 30 * SEC, 90 * SEC)
         .crash_restart(0, 40 * SEC, 100 * SEC);
     (cfg, schedule)
-}
-
-fn run_workload(trace: bool) -> Simulation {
-    let mut sim = Simulation::new(workload_cfg(trace));
-    sim.run_rounds(8, T_CAP);
-    sim
 }
 
 /// A short run on the parallel engine under a deliberately tiny
@@ -295,9 +277,8 @@ fn print_recovery_timeline(trace: &Trace) {
 }
 
 fn report() -> ExitCode {
-    let wall = std::time::Instant::now();
     println!("== trace report: 50-user payment workload (seed 23) ==");
-    let sim = run_workload(true);
+    let sim = run_payment_workload(true);
     let jsonl = sim.export_trace("payment-50");
     let trace = parse_jsonl(&jsonl).expect("exporter emits valid JSONL");
     println!(
@@ -332,6 +313,7 @@ fn report() -> ExitCode {
             println!("  {line}");
         }
     }
+    println!("{}", sim.pipeline_report());
 
     println!();
     println!("== trace report: 16-user chaos run (partition + crash, seed 29) ==");
@@ -347,31 +329,14 @@ fn report() -> ExitCode {
     );
     print_recovery_timeline(&chaos_trace);
     println!("{}", chaos.fault_report());
-
-    // Headline numbers, machine-readable: round latency straight from
-    // the trace, committed throughput from the workload stats.
-    let round_secs = durations(&trace, SpanKind::Round, "");
-    let mut base = Baseline::new("trace_report").metric("trace_events", trace.events.len() as f64);
-    if !round_secs.is_empty() {
-        let p = Percentiles::of(&round_secs);
-        base = base
-            .metric(baseline::P50_LATENCY_S, p.median)
-            .metric(baseline::P99_LATENCY_S, p.p99);
-    }
-    if let Some(stats) = sim.tx_stats() {
-        base = base.metric(baseline::TX_PER_S, stats.tx_per_sec);
-    }
-    base.metric(baseline::WALL_CLOCK_S, wall.elapsed().as_secs_f64())
-        .write()
-        .expect("write baseline");
     ExitCode::SUCCESS
 }
 
 /// CI determinism gate: tracing must be invisible to the protocol.
 fn check() -> ExitCode {
-    let a = run_workload(true);
-    let b = run_workload(true);
-    let plain = run_workload(false);
+    let a = run_payment_workload(true);
+    let b = run_payment_workload(true);
+    let plain = run_payment_workload(false);
     let jsonl_a = a.export_trace("payment-50");
     let jsonl_b = b.export_trace("payment-50");
     let mut ok = true;

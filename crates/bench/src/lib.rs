@@ -1,25 +1,23 @@
-//! The benchmark harness: regenerates every table and figure of §10.
+//! The evaluation harness: regenerates every table and figure of §10.
 //!
-//! Each `fig*`/`tput*`/`costs`/`timeout*` binary in `src/bin/` reproduces
-//! one experiment from the paper's evaluation; this library holds the
-//! shared machinery (experiment runners, table printing, paper reference
-//! values). Absolute numbers differ from the paper — our substrate is a
-//! discrete-event simulator, not 1,000 EC2 VMs — but each binary prints
-//! the paper's reference values next to the measured ones so the *shape*
-//! (who wins, scaling trends, crossovers) can be compared directly.
+//! Two kinds of binary live in `src/bin/`. The `fig*` / `tput*` / `costs`
+//! / `timeout*` / `ba_steps` / `ablation_*` bins each reproduce one
+//! experiment of the paper's evaluation: a pure function of the seeds
+//! compiled into it to stdout, checked in as `results/<bin>.txt`
+//! (`scripts/ci.sh` reruns the quick ones and diffs). The rest are CI gates
+//! (`scale_smoke`, `localnet`, `chaos_determinism`, …). This library holds
+//! what they share. Absolute numbers differ from the paper — our
+//! substrate is a discrete-event simulator, not 1,000 EC2 VMs — but each
+//! bin prints the paper's reference values next to the measured ones so
+//! the *shape* (who wins, scaling trends, crossovers) can be compared
+//! directly.
 //!
-//! Run everything with:
-//!
-//! ```text
-//! for b in fig3_committee_size fig4_params fig5_latency_users \
-//!          fig6_latency_largescale fig7_blocksize fig8_malicious \
-//!          tput_throughput costs timeout_validation ba_steps; do
-//!     cargo run --release -p algorand-bench --bin $b
-//! done
-//! ```
+//! Nothing here says how fast this implementation runs: that is
+//! `benchmark/` (workloads, gated end-to-end metrics, a per-layer
+//! ledger). `benches/crypto_micro` times only the primitives the ledger
+//! has no name for. `results/README.md` has the regeneration loop.
 
 pub mod ablation;
-pub mod baseline;
 pub mod timing;
 
 use algorand_sim::{Percentiles, RoundStats, SimConfig, Simulation};
@@ -55,13 +53,45 @@ pub fn run_experiment(cfg: SimConfig, rounds: u64) -> (Simulation, Vec<RoundStat
     (sim, stats)
 }
 
-/// Means of the per-round medians: one scalar per configuration, as the
-/// figures' x-axis sweeps need.
+/// Runs the seed-23 payment workload `trace_report` and `critical_path`
+/// both read: 50 users, 200 payments offered at 25 tx/s, 8 rounds.
+/// (Tier-1 `tests/txpool_e2e.rs` gates the same population at 500
+/// payments.)
+pub fn run_payment_workload(trace: bool) -> Simulation {
+    let mut cfg = SimConfig::new(50);
+    cfg.stake_per_user = 50;
+    cfg.tx_rate = 25.0;
+    cfg.tx_total = 200;
+    cfg.seed = 23;
+    cfg.trace = trace;
+    let mut sim = Simulation::new(cfg);
+    sim.run_rounds(8, T_CAP);
+    sim
+}
+
+/// Mean of `f` over the measured rounds: one scalar per configuration, as
+/// the figures' x-axis sweeps need. NaN when no round was measured.
+pub fn round_mean(stats: &[RoundStats], f: impl Fn(&RoundStats) -> f64) -> f64 {
+    stats.iter().map(f).sum::<f64>() / stats.len() as f64
+}
+
+/// Mean of the per-round completion medians.
 pub fn mean_median_completion(stats: &[RoundStats]) -> f64 {
-    if stats.is_empty() {
-        return f64::NAN;
+    round_mean(stats, |s| s.completion.median)
+}
+
+/// The completion five-number summary (and p99), each averaged over the
+/// measured rounds.
+pub fn mean_completion(stats: &[RoundStats]) -> Percentiles {
+    let avg = |f: fn(&Percentiles) -> f64| round_mean(stats, |s| f(&s.completion));
+    Percentiles {
+        min: avg(|p| p.min),
+        p25: avg(|p| p.p25),
+        median: avg(|p| p.median),
+        p75: avg(|p| p.p75),
+        p99: avg(|p| p.p99),
+        max: avg(|p| p.max),
     }
-    stats.iter().map(|s| s.completion.median).sum::<f64>() / stats.len() as f64
 }
 
 /// Bitcoin's throughput baseline used by §10.2: a 1 MB block every 10

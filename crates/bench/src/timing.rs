@@ -43,14 +43,6 @@ pub fn bench<F: FnMut()>(name: &str, mut f: F) -> f64 {
     median * 1e9
 }
 
-/// Like [`bench`], also printing throughput for `bytes` bytes per call.
-pub fn bench_throughput<F: FnMut()>(name: &str, bytes: u64, f: F) -> f64 {
-    let ns = bench(name, f);
-    let mbps = bytes as f64 / (ns / 1e9) / 1e6;
-    println!("{:<44} {mbps:>11.1} MB/s", format!("  ({bytes} B)"));
-    ns
-}
-
 fn fmt_secs(s: f64) -> String {
     if s < 1e-6 {
         format!("{:.1} ns", s * 1e9)

@@ -222,16 +222,20 @@ impl NodeHealth {
     ///
     /// # Errors
     ///
-    /// Returns the parser's description of the first malformed line.
+    /// Returns the parser's description of the first malformed line, or
+    /// `missing sample <name>`: the runtime publishes every unlabelled
+    /// sample read here on each scrape, so an absent one is a sick node,
+    /// not a zero. (The per-peer queue depths may legitimately be empty.)
     pub fn from_exposition(addr: &str, text: &str) -> Result<NodeHealth, String> {
         let samples = expose::parse(text)?;
-        let get = |name: &str| -> i64 {
+        let get = |name: &str| -> Result<i64, String> {
             samples
                 .iter()
                 .find(|s| s.name == name && s.labels.is_empty())
-                .map_or(0, |s| s.value as i64)
+                .map(|s| s.value as i64)
+                .ok_or_else(|| format!("missing sample {name}"))
         };
-        let drops_total = get("transport.send_drops");
+        let drops_total = get("transport.send_drops")?;
         let max_depth = samples
             .iter()
             .filter(|s| s.name == "transport.send_queue_depth")
@@ -240,15 +244,15 @@ impl NodeHealth {
             .unwrap_or(0);
         Ok(NodeHealth {
             addr: addr.to_string(),
-            tip: get("node.tip_round"),
-            tip_hash64: get("node.tip_hash64"),
-            monitor_violations: get("monitor.violations"),
-            alerts: get("node.alerts"),
-            trace_dropped: get("trace.dropped"),
+            tip: get("node.tip_round")?,
+            tip_hash64: get("node.tip_hash64")?,
+            monitor_violations: get("monitor.violations")?,
+            alerts: get("node.alerts")?,
+            trace_dropped: get("trace.dropped")?,
             queue_pressure: drops_total + max_depth,
-            pipeline_ingested: get("pipeline.ingested"),
-            frames_sent: get("transport.frames_sent"),
-            wal_entries: get("wal.entries"),
+            pipeline_ingested: get("pipeline.ingested")?,
+            frames_sent: get("transport.frames_sent")?,
+            wal_entries: get("wal.entries")?,
             samples,
         })
     }
@@ -413,6 +417,7 @@ mod tests {
         reg.gauge("node.tip_round").set(tip);
         reg.gauge("node.tip_hash64").set(hash);
         reg.gauge("monitor.violations").set(violations);
+        reg.gauge("node.alerts").set(0);
         reg.gauge("trace.dropped").set(0);
         reg.counter("transport.send_drops").add(2);
         reg.gauge(&labeled(
@@ -435,6 +440,48 @@ mod tests {
         assert_eq!(h.queue_pressure, 7, "2 drops + depth 5");
         assert_eq!(h.pipeline_ingested, 100);
         assert_eq!(h.wal_entries, 3);
+    }
+
+    #[test]
+    fn absent_gauge_is_an_error_not_a_zero() {
+        let without = |prefix: &str| -> String {
+            exposition(7, 0x1234, 0)
+                .lines()
+                .filter(|l| !l.starts_with(prefix))
+                .map(|l| format!("{l}\n"))
+                .collect()
+        };
+        let sick = without("monitor.violations");
+        let err = NodeHealth::from_exposition("n0", &sick).unwrap_err();
+        assert_eq!(err, "missing sample monitor.violations");
+        // No labelled per-peer depth is fine: an idle node has no peers.
+        let h = NodeHealth::from_exposition("n0", &without("transport.send_queue_depth")).unwrap();
+        assert_eq!(h.queue_pressure, 2, "drops only");
+        // A live node's scrape carries every sample the digest reads.
+        let live = include_str!("../../../results/cluster_metrics.txt");
+        let h = NodeHealth::from_exposition("live", live).unwrap();
+        assert_eq!(h.verdict(), "clean");
+
+        // Scraped over the wire, the sick node is filed under
+        // `unreachable` (which `cluster_health` exits 1 on), not rendered
+        // as `verdict=clean`.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            frame::read_frame(&mut BufReader::new(conn.try_clone().unwrap())).unwrap();
+            let mut resp = vec![frame::TEL_METRICS_RESP];
+            resp.extend_from_slice(sick.as_bytes());
+            conn.write_all(&frame::encode_frame(frame::TELEMETRY, &resp).unwrap())
+                .unwrap();
+        });
+        let health = ClusterHealth::collect(std::slice::from_ref(&addr), Duration::from_secs(5));
+        server.join().unwrap();
+        assert!(health.nodes.is_empty());
+        assert_eq!(
+            health.unreachable,
+            vec![(addr, "missing sample monitor.violations".to_string())]
+        );
     }
 
     #[test]

@@ -28,8 +28,12 @@ cargo test --release -q -p algorand-crypto
 echo "== benchmark package: fmt, clippy, tests against this workspace's API =="
 bash benchmark/check.sh
 
-echo "== txpool smoke simulation =="
-cargo run --release -p algorand-bench --bin txpool_smoke
+echo "== figure tables: the bins that take < 30 s each reprint results/<bin>.txt byte for byte =="
+for b in fig3_committee_size fig4_params fig6_latency_largescale fig8_malicious \
+         costs ba_steps timeout_validation ablation_common_coin \
+         ablation_reduction ablation_extra_votes ablation_priority_gossip; do
+    cargo run --release -q -p algorand-bench --bin "$b" | diff "results/$b.txt" -
+done
 
 echo "== chaos suite (fixed seeds) =="
 cargo test --release -q -p algorand-sim --test chaos
@@ -57,9 +61,6 @@ cargo run --release -p algorand-bench --bin telemetry_smoke
 echo "== cluster trace: merged artifact re-checks offline =="
 cargo run --release -p algorand-bench --bin critical_path -- --trace results/cluster_trace.jsonl --check
 
-echo "== engine: 1000-node scale smoke =="
-cargo run --release -p algorand-bench --bin scale_smoke
-
 echo "== epidemic model vs real engine (100-1000 users) =="
 cargo run --release -p algorand-bench --bin epidemic_vs_des
 
@@ -68,5 +69,8 @@ cargo run --release -p algorand-bench --bin fuzz_campaign -- --budget 1000 --see
 
 echo "== fuzz corpus replay + shrinker property test =="
 cargo test --release -q -p algorand-sim --test corpus --test fuzz -- --include-ignored
+
+echo "== engine: 1000-node scale smoke (the slowest gate, so it runs last) =="
+cargo run --release -p algorand-bench --bin scale_smoke
 
 echo "== CI OK =="
