@@ -5,11 +5,24 @@
 //! membership and vote multiplicity), the hash of the previous block
 //! (binding the vote to a chain context), the value voted for, and a
 //! signature over all of it.
+//!
+//! A [`VoteMessage`] is a handle on one immutable, shared [`VoteBody`]: a
+//! clone is a reference-count bump, and the body remembers its content id
+//! once asked, so a vote is hashed at most once per body however many
+//! nodes, caches and tallies look at it. The memo is sound because the
+//! body cannot change under it: there is no `DerefMut` and no setter, and
+//! a vote with any field altered is a *new* body
+//! ([`VoteMessage::from_parts`]). The body does **not** remember a
+//! verification verdict: unlike a payment's signature, whether a vote
+//! counts depends on the `(seed, weights, τ)` it is checked against
+//! ([`crate::verify::VoteContext`]), which is not the vote's to know.
 
 use algorand_crypto::codec::{DecodeError, Reader, WriteExt};
 use algorand_crypto::sig::{self, Signature};
 use algorand_crypto::vrf::{VrfOutput, VrfProof, VRF_PROOF_LEN};
 use algorand_crypto::{sha256_concat, Keypair, PublicKey};
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// A 32-byte block-hash value voted on by BA⋆.
 pub type Value = [u8; 32];
@@ -61,9 +74,10 @@ impl StepKind {
     }
 }
 
-/// A signed committee vote (the message gossiped by Algorithm 4).
-#[derive(Clone, Debug)]
-pub struct VoteMessage {
+/// The fields of a signed committee vote, read through [`VoteMessage`]'s
+/// `Deref`.
+#[derive(Debug)]
+pub struct VoteBody {
     /// The voter's public key.
     pub sender: PublicKey,
     /// The Algorand round this vote belongs to.
@@ -80,7 +94,29 @@ pub struct VoteMessage {
     pub value: Value,
     /// Signature over the digest of all fields above.
     pub sig: Signature,
+    /// `sha256` of the canonical encoding, once asked for.
+    id: OnceLock<[u8; 32]>,
 }
+
+/// A signed committee vote (the message gossiped by Algorithm 4): a
+/// cheaply clonable handle on an immutable [`VoteBody`].
+#[derive(Clone, Debug)]
+pub struct VoteMessage(Arc<VoteBody>);
+
+impl Deref for VoteMessage {
+    type Target = VoteBody;
+
+    fn deref(&self) -> &VoteBody {
+        &self.0
+    }
+}
+
+/// A body is read by several simulator workers at once; losing `Sync`
+/// (e.g. by memoizing in a `Cell`) fails right here.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<VoteMessage>();
+};
 
 impl VoteMessage {
     /// The digest that the sender signs.
@@ -116,8 +152,28 @@ impl VoteMessage {
     ) -> VoteMessage {
         let digest = Self::signing_digest(round, step, &sorthash, &sort_proof, &prev_hash, &value);
         let sig = sig::sign(keypair, &digest);
-        VoteMessage {
-            sender: keypair.pk,
+        Self::from_parts(
+            keypair.pk, round, step, sorthash, sort_proof, prev_hash, value, sig,
+        )
+    }
+
+    /// A vote with exactly these fields and nothing remembered about it.
+    /// This is the only way to obtain a vote that differs from an existing
+    /// one in any field, which is why a remembered id can never describe
+    /// other bytes than the ones it was hashed from.
+    #[allow(clippy::too_many_arguments)]
+    pub fn from_parts(
+        sender: PublicKey,
+        round: u64,
+        step: StepKind,
+        sorthash: VrfOutput,
+        sort_proof: VrfProof,
+        prev_hash: [u8; 32],
+        value: Value,
+        sig: Signature,
+    ) -> VoteMessage {
+        VoteMessage(Arc::new(VoteBody {
+            sender,
             round,
             step,
             sorthash,
@@ -125,7 +181,13 @@ impl VoteMessage {
             prev_hash,
             value,
             sig,
-        }
+            id: OnceLock::new(),
+        }))
+    }
+
+    /// True if both handles share one body (and therefore one id memo).
+    pub fn same_body(&self, other: &VoteMessage) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// Verifies only the signature (not sortition membership).
@@ -142,18 +204,21 @@ impl VoteMessage {
     }
 
     /// A content hash identifying this message (used for dedup and for the
-    /// shared verification cache).
+    /// shared verification cache): `sha256` of the canonical encoding,
+    /// hashed on first call and remembered by the body afterwards.
     pub fn message_id(&self) -> [u8; 32] {
-        sha256_concat(&[
-            self.sender.as_bytes(),
-            &self.round.to_le_bytes(),
-            &self.step.code().to_le_bytes(),
-            &self.sorthash.0,
-            &self.sort_proof.to_bytes(),
-            &self.prev_hash,
-            &self.value,
-            &self.sig.to_bytes(),
-        ])
+        *self.0.id.get_or_init(|| {
+            sha256_concat(&[
+                self.sender.as_bytes(),
+                &self.round.to_le_bytes(),
+                &self.step.code().to_le_bytes(),
+                &self.sorthash.0,
+                &self.sort_proof.to_bytes(),
+                &self.prev_hash,
+                &self.value,
+                &self.sig.to_bytes(),
+            ])
+        })
     }
 
     /// Serialized size in bytes, for bandwidth accounting in the simulator.
@@ -207,16 +272,9 @@ impl VoteMessage {
         let mut sig_bytes = [0u8; 64];
         sig_bytes.copy_from_slice(r.bytes(64)?);
         let sig = Signature::from_bytes(&sig_bytes).map_err(|_| DecodeError::Invalid)?;
-        Ok(VoteMessage {
-            sender,
-            round,
-            step,
-            sorthash,
-            sort_proof,
-            prev_hash,
-            value,
-            sig,
-        })
+        Ok(Self::from_parts(
+            sender, round, step, sorthash, sort_proof, prev_hash, value, sig,
+        ))
     }
 }
 
@@ -269,17 +327,71 @@ mod tests {
         assert!(vote.signature_valid());
     }
 
+    /// The arguments of [`VoteMessage::from_parts`], in order.
+    type Parts = (
+        PublicKey,
+        u64,
+        StepKind,
+        VrfOutput,
+        VrfProof,
+        [u8; 32],
+        Value,
+        Signature,
+    );
+
+    /// A fresh body from `v`'s fields after `edit` has been at them.
+    fn forged(v: &VoteMessage, edit: impl FnOnce(&mut Parts)) -> VoteMessage {
+        let mut p = (
+            v.sender,
+            v.round,
+            v.step,
+            v.sorthash,
+            v.sort_proof,
+            v.prev_hash,
+            v.value,
+            v.sig,
+        );
+        edit(&mut p);
+        VoteMessage::from_parts(p.0, p.1, p.2, p.3, p.4, p.5, p.6, p.7)
+    }
+
     #[test]
-    fn tampered_vote_fails_signature() {
-        let mut vote = sample_vote(2, 5, StepKind::Main(2));
-        vote.value[0] ^= 1;
-        assert!(!vote.signature_valid());
-        let mut vote2 = sample_vote(2, 5, StepKind::Main(2));
-        vote2.round += 1;
-        assert!(!vote2.signature_valid());
-        let mut vote3 = sample_vote(2, 5, StepKind::Main(2));
-        vote3.step = StepKind::Main(3);
-        assert!(!vote3.signature_valid());
+    fn any_changed_field_is_a_new_id_and_a_broken_signature() {
+        let vote = sample_vote(2, 5, StepKind::Main(2));
+        let other = sample_vote(3, 6, StepKind::Main(2));
+        let id = vote.message_id();
+        let rebuilt = forged(&vote, |_| {});
+        assert!(!rebuilt.same_body(&vote));
+        assert_eq!(rebuilt.message_id(), id, "same fields, same id");
+        assert!(rebuilt.signature_valid());
+        let forgeries = [
+            forged(&vote, |p| p.0 = other.sender),
+            forged(&vote, |p| p.1 += 1),
+            forged(&vote, |p| p.2 = StepKind::Main(3)),
+            forged(&vote, |p| p.3 .0[0] ^= 1),
+            forged(&vote, |p| p.4 = other.sort_proof),
+            forged(&vote, |p| p.5[0] ^= 1),
+            forged(&vote, |p| p.6[0] ^= 1),
+            forged(&vote, |p| p.7 = other.sig),
+        ];
+        for (field, f) in forgeries.iter().enumerate() {
+            assert_ne!(f.message_id(), id, "part {field}");
+            assert!(!f.signature_valid(), "part {field}");
+        }
+        assert_eq!(vote.message_id(), id, "the original is untouched");
+        assert!(vote.signature_valid());
+    }
+
+    #[test]
+    fn the_id_is_the_hash_of_the_encoding_and_clones_share_it() {
+        let vote = sample_vote(4, 9, StepKind::Final);
+        let copy = vote.clone();
+        assert!(copy.same_body(&vote));
+        assert_eq!(copy.0.id.get(), None, "signing is not hashing");
+        let id = vote.message_id();
+        assert_eq!(id, algorand_crypto::sha256(&vote.encoded()));
+        assert_eq!(copy.0.id.get(), Some(&id), "the clone sees the hash");
+        assert_eq!(copy.message_id(), id);
     }
 
     #[test]

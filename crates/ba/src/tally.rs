@@ -14,8 +14,8 @@ use std::collections::{HashMap, HashSet};
 pub struct StepTally {
     counts: HashMap<Value, u64>,
     voters: HashSet<[u8; 32]>,
-    /// Retained messages, for certificate assembly (§8.3) and the common
-    /// coin (Algorithm 9).
+    /// Retained messages — handles on the gossiped bodies, not copies —
+    /// for certificate assembly (§8.3) and the common coin (Algorithm 9).
     messages: Vec<(VoteMessage, u64)>,
 }
 

@@ -141,7 +141,8 @@ impl VoteVerifier for RealVerifier {
 ///
 /// Keyed by `(message_id, seed)`. The id commits to every field
 /// including the signature, so a cache hit is exactly as strong as
-/// re-verifying; folding the selection seed into the key makes the
+/// re-verifying, and the vote's body remembers it, so a lookup hashes
+/// nothing; folding the selection seed into the key makes the
 /// entry self-describing about its verification context, so a lookup
 /// under a different seed (a diverged fork, a recovery sub-protocol
 /// epoch, or an over-eager prefetch) misses instead of returning a

@@ -187,18 +187,34 @@ fn vote_signature_binds_fields() {
         let value = rng.gen_range_u64(256) as u8;
         let v = vote(who, round, step, value);
         assert!(v.signature_valid());
-        let mut wrong_round = v.clone();
-        wrong_round.round += 1;
-        assert!(!wrong_round.signature_valid());
-        let mut wrong_step = v.clone();
-        wrong_step.step = StepKind::Main(step + 1);
-        assert!(!wrong_step.signature_valid());
-        let mut wrong_value = v.clone();
-        wrong_value.value[0] ^= 0xff;
-        assert!(!wrong_value.signature_valid());
-        let mut wrong_prev = v.clone();
-        wrong_prev.prev_hash[0] ^= 1;
-        assert!(!wrong_prev.signature_valid());
+        // A vote's fields cannot be assigned to; a forgery is a new body.
+        let forged = |round, step, prev_hash, value| {
+            VoteMessage::from_parts(
+                v.sender,
+                round,
+                step,
+                v.sorthash,
+                v.sort_proof,
+                prev_hash,
+                value,
+                v.sig,
+            )
+        };
+        let flipped = |mut h: [u8; 32]| {
+            h[0] ^= 0xff;
+            h
+        };
+        let same = forged(v.round, v.step, v.prev_hash, v.value);
+        assert!(same.signature_valid() && same.message_id() == v.message_id());
+        for wrong in [
+            forged(v.round + 1, v.step, v.prev_hash, v.value),
+            forged(v.round, StepKind::Main(step + 1), v.prev_hash, v.value),
+            forged(v.round, v.step, v.prev_hash, flipped(v.value)),
+            forged(v.round, v.step, flipped(v.prev_hash), v.value),
+        ] {
+            assert!(!wrong.signature_valid());
+            assert_ne!(wrong.message_id(), v.message_id());
+        }
     }
 }
 

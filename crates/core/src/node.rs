@@ -898,12 +898,14 @@ impl Node {
             self.ctx.weights(),
             self.params.tau_proposer,
         );
-        self.tracer
-            .span(SpanKind::Verify, self.trace_node, p.round, _now)
-            .label("priority")
-            .id(stable_id(&p.message_id()))
-            .ok(verdict.is_some())
-            .instant();
+        if self.tracer.is_enabled() {
+            self.tracer
+                .span(SpanKind::Verify, self.trace_node, p.round, _now)
+                .label("priority")
+                .id(stable_id(&p.message_id()))
+                .ok(verdict.is_some())
+                .instant();
+        }
         let Some(vp) = verdict else {
             self.pipeline.rejected_verify += 1;
             return;
@@ -986,13 +988,13 @@ impl Node {
                     {
                         let ctx = engine.vote_context(v.step);
                         let verdict = self.verifier.verify_vote(v, &ctx, engine.weights());
-                        self.tracer
-                            .span(SpanKind::Verify, self.trace_node, v.round, now)
-                            .step(v.step.code())
-                            .label("vote")
-                            .id(stable_id(&v.message_id()))
-                            .ok(verdict.is_some())
-                            .instant();
+                        trace_vote_verdict(
+                            &self.tracer,
+                            self.trace_node,
+                            v,
+                            now,
+                            verdict.is_some(),
+                        );
                         match verdict {
                             Some(vv) => {
                                 self.pipeline.verified += 1;
@@ -1016,13 +1018,13 @@ impl Node {
                     let outputs = if !engine.is_finished() && v.prev_hash == engine.prev_hash() {
                         let ctx = engine.vote_context(v.step);
                         let verdict = self.verifier.verify_vote(v, &ctx, engine.weights());
-                        self.tracer
-                            .span(SpanKind::Verify, self.trace_node, v.round, now)
-                            .step(v.step.code())
-                            .label("vote")
-                            .id(stable_id(&v.message_id()))
-                            .ok(verdict.is_some())
-                            .instant();
+                        trace_vote_verdict(
+                            &self.tracer,
+                            self.trace_node,
+                            v,
+                            now,
+                            verdict.is_some(),
+                        );
                         match verdict {
                             Some(vv) => {
                                 self.pipeline.verified += 1;
@@ -1152,13 +1154,7 @@ impl Node {
             }
             let ctx = engine.vote_context(v.step);
             let verdict = self.verifier.verify_vote(&v, &ctx, engine.weights());
-            self.tracer
-                .span(SpanKind::Verify, self.trace_node, v.round, now)
-                .step(v.step.code())
-                .label("vote")
-                .id(stable_id(&v.message_id()))
-                .ok(verdict.is_some())
-                .instant();
+            trace_vote_verdict(&self.tracer, self.trace_node, &v, now, verdict.is_some());
             match verdict {
                 Some(vv) => {
                     self.pipeline.verified += 1;
@@ -1443,12 +1439,14 @@ impl Node {
         let verdict =
             self.verifier
                 .verify_fork_proposal(f, &r.seed, &r.weights, self.params.tau_proposer);
-        self.tracer
-            .span(SpanKind::Verify, self.trace_node, f.block.round, now)
-            .label("fork")
-            .id(stable_id(&f.message_id()))
-            .ok(verdict.is_some())
-            .instant();
+        if self.tracer.is_enabled() {
+            self.tracer
+                .span(SpanKind::Verify, self.trace_node, f.block.round, now)
+                .label("fork")
+                .id(stable_id(&f.message_id()))
+                .ok(verdict.is_some())
+                .instant();
+        }
         let Some(vf) = verdict else {
             self.pipeline.rejected_verify += 1;
             return;
@@ -1616,5 +1614,20 @@ impl Node {
         // the adopted fork's accounts.
         self.pool.prune(self.chain.accounts());
         self.start_round(now, out);
+    }
+}
+
+/// The verify-stage span for one vote. A free function over the two
+/// tracer fields because its callers hold `&mut` loans of the phase; the
+/// id is only asked for while tracing.
+fn trace_vote_verdict(tracer: &Tracer, node: u32, v: &VoteMessage, now: Micros, ok: bool) {
+    if tracer.is_enabled() {
+        tracer
+            .span(SpanKind::Verify, node, v.round, now)
+            .step(v.step.code())
+            .label("vote")
+            .id(stable_id(&v.message_id()))
+            .ok(ok)
+            .instant();
     }
 }

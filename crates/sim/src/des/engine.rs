@@ -17,8 +17,10 @@
 //! A window runs in three phases:
 //!
 //! 1. **Extract (sequential).** Pop every event below `E` from the
-//!    sharded queue in canonical `(time, class, seq)` order and assign
-//!    each a monotone *order hint* from the engine-global counter.
+//!    calendar queue — whole buckets of virtual time, at most one split
+//!    at `E` — sort the batch into canonical `(time, class, seq)` order
+//!    and assign each a monotone *order hint* from the engine-global
+//!    counter.
 //! 2. **Node phase (parallel).** Work units — one per honest node, plus
 //!    a single unit holding *all* malicious nodes so coalition state is
 //!    mutated in canonical order — are claimed by workers, each unit a
@@ -45,7 +47,7 @@
 //! (`bench/src/bin/chaos_determinism.rs`) enforces exactly that.
 
 use crate::adversary::{AdversaryShared, Outgoing};
-use crate::des::queue::{OrderKey, ShardedQueue, CLASS_DELIVER, CLASS_WAKE};
+use crate::des::queue::{CalendarQueue, OrderKey, CLASS_DELIVER, CLASS_WAKE};
 use crate::event::Micros;
 use crate::faults::{FaultAction, FaultEvent, FaultSchedule};
 use crate::harness::{
@@ -65,7 +67,7 @@ use algorand_obs::{
 };
 use algorand_txpool::PoolMetrics;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 /// Below this many window events the node phase stays on the calling
@@ -173,8 +175,9 @@ struct NodeCell {
     crashed: bool,
     /// Durable state saved at crash, for restart.
     snapshot: Option<Vec<u8>>,
-    /// Window inbox, filled by the sequential extract phase.
-    inbox: Vec<InEvent>,
+    /// Window inbox, filled in key order by the sequential extract phase
+    /// and consumed from the front by the node phase.
+    inbox: VecDeque<InEvent>,
     /// Send intents buffered until the next sequential phase.
     outbox: Vec<Intent>,
     /// Emission counter for intent ordering, monotone per node.
@@ -192,7 +195,7 @@ pub struct Simulation {
     keypairs: Vec<Keypair>,
     topology: Topology,
     net: Network,
-    queue: ShardedQueue<DesEvent>,
+    queue: CalendarQueue<DesEvent>,
     /// Global events (workload injections, scripted faults), processed
     /// sequentially between windows.
     globals: BinaryHeap<Reverse<(Micros, u64, GlobalKind)>>,
@@ -280,7 +283,7 @@ impl Simulation {
                 clock_skew: 0,
                 crashed: false,
                 snapshot: None,
-                inbox: Vec::new(),
+                inbox: VecDeque::new(),
                 outbox: Vec::new(),
                 out_seq: 0,
                 last_hint: 0,
@@ -290,8 +293,7 @@ impl Simulation {
             cells,
             topology: draw_topology(&cfg, cfg.seed),
             net: Network::new(cfg.n_users, cfg.net.clone()),
-            // A few nodes per shard keeps heaps small without fragmenting.
-            queue: ShardedQueue::new((cfg.n_users / 16).clamp(1, 64)),
+            queue: CalendarQueue::default(),
             globals: BinaryHeap::new(),
             faults: Vec::new(),
             next_churn: if cfg.peer_churn_interval > 0 {
@@ -501,7 +503,7 @@ impl Simulation {
             if cell.inbox.is_empty() {
                 touched.push(node);
             }
-            cell.inbox.push(InEvent {
+            cell.inbox.push_back(InEvent {
                 hint,
                 time: key.time,
                 kind,
@@ -576,18 +578,18 @@ impl Simulation {
             kind,
             ..
         } = intent;
-        let peers: Vec<usize> = self.topology.neighbors(from).to_vec();
-        match kind {
-            IntentKind::Forward { msg, exclude } => {
-                for p in peers {
-                    if Some(p) != exclude {
-                        self.transmit(from, p, &msg, time, hint);
+        // By index: `transmit` needs `&mut self`, so the sender's peer list
+        // is re-borrowed from the topology per hop, not held across one.
+        for idx in 0..self.topology.neighbors(from).len() {
+            let p = self.topology.neighbors(from)[idx];
+            match &kind {
+                IntentKind::Forward { msg, exclude } => {
+                    if Some(p) != *exclude {
+                        self.transmit(from, p, msg, time, hint);
                     }
                 }
-            }
-            IntentKind::Split { a, b } => {
-                for (idx, p) in peers.into_iter().enumerate() {
-                    let msg = if idx % 2 == 0 { &a } else { &b };
+                IntentKind::Split { a, b } => {
+                    let msg = if idx % 2 == 0 { a } else { b };
                     self.transmit(from, p, msg, time, hint);
                 }
             }
@@ -616,7 +618,6 @@ impl Simulation {
     fn schedule_delivery(&mut self, to: usize, from: usize, msg: Arc<SimMsg>, at: Micros) {
         let seq = self.next_order();
         self.queue.schedule(
-            to,
             OrderKey {
                 time: at,
                 class: CLASS_DELIVER,
@@ -746,7 +747,7 @@ impl Simulation {
                 class: CLASS_WAKE,
                 tiebreak: n as u64,
             };
-            self.queue.schedule(n, key, DesEvent::Wake);
+            self.queue.schedule(key, DesEvent::Wake);
         }
     }
 
@@ -1183,11 +1184,6 @@ struct UnitCtx<'a> {
 /// key order, including chained wakes that land inside the window. Only
 /// per-node state is touched; sends become buffered intents.
 fn process_unit(unit: &mut [&mut NodeCell], ctx: &UnitCtx) {
-    let inboxes: Vec<Vec<InEvent>> = unit
-        .iter_mut()
-        .map(|g| std::mem::take(&mut g.inbox))
-        .collect();
-    let mut cursor = vec![0usize; unit.len()];
     loop {
         // Pick the smallest (time, class, tiebreak) among every cell's
         // next inbox entry and pending in-window wake; on an exact tie
@@ -1195,7 +1191,7 @@ fn process_unit(unit: &mut [&mut NodeCell], ctx: &UnitCtx) {
         // same wake, seen twice) consume the inbox entry.
         let mut best: Option<((Micros, u8, u64), usize, bool)> = None;
         for (ci, g) in unit.iter().enumerate() {
-            if let Some(e) = inboxes[ci].get(cursor[ci]) {
+            if let Some(e) = g.inbox.front() {
                 let k = (e.time, e.class(), e.tiebreak(g.id));
                 if best.is_none_or(|(bk, _, bl)| k < bk || (k == bk && bl)) {
                     best = Some((k, ci, false));
@@ -1215,18 +1211,12 @@ fn process_unit(unit: &mut [&mut NodeCell], ctx: &UnitCtx) {
             let hint = g.last_hint;
             run_wake(g, t, hint, false);
         } else {
-            let e = &inboxes[ci][cursor[ci]];
-            cursor[ci] += 1;
-            match &e.kind {
+            let e = g.inbox.pop_front().expect("chosen above");
+            match e.kind {
                 DesEvent::Wake => run_wake(g, e.time, e.hint, true),
-                DesEvent::Deliver { from, msg } => run_deliver(g, e.time, e.hint, *from, msg, ctx),
+                DesEvent::Deliver { from, msg } => run_deliver(g, e.time, e.hint, from, &msg, ctx),
             }
         }
-    }
-    // Hand the emptied inboxes back so their allocations are reused.
-    for (g, mut inbox) in unit.iter_mut().zip(inboxes) {
-        inbox.clear();
-        g.inbox = inbox;
     }
 }
 

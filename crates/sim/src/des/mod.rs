@@ -1,12 +1,13 @@
 //! The discrete-event simulation core.
 //!
-//! [`queue`] holds the sharded future-event set with its shard-stable
-//! ordering key; [`engine`] holds the conservative-lookahead window
-//! engine ([`Simulation`]) that may run node phases in parallel while
-//! keeping every result byte-identical to a single-worker run.
+//! [`queue`] holds the future-event set — a calendar of virtual-time
+//! buckets — with its ordering key; [`engine`] holds the
+//! conservative-lookahead window engine ([`Simulation`]) that may run
+//! node phases in parallel while keeping every result byte-identical to a
+//! single-worker run.
 
 pub mod engine;
 pub mod queue;
 
 pub use engine::{DesConfig, ParallelSim, Simulation};
-pub use queue::{OrderKey, ShardedQueue, CLASS_DELIVER, CLASS_WAKE};
+pub use queue::{CalendarQueue, OrderKey, CLASS_DELIVER, CLASS_WAKE};

@@ -1,33 +1,35 @@
-//! Sharded event queues with a shard-count-independent pop order.
+//! The future-event set: a calendar of virtual-time buckets.
 //!
-//! The parallel engine partitions future events across shards (node id
-//! modulo shard count) so that scheduling and window extraction touch
-//! small heaps instead of one global one. Correctness does not depend on
-//! the partition: every event carries an [`OrderKey`] that is globally
-//! unique and assigned only in sequential engine phases, and
-//! [`ShardedQueue::pop_window`] merges the per-shard drains back into
-//! exactly the order a single heap would produce. The property test
-//! below (and `tests/des.rs`) pins that invariant for 1, 2, and 8
-//! shards.
+//! The engine never needs *the* next event, only every event below a
+//! window end, and it sorts that batch anyway. So events are not kept in
+//! order: each is appended to the bucket of its 2,048 µs slice of
+//! virtual time, buckets live in an ordered map (a far-future
+//! timer wake is just a distant key), and [`CalendarQueue::pop_window`]
+//! drains whole buckets, splits at most the one the window end falls in,
+//! and sorts the few hundred extracted events. The order is still total
+//! and still a function of the keys alone: every event carries an
+//! [`OrderKey`] that is globally unique and assigned only in sequential
+//! engine phases, and the extracted batch — exactly the events with
+//! `time < end`, whichever buckets held them — is sorted by it. The
+//! property test below pins the pop sequence and every intermediate
+//! [`CalendarQueue::next_time`] to a reference binary heap's.
 
 use crate::event::Micros;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
 /// Ordering class for deliveries: at the same instant, a message
-/// delivery is processed before a timer wake (a fixed, documented rule —
-/// what matters is that it is independent of shard count).
+/// delivery is processed before a timer wake (a fixed, documented rule).
 pub const CLASS_DELIVER: u8 = 0;
 /// Ordering class for timer wakes.
 pub const CLASS_WAKE: u8 = 1;
 
-/// Canonical, shard-stable ordering key: `(time, class, tiebreak)`.
+/// Canonical ordering key: `(time, class, tiebreak)`.
 ///
 /// Delivery tiebreaks are engine-global sequence numbers handed out in
 /// the sequential barrier phase (sends are serialized there in canonical
 /// order); wake tiebreaks are node ids. Both are independent of how the
-/// queue is sharded and of worker-thread interleaving, so the sorted pop
-/// order is too.
+/// queue stores events and of worker-thread interleaving, so the sorted
+/// pop order is too.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct OrderKey {
     /// Virtual time of the event.
@@ -38,88 +40,57 @@ pub struct OrderKey {
     pub tiebreak: u64,
 }
 
-struct Entry<T> {
-    key: OrderKey,
-    item: T,
+/// log2 of the bucket width: 2,048 µs, on the order of the engine's
+/// 1.5 ms lookahead, so a window drains at most one or two buckets and
+/// splits one. (Measured on `scale`: 1,024 µs costs the ordered map more
+/// per `schedule`, 4,096 µs costs the split more per window.)
+const BUCKET_SHIFT: u32 = 11;
+
+/// A future-event set bucketed by virtual time, with payloads stored
+/// inline. Scheduling is an append; nothing is ordered until it is popped.
+pub struct CalendarQueue<T> {
+    /// The non-empty buckets, by `time >> BUCKET_SHIFT`.
+    buckets: BTreeMap<u64, Vec<(OrderKey, T)>>,
 }
 
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
-/// A future-event set partitioned by node across `n_shards` binary
-/// heaps, with payloads stored inline (no side-table indirection).
-pub struct ShardedQueue<T> {
-    shards: Vec<BinaryHeap<Reverse<Entry<T>>>>,
-    len: usize,
-}
-
-impl<T> ShardedQueue<T> {
-    /// An empty queue over `n_shards` shards (at least 1).
-    pub fn new(n_shards: usize) -> ShardedQueue<T> {
-        let n = n_shards.max(1);
-        ShardedQueue {
-            shards: (0..n).map(|_| BinaryHeap::new()).collect(),
-            len: 0,
+impl<T> Default for CalendarQueue<T> {
+    fn default() -> CalendarQueue<T> {
+        CalendarQueue {
+            buckets: BTreeMap::new(),
         }
     }
+}
 
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
+impl<T> CalendarQueue<T> {
+    /// Schedules an event under `key`.
+    pub fn schedule(&mut self, key: OrderKey, item: T) {
+        let bucket = self.buckets.entry(key.time >> BUCKET_SHIFT).or_default();
+        bucket.push((key, item));
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Schedules an event for `node` under `key`.
-    pub fn schedule(&mut self, node: usize, key: OrderKey, item: T) {
-        let shard = node % self.shards.len();
-        self.shards[shard].push(Reverse(Entry { key, item }));
-        self.len += 1;
-    }
-
-    /// The earliest pending event time across all shards.
+    /// The earliest pending event time, exactly: the engine derives its
+    /// window end from it, so a bucket's lower edge would not do.
     pub fn next_time(&self) -> Option<Micros> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.peek().map(|Reverse(e)| e.key.time))
-            .min()
+        let (_, first) = self.buckets.first_key_value()?;
+        first.iter().map(|(k, _)| k.time).min()
     }
 
-    /// Drains every event with `time < end` from all shards and returns
-    /// them sorted by [`OrderKey`] — the same sequence a single global
-    /// heap would pop, whatever the shard count.
+    /// Removes every event with `time < end` and returns them sorted by
+    /// [`OrderKey`] — the sequence a single global heap would pop.
     pub fn pop_window(&mut self, end: Micros) -> Vec<(OrderKey, T)> {
+        let cut = end >> BUCKET_SHIFT;
         let mut out = Vec::new();
-        for shard in &mut self.shards {
-            while shard.peek().is_some_and(|Reverse(e)| e.key.time < end) {
-                let Reverse(e) = shard.pop().expect("peeked");
-                out.push((e.key, e.item));
+        while let Some(whole) = self.buckets.first_entry().filter(|e| *e.key() < cut) {
+            out.append(&mut whole.remove());
+        }
+        // A window cut short (global event, churn, `t_end`) ends inside
+        // bucket `cut`: take what lies below `end`, leave the rest.
+        if let Some(mut split) = self.buckets.first_entry().filter(|e| *e.key() == cut) {
+            out.extend(split.get_mut().extract_if(.., |(k, _)| k.time < end));
+            if split.get().is_empty() {
+                split.remove();
             }
         }
-        self.len -= out.len();
-        // Each shard drains in key order; a final sort merges the runs.
         // Keys are globally unique, so the order is total.
         out.sort_unstable_by_key(|(k, _)| *k);
         out
@@ -130,77 +101,104 @@ impl<T> ShardedQueue<T> {
 mod tests {
     use super::*;
     use algorand_crypto::rng::Rng;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
-    /// Builds a randomized batch of (node, key) pairs with unique keys,
-    /// mimicking the engine's mix of delivery and wake events.
-    fn random_batch(seed: u64, n: usize) -> Vec<(usize, OrderKey)> {
-        let mut rng = Rng::seed_from_u64(seed);
-        (0..n)
-            .map(|i| {
-                let node = rng.gen_range_usize(97);
-                let time = rng.gen_range_u64(1_000);
-                let class = if rng.gen_range_u64(2) == 0 {
-                    CLASS_DELIVER
-                } else {
-                    CLASS_WAKE
-                };
-                // Unique tiebreak makes the key total, as in the engine
-                // (delivery seqs are globally unique; wakes are deduped
-                // per node before scheduling).
-                (
-                    node,
-                    OrderKey {
-                        time,
-                        class,
-                        tiebreak: i as u64,
-                    },
-                )
-            })
-            .collect()
-    }
+    const BUCKET_MICROS: Micros = 1 << BUCKET_SHIFT;
 
-    fn drain_with_shards(batch: &[(usize, OrderKey)], n_shards: usize) -> Vec<OrderKey> {
-        let mut q = ShardedQueue::new(n_shards);
-        for &(node, key) in batch {
-            q.schedule(node, key, node);
+    /// The obvious future-event set the calendar must be indistinguishable
+    /// from: one binary heap, popped one event at a time.
+    #[derive(Default)]
+    struct Reference(BinaryHeap<Reverse<(OrderKey, u64)>>);
+
+    impl Reference {
+        fn next_time(&self) -> Option<Micros> {
+            self.0.peek().map(|Reverse((k, _))| k.time)
         }
-        let mut out = Vec::new();
-        // Drain in several windows to exercise partial pops too.
-        for end in [250, 500, 750, u64::MAX] {
-            for (k, item) in q.pop_window(end) {
-                assert_eq!(item % n_shards.max(1), k_shard(k, item, n_shards));
-                out.push(k);
+
+        fn pop_window(&mut self, end: Micros) -> Vec<(OrderKey, u64)> {
+            let mut out = Vec::new();
+            while self.next_time().is_some_and(|t| t < end) {
+                out.push(self.0.pop().expect("peeked").0);
             }
+            out
         }
-        assert!(q.is_empty());
-        out
     }
 
-    fn k_shard(_k: OrderKey, node: usize, n_shards: usize) -> usize {
-        node % n_shards.max(1)
+    /// Both queues, fed and drained in lockstep.
+    #[derive(Default)]
+    struct Pair {
+        calendar: CalendarQueue<u64>,
+        reference: Reference,
+        /// Unique per event, as in the engine (delivery seqs are globally
+        /// unique; wakes are deduped per node before scheduling).
+        next_tiebreak: u64,
+    }
+
+    impl Pair {
+        fn schedule(&mut self, time: Micros, class: u8) {
+            let key = OrderKey {
+                time,
+                class,
+                tiebreak: self.next_tiebreak,
+            };
+            self.next_tiebreak += 1;
+            self.calendar.schedule(key, key.tiebreak ^ 0xabcd);
+            self.reference.0.push(Reverse((key, key.tiebreak ^ 0xabcd)));
+            assert_eq!(self.calendar.next_time(), self.reference.next_time());
+        }
+
+        fn pop_window(&mut self, end: Micros) -> usize {
+            let popped = self.calendar.pop_window(end);
+            assert_eq!(popped, self.reference.pop_window(end), "window end {end}");
+            assert_eq!(self.calendar.next_time(), self.reference.next_time());
+            popped.len()
+        }
     }
 
     #[test]
-    fn pop_order_is_identical_across_1_2_and_8_shards() {
+    fn pops_and_next_times_equal_a_reference_heap() {
         for seed in [7u64, 21, 1234, 9_999] {
-            let batch = random_batch(seed, 500);
-            let one = drain_with_shards(&batch, 1);
-            let two = drain_with_shards(&batch, 2);
-            let eight = drain_with_shards(&batch, 8);
-            assert_eq!(one, two, "seed {seed}: 1 vs 2 shards");
-            assert_eq!(one, eight, "seed {seed}: 1 vs 8 shards");
-            // And the merged order is the canonical sorted order.
-            let mut sorted = one.clone();
-            sorted.sort();
-            assert_eq!(one, sorted, "seed {seed}: canonical order");
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut pair = Pair::default();
+            let mut popped = 0;
+            let mut end = 0;
+            for round in 0..60 {
+                // A batch around the frontier: a crowd at one instant,
+                // near-future deliveries, wakes far beyond one bucket,
+                // and stragglers below the last window end.
+                let crowd = end + rng.gen_range_u64(3 * BUCKET_MICROS);
+                for _ in 0..rng.gen_range_usize(40) {
+                    let class = rng.gen_range_u64(2) as u8;
+                    let time = match rng.gen_range_u64(5) {
+                        0 => crowd,
+                        1 => end + rng.gen_range_u64(BUCKET_MICROS),
+                        2 => end + rng.gen_range_u64(8 * BUCKET_MICROS),
+                        3 => end + rng.gen_range_u64(5_000 * BUCKET_MICROS),
+                        _ => rng.gen_range_u64(end + 1),
+                    };
+                    pair.schedule(time, class);
+                }
+                // Window ends mid-bucket, exactly on a bucket boundary,
+                // and at or before the frontier (an empty window).
+                end = match round % 3 {
+                    0 => end + 1 + rng.gen_range_u64(3 * BUCKET_MICROS),
+                    1 => ((end >> BUCKET_SHIFT) + 1 + rng.gen_range_u64(3)) << BUCKET_SHIFT,
+                    _ => end.saturating_sub(rng.gen_range_u64(BUCKET_MICROS)),
+                };
+                popped += pair.pop_window(end);
+            }
+            pair.schedule(u64::MAX - 1, CLASS_WAKE);
+            popped += pair.pop_window(u64::MAX);
+            assert_eq!(pair.calendar.next_time(), None);
+            assert_eq!(popped as u64, pair.next_tiebreak, "seed {seed}");
         }
     }
 
     #[test]
     fn deliveries_sort_before_wakes_at_the_same_instant() {
-        let mut q = ShardedQueue::new(4);
+        let mut q = CalendarQueue::default();
         q.schedule(
-            3,
             OrderKey {
                 time: 10,
                 class: CLASS_WAKE,
@@ -209,7 +207,6 @@ mod tests {
             "wake",
         );
         q.schedule(
-            5,
             OrderKey {
                 time: 10,
                 class: CLASS_DELIVER,
@@ -225,11 +222,10 @@ mod tests {
     }
 
     #[test]
-    fn next_time_spans_all_shards() {
-        let mut q: ShardedQueue<()> = ShardedQueue::new(3);
+    fn next_time_is_the_minimum_and_the_window_end_is_exclusive() {
+        let mut q: CalendarQueue<()> = CalendarQueue::default();
         assert_eq!(q.next_time(), None);
         q.schedule(
-            0,
             OrderKey {
                 time: 50,
                 class: CLASS_DELIVER,
@@ -238,7 +234,6 @@ mod tests {
             (),
         );
         q.schedule(
-            2,
             OrderKey {
                 time: 20,
                 class: CLASS_WAKE,

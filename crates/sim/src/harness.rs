@@ -2,7 +2,7 @@
 //! in-flight messages, the open-loop workload, carried counters, and the
 //! aggregate reports.
 //!
-//! [`crate::des::Simulation`] owns the schedule (sharded queues,
+//! [`crate::des::Simulation`] owns the schedule (calendar queue,
 //! lookahead windows); everything here is what it schedules and how a
 //! finished run is summarized.
 

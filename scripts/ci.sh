@@ -30,7 +30,7 @@ bash benchmark/check.sh
 
 echo "== figure tables: the bins that take < 30 s each reprint results/<bin>.txt byte for byte =="
 for b in fig3_committee_size fig4_params fig6_latency_largescale fig8_malicious \
-         costs ba_steps timeout_validation ablation_common_coin \
+         tput_throughput costs ba_steps timeout_validation ablation_common_coin \
          ablation_reduction ablation_extra_votes ablation_priority_gossip; do
     cargo run --release -q -p algorand-bench --bin "$b" | diff "results/$b.txt" -
 done

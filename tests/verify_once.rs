@@ -6,6 +6,11 @@
 //! simulator one body travels from the injector through every pool, the
 //! proposal and all N chains: one check. A real node decodes the gossiped
 //! copy and, later, the block's copy: two.
+//!
+//! A vote's body is shared the same way — it remembers its id, though not
+//! a verdict (that depends on the context it is checked in) — so the
+//! simulator holds one body per vote however many tallies, certificates
+//! and chains keep it.
 
 use algorand::crypto::codec::Reader;
 use algorand::crypto::Keypair;
@@ -13,6 +18,7 @@ use algorand::ledger::seed::propose_seed;
 use algorand::ledger::{Block, Blockchain, ChainParams, Transaction};
 use algorand::sim::{SimConfig, Simulation};
 use algorand::txpool::TxPool;
+use std::collections::hash_map::{Entry, HashMap};
 
 const T_CAP: u64 = 30 * 60 * 1_000_000;
 
@@ -47,6 +53,42 @@ fn a_simulated_payment_is_checked_once_for_the_whole_process() {
         }
     }
     assert_eq!(committed, 12);
+}
+
+#[test]
+fn a_simulated_vote_is_one_body_in_every_chain() {
+    let n = 10;
+    let mut cfg = SimConfig::new(n);
+    cfg.stake_per_user = 50;
+    cfg.seed = 19;
+    let mut sim = Simulation::new(cfg);
+    sim.run_rounds(1, T_CAP);
+
+    // Each node assembled its round-1 certificate from its own tally, fed
+    // by its own deliveries; a vote two of them both picked must still be
+    // the body the voter signed, not per-node copies of it.
+    let mut first_holder = HashMap::new();
+    let mut shared = 0;
+    for node in 0..n {
+        let chain = sim.honest_node(node).chain();
+        let cert = chain.certificate_at(1).expect("round 1 certified");
+        for v in &cert.votes {
+            match first_holder.entry(v.message_id()) {
+                Entry::Vacant(e) => {
+                    e.insert(v);
+                }
+                Entry::Occupied(e) => {
+                    assert!(
+                        e.get().same_body(v),
+                        "node {node} holds its own copy of a vote: a second body \
+                         is a second hash of it, and 464 bytes per holder"
+                    );
+                    shared += 1;
+                }
+            }
+        }
+    }
+    assert!(shared > 0, "no two certificates share a vote");
 }
 
 #[test]
