@@ -23,6 +23,8 @@
 //! This crate is ledger-independent: it agrees on opaque 32-byte values,
 //! with user weights supplied as a [`RoundWeights`] snapshot.
 
+#![forbid(unsafe_code)]
+
 pub mod certificate;
 pub mod engine;
 pub mod msg;

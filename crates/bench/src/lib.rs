@@ -17,6 +17,8 @@
 //! ledger). `benches/crypto_micro` times only the primitives the ledger
 //! has no name for. `results/README.md` has the regeneration loop.
 
+#![forbid(unsafe_code)]
+
 pub mod ablation;
 pub mod timing;
 

@@ -26,6 +26,8 @@
 //! clock ticks, so the same code runs under the discrete-event simulator,
 //! the integration tests, and (in principle) a real gossip transport.
 
+#![forbid(unsafe_code)]
+
 pub mod emit;
 pub mod ingest;
 pub mod metrics;

@@ -22,6 +22,8 @@
 //! assert_eq!(vrf::verify(&keypair.pk, b"seed||role", &proof).unwrap(), output);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod edwards;
 pub mod error;

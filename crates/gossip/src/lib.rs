@@ -8,6 +8,8 @@
 //! relay policy — which the discrete-event simulator (and, in a real
 //! deployment, a TCP runtime) drives.
 
+#![forbid(unsafe_code)]
+
 pub mod relay;
 pub mod topology;
 

@@ -24,6 +24,8 @@
 //! assert_eq!(chain.next_round(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod account;
 pub mod block;
 pub mod chain;

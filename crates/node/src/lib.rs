@@ -47,6 +47,8 @@
 //! emphasizes: the consensus core never learns whether its driver is a
 //! simulator or a socket.
 
+#![forbid(unsafe_code)]
+
 pub mod blocksync;
 pub mod config;
 pub mod crash;

@@ -45,6 +45,8 @@
 //! cannot change simulation behavior — the trace-determinism CI gate
 //! asserts exactly that.
 
+#![forbid(unsafe_code)]
+
 pub mod causal;
 pub mod expose;
 pub mod flight;

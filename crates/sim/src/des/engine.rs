@@ -565,6 +565,9 @@ impl Simulation {
         }
         for &n in &touched {
             self.arm_wake(n);
+            // Relay decisions are counted per cell during the node phase;
+            // the shared registry hears of them here, once per window.
+            self.cells[n].relay.flush_metrics();
         }
         self.flush_traces();
     }
@@ -725,6 +728,7 @@ impl Simulation {
     ) {
         let cell = &mut self.cells[from];
         buffer_outgoing(cell, hint, now, outgoing);
+        cell.relay.flush_metrics();
         for intent in std::mem::take(&mut cell.outbox) {
             self.replay(intent);
         }
@@ -891,6 +895,8 @@ impl Simulation {
         node.pool
             .set_metrics(PoolMetrics::registered(&self.registry));
         cell.slot = Slot::Honest(Box::new(node));
+        // The dying relay's last counts go to the registry with it.
+        cell.relay.flush_metrics();
         cell.relay = RelayState::with_metrics(RelayMetrics::registered(&self.registry));
         cell.crashed = false;
         cell.tracer.set_order_hint(hint);
@@ -1006,9 +1012,10 @@ impl Simulation {
         ))
     }
 
-    /// The process-wide metrics registry (gossip relay and mempool
-    /// counters tick into it live; [`Simulation::publish_metrics`] folds
-    /// in the per-run aggregates).
+    /// The process-wide metrics registry. Mempool counters tick into it
+    /// live and gossip relay counters at every window barrier, so both
+    /// are current whenever a caller holds the simulation;
+    /// [`Simulation::publish_metrics`] folds in the per-run aggregates.
     pub fn registry(&self) -> &Registry {
         &self.registry
     }

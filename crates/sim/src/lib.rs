@@ -9,6 +9,8 @@
 //! equivocation adversary are built in; for 500,000-user scales an
 //! analytic epidemic model mirrors the paper's own shortcuts.
 
+#![forbid(unsafe_code)]
+
 pub mod adversary;
 pub mod des;
 pub mod epidemic;

@@ -24,8 +24,22 @@ fn des(sim: SimConfig, workers: usize) -> ParallelSim {
     })
 }
 
+/// The registry's relay counters as a caller reads them straight after a
+/// run, with no `publish_metrics` in between. Cells count privately in
+/// the node phase and the engine adds the counts up at barriers, so the
+/// totals must not depend on which thread ran which cell — or be lost
+/// with a relay that a restart replaces.
+fn relay_counts(sim: &ParallelSim) -> [u64; 3] {
+    [
+        "gossip.relayed",
+        "gossip.duplicates",
+        "gossip.equivocations",
+    ]
+    .map(|name| sim.registry().counter(name).get())
+}
+
 /// One full traced chaos run; returns everything the gate compares.
-fn chaos_run(workers: usize) -> ([u8; 32], String, String) {
+fn chaos_run(workers: usize) -> ([u8; 32], String, String, [u64; 3]) {
     let mut cfg = SimConfig::new(12);
     cfg.seed = 33;
     cfg.trace = true;
@@ -40,18 +54,23 @@ fn chaos_run(workers: usize) -> ([u8; 32], String, String) {
     let digest = sim.chain_digest();
     let monitor = format!("{}", sim.monitor_report().expect("monitor attached"));
     let trace = sim.export_trace("des-chaos");
-    (digest, monitor, trace)
+    (digest, monitor, trace, relay_counts(&sim))
 }
 
 #[test]
 fn chaos_results_are_identical_across_worker_counts() {
-    let (d1, m1, t1) = chaos_run(1);
+    let (d1, m1, t1, r1) = chaos_run(1);
     for workers in [2, 4] {
-        let (d, m, t) = chaos_run(workers);
+        let (d, m, t, r) = chaos_run(workers);
         assert_eq!(d1, d, "chain digest diverged at {workers} workers");
         assert_eq!(m1, m, "monitor verdict diverged at {workers} workers");
         assert_eq!(t1, t, "trace diverged at {workers} workers");
+        assert_eq!(r1, r, "relay counters diverged at {workers} workers");
     }
+    assert!(
+        r1[0] > 0 && r1[1] > r1[0],
+        "relay counters never reached the registry: {r1:?}"
+    );
     // The run must have done real work: some rounds finalized.
     assert!(t1.contains("round"), "trace is empty");
 }
@@ -103,7 +122,7 @@ fn payment_run(workers: usize) -> ([u8; 32], String, String) {
         );
     }
     let digest = sim.chain_digest();
-    let stats = format!("{:?}", sim.tx_stats());
+    let stats = format!("{:?} relay {:?}", sim.tx_stats(), relay_counts(&sim));
     let trace = sim.export_trace("des-payment");
     (digest, stats, trace)
 }
@@ -121,11 +140,12 @@ fn payment_workload_is_identical_across_worker_counts() {
 
 #[test]
 fn same_seed_same_run_is_reproducible() {
-    let (d1, m1, t1) = chaos_run(2);
-    let (d2, m2, t2) = chaos_run(2);
+    let (d1, m1, t1, r1) = chaos_run(2);
+    let (d2, m2, t2, r2) = chaos_run(2);
     assert_eq!(d1, d2);
     assert_eq!(m1, m2);
     assert_eq!(t1, t2);
+    assert_eq!(r1, r2);
 }
 
 /// Satellite: the per-node trace retention budget caps memory with

@@ -31,6 +31,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod binomial;
 pub mod committee;
 

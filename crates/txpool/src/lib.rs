@@ -18,6 +18,8 @@
 //! the cryptocurrency itself", §2). Ties break on the transaction hash so
 //! every node evicts identically.
 
+#![forbid(unsafe_code)]
+
 use algorand_ledger::{Accounts, Transaction};
 use algorand_obs::{Counter, Registry};
 use std::collections::{BTreeMap, HashMap, HashSet};

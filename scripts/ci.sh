@@ -25,6 +25,9 @@ cargo test --workspace -q
 echo "== crypto tests, release build (limb arithmetic wraps silently there and debug_assert! is compiled out) =="
 cargo test --release -q -p algorand-crypto
 
+echo "== relay dedup: fingerprint tables vs the exact sets they replaced, release build (the arithmetic the simulator runs) =="
+cargo test --release -q -p algorand-gossip --test relay_differential
+
 echo "== benchmark package: fmt, clippy, tests against this workspace's API =="
 bash benchmark/check.sh
 

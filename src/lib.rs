@@ -30,6 +30,8 @@
 //! assert!(stats.completion.max < 60.0, "sub-minute confirmation");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use algorand_ba as ba;
 pub use algorand_core as core;
 pub use algorand_crypto as crypto;
