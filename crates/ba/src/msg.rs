@@ -401,11 +401,16 @@ mod tests {
             let vote = sample_vote(5, 42, step);
             let bytes = vote.encoded();
             assert_eq!(bytes.len(), VoteMessage::WIRE_SIZE);
-            let mut r = Reader::new(&bytes);
-            let back = VoteMessage::decode(&mut r).unwrap();
-            r.finish().unwrap();
-            assert_eq!(back.message_id(), vote.message_id());
-            assert!(back.signature_valid());
+            // Twice: the sender's key is parsed cold at most once per
+            // process, and a decode that finds it proven must agree.
+            for pass in ["cold", "warm"] {
+                let mut r = Reader::new(&bytes);
+                let back = VoteMessage::decode(&mut r).unwrap();
+                r.finish().unwrap();
+                assert_eq!(back.message_id(), vote.message_id(), "{pass}");
+                assert_eq!(back.encoded(), bytes, "{pass}");
+                assert!(back.signature_valid(), "{pass}");
+            }
         }
     }
 
@@ -421,10 +426,12 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[0] ^= 0xff; // Sender key no longer decompresses (usually).
         let mut r = Reader::new(&corrupt);
-        // Either the key fails to parse or the signature is now invalid.
-        if let Ok(v) = VoteMessage::decode(&mut r) {
-            assert!(!v.signature_valid());
-        }
+        // Either the key fails to parse or the signature is now invalid,
+        // and a second decode says the same.
+        let first = VoteMessage::decode(&mut r).map(|v| v.signature_valid());
+        assert_ne!(first, Ok(true));
+        let again = VoteMessage::decode(&mut Reader::new(&corrupt)).map(|v| v.signature_valid());
+        assert_eq!(again, first);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use algorand_bench::timing::bench;
 use algorand_crypto::edwards::EdwardsPoint;
 use algorand_crypto::field::FieldElement;
 use algorand_crypto::scalar::Scalar;
-use algorand_crypto::{sha256, Keypair, PublicKey};
+use algorand_crypto::{sha256, sig, Keypair, PublicKey};
 use algorand_sortition::{select, Role, SortitionParams};
 use std::hint::black_box;
 
@@ -61,8 +61,31 @@ fn bench_curve() {
     bench("point/is_torsion_free", || {
         black_box(black_box(&p).is_torsion_free());
     });
-    let encoded = p.compress();
+    // `from_bytes` remembers the keys it has proven, so the cold row walks
+    // a ring of distinct valid keys twice the table's capacity: by the
+    // time one comes round again, two rotations have dropped it.
+    let b = EdwardsPoint::basepoint();
+    let mut next = p;
+    let ring: Vec<[u8; 32]> = (0..2 * sig::KEY_TABLE_CAPACITY)
+        .map(|_| {
+            next = next.add(&b);
+            next.compress()
+        })
+        .collect();
+    let mut calls = 0usize;
+    let before = sig::key_table_stats();
     bench("point/public_key_from_bytes", || {
+        let _ = black_box(PublicKey::from_bytes(black_box(&ring[calls % ring.len()])));
+        calls += 1;
+    });
+    let after = sig::key_table_stats();
+    assert_eq!(
+        (after.checks - before.checks, after.hits),
+        (calls as u64, before.hits),
+        "every parse of the cold row must be a full check"
+    );
+    let encoded = p.compress();
+    bench("point/public_key_from_bytes_warm", || {
         let _ = black_box(PublicKey::from_bytes(black_box(&encoded)));
     });
     let mut wide = [0u8; 64];

@@ -15,7 +15,9 @@
 //! 3. **Live telemetry** — mid-run, every process answers a TELEMETRY
 //!    scrape on its peer port: the merged cluster health report (written
 //!    to `results/cluster_health.txt`) must show five clean in-process
-//!    monitor verdicts and non-zero transport/WAL/pipeline counters.
+//!    monitor verdicts and non-zero transport/WAL/pipeline counters,
+//!    and no process may have run more full public-key checks than the
+//!    deployment has distinct keys.
 //!    And the asymmetry that makes `crash.jsonl` trustworthy: `kill -9`
 //!    leaves no dump (only a panic writes one).
 //! 4. **Cluster trace plane** — mid-run, the sibling `trace_collect`
@@ -31,7 +33,7 @@
 //! gate on it. Configuration is compiled in (it *is* the test).
 
 use algorand_node::config::{derive_keypairs, workload_transactions};
-use algorand_node::telemetry::{scrape_metrics, ClusterHealth};
+use algorand_node::telemetry::{scrape_metrics, ClusterHealth, NodeHealth};
 use algorand_node::NodeConfig;
 use algorand_obs::merge::parse_merged;
 use algorand_obs::{critical_paths, NO_NODE};
@@ -92,6 +94,7 @@ fn main() {
     );
     let report = health.render();
     println!("{report}");
+    let distinct_keys = distinct_keys();
     std::fs::create_dir_all("results").expect("create results dir");
     std::fs::write("results/cluster_health.txt", &report).expect("write cluster_health.txt");
     assert!(
@@ -110,6 +113,15 @@ fn main() {
         assert!(n.pipeline_ingested > 0, "{}: pipeline idle", n.addr);
         assert!(n.frames_sent > 0, "{}: transport idle", n.addr);
         assert!(n.wal_entries > 0, "{}: WAL idle", n.addr);
+        // A key is proven once per process, however many votes, proposals
+        // and payments carry it; every later parse is a table hit.
+        let (checks, hits) = (sample(n, "node.key_checks"), sample(n, "node.key_hits"));
+        assert!(
+            checks <= distinct_keys,
+            "{}: {checks} full key checks for {distinct_keys} distinct keys",
+            n.addr
+        );
+        assert!(hits > 0, "{}: no key parse was a table hit", n.addr);
     }
     assert!(
         health.digests_agree(),
@@ -298,6 +310,33 @@ fn simulator_digest(cfg: &NodeConfig) -> String {
         .digest_through(TARGET_A)
         .expect("simulator reached the target round");
     hex(&digest)
+}
+
+/// How many different public keys the deployment's traffic can carry:
+/// the users' and the preloaded payments' recipients'.
+fn distinct_keys() -> i64 {
+    let keypairs = derive_keypairs(SEED, N);
+    let txs = workload_transactions(SEED, &keypairs, STAKE, TX_COUNT);
+    let keys: BTreeSet<[u8; 32]> = keypairs
+        .iter()
+        .map(|kp| kp.pk.to_bytes())
+        .chain(
+            txs.iter()
+                .flat_map(|tx| [tx.from.to_bytes(), tx.to.to_bytes()]),
+        )
+        .collect();
+    keys.len() as i64
+}
+
+/// An unlabelled sample of a scraped node; its absence fails the gate.
+fn sample(node: &NodeHealth, name: &str) -> i64 {
+    node.samples
+        .iter()
+        .find(|s| s.name == name && s.labels.is_empty())
+        .map_or_else(
+            || panic!("{}: no sample {name}", node.addr),
+            |s| s.value as i64,
+        )
 }
 
 /// One config per node: a star of static peers around node 0, the rest

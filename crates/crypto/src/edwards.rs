@@ -38,8 +38,11 @@
 //!   table of odd multiples wherever a digit is set. The eight odd
 //!   multiples of a variable point are rebuilt per call (about 1 µs);
 //!   the 64 odd multiples of B (10 KB) are built once per process.
-//!   Nothing is cached per key: a `PublicKey` is `Copy` and sits in
-//!   every vote and payment.
+//!   No table of multiples is kept per key: a `PublicKey` is `Copy` and
+//!   sits in every vote and payment. What is remembered per key is one
+//!   level up, in `sig`: which encodings have already passed
+//!   decompression and `is_torsion_free`, so a key is proven once per
+//!   process and not once per frame that carries it.
 
 use crate::field::FieldElement;
 use crate::scalar::{Scalar, ORDER_NAF};

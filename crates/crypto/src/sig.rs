@@ -11,6 +11,9 @@ use crate::edwards::EdwardsPoint;
 use crate::error::CryptoError;
 use crate::scalar::Scalar;
 use crate::sha256::{sha256_concat, Sha256};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{LazyLock, PoisonError, RwLock};
 
 /// Domain-separation tags. Distinct tags guarantee hashes used as secret
 /// scalars, nonces, and challenges can never collide across contexts.
@@ -78,10 +81,84 @@ impl SecretKey {
     }
 }
 
+/// Most keys the process remembers as proven valid (see [`KeyTable`]).
+pub const KEY_TABLE_CAPACITY: usize = 8192;
+
+/// The encodings [`PublicKey::from_bytes`] has already proven valid, each
+/// with its decompressed point.
+///
+/// Whether 32 bytes name a key is a pure function of those bytes, and a
+/// node parses the same few keys out of every vote, proposal and payment
+/// it is sent, so the square root and the ℓ·P subgroup check are paid
+/// once per key, not once per frame. Only successes are kept: a rejected
+/// encoding is checked in full every time it is offered, exactly as if
+/// the table were not there.
+///
+/// Two generations bound it, as in `gossip::relay`: a key is recorded in
+/// `current`; when that holds half of [`KEY_TABLE_CAPACITY`] it becomes
+/// `old` and the previous `old` is dropped. A flood of fresh valid keys
+/// therefore costs what it cost before the table existed and can push
+/// honest keys out — they are then checked again — but cannot grow it.
+/// A hit does not refresh an entry, so hits never take the write lock; a
+/// key in constant use is re-proven once per two rotations.
+///
+/// Every entry is a proven fact on its own, so a panic elsewhere cannot
+/// leave the table wrong, only smaller: a poisoned lock is still used.
+#[derive(Default)]
+struct KeyTable {
+    current: HashMap<[u8; 32], EdwardsPoint>,
+    old: HashMap<[u8; 32], EdwardsPoint>,
+}
+
+static KEY_TABLE: LazyLock<RwLock<KeyTable>> = LazyLock::new(RwLock::default);
+static KEY_CHECKS: AtomicU64 = AtomicU64::new(0);
+static KEY_HITS: AtomicU64 = AtomicU64::new(0);
+
+fn proven_point(bytes: &[u8; 32]) -> Option<EdwardsPoint> {
+    let table = KEY_TABLE.read().unwrap_or_else(PoisonError::into_inner);
+    table
+        .current
+        .get(bytes)
+        .or_else(|| table.old.get(bytes))
+        .copied()
+}
+
+fn record_proven(bytes: &[u8; 32], point: EdwardsPoint) {
+    let mut table = KEY_TABLE.write().unwrap_or_else(PoisonError::into_inner);
+    if table.current.len() >= KEY_TABLE_CAPACITY / 2 {
+        table.old = std::mem::take(&mut table.current);
+    }
+    table.current.insert(*bytes, point);
+}
+
+/// What the table of proven keys has done for this process.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct KeyTableStats {
+    /// Encodings checked in full: every parse that was not a hit,
+    /// whatever its verdict.
+    pub checks: u64,
+    /// Parses answered from the table.
+    pub hits: u64,
+    /// Keys held now, at most [`KEY_TABLE_CAPACITY`].
+    pub keys: usize,
+}
+
+/// Process-wide counts of [`PublicKey::from_bytes`] outcomes.
+pub fn key_table_stats() -> KeyTableStats {
+    let table = KEY_TABLE.read().unwrap_or_else(PoisonError::into_inner);
+    KeyTableStats {
+        checks: KEY_CHECKS.load(Ordering::Relaxed),
+        hits: KEY_HITS.load(Ordering::Relaxed),
+        keys: table.current.len() + table.old.len(),
+    }
+}
+
 /// A public verification key: a compressed point plus its decompression.
 ///
-/// The decompressed point is cached because vote verification (ProcessMsg,
-/// Algorithm 6) performs many verifications against the same key.
+/// The decompressed point rides with the key because vote verification
+/// (ProcessMsg, Algorithm 6) performs many verifications against it, and
+/// the process remembers which encodings it has proven valid, so parsing
+/// a key seen before costs a table lookup ([`key_table_stats`]).
 #[derive(Clone, Copy)]
 pub struct PublicKey {
     bytes: [u8; 32],
@@ -89,17 +166,27 @@ pub struct PublicKey {
 }
 
 impl PublicKey {
-    /// Parses a compressed public key, validating the point.
+    /// Parses a compressed public key, validating the point — the only
+    /// way to build a key from bytes.
     ///
     /// # Errors
     ///
     /// Returns [`CryptoError::InvalidPoint`] if the bytes do not name a
     /// point in the prime-order subgroup.
     pub fn from_bytes(bytes: &[u8; 32]) -> Result<PublicKey, CryptoError> {
+        if let Some(point) = proven_point(bytes) {
+            KEY_HITS.fetch_add(1, Ordering::Relaxed);
+            return Ok(PublicKey {
+                bytes: *bytes,
+                point,
+            });
+        }
+        KEY_CHECKS.fetch_add(1, Ordering::Relaxed);
         let point = EdwardsPoint::decompress(bytes).ok_or(CryptoError::InvalidPoint)?;
         if !point.is_torsion_free() || point.is_identity() {
             return Err(CryptoError::InvalidPoint);
         }
+        record_proven(bytes, point);
         Ok(PublicKey {
             bytes: *bytes,
             point,
@@ -116,7 +203,8 @@ impl PublicKey {
         &self.bytes
     }
 
-    pub(crate) fn point(&self) -> &EdwardsPoint {
+    /// The decompressed point.
+    pub fn point(&self) -> &EdwardsPoint {
         &self.point
     }
 }

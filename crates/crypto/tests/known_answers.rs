@@ -489,6 +489,92 @@ fn hostile_verdicts_match_parent() {
     }
 }
 
+// --- The table of proven keys ------------------------------------------------
+//
+// `PublicKey::from_bytes` remembers the encodings it has proven valid,
+// process-wide, and these tests share a process: every verdict below
+// must hold whatever the table holds, and the counts are compared with
+// `>=` because the other tests only ever add to them.
+
+#[test]
+fn hostile_verdicts_do_not_depend_on_what_was_parsed_before() {
+    // The second pass meets the honest and forger keys proven, whatever
+    // the first met; `hostile_verdicts_match_parent` pins the rows.
+    let cold = hostile_verdicts();
+    let warm = hostile_verdicts();
+    assert_eq!(cold, warm);
+}
+
+#[test]
+fn a_rejected_key_is_rejected_every_time() {
+    let honest_key = EdwardsPoint::decompress(honest().0.pk.as_bytes()).expect("honest key");
+    let mixed = SMALL_ORDER[1..].iter().map(|enc| {
+        let torsion = EdwardsPoint::decompress(&unhex(enc)).expect("on curve");
+        honest_key.add(&torsion).compress()
+    });
+    let mut off_curve = [0u8; 32];
+    off_curve[0] = 2; // y = 2 is on no curve point.
+    let hostile: Vec<[u8; 32]> = SMALL_ORDER
+        .iter()
+        .chain(&NON_CANONICAL_Y)
+        .chain(&ZERO_X_NEGATIVE)
+        .map(|enc| unhex(enc))
+        .chain(mixed)
+        .chain([off_curve])
+        .collect();
+    let before = sig::key_table_stats();
+    for enc in &hostile {
+        for parse in 0..3 {
+            assert_eq!(
+                PublicKey::from_bytes(enc).map(|_| ()),
+                Err(CryptoError::InvalidPoint),
+                "{} on parse {parse}",
+                hex(enc)
+            );
+        }
+    }
+    // Each of those parses ran the full check; none was answered from the table.
+    let after = sig::key_table_stats();
+    assert!(after.checks - before.checks >= 3 * hostile.len() as u64);
+}
+
+#[test]
+fn a_proven_key_parses_to_the_same_key() {
+    for (i, row) in KNOWN_ANSWERS.iter().enumerate() {
+        let (keypair, msg) = row_inputs(i);
+        let first = PublicKey::from_bytes(keypair.pk.as_bytes()).expect("valid");
+        // Proven one line up, so this parse is a hit (the flood in the
+        // test below would need 4,096 inserts in between to push it out).
+        let before = sig::key_table_stats();
+        let second = PublicKey::from_bytes(keypair.pk.as_bytes()).expect("valid");
+        assert!(sig::key_table_stats().hits > before.hits, "row {i}");
+        for parsed in [first, second] {
+            assert_eq!(parsed.to_bytes(), keypair.pk.to_bytes(), "row {i}");
+            assert_eq!(parsed.point(), keypair.pk.point(), "row {i}");
+            let signature = Signature::from_bytes(&unhex(row.sig)).expect("s");
+            assert_eq!(sig::verify(&parsed, &msg, &signature), Ok(()));
+        }
+    }
+}
+
+#[test]
+fn the_table_of_proven_keys_is_bounded() {
+    // k·B for k = 1, 2, …: distinct, and valid because B generates the
+    // prime-order subgroup.
+    let b = EdwardsPoint::basepoint();
+    let first = b.compress();
+    let mut p = b;
+    for _ in 0..=sig::KEY_TABLE_CAPACITY {
+        PublicKey::from_bytes(&p.compress()).expect("a multiple of B");
+        assert!(sig::key_table_stats().keys <= sig::KEY_TABLE_CAPACITY);
+        p = p.add(&b);
+    }
+    // Whether or not the flood pushed it out, the first key is the same key.
+    let again = PublicKey::from_bytes(&first).expect("B");
+    assert_eq!(again.to_bytes(), first);
+    assert_eq!(again.point(), &b);
+}
+
 #[test]
 fn small_order_table_is_what_it_says() {
     // Guards the transcription: each row decompresses, eight distinct

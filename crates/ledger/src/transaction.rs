@@ -240,15 +240,20 @@ mod tests {
         let tx = Transaction::payment(&a, b.pk, 123, 7);
         let bytes = tx.encoded();
         assert_eq!(bytes.len(), Transaction::WIRE_SIZE);
-        let mut r = Reader::new(&bytes);
         assert!(tx.signature_valid());
-        let back = Transaction::decode(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back.id(), tx.id());
-        assert_eq!(back.verdict(), None, "the memo is not on the wire");
-        assert!(back.signature_valid());
-        assert_eq!(back.amount, 123);
-        assert_eq!(back.nonce, 7);
+        // Twice: both keys are parsed cold at most once per process, and
+        // a decode that finds them proven must agree.
+        for pass in ["cold", "warm"] {
+            let mut r = Reader::new(&bytes);
+            let back = Transaction::decode(&mut r).unwrap();
+            r.finish().unwrap();
+            assert_eq!(back.id(), tx.id(), "{pass}");
+            assert_eq!(back.encoded(), bytes, "{pass}");
+            assert_eq!(back.verdict(), None, "the memo is not on the wire");
+            assert!(back.signature_valid(), "{pass}");
+            assert_eq!(back.amount, 123);
+            assert_eq!(back.nonce, 7);
+        }
     }
 
     #[test]
@@ -271,7 +276,10 @@ mod tests {
         for byte in bytes[32..64].iter_mut() {
             *byte = 0xff;
         }
-        let mut r = Reader::new(&bytes);
-        assert!(Transaction::decode(&mut r).is_err());
+        // Refused however often it is offered, and with `from` proven.
+        for _ in 0..3 {
+            let mut r = Reader::new(&bytes);
+            assert!(Transaction::decode(&mut r).is_err());
+        }
     }
 }

@@ -32,16 +32,16 @@ use crate::blocksync::Blocksync;
 use crate::config::NodeConfig;
 use crate::crash::CrashContext;
 use crate::frame;
-use crate::transport::{Transport, TransportEvent, TransportStats};
+use crate::transport::{PeerId, Transport, TransportEvent, TransportStats};
 use crate::wal::{Wal, WalMetrics};
 use algorand_ba::Micros;
 use algorand_core::{Node, PipelineVerifier, WireMessage};
 use algorand_gossip::{RelayDecision, RelayState};
 use algorand_obs::{
-    expose, fanout, stable_id, write_jsonl, FlightHandle, Histogram, MonitorHandle, Registry,
-    SpanKind, Tracer,
+    expose, fanout, stable_id, write_jsonl, Counter, FlightHandle, Histogram, MonitorHandle,
+    Registry, SpanKind, Tracer,
 };
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,6 +61,13 @@ const FLIGHT_CAP: usize = 4096;
 /// a localnet-scale trace drains in one or two round trips, small enough
 /// that a chunk stays a few MB under [`frame::MAX_FRAME`].
 const TRACE_CHUNK: usize = 16_384;
+
+/// Malformed frames logged per connection before they are only counted.
+const DECODE_LOG_LINES: u32 = 8;
+
+/// Connections whose malformed frames are logged at all: a peer that
+/// reconnects to start a fresh allowance runs out of these instead.
+const DECODE_LOG_PEERS: usize = 1024;
 
 /// How often we announce our tip and poll blocksync even when idle.
 const STATUS_TICK: Duration = Duration::from_millis(500);
@@ -122,7 +129,11 @@ pub struct Runtime {
     wal_replayed_rounds: u64,
     wal_truncated_bytes: u64,
     wal_replay_us: u64,
-    decode_failures: u64,
+    /// `node.decode_failures`: every frame that failed wire decoding.
+    decode_failures: Counter,
+    /// How many of them were logged, per connection
+    /// ([`DECODE_LOG_LINES`] each, [`DECODE_LOG_PEERS`] connections).
+    decode_logged: HashMap<PeerId, u32>,
     /// Whether the monitor-violation alert has already been appended
     /// (the hook fires on the 0 → >0 flip, once).
     violations_alerted: bool,
@@ -217,6 +228,8 @@ impl Runtime {
             transport,
             relay: RelayState::new(),
             sync: Blocksync::new(),
+            decode_failures: registry.counter("node.decode_failures"),
+            decode_logged: HashMap::new(),
             registry,
             tracer,
             monitor,
@@ -226,7 +239,6 @@ impl Runtime {
             wal_replayed_rounds,
             wal_truncated_bytes: replay.truncated_bytes,
             wal_replay_us,
-            decode_failures: 0,
             violations_alerted: false,
             alerted_peers: HashSet::new(),
             alerts_emitted: 0,
@@ -389,15 +401,17 @@ impl Runtime {
     }
 
     /// Handles one inbound gossip frame end to end.
-    fn on_gossip(&mut self, from: crate::transport::PeerId, bytes: &[u8]) {
+    fn on_gossip(&mut self, from: PeerId, bytes: &[u8]) {
         let msg = match WireMessage::decode_frame(bytes) {
             Ok(msg) => msg,
             Err(e) => {
-                // The satellite payoff: a malformed frame names its
-                // message kind and byte offset, attributed to a peer.
-                self.decode_failures += 1;
-                self.registry.counter("node.decode_failures").inc();
-                eprintln!("[node {}] peer {from}: {e}", self.cfg.index);
+                // A malformed frame names its message kind and byte
+                // offset, attributed to a peer — for the first few; a
+                // hostile peer gets a counter, not a log of its own.
+                self.decode_failures.inc();
+                if self.log_decode_failure(from) {
+                    eprintln!("[node {}] peer {from}: {e}", self.cfg.index);
+                }
                 return;
             }
         };
@@ -439,6 +453,17 @@ impl Runtime {
         self.dispatch(outputs, Some(from));
     }
 
+    /// Whether one more malformed frame from `peer` is worth a log line.
+    fn log_decode_failure(&mut self, peer: PeerId) -> bool {
+        if !self.decode_logged.contains_key(&peer) && self.decode_logged.len() >= DECODE_LOG_PEERS {
+            return false;
+        }
+        let logged = self.decode_logged.entry(peer).or_insert(0);
+        let more = *logged < DECODE_LOG_LINES;
+        *logged += u32::from(more);
+        more
+    }
+
     /// Send half of a cross-process gossip hop: an instant recorded at
     /// broadcast time, labeled `"send"`, carrying the message's content
     /// id, its wire size, and the deepest send-queue occupancy at that
@@ -471,7 +496,7 @@ impl Runtime {
     /// reply on the requester's own connection. TELEMETRY traffic is
     /// unmetered, so serving a scrape perturbs none of the counters it
     /// reports — two scrapes of an idle node are byte-identical.
-    fn on_telemetry(&mut self, from: crate::transport::PeerId, op: u8, body: &[u8]) {
+    fn on_telemetry(&mut self, from: PeerId, op: u8, body: &[u8]) {
         match op {
             frame::TEL_METRICS_REQ => {
                 self.publish_metrics();
@@ -504,7 +529,7 @@ impl Runtime {
 
     /// Routes core outputs: catch-up responses back to the requester,
     /// everything else to all peers (marked seen so echoes dedup).
-    fn dispatch(&mut self, outputs: Vec<WireMessage>, reply_to: Option<crate::transport::PeerId>) {
+    fn dispatch(&mut self, outputs: Vec<WireMessage>, reply_to: Option<PeerId>) {
         for out in outputs {
             let bytes = out.encoded();
             match (&out, reply_to) {
@@ -613,6 +638,11 @@ impl Runtime {
         reg.gauge("monitor.violations")
             .set(self.monitor.report().total_violations() as i64);
         reg.gauge("node.alerts").set(self.alerts_emitted as i64);
+        // Process-wide: what `PublicKey::from_bytes` paid in full and
+        // what it answered from its table of proven keys.
+        let keys = algorand_crypto::sig::key_table_stats();
+        reg.gauge("node.key_checks").set(keys.checks as i64);
+        reg.gauge("node.key_hits").set(keys.hits as i64);
         self.transport.publish();
     }
 
@@ -670,7 +700,7 @@ impl Runtime {
             self.wal_replayed_rounds,
             self.node.catchups_applied(),
             self.transport.peer_count(),
-            self.decode_failures,
+            self.decode_failures.get(),
             self.transport.stats().send_drops,
             self.tracer.dropped(),
             self.monitor.report().total_violations(),
@@ -734,7 +764,7 @@ impl Runtime {
             wal_replayed_rounds: self.wal_replayed_rounds,
             catchups_applied: self.node.catchups_applied(),
             sync_requests: self.sync.requests_sent(),
-            decode_failures: self.decode_failures,
+            decode_failures: self.decode_failures.get(),
             monitor_violations: violations,
             timed_out,
             transport: t,
@@ -760,4 +790,44 @@ pub fn hex(bytes: &[u8]) -> String {
         s.push_str(&format!("{b:02x}"));
     }
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_flood_of_garbage_frames_is_counted_in_full_and_logged_eight_times() {
+        let dir = std::env::temp_dir().join(format!("algorand-runtime-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut rt = Runtime::new(NodeConfig {
+            listen: "127.0.0.1:0".into(),
+            wal_dir: dir.clone(),
+            ..NodeConfig::default()
+        })
+        .expect("runtime on an ephemeral port");
+
+        for i in 0..1_000u32 {
+            rt.on_gossip(7, &i.to_le_bytes());
+        }
+        assert_eq!(rt.registry.counter("node.decode_failures").get(), 1_000);
+        assert_eq!(rt.decode_logged[&7], DECODE_LOG_LINES);
+        assert_eq!(rt.decode_logged.len(), 1);
+
+        // Another connection has its own allowance, until connections
+        // run out: then frames are counted and nothing more is kept.
+        rt.on_gossip(8, b"garbage");
+        assert_eq!(rt.decode_logged[&8], 1);
+        for peer in 100..100 + 2 * DECODE_LOG_PEERS as PeerId {
+            rt.on_gossip(peer, b"garbage");
+        }
+        assert_eq!(rt.decode_logged.len(), DECODE_LOG_PEERS);
+        assert_eq!(
+            rt.decode_failures.get(),
+            1_001 + 2 * DECODE_LOG_PEERS as u64
+        );
+
+        rt.transport.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
