@@ -288,10 +288,22 @@ impl BaStar {
     /// Delivers an incoming raw vote: runs it through the verification
     /// stage, then the tallies. Returns any resulting outputs.
     pub fn on_vote(&mut self, msg: &VoteMessage, now: Micros) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.ingest(msg, now);
-        self.advance(now, &mut out);
-        out
+        if self.in_context(msg) {
+            let ctx = self.vote_context(msg.step);
+            if let Some(vote) =
+                verify_vote_message(self.verifier.as_ref(), msg, &ctx, &self.weights)
+            {
+                self.ingest_verified(&vote, now);
+            }
+        }
+        self.on_tick(now)
+    }
+
+    /// Algorithm 6's cheap chain-context checks, made before a vote is
+    /// worth verifying: the engine is still running, and the vote is for
+    /// its round on its fork.
+    pub fn in_context(&self, msg: &VoteMessage) -> bool {
+        !self.is_finished() && msg.round == self.round && msg.prev_hash == self.prev_hash
     }
 
     /// Delivers a vote that already passed the verification stage (the
@@ -304,39 +316,19 @@ impl BaStar {
         out
     }
 
-    /// Verifies and records a raw vote without advancing clock-dependent
-    /// state (used when replaying buffered messages). `now` only stamps
-    /// the trace.
-    pub fn ingest(&mut self, msg: &VoteMessage, now: Micros) {
-        if matches!(self.phase, Phase::Done | Phase::Hung) {
-            return;
-        }
-        // Algorithm 6's cheap chain-context checks: round and prev-hash.
-        if msg.round != self.round || msg.prev_hash != self.prev_hash {
-            return;
-        }
-        let ctx = self.vote_context(msg.step);
-        let Some(vote) = verify_vote_message(self.verifier.as_ref(), msg, &ctx, &self.weights)
-        else {
-            return;
-        };
-        self.ingest_verified(&vote, now);
-    }
-
     /// Records an already-verified vote without advancing clock-dependent
-    /// state. Chain-context checks (round, prev-hash) still run here: a
-    /// [`VerifiedVote`] is cryptographically sound but may belong to a
-    /// different fork or round than this engine. `now` only stamps the
-    /// trace.
+    /// state (used when replaying buffered messages). The chain-context
+    /// checks still run here: a [`VerifiedVote`] is cryptographically
+    /// sound but may belong to a different fork or round than this
+    /// engine. `now` only stamps the trace.
     pub fn ingest_verified(&mut self, vote: &VerifiedVote, now: Micros) {
-        if matches!(self.phase, Phase::Done | Phase::Hung) {
-            return;
-        }
-        let msg = vote.message();
-        if msg.round != self.round || msg.prev_hash != self.prev_hash {
-            return;
-        }
-        if self.tallies.entry(msg.step.code()).or_default().add(vote) {
+        if self.in_context(vote.message())
+            && self
+                .tallies
+                .entry(vote.message().step.code())
+                .or_default()
+                .add(vote)
+        {
             self.record_tally_add(vote, now);
         }
     }

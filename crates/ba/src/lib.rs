@@ -38,6 +38,7 @@ pub use engine::{AblationFlags, BaStar, ConsensusKind, Decision, Output};
 pub use msg::{StepKind, Value, VoteMessage};
 pub use params::{BaParams, Micros, SECOND};
 pub use verify::{
-    verify_vote_message, CachedVerifier, RealVerifier, VerifiedVote, VoteContext, VoteVerifier,
+    verify_sortition, verify_vote_message, CachedVerifier, RealVerifier, VerdictCache,
+    VerifiedVote, VoteContext, VoteVerifier,
 };
 pub use weights::RoundWeights;

@@ -19,7 +19,7 @@
 
 use algorand_crypto::codec::{DecodeError, Reader, WriteExt};
 use algorand_crypto::sig::{self, Signature};
-use algorand_crypto::vrf::{VrfOutput, VrfProof, VRF_PROOF_LEN};
+use algorand_crypto::vrf::{VrfOutput, VrfProof};
 use algorand_crypto::{sha256_concat, Keypair, PublicKey};
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
@@ -255,7 +255,7 @@ impl VoteMessage {
     /// proofs, or signatures. The result is structurally valid but not yet
     /// *verified* — callers still run ProcessMsg (Algorithm 6).
     pub fn decode(r: &mut Reader<'_>) -> Result<VoteMessage, DecodeError> {
-        let sender = PublicKey::from_bytes(&r.bytes32()?).map_err(|_| DecodeError::Invalid)?;
+        let sender = r.public_key()?;
         let round = r.u64()?;
         let step = StepKind::from_code(r.u32()?);
         if let StepKind::Main(s) = step {
@@ -264,14 +264,10 @@ impl VoteMessage {
             }
         }
         let sorthash = VrfOutput(r.bytes32()?);
-        let mut proof_bytes = [0u8; VRF_PROOF_LEN];
-        proof_bytes.copy_from_slice(r.bytes(VRF_PROOF_LEN)?);
-        let sort_proof = VrfProof::from_bytes(&proof_bytes).map_err(|_| DecodeError::Invalid)?;
+        let sort_proof = r.vrf_proof()?;
         let prev_hash = r.bytes32()?;
         let value = r.bytes32()?;
-        let mut sig_bytes = [0u8; 64];
-        sig_bytes.copy_from_slice(r.bytes(64)?);
-        let sig = Signature::from_bytes(&sig_bytes).map_err(|_| DecodeError::Invalid)?;
+        let sig = r.signature()?;
         Ok(Self::from_parts(
             sender, round, step, sorthash, sort_proof, prev_hash, value, sig,
         ))

@@ -8,12 +8,14 @@
 //!
 //! This module is the vote half of the staged pipeline's verification
 //! stage: the only way to obtain a [`VerifiedVote`] — the sole input type
-//! the tally and engine accept — is [`verify_vote_message`].
+//! the tally and engine accept — is [`verify_vote_message`]. It also holds
+//! the two pieces every other verified message kind shares with votes:
+//! [`verify_sortition`] (Algorithm 2) and [`VerdictCache`].
 
-#[cfg(test)]
-use crate::msg::StepKind;
 use crate::msg::VoteMessage;
 use crate::weights::RoundWeights;
+use algorand_crypto::vrf::{VrfOutput, VrfProof};
+use algorand_crypto::PublicKey;
 use algorand_sortition::{Role, SortitionParams};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,13 +45,6 @@ impl VerifiedVote {
     /// The number of selected sub-users this vote carries.
     pub fn votes(&self) -> u64 {
         self.votes
-    }
-
-    /// Test-only escape hatch for unit tests of downstream stages; does
-    /// not exist in production builds.
-    #[cfg(test)]
-    pub(crate) fn for_test(msg: VoteMessage, votes: u64) -> VerifiedVote {
-        VerifiedVote { msg, votes }
     }
 }
 
@@ -115,42 +110,69 @@ impl VoteVerifier for RealVerifier {
             round: msg.round,
             step: msg.step.code(),
         };
-        let params = SortitionParams {
-            tau: ctx.tau,
-            total_weight: weights.total(),
-        };
-        let weight = weights.weight_of(&msg.sender);
-        if weight == 0 {
-            return None;
-        }
-        // One VRF verification recovers the certified output; the sorthash
-        // in the message must equal it, otherwise the common coin could be
-        // biased by lying about the hash.
-        let certified =
-            algorand_sortition::verified_output(&msg.sender, &msg.sort_proof, &ctx.seed, role)
-                .ok()?;
-        if certified != msg.sorthash {
-            return None;
-        }
-        let votes = algorand_sortition::sub_users_selected(&certified, weight, params.p());
-        (votes > 0).then_some(votes)
+        verify_sortition(
+            &msg.sender,
+            &msg.sort_proof,
+            &msg.sorthash,
+            &ctx.seed,
+            role,
+            ctx.tau,
+            weights,
+        )
     }
 }
 
-/// A process-wide verification cache wrapping [`RealVerifier`].
+/// VerifySort (Algorithm 2) for a message that states its own sortition
+/// hash — the one place a vote, a priority, a block message and a fork
+/// proposal are checked for selection. The sender must hold weight, the
+/// proof must verify for `(seed, role)`, `claimed` must be the output the
+/// proof certifies (otherwise the common coin or a proposal's priority
+/// could be biased by lying about the hash), and at least one sub-user
+/// must be selected under `tau`. Returns the selected sub-user count.
+pub fn verify_sortition(
+    pk: &PublicKey,
+    proof: &VrfProof,
+    claimed: &VrfOutput,
+    seed: &[u8; 32],
+    role: Role,
+    tau: f64,
+    weights: &RoundWeights,
+) -> Option<u64> {
+    let weight = weights.weight_of(pk);
+    if weight == 0 {
+        return None;
+    }
+    let params = SortitionParams {
+        tau,
+        total_weight: weights.total(),
+    };
+    let (certified, j) =
+        algorand_sortition::verify_output(pk, proof, seed, role, &params, weight).ok()?;
+    (certified == *claimed && j > 0).then_some(j)
+}
+
+/// Verdicts by `(message id, selection seed)`: the one memo behind every
+/// cached verification, for votes (`V` = sub-user count) and for
+/// proposal-shaped messages (`V` = priority) alike.
 ///
-/// Keyed by `(message_id, seed)`. The id commits to every field
-/// including the signature, so a cache hit is exactly as strong as
-/// re-verifying, and the vote's body remembers it, so a lookup hashes
-/// nothing; folding the selection seed into the key makes the
-/// entry self-describing about its verification context, so a lookup
-/// under a different seed (a diverged fork, a recovery sub-protocol
-/// epoch, or an over-eager prefetch) misses instead of returning a
-/// result computed for the wrong context.
+/// The id commits to every field including the signature, so a hit is
+/// exactly as strong as re-verifying; folding the selection seed into
+/// the key makes the entry self-describing about its verification
+/// context, so a lookup under a different seed (a diverged fork, a
+/// recovery sub-protocol epoch) misses instead of returning a result
+/// computed for the wrong context.
+///
+/// Rejections are remembered too, so the table is bounded the way
+/// `gossip::relay` and the key table are: verdicts are recorded in the
+/// current generation; when that holds [`VerdictCache::CAPACITY`] it
+/// becomes the old one and the previous old one is dropped. A flood of
+/// garbage can push honest verdicts out — they are then computed again,
+/// to the same result — but cannot grow the table. Nothing reads a
+/// verdict back except to skip recomputing it, so eviction never changes
+/// behaviour.
 #[derive(Default)]
-pub struct CachedVerifier {
-    inner: RealVerifier,
-    cache: Mutex<HashMap<VerdictKey, Option<u64>>>,
+pub struct VerdictCache<V> {
+    generations: Mutex<[HashMap<VerdictKey, Option<V>>; 2]>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -158,15 +180,42 @@ pub struct CachedVerifier {
 /// A cache key: `(message_id, selection_seed)`.
 type VerdictKey = ([u8; 32], [u8; 32]);
 
-impl CachedVerifier {
-    /// Creates an empty cache.
-    pub fn new() -> CachedVerifier {
-        CachedVerifier::default()
+impl<V: Copy> VerdictCache<V> {
+    /// Verdicts per generation; the table never holds more than twice
+    /// this (~80 B each for votes, so ≈ 5 MB a generation).
+    pub const CAPACITY: usize = 65_536;
+
+    /// The verdict for `(id, seed)`: remembered, or computed by `verify`
+    /// and remembered. The lock is not held while verifying.
+    pub fn get_or_verify(
+        &self,
+        id: [u8; 32],
+        seed: &[u8; 32],
+        verify: impl FnOnce() -> Option<V>,
+    ) -> Option<V> {
+        let key = (id, *seed);
+        {
+            let [current, old] = &*self.generations.lock().expect("cache poisoned");
+            if let Some(hit) = current.get(&key).or_else(|| old.get(&key)) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return *hit;
+            }
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let verdict = verify();
+        let [current, old] = &mut *self.generations.lock().expect("cache poisoned");
+        if current.len() >= Self::CAPACITY {
+            *old = std::mem::take(current);
+        }
+        current.insert(key, verdict);
+        verdict
     }
 
-    /// Number of distinct messages verified so far (for cost accounting).
-    pub fn unique_verifications(&self) -> usize {
-        self.cache.lock().expect("cache poisoned").len()
+    /// Verdicts held now, at most twice [`VerdictCache::CAPACITY`]: the
+    /// number of distinct verifications until the first rotation.
+    pub fn entries(&self) -> usize {
+        let [current, old] = &*self.generations.lock().expect("cache poisoned");
+        current.len() + old.len()
     }
 
     /// Lookups answered from the cache.
@@ -178,22 +227,25 @@ impl CachedVerifier {
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
+}
 
-    /// The cached verdict for `(id, seed)`, if the message has already
-    /// been through verification under that seed. `Some(None)` means
-    /// "known invalid" — the relay layer uses this to stop forwarding
-    /// junk without ever re-verifying.
-    pub fn status(&self, id: [u8; 32], seed: [u8; 32]) -> Option<Option<u64>> {
-        self.cache
-            .lock()
-            .expect("cache poisoned")
-            .get(&(id, seed))
-            .copied()
+/// [`RealVerifier`] behind a process-wide [`VerdictCache`]. The vote's
+/// body remembers its id, so a lookup hashes nothing.
+#[derive(Default)]
+pub struct CachedVerifier {
+    inner: RealVerifier,
+    cache: VerdictCache<u64>,
+}
+
+impl CachedVerifier {
+    /// Creates an empty cache.
+    pub fn new() -> CachedVerifier {
+        CachedVerifier::default()
     }
 
-    /// Drops cached entries (e.g., between rounds, to bound memory).
-    pub fn clear(&self) {
-        self.cache.lock().expect("cache poisoned").clear();
+    /// The verdicts and their hit/miss counts.
+    pub fn cache(&self) -> &VerdictCache<u64> {
+        &self.cache
     }
 }
 
@@ -204,26 +256,26 @@ impl VoteVerifier for CachedVerifier {
         ctx: &VoteContext,
         weights: &RoundWeights,
     ) -> Option<u64> {
-        let key = (msg.message_id(), ctx.seed);
-        if let Some(hit) = self.cache.lock().expect("cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return *hit;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let result = self.inner.verify_vote(msg, ctx, weights);
-        self.cache
-            .lock()
-            .expect("cache poisoned")
-            .insert(key, result);
-        result
+        self.cache.get_or_verify(msg.message_id(), &ctx.seed, || {
+            self.inner.verify_vote(msg, ctx, weights)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::StepKind;
     use algorand_crypto::Keypair;
     use algorand_sortition::select;
+
+    impl VerifiedVote {
+        /// Escape hatch for unit tests of downstream stages; does not
+        /// exist in production builds.
+        pub(crate) fn for_test(msg: VoteMessage, votes: u64) -> VerifiedVote {
+            VerifiedVote { msg, votes }
+        }
+    }
 
     fn setup() -> (Vec<Keypair>, RoundWeights, VoteContext) {
         let keypairs: Vec<Keypair> = (0..8u8).map(|i| Keypair::from_seed([i + 1; 32])).collect();
@@ -343,28 +395,22 @@ mod tests {
     }
 
     #[test]
-    fn cache_status_reports_verdicts_and_is_seed_scoped() {
+    fn cache_is_seed_scoped() {
         let (kps, weights, ctx) = setup();
         let cache = CachedVerifier::new();
         let vote = make_vote(&kps[6], &ctx, &weights);
-        let id = vote.message_id();
-        assert_eq!(cache.status(id, ctx.seed), None);
-        cache.verify_vote(&vote, &ctx, &weights);
-        assert_eq!(cache.status(id, ctx.seed), Some(Some(100)));
-        // A different seed is a different verification context: miss.
-        assert_eq!(cache.status(id, [0u8; 32]), None);
+        assert_eq!(cache.verify_vote(&vote, &ctx, &weights), Some(100));
+        // A different seed is a different verification context: the
+        // lookup misses, fails, and is remembered independently.
         let wrong_ctx = VoteContext {
             seed: [0u8; 32],
             ..ctx.clone()
         };
-        // Verifying under the wrong seed fails and caches independently.
         assert_eq!(cache.verify_vote(&vote, &wrong_ctx, &weights), None);
-        assert_eq!(cache.status(id, [0u8; 32]), Some(None));
-        assert_eq!(cache.status(id, ctx.seed), Some(Some(100)));
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 2);
-        cache.verify_vote(&vote, &ctx, &weights);
-        assert_eq!(cache.hits(), 1);
+        assert_eq!((cache.cache().hits(), cache.cache().misses()), (0, 2));
+        assert_eq!(cache.verify_vote(&vote, &wrong_ctx, &weights), None);
+        assert_eq!(cache.verify_vote(&vote, &ctx, &weights), Some(100));
+        assert_eq!((cache.cache().hits(), cache.cache().misses()), (2, 2));
     }
 
     #[test]
@@ -376,11 +422,46 @@ mod tests {
         let second = cache.verify_vote(&vote, &ctx, &weights);
         assert_eq!(first, Some(100));
         assert_eq!(first, second);
-        assert_eq!(cache.unique_verifications(), 1);
+        assert_eq!(cache.cache().entries(), 1);
         let other = make_vote(&kps[4], &ctx, &weights);
         cache.verify_vote(&other, &ctx, &weights);
-        assert_eq!(cache.unique_verifications(), 2);
-        cache.clear();
-        assert_eq!(cache.unique_verifications(), 0);
+        assert_eq!(cache.cache().entries(), 2);
+    }
+
+    #[test]
+    fn verdict_cache_is_bounded_and_eviction_only_costs_a_recompute() {
+        const CAPACITY: usize = VerdictCache::<u64>::CAPACITY;
+        let cache = VerdictCache::<u64>::default();
+        let key = |i: usize| {
+            let mut id = [0u8; 32];
+            id[..8].copy_from_slice(&(i as u64).to_le_bytes());
+            id
+        };
+        // Odd keys are rejections: those are remembered (and bounded) too.
+        let verdict = |i: usize| i.is_multiple_of(2).then_some(i as u64);
+        let seed = [7u8; 32];
+        for i in 0..=CAPACITY {
+            assert_eq!(
+                cache.get_or_verify(key(i), &seed, || verdict(i)),
+                verdict(i)
+            );
+        }
+        assert_eq!(cache.entries(), CAPACITY + 1, "one rotation drops nothing");
+        assert_eq!(cache.get_or_verify(key(0), &seed, || None), verdict(0));
+        assert_eq!(cache.hits(), 1, "the old generation still answers");
+        for i in CAPACITY + 1..=2 * CAPACITY {
+            cache.get_or_verify(key(i), &seed, || verdict(i));
+            assert!(cache.entries() <= 2 * CAPACITY);
+        }
+        // The second rotation dropped key 0: it is verified again, to
+        // the same verdict, and remembered again.
+        let misses = cache.misses();
+        assert_eq!(
+            cache.get_or_verify(key(0), &seed, || verdict(0)),
+            verdict(0)
+        );
+        assert_eq!(cache.misses(), misses + 1);
+        assert_eq!(cache.get_or_verify(key(0), &seed, || None), verdict(0));
+        assert!(cache.entries() <= 2 * CAPACITY);
     }
 }

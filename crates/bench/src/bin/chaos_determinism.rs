@@ -168,10 +168,10 @@ fn run_once(s: &Scenario, workers: usize) -> (Outcome, String) {
         report.dropped_by_filter,
         report.dropped_by_partition,
         report.dropped_by_loss,
-        report.timeout_escalations,
-        report.watchdog_catchups,
-        report.recoveries_completed,
-        report.catchups_applied,
+        report.recovery.timeout_escalations,
+        report.recovery.watchdog_catchups,
+        report.recovery.recoveries_completed,
+        report.recovery.catchups_applied,
     );
     let monitor = sim.monitor_report().expect("monitor attached");
     let outcome = Outcome {

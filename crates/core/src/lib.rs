@@ -39,8 +39,8 @@ pub mod round;
 pub mod verify;
 pub mod wire;
 
-pub use metrics::{PipelineStats, RoundRecord};
-pub use node::Node;
+pub use metrics::{PipelineStats, RecoveryStats, RoundRecord};
+pub use node::{Delivery, Node};
 pub use params::{derive_keypairs, AlgorandParams, GENESIS_SEED};
 pub use proposal::{BlockMessage, PriorityMessage};
 pub use recovery::ForkProposalMessage;

@@ -4,7 +4,9 @@
 //! completion time (Figures 5, 6, 8), the proposal/BA⋆/final-step breakdown
 //! (Figure 7), and step-count distributions (§7's efficiency claims).
 
+use crate::verify::PipelineVerifier;
 use algorand_ba::{ConsensusKind, Micros};
+use algorand_obs::{Histogram, Registry};
 
 /// One node's record of one completed round.
 #[derive(Clone, Copy, Debug)]
@@ -82,6 +84,71 @@ impl PipelineStats {
         self.rejected_verify += other.rejected_verify;
         self.emitted += other.emitted;
     }
+}
+
+/// Per-node counters for everything that is not the steady round loop:
+/// BA⋆ timeouts, catch-up (§8.3) and fork recovery (§8.2).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RecoveryStats {
+    /// BA⋆ step-timeout escalations.
+    pub timeout_escalations: u64,
+    /// Catch-up requests fired by the liveness watchdog (stall-driven, as
+    /// opposed to far-future-vote-driven).
+    pub watchdog_catchups: u64,
+    /// §8.2 fork recoveries completed.
+    pub recoveries_completed: u64,
+    /// Rounds adopted via §8.3 catch-up.
+    pub catchups_applied: u64,
+    /// Tentative-fork suffixes rolled back by catch-up to adopt a longer
+    /// certified chain (§8.2).
+    pub catchup_reorgs: u64,
+}
+
+impl RecoveryStats {
+    /// Adds another node's counters into this one (fleet aggregation).
+    pub fn merge(&mut self, other: &RecoveryStats) {
+        self.timeout_escalations += other.timeout_escalations;
+        self.watchdog_catchups += other.watchdog_catchups;
+        self.recoveries_completed += other.recoveries_completed;
+        self.catchups_applied += other.catchups_applied;
+        self.catchup_reorgs += other.catchup_reorgs;
+    }
+}
+
+/// Publishes the metrics every driver of a [`crate::Node`] exposes under
+/// the same names — one node's counters on a real process, the fleet's
+/// sums in the simulator — so the same dashboards and assertions read
+/// both. Idempotent: gauges are overwritten and the histogram replaced.
+pub fn publish_metrics(
+    reg: &Registry,
+    stages: &PipelineStats,
+    verifier: &PipelineVerifier,
+    recovery: &RecoveryStats,
+    round_latencies: impl IntoIterator<Item = Micros>,
+) {
+    for (name, value) in [
+        ("pipeline.ingested", stages.ingested),
+        ("pipeline.verified", stages.verified),
+        ("pipeline.rejected_verify", stages.rejected_verify),
+        ("pipeline.emitted", stages.emitted),
+        ("verify.cache_hits", verifier.cache_hits()),
+        ("verify.cache_misses", verifier.cache_misses()),
+        (
+            "verify.unique_votes",
+            verifier.unique_vote_verifications() as u64,
+        ),
+        ("recovery.timeout_escalations", recovery.timeout_escalations),
+        ("recovery.watchdog_catchups", recovery.watchdog_catchups),
+        ("recovery.fork_recoveries", recovery.recoveries_completed),
+        ("recovery.catchups_applied", recovery.catchups_applied),
+    ] {
+        reg.gauge(name).set(value as i64);
+    }
+    let mut lat = Histogram::new();
+    for us in round_latencies {
+        lat.record(us);
+    }
+    reg.histogram("round.latency_us").replace(lat);
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@
 
 use crate::emit::Outbox;
 use crate::ingest::{self, RoundClass};
-use crate::metrics::{PipelineStats, RoundRecord};
+use crate::metrics::{PipelineStats, RecoveryStats, RoundRecord};
 use crate::params::AlgorandParams;
 use crate::proposal::{proposer_sortition, BlockMessage, Priority, PriorityMessage};
 use crate::recovery::{fork_proposer_sortition, recovery_seed, ForkProposalMessage};
@@ -33,12 +33,13 @@ use crate::round::{BlockSighting, BlockStore, FutureVotes, RoundContext};
 use crate::verify::PipelineVerifier;
 use crate::wire::{CatchupBatch, WireMessage};
 use algorand_ba::{
-    BaStar, Certificate, ConsensusKind, Decision, Micros, Output, RoundWeights, VoteMessage,
+    BaStar, Certificate, ConsensusKind, Decision, Micros, Output, RoundWeights, VerifiedVote,
+    VoteMessage,
 };
 use algorand_crypto::codec::{Reader, WriteExt};
 use algorand_crypto::Keypair;
 use algorand_ledger::seed::{fallback_seed, propose_seed, verify_seed_proposal};
-use algorand_ledger::{Block, Blockchain, Transaction};
+use algorand_ledger::{Block, Blockchain, ChainError, Transaction};
 use algorand_obs::{causal, stable_id, SpanKind, Tracer};
 use algorand_txpool::TxPool;
 use std::collections::HashMap;
@@ -83,6 +84,34 @@ enum RecoveryPhase {
     },
 }
 
+/// What [`Node::on_message`] made of one delivery.
+#[derive(Debug)]
+pub struct Delivery {
+    /// Gossip the node emits in response.
+    pub outputs: Vec<WireMessage>,
+    /// Whether the delivered message itself is worth forwarding — the
+    /// relay filter every driver applies (§8.4: "only relay messages
+    /// after validating them"), answered from what processing the
+    /// message just established, as of the state it left behind:
+    ///
+    /// * **Block** (§6): "Algorand users discard messages about blocks
+    ///   that do not have the highest priority seen by that user so far."
+    ///   Blocks for other rounds are relayed (peers may be ahead or
+    ///   behind).
+    /// * **Transaction**: only while the pool holds it, so a payment
+    ///   traverses each node once (rejects and evictions die out here).
+    /// * **Vote**: dropped only when this delivery verified it for the
+    ///   round this node is still running BA⋆ on and found it invalid.
+    ///   Anything the node did not verify itself (other rounds, other
+    ///   phases, another fork's `prev_hash`) is relayed, so what some
+    ///   other holder of the shared verify cache knows never changes
+    ///   relay behavior.
+    ///
+    /// Every other kind is relayed; whether catch-up traffic is gossiped
+    /// at all is the transport's routing decision, not a filter.
+    pub relay: bool,
+}
+
 /// A full Algorand user.
 pub struct Node {
     keypair: Keypair,
@@ -114,18 +143,13 @@ pub struct Node {
     next_epoch_check: Micros,
     /// Earliest time another catch-up request may be sent (rate limit).
     next_catchup_request: Micros,
-    recoveries_completed: usize,
-    catchups_applied: usize,
-    /// Tentative-fork reorgs performed by the catch-up protocol (§8.2).
-    catchup_reorgs: usize,
+    /// Timeout, catch-up and fork-recovery counters; the escalations of
+    /// the round in flight still sit in its engine.
+    recovery: RecoveryStats,
     /// Consecutive struggling rounds: each round that needed engine
     /// timeout escalations doubles the next proposal wait (§8.2's retry
     /// doubling applied at the round level), reset on a clean round.
     stepvar_backoff: u32,
-    /// Total BA⋆ timeout escalations across completed rounds.
-    timeout_escalations: u64,
-    /// Catch-up requests fired by the liveness watchdog.
-    watchdog_catchups: usize,
     /// Trace sink ([`Tracer::disabled`] until the driver attaches one)
     /// and the node id stamped on emitted spans.
     tracer: Tracer,
@@ -180,12 +204,8 @@ impl Node {
             last_recovery_epoch: 0,
             next_epoch_check: params.recovery_interval.max(1),
             next_catchup_request: 0,
-            recoveries_completed: 0,
-            catchups_applied: 0,
-            catchup_reorgs: 0,
+            recovery: RecoveryStats::default(),
             stepvar_backoff: 0,
-            timeout_escalations: 0,
-            watchdog_catchups: 0,
             tracer: Tracer::disabled(),
             trace_node: 0,
             block_msg_ids: HashMap::new(),
@@ -255,85 +275,26 @@ impl Node {
         self.hung
     }
 
-    /// How many fork recoveries this node has completed.
-    pub fn recoveries_completed(&self) -> usize {
-        self.recoveries_completed
-    }
-
-    /// How many rounds this node adopted via the catch-up protocol.
-    pub fn catchups_applied(&self) -> usize {
-        self.catchups_applied
-    }
-
-    /// How many times catch-up rolled back a tentative fork suffix to
-    /// adopt a longer certified chain (§8.2).
-    pub fn catchup_reorgs(&self) -> usize {
-        self.catchup_reorgs
-    }
-
-    /// Catch-up requests fired by the liveness watchdog (stall-driven,
-    /// as opposed to far-future-vote-driven).
-    pub fn watchdog_catchups(&self) -> usize {
-        self.watchdog_catchups
-    }
-
-    /// Total BA⋆ timeout escalations, including the round in flight.
-    pub fn timeout_escalations(&self) -> u64 {
+    /// Timeout, catch-up and fork-recovery counters, including the
+    /// timeout escalations of the round in flight.
+    pub fn recovery_stats(&self) -> RecoveryStats {
         let live = match &self.phase {
-            Phase::Ba { engine } => engine.timeout_escalations(),
-            Phase::Recovery(r) => match &r.phase {
-                RecoveryPhase::Ba { engine } => engine.timeout_escalations(),
-                _ => 0,
-            },
+            Phase::Ba { engine }
+            | Phase::Recovery(RecoveryState {
+                phase: RecoveryPhase::Ba { engine },
+                ..
+            }) => engine.timeout_escalations(),
             _ => 0,
         };
-        self.timeout_escalations + live
+        RecoveryStats {
+            timeout_escalations: self.recovery.timeout_escalations + live,
+            ..self.recovery
+        }
     }
 
     /// Current λ_stepvar doubling level (0 = clean rounds).
     pub fn stepvar_backoff(&self) -> u32 {
         self.stepvar_backoff
-    }
-
-    /// Whether a just-processed message is worth relaying onward — the
-    /// relay filter every driver of a node applies:
-    ///
-    /// * **Block** (§6): "Algorand users discard messages about blocks
-    ///   that do not have the highest priority seen by that user so far."
-    ///   Blocks for other rounds are relayed (peers may be ahead or
-    ///   behind).
-    /// * **Transaction**: only first admissions propagate, so a
-    ///   transaction traverses each node once (rejects and evictions die
-    ///   out here).
-    /// * **Vote** (§8.4: "only relay messages after validating them"),
-    ///   consulting the verify stage's cached verdict instead of
-    ///   re-verifying. Conservative by design: a vote is dropped only
-    ///   when it targets the round this node is actively running BA⋆ for
-    ///   *and* the cache holds a known-invalid verdict under this round's
-    ///   seed — exactly the votes [`Node::on_message`] just verified.
-    ///   Anything the node has not verified itself (other rounds, other
-    ///   phases) is relayed, so cache warmth never changes relay
-    ///   behavior.
-    ///
-    /// Every other kind is relayed; whether catch-up traffic is gossiped
-    /// at all is the transport's routing decision, not a filter.
-    pub fn should_relay(&self, msg: &WireMessage) -> bool {
-        match msg {
-            WireMessage::Block(b) => {
-                b.block.round != self.ctx.round()
-                    || self.ctx.relay_worthy(self.blocks.hash_of(&b.block))
-            }
-            WireMessage::Transaction(tx) => self.pool.contains(&tx.id()),
-            WireMessage::Vote(v) => {
-                v.round != self.ctx.round()
-                    || !matches!(self.phase, Phase::Ba { .. })
-                    || !matches!(
-                        self.verifier.vote_status(v.message_id(), *self.ctx.seed()),
-                        Some(None)
-                    )
-            }
-            _ => true,
-        }
     }
 
     /// Queues a transaction for inclusion in a future proposal and returns
@@ -397,21 +358,36 @@ impl Node {
     }
 
     /// Delivers a gossip message: the pipeline's ingest entry point.
-    pub fn on_message(&mut self, msg: &WireMessage, now: Micros) -> Vec<WireMessage> {
+    pub fn on_message(&mut self, msg: &WireMessage, now: Micros) -> Delivery {
         self.pipeline.ingested += 1;
         let mut out = Outbox::new();
+        let mut relay = true;
         match msg {
             WireMessage::Priority(p) => self.on_priority(p, now, &mut out),
-            WireMessage::Block(b) => self.on_block(b, now, &mut out),
-            WireMessage::Vote(v) => self.on_vote(v, now, &mut out),
+            WireMessage::Block(b) => {
+                let hash = self.on_block(b, now, &mut out);
+                relay = b.block.round != self.ctx.round() || self.ctx.relay_worthy(hash);
+            }
+            WireMessage::Vote(v) => {
+                let rejected = self.on_vote(v, now, &mut out);
+                relay = !(rejected
+                    && v.round == self.ctx.round()
+                    && matches!(self.phase, Phase::Ba { .. }));
+            }
             WireMessage::ForkProposal(f) => self.on_fork_proposal(f, now, &mut out),
-            WireMessage::Transaction(tx) => self.on_transaction(tx),
+            WireMessage::Transaction(tx) => {
+                self.on_transaction(tx);
+                relay = self.pool.contains(&tx.id());
+            }
             WireMessage::CatchupRequest { have, tip_hash } => {
                 self.on_catchup_request(*have, tip_hash, &mut out)
             }
             WireMessage::CatchupResponse(batch) => self.on_catchup_response(batch, now, &mut out),
         }
-        self.emit(out)
+        Delivery {
+            outputs: self.emit(out),
+            relay,
+        }
     }
 
     /// The pipeline's emit stage: hands the accumulated gossip back to
@@ -467,40 +443,22 @@ impl Node {
     /// through the ordinary sequential path.
     fn on_catchup_response(&mut self, batch: &CatchupBatch, now: Micros, out: &mut Outbox) {
         self.maybe_reorg_onto(batch, now);
-        let mut advanced = false;
         let mut applied = 0u64;
         for (block, cert) in &batch.entries {
-            let next = self.chain.next_round();
-            if block.round != next || cert.round != next || cert.value != block.hash() {
-                continue;
+            match self.chain.append_certified(
+                block.clone(),
+                cert.clone(),
+                &self.params.ba,
+                self.verifier.as_ref(),
+                now,
+            ) {
+                Ok(()) => applied += 1,
+                Err(ChainError::NotNextRound) => {} // Stale, or ahead of a gap.
+                Err(_) => break,                    // Forged batch; ignore the rest.
             }
-            let seed = self.chain.selection_seed(next);
-            let weights = self.chain.weights_for_round(next);
-            let prev_hash = self.chain.tip_hash();
-            if cert
-                .validate(
-                    &self.params.ba,
-                    &seed,
-                    &prev_hash,
-                    &weights,
-                    self.verifier.as_ref(),
-                )
-                .is_err()
-            {
-                return; // Forged or stale batch; ignore the rest.
-            }
-            if self
-                .chain
-                .append(block.clone(), Some(cert.clone()), false, now)
-                .is_err()
-            {
-                return;
-            }
-            self.catchups_applied += 1;
-            applied += 1;
-            advanced = true;
         }
-        if advanced {
+        self.recovery.catchups_applied += applied;
+        if applied > 0 {
             self.tracer
                 .span(
                     SpanKind::Catchup,
@@ -591,7 +549,7 @@ impl Node {
         let rolled_back = tip - fork + 1;
         let salvaged = self.chain.rollback_to(fork - 1);
         self.pool.reinsert(salvaged, self.chain.accounts());
-        self.catchup_reorgs += 1;
+        self.recovery.catchup_reorgs += 1;
         self.tracer
             .span(SpanKind::Catchup, self.trace_node, fork, now)
             .label("reorg")
@@ -631,7 +589,7 @@ impl Node {
             return;
         }
         if now >= self.next_catchup_request {
-            self.watchdog_catchups += 1;
+            self.recovery.watchdog_catchups += 1;
             self.tracer
                 .span(
                     SpanKind::Catchup,
@@ -677,13 +635,12 @@ impl Node {
 
     /// Rebuilds a node from genesis state plus a [`Node::snapshot`].
     ///
-    /// Nothing in the snapshot is trusted: every certificate is
-    /// re-validated against the growing chain exactly as a live catch-up
-    /// batch would be, and restoration stops at the first entry that
-    /// fails — a corrupt snapshot yields a shorter chain, never a wrong
-    /// one. The returned node has not started a round; drive it with
-    /// [`Node::start`] and it rejoins, fetching anything it missed while
-    /// down via catch-up.
+    /// Nothing in the snapshot is trusted: every entry goes through
+    /// [`Blockchain::append_certified`], as a live catch-up batch does,
+    /// and restoration stops at the first entry that fails — a corrupt
+    /// snapshot yields a shorter chain, never a wrong one. The returned
+    /// node has not started a round; drive it with [`Node::start`] and it
+    /// rejoins, fetching anything it missed while down via catch-up.
     pub fn restore(
         keypair: Keypair,
         genesis: Blockchain,
@@ -700,20 +657,10 @@ impl Node {
                 else {
                     break;
                 };
-                let next = chain.next_round();
-                if block.round != next || cert.round != next || cert.value != block.hash() {
-                    break;
-                }
-                let seed = chain.selection_seed(next);
-                let weights = chain.weights_for_round(next);
-                let prev_hash = chain.tip_hash();
-                if cert
-                    .validate(&params.ba, &seed, &prev_hash, &weights, verifier.as_ref())
+                if chain
+                    .append_certified(block, cert, &params.ba, verifier.as_ref(), now)
                     .is_err()
                 {
-                    break;
-                }
-                if chain.append(block, Some(cert), false, now).is_err() {
                     break;
                 }
             }
@@ -914,13 +861,13 @@ impl Node {
         self.ctx.observe_priority(&vp);
     }
 
-    fn on_block(&mut self, b: &BlockMessage, now: Micros, out: &mut Outbox) {
-        // The one hash this node takes of the body; everything below, and
-        // `should_relay` afterwards, works from it.
+    /// Returns the block's hash: the one this node takes of the body;
+    /// everything below, and the relay verdict afterwards, works from it.
+    fn on_block(&mut self, b: &BlockMessage, now: Micros, out: &mut Outbox) -> [u8; 32] {
         let hash = self.chain.observe_block(b.block.clone());
         self.blocks.insert(hash, b.block.clone());
         if b.block.round != self.ctx.round() {
-            return;
+            return hash;
         }
         let msg_id = stable_id(&b.message_id_for(&hash));
         if self.tracer.is_enabled() {
@@ -960,9 +907,8 @@ impl Node {
         // If we were waiting for exactly this block, move on to BA⋆.
         if let Phase::WaitBlock { expected, .. } = &self.phase {
             if *expected == hash {
-                let expected = *expected;
-                self.begin_ba(Some(expected), now, out);
-                return;
+                self.begin_ba(Some(hash), now, out);
+                return hash;
             }
         }
         // If a decision was blocked on this block body, complete now.
@@ -972,84 +918,42 @@ impl Node {
                 self.complete_round(decision, now, out);
             }
         }
+        hash
     }
 
-    fn on_vote(&mut self, v: &VoteMessage, now: Micros, out: &mut Outbox) {
-        match &mut self.phase {
-            Phase::Recovery(r) => {
-                if let RecoveryPhase::Ba { engine, .. } = &mut r.phase {
-                    // The chain-context checks (round, prev-hash) that used
-                    // to live inside the engine: a vote failing them is
-                    // never verified, but the clock still advances, exactly
-                    // as before.
-                    let outputs = if !engine.is_finished()
-                        && v.round == engine.round()
-                        && v.prev_hash == engine.prev_hash()
-                    {
-                        let ctx = engine.vote_context(v.step);
-                        let verdict = self.verifier.verify_vote(v, &ctx, engine.weights());
-                        trace_vote_verdict(
-                            &self.tracer,
-                            self.trace_node,
-                            v,
-                            now,
-                            verdict.is_some(),
-                        );
-                        match verdict {
-                            Some(vv) => {
-                                self.pipeline.verified += 1;
-                                engine.on_verified_vote(&vv, now)
-                            }
-                            None => {
-                                self.pipeline.rejected_verify += 1;
-                                engine.on_tick(now)
-                            }
-                        }
-                    } else {
-                        self.pipeline.rejected_ingest += 1;
-                        engine.on_tick(now)
-                    };
-                    self.handle_recovery_engine_outputs(outputs, now, out);
-                }
-                return;
+    /// Returns whether this delivery verified the vote and rejected it.
+    fn on_vote(&mut self, v: &VoteMessage, now: Micros, out: &mut Outbox) -> bool {
+        let engine = match &mut self.phase {
+            Phase::Recovery(r) => match &mut r.phase {
+                RecoveryPhase::Ba { engine } => Some(engine),
+                RecoveryPhase::WaitProposals { .. } => return false,
+            },
+            Phase::Ba { engine } if v.round == engine.round() => Some(engine),
+            Phase::Ba { .. } => None,
+            _ if v.round == self.ctx.round() => {
+                self.ctx.buffer_vote(v);
+                self.pipeline.buffered_early += 1;
+                return false;
             }
-            Phase::Ba { engine } => {
-                if v.round == engine.round() {
-                    let outputs = if !engine.is_finished() && v.prev_hash == engine.prev_hash() {
-                        let ctx = engine.vote_context(v.step);
-                        let verdict = self.verifier.verify_vote(v, &ctx, engine.weights());
-                        trace_vote_verdict(
-                            &self.tracer,
-                            self.trace_node,
-                            v,
-                            now,
-                            verdict.is_some(),
-                        );
-                        match verdict {
-                            Some(vv) => {
-                                self.pipeline.verified += 1;
-                                engine.on_verified_vote(&vv, now)
-                            }
-                            None => {
-                                self.pipeline.rejected_verify += 1;
-                                engine.on_tick(now)
-                            }
-                        }
-                    } else {
-                        self.pipeline.rejected_ingest += 1;
-                        engine.on_tick(now)
-                    };
-                    self.handle_engine_outputs(outputs, now, out);
-                    return;
-                }
-            }
-            _ => {
-                if v.round == self.ctx.round() {
-                    self.ctx.buffer_vote(v);
-                    self.pipeline.buffered_early += 1;
-                    return;
-                }
-            }
+            _ => None,
+        };
+        if let Some(engine) = engine {
+            let verdict = admit_vote(
+                &self.verifier,
+                &self.tracer,
+                self.trace_node,
+                &mut self.pipeline,
+                engine,
+                v,
+                now,
+            );
+            // A vote that is not counted still advances the clock.
+            let outputs = match &verdict {
+                Some(Some(vv)) => engine.on_verified_vote(vv, now),
+                _ => engine.on_tick(now),
+            };
+            self.handle_engine_outputs(outputs, now, out);
+            return matches!(verdict, Some(None));
         }
         // Buffer near-future rounds; request catch-up when the network is
         // clearly far ahead of us.
@@ -1089,6 +993,7 @@ impl Node {
             RoundClass::Past => self.pipeline.rejected_ingest += 1,
             RoundClass::Current => {} // Handled by the phase match above.
         }
+        false
     }
 
     /// End of the proposal wait: pick the highest-priority proposal.
@@ -1126,7 +1031,7 @@ impl Node {
         };
         self.ctx.set_ba_started(now);
         self.ba_input = initial;
-        let (mut engine, outputs) = BaStar::start(
+        let (mut engine, mut outputs) = BaStar::start(
             self.params.ba,
             self.keypair.clone(),
             self.ctx.round(),
@@ -1139,58 +1044,53 @@ impl Node {
             now,
         );
         engine.set_tracer(self.tracer.clone(), self.trace_node);
-        for msg in outputs {
-            if let Output::Gossip(v) = msg {
-                out.vote(v);
-            }
-        }
         // Replay votes that arrived before BA⋆ existed, through the same
-        // verify stage live deliveries take.
-        let prev_hash = self.ctx.prev_hash();
+        // door live deliveries take.
         for v in self.ctx.take_vote_buffer() {
-            if v.prev_hash != prev_hash {
-                self.pipeline.rejected_ingest += 1;
-                continue;
-            }
-            let ctx = engine.vote_context(v.step);
-            let verdict = self.verifier.verify_vote(&v, &ctx, engine.weights());
-            trace_vote_verdict(&self.tracer, self.trace_node, &v, now, verdict.is_some());
-            match verdict {
-                Some(vv) => {
-                    self.pipeline.verified += 1;
-                    engine.ingest_verified(&vv, now);
-                }
-                None => self.pipeline.rejected_verify += 1,
+            if let Some(Some(vv)) = admit_vote(
+                &self.verifier,
+                &self.tracer,
+                self.trace_node,
+                &mut self.pipeline,
+                &engine,
+                &v,
+                now,
+            ) {
+                engine.ingest_verified(&vv, now);
             }
         }
-        let outputs = engine.on_tick(now);
+        outputs.extend(engine.on_tick(now));
         self.phase = Phase::Ba {
             engine: Box::new(engine),
         };
         self.handle_engine_outputs(outputs, now, out);
     }
 
+    /// Acts on what an engine step produced, for the round's engine and
+    /// a recovery attempt's alike: votes go out; a decision completes the
+    /// round (once the block body is here) or the recovery; a hang
+    /// freezes the round until recovery, or retries the recovery attempt.
     fn handle_engine_outputs(&mut self, outputs: Vec<Output>, now: Micros, out: &mut Outbox) {
         // Flush all gossip first so the decision-time votes (the
         // three-extra-steps rule and the final vote) are not lost.
         let mut decided = None;
+        let mut hung = false;
         for o in outputs {
             match o {
                 Output::Gossip(v) => out.vote(v),
                 Output::BinaryDecided { .. } => {}
                 Output::Decided(d) => decided = Some(d),
-                Output::Hung => {
-                    self.hung = true;
-                    return;
-                }
+                Output::Hung => hung = true,
             }
         }
-        if let Some(d) = decided {
-            if self.blocks.contains(&d.value) {
-                self.complete_round(d, now, out);
-            } else {
-                self.phase = Phase::AwaitBlockContent { decision: d };
-            }
+        let recovering = matches!(self.phase, Phase::Recovery(_));
+        match decided {
+            Some(d) if recovering => self.complete_recovery(d, now, out),
+            Some(d) if self.blocks.contains(&d.value) => self.complete_round(d, now, out),
+            Some(d) => self.phase = Phase::AwaitBlockContent { decision: d },
+            None if hung && recovering => self.retry_recovery(now, out),
+            None if hung => self.hung = true,
+            None => {}
         }
     }
 
@@ -1212,7 +1112,7 @@ impl Node {
         };
         // Adaptive λ_stepvar: a round whose BA⋆ burned timeouts doubles
         // the next proposal wait; a clean round resets the backoff.
-        self.timeout_escalations += escalations;
+        self.recovery.timeout_escalations += escalations;
         if escalations > 0 {
             self.stepvar_backoff = (self.stepvar_backoff + 1).min(Self::MAX_STEPVAR_DOUBLINGS);
         } else {
@@ -1483,8 +1383,7 @@ impl Node {
         };
         // Attempt expired without a decision: retry with a re-hashed seed.
         if now >= r.attempt_deadline {
-            let (epoch, attempt) = (r.epoch, r.attempt + 1);
-            self.enter_recovery(epoch, attempt, now, out);
+            self.retry_recovery(now, out);
             return;
         }
         match &mut r.phase {
@@ -1504,7 +1403,7 @@ impl Node {
                     .expect("fork ancestry was validated");
                 let empty = Block::empty(block.round, block.prev_hash, &prev_seed_block.seed);
                 debug_assert_eq!(empty.hash(), block.hash());
-                let (mut engine, outputs) = BaStar::start(
+                let (mut engine, mut outputs) = BaStar::start(
                     self.params.ba,
                     self.keypair.clone(),
                     block.round,
@@ -1522,84 +1421,47 @@ impl Node {
                 // reduction-one emission is not flushed with ids either.
                 engine.suppress_causal_ids();
                 engine.set_tracer(self.tracer.clone(), self.trace_node);
-                for o in outputs {
-                    if let Output::Gossip(v) = o {
-                        out.vote(v);
-                    }
-                }
-                let more = engine.on_tick(now);
+                outputs.extend(engine.on_tick(now));
                 r.phase = RecoveryPhase::Ba {
                     engine: Box::new(engine),
                 };
-                self.handle_recovery_engine_outputs(more, now, out);
+                self.handle_engine_outputs(outputs, now, out);
             }
             RecoveryPhase::Ba { engine, .. } => {
                 let outputs = engine.on_tick(now);
-                self.handle_recovery_engine_outputs(outputs, now, out);
+                self.handle_engine_outputs(outputs, now, out);
             }
         }
     }
 
-    fn handle_recovery_engine_outputs(
-        &mut self,
-        outputs: Vec<Output>,
-        now: Micros,
-        out: &mut Outbox,
-    ) {
-        let mut decided = None;
-        let mut hung = false;
-        for o in outputs {
-            match o {
-                Output::Gossip(v) => out.vote(v),
-                Output::BinaryDecided { .. } => {}
-                Output::Decided(d) => decided = Some(d),
-                Output::Hung => hung = true,
-            }
-        }
-        if let Some(d) = decided {
-            self.complete_recovery(d, now, out);
-        } else if hung {
-            // Retry with the next attempt immediately.
-            if let Phase::Recovery(r) = &self.phase {
-                let (epoch, attempt) = (r.epoch, r.attempt + 1);
-                self.enter_recovery(epoch, attempt, now, out);
-            }
+    /// Gives up on the current recovery attempt and starts the next one
+    /// at once, with a re-hashed seed.
+    fn retry_recovery(&mut self, now: Micros, out: &mut Outbox) {
+        if let Phase::Recovery(r) = &self.phase {
+            let (epoch, attempt) = (r.epoch, r.attempt + 1);
+            self.enter_recovery(epoch, attempt, now, out);
         }
     }
 
     fn complete_recovery(&mut self, decision: Decision, now: Micros, out: &mut Outbox) {
         let Some(block) = self.blocks.get(&decision.value).cloned() else {
-            // We decided on a fork block we never saw; retry next attempt.
-            if let Phase::Recovery(r) = &self.phase {
-                let (epoch, attempt) = (r.epoch, r.attempt + 1);
-                self.enter_recovery(epoch, attempt, now, out);
-            }
-            return;
+            // We decided on a fork block we never saw.
+            return self.retry_recovery(now, out);
         };
         // Adopt the agreed fork, then append the agreed empty block.
-        if block.prev_hash != self.chain.tip_hash()
-            && self.chain.switch_to_fork(block.prev_hash, now).is_err()
+        let adopted = block.prev_hash == self.chain.tip_hash()
+            || self.chain.switch_to_fork(block.prev_hash, now).is_ok();
+        if !adopted
+            || self
+                .chain
+                .append(block, Some(decision.certificate), false, now)
+                .is_err()
         {
-            if let Phase::Recovery(r) = &self.phase {
-                let (epoch, attempt) = (r.epoch, r.attempt + 1);
-                self.enter_recovery(epoch, attempt, now, out);
-            }
-            return;
-        }
-        if self
-            .chain
-            .append(block, Some(decision.certificate), false, now)
-            .is_err()
-        {
-            if let Phase::Recovery(r) = &self.phase {
-                let (epoch, attempt) = (r.epoch, r.attempt + 1);
-                self.enter_recovery(epoch, attempt, now, out);
-            }
-            return;
+            return self.retry_recovery(now, out);
         }
         self.hung = false;
         self.last_progress = now;
-        self.recoveries_completed += 1;
+        self.recovery.recoveries_completed += 1;
         self.stepvar_backoff = 0;
         self.tracer
             .span(
@@ -1617,17 +1479,40 @@ impl Node {
     }
 }
 
-/// The verify-stage span for one vote. A free function over the two
-/// tracer fields because its callers hold `&mut` loans of the phase; the
-/// id is only asked for while tracing.
-fn trace_vote_verdict(tracer: &Tracer, node: u32, v: &VoteMessage, now: Micros, ok: bool) {
+/// The node side of ProcessMsg (Algorithm 6) — the one door a vote takes
+/// towards an engine's tally, live or replayed, in a round or a recovery
+/// attempt: the cheap chain-context checks, then the verify stage, its
+/// span and its counters. `None` means the vote is outside the engine's
+/// context and was not verified; `Some(None)` that it was, and failed.
+///
+/// A free function over the fields it needs because its callers hold
+/// `&mut` loans of the phase; the span id is only asked for while tracing.
+fn admit_vote(
+    verifier: &PipelineVerifier,
+    tracer: &Tracer,
+    trace_node: u32,
+    pipeline: &mut PipelineStats,
+    engine: &BaStar,
+    v: &VoteMessage,
+    now: Micros,
+) -> Option<Option<VerifiedVote>> {
+    if !engine.in_context(v) {
+        pipeline.rejected_ingest += 1;
+        return None;
+    }
+    let verdict = verifier.verify_vote(v, &engine.vote_context(v.step), engine.weights());
     if tracer.is_enabled() {
         tracer
-            .span(SpanKind::Verify, node, v.round, now)
+            .span(SpanKind::Verify, trace_node, v.round, now)
             .step(v.step.code())
             .label("vote")
             .id(stable_id(&v.message_id()))
-            .ok(ok)
+            .ok(verdict.is_some())
             .instant();
     }
+    match verdict {
+        Some(_) => pipeline.verified += 1,
+        None => pipeline.rejected_verify += 1,
+    }
+    Some(verdict)
 }

@@ -9,29 +9,13 @@
 //! priority message (so users quickly learn who wins and discard other
 //! blocks) and the full block.
 
-use algorand_ba::RoundWeights;
+use algorand_ba::{verify_sortition, RoundWeights};
 use algorand_crypto::codec::{DecodeError, Reader, WriteExt};
 use algorand_crypto::sig::{self, Signature};
-use algorand_crypto::vrf::{VrfOutput, VrfProof, VRF_PROOF_LEN};
+use algorand_crypto::vrf::{VrfOutput, VrfProof};
 use algorand_crypto::{sha256_concat, Keypair, PublicKey};
 use algorand_ledger::Block;
 use algorand_sortition::{Role, SortitionParams};
-
-/// Reads a (key, proof, signature)-style fixed block used by several
-/// message codecs.
-fn read_proof(r: &mut Reader<'_>) -> Result<(VrfOutput, VrfProof), DecodeError> {
-    let sorthash = VrfOutput(r.bytes32()?);
-    let mut pb = [0u8; VRF_PROOF_LEN];
-    pb.copy_from_slice(r.bytes(VRF_PROOF_LEN)?);
-    let proof = VrfProof::from_bytes(&pb).map_err(|_| DecodeError::Invalid)?;
-    Ok((sorthash, proof))
-}
-
-fn read_sig(r: &mut Reader<'_>) -> Result<Signature, DecodeError> {
-    let mut sb = [0u8; 64];
-    sb.copy_from_slice(r.bytes(64)?);
-    Signature::from_bytes(&sb).map_err(|_| DecodeError::Invalid)
-}
 
 /// A block-proposal priority, ordered bytewise (higher wins).
 pub type Priority = [u8; 32];
@@ -133,11 +117,12 @@ impl PriorityMessage {
     ///
     /// Returns a [`DecodeError`] for truncated or malformed input.
     pub fn decode(r: &mut Reader<'_>) -> Result<PriorityMessage, DecodeError> {
-        let sender = PublicKey::from_bytes(&r.bytes32()?).map_err(|_| DecodeError::Invalid)?;
+        let sender = r.public_key()?;
         let round = r.u64()?;
-        let (sorthash, sort_proof) = read_proof(r)?;
+        let sorthash = VrfOutput(r.bytes32()?);
+        let sort_proof = r.vrf_proof()?;
         let block_hash = r.bytes32()?;
-        let sig = read_sig(r)?;
+        let sig = r.signature()?;
         Ok(PriorityMessage {
             sender,
             round,
@@ -168,24 +153,16 @@ impl PriorityMessage {
         );
         sig::verify(&self.sender, &digest, &self.sig).ok()?;
         let role = Role::BlockProposer { round: self.round };
-        let weight = weights.weight_of(&self.sender);
-        if weight == 0 {
-            return None;
-        }
-        let certified =
-            algorand_sortition::verified_output(&self.sender, &self.sort_proof, seed, role).ok()?;
-        if certified != self.sorthash {
-            return None;
-        }
-        let params = SortitionParams {
-            tau: tau_proposer,
-            total_weight: weights.total(),
-        };
-        let j = algorand_sortition::sub_users_selected(&certified, weight, params.p());
-        if j == 0 {
-            return None;
-        }
-        Some(compute_priority(&certified, j))
+        verify_sortition(
+            &self.sender,
+            &self.sort_proof,
+            &self.sorthash,
+            seed,
+            role,
+            tau_proposer,
+            weights,
+        )
+        .map(|j| compute_priority(&self.sorthash, j))
     }
 }
 
@@ -238,7 +215,8 @@ impl BlockMessage {
     /// Returns a [`DecodeError`] for truncated or malformed input.
     pub fn decode(r: &mut Reader<'_>) -> Result<BlockMessage, DecodeError> {
         let block = Block::decode(r)?;
-        let (sorthash, sort_proof) = read_proof(r)?;
+        let sorthash = VrfOutput(r.bytes32()?);
+        let sort_proof = r.vrf_proof()?;
         Ok(BlockMessage {
             block,
             sorthash,
@@ -261,33 +239,25 @@ impl BlockMessage {
         let role = Role::BlockProposer {
             round: self.block.round,
         };
-        let weight = weights.weight_of(proposer);
-        if weight == 0 {
-            return None;
-        }
-        let certified =
-            algorand_sortition::verified_output(proposer, &self.sort_proof, seed, role).ok()?;
-        if certified != self.sorthash {
-            return None;
-        }
-        let params = SortitionParams {
-            tau: tau_proposer,
-            total_weight: weights.total(),
-        };
-        let j = algorand_sortition::sub_users_selected(&certified, weight, params.p());
-        if j == 0 {
-            return None;
-        }
-        Some(compute_priority(&certified, j))
+        verify_sortition(
+            proposer,
+            &self.sort_proof,
+            &self.sorthash,
+            seed,
+            role,
+            tau_proposer,
+            weights,
+        )
+        .map(|j| compute_priority(&self.sorthash, j))
     }
 }
 
-/// Runs proposer sortition; if selected, returns the VRF material and the
-/// priority this proposer will advertise.
-pub fn proposer_sortition(
+/// Runs sortition for a proposer `role`; if selected, returns the VRF
+/// material and the priority this proposer will advertise.
+pub(crate) fn proposal_sortition(
     keypair: &Keypair,
     seed: &[u8; 32],
-    round: u64,
+    role: Role,
     weights: &RoundWeights,
     tau_proposer: f64,
 ) -> Option<(VrfOutput, VrfProof, Priority)> {
@@ -295,15 +265,22 @@ pub fn proposer_sortition(
         tau: tau_proposer,
         total_weight: weights.total(),
     };
-    let sel = algorand_sortition::select(
-        keypair,
-        seed,
-        Role::BlockProposer { round },
-        &params,
-        weights.weight_of(&keypair.pk),
-    )?;
+    let weight = weights.weight_of(&keypair.pk);
+    let sel = algorand_sortition::select(keypair, seed, role, &params, weight)?;
     let priority = compute_priority(&sel.vrf_output, sel.j);
     Some((sel.vrf_output, sel.proof, priority))
+}
+
+/// Proposer sortition for `round` (§6).
+pub fn proposer_sortition(
+    keypair: &Keypair,
+    seed: &[u8; 32],
+    round: u64,
+    weights: &RoundWeights,
+    tau_proposer: f64,
+) -> Option<(VrfOutput, VrfProof, Priority)> {
+    let role = Role::BlockProposer { round };
+    proposal_sortition(keypair, seed, role, weights, tau_proposer)
 }
 
 #[cfg(test)]

@@ -17,14 +17,14 @@
 //! If an attempt fails (BA⋆ hangs or times out), the seed is re-hashed and
 //! the protocol retries until consensus is achieved.
 
-use crate::proposal::{compute_priority, Priority};
-use algorand_ba::RoundWeights;
+use crate::proposal::{compute_priority, proposal_sortition, Priority};
+use algorand_ba::{verify_sortition, RoundWeights};
 use algorand_crypto::codec::{DecodeError, Reader, WriteExt};
 use algorand_crypto::sig::{self, Signature};
-use algorand_crypto::vrf::{VrfOutput, VrfProof, VRF_PROOF_LEN};
+use algorand_crypto::vrf::{VrfOutput, VrfProof};
 use algorand_crypto::{sha256_concat, Keypair, PublicKey};
 use algorand_ledger::Block;
-use algorand_sortition::{Role, SortitionParams};
+use algorand_sortition::Role;
 
 /// Derives the sortition seed for a recovery attempt.
 ///
@@ -129,17 +129,13 @@ impl ForkProposalMessage {
     ///
     /// Returns a [`DecodeError`] for truncated or malformed input.
     pub fn decode(r: &mut Reader<'_>) -> Result<ForkProposalMessage, DecodeError> {
-        let sender = PublicKey::from_bytes(&r.bytes32()?).map_err(|_| DecodeError::Invalid)?;
+        let sender = r.public_key()?;
         let epoch = r.u64()?;
         let attempt = r.u32()?;
         let sorthash = VrfOutput(r.bytes32()?);
-        let mut pb = [0u8; VRF_PROOF_LEN];
-        pb.copy_from_slice(r.bytes(VRF_PROOF_LEN)?);
-        let sort_proof = VrfProof::from_bytes(&pb).map_err(|_| DecodeError::Invalid)?;
+        let sort_proof = r.vrf_proof()?;
         let block = Block::decode(r)?;
-        let mut sb = [0u8; 64];
-        sb.copy_from_slice(r.bytes(64)?);
-        let sig = Signature::from_bytes(&sb).map_err(|_| DecodeError::Invalid)?;
+        let sig = r.signature()?;
         Ok(ForkProposalMessage {
             sender,
             epoch,
@@ -174,24 +170,16 @@ impl ForkProposalMessage {
             epoch: self.epoch,
             attempt: self.attempt,
         };
-        let weight = weights.weight_of(&self.sender);
-        if weight == 0 {
-            return None;
-        }
-        let certified =
-            algorand_sortition::verified_output(&self.sender, &self.sort_proof, seed, role).ok()?;
-        if certified != self.sorthash {
-            return None;
-        }
-        let params = SortitionParams {
-            tau: tau_proposer,
-            total_weight: weights.total(),
-        };
-        let j = algorand_sortition::sub_users_selected(&certified, weight, params.p());
-        if j == 0 {
-            return None;
-        }
-        Some(compute_priority(&certified, j))
+        verify_sortition(
+            &self.sender,
+            &self.sort_proof,
+            &self.sorthash,
+            seed,
+            role,
+            tau_proposer,
+            weights,
+        )
+        .map(|j| compute_priority(&self.sorthash, j))
     }
 }
 
@@ -204,22 +192,8 @@ pub fn fork_proposer_sortition(
     weights: &RoundWeights,
     tau_proposer: f64,
 ) -> Option<(VrfOutput, VrfProof, Priority)> {
-    let params = SortitionParams {
-        tau: tau_proposer,
-        total_weight: weights.total(),
-    };
-    let sel = algorand_sortition::select(
-        keypair,
-        seed,
-        Role::ForkProposer { epoch, attempt },
-        &params,
-        weights.weight_of(&keypair.pk),
-    )?;
-    Some((
-        sel.vrf_output,
-        sel.proof,
-        compute_priority(&sel.vrf_output, sel.j),
-    ))
+    let role = Role::ForkProposer { epoch, attempt };
+    proposal_sortition(keypair, seed, role, weights, tau_proposer)
 }
 
 #[cfg(test)]

@@ -258,17 +258,6 @@ impl BlockStore {
         self.blocks.get(hash)
     }
 
-    /// The hash of `block`, read off the store when an equal body is
-    /// already filed there (every ingested body is) rather than computed
-    /// again. Equal bodies hash identically, and an unequal one differs
-    /// in its header before any payment is compared.
-    pub fn hash_of(&self, block: &Block) -> [u8; 32] {
-        self.blocks
-            .iter()
-            .find(|(_, stored)| *stored == block)
-            .map_or_else(|| block.hash(), |(hash, _)| *hash)
-    }
-
     /// Transactions of round `completed`'s *losing* proposals, for
     /// reinsertion into the mempool (the replay check against updated
     /// accounts later drops whatever the winner committed).
@@ -360,7 +349,6 @@ impl FutureVotes {
 mod tests {
     use super::*;
     use algorand_ba::StepKind;
-    use algorand_crypto::codec::Reader;
     use algorand_crypto::{vrf, Keypair};
 
     fn vote(round: u64) -> VoteMessage {
@@ -375,26 +363,6 @@ mod tests {
             [0u8; 32],
             [0u8; 32],
         )
-    }
-
-    #[test]
-    fn hash_of_agrees_with_hashing_stored_or_not() {
-        let a = Keypair::from_seed([1u8; 32]);
-        let b = Keypair::from_seed([2u8; 32]);
-        let with = |amount| {
-            let mut block = Block::empty(3, [9u8; 32], &[4u8; 32]);
-            block.txs = vec![Transaction::payment(&a, b.pk, amount, 1)];
-            block
-        };
-        let (stored, equivocation) = (with(10), with(11));
-        let mut store = BlockStore::new();
-        // Filed under a marker instead of the real hash, to show where
-        // the answer comes from.
-        store.insert([0xAA; 32], stored.clone());
-        assert_eq!(store.hash_of(&stored), [0xAA; 32]);
-        let rebuilt = Block::decode(&mut Reader::new(&stored.encoded())).unwrap();
-        assert_eq!(store.hash_of(&rebuilt), [0xAA; 32], "equal, not identical");
-        assert_eq!(store.hash_of(&equivocation), equivocation.hash());
     }
 
     #[test]

@@ -27,13 +27,10 @@
 use crate::proposal::{BlockMessage, Priority, PriorityMessage};
 use crate::recovery::ForkProposalMessage;
 use algorand_ba::{
-    verify_vote_message, CachedVerifier, RoundWeights, VerifiedVote, VoteContext, VoteMessage,
-    VoteVerifier,
+    verify_vote_message, CachedVerifier, RoundWeights, VerdictCache, VerifiedVote, VoteContext,
+    VoteMessage, VoteVerifier,
 };
 use algorand_ledger::Block;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// A priority message that passed signature + proposer-sortition
 /// verification. The only constructor is
@@ -139,18 +136,14 @@ impl VerifiedForkProposal {
 /// whichever of the simulator's worker threads is running it.
 ///
 /// Votes are cached in the wrapped [`CachedVerifier`]; proposal-shaped
-/// messages (priorities, blocks, fork proposals) share one map — their
-/// ids are domain-separated at construction, so kinds cannot collide.
+/// messages (priorities, blocks, fork proposals) share a second
+/// [`VerdictCache`] — their ids are domain-separated at construction, so
+/// kinds cannot collide.
 #[derive(Default)]
 pub struct PipelineVerifier {
     votes: CachedVerifier,
-    proposals: Mutex<HashMap<VerdictKey, Option<Priority>>>,
-    proposal_hits: AtomicU64,
-    proposal_misses: AtomicU64,
+    proposals: VerdictCache<Priority>,
 }
-
-/// A cache key: `(message_id, selection_seed)`.
-type VerdictKey = ([u8; 32], [u8; 32]);
 
 impl PipelineVerifier {
     /// Creates an empty verifier/cache.
@@ -177,7 +170,7 @@ impl PipelineVerifier {
         weights: &RoundWeights,
         tau_proposer: f64,
     ) -> Option<VerifiedPriority> {
-        let priority = self.cached_proposal(msg.message_id(), seed, || {
+        let priority = self.proposals.get_or_verify(msg.message_id(), seed, || {
             msg.verify(seed, weights, tau_proposer)
         })?;
         Some(VerifiedPriority {
@@ -211,9 +204,10 @@ impl PipelineVerifier {
         tau_proposer: f64,
     ) -> Option<VerifiedBlock> {
         let proposer = msg.block.proposer.as_ref()?.to_bytes();
-        let priority = self.cached_proposal(msg.message_id_for(&hash), seed, || {
-            msg.verify(seed, weights, tau_proposer)
-        })?;
+        let id = msg.message_id_for(&hash);
+        let priority = self
+            .proposals
+            .get_or_verify(id, seed, || msg.verify(seed, weights, tau_proposer))?;
         Some(VerifiedBlock {
             round: msg.block.round,
             proposer,
@@ -232,7 +226,7 @@ impl PipelineVerifier {
         weights: &RoundWeights,
         tau_proposer: f64,
     ) -> Option<VerifiedForkProposal> {
-        let priority = self.cached_proposal(msg.message_id(), seed, || {
+        let priority = self.proposals.get_or_verify(msg.message_id(), seed, || {
             msg.verify(seed, weights, tau_proposer)
         })?;
         Some(VerifiedForkProposal {
@@ -243,66 +237,25 @@ impl PipelineVerifier {
         })
     }
 
-    fn cached_proposal(
-        &self,
-        id: [u8; 32],
-        seed: &[u8; 32],
-        verify: impl FnOnce() -> Option<Priority>,
-    ) -> Option<Priority> {
-        let key = (id, *seed);
-        if let Some(hit) = self.proposals.lock().expect("cache poisoned").get(&key) {
-            self.proposal_hits.fetch_add(1, Ordering::Relaxed);
-            return *hit;
-        }
-        self.proposal_misses.fetch_add(1, Ordering::Relaxed);
-        let result = verify();
-        self.proposals
-            .lock()
-            .expect("cache poisoned")
-            .insert(key, result);
-        result
-    }
-
-    /// The cached verdict for a vote under `seed`, if any. `Some(None)`
-    /// means the vote is known invalid — the relay layer consults this
-    /// to stop forwarding junk without re-verifying anything.
-    pub fn vote_status(&self, id: [u8; 32], seed: [u8; 32]) -> Option<Option<u64>> {
-        self.votes.status(id, seed)
-    }
-
-    /// The cached verdict for a proposal-shaped message under `seed`.
-    pub fn proposal_status(&self, id: [u8; 32], seed: [u8; 32]) -> Option<Option<Priority>> {
-        self.proposals
-            .lock()
-            .expect("cache poisoned")
-            .get(&(id, seed))
-            .copied()
-    }
-
-    /// Distinct vote verifications performed (CPU-cost proxy).
+    /// Vote verdicts held: distinct vote verifications performed (a
+    /// CPU-cost proxy) until the bounded cache first rotates.
     pub fn unique_vote_verifications(&self) -> usize {
-        self.votes.unique_verifications()
+        self.votes.cache().entries()
     }
 
-    /// Distinct proposal/block/fork-proposal verifications performed.
+    /// Proposal/block/fork-proposal verdicts held, likewise.
     pub fn unique_proposal_verifications(&self) -> usize {
-        self.proposals.lock().expect("cache poisoned").len()
+        self.proposals.entries()
     }
 
     /// Cache hits across both caches.
     pub fn cache_hits(&self) -> u64 {
-        self.votes.hits() + self.proposal_hits.load(Ordering::Relaxed)
+        self.votes.cache().hits() + self.proposals.hits()
     }
 
     /// Cache misses (full verifications) across both caches.
     pub fn cache_misses(&self) -> u64 {
-        self.votes.misses() + self.proposal_misses.load(Ordering::Relaxed)
-    }
-
-    /// Drops all cached entries.
-    pub fn clear(&self) {
-        self.votes.clear();
-        self.proposals.lock().expect("cache poisoned").clear();
+        self.votes.cache().misses() + self.proposals.misses()
     }
 }
 
@@ -346,20 +299,16 @@ mod tests {
         v.verify_priority(&msg, &seed, &weights, 100.0)
             .expect("still valid");
         assert_eq!((v.cache_hits(), v.cache_misses()), (1, 1));
-        assert_eq!(
-            v.proposal_status(msg.message_id(), seed),
-            Some(Some(priority))
-        );
         // A different seed is a different context: miss, and the message
         // fails to verify there (cached as invalid independently).
-        assert!(v
-            .verify_priority(&msg, &[9u8; 32], &weights, 100.0)
-            .is_none());
-        assert_eq!(v.proposal_status(msg.message_id(), [9u8; 32]), Some(None));
-        assert_eq!(
-            v.proposal_status(msg.message_id(), seed),
-            Some(Some(priority))
-        );
+        for _ in 0..2 {
+            assert!(v
+                .verify_priority(&msg, &[9u8; 32], &weights, 100.0)
+                .is_none());
+        }
+        assert_eq!((v.cache_hits(), v.cache_misses()), (2, 2));
         assert_eq!(v.unique_proposal_verifications(), 2);
+        let again = v.verify_priority(&msg, &seed, &weights, 100.0);
+        assert_eq!(again.map(|vp| vp.priority()), Some(priority));
     }
 }

@@ -187,7 +187,7 @@ fn scaled_params_accept_decoded_traffic() {
     let bytes = vote.encoded();
     let mut r = Reader::new(&bytes);
     let decoded = WireMessage::decode(&mut r).unwrap();
-    let out = node.on_message(&decoded, 1);
+    let out = node.on_message(&decoded, 1).outputs;
     // A round-3 vote reaching a round-1 node is two rounds ahead: the node
     // buffers it and fires the gap-2 catch-up probe — nothing else.
     assert_eq!(out.len(), 1, "expected exactly the catch-up probe");

@@ -7,6 +7,9 @@
 //! consensus messages (`algorand-ba`), ledger types (`algorand-ledger`),
 //! and the node wire protocol (`algorand-core`) can all share it.
 
+use crate::sig::{PublicKey, Signature};
+use crate::vrf::{VrfProof, VRF_PROOF_LEN};
+
 /// Errors from decoding a canonical byte stream.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DecodeError {
@@ -103,6 +106,24 @@ impl<'a> Reader<'a> {
     /// Reads a fixed-length byte slice.
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         self.take(n)
+    }
+
+    /// Reads a 32-byte public key, rejecting encodings that are not a
+    /// valid key.
+    pub fn public_key(&mut self) -> Result<PublicKey, DecodeError> {
+        PublicKey::from_bytes(&self.bytes32()?).map_err(|_| DecodeError::Invalid)
+    }
+
+    /// Reads a 96-byte VRF proof.
+    pub fn vrf_proof(&mut self) -> Result<VrfProof, DecodeError> {
+        let b = self.take(VRF_PROOF_LEN)?.try_into().expect("length taken");
+        VrfProof::from_bytes(b).map_err(|_| DecodeError::Invalid)
+    }
+
+    /// Reads a 64-byte signature.
+    pub fn signature(&mut self) -> Result<Signature, DecodeError> {
+        let b = self.take(64)?.try_into().expect("length taken");
+        Signature::from_bytes(b).map_err(|_| DecodeError::Invalid)
     }
 
     /// Reads a u32-length-prefixed byte string, bounded by `max_len`.

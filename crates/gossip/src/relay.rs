@@ -7,7 +7,7 @@
 //! `node::runtime`) consult this policy *first*, on every delivery and
 //! before the node has validated anything: a duplicate is dropped unread,
 //! anything else goes to `Node::on_message`, and validation gates only
-//! the *forwarding* of a [`RelayDecision::Relay`] (`Node::should_relay`).
+//! the *forwarding* of a [`RelayDecision::Relay`] (`Delivery::relay`).
 //! An invalid message therefore occupies an id — and, if vote-like, its
 //! claimed sender's slot — at the nodes it reached, and spreads no
 //! further.

@@ -173,16 +173,12 @@ impl Block {
         let seed = r.bytes32()?;
         let seed_proof = match r.u8()? {
             0 => None,
-            1 => {
-                let mut b = [0u8; VRF_PROOF_LEN];
-                b.copy_from_slice(r.bytes(VRF_PROOF_LEN)?);
-                Some(VrfProof::from_bytes(&b).map_err(|_| DecodeError::Invalid)?)
-            }
+            1 => Some(r.vrf_proof()?),
             _ => return Err(DecodeError::Invalid),
         };
         let proposer = match r.u8()? {
             0 => None,
-            1 => Some(PublicKey::from_bytes(&r.bytes32()?).map_err(|_| DecodeError::Invalid)?),
+            1 => Some(r.public_key()?),
             _ => return Err(DecodeError::Invalid),
         };
         let timestamp = r.u64()?;

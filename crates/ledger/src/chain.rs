@@ -55,8 +55,11 @@ pub enum ChainError {
     /// The block's parent is not the current tip (append) or is unknown
     /// (observe/switch).
     UnknownParent,
-    /// A certificate did not validate.
+    /// A certificate did not validate, or names another block.
     BadCertificate,
+    /// A `(block, certificate)` entry is for some round other than the
+    /// next one: stale, or ahead of a gap.
+    NotNextRound,
     /// The requested fork tip is not a stored block.
     UnknownFork,
 }
@@ -67,6 +70,7 @@ impl std::fmt::Display for ChainError {
             ChainError::Block(e) => write!(f, "invalid block: {e}"),
             ChainError::UnknownParent => f.write_str("unknown or non-tip parent"),
             ChainError::BadCertificate => f.write_str("invalid certificate"),
+            ChainError::NotNextRound => f.write_str("entry is not for the next round"),
             ChainError::UnknownFork => f.write_str("unknown fork tip"),
         }
     }
@@ -277,6 +281,19 @@ impl Blockchain {
         finalized: bool,
         now: Micros,
     ) -> Result<(), ChainError> {
+        let hash = block.hash();
+        self.append_hashed(block, hash, certificate, finalized, now)
+    }
+
+    /// [`Blockchain::append`] for a caller that already took the hash.
+    fn append_hashed(
+        &mut self,
+        block: Block,
+        hash: [u8; 32],
+        certificate: Option<Certificate>,
+        finalized: bool,
+        now: Micros,
+    ) -> Result<(), ChainError> {
         if block.prev_hash != self.tip_hash() {
             return Err(ChainError::UnknownParent);
         }
@@ -284,7 +301,6 @@ impl Blockchain {
         for tx in &block.txs {
             self.tx_index.insert(tx.id(), block.round);
         }
-        let hash = block.hash();
         self.all_blocks.insert(
             hash,
             Stored {
@@ -298,13 +314,56 @@ impl Blockchain {
         Ok(())
     }
 
+    /// Appends one `(block, certificate)` entry of somebody else's history
+    /// as a tentative block — §8.3's step, the same for a bootstrapping
+    /// user, a catch-up batch and a restart from the node's own log. The
+    /// entry must be for the next round, the certificate must name the
+    /// block and validate under the seed, weights and tip this chain
+    /// itself holds for that round, and the block must validate.
+    ///
+    /// # Errors
+    ///
+    /// [`ChainError::NotNextRound`] for a stale or out-of-order entry
+    /// (nothing was checked), [`ChainError::BadCertificate`] for a forged,
+    /// mismatched or insufficient certificate, or the error of
+    /// [`Blockchain::append`]. The chain is unchanged on any error.
+    pub fn append_certified(
+        &mut self,
+        block: Block,
+        cert: Certificate,
+        ba_params: &BaParams,
+        verifier: &dyn VoteVerifier,
+        now: Micros,
+    ) -> Result<(), ChainError> {
+        let next = self.next_round();
+        if block.round != next || cert.round != next {
+            return Err(ChainError::NotNextRound);
+        }
+        let hash = block.hash();
+        if cert.value != hash {
+            return Err(ChainError::BadCertificate);
+        }
+        let seed = self.selection_seed(next);
+        let weights = self.weights_for_round(next);
+        cert.validate(ba_params, &seed, &self.tip_hash(), &weights, verifier)
+            .map_err(|_| ChainError::BadCertificate)?;
+        self.append_hashed(block, hash, Some(cert), false, now)
+    }
+
     /// Marks the canonical block at `round` (and, transitively, all its
     /// predecessors) as finalized. Algorand confirms a transaction when it
     /// is in a final block *or a predecessor of one* (§8.2).
+    ///
+    /// Walks down from `round` and stops below the first block that is
+    /// already final: its predecessors were marked when it was.
     pub fn finalize(&mut self, round: u64) {
-        for r in 0..=round.min(self.tip().round) {
+        let top = round.min(self.tip().round);
+        for r in (0..=top).rev() {
             let h = self.canonical[r as usize];
-            self.all_blocks.get_mut(&h).expect("canonical").finalized = true;
+            let stored = self.all_blocks.get_mut(&h).expect("canonical");
+            if std::mem::replace(&mut stored.finalized, true) && r < top {
+                break;
+            }
         }
     }
 
@@ -344,10 +403,10 @@ impl Blockchain {
     /// dead weight; nodes prune them as finality advances to keep memory
     /// proportional to the unfinalized suffix.
     pub fn prune_side_blocks(&mut self, round: u64) {
-        let canonical: std::collections::HashSet<[u8; 32]> =
-            self.canonical.iter().copied().collect();
-        self.all_blocks
-            .retain(|h, s| s.block.round > round || canonical.contains(h));
+        let canonical = &self.canonical;
+        self.all_blocks.retain(|h, s| {
+            s.block.round > round || canonical.get(s.block.round as usize) == Some(h)
+        });
     }
 
     /// Stores a block that is *not* (yet) on the canonical chain — fork
@@ -522,8 +581,7 @@ impl Blockchain {
     ///
     /// # Errors
     ///
-    /// Returns [`ChainError::BadCertificate`] on any forged or insufficient
-    /// certificate, or the block validation error.
+    /// Returns the first error of [`Blockchain::append_certified`].
     #[allow(clippy::too_many_arguments)]
     pub fn bootstrap(
         params: ChainParams,
@@ -534,19 +592,13 @@ impl Blockchain {
         verifier: &dyn VoteVerifier,
         now: Micros,
     ) -> Result<Blockchain, ChainError> {
-        let mut chain = Blockchain::new(params, alloc, genesis_seed);
-        for (block, cert) in history {
-            if cert.round != block.round || cert.value != block.hash() {
-                return Err(ChainError::BadCertificate);
-            }
-            let seed = chain.selection_seed(block.round);
-            let weights = chain.weights_for_round(block.round);
-            let prev_hash = chain.tip_hash();
-            cert.validate(ba_params, &seed, &prev_hash, &weights, verifier)
-                .map_err(|_| ChainError::BadCertificate)?;
-            chain.append(block.clone(), Some(cert.clone()), false, now)?;
-        }
-        Ok(chain)
+        history.iter().try_fold(
+            Blockchain::new(params, alloc, genesis_seed),
+            |mut chain, (block, cert)| {
+                chain.append_certified(block.clone(), cert.clone(), ba_params, verifier, now)?;
+                Ok(chain)
+            },
+        )
     }
 
     /// Total bytes this node stores for blocks and certificates when the
@@ -577,4 +629,75 @@ pub fn shard_of(pk: &PublicKey, n_shards: u64) -> u64 {
     let mut x = [0u8; 8];
     x.copy_from_slice(&bytes[..8]);
     u64::from_le_bytes(x) % n_shards
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `finalize` as it was: re-marks every round from genesis.
+    fn naive_finalize(chain: &mut Blockchain, round: u64) {
+        for r in 0..=round.min(chain.tip().round) {
+            let h = chain.canonical[r as usize];
+            chain.all_blocks.get_mut(&h).expect("canonical").finalized = true;
+        }
+    }
+
+    /// `prune_side_blocks` as it was: collects the whole canonical chain.
+    fn naive_prune(chain: &mut Blockchain, round: u64) {
+        let canonical: std::collections::HashSet<[u8; 32]> =
+            chain.canonical.iter().copied().collect();
+        chain
+            .all_blocks
+            .retain(|h, s| s.block.round > round || canonical.contains(h));
+    }
+
+    #[test]
+    fn finality_walks_only_the_new_suffix_and_agrees_with_the_full_scan() {
+        let new_chain = || Blockchain::new(ChainParams::paper(), [], [7u8; 32]);
+        let (mut fast, mut naive) = (new_chain(), new_chain());
+        for r in 1..=300u64 {
+            let empty = Block::empty(r, fast.tip_hash(), &fast.tip().seed);
+            // A losing proposal of the round, kept for fork tracking.
+            let mut side = empty.clone();
+            side.payload = vec![r as u8];
+            // Final rounds come in bursts, as a node sees them: appended
+            // as final, then finalized and pruned through.
+            let finalized = r % 7 < 2;
+            for (chain, is_naive) in [(&mut fast, false), (&mut naive, true)] {
+                chain.observe_block(side.clone());
+                chain.append(empty.clone(), None, finalized, r).unwrap();
+                match (finalized, is_naive) {
+                    (false, _) => {}
+                    (true, false) => {
+                        chain.finalize(r);
+                        chain.prune_side_blocks(r);
+                    }
+                    (true, true) => {
+                        naive_finalize(chain, r);
+                        naive_prune(chain, r);
+                    }
+                }
+            }
+            for q in 0..=r {
+                assert_eq!(
+                    fast.is_finalized(q),
+                    naive.is_finalized(q),
+                    "round {q} at {r}"
+                );
+            }
+            let held = |c: &Blockchain| {
+                let mut hashes: Vec<_> = c.all_blocks.keys().copied().collect();
+                hashes.sort_unstable();
+                hashes
+            };
+            assert_eq!(held(&fast), held(&naive), "surviving blocks at {r}");
+        }
+        assert!(fast.is_finalized(295) && !fast.is_finalized(296));
+        assert_eq!(
+            fast.all_blocks.len(),
+            301 + 5,
+            "rounds 296..=300 keep sides"
+        );
+    }
 }

@@ -161,13 +161,11 @@ impl Transaction {
     ///
     /// Returns [`DecodeError::Invalid`] for malformed keys or signatures.
     pub fn decode(r: &mut Reader<'_>) -> Result<Transaction, DecodeError> {
-        let from = PublicKey::from_bytes(&r.bytes32()?).map_err(|_| DecodeError::Invalid)?;
-        let to = PublicKey::from_bytes(&r.bytes32()?).map_err(|_| DecodeError::Invalid)?;
+        let from = r.public_key()?;
+        let to = r.public_key()?;
         let amount = r.u64()?;
         let nonce = r.u64()?;
-        let mut sig_bytes = [0u8; 64];
-        sig_bytes.copy_from_slice(r.bytes(64)?);
-        let sig = Signature::from_bytes(&sig_bytes).map_err(|_| DecodeError::Invalid)?;
+        let sig = r.signature()?;
         Ok(Self::from_parts(from, to, amount, nonce, sig))
     }
 }

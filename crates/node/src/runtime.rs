@@ -38,8 +38,8 @@ use algorand_ba::Micros;
 use algorand_core::{Node, PipelineVerifier, WireMessage};
 use algorand_gossip::{RelayDecision, RelayState};
 use algorand_obs::{
-    expose, fanout, stable_id, write_jsonl, Counter, FlightHandle, Histogram, MonitorHandle,
-    Registry, SpanKind, Tracer,
+    expose, fanout, stable_id, write_jsonl, Counter, FlightHandle, MonitorHandle, Registry,
+    SpanKind, Tracer,
 };
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
@@ -88,7 +88,7 @@ pub struct RunSummary {
     /// Rounds recovered from the WAL before joining the network.
     pub wal_replayed_rounds: u64,
     /// Catch-up batch entries the core applied (blocksync progress).
-    pub catchups_applied: usize,
+    pub catchups_applied: u64,
     /// Catch-up requests blocksync issued.
     pub sync_requests: u64,
     /// Frames that failed wire decoding (each logged with kind+offset).
@@ -438,7 +438,7 @@ impl Runtime {
                     .instant();
             }
         }
-        let outputs = self.node.on_message(&msg, self.now());
+        let delivery = self.node.on_message(&msg, self.now());
 
         // Catch-up traffic is point-to-point on this transport: the
         // requester asked *us*, and our response goes only to them.
@@ -446,11 +446,11 @@ impl Runtime {
             msg,
             WireMessage::CatchupRequest { .. } | WireMessage::CatchupResponse(_)
         );
-        if decision == RelayDecision::Relay && !point_to_point && self.node.should_relay(&msg) {
+        if decision == RelayDecision::Relay && !point_to_point && delivery.relay {
             self.trace_send(&msg, bytes.len());
             self.transport.broadcast_gossip(bytes, Some(from));
         }
-        self.dispatch(outputs, Some(from));
+        self.dispatch(delivery.outputs, Some(from));
     }
 
     /// Whether one more malformed frame from `peer` is worth a log line.
@@ -567,48 +567,31 @@ impl Runtime {
         Ok(())
     }
 
-    /// Refreshes every derived gauge on the registry. The names mirror
-    /// the simulator's exposition exactly (`pipeline.*`, `verify.*`,
-    /// `recovery.*`, `round.latency_us`, …) so the same dashboards and
-    /// assertions read both; transport and WAL counters are live and
-    /// need no refresh. Idempotent — gauges overwrite, the histogram is
+    /// Refreshes every derived gauge on the registry. The names the
+    /// simulator's exposition shares (`pipeline.*`, `verify.*`,
+    /// `recovery.*`, `round.latency_us`) come from the one function that
+    /// publishes them for both, so the same dashboards and assertions
+    /// read either; transport and WAL counters are live and need no
+    /// refresh. Idempotent — gauges overwrite, the histogram is
     /// replaced. Deliberately no wall-clock-derived values: an idle
     /// node's exposition must not change between scrapes.
     fn publish_metrics(&mut self) {
         let reg = &self.registry;
-        let p = self.node.pipeline_stats();
-        reg.gauge("pipeline.ingested").set(p.ingested as i64);
-        reg.gauge("pipeline.verified").set(p.verified as i64);
-        reg.gauge("pipeline.rejected_verify")
-            .set(p.rejected_verify as i64);
-        reg.gauge("pipeline.emitted").set(p.emitted as i64);
-        let v = self.node.verifier();
-        reg.gauge("verify.cache_hits").set(v.cache_hits() as i64);
-        reg.gauge("verify.cache_misses")
-            .set(v.cache_misses() as i64);
-        reg.gauge("verify.unique_votes")
-            .set(v.unique_vote_verifications() as i64);
+        algorand_core::metrics::publish_metrics(
+            reg,
+            &self.node.pipeline_stats(),
+            self.node.verifier(),
+            &self.node.recovery_stats(),
+            self.node.records().iter().map(|r| r.total()),
+        );
         // No fault injection in a real process: partitions stay 0 and a
         // restart is evidenced by a non-empty WAL replay.
         reg.gauge("faults.partitions").set(0);
         reg.gauge("faults.restarts")
             .set(i64::from(self.wal_replayed_rounds > 0));
-        reg.gauge("recovery.timeout_escalations")
-            .set(self.node.timeout_escalations() as i64);
-        reg.gauge("recovery.watchdog_catchups")
-            .set(self.node.watchdog_catchups() as i64);
-        reg.gauge("recovery.fork_recoveries")
-            .set(self.node.recoveries_completed() as i64);
-        reg.gauge("recovery.catchups_applied")
-            .set(self.node.catchups_applied() as i64);
         let t = self.transport.stats();
         reg.gauge("net.total_bytes_sent").set(t.bytes_sent as i64);
         reg.gauge("trace.dropped").set(self.tracer.dropped() as i64);
-        let mut lat = Histogram::new();
-        for r in self.node.records() {
-            lat.record(r.total());
-        }
-        reg.histogram("round.latency_us").replace(lat);
         reg.gauge("workload.injected").set(self.cfg.tx_count as i64);
         let tip = self.node.chain().tip().round;
         let committed: usize = (1..=tip)
@@ -698,7 +681,7 @@ impl Runtime {
             self.node.chain().tip().round,
             self.walled_through,
             self.wal_replayed_rounds,
-            self.node.catchups_applied(),
+            self.node.recovery_stats().catchups_applied,
             self.transport.peer_count(),
             self.decode_failures.get(),
             self.transport.stats().send_drops,
@@ -762,7 +745,7 @@ impl Runtime {
             reached_round: reached,
             digest,
             wal_replayed_rounds: self.wal_replayed_rounds,
-            catchups_applied: self.node.catchups_applied(),
+            catchups_applied: self.node.recovery_stats().catchups_applied,
             sync_requests: self.sync.requests_sent(),
             decode_failures: self.decode_failures.get(),
             monitor_violations: violations,

@@ -107,7 +107,7 @@ impl MaliciousNode {
 
     /// Delivers a message, rewriting outputs maliciously.
     pub fn on_message(&mut self, msg: &WireMessage, now: u64) -> Vec<Outgoing> {
-        let outputs = self.inner.on_message(msg, now);
+        let outputs = self.inner.on_message(msg, now).outputs;
         self.rewrite(outputs)
     }
 

@@ -62,8 +62,8 @@ use algorand_crypto::Keypair;
 use algorand_gossip::{RelayDecision, RelayMetrics, RelayState, Topology};
 use algorand_ledger::Transaction;
 use algorand_obs::{
-    stable_id, write_jsonl_trimmed, Histogram, MonitorHandle, MonitorReport, Registry, SpanKind,
-    TraceEvent, TraceObserver, Tracer, NO_NODE,
+    stable_id, write_jsonl_trimmed, MonitorHandle, MonitorReport, Registry, SpanKind, TraceEvent,
+    TraceObserver, Tracer, NO_NODE,
 };
 use algorand_txpool::PoolMetrics;
 use std::cmp::Reverse;
@@ -1026,39 +1026,25 @@ impl Simulation {
     /// calling it again after more rounds simply refreshes the values —
     /// restarted nodes never double-count.
     pub fn publish_metrics(&self) {
-        let p = self.pipeline_report();
         let reg = &self.registry;
-        reg.gauge("pipeline.ingested").set(p.stages.ingested as i64);
-        reg.gauge("pipeline.verified").set(p.stages.verified as i64);
-        reg.gauge("pipeline.rejected_verify")
-            .set(p.stages.rejected_verify as i64);
-        reg.gauge("pipeline.emitted").set(p.stages.emitted as i64);
-        reg.gauge("verify.cache_hits").set(p.cache_hits as i64);
-        reg.gauge("verify.cache_misses").set(p.cache_misses as i64);
-        reg.gauge("verify.unique_votes").set(p.unique_votes as i64);
+        let p = self.pipeline_report();
         let f = self.fault_report();
+        let records = self.combined_records();
+        // Round-completion latency across all nodes and rounds, µs.
+        let latencies = records.iter().flatten().map(RoundRecord::total);
+        algorand_core::metrics::publish_metrics(
+            reg,
+            &p.stages,
+            &self.verifier,
+            &f.recovery,
+            latencies,
+        );
         reg.gauge("faults.partitions")
             .set(f.partitions_activated as i64);
         reg.gauge("faults.restarts").set(f.restarts as i64);
-        reg.gauge("recovery.timeout_escalations")
-            .set(f.timeout_escalations as i64);
-        reg.gauge("recovery.watchdog_catchups")
-            .set(f.watchdog_catchups as i64);
-        reg.gauge("recovery.fork_recoveries")
-            .set(f.recoveries_completed as i64);
-        reg.gauge("recovery.catchups_applied")
-            .set(f.catchups_applied as i64);
         reg.gauge("net.total_bytes_sent")
             .set(self.net.total_bytes_sent() as i64);
         reg.gauge("trace.dropped").set(self.trace_dropped() as i64);
-        // Round-completion latency across all nodes and rounds, µs.
-        let mut lat = Histogram::new();
-        for recs in self.combined_records() {
-            for r in &recs {
-                lat.record(r.total());
-            }
-        }
-        reg.histogram("round.latency_us").replace(lat);
         if let Some(t) = self.tx_stats() {
             reg.gauge("workload.injected").set(t.injected as i64);
             reg.gauge("workload.committed").set(t.committed as i64);
@@ -1249,13 +1235,14 @@ fn run_deliver(
         return;
     }
     let now_t = harness::skewed_local(time, g.clock_skew);
-    let outgoing = g.slot.on_message(&msg.wire, now_t);
     // §6: honest users discard block bodies that are not the
     // highest-priority proposal they have seen; a transaction spreads
     // only while its receiver still pools it (rejects and evictions die
     // out here).
-    let discard = g.slot.discards(&msg.wire, ctx.cfg.relay_all_blocks);
-    if decision == RelayDecision::Relay && !discard {
+    let (outgoing, forward) = g
+        .slot
+        .on_message(&msg.wire, now_t, ctx.cfg.relay_all_blocks);
+    if decision == RelayDecision::Relay && forward {
         let seq = g.out_seq;
         g.out_seq += 1;
         g.outbox.push(Intent {

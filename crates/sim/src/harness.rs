@@ -11,7 +11,7 @@ use crate::event::Micros;
 use crate::metrics::Percentiles;
 use crate::network::{NetConfig, Network};
 use algorand_core::{
-    AlgorandParams, Node, PipelineStats, PipelineVerifier, RoundRecord, WireMessage,
+    AlgorandParams, Node, PipelineStats, PipelineVerifier, RecoveryStats, RoundRecord, WireMessage,
 };
 use algorand_crypto::rng::Rng;
 use algorand_crypto::Keypair;
@@ -289,20 +289,24 @@ impl Slot {
         }
     }
 
-    pub(crate) fn on_message(&mut self, msg: &WireMessage, now: Micros) -> Vec<Outgoing> {
+    /// Delivers a message: what the node emits, and whether it forwards
+    /// the message itself ([`algorand_core::node::Delivery::relay`]).
+    /// Malicious nodes relay everything, and the `relay_all_blocks`
+    /// ablation switches §6's block rule off.
+    pub(crate) fn on_message(
+        &mut self,
+        msg: &WireMessage,
+        now: Micros,
+        relay_all_blocks: bool,
+    ) -> (Vec<Outgoing>, bool) {
         match self {
-            Slot::Honest(n) => wrap_broadcast(n.on_message(msg, now)),
-            Slot::Malicious(m) => m.on_message(msg, now),
+            Slot::Honest(n) => {
+                let delivery = n.on_message(msg, now);
+                let exempt = relay_all_blocks && matches!(msg, WireMessage::Block(_));
+                (wrap_broadcast(delivery.outputs), delivery.relay || exempt)
+            }
+            Slot::Malicious(m) => (m.on_message(msg, now), true),
         }
-    }
-
-    /// Whether the node declines to relay this message onward
-    /// ([`Node::should_relay`]). Malicious nodes relay everything, and
-    /// the `relay_all_blocks` ablation switches §6's block rule off.
-    pub(crate) fn discards(&self, msg: &WireMessage, relay_all_blocks: bool) -> bool {
-        let Slot::Honest(n) = self else { return false };
-        let exempt = relay_all_blocks && matches!(msg, WireMessage::Block(_));
-        !exempt && !n.should_relay(msg)
     }
 }
 
@@ -487,11 +491,7 @@ impl Workload {
 pub(crate) struct NodeCarry {
     pub pipeline: PipelineStats,
     pub records: Vec<RoundRecord>,
-    pub timeout_escalations: u64,
-    pub watchdog_catchups: usize,
-    pub recoveries_completed: usize,
-    pub catchups_applied: usize,
-    pub catchup_reorgs: usize,
+    pub recovery: RecoveryStats,
 }
 
 impl NodeCarry {
@@ -499,11 +499,7 @@ impl NodeCarry {
     pub(crate) fn fold_from(&mut self, node: &Node) {
         self.pipeline.merge(&node.pipeline_stats());
         self.records.extend_from_slice(node.records());
-        self.timeout_escalations += node.timeout_escalations();
-        self.watchdog_catchups += node.watchdog_catchups();
-        self.recoveries_completed += node.recoveries_completed();
-        self.catchups_applied += node.catchups_applied();
-        self.catchup_reorgs += node.catchup_reorgs();
+        self.recovery.merge(&node.recovery_stats());
     }
 }
 
@@ -560,17 +556,9 @@ pub struct FaultReport {
     pub dropped_by_partition: u64,
     /// Sends dropped by random packet loss.
     pub dropped_by_loss: u64,
-    /// BA⋆ step-timeout escalations summed over honest nodes.
-    pub timeout_escalations: u64,
-    /// Watchdog-initiated catch-up requests summed over honest nodes.
-    pub watchdog_catchups: usize,
-    /// §8.2 fork recoveries completed, summed over honest nodes.
-    pub recoveries_completed: usize,
-    /// Rounds adopted via §8.3 catch-up, summed over honest nodes.
-    pub catchups_applied: usize,
-    /// Tentative-fork suffixes rolled back by catch-up (§8.2), summed
-    /// over honest nodes.
-    pub catchup_reorgs: usize,
+    /// Timeout, catch-up and fork-recovery counters summed over honest
+    /// nodes.
+    pub recovery: RecoveryStats,
 }
 
 impl std::fmt::Display for FaultReport {
@@ -587,11 +575,11 @@ impl std::fmt::Display for FaultReport {
         write!(
             f,
             "recovery: timeout_escalations={} watchdog_catchups={} fork_recoveries={} catchups={} reorgs={}",
-            self.timeout_escalations,
-            self.watchdog_catchups,
-            self.recoveries_completed,
-            self.catchups_applied,
-            self.catchup_reorgs,
+            self.recovery.timeout_escalations,
+            self.recovery.watchdog_catchups,
+            self.recovery.recoveries_completed,
+            self.recovery.catchups_applied,
+            self.recovery.catchup_reorgs,
         )
     }
 }
@@ -682,35 +670,22 @@ pub(crate) fn fault_report(
     partitions_activated: usize,
     restarts: usize,
 ) -> FaultReport {
-    let mut report = FaultReport {
+    let mut recovery = RecoveryStats::default();
+    for n in slots.iter().filter_map(|slot| slot.honest()) {
+        recovery.merge(&n.recovery_stats());
+    }
+    // Counters from nodes replaced by crash/restart, once per node id.
+    for c in carry.values() {
+        recovery.merge(&c.recovery);
+    }
+    FaultReport {
         partitions_activated,
         restarts,
         dropped_by_filter: net.dropped_by_filter(),
         dropped_by_partition: net.dropped_by_partition(),
         dropped_by_loss: net.dropped_by_loss(),
-        timeout_escalations: 0,
-        watchdog_catchups: 0,
-        recoveries_completed: 0,
-        catchups_applied: 0,
-        catchup_reorgs: 0,
-    };
-    for slot in slots {
-        let Some(n) = slot.honest() else { continue };
-        report.timeout_escalations += n.timeout_escalations();
-        report.watchdog_catchups += n.watchdog_catchups();
-        report.recoveries_completed += n.recoveries_completed();
-        report.catchups_applied += n.catchups_applied();
-        report.catchup_reorgs += n.catchup_reorgs();
+        recovery,
     }
-    // Counters from nodes replaced by crash/restart, once per node id.
-    for c in carry.values() {
-        report.timeout_escalations += c.timeout_escalations;
-        report.watchdog_catchups += c.watchdog_catchups;
-        report.recoveries_completed += c.recoveries_completed;
-        report.catchups_applied += c.catchups_applied;
-        report.catchup_reorgs += c.catchup_reorgs;
-    }
-    report
 }
 
 /// End-to-end transaction metrics for the workload (if one ran).

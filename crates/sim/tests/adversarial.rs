@@ -177,8 +177,8 @@ fn long_partition_triggers_recovery_and_network_rejoins() {
     let final_round = sim.honest_node(0).chain().tip().round;
     assert!(final_round >= 2, "chain stuck at round {final_round}");
     // ...and at least one node went through the recovery protocol.
-    let total_recoveries: usize = (0..n)
-        .map(|i| sim.honest_node(i).recoveries_completed())
+    let total_recoveries: u64 = (0..n)
+        .map(|i| sim.honest_node(i).recovery_stats().recoveries_completed)
         .sum();
     assert!(
         total_recoveries > 0,

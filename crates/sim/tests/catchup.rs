@@ -35,7 +35,7 @@ fn isolated_node_catches_up_after_rejoining() {
         "node 0 still behind after heal: {round0} vs {network_round}"
     );
     assert!(
-        node0.catchups_applied() > 0,
+        node0.recovery_stats().catchups_applied > 0,
         "node 0 should have re-synced via catch-up, not plain voting"
     );
     // And its chain is the network's chain.

@@ -194,7 +194,7 @@ fn crash_majority_restart_converges() {
     let report = sim.fault_report();
     assert_eq!(report.restarts, 9);
     assert!(
-        report.timeout_escalations > 0,
+        report.recovery.timeout_escalations > 0,
         "survivors should have burned step timeouts while the majority was down"
     );
     assert_monitor_clean(&sim);
@@ -266,7 +266,7 @@ fn crashed_node_rejoins_via_catchup() {
     let common = assert_common_prefix(&sim, n, tip_at_crash + 4);
     let rejoined = sim.honest_node(0);
     assert!(
-        rejoined.catchups_applied() > 0,
+        rejoined.recovery_stats().catchups_applied > 0,
         "restarted node should have adopted the missed rounds via catch-up"
     );
     // It participates normally again: rounds *after* the gap were

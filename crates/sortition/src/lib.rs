@@ -195,24 +195,27 @@ pub fn verify(
     params: &SortitionParams,
     weight: u64,
 ) -> Result<u64, CryptoError> {
-    let alpha = vrf_alpha(seed, role);
-    let output = vrf::verify(pk, &alpha, proof)?;
-    Ok(sub_users_selected(&output, weight, params.p()))
+    verify_output(pk, proof, seed, role, params, weight).map(|(_, j)| j)
 }
 
-/// Recomputes the VRF output certified by a sortition proof.
+/// [`verify`], also handing back the VRF output the proof certifies: a
+/// message that states its own sortition hash (votes feed it to the
+/// common coin, proposals to their priority) must state this one.
 ///
 /// # Errors
 ///
 /// Returns [`CryptoError::InvalidProof`] when the proof does not verify.
-pub fn verified_output(
+pub fn verify_output(
     pk: &PublicKey,
     proof: &VrfProof,
     seed: &[u8; 32],
     role: Role,
-) -> Result<VrfOutput, CryptoError> {
-    let alpha = vrf_alpha(seed, role);
-    vrf::verify(pk, &alpha, proof)
+    params: &SortitionParams,
+    weight: u64,
+) -> Result<(VrfOutput, u64), CryptoError> {
+    let output = vrf::verify(pk, &vrf_alpha(seed, role), proof)?;
+    let j = sub_users_selected(&output, weight, params.p());
+    Ok((output, j))
 }
 
 #[cfg(test)]

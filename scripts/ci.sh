@@ -31,18 +31,19 @@ cargo test --release -q -p algorand-gossip --test relay_differential
 echo "== benchmark package: fmt, clippy, tests against this workspace's API =="
 bash benchmark/check.sh
 
-echo "== figure tables: the bins that take < 30 s each reprint results/<bin>.txt byte for byte =="
+echo "== pinned results: the bins that take < 35 s each reprint results/<file>.txt byte for byte =="
 for b in fig3_committee_size fig4_params fig6_latency_largescale fig8_malicious \
          tput_throughput costs ba_steps timeout_validation ablation_common_coin \
-         ablation_reduction ablation_extra_votes ablation_priority_gossip; do
+         ablation_reduction ablation_extra_votes ablation_priority_gossip \
+         trace_report critical_path; do
     cargo run --release -q -p algorand-bench --bin "$b" | diff "results/$b.txt" -
 done
 
 echo "== chaos suite (fixed seeds) =="
 cargo test --release -q -p algorand-sim --test chaos
 
-echo "== chaos determinism (1, 1 replay, 2, 4 workers) + recovery check =="
-cargo run --release -p algorand-bench --bin chaos_determinism
+echo "== chaos determinism (1, 1 replay, 2, 4 workers) + recovery check; reprints results/chaos.txt byte for byte =="
+cargo run --release -q -p algorand-bench --bin chaos_determinism | diff results/chaos.txt -
 
 echo "== trace determinism gate =="
 cargo run --release -p algorand-bench --bin trace_report -- --check

@@ -85,7 +85,7 @@ fn mixed_valid_and_stale_entries_apply_the_valid_ones() {
     );
 
     assert_eq!(node.chain().tip().round, 3, "valid prefix applied");
-    assert_eq!(node.catchups_applied(), 3);
+    assert_eq!(node.recovery_stats().catchups_applied, 3);
     let donor = sim.honest_node(0).chain();
     for r in 1..=3 {
         assert_eq!(
@@ -119,13 +119,13 @@ fn forged_certificate_mid_batch_stops_application() {
     // must NOT be appended even though its own certificate is genuine
     // (appending it would leave a hole in the chain).
     assert_eq!(node.chain().tip().round, 1, "application stops at forgery");
-    assert_eq!(node.catchups_applied(), 1);
+    assert_eq!(node.recovery_stats().catchups_applied, 1);
 
     // The same rounds re-served honestly still apply: the forgery did not
     // poison any state.
     node.on_message(&respond(&entries[1..3]), 2);
     assert_eq!(node.chain().tip().round, 3);
-    assert_eq!(node.catchups_applied(), 3);
+    assert_eq!(node.recovery_stats().catchups_applied, 3);
 }
 
 #[test]
@@ -147,6 +147,7 @@ fn partial_application_resumes_on_next_request() {
         let tip_hash = behind.chain().tip_hash();
         let out = server.on_message(&WireMessage::CatchupRequest { have, tip_hash }, 2);
         let response = out
+            .outputs
             .iter()
             .find(|m| matches!(m, WireMessage::CatchupResponse(_)))
             .expect("server behind a request must respond");
@@ -166,7 +167,7 @@ fn partial_application_resumes_on_next_request() {
         exchanges += 1;
     }
     assert!(exchanges >= 2, "catch-up took multiple request cycles");
-    assert_eq!(behind.catchups_applied() as u64, tip);
+    assert_eq!(behind.recovery_stats().catchups_applied, tip);
     assert_eq!(
         behind.chain().tip_hash(),
         sim.honest_node(0).chain().tip_hash(),
@@ -238,6 +239,7 @@ fn tentative_fork_reorgs_onto_longer_certified_chain() {
         2,
     );
     let response = out
+        .outputs
         .iter()
         .find(|m| matches!(m, WireMessage::CatchupResponse(_)))
         .expect("a forked requester must get a repair batch");
@@ -250,7 +252,7 @@ fn tentative_fork_reorgs_onto_longer_certified_chain() {
 
     victim.on_message(response, 3);
     assert_eq!(
-        victim.catchup_reorgs(),
+        victim.recovery_stats().catchup_reorgs,
         1,
         "the tentative fork was rolled back"
     );
@@ -264,5 +266,5 @@ fn tentative_fork_reorgs_onto_longer_certified_chain() {
     // An equal-length chain must never displace ours: re-serving only the
     // already-held rounds cannot reorg again (no ping-pong between forks).
     victim.on_message(&respond(&entries), 4);
-    assert_eq!(victim.catchup_reorgs(), 1);
+    assert_eq!(victim.recovery_stats().catchup_reorgs, 1);
 }
