@@ -135,32 +135,16 @@ impl RoundContext {
     /// update (§6). Callers gate on the proposal-collection phase.
     pub fn observe_priority(&mut self, vp: &VerifiedPriority) {
         debug_assert_eq!(vp.round(), self.round);
-        let sender = vp.sender();
-        let block_hash = vp.block_hash();
-        // Two different block hashes from one proposer = equivocation.
-        match self.proposer_blocks.get(&sender) {
-            Some(prev) if *prev != block_hash => {
-                self.equivocators.insert(sender);
-            }
-            None => {
-                self.proposer_blocks.insert(sender, block_hash);
-            }
-            _ => {}
+        if self.note_block(vp.sender(), vp.block_hash()) == BlockSighting::New {
+            self.proposer_blocks.insert(vp.sender(), vp.block_hash());
         }
-        let priority = vp.priority();
-        if self
-            .best
-            .as_ref()
-            .map(|(best, _, _)| priority > *best)
-            .unwrap_or(true)
-        {
-            self.best = Some((priority, sender, block_hash));
-        }
+        self.offer(vp.priority(), vp.sender(), vp.block_hash());
     }
 
-    /// Classifies a block sighting *before* verification: repeats and
-    /// equivocations are settled on hashes alone (and recorded), so only
-    /// a proposer's first block ever reaches the verify stage.
+    /// Classifies a sighting of `hash` as `proposer`'s block *before*
+    /// verification: two different hashes from one proposer are an
+    /// equivocation (recorded), and repeats are settled on hashes alone,
+    /// so only a proposer's first block ever reaches the verify stage.
     pub fn note_block(&mut self, proposer: [u8; 32], hash: [u8; 32]) -> BlockSighting {
         match self.proposer_blocks.get(&proposer) {
             Some(prev) if *prev != hash => {
@@ -178,18 +162,20 @@ impl RoundContext {
     /// during the proposal-collection phase.
     pub fn observe_block(&mut self, vb: &VerifiedBlock, update_best: bool) {
         debug_assert_eq!(vb.round(), self.round);
-        let sender = vb.proposer();
-        let hash = vb.hash();
-        self.proposer_blocks.insert(sender, hash);
-        let priority = vb.priority();
-        if update_best
-            && self
-                .best
-                .as_ref()
-                .map(|(best, _, _)| priority > *best)
-                .unwrap_or(true)
+        self.proposer_blocks.insert(vb.proposer(), vb.hash());
+        if update_best {
+            self.offer(vb.priority(), vb.proposer(), vb.hash());
+        }
+    }
+
+    /// §6: the highest priority seen so far wins.
+    fn offer(&mut self, priority: Priority, proposer: [u8; 32], hash: [u8; 32]) {
+        if self
+            .best
+            .as_ref()
+            .is_none_or(|(best, _, _)| priority > *best)
         {
-            self.best = Some((priority, sender, hash));
+            self.best = Some((priority, proposer, hash));
         }
     }
 
