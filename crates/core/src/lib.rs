@@ -28,6 +28,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod catchup;
 pub mod emit;
 pub mod ingest;
 pub mod metrics;

@@ -28,25 +28,22 @@ use crate::ingest::{self, RoundClass};
 use crate::metrics::{PipelineStats, RecoveryStats, RoundRecord};
 use crate::params::AlgorandParams;
 use crate::proposal::{proposer_sortition, BlockMessage, Priority, PriorityMessage};
-use crate::recovery::{fork_proposer_sortition, recovery_seed, ForkProposalMessage};
 use crate::round::{BlockSighting, BlockStore, FutureVotes, RoundContext};
 use crate::verify::PipelineVerifier;
-use crate::wire::{CatchupBatch, WireMessage};
+use crate::wire::WireMessage;
 use algorand_ba::{
-    BaStar, Certificate, ConsensusKind, Decision, Micros, Output, RoundWeights, VerifiedVote,
-    VoteMessage,
+    BaStar, ConsensusKind, Decision, Micros, Output, RoundWeights, VerifiedVote, VoteMessage,
 };
-use algorand_crypto::codec::{Reader, WriteExt};
 use algorand_crypto::Keypair;
 use algorand_ledger::seed::{fallback_seed, propose_seed, verify_seed_proposal};
-use algorand_ledger::{Block, Blockchain, ChainError, Transaction};
+use algorand_ledger::{Block, Blockchain, Transaction};
 use algorand_obs::{causal, stable_id, SpanKind, Tracer};
 use algorand_txpool::TxPool;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 #[allow(clippy::large_enum_variant)] // One Phase per node; size is irrelevant.
-enum Phase {
+pub(crate) enum Phase {
     /// Collecting priority messages (§6's λpriority + λstepvar wait).
     WaitProposals { until: Micros },
     /// Waiting (≤ λblock) for the body of the highest-priority block.
@@ -60,21 +57,21 @@ enum Phase {
     Recovery(RecoveryState),
 }
 
-struct RecoveryState {
-    epoch: u64,
-    attempt: u32,
-    seed: [u8; 32],
-    weights: Arc<RoundWeights>,
+pub(crate) struct RecoveryState {
+    pub(crate) epoch: u64,
+    pub(crate) attempt: u32,
+    pub(crate) seed: [u8; 32],
+    pub(crate) weights: Arc<RoundWeights>,
     /// Attempt sub-phase.
-    phase: RecoveryPhase,
+    pub(crate) phase: RecoveryPhase,
     /// End of the fork-proposal collection window.
-    window_until: Micros,
+    pub(crate) window_until: Micros,
     /// When this attempt gives up and retries with a re-hashed seed.
-    attempt_deadline: Micros,
+    pub(crate) attempt_deadline: Micros,
 }
 
 #[allow(clippy::large_enum_variant)] // One per node during recovery only.
-enum RecoveryPhase {
+pub(crate) enum RecoveryPhase {
     WaitProposals {
         until: Micros,
         best: Option<(Priority, Block)>,
@@ -114,11 +111,11 @@ pub struct Delivery {
 
 /// A full Algorand user.
 pub struct Node {
-    keypair: Keypair,
-    params: AlgorandParams,
-    chain: Blockchain,
+    pub(crate) keypair: Keypair,
+    pub(crate) params: AlgorandParams,
+    pub(crate) chain: Blockchain,
     /// The shared verification stage (and its process-wide cache).
-    verifier: Arc<PipelineVerifier>,
+    pub(crate) verifier: Arc<PipelineVerifier>,
     /// The mempool: payments submitted locally or heard from gossip,
     /// pending inclusion (§5: "each user collects a block of pending
     /// transactions that they hear about").
@@ -129,38 +126,38 @@ pub struct Node {
     /// experiments; 0 for a real deployment).
     pub payload_bytes: usize,
     /// All block bodies seen, by hash.
-    blocks: BlockStore,
+    pub(crate) blocks: BlockStore,
     /// Votes for rounds we have not reached yet.
-    future_votes: FutureVotes,
-    ctx: RoundContext,
-    phase: Phase,
-    pipeline: PipelineStats,
-    records: Vec<RoundRecord>,
-    hung: bool,
-    last_progress: Micros,
-    last_recovery_epoch: u64,
+    pub(crate) future_votes: FutureVotes,
+    pub(crate) ctx: RoundContext,
+    pub(crate) phase: Phase,
+    pub(crate) pipeline: PipelineStats,
+    pub(crate) records: Vec<RoundRecord>,
+    pub(crate) hung: bool,
+    pub(crate) last_progress: Micros,
+    pub(crate) last_recovery_epoch: u64,
     /// Next wall-clock instant at which the recovery-epoch check runs.
-    next_epoch_check: Micros,
+    pub(crate) next_epoch_check: Micros,
     /// Earliest time another catch-up request may be sent (rate limit).
-    next_catchup_request: Micros,
+    pub(crate) next_catchup_request: Micros,
     /// Timeout, catch-up and fork-recovery counters; the escalations of
     /// the round in flight still sit in its engine.
-    recovery: RecoveryStats,
+    pub(crate) recovery: RecoveryStats,
     /// Consecutive struggling rounds: each round that needed engine
     /// timeout escalations doubles the next proposal wait (§8.2's retry
     /// doubling applied at the round level), reset on a clean round.
-    stepvar_backoff: u32,
+    pub(crate) stepvar_backoff: u32,
     /// Trace sink ([`Tracer::disabled`] until the driver attaches one)
     /// and the node id stamped on emitted spans.
-    tracer: Tracer,
-    trace_node: u32,
+    pub(crate) tracer: Tracer,
+    pub(crate) trace_node: u32,
     /// Gossip message ids of block bodies seen this round, by block hash —
     /// the proposal span's causal link to the adopted block. Only
     /// populated while tracing; cleared each round.
-    block_msg_ids: HashMap<[u8; 32], u64>,
+    pub(crate) block_msg_ids: HashMap<[u8; 32], u64>,
     /// The block hash BA⋆ started with (the adopted proposal or the empty
     /// block), for proposal-span causal attribution.
-    ba_input: [u8; 32],
+    pub(crate) ba_input: [u8; 32],
 }
 
 /// [`Node`] is the unit of parallelism for the discrete-event engine:
@@ -397,283 +394,6 @@ impl Node {
         out.into_vec()
     }
 
-    /// Serves a catch-up request from canonical history (§8.3).
-    ///
-    /// Responses are bounded to a few rounds per message; a node far behind
-    /// iterates. Identical responses from different peers deduplicate by
-    /// content in the gossip layer.
-    ///
-    /// A requester whose tip hash differs from our canonical block at the
-    /// same round sits on the losing side of a §8.2 tentative fork; merely
-    /// serving `have + 1..` would strand it forever, because every served
-    /// certificate binds the majority's previous-block hash. Serving from
-    /// the disputed round itself gives the requester the competing
-    /// certificate it needs to reorg onto the majority chain.
-    fn on_catchup_request(&mut self, have: u64, tip_hash: &[u8; 32], out: &mut Outbox) {
-        const MAX_ROUNDS_PER_RESPONSE: u64 = 4;
-        let tip = self.chain.tip().round;
-        if have >= tip {
-            return;
-        }
-        let on_canon = self
-            .chain
-            .block_at(have)
-            .is_some_and(|b| b.hash() == *tip_hash);
-        let start = if on_canon { have + 1 } else { have.max(1) };
-        let upto = (start + MAX_ROUNDS_PER_RESPONSE - 1).min(tip);
-        let mut entries = Vec::new();
-        for r in start..=upto {
-            let (Some(block), Some(cert)) = (self.chain.block_at(r), self.chain.certificate_at(r))
-            else {
-                break; // History incomplete (should not happen on canon).
-            };
-            entries.push((block.clone(), cert.clone()));
-        }
-        if !entries.is_empty() {
-            out.push(WireMessage::CatchupResponse(CatchupBatch { entries }));
-        }
-    }
-
-    /// Applies a catch-up batch: validate each certificate against our own
-    /// chain context, append, and restart the round loop at the new tip.
-    ///
-    /// A batch starting at or below our tip is a fork repair (see
-    /// [`Node::maybe_reorg_onto`]); when it justifies a reorg, the
-    /// tentative suffix is rolled back first and the batch then applies
-    /// through the ordinary sequential path.
-    fn on_catchup_response(&mut self, batch: &CatchupBatch, now: Micros, out: &mut Outbox) {
-        self.maybe_reorg_onto(batch, now);
-        let mut applied = 0u64;
-        for (block, cert) in &batch.entries {
-            match self.chain.append_certified(
-                block.clone(),
-                cert.clone(),
-                &self.params.ba,
-                self.verifier.as_ref(),
-                now,
-            ) {
-                Ok(()) => applied += 1,
-                Err(ChainError::NotNextRound) => {} // Stale, or ahead of a gap.
-                Err(_) => break,                    // Forged batch; ignore the rest.
-            }
-        }
-        self.recovery.catchups_applied += applied;
-        if applied > 0 {
-            self.tracer
-                .span(
-                    SpanKind::Catchup,
-                    self.trace_node,
-                    self.chain.tip().round,
-                    now,
-                )
-                .label("apply")
-                .value(applied)
-                .instant();
-            self.hung = false;
-            self.last_progress = now;
-            // The network demonstrably made progress without us; our local
-            // timeout history says nothing about its health now.
-            self.stepvar_backoff = 0;
-            // Blocks adopted via catch-up commit nonces just like agreed
-            // ones: drop what they made stale.
-            self.pool.prune(self.chain.accounts());
-            self.start_round(now, out);
-        }
-    }
-
-    /// Rolls back a tentatively-certified suffix when a catch-up batch
-    /// proves the network adopted a different, strictly longer chain.
-    ///
-    /// An asymmetric partition can split a round's vote flow so that both
-    /// sides tentatively certify *different* blocks (§8.2's fork). The
-    /// minority side then stalls forever on plain catch-up: every served
-    /// certificate binds the majority's previous-block hash, which never
-    /// matches the minority's tip. Repair requires displacing the
-    /// tentative suffix, under strict conditions:
-    ///
-    /// - the batch reaches strictly beyond our tip (a longer certified
-    ///   chain; equal length never flips, so two sides cannot ping-pong);
-    /// - no displaced round is finalized (final blocks never fork —
-    ///   §8.2's safety guarantee stays intact);
-    /// - the batch is contiguous, each certificate naming its block;
-    /// - the first block connects to our canonical chain at the round
-    ///   before the divergence; and
-    /// - the first certificate validates against that shared prefix
-    ///   (committee context only references rounds below the fork point).
-    ///
-    /// Transactions in the displaced blocks salvage back into the pool;
-    /// the remaining batch entries then apply via the ordinary sequential
-    /// catch-up path.
-    fn maybe_reorg_onto(&mut self, batch: &CatchupBatch, now: Micros) {
-        let (Some((first_block, first_cert)), Some((last_block, _))) =
-            (batch.entries.first(), batch.entries.last())
-        else {
-            return;
-        };
-        let fork = first_block.round;
-        let tip = self.chain.tip().round;
-        if fork == 0 || fork > tip || last_block.round <= tip {
-            return;
-        }
-        if (fork..=tip).any(|r| self.chain.is_finalized(r)) {
-            return;
-        }
-        let contiguous = batch.entries.iter().enumerate().all(|(i, (b, c))| {
-            b.round == fork + i as u64 && c.round == b.round && c.value == b.hash()
-        });
-        if !contiguous {
-            return;
-        }
-        let ours = self.chain.block_at(fork).expect("fork <= tip").hash();
-        if ours == first_block.hash() {
-            return; // Same chain; nothing to repair.
-        }
-        let prev_hash = self.chain.block_at(fork - 1).expect("below tip").hash();
-        if first_block.prev_hash != prev_hash {
-            return; // Does not connect to our prefix; fork is deeper.
-        }
-        let seed = self.chain.selection_seed(fork);
-        let weights = self.chain.weights_for_round(fork);
-        if first_cert
-            .validate(
-                &self.params.ba,
-                &seed,
-                &prev_hash,
-                &weights,
-                self.verifier.as_ref(),
-            )
-            .is_err()
-        {
-            return; // Unproven competing chain; keep ours.
-        }
-        let rolled_back = tip - fork + 1;
-        let salvaged = self.chain.rollback_to(fork - 1);
-        self.pool.reinsert(salvaged, self.chain.accounts());
-        self.recovery.catchup_reorgs += 1;
-        self.tracer
-            .span(SpanKind::Catchup, self.trace_node, fork, now)
-            .label("reorg")
-            .value(rolled_back)
-            .instant();
-    }
-
-    /// Emits a rate-limited catch-up request when the network's votes show
-    /// we are behind.
-    fn maybe_request_catchup(&mut self, now: Micros, out: &mut Outbox) {
-        if now < self.next_catchup_request {
-            return;
-        }
-        self.next_catchup_request = now + self.params.ba.lambda_step;
-        let have = self.chain.tip().round;
-        self.tracer
-            .span(SpanKind::Catchup, self.trace_node, have, now)
-            .label("request")
-            .instant();
-        out.push(WireMessage::CatchupRequest {
-            have,
-            tip_hash: self.chain.tip_hash(),
-        });
-    }
-
-    /// Liveness watchdog: a node stalled for half a recovery interval
-    /// starts probing peers for agreed rounds it may have missed — the
-    /// cheap first escalation rung, well before the §8.2 fork-recovery
-    /// machinery arms at the epoch boundary. Stalls this long never occur
-    /// in a healthy network (rounds conclude in seconds), so the watchdog
-    /// is silent outside fault windows.
-    fn watchdog_tick(&mut self, now: Micros, out: &mut Outbox) {
-        if self.params.recovery_interval == 0 || matches!(self.phase, Phase::Recovery(_)) {
-            return;
-        }
-        if now.saturating_sub(self.last_progress) <= self.params.recovery_interval / 2 {
-            return;
-        }
-        if now >= self.next_catchup_request {
-            self.recovery.watchdog_catchups += 1;
-            self.tracer
-                .span(
-                    SpanKind::Catchup,
-                    self.trace_node,
-                    self.chain.tip().round,
-                    now,
-                )
-                .label("watchdog")
-                .instant();
-            self.maybe_request_catchup(now, out);
-        }
-    }
-
-    // --- Crash/restart snapshots ---------------------------------------------
-
-    /// Serializes the node's durable state: the agreed chain with its
-    /// certificates, in the same `(block, certificate)` wire encoding the
-    /// §8.3 catch-up protocol uses. Volatile state — mempool, proposal
-    /// race, buffered votes, BA⋆ progress — is deliberately absent: a
-    /// real crash loses it, and a restarted node rebuilds by rejoining.
-    pub fn snapshot(&self) -> Vec<u8> {
-        let tip = self.chain.tip().round;
-        let mut entries: Vec<(&Block, &Certificate)> = Vec::new();
-        for r in 1..=tip {
-            match (self.chain.block_at(r), self.chain.certificate_at(r)) {
-                (Some(b), Some(c)) => entries.push((b, c)),
-                _ => break, // History incomplete (should not happen on canon).
-            }
-        }
-        let finalized_through = (1..=tip)
-            .take_while(|&r| self.chain.is_finalized(r))
-            .last()
-            .unwrap_or(0);
-        let mut out = Vec::new();
-        out.put_u64(finalized_through);
-        out.put_u32(entries.len() as u32);
-        for (b, c) in entries {
-            b.encode(&mut out);
-            c.encode(&mut out);
-        }
-        out
-    }
-
-    /// Rebuilds a node from genesis state plus a [`Node::snapshot`].
-    ///
-    /// Nothing in the snapshot is trusted: every entry goes through
-    /// [`Blockchain::append_certified`], as a live catch-up batch does,
-    /// and restoration stops at the first entry that fails — a corrupt
-    /// snapshot yields a shorter chain, never a wrong one. The returned
-    /// node has not started a round; drive it with [`Node::start`] and it
-    /// rejoins, fetching anything it missed while down via catch-up.
-    pub fn restore(
-        keypair: Keypair,
-        genesis: Blockchain,
-        params: AlgorandParams,
-        verifier: Arc<PipelineVerifier>,
-        snapshot: &[u8],
-        now: Micros,
-    ) -> Node {
-        let mut chain = genesis;
-        let mut r = Reader::new(snapshot);
-        if let (Ok(finalized_through), Ok(n)) = (r.u64(), r.u32()) {
-            for _ in 0..n {
-                let (Ok(block), Ok(cert)) = (Block::decode(&mut r), Certificate::decode(&mut r))
-                else {
-                    break;
-                };
-                if chain
-                    .append_certified(block, cert, &params.ba, verifier.as_ref(), now)
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            let restored_tip = chain.tip().round;
-            if finalized_through > 0 && restored_tip > 0 {
-                chain.finalize(finalized_through.min(restored_tip));
-            }
-        }
-        let mut node = Node::new(keypair, chain, params, verifier);
-        node.last_progress = now;
-        node
-    }
-
     /// Admits a gossiped payment into the mempool (§4: each user collects
     /// a block of pending transactions in case they are chosen to
     /// propose). The pool screens signatures, replays, and duplicates;
@@ -740,7 +460,7 @@ impl Node {
 
     // --- Round lifecycle ------------------------------------------------------
 
-    fn start_round(&mut self, now: Micros, out: &mut Outbox) {
+    pub(crate) fn start_round(&mut self, now: Micros, out: &mut Outbox) {
         self.ctx = RoundContext::new(&self.chain, now);
         self.block_msg_ids.clear();
         self.ba_input = [0u8; 32];
@@ -1070,7 +790,12 @@ impl Node {
     /// a recovery attempt's alike: votes go out; a decision completes the
     /// round (once the block body is here) or the recovery; a hang
     /// freezes the round until recovery, or retries the recovery attempt.
-    fn handle_engine_outputs(&mut self, outputs: Vec<Output>, now: Micros, out: &mut Outbox) {
+    pub(crate) fn handle_engine_outputs(
+        &mut self,
+        outputs: Vec<Output>,
+        now: Micros,
+        out: &mut Outbox,
+    ) {
         // Flush all gossip first so the decision-time votes (the
         // three-extra-steps rule and the final vote) are not lost.
         let mut decided = None;
@@ -1209,272 +934,6 @@ impl Node {
         }
         self.last_progress = now;
         self.hung = false;
-        self.start_round(now, out);
-    }
-
-    // --- Recovery (§8.2) -----------------------------------------------------
-
-    fn maybe_enter_recovery(&mut self, now: Micros, out: &mut Outbox) {
-        if self.params.recovery_interval == 0 || now < self.next_epoch_check {
-            return;
-        }
-        // Advance the check cursor first so a node that stays healthy (or
-        // is already recovering) does not spin on a past boundary.
-        self.next_epoch_check =
-            (now / self.params.recovery_interval + 1) * self.params.recovery_interval;
-        if matches!(self.phase, Phase::Recovery(_)) {
-            return;
-        }
-        let epoch = now / self.params.recovery_interval;
-        let stalled =
-            self.hung || now.saturating_sub(self.last_progress) > self.params.recovery_interval;
-        if epoch > self.last_recovery_epoch && stalled {
-            self.last_recovery_epoch = epoch;
-            self.enter_recovery(epoch, 0, now, out);
-        }
-    }
-
-    fn recovery_context(&self, epoch: u64, attempt: u32) -> ([u8; 32], Arc<RoundWeights>) {
-        // The shared reference point: the newest proposed block at least
-        // one full interval old (next-to-last period, §8.2).
-        let cutoff = (epoch.saturating_sub(1)) * self.params.recovery_interval;
-        let (base_round, base_seed) = self.chain.recovery_base(cutoff);
-        let seed = recovery_seed(&base_seed, epoch, attempt);
-        let weight_round = base_round.saturating_sub(self.params.chain.weight_lookback);
-        let weights = Arc::new(self.chain.weights_at_round(weight_round));
-        (seed, weights)
-    }
-
-    fn enter_recovery(&mut self, epoch: u64, attempt: u32, now: Micros, out: &mut Outbox) {
-        self.tracer
-            .span(
-                SpanKind::Fault,
-                self.trace_node,
-                self.chain.tip().round,
-                now,
-            )
-            .step(attempt)
-            .label("recovery_enter")
-            .value(epoch)
-            .instant();
-        let (seed, weights) = self.recovery_context(epoch, attempt);
-        let mut best: Option<(Priority, Block)> = None;
-        // Fork-proposer sortition: propose an empty block extending the
-        // longest fork we have seen.
-        if let Some((sorthash, sort_proof, priority)) = fork_proposer_sortition(
-            &self.keypair,
-            &seed,
-            epoch,
-            attempt,
-            &weights,
-            self.params.tau_proposer,
-        ) {
-            let (tip_hash, _) = self.chain.longest_fork();
-            let tip = self
-                .chain
-                .block_by_hash(&tip_hash)
-                .expect("longest fork tip is stored")
-                .clone();
-            let block = Block::empty(tip.round + 1, tip_hash, &tip.seed);
-            self.blocks.insert(block.hash(), block.clone());
-            let msg = ForkProposalMessage::sign(
-                &self.keypair,
-                epoch,
-                attempt,
-                sorthash,
-                sort_proof,
-                block,
-            );
-            // Same rule as round proposals: our own fork proposal goes
-            // through the verify stage (warming the shared cache) before
-            // it can become the best candidate.
-            match self.verifier.verify_fork_proposal(
-                &msg,
-                &seed,
-                &weights,
-                self.params.tau_proposer,
-            ) {
-                Some(vf) => {
-                    debug_assert_eq!(vf.priority(), priority);
-                    self.pipeline.verified += 1;
-                    best = Some((vf.priority(), vf.block().clone()));
-                    out.push(WireMessage::ForkProposal(msg));
-                }
-                None => debug_assert!(false, "own freshly signed fork proposal must verify"),
-            }
-        }
-        self.phase = Phase::Recovery(RecoveryState {
-            epoch,
-            attempt,
-            seed,
-            weights,
-            phase: RecoveryPhase::WaitProposals {
-                until: now + self.params.proposal_wait(),
-                best,
-            },
-            window_until: now + self.params.proposal_wait(),
-            attempt_deadline: now
-                + self.params.proposal_wait()
-                + self.params.ba.lambda_block
-                + 6 * self.params.ba.lambda_step,
-        });
-    }
-
-    fn on_fork_proposal(&mut self, f: &ForkProposalMessage, now: Micros, out: &mut Outbox) {
-        // Cache the proposed block regardless of phase, so a decision can
-        // complete even if the proposal arrives late.
-        self.blocks.insert(f.block.hash(), f.block.clone());
-        let Phase::Recovery(r) = &mut self.phase else {
-            self.pipeline.rejected_ingest += 1;
-            return;
-        };
-        if f.epoch != r.epoch || f.attempt != r.attempt {
-            self.pipeline.rejected_ingest += 1;
-            return;
-        }
-        let RecoveryPhase::WaitProposals { best, .. } = &mut r.phase else {
-            self.pipeline.rejected_ingest += 1;
-            return;
-        };
-        let verdict =
-            self.verifier
-                .verify_fork_proposal(f, &r.seed, &r.weights, self.params.tau_proposer);
-        if self.tracer.is_enabled() {
-            self.tracer
-                .span(SpanKind::Verify, self.trace_node, f.block.round, now)
-                .label("fork")
-                .id(stable_id(&f.message_id()))
-                .ok(verdict.is_some())
-                .instant();
-        }
-        let Some(vf) = verdict else {
-            self.pipeline.rejected_verify += 1;
-            return;
-        };
-        self.pipeline.verified += 1;
-        // The proposed fork must be at least as long as our longest (§8.2).
-        let our_len = self.chain.longest_fork().1;
-        match self.chain.fork_length(&f.block.prev_hash) {
-            Some(len) if len + 1 >= our_len => {}
-            _ => return,
-        }
-        let had_best = best.is_some();
-        if best
-            .as_ref()
-            .map(|(b, _)| vf.priority() > *b)
-            .unwrap_or(true)
-        {
-            *best = Some((vf.priority(), vf.block().clone()));
-        }
-        // If the collection window already closed while we had no proposal,
-        // this late arrival should start BA promptly rather than waiting
-        // for the attempt deadline.
-        if !had_best && now >= r.window_until {
-            if let RecoveryPhase::WaitProposals { until, .. } = &mut r.phase {
-                *until = now;
-            }
-            self.recovery_tick(now, out);
-        }
-    }
-
-    fn recovery_tick(&mut self, now: Micros, out: &mut Outbox) {
-        let Phase::Recovery(r) = &mut self.phase else {
-            return;
-        };
-        // Attempt expired without a decision: retry with a re-hashed seed.
-        if now >= r.attempt_deadline {
-            self.retry_recovery(now, out);
-            return;
-        }
-        match &mut r.phase {
-            RecoveryPhase::WaitProposals { until, best } => {
-                if now < *until {
-                    return;
-                }
-                let Some((_, block)) = best.clone() else {
-                    // No proposal heard; sleep until the attempt deadline
-                    // (a late proposal can still move us to BA before it).
-                    *until = r.attempt_deadline;
-                    return;
-                };
-                let prev_seed_block = self
-                    .chain
-                    .block_by_hash(&block.prev_hash)
-                    .expect("fork ancestry was validated");
-                let empty = Block::empty(block.round, block.prev_hash, &prev_seed_block.seed);
-                debug_assert_eq!(empty.hash(), block.hash());
-                let (mut engine, mut outputs) = BaStar::start(
-                    self.params.ba,
-                    self.keypair.clone(),
-                    block.round,
-                    r.seed,
-                    block.prev_hash,
-                    block.hash(),
-                    block.hash(),
-                    r.weights.clone(),
-                    self.verifier.clone(),
-                    now,
-                );
-                // Recovery re-runs fork rounds whose (node, round, step)
-                // keys collide with the normal rounds' causal namespace;
-                // suppress before the tracer attach so the parked
-                // reduction-one emission is not flushed with ids either.
-                engine.suppress_causal_ids();
-                engine.set_tracer(self.tracer.clone(), self.trace_node);
-                outputs.extend(engine.on_tick(now));
-                r.phase = RecoveryPhase::Ba {
-                    engine: Box::new(engine),
-                };
-                self.handle_engine_outputs(outputs, now, out);
-            }
-            RecoveryPhase::Ba { engine, .. } => {
-                let outputs = engine.on_tick(now);
-                self.handle_engine_outputs(outputs, now, out);
-            }
-        }
-    }
-
-    /// Gives up on the current recovery attempt and starts the next one
-    /// at once, with a re-hashed seed.
-    fn retry_recovery(&mut self, now: Micros, out: &mut Outbox) {
-        if let Phase::Recovery(r) = &self.phase {
-            let (epoch, attempt) = (r.epoch, r.attempt + 1);
-            self.enter_recovery(epoch, attempt, now, out);
-        }
-    }
-
-    fn complete_recovery(&mut self, decision: Decision, now: Micros, out: &mut Outbox) {
-        let Some(block) = self.blocks.get(&decision.value).cloned() else {
-            // We decided on a fork block we never saw.
-            return self.retry_recovery(now, out);
-        };
-        // Adopt the agreed fork, then append the agreed empty block.
-        let adopted = block.prev_hash == self.chain.tip_hash()
-            || self.chain.switch_to_fork(block.prev_hash, now).is_ok();
-        if !adopted
-            || self
-                .chain
-                .append(block, Some(decision.certificate), false, now)
-                .is_err()
-        {
-            return self.retry_recovery(now, out);
-        }
-        self.hung = false;
-        self.last_progress = now;
-        self.recovery.recoveries_completed += 1;
-        self.stepvar_backoff = 0;
-        self.tracer
-            .span(
-                SpanKind::Fault,
-                self.trace_node,
-                self.chain.tip().round,
-                now,
-            )
-            .label("recovery_done")
-            .instant();
-        // Fork switches rewind and replay state; re-anchor the mempool on
-        // the adopted fork's accounts.
-        self.pool.prune(self.chain.accounts());
         self.start_round(now, out);
     }
 }
