@@ -3,9 +3,14 @@
 //!
 //! Field, point and scalar operations sit under the `crypto.*` rows the
 //! ledger does time (`scalar_mul`, signature and VRF sign/verify, SHA-256)
-//! and explain them; whale `sortition/verify` (stake = W at τ = 2,000) is
-//! the paper-scale cost of the binomial CDF walk, which the ledger's
-//! `sortition.verify_us` at benchmark stakes cannot show; and a 20-vote
+//! and explain them; a signature check, and a vote's signature and VRF
+//! checks, under a key met for the first time, beside a signature check
+//! under a key whose comb is built (the ledger's `crypto.sig_verify_us`
+//! only sees the last); an unselected user's
+//! `sortition/select`, which stops at the VRF output; whale
+//! `sortition/verify` (stake = W at τ = 2,000) is the paper-scale cost of
+//! the binomial CDF walk, which the ledger's `sortition.verify_us` at
+//! benchmark stakes cannot show; and a 20-vote
 //! certificate is what a bootstrapping user pays per round (§8.3). A call
 //! the ledger times at workload sizes is not repeated here.
 
@@ -16,7 +21,7 @@ use algorand_bench::timing::bench;
 use algorand_crypto::edwards::EdwardsPoint;
 use algorand_crypto::field::FieldElement;
 use algorand_crypto::scalar::Scalar;
-use algorand_crypto::{sha256, sig, Keypair, PublicKey};
+use algorand_crypto::{sha256, sig, vrf, Keypair, PublicKey, Signature, VrfProof};
 use algorand_sortition::{select, Role, SortitionParams};
 use std::hint::black_box;
 
@@ -96,6 +101,69 @@ fn bench_curve() {
     });
 }
 
+fn bench_signatures() {
+    // Verification remembers the keys it is handed: the first check under
+    // a key builds the key's comb, the rest read it. The ledger's
+    // `crypto.sig_verify_us` only ever sees its one key warm, so each cold
+    // row walks its own ring of keys twice the table's capacity: by the
+    // time one comes round again, two rotations have dropped it.
+    let msg = sha256(b"a vote's digest");
+    let alpha = sha256(b"a sortition seed and role");
+    let keys = |ring: u8| {
+        (0..2 * sig::KEY_TABLE_CAPACITY as u32).map(move |i| {
+            let mut seed = [ring; 32];
+            seed[..4].copy_from_slice(&i.to_le_bytes());
+            Keypair::from_seed(seed)
+        })
+    };
+    let ring: Vec<(PublicKey, Signature)> = keys(0)
+        .map(|keypair| (keypair.pk, sig::sign(&keypair, &msg)))
+        .collect();
+    let mut calls = 0usize;
+    let before = sig::key_table_stats();
+    bench("sig/verify_cold_key", || {
+        let (pk, signature) = &ring[calls % ring.len()];
+        let _ = black_box(sig::verify(pk, &msg, black_box(signature)));
+        calls += 1;
+    });
+    let after = sig::key_table_stats();
+    assert_eq!(
+        (after.combs_built - before.combs_built, after.comb_hits),
+        (calls as u64, before.comb_hits),
+        "every check of the cold row must be a key's first"
+    );
+    // A vote is two checks under its sender's key, the signature and the
+    // VRF proof's `U` (`RealVerifier::verify_vote`): under a key met for
+    // the first time, the first builds the comb and the second reads it.
+    let votes: Vec<(PublicKey, Signature, VrfProof)> = keys(1)
+        .map(|keypair| {
+            let proof = vrf::prove(&keypair, &alpha).1;
+            (keypair.pk, sig::sign(&keypair, &msg), proof)
+        })
+        .collect();
+    let mut calls = 0usize;
+    let before = sig::key_table_stats();
+    bench("vote/verify_cold_key", || {
+        let (pk, signature, proof) = &votes[calls % votes.len()];
+        let _ = black_box(sig::verify(pk, &msg, black_box(signature)));
+        let _ = black_box(vrf::verify(pk, &alpha, black_box(proof)));
+        calls += 1;
+    });
+    let after = sig::key_table_stats();
+    assert_eq!(
+        (
+            after.combs_built - before.combs_built,
+            after.comb_hits - before.comb_hits
+        ),
+        (calls as u64, calls as u64),
+        "every vote of the cold row must be its key's first"
+    );
+    let (pk, signature) = &ring[0];
+    bench("sig/verify_warm_key", || {
+        let _ = black_box(sig::verify(pk, &msg, black_box(signature)));
+    });
+}
+
 fn bench_sortition() {
     let keypair = Keypair::from_seed([3; 32]);
     let seed = [7u8; 32];
@@ -103,6 +171,15 @@ fn bench_sortition() {
         tau: 2000.0,
         total_weight: 1_000_000,
     };
+    // A user of stake 50 in 10⁶ is on a τ = 2,000 committee about one
+    // step in ten; an unselected user computes the VRF output and no proof.
+    let unselected = (1..)
+        .map(|round| Role::Committee { round, step: 1 })
+        .find(|&role| select(&keypair, &seed, role, &params, 50).is_none())
+        .expect("a light user is usually not selected");
+    bench("sortition/select_unselected", || {
+        black_box(select(&keypair, &seed, unselected, &params, black_box(50)));
+    });
     let role = Role::Committee { round: 1, step: 1 };
     let sel = select(&keypair, &seed, role, &params, 1_000_000).expect("whale is selected");
     bench("sortition/verify", || {
@@ -171,6 +248,7 @@ fn bench_certificate_validation() {
 fn main() {
     bench_field();
     bench_curve();
+    bench_signatures();
     bench_sortition();
     bench_certificate_validation();
 }

@@ -16,8 +16,8 @@
 //!    scrape on its peer port: the merged cluster health report (written
 //!    to `results/cluster_health.txt`) must show five clean in-process
 //!    monitor verdicts and non-zero transport/WAL/pipeline counters,
-//!    and no process may have run more full public-key checks than the
-//!    deployment has distinct keys.
+//!    and no process may have run more full public-key checks, or built
+//!    more key combs, than the deployment has distinct keys.
 //!    And the asymmetry that makes `crash.jsonl` trustworthy: `kill -9`
 //!    leaves no dump (only a panic writes one).
 //! 4. **Cluster trace plane** — mid-run, the sibling `trace_collect`
@@ -114,7 +114,9 @@ fn main() {
         assert!(n.frames_sent > 0, "{}: transport idle", n.addr);
         assert!(n.wal_entries > 0, "{}: WAL idle", n.addr);
         // A key is proven once per process, however many votes, proposals
-        // and payments carry it; every later parse is a table hit.
+        // and payments carry it; every later parse is a table hit. Its
+        // comb is built once too, by its first verification, and every
+        // later verification reads the comb.
         let (checks, hits) = (sample(n, "node.key_checks"), sample(n, "node.key_hits"));
         assert!(
             checks <= distinct_keys,
@@ -122,6 +124,17 @@ fn main() {
             n.addr
         );
         assert!(hits > 0, "{}: no key parse was a table hit", n.addr);
+        let combs = sample(n, "node.key_combs_built");
+        assert!(
+            combs <= distinct_keys,
+            "{}: {combs} key combs built for {distinct_keys} distinct keys",
+            n.addr
+        );
+        assert!(
+            sample(n, "node.key_comb_hits") > 0,
+            "{}: no verification read a key comb",
+            n.addr
+        );
     }
     assert!(
         health.digests_agree(),

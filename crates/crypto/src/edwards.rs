@@ -22,11 +22,20 @@
 //!
 //! # Two kinds of multiplication
 //!
-//! * [`EdwardsPoint::scalar_mul`] and [`EdwardsPoint::basepoint_mul`] are
-//!   the **secret-scalar** paths (key derivation, signing, VRF proving):
-//!   fixed 4-bit windows, the same sequence of doublings whatever the
-//!   scalar. `scalar_mul` is also the reference every faster routine is
-//!   tested against.
+//! * [`EdwardsPoint::basepoint_mul`] and [`Comb::mul`] are the
+//!   **secret-scalar** paths (key derivation and signing; VRF proving,
+//!   which multiplies one point H twice, by the secret key and by the
+//!   nonce, and so builds H's comb once), and serve public scalars too
+//!   (below). Exactly what each does:
+//!   `basepoint_mul` no doublings and one addition per non-zero nibble,
+//!   so its addition count depends on the scalar; `Comb::mul` 63
+//!   doublings and 64 additions whatever the scalar. Both read table
+//!   entries the scalar's bits choose, so neither is hardened against an
+//!   observer of cache lines. [`EdwardsPoint::scalar_mul`] (4-bit fixed
+//!   windows) is the reference every faster routine is tested against,
+//!   and it is not fixed-sequence either: it skips the leading zero
+//!   windows and the addition of a zero nibble, so both its doubling and
+//!   its addition counts depend on the scalar.
 //! * [`EdwardsPoint::double_scalar_mul_basepoint`],
 //!   [`EdwardsPoint::vartime_double_scalar_mul_sub`] and
 //!   [`EdwardsPoint::is_torsion_free`] are **variable-time** and run only
@@ -38,11 +47,14 @@
 //!   table of odd multiples wherever a digit is set. The eight odd
 //!   multiples of a variable point are rebuilt per call (about 1 µs);
 //!   the 64 odd multiples of B (10 KB) are built once per process.
-//!   No table of multiples is kept per key: a `PublicKey` is `Copy` and
-//!   sits in every vote and payment. What is remembered per key is one
-//!   level up, in `sig`: which encodings have already passed
-//!   decompression and `is_torsion_free`, so a key is proven once per
-//!   process and not once per frame that carries it.
+//! * Verification under a public key takes `a·PK` off the key's
+//!   [`Comb`] instead (63 doublings, not ~253) and adds `b·B` from
+//!   `basepoint_mul`. The combs are kept one level up, in `sig`'s bounded
+//!   table of proven keys: 2,560 bytes a key, built at its first
+//!   verification, at most 8,192 of them (21 MB at worst;
+//!   `sig::KEY_TABLE_MAX_BYTES` bounds the whole table).
+//!   `double_scalar_mul_basepoint` is the reference that path is tested
+//!   against.
 
 use crate::field::FieldElement;
 use crate::scalar::{Scalar, ORDER_NAF};
@@ -189,6 +201,61 @@ fn basepoint_odd_multiples() -> &'static [CachedPoint; 64] {
     })
 }
 
+/// A comb table of one point P: four teeth 64 bits apart, sixteen
+/// entries (2,560 bytes), entry `j` = `Σ 2^(64·i)·P` over the set bits
+/// `i` of `j`.
+///
+/// Tooth `i` sits on limb `i` of a scalar, so column `c` — bit `c` of
+/// each of the four limbs — indexes an entry, a scalar `k` is
+/// `Σ 2^c · column(c)`, and `k·P` is 63 doublings and one addition per
+/// column. A fixed-window [`EdwardsPoint::scalar_mul`] is ~250 doublings
+/// and ~78 additions; building the comb is 192 doublings and 11
+/// additions, so it pays from the second product off one point on.
+#[derive(Clone)]
+pub struct Comb {
+    entries: [CachedPoint; 16],
+}
+
+impl Comb {
+    /// Builds the comb of `p`.
+    pub fn new(p: &EdwardsPoint) -> Comb {
+        let mut points = [EdwardsPoint::identity(); 16];
+        let mut tooth = *p;
+        for i in 0..4 {
+            if i > 0 {
+                tooth = tooth.mul_pow2(64);
+            }
+            let bit = 1 << i;
+            let addend = tooth.to_cached();
+            points[bit] = tooth;
+            for j in 1..bit {
+                points[bit | j] = points[j].add_cached(&addend).to_extended();
+            }
+        }
+        Comb {
+            entries: points.map(EdwardsPoint::to_cached),
+        }
+    }
+
+    /// `k·P`: 63 doublings and 64 additions whatever `k` is (a zero
+    /// column adds the identity, entry 0). Which entry an addition reads
+    /// does depend on `k`.
+    ///
+    /// `k` is read as the integer in [0, ℓ), so the result is exact for
+    /// any curve point P, in the prime-order subgroup or not.
+    pub fn mul(&self, k: &Scalar) -> EdwardsPoint {
+        let mut sum = CompletedPoint::IDENTITY;
+        for col in (0..64).rev() {
+            if col < 63 {
+                sum = sum.to_projective().double();
+            }
+            let j = (0..4).fold(0, |j, i| j | ((k.0[i] >> col) & 1) << i);
+            sum = sum.to_extended().add_cached(&self.entries[j as usize]);
+        }
+        sum.to_extended()
+    }
+}
+
 /// Computes `Σ dᵢ·Pᵢ + e·B` from signed-digit expansions of the
 /// multipliers (`Pᵢ` digits odd and within ±15, `B` digits within ±127),
 /// in one interleaved pass: one doubling per digit position for all
@@ -327,8 +394,8 @@ impl EdwardsPoint {
 
     /// Multiplies the point by a scalar (4-bit fixed-window method).
     ///
-    /// The path for secret scalars, and the reference the variable-time
-    /// routines are tested against.
+    /// The reference every faster routine is tested against. Leading zero
+    /// windows are skipped, and so is the addition of a zero nibble.
     pub fn scalar_mul(&self, k: &Scalar) -> EdwardsPoint {
         // table[j − 1] = j·P for j in 1..=15.
         let table = CachedPoint::multiples::<15>(self, self);

@@ -7,13 +7,13 @@
 //! (64 bytes), and verification cost (one double-scalar multiplication) all
 //! match Ed25519; see DESIGN.md §4 for the substitution rationale.
 
-use crate::edwards::EdwardsPoint;
+use crate::edwards::{Comb, EdwardsPoint};
 use crate::error::CryptoError;
 use crate::scalar::Scalar;
 use crate::sha256::{sha256_concat, Sha256};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{LazyLock, PoisonError, RwLock};
+use std::sync::{Arc, LazyLock, OnceLock, PoisonError, RwLock};
 
 /// Domain-separation tags. Distinct tags guarantee hashes used as secret
 /// scalars, nonces, and challenges can never collide across contexts.
@@ -84,8 +84,17 @@ impl SecretKey {
 /// Most keys the process remembers as proven valid (see [`KeyTable`]).
 pub const KEY_TABLE_CAPACITY: usize = 8192;
 
-/// The encodings [`PublicKey::from_bytes`] has already proven valid, each
-/// with its decompressed point.
+/// The most memory [`KeyTable`] holds, in bytes: every key with a comb
+/// (an `Arc`'s two counts, the entry, the boxed comb), and each
+/// generation's map at its largest (4,096 entries in 8,192 slots of
+/// encoding, pointer and control byte).
+pub const KEY_TABLE_MAX_BYTES: usize = KEY_TABLE_CAPACITY
+    * (2 * size_of::<usize>() + size_of::<ProvenKey>() + size_of::<Comb>())
+    + 2 * KEY_TABLE_CAPACITY * (size_of::<([u8; 32], Arc<ProvenKey>)>() + 1);
+
+/// The keys this process knows to be valid: every encoding
+/// [`PublicKey::from_bytes`] has proven, and every key a verification
+/// has been handed (a [`PublicKey`] is valid by construction).
 ///
 /// Whether 32 bytes name a key is a pure function of those bytes, and a
 /// node parses the same few keys out of every vote, proposal and payment
@@ -97,38 +106,59 @@ pub const KEY_TABLE_CAPACITY: usize = 8192;
 /// Two generations bound it, as in `gossip::relay`: a key is recorded in
 /// `current`; when that holds half of [`KEY_TABLE_CAPACITY`] it becomes
 /// `old` and the previous `old` is dropped. A flood of fresh valid keys
-/// therefore costs what it cost before the table existed and can push
-/// honest keys out — they are then checked again — but cannot grow it.
-/// A hit does not refresh an entry, so hits never take the write lock; a
-/// key in constant use is re-proven once per two rotations.
+/// therefore costs what it cost before the table existed (plus a comb
+/// per key that is verified under, not only parsed) and can push
+/// honest keys out — they are then checked again — but cannot grow it
+/// past [`KEY_TABLE_MAX_BYTES`]. A hit does not refresh an entry, so hits
+/// never take the write lock; a key in constant use is re-proven, and
+/// its comb rebuilt, once per two rotations.
 ///
 /// Every entry is a proven fact on its own, so a panic elsewhere cannot
 /// leave the table wrong, only smaller: a poisoned lock is still used.
 #[derive(Default)]
 struct KeyTable {
-    current: HashMap<[u8; 32], EdwardsPoint>,
-    old: HashMap<[u8; 32], EdwardsPoint>,
+    current: HashMap<[u8; 32], Arc<ProvenKey>>,
+    old: HashMap<[u8; 32], Arc<ProvenKey>>,
+}
+
+/// One valid key, and its comb once a verification has needed it.
+struct ProvenKey {
+    point: EdwardsPoint,
+    /// Built by the key's first verification, once; a key that is only
+    /// parsed never has one.
+    comb: OnceLock<Box<Comb>>,
 }
 
 static KEY_TABLE: LazyLock<RwLock<KeyTable>> = LazyLock::new(RwLock::default);
 static KEY_CHECKS: AtomicU64 = AtomicU64::new(0);
 static KEY_HITS: AtomicU64 = AtomicU64::new(0);
+static COMBS_BUILT: AtomicU64 = AtomicU64::new(0);
+static COMB_HITS: AtomicU64 = AtomicU64::new(0);
 
-fn proven_point(bytes: &[u8; 32]) -> Option<EdwardsPoint> {
+fn proven_key(bytes: &[u8; 32]) -> Option<Arc<ProvenKey>> {
     let table = KEY_TABLE.read().unwrap_or_else(PoisonError::into_inner);
     table
         .current
         .get(bytes)
         .or_else(|| table.old.get(bytes))
-        .copied()
+        .cloned()
 }
 
-fn record_proven(bytes: &[u8; 32], point: EdwardsPoint) {
+/// Records a valid key, unless a racing caller already has.
+fn record_proven(bytes: &[u8; 32], point: EdwardsPoint) -> Arc<ProvenKey> {
     let mut table = KEY_TABLE.write().unwrap_or_else(PoisonError::into_inner);
+    if let Some(key) = table.current.get(bytes).or_else(|| table.old.get(bytes)) {
+        return Arc::clone(key);
+    }
     if table.current.len() >= KEY_TABLE_CAPACITY / 2 {
         table.old = std::mem::take(&mut table.current);
     }
-    table.current.insert(*bytes, point);
+    let key = Arc::new(ProvenKey {
+        point,
+        comb: OnceLock::new(),
+    });
+    table.current.insert(*bytes, Arc::clone(&key));
+    key
 }
 
 /// What the table of proven keys has done for this process.
@@ -141,15 +171,23 @@ pub struct KeyTableStats {
     pub hits: u64,
     /// Keys held now, at most [`KEY_TABLE_CAPACITY`].
     pub keys: usize,
+    /// Combs built: one per key verified under, again if a rotation
+    /// dropped the key.
+    pub combs_built: u64,
+    /// Verifications multiplied off a comb already built.
+    pub comb_hits: u64,
 }
 
-/// Process-wide counts of [`PublicKey::from_bytes`] outcomes.
+/// Process-wide counts of [`PublicKey::from_bytes`] and keyed
+/// verification outcomes.
 pub fn key_table_stats() -> KeyTableStats {
     let table = KEY_TABLE.read().unwrap_or_else(PoisonError::into_inner);
     KeyTableStats {
         checks: KEY_CHECKS.load(Ordering::Relaxed),
         hits: KEY_HITS.load(Ordering::Relaxed),
         keys: table.current.len() + table.old.len(),
+        combs_built: COMBS_BUILT.load(Ordering::Relaxed),
+        comb_hits: COMB_HITS.load(Ordering::Relaxed),
     }
 }
 
@@ -157,8 +195,9 @@ pub fn key_table_stats() -> KeyTableStats {
 ///
 /// The decompressed point rides with the key because vote verification
 /// (ProcessMsg, Algorithm 6) performs many verifications against it, and
-/// the process remembers which encodings it has proven valid, so parsing
-/// a key seen before costs a table lookup ([`key_table_stats`]).
+/// the process remembers the keys it has met ([`key_table_stats`]):
+/// parsing a key seen before costs a table lookup, and verifying under a
+/// key multiplies off the comb its first verification built.
 #[derive(Clone, Copy)]
 pub struct PublicKey {
     bytes: [u8; 32],
@@ -174,11 +213,11 @@ impl PublicKey {
     /// Returns [`CryptoError::InvalidPoint`] if the bytes do not name a
     /// point in the prime-order subgroup.
     pub fn from_bytes(bytes: &[u8; 32]) -> Result<PublicKey, CryptoError> {
-        if let Some(point) = proven_point(bytes) {
+        if let Some(key) = proven_key(bytes) {
             KEY_HITS.fetch_add(1, Ordering::Relaxed);
             return Ok(PublicKey {
                 bytes: *bytes,
-                point,
+                point: key.point,
             });
         }
         KEY_CHECKS.fetch_add(1, Ordering::Relaxed);
@@ -191,6 +230,35 @@ impl PublicKey {
             bytes: *bytes,
             point,
         })
+    }
+
+    /// `a·PK + b·B` where B is the basepoint: the value
+    /// [`EdwardsPoint::double_scalar_mul_basepoint`] computes, and the
+    /// curve work of checking a signature, or a VRF proof's `U`, under
+    /// this key.
+    ///
+    /// The process remembers the key (see [`key_table_stats`]): its first
+    /// verification builds the key's [`Comb`], and every verification
+    /// takes `a·PK` off the comb (63 doublings, where the interleaved
+    /// pass runs ~253) and adds `b·B` from [`EdwardsPoint::basepoint_mul`].
+    /// The comb costs about what one such product saves, and a vote
+    /// verifies two under its sender's key (signature and VRF `U`), so a
+    /// vote under a key met for the first time is already cheaper than
+    /// the pass; only a lone signature under a key never seen again costs
+    /// more (EXPERIMENTS.md "Combs").
+    pub fn double_scalar_mul_basepoint(&self, a: &Scalar, b: &Scalar) -> EdwardsPoint {
+        let key = proven_key(&self.bytes).unwrap_or_else(|| record_proven(&self.bytes, self.point));
+        let comb = match key.comb.get() {
+            Some(comb) => {
+                COMB_HITS.fetch_add(1, Ordering::Relaxed);
+                comb
+            }
+            None => key.comb.get_or_init(|| {
+                COMBS_BUILT.fetch_add(1, Ordering::Relaxed);
+                Box::new(Comb::new(&key.point))
+            }),
+        };
+        comb.mul(a).add(&EdwardsPoint::basepoint_mul(b))
     }
 
     /// The 32-byte compressed encoding.
@@ -328,7 +396,7 @@ pub fn sign(keypair: &Keypair, msg: &[u8]) -> Signature {
 pub fn verify(pk: &PublicKey, msg: &[u8], sig: &Signature) -> Result<(), CryptoError> {
     let c = challenge(&sig.r_bytes, pk, msg);
     // R' = s·B − c·PK must equal R.
-    let r_prime = EdwardsPoint::double_scalar_mul_basepoint(&c.neg(), pk.point(), &sig.s);
+    let r_prime = pk.double_scalar_mul_basepoint(&c.neg(), &sig.s);
     if r_prime.compress() == sig.r_bytes {
         Ok(())
     } else {

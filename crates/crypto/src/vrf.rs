@@ -17,7 +17,7 @@
 //! pk checks the proof). Security holds even for adversarially chosen keys
 //! because `hash_to_curve` binds pk into H.
 
-use crate::edwards::EdwardsPoint;
+use crate::edwards::{Comb, EdwardsPoint};
 use crate::error::CryptoError;
 use crate::scalar::Scalar;
 use crate::sha256::Sha256;
@@ -135,30 +135,71 @@ fn dleq_challenge(
     hash_to_scalar(DOM_DLEQ, &[pk.as_bytes(), h_point, gamma, u, v])
 }
 
+/// A VRF evaluated on one input: the output is known, the proof is not
+/// built until [`Evaluation::prove`] asks for it.
+///
+/// Sortition (Algorithm 1) needs the output to learn whether the user is
+/// selected at all, and only a selected user publishes a proof, so an
+/// unselected one stops here.
+pub struct Evaluation<'a> {
+    keypair: &'a Keypair,
+    alpha: &'a [u8],
+    /// H's comb: Γ = sk·H was read off it, and the proof's V = k·H is.
+    h: Comb,
+    h_bytes: [u8; 32],
+    gamma_bytes: [u8; 32],
+    output: VrfOutput,
+}
+
+/// Evaluates the VRF on `alpha`: `VRF_sk(x)` of §5, pseudorandom to
+/// anyone who does not know the secret key.
+pub fn evaluate<'a>(keypair: &'a Keypair, alpha: &'a [u8]) -> Evaluation<'a> {
+    let h_point = hash_to_curve(&keypair.pk, alpha);
+    let h = Comb::new(&h_point);
+    let gamma = h.mul(keypair.sk.scalar());
+    // Five points are encoded, in two groups (the nonce needs H's bytes
+    // before U and V exist); each group shares one field inversion.
+    let [h_bytes, gamma_bytes, cleared_gamma] =
+        EdwardsPoint::compress_batch([&h_point, &gamma, &gamma.mul_by_cofactor()]);
+    Evaluation {
+        keypair,
+        alpha,
+        h,
+        h_bytes,
+        gamma_bytes,
+        output: output_from_cleared_gamma(&cleared_gamma),
+    }
+}
+
+impl Evaluation<'_> {
+    /// The output β.
+    pub fn output(&self) -> VrfOutput {
+        self.output
+    }
+
+    /// The proof that lets anyone with the public key verify the output.
+    pub fn prove(self) -> VrfProof {
+        // Deterministic nonce bound to the H point.
+        let k = self.keypair.sk.nonce(b"vrf", &[&self.h_bytes, self.alpha]);
+        let [u, v] =
+            EdwardsPoint::compress_batch([&EdwardsPoint::basepoint_mul(&k), &self.h.mul(&k)]);
+        let c = dleq_challenge(&self.keypair.pk, &self.h_bytes, &self.gamma_bytes, &u, &v);
+        VrfProof {
+            gamma: self.gamma_bytes,
+            c,
+            s: k.add(&c.mul(self.keypair.sk.scalar())),
+        }
+    }
+}
+
 /// Evaluates the VRF on `alpha`, returning the output and a proof.
 ///
 /// This is `VRF_sk(x)` of §5: the output is pseudorandom to anyone who
 /// does not know the secret key, and the proof lets anyone with the public
 /// key verify it.
 pub fn prove(keypair: &Keypair, alpha: &[u8]) -> (VrfOutput, VrfProof) {
-    let h_point = hash_to_curve(&keypair.pk, alpha);
-    let gamma = h_point.scalar_mul(keypair.sk.scalar());
-    // Five points are encoded, in two groups (the nonce needs H's bytes
-    // before U and V exist); each group shares one field inversion.
-    let [h_bytes, gamma_bytes, cleared_gamma] =
-        EdwardsPoint::compress_batch([&h_point, &gamma, &gamma.mul_by_cofactor()]);
-    // Deterministic nonce bound to the H point.
-    let k = keypair.sk.nonce(b"vrf", &[&h_bytes, alpha]);
-    let [u, v] =
-        EdwardsPoint::compress_batch([&EdwardsPoint::basepoint_mul(&k), &h_point.scalar_mul(&k)]);
-    let c = dleq_challenge(&keypair.pk, &h_bytes, &gamma_bytes, &u, &v);
-    let s = k.add(&c.mul(keypair.sk.scalar()));
-    let proof = VrfProof {
-        gamma: gamma_bytes,
-        c,
-        s,
-    };
-    (output_from_cleared_gamma(&cleared_gamma), proof)
+    let evaluation = evaluate(keypair, alpha);
+    (evaluation.output(), evaluation.prove())
 }
 
 /// Verifies a VRF proof and returns the output it certifies.
@@ -173,9 +214,10 @@ pub fn prove(keypair: &Keypair, alpha: &[u8]) -> (VrfOutput, VrfProof) {
 pub fn verify(pk: &PublicKey, alpha: &[u8], proof: &VrfProof) -> Result<VrfOutput, CryptoError> {
     let gamma = EdwardsPoint::decompress(&proof.gamma).ok_or(CryptoError::InvalidProof)?;
     let h_point = hash_to_curve(pk, alpha);
-    // U = s·B − c·PK and V = s·H − c·Γ, one interleaved pass each; for an
-    // honest proof these equal k·B and k·H respectively.
-    let u = EdwardsPoint::double_scalar_mul_basepoint(&proof.c.neg(), pk.point(), &proof.s);
+    // U = s·B − c·PK (off PK's comb, see `PublicKey`) and
+    // V = s·H − c·Γ, one pass each; for an honest proof these equal k·B
+    // and k·H respectively.
+    let u = pk.double_scalar_mul_basepoint(&proof.c.neg(), &proof.s);
     let v = EdwardsPoint::vartime_double_scalar_mul_sub(&proof.s, &h_point, &proof.c, &gamma);
     // 8·Γ is only wanted if the proof holds, but encoding it with the
     // other three costs three multiplications, not an inversion.

@@ -24,6 +24,7 @@ use algorand_crypto::edwards::EdwardsPoint;
 use algorand_crypto::scalar::Scalar;
 use algorand_crypto::sha256::{sha256, Sha256};
 use algorand_crypto::{sig, vrf, CryptoError, Keypair, PublicKey, Signature, VrfProof};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -481,6 +482,7 @@ const HOSTILE_VERDICTS: &[(&str, &str)] = &[
 
 #[test]
 fn hostile_verdicts_match_parent() {
+    let _table = table_lock();
     let got = hostile_verdicts();
     assert_eq!(got.len(), HOSTILE_VERDICTS.len(), "row count");
     for ((label, verdict), (want_label, want_verdict)) in got.iter().zip(HOSTILE_VERDICTS) {
@@ -492,17 +494,60 @@ fn hostile_verdicts_match_parent() {
 // --- The table of proven keys ------------------------------------------------
 //
 // `PublicKey::from_bytes` remembers the encodings it has proven valid,
-// process-wide, and these tests share a process: every verdict below
-// must hold whatever the table holds, and the counts are compared with
-// `>=` because the other tests only ever add to them.
+// and verification the keys it is handed (building a key's comb at its
+// first use), process-wide, and these tests share a process: every
+// verdict below must hold whatever the table holds, and the counts are
+// compared with `>=` because the other tests only ever add to them. The
+// tests that need to know what the table holds for a key take
+// `table_lock`, and so do the tests that use those keys.
+
+fn table_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// `KEY_TABLE_CAPACITY + 1` valid keys no other call yields — `first·B`,
+/// `(first + 1)·B`, …, distinct and valid because B generates the
+/// prime-order subgroup. Recording that many rotates both generations
+/// out: afterwards the table holds none of the keys it held before.
+fn fresh_keys(first: u64) -> impl Iterator<Item = [u8; 32]> {
+    let b = EdwardsPoint::basepoint();
+    std::iter::successors(Some(b.scalar_mul(&Scalar::from_u64(first))), move |p| {
+        Some(p.add(&b))
+    })
+    .take(sig::KEY_TABLE_CAPACITY + 1)
+    .map(|p| p.compress())
+}
 
 #[test]
 fn hostile_verdicts_do_not_depend_on_what_was_parsed_before() {
     // The second pass meets the honest and forger keys proven, whatever
     // the first met; `hostile_verdicts_match_parent` pins the rows.
+    let _table = table_lock();
     let cold = hostile_verdicts();
     let warm = hostile_verdicts();
     assert_eq!(cold, warm);
+}
+
+#[test]
+fn hostile_verdicts_do_not_depend_on_which_keys_have_combs() {
+    let _table = table_lock();
+    for key in fresh_keys(1 << 40) {
+        PublicKey::from_bytes(&key).expect("a multiple of B");
+    }
+    // Cold: the honest and forger keys are not in the table, so the first
+    // row to verify under each builds the comb the later rows read.
+    let cold = hostile_verdicts();
+    for pk in [honest().0.pk, Keypair::from_seed(FORGE_SEED).pk] {
+        pk.double_scalar_mul_basepoint(&Scalar::ONE, &Scalar::ONE);
+    }
+    let warm = hostile_verdicts();
+    assert_eq!(cold, warm);
+    let pinned: Vec<(String, String)> = HOSTILE_VERDICTS
+        .iter()
+        .map(|(label, verdict)| (label.to_string(), verdict.to_string()))
+        .collect();
+    assert_eq!(warm, pinned);
 }
 
 #[test]
@@ -540,11 +585,12 @@ fn a_rejected_key_is_rejected_every_time() {
 
 #[test]
 fn a_proven_key_parses_to_the_same_key() {
+    let _table = table_lock();
     for (i, row) in KNOWN_ANSWERS.iter().enumerate() {
         let (keypair, msg) = row_inputs(i);
         let first = PublicKey::from_bytes(keypair.pk.as_bytes()).expect("valid");
-        // Proven one line up, so this parse is a hit (the flood in the
-        // test below would need 4,096 inserts in between to push it out).
+        // Proven one line up, so this parse is a hit (no flood can push
+        // it out in between: the floods hold `table_lock` too).
         let before = sig::key_table_stats();
         let second = PublicKey::from_bytes(keypair.pk.as_bytes()).expect("valid");
         assert!(sig::key_table_stats().hits > before.hits, "row {i}");
@@ -559,20 +605,26 @@ fn a_proven_key_parses_to_the_same_key() {
 
 #[test]
 fn the_table_of_proven_keys_is_bounded() {
-    // k·B for k = 1, 2, …: distinct, and valid because B generates the
-    // prime-order subgroup.
+    let _table = table_lock();
+    // Every key holds a comb by the time the next is recorded, and still
+    // the table keeps at most `KEY_TABLE_CAPACITY` keys — a comb lives in
+    // its key's entry, so at most that many combs.
+    let before = sig::key_table_stats();
+    for key in fresh_keys(1) {
+        let key = PublicKey::from_bytes(&key).expect("a multiple of B");
+        key.double_scalar_mul_basepoint(&Scalar::ONE, &Scalar::ONE);
+        assert!(sig::key_table_stats().keys <= sig::KEY_TABLE_CAPACITY);
+    }
+    let built = sig::key_table_stats().combs_built - before.combs_built;
+    assert!(built > sig::KEY_TABLE_CAPACITY as u64);
+    // Whether or not the flood pushed it out, the first key is the same key.
     let b = EdwardsPoint::basepoint();
     let first = b.compress();
-    let mut p = b;
-    for _ in 0..=sig::KEY_TABLE_CAPACITY {
-        PublicKey::from_bytes(&p.compress()).expect("a multiple of B");
-        assert!(sig::key_table_stats().keys <= sig::KEY_TABLE_CAPACITY);
-        p = p.add(&b);
-    }
-    // Whether or not the flood pushed it out, the first key is the same key.
     let again = PublicKey::from_bytes(&first).expect("B");
     assert_eq!(again.to_bytes(), first);
     assert_eq!(again.point(), &b);
+    // What that bound costs at worst, as DESIGN.md §8 "Keys" states it.
+    const { assert!(sig::KEY_TABLE_MAX_BYTES <= 24 << 20) };
 }
 
 #[test]
@@ -591,6 +643,7 @@ fn small_order_table_is_what_it_says() {
 
 #[test]
 fn forged_proof_is_reproducible_and_certifies_the_honest_output() {
+    let _table = table_lock();
     let (proof, honest_output) = forge_torsion_gamma(FORGE_SEED);
     assert_eq!(hex(&proof), FORGED_PROOF);
     let gamma = EdwardsPoint::decompress(&unhex::<32>(&FORGED_PROOF[..64])).expect("on curve");

@@ -7,15 +7,16 @@
 //! exactly.
 //!
 //! The second half is differential: every fast path under signature and
-//! VRF verification — the addition chains, the interleaved variable-time
-//! multiplications, the subgroup check, the folding scalar reduction, the
-//! shared-inversion encodings — against the slow path it replaced
-//! (`pow`, `scalar_mul`, Horner's rule over single-limb products), on
-//! random inputs and on the edges of each representation. The checks
-//! that need a limb array or a digit string rather than a value live
-//! beside the code, in `field.rs` and `scalar.rs`.
+//! VRF verification and proving — the addition chains, the interleaved
+//! variable-time multiplications, the comb products and the keyed
+//! verification that reads them, the subgroup check, the folding scalar
+//! reduction, the shared-inversion encodings — against the slow path it
+//! replaced (`pow`, `scalar_mul`, Horner's rule over single-limb
+//! products), on random inputs and on the edges of each representation.
+//! The checks that need a limb array or a digit string rather than a
+//! value live beside the code, in `field.rs` and `scalar.rs`.
 
-use algorand_crypto::edwards::EdwardsPoint;
+use algorand_crypto::edwards::{Comb, EdwardsPoint};
 use algorand_crypto::field::FieldElement;
 use algorand_crypto::rng::Rng;
 use algorand_crypto::scalar::Scalar;
@@ -434,6 +435,74 @@ fn interleaved_multiplications_match_separate_ones() {
             }
         }
     }
+}
+
+/// Scalars on the edges of a comb's columns (four teeth 64 apart): the
+/// one-tooth scalars 2^64, 2^128, 2^192, and scalars with every column
+/// set — to entry 1 (2^64 − 1), to entry 7 (2^192 − 1), and as full as a
+/// scalar below ℓ gets (2^252 − 1, in `edge_scalars`).
+fn comb_edge_scalars() -> Vec<Scalar> {
+    let mut v = edge_scalars();
+    for tooth in [1, 2, 3] {
+        let mut one_tooth = [0u8; 32];
+        one_tooth[8 * tooth] = 1;
+        v.push(Scalar::from_canonical_bytes(&one_tooth).expect("below 2^253"));
+    }
+    for full_bytes in [8, 24] {
+        let mut every_column = [0u8; 32];
+        every_column[..full_bytes].fill(0xff);
+        v.push(Scalar::from_canonical_bytes(&every_column).expect("below 2^253"));
+    }
+    v
+}
+
+#[test]
+fn comb_products_match_scalar_mul() {
+    let mut rng = rng(26);
+    let base = EdwardsPoint::basepoint();
+    let mut points = edge_points(&mut rng);
+    points.extend((0..4).map(|_| base.scalar_mul(&rand_scalar(&mut rng))));
+    let mut scalars = comb_edge_scalars();
+    scalars.extend((0..CASES).map(|_| rand_scalar(&mut rng)));
+    for p in &points {
+        let comb = Comb::new(p);
+        for k in &scalars {
+            assert_eq!(comb.mul(k), p.scalar_mul(k));
+            assert_eq!(comb.mul(k).compress(), p.scalar_mul(k).compress());
+        }
+    }
+}
+
+#[test]
+fn keyed_verification_matches_the_interleaved_pass() {
+    // A key no other test has met: its first product builds the comb,
+    // every later one reads it.
+    let mut rng = rng(27);
+    let pk = rand_keypair(&mut rng).pk;
+    let scalars = comb_edge_scalars();
+    let before = sig::key_table_stats();
+    for call in 1..=10 {
+        let (a, b) = if call <= 2 {
+            (rand_scalar(&mut rng), rand_scalar(&mut rng))
+        } else {
+            (
+                scalars[rng.gen_range_usize(scalars.len())],
+                rand_scalar(&mut rng),
+            )
+        };
+        let got = pk.double_scalar_mul_basepoint(&a, &b);
+        let want = EdwardsPoint::double_scalar_mul_basepoint(&a, pk.point(), &b);
+        assert_eq!(got, want, "verification {call}");
+        assert_eq!(got.compress(), want.compress(), "verification {call}");
+    }
+    for (a, b) in scalars.iter().zip(scalars.iter().rev()) {
+        let want = EdwardsPoint::double_scalar_mul_basepoint(a, pk.point(), b);
+        assert_eq!(pk.double_scalar_mul_basepoint(a, b), want);
+    }
+    // Counted process-wide, and other tests only add to the counts.
+    let after = sig::key_table_stats();
+    assert!(after.combs_built > before.combs_built);
+    assert!(after.comb_hits >= before.comb_hits + 9 + scalars.len() as u64);
 }
 
 #[test]

@@ -622,10 +622,14 @@ impl Runtime {
             .set(self.monitor.report().total_violations() as i64);
         reg.gauge("node.alerts").set(self.alerts_emitted as i64);
         // Process-wide: what `PublicKey::from_bytes` paid in full and
-        // what it answered from its table of proven keys.
+        // what it answered from its table of proven keys, and how many
+        // key combs verification built and multiplied off.
         let keys = algorand_crypto::sig::key_table_stats();
         reg.gauge("node.key_checks").set(keys.checks as i64);
         reg.gauge("node.key_hits").set(keys.hits as i64);
+        reg.gauge("node.key_combs_built")
+            .set(keys.combs_built as i64);
+        reg.gauge("node.key_comb_hits").set(keys.comb_hits as i64);
         self.transport.publish();
     }
 

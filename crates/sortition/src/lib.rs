@@ -156,6 +156,8 @@ pub fn sub_users_selected(output: &VrfOutput, w: u64, p: f64) -> u64 {
 ///
 /// Returns `None` when zero sub-users are selected — the common case for
 /// any individual user, since only an expected τ out of W sub-users win.
+/// The proof is built only for a selected user: the output alone decides
+/// `j`.
 pub fn select(
     keypair: &Keypair,
     seed: &[u8; 32],
@@ -164,17 +166,14 @@ pub fn select(
     weight: u64,
 ) -> Option<Selection> {
     let alpha = vrf_alpha(seed, role);
-    let (vrf_output, proof) = vrf::prove(keypair, &alpha);
+    let evaluation = vrf::evaluate(keypair, &alpha);
+    let vrf_output = evaluation.output();
     let j = sub_users_selected(&vrf_output, weight, params.p());
-    if j == 0 {
-        None
-    } else {
-        Some(Selection {
-            vrf_output,
-            proof,
-            j,
-        })
-    }
+    (j > 0).then(|| Selection {
+        vrf_output,
+        proof: evaluation.prove(),
+        j,
+    })
 }
 
 /// Verifies a sortition proof (Algorithm 2).
@@ -269,6 +268,53 @@ mod tests {
         let j = verify(&keypair.pk, &sel.proof, &SEED, role, &params, 500).unwrap();
         assert_eq!(j, sel.j);
         assert!(sel.j > 0);
+    }
+
+    #[test]
+    fn select_matches_proving_then_counting() {
+        // The whole proof first, then Algorithm 1's count: what `select`
+        // did before it learned to stop at the output.
+        let reference = |kp: &Keypair, seed: &[u8; 32], role, params: &SortitionParams, w| {
+            let (output, proof) = vrf::prove(kp, &vrf_alpha(seed, role));
+            let j = sub_users_selected(&output, w, params.p());
+            (j > 0).then(|| (output, proof.to_bytes(), j))
+        };
+        let keypairs: Vec<Keypair> = (0..8).map(|i| kp(100 + i)).collect();
+        let mut rng = algorand_crypto::rng::Rng::seed_from_u64(0x5e1ec7);
+        let (mut selected, mut unselected) = (0, 0);
+        for draw in 0..300u64 {
+            let keypair = &keypairs[draw as usize % keypairs.len()];
+            let seed = rng.gen_bytes32();
+            let role = match draw % 3 {
+                0 => Role::BlockProposer { round: draw },
+                1 => Role::Committee {
+                    round: draw,
+                    step: rng.gen_range_u64(12) as u32,
+                },
+                _ => Role::ForkProposer {
+                    epoch: draw,
+                    attempt: rng.gen_range_u64(3) as u32,
+                },
+            };
+            let params = SortitionParams {
+                tau: [2.0, 20.0, 200.0][rng.gen_range_usize(3)],
+                total_weight: 1000,
+            };
+            let weight = rng.gen_range_u64(101);
+            let got = select(keypair, &seed, role, &params, weight)
+                .map(|sel| (sel.vrf_output, sel.proof.to_bytes(), sel.j));
+            let want = reference(keypair, &seed, role, &params, weight);
+            assert_eq!(got, want, "draw {draw}");
+            if got.is_some() {
+                selected += 1;
+            } else {
+                unselected += 1;
+            }
+        }
+        assert!(
+            selected > 50 && unselected > 50,
+            "{selected} / {unselected}"
+        );
     }
 
     #[test]

@@ -54,7 +54,7 @@ cargo run --release -p algorand-bench --bin critical_path -- --check
 echo "== invariant monitor: baseline + violation-injection self-test =="
 cargo test --release -q -p algorand-sim --test monitor
 
-echo "== localnet: 5 real processes vs simulator digest, kill -9 rejoin, live scrape (full key checks <= distinct keys) + trace drain =="
+echo "== localnet: 5 real processes vs simulator digest, kill -9 rejoin, live scrape (full key checks, key combs <= distinct keys) + trace drain =="
 cargo build --release -q -p algorand-node
 cargo build --release -q -p algorand-bench --bin trace_collect
 cargo run --release -p algorand-bench --bin localnet
