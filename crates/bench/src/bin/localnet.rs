@@ -20,12 +20,16 @@
 //!    more key combs, than the deployment has distinct keys.
 //!    And the asymmetry that makes `crash.jsonl` trustworthy: `kill -9`
 //!    leaves no dump (only a panic writes one).
-//! 4. **Cluster trace plane** — mid-run, the sibling `trace_collect`
-//!    binary drains every process's bounded trace buffer over the
-//!    TELEMETRY `TRACE_DRAIN` op, merges the five per-process traces
-//!    onto one clock (finalized-round anchors), and the merged critical
-//!    path must cover ≥ 90% of every finalized round's latency with
-//!    contiguous chains crossing process boundaries. Artifacts land in
+//! 4. **Cluster trace plane** — once every process has persisted
+//!    [`TARGET_A`] rounds, and while they linger, the harness drains
+//!    every process's bounded trace buffer over the TELEMETRY
+//!    `TRACE_DRAIN` op and merges the five per-process traces onto one
+//!    clock (`node::telemetry::collect_trace`, what `trace collect`
+//!    runs). The merge must clear the cluster gate (`Merged::problems`
+//!    under `Gate::CLUSTER`, what `trace check FILE` runs): no dropped
+//!    event, every clock aligned on ≥ 2 finalized-round anchors, and
+//!    contiguous chains covering ≥ 90% of every finalized round, one of
+//!    them crossing processes. Artifacts land in
 //!    `results/cluster_trace.{jsonl,txt}` and a raw scraped exposition
 //!    in `results/cluster_metrics.txt`.
 //!
@@ -33,10 +37,11 @@
 //! gate on it. Configuration is compiled in (it *is* the test).
 
 use algorand_node::config::{derive_keypairs, workload_transactions};
-use algorand_node::telemetry::{scrape_metrics, ClusterHealth, NodeHealth};
+use algorand_node::telemetry::{
+    collect_trace, discover, scrape_metrics, ClusterHealth, NodeHealth,
+};
 use algorand_node::NodeConfig;
-use algorand_obs::merge::parse_merged;
-use algorand_obs::{critical_paths, NO_NODE};
+use algorand_obs::{critical_paths, Gate};
 use algorand_sim::{SimConfig, Simulation};
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
@@ -75,18 +80,8 @@ fn main() {
     // --- Mid-run telemetry: scrape all N while they are consensing. ---
     // Wait until every node has persisted a round, so the core counters
     // the health report asserts on are necessarily non-zero.
-    for cfg in &cfgs {
-        let dir = cfg.wal_dir.clone();
-        wait_until(
-            || status_field(&dir, "walled").is_some_and(|w| w >= 1),
-            Duration::from_secs(120),
-            "every node to persist round 1",
-        );
-    }
-    let addrs: Vec<String> = cfgs
-        .iter()
-        .map(|c| read_trimmed(&c.wal_dir.join("addr")))
-        .collect();
+    wait_walled(&cfgs, 1);
+    let addrs = discover(&root).expect("every node publishes its address");
     let health = ClusterHealth::collect_with_rates(
         &addrs,
         Duration::from_secs(10),
@@ -142,73 +137,34 @@ fn main() {
     );
     println!("[localnet] telemetry ok: {N} clean scrapes mid-run");
 
-    // --- Cluster trace plane: drain all N processes mid-run. ----------
+    // --- Cluster trace plane: drain all N once the chain has history. -
+    // Every process has then finalized several rounds and lingers, still
+    // serving, so each clock can be aligned on more than one anchor.
+    wait_walled(&cfgs, TARGET_A);
     // Archive one raw exposition alongside the health report — the
     // checked-in copy pins the expose parser's exact round trip.
     let exposition =
         scrape_metrics(&addrs[0], Duration::from_secs(10)).expect("scrape node 0 exposition");
     std::fs::write("results/cluster_metrics.txt", &exposition).expect("write cluster_metrics.txt");
-    let status = Command::new(collector_binary())
-        .arg("--dir")
-        .arg(&root)
-        .args(["--out", "results/cluster_trace.jsonl"])
-        .args(["--report", "results/cluster_trace.txt"])
-        .status()
-        .expect("spawn trace_collect");
-    assert!(status.success(), "trace_collect exited unsuccessfully");
-    let artifact =
-        std::fs::read_to_string("results/cluster_trace.jsonl").expect("read merged artifact");
-    let merged = parse_merged(&artifact).expect("merged artifact parses");
-    assert_eq!(
-        merged.nodes.len(),
-        N,
-        "trace_collect must drain all {N} processes"
-    );
-    assert_eq!(
-        merged.dropped, 0,
-        "no process may have dropped trace events"
-    );
-    let paths = critical_paths(&merged.events);
-    assert!(
-        !paths.is_empty(),
-        "merged trace must yield at least one finalized round's critical path"
-    );
-    let mut cross_chains = 0usize;
-    for p in &paths {
-        for pair in p.edges.windows(2) {
-            assert_eq!(
-                pair[1].start, pair[0].end,
-                "round {}: merged chain not contiguous at t={}us",
-                p.round, pair[0].end
-            );
-        }
-        if p.final_consensus {
-            assert!(
-                p.coverage() >= 0.90,
-                "round {}: merged critical path covers {:.1}% of finalization latency, \
-                 below the 90% bar",
-                p.round,
-                p.coverage() * 100.0
-            );
-        }
-        let processes: BTreeSet<u32> = p
-            .edges
-            .iter()
-            .flat_map(|e| [e.from_node, e.to_node])
-            .filter(|n| *n != NO_NODE)
-            .collect();
-        if processes.len() > 1 {
-            cross_chains += 1;
-        }
+    let merged = collect_trace(
+        &addrs,
+        Duration::from_secs(10),
+        Path::new("results/cluster_trace.jsonl"),
+        Path::new("results/cluster_trace.txt"),
+    )
+    .unwrap_or_else(|e| panic!("collect the cluster trace: {e}"));
+    assert_eq!(merged.nodes.len(), N, "every process must be drained");
+    for n in &merged.nodes {
+        println!(
+            "[localnet] node {} clock: offset {:+}us, skew bound {}us over {} anchors",
+            n.node, n.offset, n.skew, n.anchors
+        );
     }
-    assert!(
-        cross_chains > 0,
-        "at least one merged chain must cross a process boundary"
-    );
+    let problems = merged.problems(&Gate::CLUSTER);
+    assert!(problems.is_empty(), "merged cluster trace: {problems:?}");
     println!(
-        "[localnet] cluster trace ok: {} rounds profiled across {N} processes, \
-         {cross_chains} cross-process chains",
-        paths.len()
+        "[localnet] cluster trace ok: {} rounds profiled across {N} processes",
+        critical_paths(&merged.events).len()
     );
 
     let summaries = wait_all(children, Duration::from_secs(180));
@@ -424,17 +380,6 @@ fn node_binary() -> PathBuf {
     p
 }
 
-/// The `trace_collect` binary: `$ALGORAND_TRACE_COLLECT_BIN` if set,
-/// else the sibling of this harness in the same cargo target directory.
-fn collector_binary() -> PathBuf {
-    if let Ok(p) = std::env::var("ALGORAND_TRACE_COLLECT_BIN") {
-        return PathBuf::from(p);
-    }
-    let mut p = std::env::current_exe().expect("current_exe");
-    p.set_file_name("trace_collect");
-    p
-}
-
 /// Waits for every child; true per child = exited with status 0.
 fn wait_all(children: Vec<Child>, timeout: Duration) -> Vec<bool> {
     let deadline = Instant::now() + timeout;
@@ -459,6 +404,17 @@ fn wait_all(children: Vec<Child>, timeout: Duration) -> Vec<bool> {
         std::thread::sleep(Duration::from_millis(100));
     }
     ok
+}
+
+/// Waits until every node has persisted `round` rounds to its WAL.
+fn wait_walled(cfgs: &[NodeConfig], round: u64) {
+    for cfg in cfgs {
+        wait_until(
+            || status_field(&cfg.wal_dir, "walled").is_some_and(|w| w >= round),
+            Duration::from_secs(120),
+            &format!("every node to persist round {round}"),
+        );
+    }
 }
 
 fn wait_until(mut cond: impl FnMut() -> bool, timeout: Duration, what: &str) {

@@ -55,8 +55,8 @@ pub fn run_experiment(cfg: SimConfig, rounds: u64) -> (Simulation, Vec<RoundStat
     (sim, stats)
 }
 
-/// Runs the seed-23 payment workload `trace_report` and `critical_path`
-/// both read: 50 users, 200 payments offered at 25 tx/s, 8 rounds.
+/// Runs the seed-23 payment workload the `trace` bin's `report`, `paths`
+/// and `check` read: 50 users, 200 payments offered at 25 tx/s, 8 rounds.
 /// (Tier-1 `tests/txpool_e2e.rs` gates the same population at 500
 /// payments.)
 pub fn run_payment_workload(trace: bool) -> Simulation {

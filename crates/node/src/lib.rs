@@ -38,8 +38,9 @@
 //! * [`runtime`] — the single-threaded event loop tying it together, and
 //!   the `algorand-node` binary's whole substance;
 //! * [`telemetry`] — the scrape client for the TELEMETRY frame (metrics
-//!   exposition + flight-recorder dump served on the peer port) and the
-//!   cluster-health merger behind the `cluster_health` report;
+//!   exposition, flight-recorder dump and trace drain served on the peer
+//!   port), the cluster-health merger behind `trace health`, and the
+//!   address discovery and trace collection behind `trace collect`;
 //! * [`crash`] — a panic hook that dumps the flight recorder and last
 //!   WAL round to `<wal_dir>/crash.jsonl` on the way down.
 //!

@@ -5,8 +5,10 @@
 //! flight-recorder dump). This module is the *consuming* side: a
 //! blocking [`scrape_metrics`] / [`scrape_flight`] client that speaks
 //! just enough of the framing to ask and read the answer, and the
-//! [`ClusterHealth`] merger the `cluster_health` bench bin and the
-//! localnet CI gate render operator reports from.
+//! [`ClusterHealth`] merger that `trace health` and the localnet CI gate
+//! render operator reports from. [`discover`] finds a deployment's
+//! endpoints and [`collect_trace`] turns them into one merged cluster
+//! trace, for `trace collect` and localnet alike.
 //!
 //! A scraper deliberately never sends HELLO, so the scraped node treats
 //! the connection as a non-protocol peer: no broadcasts arrive, nothing
@@ -15,10 +17,11 @@
 
 use crate::frame;
 use algorand_obs::expose::{self, Sample};
-use algorand_obs::merge::NodeTrace;
+use algorand_obs::merge::{merge, render_report, write_merged, Merged, NodeTrace};
 use algorand_obs::{parse_jsonl, Trace};
 use std::io::{self, BufReader, Write};
 use std::net::TcpStream;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// One request/response exchange: connect, send the `req_op` TELEMETRY
@@ -98,93 +101,130 @@ pub fn scrape_flight(addr: &str, timeout: Duration) -> io::Result<String> {
     scrape(addr, frame::TEL_FLIGHT_REQ, frame::TEL_FLIGHT_RESP, timeout)
 }
 
-/// One trace-drain exchange: asks for the bounded trace buffer from
-/// `cursor` and returns `(next_cursor, total, chunk)` where `chunk` is
-/// the parsed trace JSONL the node answered with (its `schedule` names
-/// the node index and cursor).
+/// Drains a node's whole trace buffer: each `TEL_TRACE_REQ` asks from a
+/// cursor and the answer carries the next cursor plus a chunk of trace
+/// JSONL (its `schedule` names the node index and cursor), resumed until
+/// a chunk comes back empty. A live node keeps appending while we drain,
+/// so this always issues at least two requests — the final empty read
+/// doubles as proof the cursor protocol resumes cleanly. Returns the
+/// drained trace (header from the first chunk, events concatenated in
+/// buffer order).
 ///
 /// # Errors
 ///
-/// I/O failures, timeout, or a malformed response body.
-pub fn scrape_trace(addr: &str, cursor: u64, timeout: Duration) -> io::Result<(u64, u64, Trace)> {
-    let body = scrape_raw(
-        addr,
-        frame::TEL_TRACE_REQ,
-        &frame::encode_trace_req(cursor),
-        frame::TEL_TRACE_RESP,
-        timeout,
-    )?;
-    let (next, total, jsonl) = frame::decode_trace_resp(&body)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad TRACE_RESP body"))?;
-    let trace = parse_jsonl(jsonl).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    Ok((next, total, trace))
-}
-
-/// Drains a node's whole trace buffer, resuming from the returned
-/// cursor until a chunk comes back empty. A live node keeps appending
-/// while we drain, so this always issues at least two requests — the
-/// final empty read doubles as proof the cursor protocol resumes
-/// cleanly. Returns the drained trace (header from the first chunk,
-/// events concatenated in buffer order).
-///
-/// # Errors
-///
-/// Any exchange failing, or a node that moves the cursor backwards.
+/// Any exchange failing, a malformed answer, or a node that moves the
+/// cursor backwards.
 pub fn drain_trace(addr: &str, timeout: Duration) -> io::Result<Trace> {
-    let mut cursor = 0u64;
-    let (mut next, _total, mut drained) = scrape_trace(addr, cursor, timeout)?;
+    let bad = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
+    let (mut cursor, mut drained) = (0u64, None::<Trace>);
     loop {
+        let req = frame::encode_trace_req(cursor);
+        let body = scrape_raw(
+            addr,
+            frame::TEL_TRACE_REQ,
+            &req,
+            frame::TEL_TRACE_RESP,
+            timeout,
+        )?;
+        let (next, _total, jsonl) =
+            frame::decode_trace_resp(&body).ok_or_else(|| bad("bad TRACE_RESP body".into()))?;
+        let chunk = parse_jsonl(jsonl).map_err(bad)?;
         if next < cursor {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("trace cursor moved backwards: {cursor} -> {next}"),
-            ));
+            return Err(bad(format!(
+                "trace cursor moved backwards: {cursor} -> {next}"
+            )));
+        }
+        match &mut drained {
+            None => drained = Some(chunk),
+            Some(d) => {
+                d.dropped = chunk.dropped;
+                d.events.extend(chunk.events);
+            }
         }
         if next == cursor {
-            return Ok(drained);
+            return Ok(drained.expect("a chunk was read"));
         }
         cursor = next;
-        let (n, _t, chunk) = scrape_trace(addr, cursor, timeout)?;
-        next = n;
-        drained.dropped = chunk.dropped;
-        drained.events.extend(chunk.events);
     }
 }
 
-/// Drains every node of a cluster, pairing each drained trace with the
-/// node index its drain header names. Addresses that fail to drain are
-/// returned as errors alongside the successes, mirroring
-/// [`ClusterHealth::collect`]'s not-fatal stance.
-pub fn drain_cluster(
+/// The endpoints a deployment publishes: one `<root>/<node dir>/addr`
+/// file per process (`n0/addr`, `n1/addr`, … as a localnet harness lays
+/// them out), in node order.
+///
+/// # Errors
+///
+/// An unreadable `root`, an `addr` file that cannot be read or is empty
+/// (the message names it), or no `*/addr` file under `root` at all.
+pub fn discover(root: &Path) -> Result<Vec<String>, String> {
+    let unreadable = |e: io::Error| format!("read_dir {}: {e}", root.display());
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(root).map_err(unreadable)? {
+        let dir = entry.map_err(unreadable)?.path();
+        let file = dir.join("addr");
+        if !file.exists() {
+            continue;
+        }
+        let addr =
+            std::fs::read_to_string(&file).map_err(|e| format!("read {}: {e}", file.display()))?;
+        if addr.trim().is_empty() {
+            return Err(format!("read {}: empty", file.display()));
+        }
+        let name = dir.file_name().map(|n| n.to_string_lossy().into_owned());
+        let name = name.unwrap_or_default();
+        // Shorter names first, so `n2` sorts before `n10`.
+        found.push((name.len(), name, addr.trim().to_string()));
+    }
+    if found.is_empty() {
+        return Err(format!("no */addr files under {}", root.display()));
+    }
+    found.sort();
+    Ok(found.into_iter().map(|(_, _, addr)| addr).collect())
+}
+
+/// Drains every node at `addrs`, merges the drains, merges them again
+/// and demands the same bytes — the merge must be a pure function of the
+/// drains, or artifacts could not be compared across reruns — then
+/// writes the merged JSONL to `out` and its critical-path report
+/// ([`render_report`]) to `report`.
+///
+/// # Errors
+///
+/// The first drain that fails or whose header names no node index, a
+/// merge that fails or differs on the second try, or a failed write.
+pub fn collect_trace(
     addrs: &[String],
     timeout: Duration,
-) -> (Vec<NodeTrace>, Vec<(String, String)>) {
+    out: &Path,
+    report: &Path,
+) -> Result<Merged, String> {
     let mut traces = Vec::new();
-    let mut failed = Vec::new();
     for addr in addrs {
-        match drain_trace(addr, timeout) {
-            Ok(trace) => {
-                let node = trace
-                    .schedule
-                    .strip_prefix("drain node=")
-                    .and_then(|rest| rest.split_whitespace().next())
-                    .and_then(|n| n.parse::<u32>().ok());
-                match node {
-                    Some(node) => traces.push(NodeTrace {
-                        node,
-                        addr: addr.clone(),
-                        trace,
-                    }),
-                    None => failed.push((
-                        addr.clone(),
-                        format!("drain header names no node index: {:?}", trace.schedule),
-                    )),
-                }
-            }
-            Err(e) => failed.push((addr.clone(), e.to_string())),
-        }
+        let trace = drain_trace(addr, timeout).map_err(|e| format!("drain {addr}: {e}"))?;
+        let node = trace
+            .schedule
+            .strip_prefix("drain node=")
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|n| n.parse().ok())
+            .ok_or_else(|| format!("drain {addr}: header names no node: {:?}", trace.schedule))?;
+        traces.push(NodeTrace {
+            node,
+            addr: addr.clone(),
+            trace,
+        });
     }
-    (traces, failed)
+    let merged = merge(&traces)?;
+    let artifact = write_merged(&merged);
+    if write_merged(&merge(&traces)?) != artifact {
+        return Err("merge is not deterministic: re-merging the same drains differed".into());
+    }
+    for (path, text) in [(out, artifact), (report, render_report(&merged))] {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+        }
+        std::fs::write(path, text).map_err(|e| format!("write {}: {e}", path.display()))?;
+    }
+    Ok(merged)
 }
 
 /// One scraped node's digest of health-relevant samples.
@@ -463,7 +503,7 @@ mod tests {
         assert_eq!(h.verdict(), "clean");
 
         // Scraped over the wire, the sick node is filed under
-        // `unreachable` (which `cluster_health` exits 1 on), not rendered
+        // `unreachable` (which `trace health` exits 1 on), not rendered
         // as `verdict=clean`.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
@@ -522,5 +562,53 @@ mod tests {
         assert!(health.nodes.is_empty());
         assert_eq!(health.unreachable.len(), 1);
         assert!(health.render().contains("UNREACHABLE"));
+    }
+
+    #[test]
+    fn discover_reads_addr_files_in_node_order() {
+        let root = std::env::temp_dir().join(format!("algorand-discover-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let node = |name: &str| {
+            let dir = root.join(name);
+            std::fs::create_dir_all(&dir).unwrap();
+            dir.join("addr")
+        };
+        // Neither a config file nor a directory without `addr` is a node.
+        node("spare");
+        std::fs::write(root.join("n0.conf"), "index = 0\n").unwrap();
+        assert!(discover(&root)
+            .unwrap_err()
+            .starts_with("no */addr files under"));
+        for i in [2, 0, 10, 1] {
+            std::fs::write(node(&format!("n{i}")), format!("127.0.0.1:90{i:02}\n")).unwrap();
+        }
+        assert_eq!(
+            discover(&root).unwrap(),
+            [
+                "127.0.0.1:9000",
+                "127.0.0.1:9001",
+                "127.0.0.1:9002",
+                "127.0.0.1:9010"
+            ]
+        );
+
+        let n1 = node("n1");
+        std::fs::write(&n1, " \n").unwrap();
+        let err = discover(&root).unwrap_err();
+        assert!(
+            err.contains(&n1.display().to_string()) && err.ends_with("empty"),
+            "{err}"
+        );
+        // An `addr` that cannot be read as a file.
+        std::fs::remove_file(&n1).unwrap();
+        std::fs::create_dir(&n1).unwrap();
+        let err = discover(&root).unwrap_err();
+        assert!(
+            err.starts_with(&format!("read {}: ", n1.display())),
+            "{err}"
+        );
+
+        std::fs::remove_dir_all(&root).unwrap();
+        assert!(discover(&root).unwrap_err().starts_with("read_dir "));
     }
 }

@@ -26,8 +26,8 @@
 //! is the adopted block's message id, and a round span's cause is the
 //! final-count step span.
 
-use crate::trace::{span_id, Micros, SpanKind, TraceEvent};
-use std::collections::HashMap;
+use crate::trace::{span_id, Micros, SpanKind, TraceEvent, NO_NODE};
+use std::collections::{BTreeSet, HashMap};
 
 /// Span-id namespace tag for per-node proposal phases.
 pub const TAG_PROPOSAL: u8 = 1;
@@ -151,6 +151,81 @@ impl CriticalPath {
             slot.1 += e.duration();
         }
         out
+    }
+
+    /// The nodes — on a merged cluster trace, the processes — this chain
+    /// touches.
+    pub fn processes(&self) -> BTreeSet<u32> {
+        self.edges
+            .iter()
+            .flat_map(|e| [e.from_node, e.to_node])
+            .filter(|n| *n != NO_NODE)
+            .collect()
+    }
+}
+
+/// The bar a trace's critical paths must clear to count as a profile of
+/// its rounds.
+#[derive(Clone, Copy, Debug)]
+pub struct Gate {
+    /// Fewest rounds that must yield a path.
+    pub min_rounds: usize,
+    /// Least share of each finalized round's latency its chain explains.
+    pub min_coverage: f64,
+    /// Whether some chain must cross from one process to another.
+    pub cross_process: bool,
+}
+
+impl Gate {
+    /// A merged cluster trace. Per-node clocks agree exactly only at the
+    /// anchor instants, so fused hops carry skew residue a single clock
+    /// never sees; and a merge that no chain crosses proves nothing.
+    pub const CLUSTER: Gate = Gate {
+        min_rounds: 1,
+        min_coverage: 0.90,
+        cross_process: true,
+    };
+
+    /// Every way `paths` fall short of the bar; empty when they clear it.
+    /// Each chain must be contiguous (an edge starts where the previous
+    /// one ended) and pass through the proposal phase — it may begin with
+    /// the block body's hops, since the walk descends past the proposal
+    /// span to the proposer — so an empty chain fails too.
+    pub fn check(&self, paths: &[CriticalPath]) -> Vec<String> {
+        let mut problems = Vec::new();
+        if paths.len() < self.min_rounds {
+            problems.push(format!(
+                "only {} of {} rounds produced a critical path",
+                paths.len(),
+                self.min_rounds
+            ));
+        }
+        for p in paths {
+            if let Some(pair) = p.edges.windows(2).find(|w| w[1].start != w[0].end) {
+                problems.push(format!(
+                    "round {}: chain not contiguous at t={}us ({} -> {})",
+                    p.round, pair[0].end, pair[0].label, pair[1].label
+                ));
+            }
+            if !p.edges.iter().any(|e| e.kind == EdgeKind::Proposal) {
+                problems.push(format!(
+                    "round {}: chain never passes through the proposal phase",
+                    p.round
+                ));
+            }
+            if p.final_consensus && p.coverage() < self.min_coverage {
+                problems.push(format!(
+                    "round {}: coverage {:.1}% below the {:.0}% bar",
+                    p.round,
+                    p.coverage() * 100.0,
+                    self.min_coverage * 100.0
+                ));
+            }
+        }
+        if self.cross_process && !paths.iter().any(|p| p.processes().len() > 1) {
+            problems.push("no chain crosses a process boundary".into());
+        }
+        problems
     }
 }
 
@@ -482,7 +557,7 @@ pub fn critical_paths(events: &[TraceEvent]) -> Vec<CriticalPath> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{stable_id, Tracer, NO_NODE};
+    use crate::trace::{stable_id, Tracer};
 
     /// A hand-built two-node round: node 0 proposes at t=0, the block
     /// reaches node 1 at t=100, both run a reduction + binary + final
@@ -632,6 +707,116 @@ mod tests {
         let g = CausalGraph::build(&events);
         assert!(g.hops.is_empty());
         assert!(g.steps_by_id.is_empty());
-        let _ = NO_NODE;
+    }
+
+    /// A round-1 chain over `(kind, from, to, start, end)` edges, its
+    /// latency measured from t = 0 to `finalized_at`.
+    fn path(
+        final_consensus: bool,
+        finalized_at: Micros,
+        edges: &[(EdgeKind, u32, u32, Micros, Micros)],
+    ) -> CriticalPath {
+        CriticalPath {
+            round: 1,
+            finalizer: 0,
+            final_consensus,
+            round_start: 0,
+            finalized_at,
+            edges: edges
+                .iter()
+                .map(|&(kind, from_node, to_node, start, end)| Edge {
+                    kind,
+                    label: kind.as_str().into(),
+                    from_node,
+                    to_node,
+                    start,
+                    end,
+                    bytes: 0,
+                    queue_depth: 0,
+                })
+                .collect(),
+        }
+    }
+
+    /// Proposer 1's block hops to node 0, which then finalizes: 100 µs of
+    /// a 100 µs round, across two processes.
+    fn crossing() -> CriticalPath {
+        path(
+            true,
+            100,
+            &[
+                (EdgeKind::Proposal, 1, 1, 0, 40),
+                (EdgeKind::Gossip, 1, 0, 40, 70),
+                (EdgeKind::BaStep, 0, 0, 70, 100),
+            ],
+        )
+    }
+
+    fn gate(min_rounds: usize, cross_process: bool) -> Gate {
+        Gate {
+            min_rounds,
+            min_coverage: 0.95,
+            cross_process,
+        }
+    }
+
+    /// Asserts the gate finds exactly one problem, and that it says `what`.
+    fn fails_with(gate: Gate, paths: &[CriticalPath], what: &str) {
+        let problems = gate.check(paths);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains(what), "{problems:?}");
+    }
+
+    #[test]
+    fn gate_passes_a_contiguous_covered_crossing_chain() {
+        assert_eq!(crossing().processes(), BTreeSet::from([0, 1]));
+        assert!(gate(1, true).check(&[crossing()]).is_empty());
+        assert!(Gate::CLUSTER.check(&[crossing()]).is_empty());
+    }
+
+    #[test]
+    fn gate_flags_each_rule_on_its_own() {
+        fails_with(gate(2, false), &[crossing()], "only 1 of 2 rounds");
+
+        let mut gap = crossing();
+        gap.edges[1].start = 45;
+        fails_with(gate(1, false), &[gap], "not contiguous at t=40us");
+
+        let mut no_proposal = crossing();
+        no_proposal.edges[0].kind = EdgeKind::Gossip;
+        fails_with(
+            gate(1, false),
+            &[no_proposal],
+            "never passes through the proposal",
+        );
+
+        // The chain explains 100 µs of 200: below the bar when the round
+        // is final, not judged when it is tentative.
+        let mut short = crossing();
+        short.finalized_at = 200;
+        fails_with(
+            gate(1, false),
+            std::slice::from_ref(&short),
+            "coverage 50.0% below the 95% bar",
+        );
+        short.final_consensus = false;
+        assert!(gate(1, false).check(&[short]).is_empty());
+
+        let local = path(
+            true,
+            100,
+            &[
+                (EdgeKind::Proposal, 0, 0, 0, 60),
+                (EdgeKind::BaStep, 0, 0, 60, 100),
+            ],
+        );
+        assert!(gate(1, false)
+            .check(std::slice::from_ref(&local))
+            .is_empty());
+        fails_with(
+            gate(1, true),
+            &[local],
+            "no chain crosses a process boundary",
+        );
     }
 }

@@ -36,6 +36,7 @@
 //! citizens with deterministic ordering for free.
 
 use crate::registry::{MetricSnapshot, Registry};
+use crate::trace::find_unquoted;
 
 /// One parsed sample.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -64,20 +65,27 @@ impl Sample {
 pub fn labeled(base: &str, labels: &[(&str, &str)]) -> String {
     let mut sorted: Vec<(&str, &str)> = labels.to_vec();
     sorted.sort_by(|a, b| a.0.cmp(b.0));
-    let mut out = String::new();
-    out.push_str(&sanitize(base));
+    let mut out = sanitize(base);
+    push_labels(&mut out, sorted.iter().map(|(k, v)| (sanitize(k), *v)));
+    out
+}
+
+/// Appends a `{k="v",...}` label block, values escaped.
+fn push_labels<K: AsRef<str>, V: AsRef<str>>(
+    out: &mut String,
+    labels: impl Iterator<Item = (K, V)>,
+) {
     out.push('{');
-    for (i, (k, v)) in sorted.iter().enumerate() {
+    for (i, (k, v)) in labels.enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&sanitize(k));
+        out.push_str(k.as_ref());
         out.push_str("=\"");
-        escape_value_into(&mut out, v);
+        escape_value_into(out, v.as_ref());
         out.push('"');
     }
     out.push('}');
-    out
 }
 
 /// Replaces every character outside `[A-Za-z0-9_:.]` with `_`.
@@ -158,17 +166,7 @@ fn parse_labels(block: &str) -> Option<Vec<(String, String)>> {
 fn render_line(out: &mut String, base: &str, labels: &[(String, String)], value: i128) {
     out.push_str(base);
     if !labels.is_empty() {
-        out.push('{');
-        for (i, (k, v)) in labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(k);
-            out.push_str("=\"");
-            escape_value_into(out, v);
-            out.push('"');
-        }
-        out.push('}');
+        push_labels(out, labels.iter().map(|(k, v)| (k, v)));
     }
     out.push(' ');
     out.push_str(&value.to_string());
@@ -244,7 +242,7 @@ pub fn parse(text: &str) -> Result<Vec<Sample>, String> {
             return Err(err("empty metric name"));
         }
         let (labels, value_str) = if line.as_bytes()[name_end] == b'{' {
-            let close = find_label_close(&line[name_end..])
+            let close = find_unquoted(&line[name_end..], &['}'])
                 .ok_or_else(|| err("unterminated label block"))?
                 + name_end;
             let labels = parse_labels(&line[name_end + 1..close])
@@ -264,29 +262,6 @@ pub fn parse(text: &str) -> Result<Vec<Sample>, String> {
         });
     }
     Ok(samples)
-}
-
-/// Index (within `s`, which starts at `{`) of the `}` closing the label
-/// block, honoring escaped quotes inside values.
-fn find_label_close(s: &str) -> Option<usize> {
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, c) in s.char_indices() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-        } else if c == '"' {
-            in_str = true;
-        } else if c == '}' {
-            return Some(i);
-        }
-    }
-    None
 }
 
 #[cfg(test)]

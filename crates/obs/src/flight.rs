@@ -34,17 +34,12 @@ impl FlightRecorder {
 
     /// Pushes one event, evicting the oldest when full.
     pub fn push(&mut self, ev: TraceEvent) {
-        if self.cap == 0 {
-            self.recorded += 1;
-            self.evicted += 1;
-            return;
-        }
-        if self.ring.len() == self.cap {
+        self.recorded += 1;
+        self.ring.push_back(ev);
+        if self.ring.len() > self.cap {
             self.ring.pop_front();
             self.evicted += 1;
         }
-        self.ring.push_back(ev);
-        self.recorded += 1;
     }
 
     /// Events currently retained, oldest first.

@@ -19,13 +19,16 @@
 //! - **Causal analysis** ([`causal`]): every causal event carries a
 //!   stable `id` and a `cause` link; [`causal::critical_paths`] walks a
 //!   round's certificate backward across nodes to the proposal that
-//!   seeded it, with per-edge latency attribution.
+//!   seeded it, with per-edge latency attribution, and [`Gate`] is the
+//!   one statement of what those paths must satisfy.
 //! - **Cluster merge** ([`merge`]): fuses per-process trace drains into
 //!   one causal graph — clocks aligned via finalized-round anchor spans
 //!   (content-hashed ids match across processes), per-node skew bounds
 //!   recorded, sender/receiver hop halves fused into sim-shaped hops —
 //!   so [`causal::critical_paths`] walks a live cluster's rounds across
-//!   process boundaries.
+//!   process boundaries. [`merge::parse_merged`] loads a merged or a
+//!   plain trace, and [`merge::render_report`] renders either one's
+//!   paths: the `trace` bench bin is a command line over these.
 //! - **Invariant monitor** ([`monitor`]): an online checker fed live
 //!   from the tracer's observer slot — conflicting certificates,
 //!   committee tail bounds, seed-chain validity, vote accounting, and
@@ -56,7 +59,7 @@ pub mod monitor;
 mod registry;
 pub mod trace;
 
-pub use causal::{critical_paths, CausalGraph, CriticalPath, Edge, EdgeKind};
+pub use causal::{critical_paths, CausalGraph, CriticalPath, Edge, EdgeKind, Gate};
 pub use expose::{labeled, Sample};
 pub use flight::{FlightHandle, FlightRecorder};
 pub use hist::{Histogram, Percentiles};

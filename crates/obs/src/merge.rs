@@ -34,12 +34,25 @@
 //! time at most the arrival time plus the pair's combined skew bound —
 //! into one sim-shaped hop span (`peer` = sender, `step` = queue depth
 //! at send), which is exactly what [`crate::causal`] walks.
+//!
+//! [`parse_merged`] also loads a plain single-clock trace (no nodes), so
+//! [`render_report`] and [`Merged::problems`] serve both kinds.
 
-use crate::causal::{critical_paths, EdgeKind};
+use crate::causal::{critical_paths, Gate};
 use crate::trace::{
-    escape_into, field_raw, field_str, field_u64, parse_jsonl, write_jsonl, SpanKind, Trace,
-    TraceEvent, NO_NODE,
+    escape_into, field_num, field_raw, field_str, field_u64_or, parse_jsonl, write_jsonl, SpanKind,
+    Trace, TraceEvent, NO_NODE,
 };
+use std::fmt::Write as _;
+
+/// Finalized-round anchors each node's clock must rest on. With one, the
+/// offset is that anchor's delta and the skew bound is 0 by
+/// construction: the alignment has not been tested at all.
+const MIN_ANCHORS: u64 = 2;
+
+/// Edges listed per round before the listing is elided (the attribution
+/// sums always cover the full chain).
+const MAX_EDGES_SHOWN: usize = 24;
 
 /// One node's drained trace, tagged with the index and address it was
 /// collected from.
@@ -78,6 +91,8 @@ pub struct NodeMeta {
 pub struct Merged {
     /// The deployment seed (identical on every node, enforced).
     pub seed: u64,
+    /// The trace's schedule name: `merged cluster n=<nodes>` for a merge.
+    pub schedule: String,
     /// Completeness horizon: the earliest "last aligned event" over all
     /// nodes. Round conclusions after it were dropped.
     pub horizon: u64,
@@ -89,31 +104,17 @@ pub struct Merged {
     pub events: Vec<TraceEvent>,
 }
 
-/// Rank of a kind in the canonical merged order: the declaration order
-/// of the taxonomy. At equal `(end, start, node)` a BA⋆ step sorts
-/// before the vote emission it triggered, preserving the recording-
-/// order semantics the causal walker relies on.
-fn kind_rank(kind: SpanKind) -> u8 {
-    match kind {
-        SpanKind::Round => 0,
-        SpanKind::Proposal => 1,
-        SpanKind::BaStep => 2,
-        SpanKind::Sortition => 3,
-        SpanKind::Verify => 4,
-        SpanKind::Tally => 5,
-        SpanKind::GossipHop => 6,
-        SpanKind::Catchup => 7,
-        SpanKind::Fault => 8,
-    }
-}
-
+/// The canonical merged order. A kind ranks by its declaration order in
+/// the taxonomy, so at equal `(end, start, node)` a BA⋆ step sorts
+/// before the vote emission it triggered, preserving the recording-order
+/// semantics the causal walker relies on.
 #[allow(clippy::type_complexity)]
 fn sort_key(ev: &TraceEvent) -> (u64, u64, u32, u8, u64, u32, u64, u64, u64, u32, bool) {
     (
         ev.end,
         ev.start,
         ev.node,
-        kind_rank(ev.kind),
+        ev.kind as u8,
         ev.round,
         ev.step,
         ev.id,
@@ -295,6 +296,7 @@ pub fn merge(inputs: &[NodeTrace]) -> Result<Merged, String> {
 
     Ok(Merged {
         seed,
+        schedule: format!("merged cluster n={}", metas.len()),
         horizon,
         dropped: nodes.iter().map(|n| n.trace.dropped).sum(),
         nodes: metas,
@@ -308,8 +310,7 @@ pub fn merge(inputs: &[NodeTrace]) -> Result<Merged, String> {
 /// existing trace tool consumes the output unchanged; [`parse_merged`]
 /// recovers the metadata.
 pub fn write_merged(m: &Merged) -> String {
-    let schedule = format!("merged cluster n={}", m.nodes.len());
-    let base = write_jsonl(m.seed, &schedule, m.dropped, &m.events);
+    let base = write_jsonl(m.seed, &m.schedule, m.dropped, &m.events);
     let newline = base.find('\n').expect("header line");
     let mut meta = String::new();
     meta.push_str(&format!(",\"horizon\":{},\"nodes\":[", m.horizon));
@@ -333,188 +334,185 @@ pub fn write_merged(m: &Merged) -> String {
     out
 }
 
-fn field_i64(line: &str, key: &str) -> Result<i64, String> {
-    field_raw(line, key)
-        .and_then(|s| s.trim().parse().ok())
-        .ok_or_else(|| format!("missing or bad field {key:?} in {line:?}"))
-}
-
-/// Extracts the raw `"nodes":[...]` array body from a merged header.
-/// [`field_raw`] stops at the first top-level ',' and cannot span an
-/// array, so this walks brackets (string-aware) itself.
-fn nodes_array(header: &str) -> Result<&str, String> {
-    let pat = "\"nodes\":[";
-    let at = header
-        .find(pat)
-        .ok_or("merged header has no \"nodes\" field")?
-        + pat.len();
-    let rest = &header[at..];
-    let (mut depth, mut in_str, mut escaped) = (1u32, false, false);
-    for (i, c) in rest.char_indices() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-        } else {
-            match c {
-                '"' => in_str = true,
-                '[' => depth += 1,
-                ']' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Ok(&rest[..i]);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    Err("unterminated \"nodes\" array in merged header".into())
-}
-
-/// Parses the output of [`write_merged`] back into a [`Merged`].
+/// Parses the output of [`write_merged`] back into a [`Merged`]. A plain
+/// trace, which has no merge metadata, loads with no nodes and horizon 0.
 ///
 /// # Errors
 ///
-/// Anything [`crate::parse_jsonl`] rejects, or missing/malformed merge
-/// metadata.
+/// Anything [`crate::parse_jsonl`] rejects, or malformed merge metadata.
 pub fn parse_merged(input: &str) -> Result<Merged, String> {
     let trace = parse_jsonl(input)?;
-    let header = input.lines().next().ok_or("empty merged trace")?;
-    let horizon = field_u64(header, "horizon")?;
+    let header = input.lines().next().unwrap_or_default();
     let mut nodes = Vec::new();
-    let array = nodes_array(header)?;
-    // Objects carry no nested braces, so splitting on '}' is safe.
-    for obj in array.split('}') {
-        let obj = obj.trim_start_matches(',').trim();
-        if obj.is_empty() {
-            continue;
+    if let Some(array) = field_raw(header, "nodes") {
+        let array = array
+            .trim()
+            .strip_prefix('[')
+            .and_then(|a| a.strip_suffix(']'));
+        // Objects carry no nested braces, so splitting on '}' is safe.
+        for obj in array.ok_or("malformed \"nodes\" array")?.split('}') {
+            let obj = obj.trim_start_matches(',').trim();
+            if obj.is_empty() {
+                continue;
+            }
+            let obj = format!("{obj}}}");
+            nodes.push(NodeMeta {
+                node: field_num(&obj, "node")?,
+                addr: field_str(&obj, "addr")?,
+                offset: field_num(&obj, "offset")?,
+                skew: field_num(&obj, "skew")?,
+                anchors: field_num(&obj, "anchors")?,
+                events: field_num(&obj, "node_events")?,
+            });
         }
-        let obj = format!("{obj}}}");
-        nodes.push(NodeMeta {
-            node: field_u64(&obj, "node")? as u32,
-            addr: field_str(&obj, "addr")?,
-            offset: field_i64(&obj, "offset")?,
-            skew: field_u64(&obj, "skew")?,
-            anchors: field_u64(&obj, "anchors")?,
-            events: field_u64(&obj, "node_events")?,
-        });
     }
     Ok(Merged {
         seed: trace.seed,
-        horizon,
+        schedule: trace.schedule,
+        horizon: field_u64_or(header, "horizon", 0)?,
         dropped: trace.dropped,
         nodes,
         events: trace.events,
     })
 }
 
-/// Renders the operator-facing cluster critical-path report: alignment
-/// metadata, one per-round chain with per-hop wire attribution (frame
-/// kind, sender address, wire bytes, queue depth at send), and the
-/// coverage roll-up. Deterministic for a given merged trace — the
-/// `cluster_trace` CI gate asserts byte-identical reruns.
-pub fn render_report(m: &Merged) -> String {
-    let addr_of = |node: u32| -> &str {
-        m.nodes
-            .iter()
-            .find(|n| n.node == node)
-            .map_or("?", |n| n.addr.as_str())
-    };
-    let mut out = String::new();
-    out.push_str("merged cluster critical path\n============================\n");
-    out.push_str(&format!(
-        "seed={} nodes={} events={} dropped={} horizon={}us\n",
-        m.seed,
-        m.nodes.len(),
-        m.events.len(),
-        m.dropped,
-        m.horizon
-    ));
-    for n in &m.nodes {
-        out.push_str(&format!(
-            "node {} addr={} offset={:+}us skew={}us anchors={} events={}\n",
-            n.node, n.addr, n.offset, n.skew, n.anchors, n.events
-        ));
-    }
-    let paths = critical_paths(&m.events);
-    let mut cross = 0usize;
-    let mut min_cov = f64::INFINITY;
-    let mut sum_cov = 0.0f64;
-    for p in &paths {
-        let processes: std::collections::BTreeSet<u32> = p
-            .edges
-            .iter()
-            .flat_map(|e| [e.from_node, e.to_node])
-            .filter(|n| *n != NO_NODE)
-            .collect();
-        if processes.len() > 1 {
-            cross += 1;
+impl Merged {
+    /// Every way this trace falls short as a profile of its rounds, empty
+    /// when it has none: events dropped at record time (each per-span
+    /// figure would undercount), a node whose clock rests on fewer than
+    /// two finalized-round anchors, and whatever `gate` finds in its
+    /// critical paths.
+    pub fn problems(&self, gate: &Gate) -> Vec<String> {
+        let mut problems = Vec::new();
+        if self.dropped > 0 {
+            problems.push(format!("trace truncated: {} events dropped", self.dropped));
         }
-        let cov = p.coverage();
-        min_cov = min_cov.min(cov);
-        sum_cov += cov;
-        out.push_str(&format!(
-            "\nround {}: finalizer=node{} final={} latency={}us attributed={}us \
-             coverage={:.3} processes={}\n",
+        for n in self.nodes.iter().filter(|n| n.anchors < MIN_ANCHORS) {
+            problems.push(format!(
+                "node {} aligned on {} anchors, below {MIN_ANCHORS}",
+                n.node, n.anchors
+            ));
+        }
+        problems.extend(gate.check(&critical_paths(&self.events)));
+        problems
+    }
+}
+
+fn secs(us: u64) -> f64 {
+    us as f64 / 1e6
+}
+
+/// Renders the critical-path profiler report: every round's gating chain
+/// and the latency-attribution table, in seconds. A merged trace adds
+/// each node's clock alignment, and each hop between two processes names
+/// its wire — bytes, the sender's send-queue depth at enqueue, and the
+/// sender's address. A pure function of the trace, so rendering it again
+/// is byte-identical.
+pub fn render_report(m: &Merged) -> String {
+    let paths = critical_paths(&m.events);
+    let mut w = String::new();
+    let _ = writeln!(
+        w,
+        "== critical-path profiler: {} seed {} ==",
+        m.schedule, m.seed
+    );
+    let _ = writeln!(w, "trace: {} events, {} dropped", m.events.len(), m.dropped);
+    for n in &m.nodes {
+        let _ = writeln!(
+            w,
+            "node {} addr={} offset={:+}us skew={}us anchors={} events={}",
+            n.node, n.addr, n.offset, n.skew, n.anchors, n.events
+        );
+    }
+    if !m.nodes.is_empty() {
+        let _ = writeln!(w, "horizon: {}us", m.horizon);
+    }
+    let finals = paths.iter().filter(|p| p.final_consensus).count();
+    let _ = writeln!(
+        w,
+        "rounds: {} traced ({} final, {} tentative)\n",
+        paths.len(),
+        finals,
+        paths.len() - finals
+    );
+    for p in &paths {
+        let _ = writeln!(
+            w,
+            "round {:>2}  finalizer n{:<3} {}  latency {:>7.3}s  chain {:>2} edges  coverage {:>5.1}%",
             p.round,
             p.finalizer,
-            p.final_consensus,
-            p.latency(),
-            p.attributed(),
-            cov,
-            processes.len()
-        ));
-        for e in &p.edges {
-            let span = if e.from_node == e.to_node {
-                format!("node{}", e.to_node)
+            if p.final_consensus { "final    " } else { "tentative" },
+            secs(p.latency()),
+            p.edges.len(),
+            p.coverage() * 100.0
+        );
+        for e in p.edges.iter().take(MAX_EDGES_SHOWN) {
+            let hop = if e.from_node == e.to_node {
+                format!("n{}", e.to_node)
             } else {
-                format!("node{}->node{}", e.from_node, e.to_node)
+                format!("n{}->n{}", e.from_node, e.to_node)
             };
-            out.push_str(&format!(
-                "  {:<9} {:<16} {:>8}..{:<8} {:>7}us  {}",
+            let _ = write!(
+                w,
+                "    {:>8.3}s  +{:>7.3}s  {:<8} {:<12} {hop}",
+                secs(e.start),
+                secs(e.duration()),
                 e.kind.as_str(),
-                span,
-                e.start,
-                e.end,
-                e.duration(),
                 e.label
-            ));
-            if e.kind == EdgeKind::Gossip && e.from_node != e.to_node && e.from_node != NO_NODE {
-                out.push_str(&format!(
-                    " {}B q={} from={}",
-                    e.bytes,
-                    e.queue_depth,
-                    addr_of(e.from_node)
-                ));
+            );
+            let sender = m.nodes.iter().find(|n| n.node == e.from_node);
+            if let Some(sender) = sender.filter(|_| e.from_node != e.to_node) {
+                let _ = write!(w, " {}B q={} from={}", e.bytes, e.queue_depth, sender.addr);
             }
-            out.push('\n');
+            w.push('\n');
         }
-        let attr = p.attribution();
-        out.push_str(&format!(
-            "  attribution: proposal={}us gossip={}us verify={}us ba_step={}us\n",
-            attr[0].1, attr[1].1, attr[2].1, attr[3].1
-        ));
+        if p.edges.len() > MAX_EDGES_SHOWN {
+            let _ = writeln!(w, "    ... {} more edges", p.edges.len() - MAX_EDGES_SHOWN);
+        }
+        w.push('\n');
     }
-    if paths.is_empty() {
-        min_cov = 0.0;
+
+    let _ = writeln!(w, "latency attribution (seconds on the critical path):");
+    let _ = writeln!(
+        w,
+        "  {:>5}  {:>8}  {:>8}  {:>8}  {:>8}  {:>8}  {:>8}",
+        "round", "latency", "proposal", "gossip", "verify", "ba_step", "coverage"
+    );
+    let row = |w: &mut String, round: &dyn std::fmt::Display, latency, attr: [u64; 4], cov: f64| {
+        let _ = write!(w, "  {round:>5}  {:>7.3}s", secs(latency));
+        for us in attr {
+            let _ = write!(w, "  {:>7.3}s", secs(us));
+        }
+        let _ = writeln!(w, "  {:>7.1}%", cov * 100.0);
+    };
+    let (mut tot, mut tot_latency) = ([0u64; 4], 0u64);
+    for p in &paths {
+        let attr = p.attribution().map(|(_, us)| us);
+        for (slot, us) in tot.iter_mut().zip(attr) {
+            *slot += us;
+        }
+        tot_latency += p.latency();
+        row(&mut w, &p.round, p.latency(), attr, p.coverage());
     }
-    out.push_str(&format!(
-        "\nrounds={} cross_process_chains={} mean_coverage={:.3} min_coverage={:.3}\n",
-        paths.len(),
-        cross,
-        if paths.is_empty() {
-            0.0
-        } else {
-            sum_cov / paths.len() as f64
-        },
-        min_cov
-    ));
-    out
+    let attributed: u64 = tot.iter().sum();
+    let total_cov = if tot_latency == 0 {
+        1.0
+    } else {
+        attributed as f64 / tot_latency as f64
+    };
+    row(&mut w, &"total", tot_latency, tot, total_cov);
+    if attributed > 0 {
+        let share = |us: u64| us as f64 / attributed as f64 * 100.0;
+        let _ = writeln!(
+            w,
+            "  share of attributed time: proposal {:.1}%  gossip {:.1}%  verify {:.1}%  ba_step {:.1}%",
+            share(tot[0]),
+            share(tot[1]),
+            share(tot[2]),
+            share(tot[3])
+        );
+    }
+    w
 }
 
 #[cfg(test)]
@@ -698,6 +696,45 @@ mod tests {
         assert_eq!(back.nodes, m.nodes);
         assert_eq!(back.events, m.events);
         assert_eq!(write_merged(&back), text);
+        // A plain trace loads as one with no nodes.
+        let single = parse_merged(&write_jsonl(7, "payment-50", 0, &m.events)).unwrap();
+        assert_eq!(
+            (single.schedule.as_str(), single.horizon),
+            ("payment-50", 0)
+        );
+        assert!(single.nodes.is_empty());
+        assert!(!render_report(&single).contains(" from="));
+        assert!(render_report(&m).contains("n1->n0 120B q=5 from=127.0.0.1:9001"));
+    }
+
+    #[test]
+    fn problems_name_drops_thin_alignment_and_gate_failures() {
+        let mut m = merge(&two_process_round()).unwrap();
+        assert!(Gate::CLUSTER.check(&critical_paths(&m.events)).is_empty());
+        // One shared round: each clock rests on a single anchor.
+        assert_eq!(
+            m.problems(&Gate::CLUSTER),
+            [
+                "node 0 aligned on 1 anchors, below 2",
+                "node 1 aligned on 1 anchors, below 2"
+            ]
+        );
+        for n in &mut m.nodes {
+            n.anchors = MIN_ANCHORS;
+        }
+        assert!(m.problems(&Gate::CLUSTER).is_empty());
+        m.dropped = 1;
+        let strict = Gate {
+            min_rounds: 2,
+            ..Gate::CLUSTER
+        };
+        assert_eq!(
+            m.problems(&strict),
+            [
+                "trace truncated: 1 events dropped",
+                "only 1 of 2 rounds produced a critical path"
+            ]
+        );
     }
 
     #[test]

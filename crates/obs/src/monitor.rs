@@ -80,11 +80,9 @@ impl Invariant {
         }
     }
 
+    /// The class's position in [`Invariant::ALL`] (declaration order).
     fn index(self) -> usize {
-        Invariant::ALL
-            .iter()
-            .position(|i| *i == self)
-            .expect("listed")
+        self as usize
     }
 }
 
@@ -235,27 +233,24 @@ impl InvariantMonitor {
         if ev.node >= self.cfg.honest_nodes || ev.id == 0 {
             return;
         }
-        if ev.ok {
-            match self.finalized.get(&ev.round) {
-                Some(&prev) if prev != ev.id => self.flag(
-                    Invariant::ConflictingCertificates,
-                    ev.round,
-                    ev.node,
-                    format!("final certificates for blocks {:#x} and {:#x}", prev, ev.id),
-                ),
-                Some(_) => {}
-                None => {
-                    self.finalized.insert(ev.round, ev.id);
-                }
-            }
+        let first = if ev.ok {
+            &mut self.finalized
         } else {
-            match self.tentative.get(&ev.round) {
-                Some(&prev) if prev != ev.id => self.observed.tentative_conflicts += 1,
-                Some(_) => {}
-                None => {
-                    self.tentative.insert(ev.round, ev.id);
-                }
-            }
+            &mut self.tentative
+        };
+        let prev = *first.entry(ev.round).or_insert(ev.id);
+        if prev == ev.id {
+            return;
+        }
+        if ev.ok {
+            self.flag(
+                Invariant::ConflictingCertificates,
+                ev.round,
+                ev.node,
+                format!("final certificates for blocks {:#x} and {:#x}", prev, ev.id),
+            );
+        } else {
+            self.observed.tentative_conflicts += 1;
         }
     }
 
@@ -272,8 +267,9 @@ impl InvariantMonitor {
                 format!("seed of block {:#x} failed verification", ev.id),
             );
         }
-        match self.seeds.get(&(ev.round, ev.id)) {
-            Some(&prev) if prev != ev.value => self.flag(
+        let prev = *self.seeds.entry((ev.round, ev.id)).or_insert(ev.value);
+        if prev != ev.value {
+            self.flag(
                 Invariant::SeedChain,
                 ev.round,
                 ev.node,
@@ -281,11 +277,7 @@ impl InvariantMonitor {
                     "block {:#x} seen with seeds {:#x} and {:#x}",
                     ev.id, prev, ev.value
                 ),
-            ),
-            Some(_) => {}
-            None => {
-                self.seeds.insert((ev.round, ev.id), ev.value);
-            }
+            );
         }
     }
 
@@ -511,7 +503,7 @@ impl MonitorHandle {
 ///
 /// Returns which injection went undetected (or spuriously fired).
 pub fn violation_selftest() -> Result<(), String> {
-    use crate::trace::{Tracer, NO_NODE};
+    use crate::trace::Tracer;
 
     let cfg = MonitorConfig {
         committee_hi_step: 100,
@@ -538,7 +530,6 @@ pub fn violation_selftest() -> Result<(), String> {
                 ));
             }
         }
-        let _ = NO_NODE;
         Ok(())
     };
 

@@ -107,18 +107,20 @@ impl Registry {
         Registry::default()
     }
 
+    /// The metric named `name`, registered by `new` on first use.
+    fn metric(&self, name: &str, new: fn() -> Metric) -> Metric {
+        let mut map = self.0.lock().expect("registry lock");
+        map.entry(name.to_string()).or_insert_with(new).clone()
+    }
+
     /// The counter named `name`, registering it on first use.
     ///
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different metric type.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.0.lock().expect("registry lock");
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Counter::default()))
-        {
-            Metric::Counter(c) => c.clone(),
+        match self.metric(name, || Metric::Counter(Counter::default())) {
+            Metric::Counter(c) => c,
             _ => panic!("metric {name} is not a counter"),
         }
     }
@@ -129,12 +131,8 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different metric type.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.0.lock().expect("registry lock");
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge::default()))
-        {
-            Metric::Gauge(g) => g.clone(),
+        match self.metric(name, || Metric::Gauge(Gauge::default())) {
+            Metric::Gauge(g) => g,
             _ => panic!("metric {name} is not a gauge"),
         }
     }
@@ -145,12 +143,8 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different metric type.
     pub fn histogram(&self, name: &str) -> HistHandle {
-        let mut map = self.0.lock().expect("registry lock");
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(HistHandle::default()))
-        {
-            Metric::Histogram(h) => h.clone(),
+        match self.metric(name, || Metric::Histogram(HistHandle::default())) {
+            Metric::Histogram(h) => h,
             _ => panic!("metric {name} is not a histogram"),
         }
     }

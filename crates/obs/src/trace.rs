@@ -509,15 +509,11 @@ pub struct Trace {
     pub events: Vec<TraceEvent>,
 }
 
-pub(crate) fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    // Walk to the value's terminating ',' or '}', honoring escaped
-    // quotes — a `\"` inside a string value must not close it.
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
+/// Byte index of the first of `stops` in `s` that is outside every
+/// string literal (escaped quotes honored) and every `[...]` array.
+pub(crate) fn find_unquoted(s: &str, stops: &[char]) -> Option<usize> {
+    let (mut depth, mut in_str, mut escaped) = (0u32, false, false);
+    for (i, c) in s.char_indices() {
         if in_str {
             if escaped {
                 escaped = false;
@@ -528,22 +524,36 @@ pub(crate) fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
             }
         } else if c == '"' {
             in_str = true;
-        } else if c == ',' || c == '}' {
-            return Some(&rest[..i]);
+        } else if depth == 0 && stops.contains(&c) {
+            return Some(i);
+        } else if c == '[' {
+            depth += 1;
+        } else if c == ']' {
+            depth = depth.saturating_sub(1);
         }
     }
     None
 }
 
-pub(crate) fn field_u64(line: &str, key: &str) -> Result<u64, String> {
+/// The raw text of `key`'s value on a JSON line: up to the ',' or '}'
+/// that ends it, so a string keeps its quotes and an array its brackets.
+pub(crate) fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":");
+    let rest = &line[line.find(&pat)? + pat.len()..];
+    find_unquoted(rest, &[',', '}']).map(|end| &rest[..end])
+}
+
+/// A numeric field, parsed as the type the caller asks for: a value
+/// that does not fit is an error, never a truncation.
+pub(crate) fn field_num<T: std::str::FromStr>(line: &str, key: &str) -> Result<T, String> {
     field_raw(line, key)
         .and_then(|s| s.trim().parse().ok())
         .ok_or_else(|| format!("missing or bad field {key:?} in {line:?}"))
 }
 
-/// Like [`field_u64`] but tolerates an absent key (the `trimmed` header
+/// Like [`field_num`] but tolerates an absent key (the `trimmed` header
 /// field is written only when non-zero).
-fn field_u64_or(line: &str, key: &str, default: u64) -> Result<u64, String> {
+pub(crate) fn field_u64_or(line: &str, key: &str, default: u64) -> Result<u64, String> {
     match field_raw(line, key) {
         None => Ok(default),
         Some(s) => s
@@ -599,14 +609,14 @@ pub fn parse_jsonl(input: &str) -> Result<Trace, String> {
     if field_str(header, "trace")? != "algorand" {
         return Err("not an algorand trace".into());
     }
-    let version = field_u64(header, "version")?;
+    let version: u64 = field_num(header, "version")?;
     if version != 2 {
         return Err(format!("unsupported trace version {version}"));
     }
     let mut trace = Trace {
-        seed: field_u64(header, "seed")?,
+        seed: field_num(header, "seed")?,
         schedule: field_str(header, "schedule")?,
-        dropped: field_u64(header, "dropped")?,
+        dropped: field_num(header, "dropped")?,
         trimmed: field_u64_or(header, "trimmed", 0)?,
         events: Vec::new(),
     };
@@ -619,17 +629,17 @@ pub fn parse_jsonl(input: &str) -> Result<Trace, String> {
             SpanKind::parse(&kind_name).ok_or_else(|| format!("unknown kind {kind_name:?}"))?;
         trace.events.push(TraceEvent {
             kind,
-            node: field_u64(line, "node")? as u32,
-            round: field_u64(line, "round")?,
-            step: field_u64(line, "step")? as u32,
+            node: field_num(line, "node")?,
+            round: field_num(line, "round")?,
+            step: field_num(line, "step")?,
             label: Cow::Owned(field_str(line, "label")?),
-            start: field_u64(line, "start")?,
-            end: field_u64(line, "end")?,
-            value: field_u64(line, "value")?,
+            start: field_num(line, "start")?,
+            end: field_num(line, "end")?,
+            value: field_num(line, "value")?,
             ok: field_raw(line, "ok").map(str::trim) == Some("true"),
-            id: field_u64(line, "id")?,
-            cause: field_u64(line, "cause")?,
-            peer: field_u64(line, "peer")? as u32,
+            id: field_num(line, "id")?,
+            cause: field_num(line, "cause")?,
+            peer: field_num(line, "peer")?,
         });
     }
     Ok(trace)

@@ -2,7 +2,7 @@
 //! must be byte-identical for arbitrary event batches — the trace file
 //! format is the observability layer's only durable interface, so any
 //! asymmetry between writer and parser silently corrupts offline
-//! analysis (trace_report, critical_path) without failing anything.
+//! analysis (`trace report`, `trace paths`) without failing anything.
 
 use algorand_obs::{parse_jsonl, write_jsonl, SpanKind, TraceEvent, NO_NODE};
 use std::borrow::Cow;

@@ -1076,7 +1076,7 @@ impl Simulation {
 
     /// Exports the canonically merged trace as byte-stable JSONL keyed
     /// by `(seed, schedule)`, with one per-node bandwidth summary pair
-    /// (uplink/downlink byte totals) appended so `trace_report` can
+    /// (uplink/downlink byte totals) appended so `trace report` can
     /// reproduce the paper's per-user bandwidth figure from the trace
     /// alone, and a `trimmed` count in the header when the per-node
     /// budget dropped events.

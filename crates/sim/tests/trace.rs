@@ -1,7 +1,7 @@
 //! Tracing must be invisible to the protocol and replayable: the same
 //! `(seed, schedule)` yields byte-identical trace JSONL, and enabling
 //! tracing cannot change the chain digest. (The full 50-user CI gate
-//! lives in `bench/src/bin/trace_report.rs --check`; this is the fast
+//! is `trace check`, in `bench/src/bin/trace.rs`; this is the fast
 //! in-tree version.)
 
 use algorand_sim::obs::{parse_jsonl, SpanKind};

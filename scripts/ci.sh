@@ -34,10 +34,11 @@ bash benchmark/check.sh
 echo "== pinned results: the bins that take < 35 s each reprint results/<file>.txt byte for byte =="
 for b in fig3_committee_size fig4_params fig6_latency_largescale fig8_malicious \
          tput_throughput costs ba_steps timeout_validation ablation_common_coin \
-         ablation_reduction ablation_extra_votes ablation_priority_gossip \
-         trace_report critical_path; do
+         ablation_reduction ablation_extra_votes ablation_priority_gossip; do
     cargo run --release -q -p algorand-bench --bin "$b" | diff "results/$b.txt" -
 done
+cargo run --release -q -p algorand-bench --bin trace -- report | diff results/trace_report.txt -
+cargo run --release -q -p algorand-bench --bin trace -- paths | diff results/critical_path.txt -
 
 echo "== chaos suite (fixed seeds) =="
 cargo test --release -q -p algorand-sim --test chaos
@@ -45,25 +46,21 @@ cargo test --release -q -p algorand-sim --test chaos
 echo "== chaos determinism (1, 1 replay, 2, 4 workers) + recovery check; reprints results/chaos.txt byte for byte =="
 cargo run --release -q -p algorand-bench --bin chaos_determinism | diff results/chaos.txt -
 
-echo "== trace determinism gate =="
-cargo run --release -p algorand-bench --bin trace_report -- --check
-
-echo "== causal critical-path gate =="
-cargo run --release -p algorand-bench --bin critical_path -- --check
+echo "== trace gate: tracing invisible and replayable, critical paths contiguous and covering =="
+cargo run --release -p algorand-bench --bin trace -- check
 
 echo "== invariant monitor: baseline + violation-injection self-test =="
 cargo test --release -q -p algorand-sim --test monitor
 
-echo "== localnet: 5 real processes vs simulator digest, kill -9 rejoin, live scrape (full key checks, key combs <= distinct keys) + trace drain =="
+echo "== localnet: 5 real processes vs simulator digest, kill -9 rejoin, live scrape (full key checks, key combs <= distinct keys) + trace drain, every clock on >= 2 anchors =="
 cargo build --release -q -p algorand-node
-cargo build --release -q -p algorand-bench --bin trace_collect
 cargo run --release -p algorand-bench --bin localnet
 
 echo "== telemetry smoke: idle-node scrapes byte-identical, flight dump parses, throttle trips =="
 cargo run --release -p algorand-bench --bin telemetry_smoke
 
 echo "== cluster trace: merged artifact re-checks offline =="
-cargo run --release -p algorand-bench --bin critical_path -- --trace results/cluster_trace.jsonl --check
+cargo run --release -p algorand-bench --bin trace -- check results/cluster_trace.jsonl
 
 echo "== epidemic model vs real engine (100-1000 users) =="
 cargo run --release -p algorand-bench --bin epidemic_vs_des
