@@ -55,7 +55,7 @@ use crate::harness::{
     TxRecord, TxStats, Workload, ANNOUNCE_SIZE, TRACE_CAP,
 };
 use crate::metrics::{round_stats, RoundStats};
-use crate::network::{Filter, Network};
+use crate::network::Network;
 use algorand_core::{derive_keypairs, Node, PipelineVerifier, RoundRecord, WireKind, WireMessage};
 use algorand_crypto::rng::Rng;
 use algorand_crypto::Keypair;
@@ -324,11 +324,6 @@ impl Simulation {
             trace_node_budget,
             cfg,
         }
-    }
-
-    /// Installs a network fault filter (partition, targeted DoS).
-    pub fn set_network_filter(&mut self, filter: Option<Filter>) {
-        self.net.set_filter(filter);
     }
 
     /// Installs a scripted fault schedule: every event runs at its exact

@@ -2,11 +2,12 @@
 //!
 //! A [`FaultSchedule`] is a time-ordered list of [`FaultEvent`]s the
 //! simulation applies at exact virtual instants, interleaved
-//! deterministically with message deliveries and timer wakes. Because
-//! every fault is data (no closures) and all randomness downstream of a
-//! fault flows from the simulation's seeded RNGs, a `(seed, schedule)`
-//! pair replays to a byte-identical run — the property the CI
-//! determinism check asserts.
+//! deterministically with message deliveries and timer wakes. It is the
+//! simulator's only way to inject a fault. Because every fault is data
+//! (no closures) and all randomness downstream of a fault flows from the
+//! simulation's seeded RNGs, a `(seed, schedule)` pair replays to a
+//! byte-identical run — the property the CI determinism check asserts.
+//! `sim::fuzz` judges every faulted run.
 //!
 //! The vocabulary covers the paper's robustness claims (§8.2, §10.4–10.6):
 //! network partitions (symmetric and asymmetric) with healing, per-send

@@ -1,22 +1,23 @@
-//! Schedule-space fuzzer: seeded random fault/adversary schedules with
-//! the online invariant monitor as oracle, plus automatic shrinking to
+//! Schedule-space fuzzer and the one fault oracle: seeded random
+//! fault/adversary schedules, the hand-written chaos schedules, and the
+//! judgement every faulted run gets, plus automatic shrinking to
 //! minimal reproducers.
 //!
-//! The chaos suite (`tests/chaos.rs`) pins a handful of hand-written
-//! schedules; this module explores the schedule *space* around them.
-//! A seeded [`generate`] composes well-formed [`FaultSchedule`]s —
-//! every onset paired with a later clearing action, every schedule
-//! passing [`FaultSchedule::validate`] — together with an adversary mix
-//! into [`FuzzCase`]s. [`run_case`] replays a case deterministically
-//! through the serial engine and classifies the outcome with two
-//! oracles:
+//! [`chaos_table`] pins the chaos suite's hand-written schedules; the
+//! generator explores the schedule *space* around them. A seeded
+//! [`generate`] composes well-formed [`FaultSchedule`]s — every onset
+//! paired with a later clearing action, every schedule passing
+//! [`FaultSchedule::validate`] — together with an adversary mix into
+//! [`FuzzCase`]s. [`judge`] plays a case on a simulation built from
+//! [`FuzzCase::config`], at any worker count, and classifies the outcome
+//! with two oracles:
 //!
 //! 1. **safety** — the [`algorand_obs::monitor`] invariant monitor
 //!    (checked continuously) plus a direct cross-node scan for
-//!    divergent *finalized* blocks, and
+//!    divergent *finalized* blocks ([`divergent_finality`]), and
 //! 2. **liveness** — a stalled-finality watchdog: after the schedule's
 //!    last event, every honest node must advance ≥ 2 rounds onto a
-//!    common prefix within a recovery bound scaled by how much the
+//!    [`common_prefix`] within a recovery bound scaled by how much the
 //!    schedule disturbed (its "generosity").
 //!
 //! Because faults are data and all randomness flows from seeded RNGs,
@@ -53,9 +54,9 @@ const SEC: Micros = 1_000_000;
 const RECOVERY_BASE: Micros = 300 * SEC;
 /// Extra recovery allowance per scheduled fault event (a crash-heavy
 /// schedule legitimately takes longer to reconverge than a lone loss
-/// window — cf. the chaos suite's per-scenario horizons).
+/// window).
 const RECOVERY_PER_EVENT: Micros = 20 * SEC;
-/// Granularity at which [`run_case`] polls the oracles.
+/// Granularity at which [`judge`] polls the oracles.
 const SLICE: Micros = 5 * SEC;
 
 /// One point in schedule space: a complete, self-describing run
@@ -277,8 +278,31 @@ pub fn generate(case_seed: u64, bug: Option<InjectedBug>) -> FuzzCase {
 
 // --- Oracle --------------------------------------------------------------
 
-/// Any two honest nodes with different finalized blocks at one round?
-fn divergent_finality(sim: &Simulation, n_honest: usize) -> bool {
+impl FuzzCase {
+    /// Honest users: the first `n_users - n_malicious` indices.
+    pub fn n_honest(&self) -> usize {
+        self.n_users - self.n_malicious
+    }
+
+    /// The run this case describes, traced and with the invariant
+    /// monitor attached (the oracle reads it). Wrap it in a
+    /// [`crate::DesConfig`] to pick a worker count: the verdict, digest
+    /// and trace are the same at any.
+    pub fn config(&self) -> SimConfig {
+        let mut cfg = SimConfig::new(self.n_users);
+        cfg.seed = self.seed;
+        cfg.n_malicious = self.n_malicious;
+        cfg.adversary_kind = self.adversary;
+        cfg.trace = true;
+        cfg.monitor = true;
+        cfg.injected_bug = self.bug;
+        cfg
+    }
+}
+
+/// Safety: do two of the first `n_honest` nodes hold different
+/// *finalized* blocks for one round?
+pub fn divergent_finality(sim: &Simulation, n_honest: usize) -> bool {
     use std::collections::HashMap;
     let mut finalized: HashMap<u64, [u8; 32]> = HashMap::new();
     for i in 0..n_honest {
@@ -299,15 +323,17 @@ fn divergent_finality(sim: &Simulation, n_honest: usize) -> bool {
     false
 }
 
-fn min_tip(sim: &Simulation, n_honest: usize) -> u64 {
+/// The least-advanced tip among the first `n_honest` nodes.
+pub fn min_tip(sim: &Simulation, n_honest: usize) -> u64 {
     (0..n_honest)
         .map(|i| sim.honest_node(i).chain().tip().round)
         .min()
         .unwrap_or(0)
 }
 
-/// All honest nodes agree block-for-block up to the least tip?
-fn common_prefix(sim: &Simulation, n_honest: usize) -> bool {
+/// Convergence: do the first `n_honest` nodes agree block for block up
+/// to the least-advanced tip?
+pub fn common_prefix(sim: &Simulation, n_honest: usize) -> bool {
     let tip = min_tip(sim, n_honest);
     for round in 1..=tip {
         let h0 = match sim.honest_node(0).chain().block_at(round) {
@@ -330,78 +356,119 @@ pub fn recovery_bound(schedule: &FaultSchedule) -> Micros {
     RECOVERY_BASE + RECOVERY_PER_EVENT * schedule.len() as Micros
 }
 
-/// Replays one case deterministically and classifies the outcome.
+/// Plays `case` on `sim` and classifies the outcome. `sim` must be
+/// fresh and built from [`FuzzCase::config`], at any worker count; the
+/// caller keeps it afterwards, stopped at the verdict, for its own
+/// assertions.
 ///
-/// Drive: run to the schedule's last event, then advance in
+/// Drive: install the schedule, run to its last event, then advance in
 /// [`SLICE`]-sized steps. At every step the safety oracles are checked
-/// (monitor first — it names the violated invariant — then the direct
-/// finalized-divergence scan). The run passes once every honest node
-/// has advanced ≥ 2 rounds past its post-schedule baseline onto a
-/// common prefix; it is a [`VerdictClass::LivenessStall`] if that does
-/// not happen within [`recovery_bound`].
+/// (monitor first — it names the violated invariant — then
+/// [`divergent_finality`]). The run passes once every honest node has
+/// advanced ≥ 2 rounds past its post-schedule baseline onto a
+/// [`common_prefix`]; it is a [`VerdictClass::LivenessStall`] if that
+/// does not happen within [`recovery_bound`].
 ///
 /// # Panics
 ///
-/// If the schedule does not validate for the case's population —
-/// callers (generator, shrinker, corpus) only construct validated
-/// cases, so an invalid one here is a harness bug.
-pub fn run_case(case: &FuzzCase) -> Verdict {
+/// If the schedule does not validate for the case's population (the
+/// generator, shrinker and parser only construct validated cases, so an
+/// invalid one here is a harness bug), or if `sim` has no monitor.
+pub fn judge(sim: &mut Simulation, case: &FuzzCase) -> Verdict {
     case.schedule
         .validate(case.n_users)
         .expect("fuzz case schedule must validate");
-    let n_honest = case.n_users - case.n_malicious;
-    let mut cfg = SimConfig::new(case.n_users);
-    cfg.seed = case.seed;
-    cfg.n_malicious = case.n_malicious;
-    cfg.adversary_kind = case.adversary;
-    cfg.trace = true;
-    cfg.monitor = true;
-    cfg.injected_bug = case.bug;
-    let mut sim = Simulation::new(cfg);
+    let n_honest = case.n_honest();
     let settle = case.schedule.last_event_at();
     let bound = recovery_bound(&case.schedule);
     sim.set_fault_schedule(case.schedule.clone());
-
-    let verdict = |sim: &Simulation, recovered: Option<Micros>| Verdict {
-        class: VerdictClass::Pass,
-        final_tip: min_tip(sim, n_honest),
-        recovered_after: recovered,
-        sim_end: sim.now(),
-    };
-    let safety = |sim: &Simulation| -> Option<VerdictClass> {
-        let report = sim.monitor_report().expect("monitor attached");
-        if let Some(inv) = report.verdict_class() {
-            return Some(VerdictClass::MonitorViolation(inv));
-        }
-        if divergent_finality(sim, n_honest) {
-            return Some(VerdictClass::ChainDivergence);
-        }
-        None
-    };
-
     sim.run_until(settle);
-    if let Some(class) = safety(&sim) {
-        let mut v = verdict(&sim, None);
-        v.class = class;
-        return v;
-    }
-    let baseline = min_tip(&sim, n_honest);
+    let baseline = min_tip(sim, n_honest);
     let mut t = settle;
-    while t < settle + bound {
-        t += SLICE;
-        sim.run_until(t);
-        if let Some(class) = safety(&sim) {
-            let mut v = verdict(&sim, None);
-            v.class = class;
-            return v;
-        }
-        if min_tip(&sim, n_honest) >= baseline + 2 && common_prefix(&sim, n_honest) {
-            return verdict(&sim, Some(t - settle));
-        }
+    loop {
+        let monitor = sim.monitor_report().expect("monitor attached");
+        let (class, recovered_after) = if let Some(inv) = monitor.verdict_class() {
+            (VerdictClass::MonitorViolation(inv), None)
+        } else if divergent_finality(sim, n_honest) {
+            (VerdictClass::ChainDivergence, None)
+        } else if min_tip(sim, n_honest) >= baseline + 2 && common_prefix(sim, n_honest) {
+            (VerdictClass::Pass, Some(t - settle))
+        } else if t >= settle + bound {
+            (VerdictClass::LivenessStall, None)
+        } else {
+            t += SLICE;
+            sim.run_until(t);
+            continue;
+        };
+        return Verdict {
+            class,
+            final_tip: min_tip(sim, n_honest),
+            recovered_after,
+            sim_end: sim.now(),
+        };
     }
-    let mut v = verdict(&sim, None);
-    v.class = VerdictClass::LivenessStall;
-    v
+}
+
+/// Replays one case on one worker and classifies the outcome
+/// ([`judge`] on a fresh simulation).
+pub fn run_case(case: &FuzzCase) -> Verdict {
+    judge(&mut Simulation::new(case.config()), case)
+}
+
+// --- Hand-written schedules ------------------------------------------------
+
+/// The chaos suite's scripted schedules (§3 safety under asynchrony,
+/// §8.2–§8.3 recovery, §10.4 attacks), one `(name, case)` row each. The
+/// test suite (`tests/chaos.rs`) and the pinned-results bin
+/// (`chaos_determinism`) both judge every row with [`judge`].
+pub fn chaos_table() -> Vec<(&'static str, FuzzCase)> {
+    let s = FaultSchedule::new;
+    let halves = |n| s().bipartition(n, n / 2, 30 * SEC, 90 * SEC);
+    // 10 of 12 keep talking; the other 2 hear them but cannot answer.
+    let asym = s().asymmetric_partition(12, 10, 30 * SEC, 90 * SEC);
+    let loss = s().loss_window(0.30, 20 * SEC, 80 * SEC);
+    // 9 of 16 nodes (56% of stake) down together for a minute.
+    let crash_majority = (0..9).fold(s(), |acc, i| acc.crash_restart(i, 40 * SEC, 100 * SEC));
+    // Nodes 0..6 go down one after another, two windows overlapping.
+    let rolling = (0..6).fold(s(), |acc, i| {
+        let down = (20 + 15 * i as Micros) * SEC;
+        acc.crash_restart(i, down, down + 30 * SEC)
+    });
+    let rejoin = s().crash_restart(0, 30 * SEC, 90 * SEC);
+    // Two clocks fast (up to half a λ_priority) and one 300 ms slow,
+    // never cleared; every link triples its latency for 40 s.
+    let skew = [(1, 200_000), (2, 500_000), (3, -300_000)]
+        .into_iter()
+        .fold(s(), |acc, (node, skew)| {
+            acc.at(5 * SEC, FaultAction::ClockSkew { node, skew })
+        })
+        .at(
+            20 * SEC,
+            FaultAction::DelaySpike {
+                factor: 3.0,
+                extra: 100_000,
+            },
+        )
+        .at(60 * SEC, FaultAction::DelayClear);
+    let case = |seed, n_users, n_malicious, schedule| FuzzCase {
+        case_seed: 0,
+        seed,
+        n_users,
+        n_malicious,
+        adversary: AdversaryKind::Equivocator,
+        bug: None,
+        schedule,
+    };
+    vec![
+        ("partition/heal (sym)", case(11, 16, 0, halves(16))),
+        ("partition (asym)", case(12, 12, 0, asym)),
+        ("30% loss window", case(13, 12, 0, loss)),
+        ("crash majority 9/16", case(14, 16, 0, crash_majority)),
+        ("partition + equivocators", case(15, 20, 4, halves(20))),
+        ("rolling restarts 6/12", case(16, 12, 0, rolling)),
+        ("crash/rejoin via catch-up", case(17, 10, 0, rejoin)),
+        ("clock skew + delay spike", case(18, 12, 0, skew)),
+    ]
 }
 
 // --- Shrinker ------------------------------------------------------------
@@ -785,58 +852,46 @@ pub fn serialize_case(case: &FuzzCase, verdict: VerdictClass) -> String {
     out
 }
 
+/// The `key=value` lines every reproducer carries exactly once.
+const HEADER_KEYS: [&str; 7] = [
+    "case_seed",
+    "seed",
+    "n_users",
+    "n_malicious",
+    "adversary",
+    "bug",
+    "verdict",
+];
+
 /// Parses [`serialize_case`] output back into a runnable case.
 ///
 /// # Errors
 ///
-/// A human-readable description of the first malformed line.
+/// A human-readable description of the first problem: a malformed,
+/// missing or repeated line, or a case [`run_case`] cannot run (no
+/// users, no honest user, an invalid schedule).
 pub fn parse_case(text: &str) -> Result<(FuzzCase, VerdictClass), String> {
     let mut lines = text.lines();
     if lines.next().map(str::trim) != Some(REPRO_HEADER) {
         return Err(format!("missing '{REPRO_HEADER}' header"));
     }
-    let mut case = FuzzCase {
-        case_seed: 0,
-        seed: 0,
-        n_users: 0,
-        n_malicious: 0,
-        adversary: AdversaryKind::Equivocator,
-        bug: None,
-        schedule: FaultSchedule::new(),
-    };
-    let mut verdict = None;
+    let mut header = std::collections::HashMap::new();
     let mut events: Vec<FaultEvent> = Vec::new();
     let mut ended = false;
-    for line in lines {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
+    for line in lines.map(str::trim).filter(|l| !l.is_empty()) {
         if line == "end" {
             ended = true;
             break;
         }
-        let field =
-            |l: &str, key: &str| -> Option<String> { l.strip_prefix(key).map(|v| v.to_string()) };
-        if let Some(v) = field(line, "case_seed=") {
-            case.case_seed = v.parse().map_err(|_| format!("bad case_seed: {v}"))?;
-        } else if let Some(v) = field(line, "seed=") {
-            case.seed = v.parse().map_err(|_| format!("bad seed: {v}"))?;
-        } else if let Some(v) = field(line, "n_users=") {
-            case.n_users = v.parse().map_err(|_| format!("bad n_users: {v}"))?;
-        } else if let Some(v) = field(line, "n_malicious=") {
-            case.n_malicious = v.parse().map_err(|_| format!("bad n_malicious: {v}"))?;
-        } else if let Some(v) = field(line, "adversary=") {
-            case.adversary = adversary_parse(&v).ok_or(format!("bad adversary: {v}"))?;
-        } else if let Some(v) = field(line, "bug=") {
-            case.bug = match v.as_str() {
-                "none" => None,
-                s => Some(InjectedBug::parse(s).ok_or(format!("bad bug: {s}"))?),
-            };
-        } else if let Some(v) = field(line, "verdict=") {
-            verdict = Some(VerdictClass::parse(&v).ok_or(format!("bad verdict: {v}"))?);
-        } else if let Some(v) = field(line, "event at=") {
-            events.push(parse_event(&v)?);
+        if let Some(rest) = line.strip_prefix("event at=") {
+            events.push(parse_event(rest)?);
+        } else if let Some((key, value)) = line
+            .split_once('=')
+            .filter(|(k, _)| HEADER_KEYS.contains(k))
+        {
+            if header.insert(key, value).is_some() {
+                return Err(format!("repeated header key {key}="));
+            }
         } else {
             return Err(format!("unrecognized line: {line}"));
         }
@@ -844,8 +899,37 @@ pub fn parse_case(text: &str) -> Result<(FuzzCase, VerdictClass), String> {
     if !ended {
         return Err("missing 'end' terminator".into());
     }
-    let verdict = verdict.ok_or("missing verdict= line")?;
-    case.schedule = FaultSchedule::from_events(events);
+    let get = |key: &str| {
+        header
+            .get(key)
+            .copied()
+            .ok_or(format!("missing {key}= line"))
+    };
+    let bad = |key: &str| format!("bad {key}: {}", header[key]);
+    let case = FuzzCase {
+        case_seed: get("case_seed")?.parse().map_err(|_| bad("case_seed"))?,
+        seed: get("seed")?.parse().map_err(|_| bad("seed"))?,
+        n_users: get("n_users")?.parse().map_err(|_| bad("n_users"))?,
+        n_malicious: get("n_malicious")?
+            .parse()
+            .map_err(|_| bad("n_malicious"))?,
+        adversary: adversary_parse(get("adversary")?).ok_or_else(|| bad("adversary"))?,
+        bug: match get("bug")? {
+            "none" => None,
+            s => Some(InjectedBug::parse(s).ok_or_else(|| bad("bug"))?),
+        },
+        schedule: FaultSchedule::from_events(events),
+    };
+    let verdict = VerdictClass::parse(get("verdict")?).ok_or_else(|| bad("verdict"))?;
+    if case.n_users == 0 {
+        return Err("n_users=0: a case needs at least one user".into());
+    }
+    if case.n_malicious >= case.n_users {
+        return Err(format!(
+            "n_malicious={} >= n_users={}: no honest user left",
+            case.n_malicious, case.n_users
+        ));
+    }
     case.schedule
         .validate(case.n_users)
         .map_err(|e| format!("reproducer schedule invalid: {e}"))?;
@@ -1202,13 +1286,38 @@ mod tests {
 
     #[test]
     fn parser_rejects_malformed_reproducers() {
-        assert!(parse_case("not a repro").is_err());
-        assert!(parse_case(&format!("{REPRO_HEADER}\nverdict=pass\n")).is_err()); // no end
-        assert!(parse_case(&format!(
-            "{REPRO_HEADER}\nn_users=4\nverdict=pass\nevent at=5 crash node=9\nend\n"
-        ))
-        .is_err()); // schedule fails validation
-        assert!(parse_case(&format!("{REPRO_HEADER}\nverdict=nonsense\nend\n")).is_err());
+        // A complete header; every row but the first two breaks it once.
+        let head = "case_seed=0\nseed=1\nn_users=4\nn_malicious=1\n\
+                    adversary=equivocator\nbug=none\nverdict=pass";
+        let repro = |header: &str| format!("{REPRO_HEADER}\n{header}\nend\n");
+        let with = |from: &str, to: &str| repro(&head.replace(from, to));
+        let rows = [
+            ("not a repro".to_string(), "header"),
+            (format!("{REPRO_HEADER}\n{head}\n"), "'end'"),
+            (
+                with("bug=none", "bug=none\nevent at=5 crash node=9"),
+                "node 9 out of range",
+            ),
+            (with("verdict=pass", "verdict=nonsense"), "bad verdict"),
+            (with("\nseed=1", ""), "missing seed="),
+            (
+                with("n_users=4", "n_users=4\nn_users=5"),
+                "repeated header key n_users=",
+            ),
+            (with("n_users=4", "n_users=0"), "n_users=0"),
+            (
+                with("n_malicious=1", "n_malicious=4"),
+                "n_malicious=4 >= n_users=4",
+            ),
+        ];
+        for (text, problem) in rows {
+            let err = parse_case(&text).expect_err(&text);
+            assert!(err.contains(problem), "{text:?} gave {err:?}");
+        }
+        assert!(
+            parse_case(&repro(head)).is_ok(),
+            "the complete header parses"
+        );
     }
 
     #[test]

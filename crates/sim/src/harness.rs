@@ -550,8 +550,6 @@ pub struct FaultReport {
     pub partitions_activated: usize,
     /// Node restarts completed.
     pub restarts: usize,
-    /// Sends dropped by the caller-installed filter.
-    pub dropped_by_filter: u64,
     /// Sends dropped by scripted partitions.
     pub dropped_by_partition: u64,
     /// Sends dropped by random packet loss.
@@ -565,10 +563,9 @@ impl std::fmt::Display for FaultReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "faults:   partitions={} restarts={} dropped(filter/partition/loss)={}/{}/{}",
+            "faults:   partitions={} restarts={} dropped(partition/loss)={}/{}",
             self.partitions_activated,
             self.restarts,
-            self.dropped_by_filter,
             self.dropped_by_partition,
             self.dropped_by_loss,
         )?;
@@ -681,7 +678,6 @@ pub(crate) fn fault_report(
     FaultReport {
         partitions_activated,
         restarts,
-        dropped_by_filter: net.dropped_by_filter(),
         dropped_by_partition: net.dropped_by_partition(),
         dropped_by_loss: net.dropped_by_loss(),
         recovery,

@@ -5,7 +5,8 @@
 //! gossip topology in virtual time, modelling the two resources that
 //! determine the paper's results: per-process uplink bandwidth (20 Mbit/s,
 //! serializing transmissions) and inter-city propagation latency with
-//! jitter. Fault injection (partitions, targeted DoS) and the §10.4
+//! jitter. Scripted fault injection (partitions, loss, crashes, clock
+//! skew), the one oracle that judges a faulted run, and the §10.4
 //! equivocation adversary are built in; for 500,000-user scales an
 //! analytic epidemic model mirrors the paper's own shortcuts.
 

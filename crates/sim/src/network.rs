@@ -7,14 +7,14 @@
 //! what makes large blocks dominate round latency in Figure 7 — then takes
 //! one inter-city one-way latency (±jitter) to arrive.
 //!
-//! Fault injection layers, applied in order to every send:
+//! Fault injection layers, applied in order to every send, all set by
+//! the scripted [`crate::faults::FaultSchedule`]:
 //!
-//! 1. the caller-supplied [`Filter`] hook (targeted DoS, custom rules),
-//! 2. the installed [`PartitionSpec`] (group-to-group link blocking,
-//!    symmetric or asymmetric),
-//! 3. deterministic per-send packet loss at the current loss rate,
+//! 1. the installed [`PartitionSpec`] (group-to-group link blocking:
+//!    symmetric, asymmetric, or a targeted node set that cannot send),
+//! 2. deterministic per-send packet loss at the current loss rate,
 //!    sampled from the seeded RNG,
-//! 4. an optional delay spike (multiplicative factor plus a constant)
+//! 3. an optional delay spike (multiplicative factor plus a constant)
 //!    on the propagation latency.
 //!
 //! Drops are counted per cause so the chaos harness can report them.
@@ -48,9 +48,6 @@ impl Default for NetConfig {
         }
     }
 }
-
-/// A drop filter: returns true if the message may pass.
-pub type Filter = Box<dyn FnMut(Micros, usize, usize) -> bool>;
 
 /// A data-driven network partition: each node belongs to a group, and a
 /// set of ordered `(from_group, to_group)` pairs is blocked. Symmetric
@@ -99,13 +96,11 @@ pub struct Network {
     rng: Rng,
     bytes_sent: Vec<u64>,
     bytes_received: Vec<u64>,
-    filter: Option<Filter>,
     partition: Option<PartitionSpec>,
     loss_prob: f64,
     /// Latency distortion: `(factor, extra)` applied as
     /// `latency * factor + extra`.
     delay_spike: Option<(f64, Micros)>,
-    dropped_by_filter: u64,
     dropped_by_partition: u64,
     dropped_by_loss: u64,
 }
@@ -122,22 +117,14 @@ impl Network {
             rng: Rng::seed_from_u64(cfg.seed),
             bytes_sent: vec![0; n],
             bytes_received: vec![0; n],
-            filter: None,
             partition: None,
             loss_prob: cfg.loss_prob,
             delay_spike: None,
-            dropped_by_filter: 0,
             dropped_by_partition: 0,
             dropped_by_loss: 0,
             latency,
             cfg,
         }
-    }
-
-    /// Installs a drop filter (targeted DoS, custom rules). Passing
-    /// `None` removes it.
-    pub fn set_filter(&mut self, filter: Option<Filter>) {
-        self.filter = filter;
     }
 
     /// Installs (or heals, with `None`) a partition.
@@ -163,8 +150,8 @@ impl Network {
 
     /// Transmits `size` bytes from `from` to `to` starting at `now`.
     ///
-    /// Returns the arrival time, or `None` when a filter, partition, or
-    /// loss draw drops the message. Either way the sender's uplink is
+    /// Returns the arrival time, or `None` when a partition or loss
+    /// draw drops the message. Either way the sender's uplink is
     /// consumed: a sender cannot tell that the network discarded its
     /// packets.
     pub fn transmit(&mut self, from: usize, to: usize, size: usize, now: Micros) -> Option<Micros> {
@@ -172,12 +159,6 @@ impl Network {
         let start = self.uplink_free[from].max(now);
         self.uplink_free[from] = start + tx_time;
         self.bytes_sent[from] += size as u64;
-        if let Some(filter) = &mut self.filter {
-            if !filter(now, from, to) {
-                self.dropped_by_filter += 1;
-                return None;
-            }
-        }
         if let Some(p) = &self.partition {
             if p.blocks(from, to) {
                 self.dropped_by_partition += 1;
@@ -234,11 +215,6 @@ impl Network {
         self.bytes_sent.iter().sum()
     }
 
-    /// Sends dropped by the caller-installed filter.
-    pub fn dropped_by_filter(&self) -> u64 {
-        self.dropped_by_filter
-    }
-
     /// Sends dropped by the installed partition.
     pub fn dropped_by_partition(&self) -> u64 {
         self.dropped_by_partition
@@ -289,24 +265,26 @@ mod tests {
     }
 
     #[test]
-    fn filter_drops_but_consumes_uplink() {
+    fn partition_drops_but_consumes_uplink() {
         let mut net = Network::new(
-            2,
+            3,
             NetConfig {
-                bandwidth_bps: 8_000_000,
+                bandwidth_bps: 8_000_000, // 1 MB/s.
                 jitter_frac: 0.0,
                 loss_prob: 0.0,
                 seed: 1,
             },
         );
-        net.set_filter(Some(Box::new(|_, from, _| from != 0)));
-        assert!(net.transmit(0, 1, 1_000_000, 0).is_none());
-        assert_eq!(net.bytes_sent(0), 1_000_000);
-        assert_eq!(net.bytes_received(1), 0);
-        assert_eq!(net.dropped_by_filter(), 1);
-        // The uplink was still occupied for the dropped send.
-        let next = net.transmit(1, 0, 100, 0).unwrap();
-        assert!(next > 0);
+        // Nodes 1 and 2 cannot reach node 0, but still reach each other.
+        net.set_partition(Some(PartitionSpec::asymmetric(3, 1)));
+        assert!(net.transmit(1, 0, 1_000_000, 0).is_none());
+        assert_eq!(net.bytes_sent(1), 1_000_000);
+        assert_eq!(net.bytes_received(0), 0);
+        assert_eq!(net.dropped_by_partition(), 1);
+        // The dropped megabyte still held node 1's uplink for ~1 s: its
+        // next send, which the partition lets through, queues behind it.
+        let next = net.transmit(1, 2, 100, 0).unwrap();
+        assert!(next >= 1_000_000, "next {next}");
     }
 
     #[test]

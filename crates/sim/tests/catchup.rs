@@ -1,7 +1,7 @@
 //! Catch-up protocol (§8.3): a node knocked offline re-syncs from
 //! certificates instead of waiting for a full fork recovery.
 
-use algorand_sim::{SimConfig, Simulation};
+use algorand_sim::{FaultSchedule, SimConfig, Simulation};
 
 const MINUTE: u64 = 60 * 1_000_000;
 
@@ -16,10 +16,7 @@ fn isolated_node_catches_up_after_rejoining() {
     // Cut node 0 off entirely for a window long enough that the network
     // moves ≥ 4 rounds ahead (beyond the vote-buffer window).
     let t_cut = sim.now();
-    let t_heal = t_cut + 20 * 1_000_000;
-    sim.set_network_filter(Some(Box::new(move |now, from, to| {
-        now >= t_heal || (from != 0 && to != 0)
-    })));
+    sim.set_fault_schedule(FaultSchedule::new().bipartition(n, 1, t_cut, t_cut + 20 * 1_000_000));
     sim.run_rounds(8, 20 * MINUTE);
 
     let network_round = sim.honest_node(5).chain().tip().round;
@@ -58,10 +55,7 @@ fn catchup_preserves_transaction_state() {
     // caught-up state.
     sim.run_rounds(1, 10 * MINUTE);
     let t_cut = sim.now();
-    let t_heal = t_cut + 20 * 1_000_000;
-    sim.set_network_filter(Some(Box::new(move |now, from, to| {
-        now >= t_heal || (from != 0 && to != 0)
-    })));
+    sim.set_fault_schedule(FaultSchedule::new().bipartition(n, 1, t_cut, t_cut + 20 * 1_000_000));
     let tx = algorand_ledger::Transaction::payment(sim.keypair(2), sim.keypair(3).pk, 4, 1);
     for i in 1..n {
         sim.submit_transaction(i, tx.clone());

@@ -12,7 +12,10 @@
 
 use algorand_core::WireMessage;
 use algorand_ledger::Transaction;
-use algorand_sim::{DesConfig, EpidemicConfig, FaultSchedule, Micros, ParallelSim, SimConfig};
+use algorand_sim::{
+    DesConfig, EpidemicConfig, FaultAction, FaultSchedule, Micros, ParallelSim, PartitionSpec,
+    SimConfig,
+};
 
 const SEC: Micros = 1_000_000;
 
@@ -107,13 +110,25 @@ fn payment_run(workers: usize) -> ([u8; 32], String, String) {
     sim.submit_transaction(2, by_hand[1].clone());
     sim.inject_message(3, WireMessage::Transaction(by_hand[2].clone()));
     // Node 5 cannot send for the first five seconds.
-    sim.set_network_filter(Some(Box::new(|now, from, _| now >= 5 * SEC || from != 5)));
+    let group_of = (0..n).map(|i| u8::from(i == 5)).collect();
+    let mute = FaultAction::Partition(PartitionSpec {
+        group_of,
+        blocked: vec![(1, 0)],
+    });
+    sim.set_fault_schedule(
+        FaultSchedule::new()
+            .at(0, mute)
+            .at(5 * SEC, FaultAction::Heal),
+    );
     sim.run_rounds(2, 240 * SEC);
     sim.submit_transaction(4, by_hand[3].clone());
     sim.inject_message(6, WireMessage::Transaction(by_hand[4].clone()));
     sim.run_rounds(5, 240 * SEC);
 
-    assert!(sim.fault_report().dropped_by_filter > 0, "filter never bit");
+    assert!(
+        sim.fault_report().dropped_by_partition > 0,
+        "partition never bit"
+    );
     let chain = sim.honest_node(0).chain();
     for (i, tx) in by_hand.iter().enumerate() {
         assert!(

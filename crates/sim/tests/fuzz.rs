@@ -4,8 +4,9 @@
 //! reproducer codec; this suite exercises the two end-to-end promises
 //! the CI gate leans on:
 //!
-//! 1. a generated (seed, schedule) pair replays byte-identically — the
-//!    whole point of recording only the pair in a reproducer;
+//! 1. a generated (seed, schedule) pair replays byte-identically —
+//!    verdict, chain digest and exported trace — the whole point of
+//!    recording only the pair in a reproducer;
 //! 2. the ddmin shrinker only ever walks through *well-formed* cases
 //!    that keep the original verdict class, so the minimized reproducer
 //!    it emits is both valid and faithful (satellite: shrinker property
@@ -15,19 +16,31 @@
 //! release-only like the corpus replay suite; the CI fuzz gate runs it
 //! with `--include-ignored`.
 
-use algorand_sim::fuzz::{generate, parse_case, run_case, serialize_case, shrink};
-use algorand_sim::{InjectedBug, VerdictClass};
+use algorand_sim::fuzz::{generate, judge, parse_case, run_case, serialize_case, shrink};
+use algorand_sim::{InjectedBug, Simulation, VerdictClass};
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: replays full fuzz cases")]
 fn generated_case_replays_deterministically() {
     let case = generate(11, None);
-    let first = run_case(&case);
-    let second = run_case(&case);
+    let run = || {
+        let mut sim = Simulation::new(case.config());
+        let verdict = judge(&mut sim, &case);
+        (verdict, sim.chain_digest(), sim.export_trace("replay"))
+    };
+    let (first, digest, trace) = run();
+    let (second, digest_again, trace_again) = run();
+    assert_eq!(
+        first.class,
+        VerdictClass::Pass,
+        "an honest-build case must pass"
+    );
     assert_eq!(first.class, second.class);
     assert_eq!(first.final_tip, second.final_tip);
     assert_eq!(first.sim_end, second.sim_end);
     assert_eq!(first.recovered_after, second.recovered_after);
+    assert_eq!(digest, digest_again, "chain digest diverged on replay");
+    assert!(trace == trace_again, "exported trace diverged on replay");
 }
 
 #[test]

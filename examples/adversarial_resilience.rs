@@ -8,29 +8,21 @@
 //!
 //! Run with: `cargo run --release --example adversarial_resilience`
 
-use algorand::sim::{SimConfig, Simulation};
-use std::collections::HashMap;
+use algorand::sim::fuzz::{common_prefix, divergent_finality, min_tip};
+use algorand::sim::{FaultSchedule, SimConfig, Simulation};
 
 const MINUTE: u64 = 60 * 1_000_000;
 
-fn check_no_divergence(sim: &Simulation, n: usize) -> usize {
-    let mut finalized: HashMap<u64, [u8; 32]> = HashMap::new();
-    let mut count = 0;
-    for i in 0..n {
-        let chain = sim.honest_node(i).chain();
-        for round in 1..=chain.tip().round {
-            if chain.is_finalized(round) {
-                let h = chain.block_at(round).unwrap().hash();
-                if let Some(prev) = finalized.get(&round) {
-                    assert_eq!(*prev, h, "SAFETY VIOLATION at round {round}");
-                } else {
-                    finalized.insert(round, h);
-                    count += 1;
-                }
-            }
-        }
-    }
-    count
+/// The paper's safety claim, checked on the first `n_honest` nodes: no
+/// two of them finalized different blocks for one round, and all agree
+/// on one chain up to the least-advanced tip, which is returned.
+fn agreed_rounds(sim: &Simulation, n_honest: usize) -> u64 {
+    assert!(!divergent_finality(sim, n_honest), "SAFETY VIOLATION");
+    assert!(
+        common_prefix(sim, n_honest),
+        "honest nodes on different forks"
+    );
+    min_tip(sim, n_honest)
 }
 
 fn main() {
@@ -40,11 +32,10 @@ fn main() {
     cfg.n_malicious = 6;
     let mut sim = Simulation::new(cfg);
     sim.run_rounds(3, 30 * MINUTE);
-    let n_honest = n - 6;
-    let finals = check_no_divergence(&sim, n_honest);
+    let agreed = agreed_rounds(&sim, n - 6);
     let equivocations = sim.adversary().lock().unwrap().equivocations.len();
     println!("  equivocation attacks mounted: {equivocations}");
-    println!("  finalized rounds (all consistent): {finals}");
+    println!("  rounds every honest user agrees on: {agreed}");
     for r in 1..=3u64 {
         if let Some(stats) = sim.round_stats(r) {
             println!(
@@ -64,13 +55,10 @@ fn main() {
     let mut sim = Simulation::new(cfg);
     sim.run_rounds(1, 10 * MINUTE);
     let before = sim.honest_node(0).chain().tip().round;
-    let t_heal = sim.now() + 60 * MINUTE / 60;
-    let half = n / 2;
-    sim.set_network_filter(Some(Box::new(move |now, from, to| {
-        now >= t_heal || (from < half) == (to < half)
-    })));
+    let now = sim.now();
+    sim.set_fault_schedule(FaultSchedule::new().bipartition(n, n / 2, now, now + MINUTE));
     sim.run_rounds(before + 2, 30 * MINUTE);
-    check_no_divergence(&sim, n);
+    agreed_rounds(&sim, n);
     let after = sim.honest_node(0).chain().tip().round;
     println!("  rounds before partition: {before}; after heal: {after}");
     println!("  no honest user finalized conflicting blocks at any point");

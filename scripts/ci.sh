@@ -40,10 +40,10 @@ done
 cargo run --release -q -p algorand-bench --bin trace -- report | diff results/trace_report.txt -
 cargo run --release -q -p algorand-bench --bin trace -- paths | diff results/critical_path.txt -
 
-echo "== chaos suite (fixed seeds) =="
+echo "== chaos suite: every chaos_table row passes the fuzz oracle, and its faults bite =="
 cargo test --release -q -p algorand-sim --test chaos
 
-echo "== chaos determinism (1, 1 replay, 2, 4 workers) + recovery check; reprints results/chaos.txt byte for byte =="
+echo "== chaos determinism: every chaos_table row judged at 1, 1 replay, 2, 4 workers; reprints results/chaos.txt byte for byte =="
 cargo run --release -q -p algorand-bench --bin chaos_determinism | diff results/chaos.txt -
 
 echo "== trace gate: tracing invisible and replayable, critical paths contiguous and covering =="
