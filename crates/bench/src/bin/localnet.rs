@@ -41,9 +41,9 @@ use algorand_node::telemetry::{
     collect_trace, discover, scrape_metrics, ClusterHealth, NodeHealth,
 };
 use algorand_node::NodeConfig;
-use algorand_obs::{critical_paths, Gate};
+use algorand_obs::{critical_paths, expose, Gate};
 use algorand_sim::{SimConfig, Simulation};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -181,11 +181,11 @@ fn main() {
     println!("[localnet] phase A ok: all {N} digests match the simulator");
 
     // --- Phase B: continue from the WALs; kill -9 one node mid-run. ---
-    // Thresholds are relative to the longest phase-A WAL so the stale
-    // status files (and linger overshoot) cannot satisfy them early.
+    // Thresholds are relative to the longest phase-A WAL (linger
+    // overshoot included), read from each process's exit exposition.
     let phase_a_tip = cfgs
         .iter()
-        .map(|c| status_field(&c.wal_dir, "walled").unwrap_or(TARGET_A))
+        .map(|c| exported(&c.wal_dir, "node.walled_round").unwrap_or(TARGET_A))
         .max()
         .unwrap();
     let target_b = phase_a_tip + 5;
@@ -207,7 +207,7 @@ fn main() {
     // Let the victim make fresh progress past its phase-A WAL first, so
     // the restart demonstrably replays *this* deployment's history too.
     wait_until(
-        || status_field(&victim_dir, "walled").is_some_and(|w| w >= kill_after),
+        || live(&victim_dir, "node.walled_round").is_some_and(|w| w >= kill_after),
         Duration::from_secs(120),
         "victim to persist fresh phase-B rounds",
     );
@@ -243,8 +243,8 @@ fn main() {
             "phase B: node {i} digest disagrees with node 0"
         );
     }
-    let replayed = status_field(&victim_dir, "replayed").unwrap_or(0);
-    let catchups = status_field(&victim_dir, "catchups").unwrap_or(0);
+    let replayed = exported(&victim_dir, "wal.replayed_rounds").unwrap_or(0);
+    let catchups = exported(&victim_dir, "recovery.catchups_applied").unwrap_or(0);
     assert!(
         replayed >= kill_after,
         "victim should have replayed its WAL through round {kill_after}, got {replayed}"
@@ -299,13 +299,8 @@ fn distinct_keys() -> i64 {
 
 /// An unlabelled sample of a scraped node; its absence fails the gate.
 fn sample(node: &NodeHealth, name: &str) -> i64 {
-    node.samples
-        .iter()
-        .find(|s| s.name == name && s.labels.is_empty())
-        .map_or_else(
-            || panic!("{}: no sample {name}", node.addr),
-            |s| s.value as i64,
-        )
+    expose::unlabelled(&node.samples, name)
+        .unwrap_or_else(|| panic!("{}: no sample {name}", node.addr)) as i64
 }
 
 /// One config per node: a star of static peers around node 0, the rest
@@ -342,8 +337,11 @@ fn node_configs(root: &Path) -> Vec<NodeConfig> {
 /// static peer and spawned. The start-time barrier in the configs keeps
 /// consensus clocks aligned despite the stagger.
 fn spawn_all(root: &Path, cfgs: &mut [NodeConfig]) -> Vec<Child> {
-    // A stale addr file from an earlier phase must not be read back.
-    let _ = std::fs::remove_file(cfgs[0].wal_dir.join("addr"));
+    // A stale addr file from an earlier phase must not be read back (nor
+    // scraped: its port may now belong to another node).
+    for cfg in cfgs.iter() {
+        let _ = std::fs::remove_file(cfg.wal_dir.join("addr"));
+    }
     std::fs::write(root.join("n0.conf"), cfgs[0].render()).expect("write config");
     let mut children = vec![spawn_node(root, 0)];
     let addr_file = cfgs[0].wal_dir.join("addr");
@@ -410,7 +408,7 @@ fn wait_all(children: Vec<Child>, timeout: Duration) -> Vec<bool> {
 fn wait_walled(cfgs: &[NodeConfig], round: u64) {
     for cfg in cfgs {
         wait_until(
-            || status_field(&cfg.wal_dir, "walled").is_some_and(|w| w >= round),
+            || live(&cfg.wal_dir, "node.walled_round").is_some_and(|w| w >= round),
             Duration::from_secs(120),
             &format!("every node to persist round {round}"),
         );
@@ -425,14 +423,24 @@ fn wait_until(mut cond: impl FnMut() -> bool, timeout: Duration, what: &str) {
     }
 }
 
-/// Parses one `key=value` field from a node's one-line status file.
-fn status_field(wal_dir: &Path, key: &str) -> Option<u64> {
-    let text = std::fs::read_to_string(wal_dir.join("status")).ok()?;
-    let fields: HashMap<&str, &str> = text
-        .split_whitespace()
-        .filter_map(|kv| kv.split_once('='))
-        .collect();
-    fields.get(key)?.parse().ok()
+/// One unlabelled sample of a running node's exposition, scraped at the
+/// address it published; `None` until it is up and answering.
+fn live(wal_dir: &Path, name: &str) -> Option<u64> {
+    let addr = std::fs::read_to_string(wal_dir.join("addr")).ok()?;
+    let text = scrape_metrics(addr.trim(), Duration::from_secs(5)).ok()?;
+    value(&text, name)
+}
+
+/// One unlabelled sample of the exposition a node wrote as it exited.
+fn exported(wal_dir: &Path, name: &str) -> Option<u64> {
+    value(
+        &std::fs::read_to_string(wal_dir.join("metrics.txt")).ok()?,
+        name,
+    )
+}
+
+fn value(exposition: &str, name: &str) -> Option<u64> {
+    expose::unlabelled(&expose::parse(exposition).ok()?, name).map(|v| v as u64)
 }
 
 fn read_trimmed(path: &Path) -> String {

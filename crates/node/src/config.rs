@@ -49,7 +49,7 @@ pub struct NodeConfig {
     pub listen: String,
     /// Static peer addresses; more are learned via peer exchange.
     pub peers: Vec<String>,
-    /// Directory for the WAL, status, digest, trace and metrics files.
+    /// Directory for the WAL, digest, trace and metrics files.
     pub wal_dir: PathBuf,
     /// Exit (successfully) once the chain reaches this round; 0 runs
     /// until the deadline.
@@ -83,16 +83,6 @@ pub struct NodeConfig {
     pub lambda_block_ms: u64,
     /// Record a bounded trace and export it on exit.
     pub trace: bool,
-    /// TELEMETRY token-bucket capacity per connection (requests an idle
-    /// connection may burst before throttling).
-    pub telemetry_burst: u64,
-    /// TELEMETRY token-bucket refill rate per connection, requests per
-    /// second (0 disables rate limiting).
-    pub telemetry_rate_per_s: u64,
-    /// Append an alert to `<wal_dir>/alerts.jsonl` when any peer's
-    /// send-queue drop counter crosses this threshold (0 disables the
-    /// peer-drop alert; monitor-violation alerts are always on).
-    pub alert_peer_drops: u64,
 }
 
 impl Default for NodeConfig {
@@ -117,9 +107,6 @@ impl Default for NodeConfig {
             lambda_step_ms: 0,
             lambda_block_ms: 0,
             trace: false,
-            telemetry_burst: 32,
-            telemetry_rate_per_s: 16,
-            alert_peer_drops: 0,
         }
     }
 }
@@ -181,9 +168,6 @@ impl NodeConfig {
                 "lambda_step_ms" => cfg.lambda_step_ms = parse_u64(value)?,
                 "lambda_block_ms" => cfg.lambda_block_ms = parse_u64(value)?,
                 "trace" => cfg.trace = value == "true" || value == "1",
-                "telemetry_burst" => cfg.telemetry_burst = parse_u64(value)?,
-                "telemetry_rate_per_s" => cfg.telemetry_rate_per_s = parse_u64(value)?,
-                "alert_peer_drops" => cfg.alert_peer_drops = parse_u64(value)?,
                 _ => return Err(bad(format!("line {}: unknown key {key:?}", lineno + 1))),
             }
         }
@@ -227,21 +211,7 @@ impl NodeConfig {
         kv("lambda_step_ms", self.lambda_step_ms.to_string());
         kv("lambda_block_ms", self.lambda_block_ms.to_string());
         kv("trace", if self.trace { "1" } else { "0" }.to_string());
-        kv("telemetry_burst", self.telemetry_burst.to_string());
-        kv(
-            "telemetry_rate_per_s",
-            self.telemetry_rate_per_s.to_string(),
-        );
-        kv("alert_peer_drops", self.alert_peer_drops.to_string());
         out
-    }
-
-    /// The per-connection TELEMETRY rate limit this config implies.
-    pub fn telemetry_limit(&self) -> crate::transport::TelemetryLimit {
-        crate::transport::TelemetryLimit {
-            burst: self.telemetry_burst.min(u32::MAX as u64) as u32,
-            per_sec: self.telemetry_rate_per_s.min(u32::MAX as u64) as u32,
-        }
     }
 
     /// The protocol parameters this deployment runs: the laptop-scaled
@@ -357,18 +327,12 @@ mod tests {
             ..NodeConfig::default()
         };
         cfg.lambda_priority_ms = 500;
-        cfg.telemetry_burst = 4;
-        cfg.telemetry_rate_per_s = 2;
-        cfg.alert_peer_drops = 9;
         let parsed = NodeConfig::parse(&cfg.render()).expect("parses");
         assert_eq!(parsed.index, 2);
         assert_eq!(parsed.peers.len(), 2);
         assert_eq!(parsed.target_round, 6);
         assert_eq!(parsed.lambda_priority_ms, 500);
         assert!(parsed.trace);
-        assert_eq!(parsed.telemetry_limit().burst, 4);
-        assert_eq!(parsed.telemetry_limit().per_sec, 2);
-        assert_eq!(parsed.alert_peer_drops, 9);
         assert_eq!(parsed.params().lambda_priority, 500_000);
         assert!(parsed.params().canonical_timestamps);
     }

@@ -40,34 +40,17 @@ fn slot() -> &'static Mutex<Option<CrashContext>> {
     ARMED.get_or_init(|| Mutex::new(None))
 }
 
-/// The process-wide dump lock: every flight-recorder drain — the panic
-/// hook's crash dump *and* the runtime's TELEMETRY flight scrape — runs
-/// under it, so a scrape racing a panic can never observe (or emit) a
-/// half-interleaved ring. Poison-tolerant: a panic *while holding* the
-/// lock must not rob the hook of its dump.
-static DUMP_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` holding the dump lock. Use for any flight-recorder drain
-/// that must be atomic with respect to the panic hook.
-pub fn with_dump_lock<T>(f: impl FnOnce() -> T) -> T {
-    let _guard = DUMP_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    f()
-}
-
 /// Writes the dump for `ctx`. Called from the panic hook; also directly
-/// callable so tests can exercise the exact write path. Serialized with
-/// concurrent flight scrapes via [`with_dump_lock`].
+/// callable so tests can exercise the exact write path. The hook is the
+/// ring's only reader, and it writes holding the armed slot's lock, so
+/// two threads panicking at once write one dump after the other.
 pub fn write_crash_dump(ctx: &CrashContext) -> std::io::Result<()> {
-    with_dump_lock(|| {
-        let schedule = format!(
-            "crash wal_round={}",
-            ctx.last_wal_round.load(Ordering::Relaxed)
-        );
-        let jsonl = ctx.flight.dump_jsonl(ctx.seed, &schedule);
-        std::fs::write(ctx.wal_dir.join("crash.jsonl"), jsonl)
-    })
+    let schedule = format!(
+        "crash wal_round={}",
+        ctx.last_wal_round.load(Ordering::Relaxed)
+    );
+    let jsonl = ctx.flight.dump_jsonl(ctx.seed, &schedule);
+    std::fs::write(ctx.wal_dir.join("crash.jsonl"), jsonl)
 }
 
 /// Arms the crash dump: installs the process-wide panic hook (first call
@@ -100,15 +83,8 @@ mod tests {
     use super::*;
     use algorand_obs::{parse_jsonl, SpanKind, Tracer};
 
-    /// The panic hook and armed context are process-global; tests that
-    /// arm and panic must not interleave.
-    static TEST_SERIAL: Mutex<()> = Mutex::new(());
-
     #[test]
     fn panic_dump_parses_and_names_the_wal_round() {
-        let _serial = TEST_SERIAL
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let dir = std::env::temp_dir().join(format!("algorand-crash-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let _ = std::fs::remove_file(dir.join("crash.jsonl"));
@@ -140,63 +116,6 @@ mod tests {
         assert_eq!(parsed.seed, 11);
         assert_eq!(parsed.schedule, "crash wal_round=3");
         assert_eq!(parsed.events.len(), 5);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn panic_dump_waits_for_an_in_progress_scrape() {
-        let _serial = TEST_SERIAL
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let dir =
-            std::env::temp_dir().join(format!("algorand-crash-race-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let _ = std::fs::remove_file(dir.join("crash.jsonl"));
-
-        let flight = FlightHandle::new(64);
-        let tracer = Tracer::bounded(16);
-        tracer.set_observer(flight.observer());
-        tracer
-            .span(SpanKind::Verify, 0, 1, 1)
-            .label("vote")
-            .instant();
-        arm(CrashContext {
-            wal_dir: dir.clone(),
-            seed: 13,
-            flight,
-            last_wal_round: Arc::new(AtomicU64::new(1)),
-        });
-
-        // A "scrape" takes the dump lock and holds it while another
-        // thread panics: the hook's dump must wait, never interleave.
-        let (locked_tx, locked_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let scraper = std::thread::spawn(move || {
-            with_dump_lock(|| {
-                locked_tx.send(()).unwrap();
-                release_rx.recv().unwrap();
-            });
-        });
-        locked_rx.recv().unwrap();
-        let dump_path = dir.join("crash.jsonl");
-        let panicker = std::thread::spawn(|| {
-            let _ = std::panic::catch_unwind(|| panic!("boom while scraping"));
-        });
-        // The hook is blocked on the scrape's lock: no dump may appear.
-        std::thread::sleep(std::time::Duration::from_millis(250));
-        assert!(
-            !dump_path.exists(),
-            "crash dump written while a scrape held the dump lock"
-        );
-        release_tx.send(()).unwrap();
-        scraper.join().unwrap();
-        panicker.join().unwrap();
-        disarm();
-
-        let dump = std::fs::read_to_string(&dump_path).expect("dump after release");
-        let parsed = parse_jsonl(&dump).expect("post-race dump parses");
-        assert_eq!(parsed.seed, 13);
-        assert_eq!(parsed.events.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

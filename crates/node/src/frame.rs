@@ -18,14 +18,14 @@
 //! * [`PEERS`] — payload is a list of listen addresses
 //!   (`u32 count`, then length-prefixed UTF-8 strings): gossip-learned
 //!   peer exchange, §4's relay discovery stand-in.
-//! * [`STATUS`] — payload is the sender's telemetry-bearing status (see
-//!   [`encode_status`]): tip round, trace-drop and monitor-violation
-//!   counts, and per-peer send-queue drop counters. Feeds
-//!   [`crate::blocksync`]'s choice of catch-up server.
+//! * [`STATUS`] — payload is the sender's finalized tip round, a bare
+//!   `u64` LE (see [`encode_status`]). Feeds [`crate::blocksync`]'s
+//!   choice of catch-up server; everything else a node knows about
+//!   itself is in its metrics exposition.
 //! * [`TELEMETRY`] — an on-demand scrape channel. The payload's first
-//!   byte is an op code ([`TEL_METRICS_REQ`] … [`TEL_FLIGHT_RESP`]); the
-//!   rest is the body (empty for requests, the metrics exposition text
-//!   or flight-recorder JSONL for responses). Telemetry frames are
+//!   byte is an op code ([`TEL_METRICS_REQ`] … [`TEL_THROTTLED`]); the
+//!   rest is the body (a drain cursor or empty for requests, the metrics
+//!   exposition text or a trace chunk for responses). Telemetry frames are
 //!   deliberately *excluded* from the transport's frame/byte counters so
 //!   that scraping a node never perturbs the numbers being scraped.
 //!
@@ -51,10 +51,6 @@ pub const TELEMETRY: u8 = 5;
 pub const TEL_METRICS_REQ: u8 = 1;
 /// [`TELEMETRY`] op: response body is the exposition text.
 pub const TEL_METRICS_RESP: u8 = 2;
-/// [`TELEMETRY`] op: request a flight-recorder dump.
-pub const TEL_FLIGHT_REQ: u8 = 3;
-/// [`TELEMETRY`] op: response body is the flight-recorder JSONL.
-pub const TEL_FLIGHT_RESP: u8 = 4;
 /// [`TELEMETRY`] op: drain the node's bounded trace buffer from a
 /// cursor. Body is a `u64` LE buffer index (see [`encode_trace_req`]);
 /// an empty body means cursor 0. The buffer keeps the *first* N events
@@ -77,78 +73,15 @@ pub const TEL_THROTTLED: u8 = 7;
 /// Largest frame a peer can make us buffer (includes the kind byte).
 pub const MAX_FRAME: usize = 32 << 20;
 
-/// One node's status announcement: the consensus tip plus the telemetry
-/// the operator-facing health report needs from every peer.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StatusInfo {
-    /// The sender's finalized tip round.
-    pub tip: u64,
-    /// Trace events the sender's tracer dropped (buffer cap).
-    pub trace_dropped: u64,
-    /// Invariant violations the sender's in-process monitor has counted.
-    pub monitor_violations: u64,
-    /// Per-peer send-queue drop counters `(advertised addr, drops)`.
-    pub peer_drops: Vec<(String, u64)>,
+/// Encodes a [`STATUS`] payload: the tip round, `u64` LE.
+pub fn encode_status(tip: u64) -> [u8; 8] {
+    tip.to_le_bytes()
 }
 
-/// Encodes a [`STATUS`] payload:
-///
-/// ```text
-/// u64 tip | u64 trace_dropped | u64 monitor_violations |
-/// u32 n | n × (u32 len, addr bytes, u64 drops)
-/// ```
-pub fn encode_status(info: &StatusInfo) -> Vec<u8> {
-    let mut out = Vec::with_capacity(28 + info.peer_drops.len() * 32);
-    out.extend_from_slice(&info.tip.to_le_bytes());
-    out.extend_from_slice(&info.trace_dropped.to_le_bytes());
-    out.extend_from_slice(&info.monitor_violations.to_le_bytes());
-    out.extend_from_slice(&(info.peer_drops.len() as u32).to_le_bytes());
-    for (addr, drops) in &info.peer_drops {
-        let b = addr.as_bytes();
-        out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-        out.extend_from_slice(b);
-        out.extend_from_slice(&drops.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes a [`STATUS`] payload; `None` on malformation.
-pub fn decode_status(payload: &[u8]) -> Option<StatusInfo> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = payload.get(*pos..*pos + n)?;
-        *pos += n;
-        Some(s)
-    };
-    let u64_at = |pos: &mut usize| -> Option<u64> {
-        Some(u64::from_le_bytes(take(pos, 8)?.try_into().ok()?))
-    };
-    let tip = u64_at(&mut pos)?;
-    let trace_dropped = u64_at(&mut pos)?;
-    let monitor_violations = u64_at(&mut pos)?;
-    let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
-    if count > 64 {
-        return None; // A node holds nowhere near 64 live peers here.
-    }
-    let mut peer_drops = Vec::with_capacity(count);
-    for _ in 0..count {
-        let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
-        if len > 256 {
-            return None;
-        }
-        let addr = std::str::from_utf8(take(&mut pos, len)?).ok()?.to_string();
-        let drops = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
-        peer_drops.push((addr, drops));
-    }
-    if pos != payload.len() {
-        return None;
-    }
-    Some(StatusInfo {
-        tip,
-        trace_dropped,
-        monitor_violations,
-        peer_drops,
-    })
+/// Decodes a [`STATUS`] payload; anything but exactly 8 bytes is
+/// malformed.
+pub fn decode_status(payload: &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(payload.try_into().ok()?))
 }
 
 /// Encodes a [`TEL_TRACE_REQ`] body: the drain cursor, LE.
@@ -307,31 +240,16 @@ mod tests {
 
     #[test]
     fn status_roundtrips() {
-        let info = StatusInfo {
-            tip: 17,
-            trace_dropped: 3,
-            monitor_violations: 1,
-            peer_drops: vec![
-                ("127.0.0.1:9001".to_string(), 5),
-                ("127.0.0.1:9002".to_string(), 0),
-            ],
-        };
-        let enc = encode_status(&info);
-        assert_eq!(decode_status(&enc).unwrap(), info);
+        assert_eq!(decode_status(&encode_status(17)), Some(17));
         // Truncation and trailing garbage are both rejected.
-        assert!(decode_status(&enc[..enc.len() - 1]).is_none());
-        let mut padded = enc.clone();
-        padded.push(0);
-        assert!(decode_status(&padded).is_none());
+        assert_eq!(decode_status(&encode_status(17)[..7]), None);
+        assert_eq!(decode_status(&[0; 9]), None);
     }
 
     #[test]
     fn formats_nobody_deployed_are_decode_errors() {
-        // A bare 8-byte tip (the STATUS layout before telemetry rode on
-        // it) is a truncated payload, not a tip with zeroed telemetry.
-        assert_eq!(decode_status(&41u64.to_le_bytes()), None);
-        // Likewise a version-1 trace header: rejected by name, its
-        // missing causal fields never defaulted.
+        // A version-1 trace header is rejected by name, its missing
+        // causal fields never defaulted.
         let v1 = "{\"trace\":\"algorand\",\"version\":1,\"seed\":3,\"schedule\":\"s\",\"events\":1,\"dropped\":0}\n\
                   {\"kind\":\"verify\",\"node\":2,\"round\":5,\"step\":1,\"label\":\"vote\",\"start\":10,\"end\":10,\"value\":0,\"ok\":true}\n";
         let err = algorand_obs::parse_jsonl(v1).unwrap_err();
@@ -357,17 +275,6 @@ mod tests {
         let mut bad = encode_trace_resp(0, 0, "");
         bad.push(0xFF);
         assert!(decode_trace_resp(&bad).is_none());
-    }
-
-    #[test]
-    fn status_with_no_peers_roundtrips() {
-        let info = StatusInfo {
-            tip: 9,
-            trace_dropped: 0,
-            monitor_violations: 0,
-            peer_drops: Vec::new(),
-        };
-        assert_eq!(decode_status(&encode_status(&info)).unwrap(), info);
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //! * [`runtime`] — the single-threaded event loop tying it together, and
 //!   the `algorand-node` binary's whole substance;
 //! * [`telemetry`] — the scrape client for the TELEMETRY frame (metrics
-//!   exposition, flight-recorder dump and trace drain served on the peer
-//!   port), the cluster-health merger behind `trace health`, and the
+//!   exposition and trace drain served on the peer port), the
+//!   cluster-health merger behind `trace health`, and the
 //!   address discovery and trace collection behind `trace collect`;
 //! * [`crash`] — a panic hook that dumps the flight recorder and last
 //!   WAL round to `<wal_dir>/crash.jsonl` on the way down.

@@ -7,8 +7,9 @@
 //! The process joins the peers named in the config, participates in
 //! consensus (replaying its WAL first if one exists), and exits 0 once
 //! the configured `target_round` is finalized — writing `digest`,
-//! `status`, `metrics.txt` and optionally `trace.jsonl` into the WAL
-//! directory. With `target_round = 0` it runs until `deadline_secs`.
+//! `metrics.txt` and optionally `trace.jsonl` into the WAL directory.
+//! With `target_round = 0` it runs until `deadline_secs`. While it runs,
+//! a TELEMETRY scrape of its peer port reads the same exposition live.
 
 use algorand_node::{NodeConfig, Runtime};
 use std::process::ExitCode;
@@ -42,15 +43,9 @@ fn main() -> ExitCode {
     match outcome {
         Ok(summary) => {
             println!(
-                "[node {index}] round {}/{} replayed={} catchups={} sync_requests={} \
-                 drops={} decode_failures={} digest={}",
+                "[node {index}] round {}/{} digest={}",
                 summary.reached_round,
                 summary.target_round,
-                summary.wal_replayed_rounds,
-                summary.catchups_applied,
-                summary.sync_requests,
-                summary.transport.send_drops,
-                summary.decode_failures,
                 summary.digest.as_deref().unwrap_or("-"),
             );
             if summary.success() {

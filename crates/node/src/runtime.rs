@@ -12,27 +12,28 @@
 //!    one-message-per-key, §6 discard rules) before re-gossiping,
 //! 3. persists any newly agreed round to the WAL before announcing a
 //!    higher tip,
-//! 4. answers blocksync (STATUS tracking, catch-up requests when
+//! 4. answers blocksync (STATUS tip tracking, catch-up requests when
 //!    behind).
 //!
 //! The runtime is also the node's telemetry plane: one [`Registry`]
 //! threads through transport, WAL, and blocksync; the trace stream fans
 //! out to an in-process [`MonitorHandle`] (the same invariant checks the
-//! simulator runs offline) and a [`FlightHandle`] ring; and TELEMETRY
-//! frames are answered with the byte-stable metrics exposition or a
-//! flight-recorder dump — on the same port peers use, no second
-//! listener.
+//! simulator runs offline) and a [`FlightHandle`] ring that a panic
+//! dumps; and TELEMETRY frames are answered with the byte-stable metrics
+//! exposition or a trace-buffer chunk — on the same port peers use, no
+//! second listener. The exposition is the one place a node reports on
+//! itself: STATUS tells peers only the tip.
 //!
 //! Exit: once the chain reaches `target_round` the loop lingers a
 //! configured grace period — still serving votes and catch-up batches so
-//! stragglers can finish — then checkpoints, writes its digest/status/
-//! trace/metrics files into the WAL directory, and returns.
+//! stragglers can finish — then checkpoints, writes its digest/trace/
+//! metrics files into the WAL directory, and returns.
 
 use crate::blocksync::Blocksync;
 use crate::config::NodeConfig;
 use crate::crash::CrashContext;
 use crate::frame;
-use crate::transport::{PeerId, Transport, TransportEvent, TransportStats};
+use crate::transport::{PeerId, Transport, TransportEvent};
 use crate::wal::{Wal, WalMetrics};
 use algorand_ba::Micros;
 use algorand_core::{Node, PipelineVerifier, WireMessage};
@@ -41,7 +42,7 @@ use algorand_obs::{
     expose, fanout, stable_id, write_jsonl, Counter, FlightHandle, MonitorHandle, Registry,
     SpanKind, Tracer,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,11 +73,12 @@ const DECODE_LOG_PEERS: usize = 1024;
 /// How often we announce our tip and poll blocksync even when idle.
 const STATUS_TICK: Duration = Duration::from_millis(500);
 
-/// Longest single wait: keeps status/blocksync responsive regardless of
+/// Longest single wait: keeps STATUS/blocksync responsive regardless of
 /// how far away the core's next deadline is.
 const MAX_WAIT: Duration = Duration::from_millis(200);
 
-/// What a completed run did, for the binary's report and the harness.
+/// Whether a completed run did what it was asked to. Everything it
+/// counted along the way is in the `metrics.txt` it wrote.
 #[derive(Debug)]
 pub struct RunSummary {
     /// The configured goal round (0 = none).
@@ -85,21 +87,8 @@ pub struct RunSummary {
     pub reached_round: u64,
     /// Hex chain digest through `target_round`, if reached.
     pub digest: Option<String>,
-    /// Rounds recovered from the WAL before joining the network.
-    pub wal_replayed_rounds: u64,
-    /// Catch-up batch entries the core applied (blocksync progress).
-    pub catchups_applied: u64,
-    /// Catch-up requests blocksync issued.
-    pub sync_requests: u64,
-    /// Frames that failed wire decoding (each logged with kind+offset).
-    pub decode_failures: u64,
-    /// In-process invariant-monitor violations observed on the live
-    /// trace stream (0 on a healthy node).
-    pub monitor_violations: u64,
     /// True if the deadline expired before the target was reached.
     pub timed_out: bool,
-    /// Transport counters at exit.
-    pub transport: TransportStats,
 }
 
 impl RunSummary {
@@ -134,14 +123,6 @@ pub struct Runtime {
     /// How many of them were logged, per connection
     /// ([`DECODE_LOG_LINES`] each, [`DECODE_LOG_PEERS`] connections).
     decode_logged: HashMap<PeerId, u32>,
-    /// Whether the monitor-violation alert has already been appended
-    /// (the hook fires on the 0 → >0 flip, once).
-    violations_alerted: bool,
-    /// Peers whose drop counter already crossed the alert threshold.
-    alerted_peers: HashSet<String>,
-    /// Lines appended to `alerts.jsonl` this life (the `node.alerts`
-    /// gauge).
-    alerts_emitted: u64,
     started: Instant,
 }
 
@@ -209,12 +190,7 @@ impl Runtime {
             node.set_tracer(tracer.clone(), cfg.index as u32);
         }
 
-        let transport = Transport::start_with_limit(
-            &cfg.listen,
-            &cfg.peers,
-            registry.clone(),
-            cfg.telemetry_limit(),
-        )?;
+        let transport = Transport::start(&cfg.listen, &cfg.peers, registry.clone())?;
         // Publish the *resolved* listen address (meaningful when the
         // config asked for an ephemeral `:0` port) so a deployment
         // harness can read each process's real endpoint and hand it to
@@ -239,9 +215,6 @@ impl Runtime {
             wal_replayed_rounds,
             wal_truncated_bytes: replay.truncated_bytes,
             wal_replay_us,
-            violations_alerted: false,
-            alerted_peers: HashSet::new(),
-            alerts_emitted: 0,
             started: Instant::now(),
         })
     }
@@ -256,11 +229,6 @@ impl Runtime {
             flight: self.flight.clone(),
             last_wal_round: Arc::clone(&self.last_wal_round),
         }
-    }
-
-    /// The node's live registry (tests and embedding harnesses).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Microseconds since this process started — the core's clock. WAL
@@ -302,9 +270,7 @@ impl Runtime {
             let wait = self.next_wait(wall, next_status, deadline);
             match self.transport.recv_timeout(wait) {
                 Some(TransportEvent::Gossip { from, bytes }) => self.on_gossip(from, &bytes),
-                Some(TransportEvent::Status { from, info }) => {
-                    self.sync.note_status(from, info.tip);
-                }
+                Some(TransportEvent::Status { from, tip }) => self.sync.note_status(from, tip),
                 Some(TransportEvent::Telemetry { from, op, body }) => {
                     self.on_telemetry(from, op, &body);
                 }
@@ -326,17 +292,10 @@ impl Runtime {
             let wall = Instant::now();
             if wall >= next_status {
                 next_status = wall + STATUS_TICK;
-                self.transport.broadcast_status(&self.status_info());
-                self.write_status_file()?;
-                self.check_alerts()?;
+                self.transport
+                    .broadcast_status(self.node.chain().tip().round);
             }
-            if let Some(peer) = self.sync.poll(self.node.chain().tip().round, wall) {
-                let req = WireMessage::CatchupRequest {
-                    have: self.node.chain().tip().round,
-                    tip_hash: self.node.chain().tip_hash(),
-                };
-                self.transport.send_gossip_to(peer, &req.encoded());
-            }
+            self.request_catchup(wall);
 
             if linger_until.is_none()
                 && self.cfg.target_round > 0
@@ -390,13 +349,23 @@ impl Runtime {
         wait.max(Duration::from_millis(1))
     }
 
-    /// The STATUS v2 payload: tip plus the telemetry peers alert on.
-    fn status_info(&self) -> frame::StatusInfo {
-        frame::StatusInfo {
-            tip: self.node.chain().tip().round,
-            trace_dropped: self.tracer.dropped(),
-            monitor_violations: self.monitor.report().total_violations(),
-            peer_drops: self.transport.peer_drop_counts(),
+    /// Asks the most advanced peer for the rounds we lack, when
+    /// blocksync says to. A request that cannot be queued names a
+    /// connection that is gone (or a peer too backed up to serve us):
+    /// its tip is forgotten, so the next poll picks a live peer instead
+    /// of asking a dead connection forever. A live peer re-announces its
+    /// tip within one STATUS tick.
+    fn request_catchup(&mut self, wall: Instant) {
+        let tip = self.node.chain().tip().round;
+        let Some(peer) = self.sync.poll(tip, wall) else {
+            return;
+        };
+        let req = WireMessage::CatchupRequest {
+            have: tip,
+            tip_hash: self.node.chain().tip_hash(),
+        };
+        if !self.transport.send_gossip_to(peer, &req.encoded()) {
+            self.sync.forget(peer);
         }
     }
 
@@ -504,15 +473,6 @@ impl Runtime {
                 self.transport
                     .send_telemetry(from, frame::TEL_METRICS_RESP, text.as_bytes());
             }
-            frame::TEL_FLIGHT_REQ => {
-                // Under the crash-dump lock: a scrape racing the panic
-                // hook must see a whole ring or wait, never interleave.
-                let dump = crate::crash::with_dump_lock(|| {
-                    self.flight.dump_jsonl(self.cfg.seed, "flight")
-                });
-                self.transport
-                    .send_telemetry(from, frame::TEL_FLIGHT_RESP, dump.as_bytes());
-            }
             frame::TEL_TRACE_REQ => {
                 let cursor = frame::decode_trace_req(body).unwrap_or(0) as usize;
                 let (events, total) = self.tracer.events_from(cursor, TRACE_CHUNK);
@@ -589,8 +549,8 @@ impl Runtime {
         reg.gauge("faults.partitions").set(0);
         reg.gauge("faults.restarts")
             .set(i64::from(self.wal_replayed_rounds > 0));
-        let t = self.transport.stats();
-        reg.gauge("net.total_bytes_sent").set(t.bytes_sent as i64);
+        reg.gauge("net.total_bytes_sent")
+            .set(reg.counter("transport.bytes_sent").get() as i64);
         reg.gauge("trace.dropped").set(self.tracer.dropped() as i64);
         reg.gauge("workload.injected").set(self.cfg.tx_count as i64);
         let tip = self.node.chain().tip().round;
@@ -620,7 +580,6 @@ impl Runtime {
             .set(self.sync.cooldown_hits() as i64);
         reg.gauge("monitor.violations")
             .set(self.monitor.report().total_violations() as i64);
-        reg.gauge("node.alerts").set(self.alerts_emitted as i64);
         // Process-wide: what `PublicKey::from_bytes` paid in full and
         // what it answered from its table of proven keys, and how many
         // key combs verification built and multiplied off.
@@ -633,69 +592,7 @@ impl Runtime {
         self.transport.publish();
     }
 
-    /// The push-based alert hook, run on every status tick: appends a
-    /// line to `<wal_dir>/alerts.jsonl` when the in-process monitor
-    /// flips to violation, and when a peer's send-queue drop counter
-    /// first crosses the configured threshold. Each condition alerts
-    /// once per process life — a push channel, not a sampled gauge.
-    fn check_alerts(&mut self) -> io::Result<()> {
-        let violations = self.monitor.report().total_violations();
-        if violations > 0 && !self.violations_alerted {
-            self.violations_alerted = true;
-            let line = format!(
-                "{{\"alert\":\"monitor_violation\",\"violations\":{violations},\"round\":{}}}",
-                self.node.current_round()
-            );
-            self.append_alert(&line)?;
-        }
-        if self.cfg.alert_peer_drops > 0 {
-            for (addr, drops) in self.transport.peer_drop_counts() {
-                if drops >= self.cfg.alert_peer_drops && !self.alerted_peers.contains(&addr) {
-                    self.alerted_peers.insert(addr.clone());
-                    let line = format!(
-                        "{{\"alert\":\"peer_drops\",\"peer\":\"{addr}\",\"drops\":{drops},\
-                         \"threshold\":{}}}",
-                        self.cfg.alert_peer_drops
-                    );
-                    self.append_alert(&line)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn append_alert(&mut self, line: &str) -> io::Result<()> {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.cfg.wal_dir.join("alerts.jsonl"))?;
-        f.write_all(line.as_bytes())?;
-        f.write_all(b"\n")?;
-        f.sync_data()?;
-        self.alerts_emitted += 1;
-        eprintln!("[node {}] alert: {line}", self.cfg.index);
-        Ok(())
-    }
-
-    /// Rewrites `status` in the WAL dir: one line the harness can poll.
-    fn write_status_file(&self) -> io::Result<()> {
-        let line = format!(
-            "round={} walled={} replayed={} catchups={} peers={} decode_failures={} \
-             drops={} trace_dropped={} monitor_violations={}\n",
-            self.node.chain().tip().round,
-            self.walled_through,
-            self.wal_replayed_rounds,
-            self.node.recovery_stats().catchups_applied,
-            self.transport.peer_count(),
-            self.decode_failures.get(),
-            self.transport.stats().send_drops,
-            self.tracer.dropped(),
-            self.monitor.report().total_violations(),
-        );
-        write_atomic(&self.cfg.wal_dir.join("status"), line.as_bytes())
-    }
-
-    /// Final checkpoint plus digest/status/trace/metrics exports.
+    /// Final checkpoint plus digest/trace/metrics exports.
     fn finish(&mut self, timed_out: bool) -> io::Result<RunSummary> {
         self.persist_new_rounds()?;
         self.wal.append_checkpoint(&self.node.snapshot())?;
@@ -715,7 +612,6 @@ impl Runtime {
                 format!("{d}\n").as_bytes(),
             )?;
         }
-        self.write_status_file()?;
 
         self.publish_metrics();
         write_atomic(
@@ -733,8 +629,7 @@ impl Runtime {
             write_atomic(&self.cfg.wal_dir.join("trace.jsonl"), jsonl.as_bytes())?;
         }
 
-        let violations = self.monitor.report().total_violations();
-        if violations > 0 {
+        if self.monitor.report().total_violations() > 0 {
             eprintln!(
                 "[node {}] monitor: {}",
                 self.cfg.index,
@@ -742,19 +637,12 @@ impl Runtime {
             );
         }
 
-        let t = self.transport.stats();
         self.transport.shutdown();
         Ok(RunSummary {
             target_round: self.cfg.target_round,
             reached_round: reached,
             digest,
-            wal_replayed_rounds: self.wal_replayed_rounds,
-            catchups_applied: self.node.recovery_stats().catchups_applied,
-            sync_requests: self.sync.requests_sent(),
-            decode_failures: self.decode_failures.get(),
-            monitor_violations: violations,
             timed_out,
-            transport: t,
         })
     }
 }
@@ -812,6 +700,32 @@ mod tests {
         assert_eq!(
             rt.decode_failures.get(),
             1_001 + 2 * DECODE_LOG_PEERS as u64
+        );
+
+        rt.transport.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_catchup_request_to_a_dead_connection_forgets_its_tip() {
+        let dir = std::env::temp_dir().join(format!("algorand-catchup-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut rt = Runtime::new(NodeConfig {
+            listen: "127.0.0.1:0".into(),
+            wal_dir: dir.clone(),
+            ..NodeConfig::default()
+        })
+        .expect("runtime on an ephemeral port");
+
+        // Connection 99 announced round 5, then went away: the request
+        // cannot be queued, and the next poll must not pick it again.
+        rt.sync.note_status(99, 5);
+        rt.request_catchup(Instant::now());
+        assert_eq!(rt.sync.requests_sent(), 1);
+        assert_eq!(
+            rt.sync.best_tip(),
+            0,
+            "the dead connection's tip is forgotten"
         );
 
         rt.transport.shutdown();

@@ -2,9 +2,9 @@
 //!
 //! The serving side lives in the transport/runtime (a TELEMETRY frame on
 //! the ordinary peer port answers with the metrics exposition or a
-//! flight-recorder dump). This module is the *consuming* side: a
-//! blocking [`scrape_metrics`] / [`scrape_flight`] client that speaks
-//! just enough of the framing to ask and read the answer, and the
+//! trace-buffer chunk). This module is the *consuming* side: a blocking
+//! [`scrape_metrics`] / [`drain_trace`] client that speaks just enough
+//! of the framing to ask and read the answer, and the
 //! [`ClusterHealth`] merger that `trace health` and the localnet CI gate
 //! render operator reports from. [`discover`] finds a deployment's
 //! endpoints and [`collect_trace`] turns them into one merged cluster
@@ -72,33 +72,20 @@ fn scrape_raw(
     }
 }
 
-/// Text-response exchange (metrics exposition, flight dump).
-fn scrape(addr: &str, req_op: u8, resp_op: u8, timeout: Duration) -> io::Result<String> {
-    let payload = scrape_raw(addr, req_op, &[], resp_op, timeout)?;
-    String::from_utf8(payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
 /// Scrapes a node's metrics exposition text.
 ///
 /// # Errors
 ///
 /// I/O failures, timeout, or a non-UTF-8 response.
 pub fn scrape_metrics(addr: &str, timeout: Duration) -> io::Result<String> {
-    scrape(
+    let payload = scrape_raw(
         addr,
         frame::TEL_METRICS_REQ,
+        &[],
         frame::TEL_METRICS_RESP,
         timeout,
-    )
-}
-
-/// Scrapes a node's flight-recorder dump (trace JSONL).
-///
-/// # Errors
-///
-/// I/O failures, timeout, or a non-UTF-8 response.
-pub fn scrape_flight(addr: &str, timeout: Duration) -> io::Result<String> {
-    scrape(addr, frame::TEL_FLIGHT_REQ, frame::TEL_FLIGHT_RESP, timeout)
+    )?;
+    String::from_utf8(payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Drains a node's whole trace buffer: each `TEL_TRACE_REQ` asks from a
@@ -239,9 +226,6 @@ pub struct NodeHealth {
     pub tip_hash64: i64,
     /// `monitor.violations` (in-process invariant monitor).
     pub monitor_violations: i64,
-    /// `node.alerts` — lines the node has pushed to its `alerts.jsonl`
-    /// (monitor flips, peer-drop thresholds).
-    pub alerts: i64,
     /// `trace.dropped`.
     pub trace_dropped: i64,
     /// Total send-queue drops plus the deepest per-peer queue: the
@@ -269,10 +253,8 @@ impl NodeHealth {
     pub fn from_exposition(addr: &str, text: &str) -> Result<NodeHealth, String> {
         let samples = expose::parse(text)?;
         let get = |name: &str| -> Result<i64, String> {
-            samples
-                .iter()
-                .find(|s| s.name == name && s.labels.is_empty())
-                .map(|s| s.value as i64)
+            expose::unlabelled(&samples, name)
+                .map(|v| v as i64)
                 .ok_or_else(|| format!("missing sample {name}"))
         };
         let drops_total = get("transport.send_drops")?;
@@ -287,7 +269,6 @@ impl NodeHealth {
             tip: get("node.tip_round")?,
             tip_hash64: get("node.tip_hash64")?,
             monitor_violations: get("monitor.violations")?,
-            alerts: get("node.alerts")?,
             trace_dropped: get("trace.dropped")?,
             queue_pressure: drops_total + max_depth,
             pipeline_ingested: get("pipeline.ingested")?,
@@ -399,11 +380,6 @@ impl ClusterHealth {
         self.nodes.iter().map(|n| n.monitor_violations).sum()
     }
 
-    /// Total pushed alerts across the cluster.
-    pub fn total_alerts(&self) -> i64 {
-        self.nodes.iter().map(|n| n.alerts).sum()
-    }
-
     /// The operator-facing report: one block per node, then the cluster
     /// roll-up. Deterministic for a given set of digests.
     pub fn render(&self) -> String {
@@ -413,7 +389,7 @@ impl ClusterHealth {
             out.push_str(&format!(
                 "node {addr}\n  tip={tip} hash64={hash:#018x} verdict={verdict}\n  \
                  pipeline.ingested={ing} transport.frames_sent={fs} wal.entries={we}\n  \
-                 queue_pressure={qp} trace.dropped={td} alerts={al}\n",
+                 queue_pressure={qp} trace.dropped={td}\n",
                 addr = n.addr,
                 tip = n.tip,
                 hash = n.tip_hash64 as u64,
@@ -423,7 +399,6 @@ impl ClusterHealth {
                 we = n.wal_entries,
                 qp = n.queue_pressure,
                 td = n.trace_dropped,
-                al = n.alerts,
             ));
             if let Some(rates) = &self.round_rates {
                 if let Some(rate) = rates.get(i) {
@@ -435,13 +410,12 @@ impl ClusterHealth {
             out.push_str(&format!("node {addr}\n  UNREACHABLE: {err}\n"));
         }
         out.push_str(&format!(
-            "cluster: nodes={} unreachable={} tip_spread={} digests_agree={} violations={} alerts={}\n",
+            "cluster: nodes={} unreachable={} tip_spread={} digests_agree={} violations={}\n",
             self.nodes.len(),
             self.unreachable.len(),
             self.tip_spread(),
             self.digests_agree(),
             self.total_violations(),
-            self.total_alerts(),
         ));
         out
     }
@@ -457,7 +431,6 @@ mod tests {
         reg.gauge("node.tip_round").set(tip);
         reg.gauge("node.tip_hash64").set(hash);
         reg.gauge("monitor.violations").set(violations);
-        reg.gauge("node.alerts").set(0);
         reg.gauge("trace.dropped").set(0);
         reg.counter("transport.send_drops").add(2);
         reg.gauge(&labeled(

@@ -62,17 +62,16 @@ pub enum TransportEvent {
         /// failures are counted and attributed in one place.
         bytes: Vec<u8>,
     },
-    /// A peer announced its status (tip round plus telemetry).
+    /// A peer announced its finalized tip round.
     Status {
         /// Connection it arrived on.
         from: PeerId,
-        /// The decoded announcement.
-        info: frame::StatusInfo,
+        /// The announced tip.
+        tip: u64,
     },
-    /// A telemetry scrape request ([`frame::TEL_METRICS_REQ`],
-    /// [`frame::TEL_FLIGHT_REQ`] or [`frame::TEL_TRACE_REQ`]); the
-    /// runtime renders the body and answers via
-    /// [`Transport::send_telemetry`].
+    /// A telemetry scrape request ([`frame::TEL_METRICS_REQ`] or
+    /// [`frame::TEL_TRACE_REQ`]); the runtime renders the body and
+    /// answers via [`Transport::send_telemetry`].
     Telemetry {
         /// Connection the request arrived on.
         from: PeerId,
@@ -84,56 +83,37 @@ pub enum TransportEvent {
     },
 }
 
-/// Per-connection TELEMETRY request rate limit: a token bucket holding
-/// at most `burst` tokens, refilled at `per_sec` tokens per second.
-/// Each request consumes one token; an empty bucket gets a
-/// [`frame::TEL_THROTTLED`] error frame instead of service. `per_sec ==
-/// 0` disables limiting. Buckets are per connection, so a multi-chunk
-/// trace drain over fresh connections is never throttled by an earlier
-/// scraper's appetite.
-#[derive(Clone, Copy, Debug)]
-pub struct TelemetryLimit {
-    /// Bucket capacity (requests an idle connection may burst).
-    pub burst: u32,
-    /// Sustained refill rate, tokens per second (0 = unlimited).
-    pub per_sec: u32,
-}
+/// TELEMETRY requests an idle connection may burst before throttling.
+pub const TELEMETRY_BURST: u64 = 32;
+/// TELEMETRY tokens a connection earns back per second.
+const TELEMETRY_PER_SEC: u64 = 16;
 
-impl Default for TelemetryLimit {
-    fn default() -> TelemetryLimit {
-        TelemetryLimit {
-            burst: 32,
-            per_sec: 16,
-        }
-    }
-}
-
-/// The reader-thread-local token bucket backing [`TelemetryLimit`].
-/// Tokens are tracked in millionths so refill math stays integral.
+/// The reader-thread-local token bucket that rate-limits one
+/// connection's TELEMETRY requests: at most [`TELEMETRY_BURST`] tokens,
+/// refilled at [`TELEMETRY_PER_SEC`]. Each request consumes one token;
+/// an empty bucket gets a [`frame::TEL_THROTTLED`] error frame instead
+/// of service. Buckets are per connection, so a multi-chunk trace drain
+/// over fresh connections is never throttled by an earlier scraper's
+/// appetite. Tokens are tracked in millionths so refill math stays
+/// integral.
 struct TokenBucket {
-    limit: TelemetryLimit,
     micro: u64,
     last: std::time::Instant,
 }
 
 impl TokenBucket {
-    fn new(limit: TelemetryLimit) -> TokenBucket {
+    fn new() -> TokenBucket {
         TokenBucket {
-            limit,
-            micro: u64::from(limit.burst) * 1_000_000,
+            micro: TELEMETRY_BURST * 1_000_000,
             last: std::time::Instant::now(),
         }
     }
 
     fn try_take(&mut self) -> bool {
-        if self.limit.per_sec == 0 {
-            return true;
-        }
         let now = std::time::Instant::now();
-        let refill =
-            now.duration_since(self.last).as_micros() as u64 * u64::from(self.limit.per_sec);
+        let refill = now.duration_since(self.last).as_micros() as u64 * TELEMETRY_PER_SEC;
         self.last = now;
-        self.micro = (self.micro + refill).min(u64::from(self.limit.burst) * 1_000_000);
+        self.micro = (self.micro + refill).min(TELEMETRY_BURST * 1_000_000);
         if self.micro >= 1_000_000 {
             self.micro -= 1_000_000;
             true
@@ -141,23 +121,6 @@ impl TokenBucket {
             false
         }
     }
-}
-
-/// Monotonic counters, snapshotted for metrics export.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TransportStats {
-    /// Frames written to sockets (telemetry excluded).
-    pub frames_sent: u64,
-    /// Frames parsed off sockets (telemetry excluded).
-    pub frames_received: u64,
-    /// Bytes written to sockets (telemetry excluded).
-    pub bytes_sent: u64,
-    /// Bytes parsed off sockets (telemetry excluded).
-    pub bytes_received: u64,
-    /// Frames dropped because a peer's send queue was full.
-    pub send_drops: u64,
-    /// Protocol connections established (both directions, lifetime).
-    pub connections: u64,
 }
 
 /// The wire name of a metered frame kind (`None` for TELEMETRY, which
@@ -268,7 +231,6 @@ struct Shared {
     next_id: AtomicU64,
     shutdown: AtomicBool,
     events: SyncSender<TransportEvent>,
-    limit: TelemetryLimit,
 }
 
 /// The node's TCP fabric. Dropping it does *not* stop the threads; call
@@ -292,21 +254,6 @@ impl Transport {
         static_peers: &[String],
         registry: Registry,
     ) -> io::Result<Transport> {
-        Transport::start_with_limit(listen, static_peers, registry, TelemetryLimit::default())
-    }
-
-    /// Like [`Transport::start`] with an explicit per-connection
-    /// TELEMETRY rate limit.
-    ///
-    /// # Errors
-    ///
-    /// Fails only if the listen socket cannot be bound.
-    pub fn start_with_limit(
-        listen: &str,
-        static_peers: &[String],
-        registry: Registry,
-        limit: TelemetryLimit,
-    ) -> io::Result<Transport> {
         let listener = TcpListener::bind(listen)?;
         let local_addr = listener.local_addr()?.to_string();
         // What peers should dial back: the configured string, unless it
@@ -329,7 +276,6 @@ impl Transport {
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             events: events_tx,
-            limit,
         });
 
         let accept_shared = Arc::clone(&shared);
@@ -385,9 +331,9 @@ impl Transport {
         send_telemetry_frame(&self.shared, peer, op, body)
     }
 
-    /// Announces our status (tip + telemetry) to every protocol peer.
-    pub fn broadcast_status(&self, info: &frame::StatusInfo) -> usize {
-        self.broadcast_frame(frame::STATUS, &frame::encode_status(info), None)
+    /// Announces our finalized tip to every protocol peer.
+    pub fn broadcast_status(&self, tip: u64) -> usize {
+        self.broadcast_frame(frame::STATUS, &frame::encode_status(tip), None)
     }
 
     fn broadcast_frame(&self, kind: u8, payload: &[u8], except: Option<PeerId>) -> usize {
@@ -417,23 +363,6 @@ impl Transport {
             .values()
             .filter(|p| p.protocol)
             .count()
-    }
-
-    /// The per-peer send-queue drop counts, by advertised address,
-    /// sorted — the STATUS frame's payload.
-    pub fn peer_drop_counts(&self) -> Vec<(String, u64)> {
-        let peers = self.shared.peers.lock().unwrap();
-        let mut out: Vec<(String, u64)> = peers
-            .values()
-            .filter(|p| p.protocol)
-            .filter_map(|p| {
-                let addr = p.addr.clone()?;
-                Some((addr, p.drops.as_ref().map_or(0, Counter::get)))
-            })
-            .collect();
-        out.sort();
-        out.dedup_by(|a, b| a.0 == b.0);
-        out
     }
 
     /// Publishes point-in-time transport gauges into the registry:
@@ -468,19 +397,6 @@ impl Transport {
             .map(|p| p.depth.load(Ordering::Relaxed).max(0) as u64)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> TransportStats {
-        let m = &self.shared.metrics;
-        TransportStats {
-            frames_sent: m.frames_sent.get(),
-            frames_received: m.frames_received.get(),
-            bytes_sent: m.bytes_sent.get(),
-            bytes_received: m.bytes_received.get(),
-            send_drops: m.send_drops.get(),
-            connections: m.connections.get(),
-        }
     }
 
     /// Stops accepting, closes every connection, and unblocks all
@@ -692,7 +608,7 @@ fn writer_loop(
 
 fn reader_loop(stream: TcpStream, id: PeerId, shared: &Arc<Shared>) {
     let mut reader = BufReader::new(stream);
-    let mut bucket = TokenBucket::new(shared.limit);
+    let mut bucket = TokenBucket::new();
     loop {
         let Ok((kind, payload)) = frame::read_frame(&mut reader) else {
             return;
@@ -774,12 +690,12 @@ fn reader_loop(stream: TcpStream, id: PeerId, shared: &Arc<Shared>) {
                 }
             }
             frame::STATUS => {
-                let Some(info) = frame::decode_status(&payload) else {
+                let Some(tip) = frame::decode_status(&payload) else {
                     return; // Malformed status: drop the peer.
                 };
                 if shared
                     .events
-                    .send(TransportEvent::Status { from: id, info })
+                    .send(TransportEvent::Status { from: id, tip })
                     .is_err()
                 {
                     return;
@@ -789,10 +705,7 @@ fn reader_loop(stream: TcpStream, id: PeerId, shared: &Arc<Shared>) {
                 let Some(&op) = payload.first() else {
                     return;
                 };
-                if op != frame::TEL_METRICS_REQ
-                    && op != frame::TEL_FLIGHT_REQ
-                    && op != frame::TEL_TRACE_REQ
-                {
+                if op != frame::TEL_METRICS_REQ && op != frame::TEL_TRACE_REQ {
                     return; // We serve scrapes; we never accept responses.
                 }
                 // Rate limit per connection: an over-budget request is
@@ -837,7 +750,8 @@ mod tests {
     #[test]
     fn gossip_status_and_peer_exchange_flow() {
         // a knows b; c knows only b. Peer exchange must connect a and c.
-        let a = Transport::start("127.0.0.1:0", &[], Registry::new()).unwrap();
+        let reg_a = Registry::new();
+        let a = Transport::start("127.0.0.1:0", &[], reg_a.clone()).unwrap();
         let b = Transport::start(
             "127.0.0.1:0",
             &[a.local_addr().to_string()],
@@ -866,23 +780,17 @@ mod tests {
             assert_eq!(got, b"payload-one");
         }
 
-        // Status frames carry the tip and telemetry.
-        let info = frame::StatusInfo {
-            tip: 41,
-            trace_dropped: 2,
-            monitor_violations: 0,
-            peer_drops: vec![("127.0.0.1:9009".to_string(), 3)],
-        };
-        assert!(b.broadcast_status(&info) >= 2);
+        // Status frames carry the tip.
+        assert!(b.broadcast_status(41) >= 2);
         let got = loop {
             match a.recv_timeout(Duration::from_secs(5)) {
-                Some(TransportEvent::Status { info, .. }) => break info,
+                Some(TransportEvent::Status { tip, .. }) => break tip,
                 Some(_) => continue,
                 None => panic!("no status at a"),
             }
         };
-        assert_eq!(got, info);
-        assert!(a.stats().frames_received > 0);
+        assert_eq!(got, 41);
+        assert!(reg_a.counter("transport.frames_received").get() > 0);
 
         a.shutdown();
         b.shutdown();
@@ -955,40 +863,33 @@ mod tests {
         // The scraper is not a protocol peer: no peer count, no
         // broadcasts reach it, no counters moved.
         assert_eq!(a.peer_count(), 0);
+        assert_eq!(a.broadcast_status(1), 0);
+        let count = |name: &str| registry.counter(name).get();
+        assert_eq!(count("transport.frames_sent"), 0, "telemetry is unmetered");
         assert_eq!(
-            a.broadcast_status(&frame::StatusInfo {
-                tip: 1,
-                ..frame::StatusInfo::default()
-            }),
-            0
+            count("transport.frames_received"),
+            0,
+            "telemetry is unmetered"
         );
-        let stats = a.stats();
-        assert_eq!(stats.frames_sent, 0, "telemetry is unmetered");
-        assert_eq!(stats.frames_received, 0, "telemetry is unmetered");
-        assert_eq!(stats.connections, 0, "scraper is not a connection");
+        assert_eq!(
+            count("transport.connections"),
+            0,
+            "scraper is not a connection"
+        );
 
         a.shutdown();
     }
 
     #[test]
     fn over_limit_scrapes_get_throttled_error_frames() {
-        let limit = TelemetryLimit {
-            burst: 2,
-            per_sec: 1,
-        };
-        let a = Transport::start_with_limit("127.0.0.1:0", &[], Registry::new(), limit).unwrap();
+        let a = Transport::start("127.0.0.1:0", &[], Registry::new()).unwrap();
 
         // Answer every forwarded request so the client can count
         // replies; the transport itself answers throttled ones.
         let mut client = TcpStream::connect(a.local_addr()).unwrap();
-        const REQUESTS: usize = 5;
-        for _ in 0..REQUESTS {
-            client
-                .write_all(
-                    &frame::encode_frame(frame::TELEMETRY, &[frame::TEL_METRICS_REQ]).unwrap(),
-                )
-                .unwrap();
-        }
+        const REQUESTS: usize = 2 * TELEMETRY_BURST as usize;
+        let request = frame::encode_frame(frame::TELEMETRY, &[frame::TEL_METRICS_REQ]).unwrap();
+        client.write_all(&request.repeat(REQUESTS)).unwrap();
         let mut forwarded = 0;
         while let Some(ev) = a.recv_timeout(Duration::from_millis(800)) {
             if let TransportEvent::Telemetry { from, .. } = ev {
@@ -998,9 +899,12 @@ mod tests {
         }
         assert!(
             forwarded < REQUESTS,
-            "a burst of {REQUESTS} must not all pass a burst-2 bucket"
+            "a burst of {REQUESTS} must not all pass a burst-{TELEMETRY_BURST} bucket"
         );
-        assert!(forwarded >= 2, "the burst allowance must be served");
+        assert!(
+            forwarded >= TELEMETRY_BURST as usize,
+            "the burst allowance must be served"
+        );
 
         let mut reader = BufReader::new(client.try_clone().unwrap());
         let mut throttled = 0;
@@ -1032,12 +936,16 @@ mod tests {
         .unwrap();
         wait_for(|| a.peer_count() >= 1 && b.peer_count() >= 1, "a-b link");
 
-        let drops = a.peer_drop_counts();
-        assert_eq!(drops.len(), 1, "one protocol peer with a known address");
-        assert_eq!(drops[0].1, 0);
         a.publish();
         let exposed = algorand_obs::expose::render(&reg_a);
         assert!(exposed.contains("transport.peers 1"), "{exposed}");
+        assert!(
+            exposed.contains(&format!(
+                "transport.send_drops{{peer=\"{}\"}} 0",
+                b.local_addr()
+            )),
+            "one protocol peer, by its advertised address: {exposed}"
+        );
         assert!(
             exposed.contains("transport.send_queue_depth{peer="),
             "{exposed}"

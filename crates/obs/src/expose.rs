@@ -59,6 +59,14 @@ impl Sample {
     }
 }
 
+/// The value of the unlabelled sample `name`, if `samples` holds one.
+pub fn unlabelled(samples: &[Sample], name: &str) -> Option<i128> {
+    samples
+        .iter()
+        .find(|s| s.name == name && s.labels.is_empty())
+        .map(|s| s.value)
+}
+
 /// Builds a canonical labeled registry key: `base{k="v",...}` with
 /// labels sorted by key and values escaped. Registering metrics under
 /// keys built here guarantees [`render`] emits them verbatim.

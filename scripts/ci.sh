@@ -56,7 +56,7 @@ echo "== localnet: 5 real processes vs simulator digest, kill -9 rejoin, live sc
 cargo build --release -q -p algorand-node
 cargo run --release -p algorand-bench --bin localnet
 
-echo "== telemetry smoke: idle-node scrapes byte-identical, flight dump parses, throttle trips =="
+echo "== telemetry smoke: idle-node scrapes byte-identical, throttle trips =="
 cargo run --release -p algorand-bench --bin telemetry_smoke
 
 echo "== cluster trace: merged artifact re-checks offline =="
