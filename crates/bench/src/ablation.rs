@@ -2,9 +2,8 @@
 //! §7.4): one lockstep cluster, three adversarial delivery schedules.
 //!
 //! Each experiment is a function returning the *shape* its figure file
-//! prints — the `ablation_*` bins are printers over them, and
-//! `tests/ablation_shapes.rs` pins the shapes so they cannot drift
-//! unseen again.
+//! prints; the `ablation_*` rows of [`crate::figures::FIGURES`] print
+//! them and judge them against the paper's claims.
 
 use algorand_ba::{
     AblationFlags, BaParams, BaStar, CachedVerifier, Micros, Output, RoundWeights, StepKind,
@@ -282,9 +281,16 @@ pub fn common_coin(disable_common_coin: bool, max_steps: u32) -> Option<u32> {
 /// With reduction no hash can win reduction step 1, everyone enters
 /// BinaryBA⋆ with the empty hash and concludes at binary step 2. Without
 /// it honest inputs stay many-valued; the timeout cascade must burn
-/// through the deterministic fallbacks (≥ 5 binary steps, i.e. 3 extra
-/// λ_step windows — a full minute at paper timeouts) before the network
-/// drifts to the empty hash.
+/// through the deterministic fallbacks (≥ 5 binary steps: 3 extra
+/// committee-vote disseminations) before the network drifts to the
+/// empty hash.
+///
+/// The cost is steps, not time. The cluster delivers instantly, so a
+/// step that crosses its threshold takes no virtual time, and both arms
+/// wait out three timeouts: reduction step 1 (λ_block + λ_step) and the
+/// final count with reduction; binary steps 1 and 2 and the final count
+/// without. At the cluster's λ_block = λ_step that is the same clock;
+/// at the paper's timeouts the arm without reduction would wait less.
 ///
 /// Returns `(highest concluding binary step, virtual seconds)`.
 pub fn reduction(with_reduction: bool) -> (u32, f64) {

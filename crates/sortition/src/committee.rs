@@ -101,17 +101,29 @@ pub fn solve_committee_size(
     max_tau: u64,
 ) -> Option<(u64, f64)> {
     // The violation probability is monotone decreasing in τ once feasible;
-    // binary search over integers.
+    // binary search over integers. A probe costs O(τ), so first bracket τ
+    // by doubling up from 1: the bisection then takes every τ at or above
+    // the bracket as feasible, as it assumes anyway, and probes only
+    // below it. (Feasibility jitters within a few units of the boundary,
+    // where T·τ's floor moves; bisecting inside the bracket instead would
+    // land on a neighbouring τ, so the midpoints stay those of
+    // [1, max_tau].)
     let feasible = |tau: u64| -> Option<f64> {
         let (t, p) = best_threshold(tau as f64, honest_fraction);
         (p <= target_violation).then_some(t)
     };
-    feasible(max_tau)?;
+    let mut bracket = 1u64;
+    while feasible(bracket).is_none() {
+        if bracket >= max_tau {
+            return None;
+        }
+        bracket = (bracket * 2).min(max_tau);
+    }
     let (mut lo, mut hi) = (1u64, max_tau);
     // Invariant: feasible(hi) holds; feasible(lo) unknown/false.
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if feasible(mid).is_some() {
+        if mid >= bracket || feasible(mid).is_some() {
             hi = mid;
         } else {
             lo = mid + 1;

@@ -19,7 +19,7 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-echo "== workspace tests (incl. the ablation-shape test, crates/bench/tests) =="
+echo "== workspace tests (incl. the figure predicates on broken rows and the figures/trace CLIs, crates/bench) =="
 cargo test --workspace -q
 
 echo "== crypto tests, release build (limb arithmetic wraps silently there and debug_assert! is compiled out) =="
@@ -31,12 +31,8 @@ cargo test --release -q -p algorand-gossip --test relay_differential
 echo "== benchmark package: fmt, clippy, tests against this workspace's API =="
 bash benchmark/check.sh
 
-echo "== pinned results: the bins that take < 35 s each reprint results/<file>.txt byte for byte =="
-for b in fig3_committee_size fig4_params fig6_latency_largescale fig8_malicious \
-         tput_throughput costs ba_steps timeout_validation ablation_common_coin \
-         ablation_reduction ablation_extra_votes ablation_priority_gossip; do
-    cargo run --release -q -p algorand-bench --bin "$b" | diff "results/$b.txt" -
-done
+echo "== pinned results: all 15 figures (fig3-fig8, tput, costs, ba_steps, timeouts, 4 ablations, epidemic_vs_des) reprint results/<name>.txt byte for byte and keep their paper claims; trace report and paths reprint theirs =="
+cargo run --release -q -p algorand-bench --bin figures -- check
 cargo run --release -q -p algorand-bench --bin trace -- report | diff results/trace_report.txt -
 cargo run --release -q -p algorand-bench --bin trace -- paths | diff results/critical_path.txt -
 
@@ -61,9 +57,6 @@ cargo run --release -p algorand-bench --bin telemetry_smoke
 
 echo "== cluster trace: merged artifact re-checks offline =="
 cargo run --release -p algorand-bench --bin trace -- check results/cluster_trace.jsonl
-
-echo "== epidemic model vs real engine (100-1000 users) =="
-cargo run --release -p algorand-bench --bin epidemic_vs_des
 
 echo "== schedule-space fuzzer: 1000-case campaign + determinism + bug-injection =="
 cargo run --release -p algorand-bench --bin fuzz_campaign -- --budget 1000 --seed 42 --check
