@@ -32,6 +32,12 @@
 //!    them crossing processes. Artifacts land in
 //!    `results/cluster_trace.{jsonl,txt}` and a raw scraped exposition
 //!    in `results/cluster_metrics.txt`.
+//! 5. **The WAL keeps one fact** — after phase B, a copy of every
+//!    node's WAL reopens to entry records only, for rounds 1, 2, … in
+//!    order, each once, as many as the node wrote across its lives
+//!    (`wal.replayed_rounds` + `wal.entries`), and no record is larger
+//!    than the biggest entry: nothing re-encodes the chain, so WAL bytes
+//!    per round are constant.
 //!
 //! Exit code 0 only if every assertion holds, so `scripts/ci.sh` can
 //! gate on it. Configuration is compiled in (it *is* the test).
@@ -40,7 +46,7 @@ use algorand_node::config::{derive_keypairs, workload_transactions};
 use algorand_node::telemetry::{
     collect_trace, discover, scrape_metrics, ClusterHealth, NodeHealth,
 };
-use algorand_node::NodeConfig;
+use algorand_node::{wal, NodeConfig, Wal};
 use algorand_obs::{critical_paths, expose, Gate};
 use algorand_sim::{SimConfig, Simulation};
 use std::collections::BTreeSet;
@@ -257,9 +263,64 @@ fn main() {
         "[localnet] phase B ok: victim replayed {replayed} rounds from its WAL, \
          applied {catchups} catch-up entries, all digests agree"
     );
+    for (i, cfg) in cfgs.iter().enumerate() {
+        let (rounds, bytes, biggest) = reopen_wal(&cfg.wal_dir);
+        println!(
+            "[localnet] node {i} WAL: {rounds} entry records, {bytes} bytes \
+             ({} per round, biggest record {biggest})",
+            bytes / rounds
+        );
+    }
 
     let _ = std::fs::remove_dir_all(&root);
     println!("[localnet] PASS in {:.1}s", t0.elapsed().as_secs_f64());
+}
+
+/// Reopens a copy of a node's WAL after its last exit and asserts it
+/// keeps one fact: only entry records, for rounds 1, 2, … in order, as
+/// many as the node wrote (`wal.replayed_rounds` at its last start plus
+/// that life's `wal.entries`), reopening whole. With entries only, no
+/// record is larger than the biggest entry. Returns the rounds, the
+/// log's bytes and its biggest record's payload bytes.
+fn reopen_wal(wal_dir: &Path) -> (u64, u64, usize) {
+    let copy = wal_dir.join("node.wal.copy");
+    std::fs::copy(wal_dir.join("node.wal"), &copy).expect("copy the WAL");
+    let bytes = std::fs::read(&copy).expect("read the WAL copy");
+    let (mut rounds, mut biggest) = (0u64, 0);
+    for (kind, payload) in wal::records(&bytes) {
+        assert_eq!(
+            kind,
+            wal::KIND_ENTRY,
+            "{}: a record other than an entry",
+            wal_dir.display()
+        );
+        let round = u64::from_le_bytes(payload[1..9].try_into().expect("8 bytes"));
+        assert_eq!(
+            round,
+            rounds + 1,
+            "{}: entries out of order",
+            wal_dir.display()
+        );
+        rounds += 1;
+        biggest = biggest.max(payload.len());
+    }
+    let (_, replay) = Wal::open(&copy).expect("reopen the WAL copy");
+    assert_eq!(replay.truncated_bytes, 0, "{}: torn WAL", wal_dir.display());
+    assert_eq!(
+        (replay.entries as u64, replay.tip),
+        (rounds, rounds),
+        "{}: records other than consecutive entries",
+        wal_dir.display()
+    );
+    let written = exported(wal_dir, "wal.replayed_rounds").unwrap_or(0)
+        + exported(wal_dir, "wal.entries").unwrap_or(0);
+    assert_eq!(
+        rounds,
+        written,
+        "{}: the WAL holds a round other than the node wrote",
+        wal_dir.display()
+    );
+    (rounds, bytes.len() as u64, biggest)
 }
 
 /// Runs the simulator with the deployment's exact parameters, keys and

@@ -1,10 +1,10 @@
-//! Catch-up (§8.3) and crash/restart snapshots: how a [`Node`] takes on
-//! history it did not agree on itself.
+//! Catch-up (§8.3) and crash/restart: how a [`Node`] takes on history it
+//! did not agree on itself, and what of its own history survives a crash.
 //!
 //! A lagging node asks peers for `(block, certificate)` pairs, a restarted
-//! one reads them back from its own log; both feed each pair through
-//! [`Blockchain::append_certified`], which trusts nothing but the chain
-//! it has built so far. Serving requests, the tentative-fork reorg and
+//! one reads its final rounds back from its own log; both feed each pair
+//! through [`Blockchain::append_certified`], which trusts nothing but the
+//! chain it has built so far. Serving requests, the tentative-fork reorg and
 //! the liveness watchdog that triggers requests live here too.
 
 use crate::emit::Outbox;
@@ -13,7 +13,7 @@ use crate::params::AlgorandParams;
 use crate::verify::PipelineVerifier;
 use crate::wire::{CatchupBatch, WireMessage};
 use algorand_ba::{Certificate, Micros};
-use algorand_crypto::codec::{Reader, WriteExt};
+use algorand_crypto::codec::Reader;
 use algorand_crypto::Keypair;
 use algorand_ledger::{Block, Blockchain, ChainError};
 use algorand_obs::SpanKind;
@@ -231,74 +231,68 @@ impl Node {
         }
     }
 
-    // --- Crash/restart snapshots ---------------------------------------------
+    // --- Crash/restart ---------------------------------------------------------
 
-    /// Serializes the node's durable state: the agreed chain with its
-    /// certificates, in the same `(block, certificate)` wire encoding the
-    /// §8.3 catch-up protocol uses. Volatile state — mempool, proposal
-    /// race, buffered votes, BA⋆ progress — is deliberately absent: a
-    /// real crash loses it, and a restarted node rebuilds by rejoining.
-    pub fn snapshot(&self) -> Vec<u8> {
-        let tip = self.chain.tip().round;
-        let mut entries: Vec<(&Block, &Certificate)> = Vec::new();
-        for r in 1..=tip {
-            match (self.chain.block_at(r), self.chain.certificate_at(r)) {
-                (Some(b), Some(c)) => entries.push((b, c)),
-                _ => break, // History incomplete (should not happen on canon).
+    /// The node's durable state, from round `from` on: the finalized
+    /// prefix of its chain, as `(round, block, certificate)`. A final
+    /// block, or a predecessor of one, is never replaced (§8.2); a
+    /// tentative one may be, so a crash keeps only this prefix. The WAL
+    /// appends it as it grows, the simulator's crash copies it, and
+    /// [`Node::restore`] reads it back. Volatile state — mempool,
+    /// proposal race, buffered votes, BA⋆ progress, the tentative
+    /// suffix — is absent: a restarted node rebuilds it by rejoining.
+    pub fn final_rounds(&self, from: u64) -> impl Iterator<Item = (u64, &Block, &Certificate)> {
+        (from.max(1)..=self.chain.tip().round).map_while(move |r| {
+            if !self.chain.is_finalized(r) {
+                return None;
             }
-        }
-        let finalized_through = (1..=tip)
-            .take_while(|&r| self.chain.is_finalized(r))
-            .last()
-            .unwrap_or(0);
-        let mut out = Vec::new();
-        out.put_u64(finalized_through);
-        out.put_u32(entries.len() as u32);
-        for (b, c) in entries {
-            b.encode(&mut out);
-            c.encode(&mut out);
-        }
-        out
+            Some((r, self.chain.block_at(r)?, self.chain.certificate_at(r)?))
+        })
     }
 
-    /// Rebuilds a node from genesis state plus a [`Node::snapshot`].
+    /// Rebuilds a node from genesis state plus its durable state: the
+    /// [`encode_entry`] bytes of its final rounds, from round 1 on.
     ///
-    /// Nothing in the snapshot is trusted: every entry goes through
+    /// Nothing in them is trusted: every entry goes through
     /// [`Blockchain::append_certified`], as a live catch-up batch does,
-    /// and restoration stops at the first entry that fails — a corrupt
-    /// snapshot yields a shorter chain, never a wrong one. The returned
-    /// node has not started a round; drive it with [`Node::start`] and it
-    /// rejoins, fetching anything it missed while down via catch-up.
+    /// and restoration stops at the first entry that fails — corrupt
+    /// bytes yield a shorter chain, never a wrong one. Every round that
+    /// applies was final when it was kept, so it is final again. The
+    /// returned node has not started a round; drive it with
+    /// [`Node::start`] and it rejoins, fetching anything it missed while
+    /// down via catch-up.
     pub fn restore(
         keypair: Keypair,
         genesis: Blockchain,
         params: AlgorandParams,
         verifier: Arc<PipelineVerifier>,
-        snapshot: &[u8],
+        entries: &[u8],
         now: Micros,
     ) -> Node {
         let mut chain = genesis;
-        let mut r = Reader::new(snapshot);
-        if let (Ok(finalized_through), Ok(n)) = (r.u64(), r.u32()) {
-            for _ in 0..n {
-                let (Ok(block), Ok(cert)) = (Block::decode(&mut r), Certificate::decode(&mut r))
-                else {
-                    break;
-                };
-                if chain
-                    .append_certified(block, cert, &params.ba, verifier.as_ref(), now)
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            let restored_tip = chain.tip().round;
-            if finalized_through > 0 && restored_tip > 0 {
-                chain.finalize(finalized_through.min(restored_tip));
+        let mut r = Reader::new(entries);
+        while r.remaining() > 0 {
+            let (Ok(block), Ok(cert)) = (Block::decode(&mut r), Certificate::decode(&mut r)) else {
+                break;
+            };
+            if chain
+                .append_certified(block, cert, &params.ba, verifier.as_ref(), now)
+                .is_err()
+            {
+                break;
             }
         }
+        chain.finalize(chain.tip().round);
         let mut node = Node::new(keypair, chain, params, verifier);
         node.last_progress = now;
         node
     }
+}
+
+/// Appends one durable entry to `out`: `block ‖ certificate`, the pair
+/// a §8.3 catch-up batch carries. A WAL entry record holds one, and
+/// [`Node::restore`] reads a run of them.
+pub fn encode_entry(block: &Block, cert: &Certificate, out: &mut Vec<u8>) {
+    block.encode(out);
+    cert.encode(out);
 }

@@ -3,19 +3,19 @@
 //! * Algorithm 2 (VerifySort) — a vote, a priority, a block message and a
 //!   fork proposal each reject the same five bad sortition claims;
 //! * §8.3's certified-append step — bootstrap, a catch-up response and a
-//!   restart from a snapshot stop at the same round of the same corrupt
-//!   history;
+//!   restart from durable entries stop at the same round of the same
+//!   corrupt history;
 //! * the relay verdict a delivery returns.
 
 use algorand_ba::{
     BaParams, Certificate, RoundWeights, StepKind, VoteContext, VoteMessage, SECOND,
 };
+use algorand_core::catchup::encode_entry;
 use algorand_core::wire::CatchupBatch;
 use algorand_core::{
     AlgorandParams, BlockMessage, ForkProposalMessage, Node, PipelineVerifier, PriorityMessage,
     WireMessage, GENESIS_SEED,
 };
-use algorand_crypto::codec::WriteExt;
 use algorand_crypto::sig::Signature;
 use algorand_crypto::vrf::{VrfOutput, VrfProof};
 use algorand_crypto::Keypair;
@@ -235,13 +235,10 @@ fn certify(chain: &Blockchain, kps: &[Keypair], block: &Block) -> Certificate {
     }
 }
 
-fn snapshot_of(history: &History) -> Vec<u8> {
+fn durable_of(history: &History) -> Vec<u8> {
     let mut out = Vec::new();
-    out.put_u64(0);
-    out.put_u32(history.len() as u32);
     for (b, c) in history {
-        b.encode(&mut out);
-        c.encode(&mut out);
+        encode_entry(b, c, &mut out);
     }
     out
 }
@@ -349,7 +346,7 @@ fn bootstrap_catchup_and_restore_stop_at_the_same_round_of_a_corrupt_history() {
             genesis(),
             p,
             verifier,
-            &snapshot_of(&history),
+            &durable_of(&history),
             NOW,
         );
         for (how, node) in [("catch-up", &live), ("restore", &restored)] {

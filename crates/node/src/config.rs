@@ -13,10 +13,22 @@
 //! listen = 127.0.0.1:9000
 //! peer = 127.0.0.1:9001
 //! peer = 127.0.0.1:9002
-//! # durability and lifecycle
+//! # durability and lifecycle: wal_dir holds the WAL (every final
+//! # round, written once), digest, trace and metrics
 //! wal_dir = /tmp/algorand-node-0
 //! target_round = 6
+//! deadline_secs = 120
+//! linger_secs = 3
+//! min_peers = 0
+//! start_at_ms = 0
+//! # workload and observability
 //! tx_count = 24
+//! trace = 0
+//! # λ overrides in milliseconds (0 keeps the scaled default)
+//! lambda_priority_ms = 0
+//! lambda_stepvar_ms = 0
+//! lambda_step_ms = 0
+//! lambda_block_ms = 0
 //! ```
 //!
 //! The derivations are `algorand_core::params`'s — the ones the
@@ -71,8 +83,6 @@ pub struct NodeConfig {
     /// share a wall clock, so this aligns their round-1 openings to
     /// within milliseconds — well inside λ_priority.
     pub start_at_ms: u64,
-    /// Append a WAL checkpoint every this many rounds (0 = never).
-    pub checkpoint_interval: u64,
     /// λ_priority override in milliseconds (0 keeps the scaled default).
     pub lambda_priority_ms: u64,
     /// λ_stepvar override in milliseconds (0 keeps the scaled default).
@@ -101,7 +111,6 @@ impl Default for NodeConfig {
             tx_count: 0,
             min_peers: 0,
             start_at_ms: 0,
-            checkpoint_interval: 4,
             lambda_priority_ms: 0,
             lambda_stepvar_ms: 0,
             lambda_step_ms: 0,
@@ -162,7 +171,6 @@ impl NodeConfig {
                 "tx_count" => cfg.tx_count = parse_u64(value)? as usize,
                 "min_peers" => cfg.min_peers = parse_u64(value)? as usize,
                 "start_at_ms" => cfg.start_at_ms = parse_u64(value)?,
-                "checkpoint_interval" => cfg.checkpoint_interval = parse_u64(value)?,
                 "lambda_priority_ms" => cfg.lambda_priority_ms = parse_u64(value)?,
                 "lambda_stepvar_ms" => cfg.lambda_stepvar_ms = parse_u64(value)?,
                 "lambda_step_ms" => cfg.lambda_step_ms = parse_u64(value)?,
@@ -205,7 +213,6 @@ impl NodeConfig {
         kv("tx_count", self.tx_count.to_string());
         kv("min_peers", self.min_peers.to_string());
         kv("start_at_ms", self.start_at_ms.to_string());
-        kv("checkpoint_interval", self.checkpoint_interval.to_string());
         kv("lambda_priority_ms", self.lambda_priority_ms.to_string());
         kv("lambda_stepvar_ms", self.lambda_stepvar_ms.to_string());
         kv("lambda_step_ms", self.lambda_step_ms.to_string());

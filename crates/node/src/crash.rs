@@ -3,7 +3,8 @@
 //! A panicking node takes its in-memory trace with it — precisely the
 //! evidence that explains the panic. [`arm`] installs a process-wide
 //! panic hook that writes the flight recorder's ring, plus the last
-//! WAL-persisted round, to `<wal_dir>/crash.jsonl` *before* the process
+//! WAL-persisted round — the end of the node's finalized prefix, where a
+//! restart resumes — to `<wal_dir>/crash.jsonl` *before* the process
 //! unwinds away. The dump is ordinary trace JSONL (header `schedule`
 //! field `crash wal_round=<n>`), so [`algorand_obs::parse_jsonl`] and
 //! every trace tool read it unchanged.
@@ -26,8 +27,11 @@ pub struct CrashContext {
     pub seed: u64,
     /// The flight recorder to drain.
     pub flight: FlightHandle,
-    /// Highest round the WAL has durably persisted; the runtime keeps
-    /// this current so the dump names where replay will resume.
+    /// Highest round the WAL has durably persisted: the node's last
+    /// final round, as of its last loop iteration. The runtime keeps this
+    /// current so the dump names where replay will resume; tentative
+    /// rounds above it are not in the WAL, and a restart fetches them
+    /// again through catch-up.
     pub last_wal_round: Arc<AtomicU64>,
 }
 

@@ -25,10 +25,10 @@
 //!   [`algorand_core::wire`] codec inside length-delimited frames, with
 //!   static peers plus gossip-learned peer exchange and per-peer bounded
 //!   send queues (backpressure drops, never blocks consensus);
-//! * [`wal`] — a CRC-guarded write-ahead log of finalized
-//!   `(block, certificate)` pairs and periodic
-//!   [`algorand_core::Node::snapshot`] checkpoints, with truncated-tail
-//!   recovery, so `kill -9` + restart replays from disk;
+//! * [`wal`] — a CRC-guarded write-ahead log of the final rounds'
+//!   `(block, certificate)` pairs, each written once when it becomes
+//!   final, with truncated-tail recovery, so `kill -9` + restart replays
+//!   from disk and keeps no round a reorg could still replace;
 //! * [`blocksync`] — fetches deep history from the most advanced peer in
 //!   bounded §8.3 catch-up batches after a restart or fresh join;
 //! * [`config`] — the node's config file (keys, peers, genesis, WAL dir)

@@ -10,8 +10,7 @@
 //!    failures by message kind and byte offset),
 //! 2. applies the §4 relay rules the simulator applies (content dedup,
 //!    one-message-per-key, §6 discard rules) before re-gossiping,
-//! 3. persists any newly agreed round to the WAL before announcing a
-//!    higher tip,
+//! 3. persists any newly final round to the WAL,
 //! 4. answers blocksync (STATUS tip tracking, catch-up requests when
 //!    behind).
 //!
@@ -26,8 +25,8 @@
 //!
 //! Exit: once the chain reaches `target_round` the loop lingers a
 //! configured grace period — still serving votes and catch-up batches so
-//! stragglers can finish — then checkpoints, writes its digest/trace/
-//! metrics files into the WAL directory, and returns.
+//! stragglers can finish — then writes its digest/trace/metrics files
+//! into the WAL directory, and returns.
 
 use crate::blocksync::Blocksync;
 use crate::config::NodeConfig;
@@ -83,7 +82,8 @@ const MAX_WAIT: Duration = Duration::from_millis(200);
 pub struct RunSummary {
     /// The configured goal round (0 = none).
     pub target_round: u64,
-    /// The finalized tip when the loop exited.
+    /// The chain tip when the loop exited; its last rounds may still be
+    /// tentative.
     pub reached_round: u64,
     /// Hex chain digest through `target_round`, if reached.
     pub digest: Option<String>,
@@ -110,7 +110,8 @@ pub struct Runtime {
     tracer: Tracer,
     monitor: MonitorHandle,
     flight: FlightHandle,
-    /// Highest round already persisted to the WAL.
+    /// Highest round already persisted to the WAL: the end of the
+    /// finalized prefix, as far as the loop has seen it.
     walled_through: u64,
     /// Mirror of `walled_through` the crash hook can read from any
     /// thread mid-panic.
@@ -148,18 +149,14 @@ impl Runtime {
 
         let params = cfg.params();
         let verifier = Arc::new(PipelineVerifier::new());
-        let mut node = if replay.tip > 0 {
-            Node::restore(
-                cfg.keypair(),
-                cfg.genesis(),
-                params,
-                verifier,
-                &replay.snapshot,
-                0,
-            )
-        } else {
-            Node::new(cfg.keypair(), cfg.genesis(), params, verifier)
-        };
+        let mut node = Node::restore(
+            cfg.keypair(),
+            cfg.genesis(),
+            params,
+            verifier,
+            &replay.chain,
+            0,
+        );
         let wal_replayed_rounds = node.chain().tip().round;
 
         // The deterministic shared workload: every process (and the
@@ -505,24 +502,15 @@ impl Runtime {
         }
     }
 
-    /// Appends every newly agreed round to the WAL (and periodic
-    /// checkpoints) so a `kill -9` from here on cannot lose them.
+    /// Appends every newly final round to the WAL, so a `kill -9` from
+    /// here on cannot lose it. A tentative round waits until it, or a
+    /// successor, is final: until then a reorg may still replace it
+    /// (§8.2), and the WAL keeps only what cannot be replaced.
     fn persist_new_rounds(&mut self) -> io::Result<()> {
-        let tip = self.node.chain().tip().round;
-        while self.walled_through < tip {
-            let r = self.walled_through + 1;
-            let (Some(block), Some(cert)) = (
-                self.node.chain().block_at(r),
-                self.node.chain().certificate_at(r),
-            ) else {
-                break;
-            };
+        for (r, block, cert) in self.node.final_rounds(self.walled_through + 1) {
             self.wal.append_entry(r, block, cert)?;
             self.walled_through = r;
             self.last_wal_round.store(r, Ordering::Relaxed);
-            if self.cfg.checkpoint_interval > 0 && r.is_multiple_of(self.cfg.checkpoint_interval) {
-                self.wal.append_checkpoint(&self.node.snapshot())?;
-            }
         }
         Ok(())
     }
@@ -592,10 +580,10 @@ impl Runtime {
         self.transport.publish();
     }
 
-    /// Final checkpoint plus digest/trace/metrics exports.
+    /// Persists the last final rounds, then writes the digest/trace/
+    /// metrics exports.
     fn finish(&mut self, timed_out: bool) -> io::Result<RunSummary> {
         self.persist_new_rounds()?;
-        self.wal.append_checkpoint(&self.node.snapshot())?;
 
         let reached = self.node.chain().tip().round;
         let digest = if self.cfg.target_round > 0 {
@@ -670,17 +658,152 @@ pub fn hex(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::derive_keypairs;
+    use algorand_ba::{Certificate, VoteMessage};
+    use algorand_core::CatchupBatch;
+    use algorand_ledger::{Block, Blockchain};
+    use algorand_sim::{SimConfig, Simulation};
+    use std::path::Path;
+
+    /// A runtime on an ephemeral port whose WAL lives in `dir`: a fresh
+    /// node if the WAL is empty, else a restart from it.
+    fn runtime(dir: &Path) -> Runtime {
+        Runtime::new(NodeConfig {
+            listen: "127.0.0.1:0".into(),
+            wal_dir: dir.to_path_buf(),
+            ..NodeConfig::default()
+        })
+        .expect("runtime on an ephemeral port")
+    }
+
+    /// A fresh directory for one test's WAL.
+    fn fresh_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("algorand-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Rounds `1..=rounds` of the chain the simulator agrees on for the
+    /// runtime's deployment: certified history a real node validates.
+    fn majority_history(cfg: &NodeConfig, rounds: u64) -> Vec<(Block, Certificate)> {
+        let mut sim_cfg = SimConfig::new(cfg.n_users);
+        sim_cfg.seed = cfg.seed;
+        sim_cfg.stake_per_user = cfg.stake_per_user;
+        sim_cfg.params = cfg.params();
+        let mut sim = Simulation::new(sim_cfg);
+        sim.run_rounds(rounds, 600_000_000);
+        let chain = sim.honest_node(0).chain();
+        let pair = |r| Some((chain.block_at(r)?.clone(), chain.certificate_at(r)?.clone()));
+        (1..=rounds)
+            .map(|r| pair(r).expect("an agreed round"))
+            .collect()
+    }
+
+    /// Puts a node over `chain` into the runtime, as if it had agreed on
+    /// that chain itself.
+    fn adopt(rt: &mut Runtime, chain: Blockchain) {
+        let verifier = Arc::new(PipelineVerifier::new());
+        rt.node = Node::new(rt.cfg.keypair(), chain, rt.cfg.params(), verifier);
+    }
+
+    fn append(chain: &mut Blockchain, (block, cert): &(Block, Certificate)) {
+        chain
+            .append(block.clone(), Some(cert.clone()), false, block.timestamp)
+            .expect("a valid block");
+    }
+
+    #[test]
+    fn tentative_rounds_are_not_kept_across_a_restart() {
+        let dir = fresh_dir("tentative-restart");
+        let mut rt = runtime(&dir);
+        let history = majority_history(&rt.cfg, 3);
+        // Round 1 is final; rounds 2 and 3 are tentative, as on a node
+        // that has not yet seen a final round since.
+        let mut chain = rt.cfg.genesis();
+        for entry in &history {
+            append(&mut chain, entry);
+        }
+        chain.finalize(1);
+        let was_final: Vec<bool> = (0..=3).map(|r| chain.is_finalized(r)).collect();
+        adopt(&mut rt, chain);
+        rt.persist_new_rounds().expect("persist");
+        rt.transport.shutdown();
+        drop(rt);
+
+        let rt = runtime(&dir);
+        let chain = rt.node.chain();
+        assert_eq!(chain.tip().round, 1, "only the final round was kept");
+        assert_eq!(chain.tip_hash(), history[0].0.hash());
+        for r in 0..=chain.tip().round {
+            assert_eq!(chain.is_finalized(r), was_final[r as usize], "round {r}");
+        }
+        rt.transport.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reorg_then_a_kill_restores_onto_the_majority_fork() {
+        let dir = fresh_dir("reorg-restart");
+        let mut rt = runtime(&dir);
+        let history = majority_history(&rt.cfg, 3);
+
+        // The minority's round 2: a different block, certified by the
+        // same committee members re-signing their votes for it (§8.2's
+        // tentative fork; the sortition proofs do not name the value).
+        let mut divergent = history[1].0.clone();
+        assert!(divergent.proposer.is_some(), "round 2 is a proposed block");
+        divergent.payload = vec![0x5a];
+        let keys = derive_keypairs(rt.cfg.seed, rt.cfg.n_users);
+        let mut cert = history[1].1.clone();
+        let value = divergent.hash();
+        cert.value = value;
+        for v in &mut cert.votes {
+            let kp = keys.iter().find(|k| k.pk == v.sender).expect("a user");
+            *v = VoteMessage::sign(
+                kp,
+                v.round,
+                v.step,
+                v.sorthash,
+                v.sort_proof,
+                v.prev_hash,
+                value,
+            );
+        }
+        let mut chain = rt.cfg.genesis();
+        append(&mut chain, &history[0]);
+        chain.finalize(1);
+        append(&mut chain, &(divergent, cert));
+        adopt(&mut rt, chain);
+        rt.persist_new_rounds().expect("persist");
+
+        // The majority's longer chain displaces the tentative round 2.
+        let majority = WireMessage::CatchupResponse(CatchupBatch {
+            entries: history[1..].to_vec(),
+        });
+        rt.node.on_message(&majority, 0);
+        assert_eq!(rt.node.recovery_stats().catchup_reorgs, 1);
+        assert_eq!(rt.node.chain().tip_hash(), history[2].0.hash());
+        rt.persist_new_rounds().expect("persist");
+        rt.transport.shutdown();
+        drop(rt);
+
+        // Killed and restarted: the WAL holds nothing the reorg displaced,
+        // so the majority batch applies again.
+        let mut rt = runtime(&dir);
+        rt.node.on_message(&majority, 0);
+        assert_eq!(
+            rt.node.chain().tip_hash(),
+            history[2].0.hash(),
+            "the restarted node ends on the majority chain"
+        );
+        rt.transport.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn a_flood_of_garbage_frames_is_counted_in_full_and_logged_eight_times() {
-        let dir = std::env::temp_dir().join(format!("algorand-runtime-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut rt = Runtime::new(NodeConfig {
-            listen: "127.0.0.1:0".into(),
-            wal_dir: dir.clone(),
-            ..NodeConfig::default()
-        })
-        .expect("runtime on an ephemeral port");
+        let dir = fresh_dir("runtime");
+        let mut rt = runtime(&dir);
 
         for i in 0..1_000u32 {
             rt.on_gossip(7, &i.to_le_bytes());
@@ -708,14 +831,8 @@ mod tests {
 
     #[test]
     fn a_catchup_request_to_a_dead_connection_forgets_its_tip() {
-        let dir = std::env::temp_dir().join(format!("algorand-catchup-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut rt = Runtime::new(NodeConfig {
-            listen: "127.0.0.1:0".into(),
-            wal_dir: dir.clone(),
-            ..NodeConfig::default()
-        })
-        .expect("runtime on an ephemeral port");
+        let dir = fresh_dir("catchup");
+        let mut rt = runtime(&dir);
 
         // Connection 99 announced round 5, then went away: the request
         // cannot be queued, and the next poll must not pick it again.

@@ -1,29 +1,34 @@
-//! Write-ahead log of finalized rounds, with crash recovery.
+//! Write-ahead log of the node's final rounds, with crash recovery.
 //!
-//! Every round the node finalizes is appended as a `(block, certificate)`
-//! record; periodically the whole [`algorand_core::Node::snapshot`] is
-//! appended as a checkpoint so replay cost stays bounded. Each record is
-//! guarded by a CRC so a `kill -9` mid-write — the torn tail every
-//! append-only log must survive — is detected and truncated away rather
-//! than misread.
+//! The log keeps one fact: the finalized prefix of the chain,
+//! [`algorand_core::Node::final_rounds`]. Round r is appended once, as
+//! one `(block, certificate)` entry record, when it becomes final, and is
+//! never rewritten: a final round is never replaced (§8.2), so the log
+//! needs no rollback record, and a tentative round that a reorg may still
+//! displace is never written. Each record is guarded by a CRC so a
+//! `kill -9` mid-write — the torn tail every append-only log must
+//! survive — is detected and truncated away rather than misread.
 //!
 //! On-disk framing, all integers little-endian via the repo codec:
 //!
 //! ```text
 //! record   := [u32 payload_len][u32 crc32(payload)][payload]
 //! payload  := 0x01  u64 round  block  certificate     (entry)
-//!           | 0x02  snapshot-bytes                    (checkpoint)
+//!           | 0x02  bytes                             (skipped)
 //! ```
 //!
-//! Replay folds the log into a single [`algorand_core::Node::snapshot`]-
-//! format buffer: start from the last intact checkpoint (or an empty
-//! snapshot) and splice each later consecutive entry's pair bytes onto
-//! it. The result feeds [`algorand_core::Node::restore`], which trusts
-//! nothing — every certificate is re-validated — so WAL corruption can
-//! shorten the recovered chain but never forge it.
+//! A payload longer than one transport frame ([`MAX_FRAME`]) is a corrupt
+//! length: an entry must fit one catch-up frame. Replay judges only the
+//! framing and the round numbers: it splices the `(block, certificate)`
+//! bytes of rounds 1, 2, … in order into one buffer for
+//! [`algorand_core::Node::restore`], which decodes and re-validates every
+//! certificate and finalizes what applies — so WAL corruption can shorten
+//! the recovered chain but never forge it.
 
+use crate::frame::MAX_FRAME;
 use algorand_ba::Certificate;
-use algorand_crypto::codec::{Reader, WriteExt};
+use algorand_core::catchup::encode_entry;
+use algorand_crypto::codec::WriteExt;
 use algorand_ledger::Block;
 use algorand_obs::{Counter, HistHandle, Registry};
 use std::fs::{File, OpenOptions};
@@ -31,13 +36,9 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-const KIND_ENTRY: u8 = 1;
+/// Record kind of a round's entry.
+pub const KIND_ENTRY: u8 = 1;
 const KIND_CHECKPOINT: u8 = 2;
-
-/// Largest payload `open` will believe; anything bigger is treated as a
-/// corrupt length and truncated. Generous next to the 32 MiB transport
-/// frame cap since checkpoints carry whole chains.
-const MAX_RECORD: usize = 256 << 20;
 
 /// Byte length of the entry-payload prefix (kind byte + `u64` round)
 /// that precedes the spliceable `(block, certificate)` bytes.
@@ -46,29 +47,24 @@ const ENTRY_PREFIX: usize = 9;
 /// What a [`Wal::open`] replay recovered.
 #[derive(Debug)]
 pub struct WalReplay {
-    /// [`algorand_core::Node::snapshot`]-format bytes: the last
-    /// checkpoint with every later consecutive entry spliced on. Empty
-    /// chain if the log was empty or unusable.
-    pub snapshot: Vec<u8>,
-    /// Highest consecutive round the snapshot carries.
+    /// The `(block, certificate)` bytes of rounds `1..=tip`, in order:
+    /// what [`algorand_core::Node::restore`] takes.
+    pub chain: Vec<u8>,
+    /// Highest consecutive round the log carries.
     pub tip: u64,
-    /// Intact entry records seen (including ones a checkpoint subsumed).
+    /// Intact entry records seen, whatever their round.
     pub entries: usize,
-    /// Intact checkpoint records seen.
-    pub checkpoints: usize,
     /// Bytes of torn/corrupt tail discarded by truncation.
     pub truncated_bytes: u64,
 }
 
-/// Registry-backed durability metrics: append/fsync/checkpoint timings
-/// and record counts. Attach with [`Wal::set_metrics`]; a bare [`Wal`]
-/// (tests, tools) records nothing.
+/// Registry-backed durability metrics: append/fsync timings and the
+/// entry count. Attach with [`Wal::set_metrics`]; a bare [`Wal`] (tests,
+/// tools) records nothing.
 pub struct WalMetrics {
     entries: Counter,
-    checkpoints: Counter,
     append_us: HistHandle,
     fsync_us: HistHandle,
-    checkpoint_us: HistHandle,
 }
 
 impl WalMetrics {
@@ -76,11 +72,57 @@ impl WalMetrics {
     pub fn new(registry: &Registry) -> WalMetrics {
         WalMetrics {
             entries: registry.counter("wal.entries"),
-            checkpoints: registry.counter("wal.checkpoints"),
             append_us: registry.histogram("wal.append_us"),
             fsync_us: registry.histogram("wal.fsync_us"),
-            checkpoint_us: registry.histogram("wal.checkpoint_us"),
         }
+    }
+}
+
+/// The intact records at the front of a log image, in order, as
+/// `(kind, payload)`; the payload starts with its kind byte. Iteration
+/// stops at the first torn, corrupt or unknown record; [`Records::end`]
+/// is then where the intact prefix ends.
+pub struct Records<'a> {
+    bytes: &'a [u8],
+    end: usize,
+}
+
+/// Reads the records of a log image (see [`Records`]).
+pub fn records(bytes: &[u8]) -> Records<'_> {
+    Records { bytes, end: 0 }
+}
+
+impl Records<'_> {
+    /// Byte offset just past the last record yielded.
+    pub fn end(&self) -> usize {
+        self.end
+    }
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = (u8, &'a [u8]);
+
+    fn next(&mut self) -> Option<(u8, &'a [u8])> {
+        let rest = &self.bytes[self.end..];
+        if rest.len() < 8 {
+            return None; // Torn or absent header.
+        }
+        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
+        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
+        if len == 0 || len > MAX_FRAME || rest.len() - 8 < len {
+            return None; // Corrupt length or torn payload.
+        }
+        let payload = &rest[8..8 + len];
+        if crc32(payload) != crc {
+            return None; // Bit rot or torn write.
+        }
+        match payload[0] {
+            KIND_ENTRY if len > ENTRY_PREFIX => {}
+            KIND_CHECKPOINT => {}
+            _ => return None, // Unknown kind: treat as corruption.
+        }
+        self.end += 8 + len;
+        Some((payload[0], payload))
     }
 }
 
@@ -110,72 +152,32 @@ impl Wal {
         file.read_to_end(&mut bytes)?;
 
         let mut replay = WalReplay {
-            snapshot: empty_snapshot(),
+            chain: Vec::new(),
             tip: 0,
             entries: 0,
-            checkpoints: 0,
             truncated_bytes: 0,
         };
-        // Running snapshot body: header fields plus concatenated pairs.
-        let mut finalized_through = 0u64;
-        let mut pairs = 0u32;
-        let mut body: Vec<u8> = Vec::new();
-
-        let mut pos = 0usize;
-        let valid_end = loop {
-            if bytes.len() - pos < 8 {
-                break pos; // Torn or absent header.
+        let mut intact = records(&bytes);
+        for (kind, payload) in intact.by_ref() {
+            if kind != KIND_ENTRY {
+                continue;
             }
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-            if len == 0 || len > MAX_RECORD || bytes.len() - pos - 8 < len {
-                break pos; // Corrupt length or torn payload.
+            replay.entries += 1;
+            let round = u64::from_le_bytes(payload[1..ENTRY_PREFIX].try_into().expect("8 bytes"));
+            // A stale or gapped round is skipped: restore can use only
+            // consecutive history.
+            if round == replay.tip + 1 {
+                replay.chain.extend_from_slice(&payload[ENTRY_PREFIX..]);
+                replay.tip = round;
             }
-            let payload = &bytes[pos + 8..pos + 8 + len];
-            if crc32(payload) != crc {
-                break pos; // Bit rot or torn write.
-            }
-            match payload[0] {
-                KIND_ENTRY if len > ENTRY_PREFIX => {
-                    let round = u64::from_le_bytes(payload[1..ENTRY_PREFIX].try_into().unwrap());
-                    replay.entries += 1;
-                    if round == finalized_through + 1 {
-                        body.extend_from_slice(&payload[ENTRY_PREFIX..]);
-                        finalized_through = round;
-                        pairs += 1;
-                    }
-                    // Stale (≤ checkpoint) or gapped rounds are skipped:
-                    // restore can't use non-consecutive history anyway.
-                }
-                KIND_CHECKPOINT => {
-                    // A checkpoint supersedes everything before it.
-                    let snap = &payload[1..];
-                    let mut r = Reader::new(snap);
-                    if let (Ok(ft), Ok(n)) = (r.u64(), r.u32()) {
-                        replay.checkpoints += 1;
-                        finalized_through = ft;
-                        pairs = n;
-                        body.clear();
-                        body.extend_from_slice(&snap[12..]);
-                    }
-                }
-                _ => break pos, // Unknown kind: treat as corruption.
-            }
-            pos += 8 + len;
-        };
+        }
+        let valid_end = intact.end();
 
         if valid_end < bytes.len() {
             replay.truncated_bytes = (bytes.len() - valid_end) as u64;
             file.set_len(valid_end as u64)?;
         }
         file.seek(SeekFrom::Start(valid_end as u64))?;
-
-        let mut snapshot = Vec::with_capacity(12 + body.len());
-        snapshot.put_u64(finalized_through);
-        snapshot.put_u32(pairs);
-        snapshot.extend_from_slice(&body);
-        replay.snapshot = snapshot;
-        replay.tip = finalized_through;
 
         Ok((
             Wal {
@@ -192,11 +194,12 @@ impl Wal {
         self.metrics = Some(metrics);
     }
 
-    /// Appends one finalized round and syncs it to disk.
+    /// Appends one final round and syncs it to disk.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures.
+    /// Propagates I/O failures; refuses an entry over [`MAX_FRAME`],
+    /// which replay could not read back.
     pub fn append_entry(
         &mut self,
         round: u64,
@@ -207,8 +210,7 @@ impl Wal {
         let mut payload = Vec::new();
         payload.put_u8(KIND_ENTRY);
         payload.put_u64(round);
-        block.encode(&mut payload);
-        cert.encode(&mut payload);
+        encode_entry(block, cert, &mut payload);
         self.append_record(&payload)?;
         if let Some(m) = &self.metrics {
             m.entries.inc();
@@ -217,26 +219,28 @@ impl Wal {
         Ok(())
     }
 
-    /// Appends a [`algorand_core::Node::snapshot`] checkpoint and syncs
-    /// it to disk.
+    /// Appends a kind-2 record, which replay skips. The node never
+    /// writes one: this exists only for `benchmark/`'s
+    /// `wal_tail_sees_each_round_once_and_skips_checkpoints`, and the
+    /// benchmark's model PR (ROADMAP item 5) deletes both.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn append_checkpoint(&mut self, snapshot: &[u8]) -> io::Result<()> {
-        let started = Instant::now();
-        let mut payload = Vec::with_capacity(1 + snapshot.len());
+    pub fn append_checkpoint(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let mut payload = Vec::with_capacity(1 + bytes.len());
         payload.put_u8(KIND_CHECKPOINT);
-        payload.extend_from_slice(snapshot);
-        self.append_record(&payload)?;
-        if let Some(m) = &self.metrics {
-            m.checkpoints.inc();
-            m.checkpoint_us.record(started.elapsed().as_micros() as u64);
-        }
-        Ok(())
+        payload.extend_from_slice(bytes);
+        self.append_record(&payload)
     }
 
     fn append_record(&mut self, payload: &[u8]) -> io::Result<()> {
+        if payload.len() > MAX_FRAME {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "WAL record over MAX_FRAME",
+            ));
+        }
         let mut rec = Vec::with_capacity(8 + payload.len());
         rec.put_u32(payload.len() as u32);
         rec.put_u32(crc32(payload));
@@ -264,13 +268,6 @@ impl Wal {
     pub fn len_bytes(&self) -> io::Result<u64> {
         Ok(self.file.metadata()?.len())
     }
-}
-
-fn empty_snapshot() -> Vec<u8> {
-    let mut s = Vec::with_capacity(12);
-    s.put_u64(0);
-    s.put_u32(0);
-    s
 }
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the ubiquitous
@@ -325,18 +322,28 @@ mod tests {
         (block, cert)
     }
 
-    /// The snapshot bytes `Node::snapshot` would produce for rounds
-    /// `1..=tip` of the test chain.
-    fn expected_snapshot(tip: u64) -> Vec<u8> {
+    /// The bytes replay should hand `Node::restore` for rounds `1..=tip`
+    /// of the test chain.
+    fn expected_chain(tip: u64) -> Vec<u8> {
         let mut out = Vec::new();
-        out.put_u64(tip);
-        out.put_u32(tip as u32);
         for r in 1..=tip {
             let (b, c) = pair(r);
-            b.encode(&mut out);
-            c.encode(&mut out);
+            encode_entry(&b, &c, &mut out);
         }
         out
+    }
+
+    /// Writes rounds `1..=tip` and returns each record's start offset,
+    /// plus the end of the log.
+    fn write_rounds(path: &Path, tip: u64) -> Vec<u64> {
+        let (mut wal, _) = Wal::open(path).unwrap();
+        let mut starts = vec![0];
+        for r in 1..=tip {
+            let (b, c) = pair(r);
+            wal.append_entry(r, &b, &c).unwrap();
+            starts.push(wal.len_bytes().unwrap());
+        }
+        starts
     }
 
     #[test]
@@ -346,109 +353,103 @@ mod tests {
     }
 
     #[test]
-    fn entries_replay_into_snapshot() {
+    fn entries_replay_into_the_chain_bytes() {
         let path = tmp("entries");
-        {
-            let (mut wal, replay) = Wal::open(&path).unwrap();
-            assert_eq!(replay.tip, 0);
-            for r in 1..=3 {
-                let (b, c) = pair(r);
-                wal.append_entry(r, &b, &c).unwrap();
-            }
-        }
+        assert_eq!(Wal::open(&path).unwrap().1.tip, 0);
+        write_rounds(&path, 3);
         let (_, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.tip, 3);
         assert_eq!(replay.entries, 3);
         assert_eq!(replay.truncated_bytes, 0);
-        assert_eq!(replay.snapshot, expected_snapshot(3));
+        assert_eq!(replay.chain, expected_chain(3));
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn checkpoint_plus_later_entries_merge() {
-        let path = tmp("merge");
+    fn kind_two_records_are_skipped() {
+        let path = tmp("skip");
         {
             let (mut wal, _) = Wal::open(&path).unwrap();
             for r in 1..=2 {
                 let (b, c) = pair(r);
                 wal.append_entry(r, &b, &c).unwrap();
-            }
-            wal.append_checkpoint(&expected_snapshot(2)).unwrap();
-            for r in 3..=4 {
-                let (b, c) = pair(r);
-                wal.append_entry(r, &b, &c).unwrap();
+                wal.append_checkpoint(&[1, 2, 3]).unwrap();
             }
         }
         let (_, replay) = Wal::open(&path).unwrap();
-        assert_eq!(replay.tip, 4);
-        assert_eq!(replay.checkpoints, 1);
-        assert_eq!(replay.snapshot, expected_snapshot(4));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_and_survivable() {
-        let path = tmp("torn");
-        let intact_len;
-        {
-            let (mut wal, _) = Wal::open(&path).unwrap();
-            for r in 1..=2 {
-                let (b, c) = pair(r);
-                wal.append_entry(r, &b, &c).unwrap();
-            }
-            intact_len = wal.len_bytes().unwrap();
-        }
-        // Simulate a kill -9 mid-append: a partial record at the tail.
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(&[0x40, 0, 0, 0, 0xAA, 0xBB]).unwrap();
-        drop(f);
-
-        let (wal, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.tip, 2);
-        assert_eq!(replay.truncated_bytes, 6);
-        assert_eq!(replay.snapshot, expected_snapshot(2));
-        assert_eq!(wal.len_bytes().unwrap(), intact_len);
+        assert_eq!(replay.entries, 2);
+        assert_eq!(replay.truncated_bytes, 0);
+        assert_eq!(replay.chain, expected_chain(2));
         std::fs::remove_file(&path).unwrap();
     }
 
-    #[test]
-    fn corrupt_crc_truncates_from_damage_onward() {
-        let path = tmp("crc");
-        let record_starts: Vec<u64>;
-        {
-            let (mut wal, _) = Wal::open(&path).unwrap();
-            let mut starts = vec![0];
-            for r in 1..=3 {
-                let (b, c) = pair(r);
-                wal.append_entry(r, &b, &c).unwrap();
-                starts.push(wal.len_bytes().unwrap());
-            }
-            record_starts = starts;
-        }
-        // Flip a payload bit inside the *second* record.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let hit = record_starts[1] as usize + 8 + 3;
-        bytes[hit] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
+    /// A record whose length is `len`, whose CRC is right, and whose
+    /// payload is an entry for `round` padded with zeros.
+    fn entry_record_of_len(round: u64, len: usize) -> Vec<u8> {
+        let mut payload = vec![0u8; len];
+        payload[0] = KIND_ENTRY;
+        payload[1..ENTRY_PREFIX].copy_from_slice(&round.to_le_bytes());
+        let mut rec = Vec::with_capacity(8 + len);
+        rec.put_u32(len as u32);
+        rec.put_u32(crc32(&payload));
+        rec.extend_from_slice(&payload);
+        rec
+    }
 
-        let (wal, replay) = Wal::open(&path).unwrap();
-        // Round 1 survives; rounds 2 and 3 are gone (3 would be gapped
-        // even if intact, and truncation removed it anyway).
-        assert_eq!(replay.tip, 1);
-        assert!(replay.truncated_bytes > 0);
-        assert_eq!(replay.snapshot, expected_snapshot(1));
-        assert_eq!(wal.len_bytes().unwrap(), record_starts[1]);
-        std::fs::remove_file(&path).unwrap();
+    #[test]
+    fn damage_truncates_the_log_where_it_starts() {
+        type Damage = fn(&mut Vec<u8>, &[u64]);
+        // (what, damage to a three-round log, rounds that survive)
+        let rows: [(&str, Damage, u64); 4] = [
+            (
+                "a kill -9 mid-append: a partial record at the tail",
+                |bytes, _| bytes.extend_from_slice(&[0x40, 0, 0, 0, 0xAA, 0xBB]),
+                3,
+            ),
+            (
+                "a flipped payload bit in round 2",
+                |bytes, starts| bytes[starts[1] as usize + 8 + 3] ^= 0x01,
+                1,
+            ),
+            (
+                "an intact record of an unknown kind",
+                |bytes, _| {
+                    let mut rec = entry_record_of_len(4, 64);
+                    rec[8] = 9;
+                    let crc = crc32(&rec[8..]);
+                    rec[4..8].copy_from_slice(&crc.to_le_bytes());
+                    bytes.extend_from_slice(&rec);
+                },
+                3,
+            ),
+            (
+                "a length of MAX_FRAME + 1, CRC and payload intact",
+                |bytes, _| bytes.extend_from_slice(&entry_record_of_len(4, MAX_FRAME + 1)),
+                3,
+            ),
+        ];
+        for (what, damage, survive) in rows {
+            let path = tmp("damage");
+            let starts = write_rounds(&path, 3);
+            let mut bytes = std::fs::read(&path).unwrap();
+            damage(&mut bytes, &starts);
+            std::fs::write(&path, &bytes).unwrap();
+
+            let (wal, replay) = Wal::open(&path).unwrap();
+            assert_eq!(replay.tip, survive, "{what}");
+            assert_eq!(replay.chain, expected_chain(survive), "{what}");
+            let kept = starts[survive as usize];
+            assert_eq!(wal.len_bytes().unwrap(), kept, "{what}");
+            assert_eq!(replay.truncated_bytes, bytes.len() as u64 - kept, "{what}");
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]
     fn appending_after_truncated_reopen_stays_consistent() {
         let path = tmp("reopen");
-        {
-            let (mut wal, _) = Wal::open(&path).unwrap();
-            let (b, c) = pair(1);
-            wal.append_entry(1, &b, &c).unwrap();
-        }
+        write_rounds(&path, 1);
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&[0xFF; 11]).unwrap();
         drop(f);
@@ -460,7 +461,18 @@ mod tests {
         }
         let (_, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.tip, 2);
-        assert_eq!(replay.snapshot, expected_snapshot(2));
+        assert_eq!(replay.chain, expected_chain(2));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_entry_replay_could_not_read_is_refused() {
+        let path = tmp("oversize");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        let (mut block, cert) = pair(1);
+        block.payload = vec![0; MAX_FRAME];
+        assert!(wal.append_entry(1, &block, &cert).is_err());
+        assert_eq!(wal.len_bytes().unwrap(), 0);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -208,7 +208,7 @@ impl InvariantMonitor {
             SpanKind::Tally if ev.label == "add" => self.observe_tally(ev),
             SpanKind::Tally if ev.label == "future" => self.observe_future(ev),
             SpanKind::Fault if ev.label == "restart" => {
-                // A restarted node rebuilds its engines from its snapshot
+                // A restarted node rebuilds its engines from its durable state
                 // and legitimately re-tallies rounds it had in flight:
                 // reset its per-node vote-accounting slate.
                 for state in self.rounds.values_mut() {

@@ -56,6 +56,7 @@ use crate::harness::{
 };
 use crate::metrics::{round_stats, RoundStats};
 use crate::network::Network;
+use algorand_core::catchup::encode_entry;
 use algorand_core::{derive_keypairs, Node, PipelineVerifier, RoundRecord, WireKind, WireMessage};
 use algorand_crypto::rng::Rng;
 use algorand_crypto::Keypair;
@@ -173,8 +174,9 @@ struct NodeCell {
     clock_skew: i64,
     /// Down, not processing events.
     crashed: bool,
-    /// Durable state saved at crash, for restart.
-    snapshot: Option<Vec<u8>>,
+    /// Durable state saved at crash, for restart: the finalized prefix
+    /// the node's WAL would hold.
+    durable: Vec<u8>,
     /// Window inbox, filled in key order by the sequential extract phase
     /// and consumed from the front by the node phase.
     inbox: VecDeque<InEvent>,
@@ -282,7 +284,7 @@ impl Simulation {
                 enqueued_wake: Micros::MAX,
                 clock_skew: 0,
                 crashed: false,
-                snapshot: None,
+                durable: Vec::new(),
                 inbox: VecDeque::new(),
                 outbox: Vec::new(),
                 out_seq: 0,
@@ -835,8 +837,9 @@ impl Simulation {
         }
     }
 
-    /// Crashes an honest node: its durable state (chain + certificates)
-    /// is snapshotted through the wire codec, everything else is lost,
+    /// Crashes an honest node: its durable state — the finalized prefix
+    /// of its chain, [`Node::final_rounds`], encoded as its WAL holds it
+    /// — is kept, everything else (tentative rounds included) is lost,
     /// and it stops processing events.
     fn crash_node(&mut self, i: usize) {
         let cell = &mut self.cells[i];
@@ -847,14 +850,17 @@ impl Simulation {
             debug_assert!(false, "chaos scripts crash honest nodes only");
             return;
         };
-        cell.snapshot = Some(node.snapshot());
+        cell.durable.clear();
+        for (_, block, cert) in node.final_rounds(1) {
+            encode_entry(block, cert, &mut cell.durable);
+        }
         cell.crashed = true;
         // Pending wakes for the dead process become stale.
         cell.next_wake = Micros::MAX;
     }
 
-    /// Restarts a crashed node from its snapshot. The node revalidates
-    /// the snapshot as it would a catch-up batch, comes back with empty
+    /// Restarts a crashed node from its durable state. The node
+    /// revalidates it as it would a catch-up batch, comes back with empty
     /// volatile state (fresh relay view, empty mempool), and rejoins the
     /// round loop — fetching whatever it missed while down via §8.3
     /// catch-up.
@@ -864,7 +870,7 @@ impl Simulation {
         if !cell.crashed {
             return;
         }
-        let snapshot = cell.snapshot.take().unwrap_or_default();
+        let durable = std::mem::take(&mut cell.durable);
         // Fold the dying node's counters into the carry before its slot
         // is overwritten, so aggregated reports keep its pre-crash
         // history without ever double-counting it.
@@ -881,7 +887,7 @@ impl Simulation {
             genesis,
             self.cfg.params,
             self.verifier.clone(),
-            &snapshot,
+            &durable,
             local,
         );
         node.payload_bytes = self.cfg.payload_bytes;

@@ -37,10 +37,12 @@ pub enum FaultAction {
     },
     /// Restore normal propagation latency.
     DelayClear,
-    /// Crash a node: volatile state is lost, durable state (the chain
-    /// with its certificates) is snapshotted through the wire codec.
+    /// Crash a node: its durable state — the finalized prefix of its
+    /// chain, as a real node's WAL holds it — is kept; tentative rounds
+    /// and volatile state are lost.
     Crash(usize),
-    /// Restart a crashed node from its snapshot; it rejoins via catch-up.
+    /// Restart a crashed node from its durable state; it rejoins via
+    /// catch-up.
     Restart(usize),
     /// Skew a node's local clock by `skew` microseconds (applied to
     /// every timestamp the node observes from then on).

@@ -23,12 +23,20 @@
 //!   frozen by the stall and were dropped as equivocations. Fixed by
 //!   measuring `longest_fork` over agreed blocks only and rotating
 //!   relay generations on a stall horizon; the case must keep passing.
+//! - `tentative_fork_crash.repro` — a crash across a §8.2 tentative
+//!   fork: an asymmetric partition leaves node 8, on the minority side,
+//!   holding a tentative round 3 the majority never adopted; node 8
+//!   crashes before the heal and restarts after it. A crash keeps only
+//!   the finalized prefix (what a real node's WAL holds), so the
+//!   restarted node holds nothing a reorg would have to displace and
+//!   rejoins through catch-up; the case must keep passing.
 //!
 //! Replays run the full oracle, so this suite is release-only (the
 //! debug-build event loop is an order of magnitude slower); the CI fuzz
 //! gate runs it with `--include-ignored`.
 
 use algorand_sim::fuzz::{parse_case, run_case};
+use algorand_sim::Simulation;
 use std::fs;
 
 #[test]
@@ -74,4 +82,24 @@ fn corpus_files_parse_and_roundtrip() {
         let again = algorand_sim::fuzz::serialize_case(&case, verdict);
         assert_eq!(text, again, "{}: not in canonical form", path.display());
     }
+}
+
+#[test]
+fn tentative_fork_crash_crashes_a_node_holding_a_tentative_round() {
+    // The case means something only if the crash drops a round: play it
+    // to just before node 8 goes down and look at its chain.
+    let text = include_str!("corpus/tentative_fork_crash.repro");
+    let (case, _) = parse_case(text).expect("parses");
+    let mut sim = Simulation::new(case.config());
+    sim.set_fault_schedule(case.schedule.clone());
+    sim.run_until(12_000_000 - 1);
+    let chain = sim.honest_node(8).chain();
+    assert!(
+        chain.tip().round >= 3,
+        "node 8 agreed on nothing past round 2"
+    );
+    assert!(
+        !chain.is_finalized(chain.tip().round),
+        "node 8's tip is already final"
+    );
 }
