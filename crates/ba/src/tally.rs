@@ -7,16 +7,25 @@
 use crate::msg::{Value, VoteMessage};
 use crate::verify::VerifiedVote;
 use algorand_crypto::sha256_concat;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 
 /// Accumulated votes for one (round, step).
 #[derive(Default)]
 pub struct StepTally {
     counts: HashMap<Value, u64>,
-    voters: HashSet<[u8; 32]>,
     /// Retained messages — handles on the gossiped bodies, not copies —
     /// for certificate assembly (§8.3) and the common coin (Algorithm 9).
+    /// One per sender; the tally keeps no other copy of a sender's key.
     messages: Vec<(VoteMessage, u64)>,
+    /// Who already voted, as an open-addressed table over `messages`:
+    /// a slot holds 1 + the position of a message whose sender hashes
+    /// there, 0 if empty. Its length is 0 or a power of two at least
+    /// twice `messages.len()`, so a probe always reaches an empty slot.
+    senders: Vec<u32>,
+    /// Keyed per tally, as a `HashSet`'s would be: senders are chosen by
+    /// whoever holds stake, so their keys must not decide collisions.
+    hasher: RandomState,
 }
 
 impl StepTally {
@@ -35,12 +44,39 @@ impl StepTally {
     pub fn add(&mut self, vote: &VerifiedVote) -> bool {
         let (msg, votes) = (vote.message(), vote.votes());
         debug_assert!(votes > 0);
-        if !self.voters.insert(msg.sender.to_bytes()) {
-            return false;
+        if 2 * (self.messages.len() + 1) > self.senders.len() {
+            self.grow();
         }
+        let sender = msg.sender.as_bytes();
+        let mask = self.senders.len() - 1;
+        let mut slot = self.hasher.hash_one(sender) as usize & mask;
+        loop {
+            match self.senders[slot] {
+                0 => break,
+                n if self.messages[n as usize - 1].0.sender.as_bytes() == sender => return false,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+        let position = u32::try_from(self.messages.len() + 1).expect("under 2^32 voters per step");
+        self.senders[slot] = position;
         *self.counts.entry(msg.value).or_insert(0) += votes;
         self.messages.push((msg.clone(), votes));
         true
+    }
+
+    /// Doubles the sender table (from 16 slots) and re-inserts every
+    /// sender. They are distinct, so each takes the first empty slot of
+    /// its probe sequence.
+    fn grow(&mut self) {
+        self.senders = vec![0; (2 * self.senders.len()).max(16)];
+        let mask = self.senders.len() - 1;
+        for (position, (m, _)) in self.messages.iter().enumerate() {
+            let mut slot = self.hasher.hash_one(m.sender.as_bytes()) as usize & mask;
+            while self.senders[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.senders[slot] = position as u32 + 1;
+        }
     }
 
     /// The vote count for a specific value.
@@ -55,7 +91,7 @@ impl StepTally {
 
     /// Number of distinct voters recorded.
     pub fn num_voters(&self) -> usize {
-        self.voters.len()
+        self.messages.len()
     }
 
     /// The first value whose count strictly exceeds `threshold`, preferring
@@ -112,10 +148,16 @@ impl StepTally {
 mod tests {
     use super::*;
     use crate::msg::StepKind;
+    use algorand_crypto::rng::Rng;
     use algorand_crypto::{vrf, Keypair};
+    use std::collections::HashSet;
 
     fn vote(seed: u8, value: u8, votes: u64) -> VerifiedVote {
-        let kp = Keypair::from_seed([seed; 32]);
+        voter_vote([seed; 32], value, votes)
+    }
+
+    fn voter_vote(key_seed: [u8; 32], value: u8, votes: u64) -> VerifiedVote {
+        let kp = Keypair::from_seed(key_seed);
         let (sorthash, proof) = vrf::prove(&kp, b"t");
         let msg = VoteMessage::sign(
             &kp,
@@ -201,5 +243,101 @@ mod tests {
         let sevens: Vec<u64> = t.messages_for([7u8; 32]).map(|(_, v)| v).collect();
         assert_eq!(sevens.iter().sum::<u64>(), 6);
         assert_eq!(sevens.len(), 2);
+    }
+
+    /// The tally as it was before the sender table: a set of sender keys
+    /// beside the messages.
+    #[derive(Default)]
+    struct Reference {
+        voters: HashSet<[u8; 32]>,
+        counts: HashMap<Value, u64>,
+        messages: Vec<(VoteMessage, u64)>,
+    }
+
+    impl Reference {
+        fn add(&mut self, vote: &VerifiedVote) -> bool {
+            let msg = vote.message();
+            if !self.voters.insert(msg.sender.to_bytes()) {
+                return false;
+            }
+            *self.counts.entry(msg.value).or_insert(0) += vote.votes();
+            self.messages.push((msg.clone(), vote.votes()));
+            true
+        }
+
+        fn common_coin(&self) -> u8 {
+            let mut minhash = [0xffu8; 32];
+            for (m, votes) in &self.messages {
+                for j in 0..*votes {
+                    minhash = minhash.min(sha256_concat(&[&m.sorthash.0, &j.to_le_bytes()]));
+                }
+            }
+            if self.messages.is_empty() {
+                0
+            } else {
+                minhash[31] & 1
+            }
+        }
+    }
+
+    fn assert_same(tally: &StepTally, reference: &Reference, values: &[Value]) {
+        assert_eq!(tally.num_voters(), reference.voters.len());
+        for value in values {
+            assert_eq!(
+                tally.count_for(value),
+                reference.counts.get(value).copied().unwrap_or(0)
+            );
+            let ours: Vec<([u8; 32], u64)> = tally
+                .messages_for(*value)
+                .map(|(m, v)| (m.sender.to_bytes(), v))
+                .collect();
+            let theirs: Vec<([u8; 32], u64)> = reference
+                .messages
+                .iter()
+                .filter(|(m, _)| m.value == *value)
+                .map(|(m, v)| (m.sender.to_bytes(), *v))
+                .collect();
+            assert_eq!(ours, theirs);
+        }
+        assert_eq!(tally.common_coin(), reference.common_coin());
+    }
+
+    #[test]
+    fn sender_table_decides_as_a_set_of_keys_does() {
+        // 300 senders, each with a vote for each of three values: a
+        // repeat sender often equivocates, and the largest pool outgrows
+        // the first 16-slot table five times.
+        const SENDERS: usize = 300;
+        let pool: Vec<[VerifiedVote; 3]> = (0..SENDERS)
+            .map(|i| {
+                let mut key_seed = [0u8; 32];
+                key_seed[..8].copy_from_slice(&(i as u64).to_le_bytes());
+                let votes = 1 + i as u64 % 4;
+                [0, 1, 2].map(|v| voter_vote(key_seed, v, votes + v as u64))
+            })
+            .collect();
+        let values: Vec<Value> = (0..3u8).map(|v| [v; 32]).collect();
+        for (seed, senders) in [(1u64, 5), (2, 40), (3, SENDERS), (4, SENDERS)] {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut tally = StepTally::new();
+            let mut reference = Reference::default();
+            for n in 0..3 * senders {
+                let vote = &pool[rng.gen_range_usize(senders)][rng.gen_range_usize(3)];
+                assert_eq!(
+                    tally.add(vote),
+                    reference.add(vote),
+                    "seed {seed}, vote {n}"
+                );
+                assert_eq!(tally.num_voters(), reference.voters.len());
+                if n % 64 == 0 {
+                    assert_same(&tally, &reference, &values);
+                }
+            }
+            assert_same(&tally, &reference, &values);
+            assert!(
+                tally.num_voters() > senders / 2,
+                "seed {seed}: the stream repeated too much"
+            );
+        }
     }
 }

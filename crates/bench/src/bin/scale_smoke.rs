@@ -10,7 +10,8 @@
 //!   3. a traced run under a per-node retention budget must export
 //!      under a fixed byte ceiling with exact `trimmed` accounting.
 //!
-//! Wall-clock numbers go to stdout (CI log) and `results/scale.txt`.
+//! Wall-clock numbers and the process's peak resident memory (VmHWM,
+//! over all three legs) go to stdout (CI log) and `results/scale.txt`.
 //! Exit code is non-zero on any gate failure.
 
 use algorand_sim::{DesConfig, Micros, ParallelSim, SimConfig};
@@ -33,6 +34,18 @@ fn config() -> SimConfig {
 
 fn min_tip(sim: &ParallelSim) -> u64 {
     (0..N).map(|i| sim.tip_round(i)).min().unwrap()
+}
+
+/// The kernel's high-water mark of this process's resident memory, as
+/// `/proc/self/status` words it, or why it could not be read.
+fn peak_rss() -> String {
+    match std::fs::read_to_string("/proc/self/status") {
+        Ok(status) => status
+            .lines()
+            .find_map(|l| l.strip_prefix("VmHWM:"))
+            .map_or_else(|| "no VmHWM line".into(), |v| format!("VmHWM {}", v.trim())),
+        Err(e) => format!("unreadable ({e})"),
+    }
 }
 
 fn run_des(workers: usize) -> (ParallelSim, f64) {
@@ -155,6 +168,7 @@ fn main() -> ExitCode {
         ok = false;
     }
 
+    let _ = writeln!(out, "  peak resident memory: {}", peak_rss());
     let _ = writeln!(out, "scale smoke: {}", if ok { "OK" } else { "FAILED" });
     print!("{out}");
     if let Err(e) = std::fs::write("results/scale.txt", &out) {

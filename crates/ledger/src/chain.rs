@@ -101,6 +101,9 @@ pub struct Blockchain {
     states: Vec<Accounts>,
     /// Transaction id → confirming round, over the canonical chain.
     tx_index: HashMap<[u8; 32], u64>,
+    /// The hash of the block [`Blockchain::validate_next`] last accepted:
+    /// appending that block does not verify its seed proof again.
+    validated: Option<[u8; 32]>,
 }
 
 impl std::fmt::Debug for Blockchain {
@@ -151,6 +154,7 @@ impl Blockchain {
             canonical: vec![ghash],
             states: vec![accounts],
             tx_index: HashMap::new(),
+            validated: None,
         }
     }
 
@@ -249,22 +253,33 @@ impl Blockchain {
 
     /// [`Block::validate`] for a successor of the tip, against the tip's
     /// stored hash instead of a fresh one: what a node asks of a proposal
-    /// before handing its hash to BA⋆ (§8.1).
+    /// before handing its hash to BA⋆ (§8.1). The chain remembers the
+    /// last block it accepts, so appending that block after BA⋆ skips the
+    /// seed's VRF verification; every other check, the timestamp against
+    /// the append's clock included, runs again.
     ///
     /// # Errors
     ///
     /// Returns the first [`BlockError`] found.
-    pub fn validate_next(&self, block: &Block, now: Micros) -> Result<(), BlockError> {
-        self.validated_next(block, now).map(|_| ())
+    pub fn validate_next(&mut self, block: &Block, now: Micros) -> Result<(), BlockError> {
+        self.validated_next(block, now, false)?;
+        self.validated = Some(block.hash());
+        Ok(())
     }
 
-    fn validated_next(&self, block: &Block, now: Micros) -> Result<Accounts, BlockError> {
+    fn validated_next(
+        &self,
+        block: &Block,
+        now: Micros,
+        seed_verified: bool,
+    ) -> Result<Accounts, BlockError> {
         block.validated_state(
             self.tip(),
             &self.tip_hash(),
             self.accounts(),
             now,
             self.params.max_timestamp_skew,
+            seed_verified,
         )
     }
 
@@ -297,7 +312,10 @@ impl Blockchain {
         if block.prev_hash != self.tip_hash() {
             return Err(ChainError::UnknownParent);
         }
-        let state = self.validated_next(&block, now)?;
+        // A block validated before is validated against this very tip:
+        // its hash commits to the parent.
+        let seed_verified = self.validated.take() == Some(hash);
+        let state = self.validated_next(&block, now, seed_verified)?;
         for tx in &block.txs {
             self.tx_index.insert(tx.id(), block.round);
         }
@@ -561,6 +579,7 @@ impl Blockchain {
                 state,
                 now,
                 self.params.max_timestamp_skew,
+                false,
             )?;
             for tx in &block.txs {
                 tx_index.insert(tx.id(), block.round);

@@ -161,6 +161,39 @@ fn a_remembered_refusal_is_refused_by_validate_and_append() {
 }
 
 #[test]
+fn a_validated_proposal_is_appended_under_the_appends_clock() {
+    let keypairs = users(3);
+    let mut chain = new_chain(&keypairs);
+    let pay = |amount| Transaction::payment(&keypairs[0], keypairs[1].pk, amount, 1);
+    let block = make_block(&chain, &keypairs[2], vec![pay(25)]);
+    let rival = make_block(&chain, &keypairs[1], vec![pay(40)]);
+    // Valid before BA⋆ starts, stale by the time it ends.
+    chain.validate_next(&block, NOW + 1).unwrap();
+    assert_eq!(
+        chain.append(block.clone(), None, false, NOW + 2 * HOUR),
+        Err(ChainError::Block(BlockError::BadTimestamp))
+    );
+    // Any other block than the one validated has its seed checked.
+    chain.validate_next(&block, NOW + 1).unwrap();
+    let mut forged = rival.clone();
+    forged.seed = [9u8; 32];
+    assert_eq!(
+        chain.append(forged, None, false, NOW + 1),
+        Err(ChainError::Block(BlockError::BadSeed))
+    );
+    assert_eq!(chain.next_round(), 1, "nothing was appended");
+    chain.validate_next(&block, NOW + 1).unwrap();
+    chain.append(rival, None, false, NOW + 1).unwrap();
+    assert_eq!(chain.accounts().balance(&keypairs[1].pk), 140);
+    // The validated block itself appends, its payment applied once.
+    let mut chain = new_chain(&keypairs);
+    chain.validate_next(&block, NOW + 1).unwrap();
+    chain.append(block, None, false, NOW + 1).unwrap();
+    assert_eq!(chain.accounts().balance(&keypairs[0].pk), 75);
+    assert_eq!(chain.accounts().balance(&keypairs[1].pk), 125);
+}
+
+#[test]
 fn finalize_marks_predecessors() {
     let keypairs = users(3);
     let mut chain = new_chain(&keypairs);

@@ -102,7 +102,7 @@ impl From<SimConfig> for DesConfig {
     }
 }
 
-/// One queued node event.
+/// One node event, routed into a window inbox.
 enum DesEvent {
     Deliver { from: usize, msg: Arc<SimMsg> },
     Wake,
@@ -197,7 +197,10 @@ pub struct Simulation {
     keypairs: Vec<Keypair>,
     topology: Topology,
     net: Network,
-    queue: CalendarQueue<DesEvent>,
+    /// Pending node events; a delivery's route names its body's slot in
+    /// `bodies`.
+    queue: CalendarQueue,
+    bodies: Bodies,
     /// Global events (workload injections, scripted faults), processed
     /// sequentially between windows.
     globals: BinaryHeap<Reverse<(Micros, u64, GlobalKind)>>,
@@ -296,6 +299,7 @@ impl Simulation {
             topology: draw_topology(&cfg, cfg.seed),
             net: Network::new(cfg.n_users, cfg.net.clone()),
             queue: CalendarQueue::default(),
+            bodies: Bodies::default(),
             globals: BinaryHeap::new(),
             faults: Vec::new(),
             next_churn: if cfg.peer_churn_interval > 0 {
@@ -359,7 +363,8 @@ impl Simulation {
     /// relay rules decide whether it spreads.
     pub fn inject_message(&mut self, via: usize, msg: WireMessage) {
         // A self-loop `from` keeps the relay from skipping a peer.
-        self.schedule_delivery(via, via, SimMsg::new(msg), self.now);
+        let slot = self.bodies.open(SimMsg::new(msg));
+        self.schedule_delivery(via, via, slot, self.now);
     }
 
     /// The keypair of user `i` (deterministic; useful for crafting
@@ -486,17 +491,18 @@ impl Simulation {
         let popped = self.queue.pop_window(window_end);
         let n_events = popped.len();
         let mut touched: Vec<usize> = Vec::new();
-        for (key, kind) in popped {
+        for (key, route) in popped {
             let hint = self.next_order();
-            let node = match kind {
-                DesEvent::Deliver { .. } => key.tiebreak_node_for_deliver(),
-                DesEvent::Wake => key.tiebreak as usize,
+            let (node, kind) = if key.class == CLASS_WAKE {
+                // The enqueued entry just left the queue.
+                self.cells[key.tiebreak as usize].enqueued_wake = Micros::MAX;
+                (key.tiebreak as usize, DesEvent::Wake)
+            } else {
+                let (to, from, slot) = unpack_route(route);
+                let msg = self.bodies.take(slot);
+                (to, DesEvent::Deliver { from, msg })
             };
             let cell = &mut self.cells[node];
-            if matches!(kind, DesEvent::Wake) {
-                // The enqueued entry just left the queue.
-                cell.enqueued_wake = Micros::MAX;
-            }
             if cell.inbox.is_empty() {
                 touched.push(node);
             }
@@ -578,27 +584,40 @@ impl Simulation {
             kind,
             ..
         } = intent;
+        // Each body takes a slot at its first scheduled copy; a body no
+        // copy left with (no peers, or every copy lost) takes none.
+        let mut slots = [None, None];
         // By index: `transmit` needs `&mut self`, so the sender's peer list
         // is re-borrowed from the topology per hop, not held across one.
         for idx in 0..self.topology.neighbors(from).len() {
             let p = self.topology.neighbors(from)[idx];
-            match &kind {
+            let (msg, slot) = match &kind {
                 IntentKind::Forward { msg, exclude } => {
-                    if Some(p) != *exclude {
-                        self.transmit(from, p, msg, time, hint);
+                    if Some(p) == *exclude {
+                        continue;
                     }
+                    (msg, &mut slots[0])
                 }
-                IntentKind::Split { a, b } => {
-                    let msg = if idx % 2 == 0 { a } else { b };
-                    self.transmit(from, p, msg, time, hint);
-                }
+                IntentKind::Split { a, b } if idx % 2 == 0 => (a, &mut slots[0]),
+                IntentKind::Split { b, .. } => (b, &mut slots[1]),
+            };
+            if let Some(arrival) = self.transmit(from, p, msg, time, hint) {
+                let slot = *slot.get_or_insert_with(|| self.bodies.open(msg.clone()));
+                self.schedule_delivery(p, from, slot, arrival);
             }
         }
     }
 
-    /// Serializes one transmission onto the shared network, tracing the
-    /// hop, and schedules the delivery.
-    fn transmit(&mut self, from: usize, to: usize, msg: &Arc<SimMsg>, now: Micros, hint: u64) {
+    /// Serializes one transmission onto the shared network and traces the
+    /// hop; the arrival time, unless the network dropped it.
+    fn transmit(
+        &mut self,
+        from: usize,
+        to: usize,
+        msg: &Arc<SimMsg>,
+        now: Micros,
+        hint: u64,
+    ) -> Option<Micros> {
         // Pull-based bodies: a peer that already holds the content costs
         // only the announcement round-trip.
         let size = if msg.pull_based && self.cells[to].relay.has_seen(&msg.id) {
@@ -606,27 +625,24 @@ impl Simulation {
         } else {
             msg.size
         };
-        if let Some(arrival) = self.net.transmit(from, to, size, now) {
-            if self.engine_tracer.is_enabled() {
-                self.trace_hop(from, to, msg, size, now, arrival, hint);
-            }
-            self.schedule_delivery(to, from, msg.clone(), arrival);
+        let arrival = self.net.transmit(from, to, size, now)?;
+        if self.engine_tracer.is_enabled() {
+            self.trace_hop(from, to, msg, size, now, arrival, hint);
         }
+        Some(arrival)
     }
 
-    /// Queues a delivery under the next canonical sequence number.
-    fn schedule_delivery(&mut self, to: usize, from: usize, msg: Arc<SimMsg>, at: Micros) {
+    /// Queues one copy of the body in `slot` under the next canonical
+    /// sequence number.
+    fn schedule_delivery(&mut self, to: usize, from: usize, slot: u32, at: Micros) {
         let seq = self.next_order();
-        self.queue.schedule(
-            OrderKey {
-                time: at,
-                class: CLASS_DELIVER,
-                // The low bits carry the target node so extraction can
-                // route without a payload peek.
-                tiebreak: pack_deliver_tiebreak(seq, to),
-            },
-            DesEvent::Deliver { from, msg },
-        );
+        self.bodies.add_copy(slot);
+        let key = OrderKey {
+            time: at,
+            class: CLASS_DELIVER,
+            tiebreak: seq,
+        };
+        self.queue.schedule(key, pack_route(to, from, slot));
     }
 
     /// Accumulates the per-kind byte counters and records one causally
@@ -748,7 +764,7 @@ impl Simulation {
                 class: CLASS_WAKE,
                 tiebreak: n as u64,
             };
-            self.queue.schedule(key, DesEvent::Wake);
+            self.queue.schedule(key, 0);
         }
     }
 
@@ -1147,25 +1163,70 @@ fn disjoint_mut<'a, T>(mut rest: &'a mut [T], indices: &[usize]) -> Vec<&'a mut 
     out
 }
 
-impl OrderKey {
-    /// The target node a delivery was routed to (packed into the low
-    /// tiebreak bits by [`pack_deliver_tiebreak`]).
-    fn tiebreak_node_for_deliver(&self) -> usize {
-        (self.tiebreak & NODE_MASK) as usize
+/// The bodies of in-flight deliveries, one slot per message a replayed
+/// intent put on the wire, however many copies of it are queued: a
+/// queued copy names its slot instead of holding the `Arc`. Filled in
+/// the barrier's replay; a slot is freed when its last copy is popped.
+#[derive(Default)]
+struct Bodies {
+    slots: Vec<(Option<Arc<SimMsg>>, u32)>,
+    free: Vec<u32>,
+}
+
+impl Bodies {
+    /// A slot for `msg`, holding no copies yet.
+    fn open(&mut self, msg: Arc<SimMsg>) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = (Some(msg), 0);
+                slot
+            }
+            None => {
+                let slot = self.slots.len() as u32;
+                assert!(
+                    slot <= SLOT_MASK as u32,
+                    "more in-flight bodies than a route holds"
+                );
+                self.slots.push((Some(msg), 0));
+                slot
+            }
+        }
+    }
+
+    fn add_copy(&mut self, slot: u32) {
+        self.slots[slot as usize].1 += 1;
+    }
+
+    /// The body for one popped copy; the last copy frees the slot.
+    fn take(&mut self, slot: u32) -> Arc<SimMsg> {
+        let (msg, copies) = &mut self.slots[slot as usize];
+        *copies -= 1;
+        if *copies > 0 {
+            return msg.clone().expect("an open slot holds its body");
+        }
+        self.free.push(slot);
+        msg.take().expect("an open slot holds its body")
     }
 }
 
-/// Low bits of a delivery tiebreak carry the target node id so window
-/// extraction can route events without inspecting payloads; high bits
-/// carry the canonical sequence number, which keeps the full key
-/// strictly increasing in schedule order (node ids only break ties that
-/// cannot occur).
-const NODE_BITS: u64 = 20;
+/// A delivery's route: target and sender node ids (20 bits each) and its
+/// body slot (24 bits).
+const NODE_BITS: u32 = 20;
 const NODE_MASK: u64 = (1 << NODE_BITS) - 1;
+const SLOT_MASK: u64 = (1 << (64 - 2 * NODE_BITS)) - 1;
 
-fn pack_deliver_tiebreak(seq: u64, node: usize) -> u64 {
-    debug_assert!((node as u64) <= NODE_MASK);
-    (seq << NODE_BITS) | (node as u64 & NODE_MASK)
+fn pack_route(to: usize, from: usize, slot: u32) -> u64 {
+    assert!(
+        (to | from) as u64 <= NODE_MASK,
+        "node ids above 2^20 do not fit a route"
+    );
+    (to as u64) << (64 - NODE_BITS) | (from as u64) << (64 - 2 * NODE_BITS) | u64::from(slot)
+}
+
+fn unpack_route(route: u64) -> (usize, usize, u32) {
+    let to = route >> (64 - NODE_BITS);
+    let from = route >> (64 - 2 * NODE_BITS) & NODE_MASK;
+    (to as usize, from as usize, (route & SLOT_MASK) as u32)
 }
 
 /// Read-only context shared by every work unit in one window.
@@ -1338,5 +1399,25 @@ fn reschedule_local(g: &mut NodeCell) {
         if d < g.next_wake {
             g.next_wake = d;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn routes_round_trip_at_their_limits() {
+        let top_node = NODE_MASK as usize;
+        let top_slot = SLOT_MASK as u32;
+        for (to, from, slot) in [
+            (0, 0, 0),
+            (top_node, 0, top_slot),
+            (0, top_node, 1),
+            (7, 3, 5),
+        ] {
+            assert_eq!(unpack_route(pack_route(to, from, slot)), (to, from, slot));
+        }
+        assert_eq!(pack_route(top_node, top_node, top_slot), u64::MAX);
     }
 }

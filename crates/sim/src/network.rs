@@ -155,7 +155,7 @@ impl Network {
     /// consumed: a sender cannot tell that the network discarded its
     /// packets.
     pub fn transmit(&mut self, from: usize, to: usize, size: usize, now: Micros) -> Option<Micros> {
-        let tx_time = (size as u128 * 8 * 1_000_000 / self.cfg.bandwidth_bps as u128) as Micros;
+        let tx_time = serialization_micros(size, self.cfg.bandwidth_bps);
         let start = self.uplink_free[from].max(now);
         self.uplink_free[from] = start + tx_time;
         self.bytes_sent[from] += size as u64;
@@ -231,9 +231,49 @@ impl Network {
     }
 }
 
+/// Microseconds to put `size` bytes on a `bandwidth_bps` uplink, floored:
+/// `size · 8 · 10^6 / bandwidth_bps`. Every realistic size fits the
+/// product in a `u64`; only a product that overflows takes the `u128`
+/// division.
+fn serialization_micros(size: usize, bandwidth_bps: u64) -> Micros {
+    match (size as u64).checked_mul(8_000_000) {
+        Some(bit_micros) => bit_micros / bandwidth_bps,
+        None => (size as u128 * 8_000_000 / u128::from(bandwidth_bps)) as Micros,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn serialization_time_matches_the_u128_form() {
+        let wide = |size: usize, bps: u64| (size as u128 * 8 * 1_000_000 / bps as u128) as Micros;
+        // The last size whose product fits, and the first that overflows.
+        let edge = (u64::MAX / 8_000_000) as usize;
+        let mut sizes: Vec<usize> = (0..=32).flat_map(|k| [(1usize << k) - 1, 1 << k]).collect();
+        sizes.extend([
+            1_000,
+            1_500,
+            16_384,
+            1 << 20,
+            edge - 1,
+            edge,
+            edge + 1,
+            usize::MAX,
+        ]);
+        let mut rng = Rng::seed_from_u64(5);
+        sizes.extend((0..1_000).map(|_| rng.gen_range_u64(1 << 32) as usize));
+        for bps in [1, 3, 8_000_000, 20_000_000, 1_000_000_007, u64::MAX] {
+            for &size in &sizes {
+                assert_eq!(
+                    serialization_micros(size, bps),
+                    wide(size, bps),
+                    "{size} B at {bps} b/s"
+                );
+            }
+        }
+    }
 
     #[test]
     fn bandwidth_serializes_transmissions() {

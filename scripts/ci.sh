@@ -28,6 +28,9 @@ cargo test --release -q -p algorand-crypto
 echo "== relay dedup: fingerprint tables vs the exact sets they replaced, release build (the arithmetic the simulator runs) =="
 cargo test --release -q -p algorand-gossip --test relay_differential
 
+echo "== event calendar: packed 16-byte records vs a reference heap, release build (the arithmetic the simulator runs) =="
+cargo test --release -q -p algorand-sim --lib des::queue
+
 echo "== benchmark package: fmt, clippy, tests against this workspace's API =="
 bash benchmark/check.sh
 
