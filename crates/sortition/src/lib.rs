@@ -38,7 +38,6 @@ pub mod committee;
 
 use algorand_crypto::vrf::{self, VrfOutput, VrfProof};
 use algorand_crypto::{CryptoError, Keypair, PublicKey};
-use binomial::BinomialPmfIter;
 
 /// The role a user may be selected for (§5.1).
 ///
@@ -132,24 +131,72 @@ fn vrf_alpha(seed: &[u8; 32], role: Role) -> [u8; 48] {
     alpha
 }
 
+/// Fractions closer than this to 0 or 1 select as if they sat this far in.
+/// A sum of ~w·p masses from `B(0; w, p)` can end ~10⁻¹² short of 1, so
+/// this keeps `j` inside Binomial(w, p)'s [10⁻¹², 1 − 10⁻¹²] quantiles
+/// with room to spare; it moves one draw in 5·10⁹.
+const TAIL: f64 = 1e-10;
+
+/// A walk away from the mode stops once a mass falls below this share of
+/// the mode's (or of the running total's): what lies beyond is negligible
+/// against [`TAIL`].
+const NEGLIGIBLE: f64 = 1e-20;
+
 /// Maps a VRF output to the number of selected sub-users (Algorithm 1's
 /// interval search).
 ///
 /// Divides [0,1) into consecutive intervals `I_j` of the binomial CDF for
 /// `Binomial(w, p)` and returns the `j` whose interval contains
-/// `hash / 2^hashlen`.
+/// `hash / 2^hashlen`, clamped to [`TAIL`, 1 − [`TAIL`]].
+///
+/// The masses are summed upward from `B(0; w, p)` by the multiplicative
+/// recurrence. Once w·p passes ~700 that first mass underflows, and so
+/// would every mass after it. Then the walk starts where the mass below
+/// is negligible — found by walking down from the mode — and sums masses
+/// relative to that start, scaling the target by their total. Either way
+/// the walk ends inside the distribution's bulk, never at `w` by default.
 pub fn sub_users_selected(output: &VrfOutput, w: u64, p: f64) -> u64 {
-    let fraction = output.as_unit_fraction();
-    let mut cumulative = 0.0f64;
-    for (j, pmf) in BinomialPmfIter::new(w, p).enumerate() {
-        cumulative += pmf;
-        if fraction < cumulative {
-            return j as u64;
-        }
+    if w == 0 || p <= 0.0 {
+        return 0;
     }
-    // Floating-point shortfall at the very top of the CDF: the hash landed
-    // above the accumulated sum (≈1); all w sub-users are selected.
-    w
+    if p >= 1.0 {
+        return w;
+    }
+    let fraction = output.as_unit_fraction().clamp(TAIL, 1.0 - TAIL);
+    let odds = p / (1.0 - p);
+    // B(k+1) from B(k), in the order `BinomialPmfIter` multiplies.
+    let next = |mass: f64, k: u64| mass * (odds * ((w - k) as f64) / ((k + 1) as f64));
+    let at_zero = ((w as f64) * (1.0 - p).ln()).exp();
+    let (mut j, mut mass, target) = if at_zero >= f64::MIN_POSITIVE {
+        (0, at_zero, fraction)
+    } else {
+        let mode = (((w + 1) as f64 * p) as u64).min(w);
+        let mut lo = mode;
+        let mut rel = 1.0;
+        while lo > 0 && rel >= NEGLIGIBLE {
+            rel *= lo as f64 / ((w - lo + 1) as f64 * odds);
+            lo -= 1;
+        }
+        let (mut k, mut m, mut total) = (lo, 1.0, 0.0);
+        loop {
+            total += m;
+            if k == w || (k > mode && m < total * NEGLIGIBLE) {
+                break;
+            }
+            m = next(m, k);
+            k += 1;
+        }
+        (lo, 1.0, fraction * total)
+    };
+    let mut cumulative = 0.0f64;
+    loop {
+        cumulative += mass;
+        if target < cumulative || j == w {
+            return j;
+        }
+        mass = next(mass, j);
+        j += 1;
+    }
 }
 
 /// Runs cryptographic sortition (Algorithm 1).
@@ -419,6 +466,98 @@ mod tests {
         // A fraction of ~1.0 maps to w, never beyond.
         let top = VrfOutput([0xff; 32]);
         assert_eq!(sub_users_selected(&top, 5, 0.5), 5);
+    }
+
+    /// Binomial(w, p)'s [10⁻¹², 1 − 10⁻¹²] quantiles, from log-space
+    /// masses around the mode normalized by their own sum.
+    fn bulk(w: u64, p: f64) -> (u64, u64) {
+        let mode = (((w + 1) as f64 * p) as u64).min(w);
+        let sd = (w as f64 * p * (1.0 - p)).sqrt();
+        let reach = (40.0 * sd) as u64 + 50;
+        let (lo, hi) = (mode.saturating_sub(reach), (mode + reach).min(w));
+        let ln_mass =
+            |k| binomial::ln_choose(w, k) + k as f64 * p.ln() + (w - k) as f64 * (1.0 - p).ln();
+        let peak = ln_mass(mode);
+        let masses: Vec<f64> = (lo..=hi).map(|k| (ln_mass(k) - peak).exp()).collect();
+        let total: f64 = masses.iter().sum();
+        let mut cdf = 0.0;
+        let (mut q_lo, mut q_hi) = (None, None);
+        for (k, m) in (lo..).zip(&masses) {
+            cdf += m / total;
+            if cdf >= 1e-12 {
+                q_lo.get_or_insert(k);
+            }
+            if cdf >= 1.0 - 1e-12 {
+                q_hi.get_or_insert(k);
+            }
+        }
+        (q_lo.expect("the bulk"), q_hi.unwrap_or(hi))
+    }
+
+    fn output_at(x: u64) -> VrfOutput {
+        let mut b = [0u8; 32];
+        b[..8].copy_from_slice(&x.to_be_bytes());
+        VrfOutput(b)
+    }
+
+    /// The five outputs of the large-holder regression table: every byte
+    /// 0x00, 0x40, 0x80, 0xC0 or 0xFF.
+    const TABLE_BYTES: [u8; 5] = [0x00, 0x40, 0x80, 0xC0, 0xFF];
+
+    #[test]
+    fn a_large_holder_draws_from_the_bulk_of_its_binomial() {
+        // W = 10⁷: τ = 2,000 at 36% and 40%, τ = 10,000 at 5% and 8%.
+        // Before the fix the 40% and 8% holders got every sub-user for
+        // every output, and the 5% holder got all 500,000 at 0xFF.
+        let total = 10_000_000u64;
+        for (tau, share, want_middle) in [
+            (2_000.0, 0.36, Some([702, 720, 738])),
+            (2_000.0, 0.40, None),
+            (10_000.0, 0.05, Some([485, 500, 515])),
+            (10_000.0, 0.08, None),
+        ] {
+            let w = (share * total as f64) as u64;
+            let p = tau / total as f64;
+            let (q_lo, q_hi) = bulk(w, p);
+            let js: Vec<u64> = TABLE_BYTES
+                .iter()
+                .map(|&b| sub_users_selected(&VrfOutput([b; 32]), w, p))
+                .collect();
+            for &j in &js {
+                assert!(
+                    (q_lo..=q_hi).contains(&j),
+                    "τ={tau} share={share}: {js:?} [{q_lo}, {q_hi}]"
+                );
+            }
+            assert!(js.windows(2).all(|p| p[0] <= p[1]), "{js:?}");
+            if let Some(middle) = want_middle {
+                // Where the old walk neither underflowed nor ran off its
+                // end, the answer is unchanged.
+                assert_eq!(js[1..4], middle, "τ={tau} share={share}");
+            }
+        }
+    }
+
+    #[test]
+    fn j_is_monotone_and_inside_the_bulk_for_any_share() {
+        let total = 10_000_000u64;
+        for tau in [20.0, 2_000.0, 10_000.0, 100_000.0] {
+            for share in [1e-6, 0.01, 0.074, 0.2, 0.37, 0.5, 0.9, 1.0] {
+                let w = (share * total as f64) as u64;
+                let p = tau / total as f64;
+                let (q_lo, q_hi) = bulk(w, p);
+                let mut last = 0;
+                for i in 0..=256u64 {
+                    let j = sub_users_selected(&output_at(u64::MAX / 256 * i), w, p);
+                    assert!(j >= last, "τ={tau} share={share}: not monotone at {i}");
+                    assert!(
+                        (q_lo..=q_hi).contains(&j),
+                        "τ={tau} share={share}: j={j} outside [{q_lo}, {q_hi}]"
+                    );
+                    last = j;
+                }
+            }
+        }
     }
 
     #[test]
