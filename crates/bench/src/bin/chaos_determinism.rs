@@ -42,7 +42,7 @@ fn run_once(name: &str, case: &FuzzCase, workers: usize) -> (Outcome, String) {
     let report = sim.fault_report();
     let line = format!(
         "restarts={} partitions={} dropped(partition/loss)={}/{} \
-         escalations={} watchdog_catchups={} fork_recoveries={} catchups={}",
+         escalations={} watchdog_catchups={} fork_recoveries={} catchups={} blocksync_requests={}",
         report.restarts,
         report.partitions_activated,
         report.dropped_by_partition,
@@ -51,6 +51,7 @@ fn run_once(name: &str, case: &FuzzCase, workers: usize) -> (Outcome, String) {
         report.recovery.watchdog_catchups,
         report.recovery.recoveries_completed,
         report.recovery.catchups_applied,
+        report.blocksync_requests,
     );
     let outcome = Outcome {
         class: verdict.class,

@@ -233,23 +233,6 @@ impl Node {
 
     // --- Crash/restart ---------------------------------------------------------
 
-    /// The node's durable state, from round `from` on: the finalized
-    /// prefix of its chain, as `(round, block, certificate)`. A final
-    /// block, or a predecessor of one, is never replaced (§8.2); a
-    /// tentative one may be, so a crash keeps only this prefix. The WAL
-    /// appends it as it grows, the simulator's crash copies it, and
-    /// [`Node::restore`] reads it back. Volatile state — mempool,
-    /// proposal race, buffered votes, BA⋆ progress, the tentative
-    /// suffix — is absent: a restarted node rebuilds it by rejoining.
-    pub fn final_rounds(&self, from: u64) -> impl Iterator<Item = (u64, &Block, &Certificate)> {
-        (from.max(1)..=self.chain.tip().round).map_while(move |r| {
-            if !self.chain.is_finalized(r) {
-                return None;
-            }
-            Some((r, self.chain.block_at(r)?, self.chain.certificate_at(r)?))
-        })
-    }
-
     /// Rebuilds a node from genesis state plus its durable state: the
     /// [`encode_entry`] bytes of its final rounds, from round 1 on.
     ///

@@ -19,12 +19,17 @@
 //! * [`proposal`] — block proposal with VRF-derived priorities (§6);
 //! * [`node`] — the sans-io round loop: propose → wait → BA⋆ → append (§4,
 //!   §8);
+//! * [`process`] — what a process does around its node, as effects: relay
+//!   forwarding, point-to-point catch-up, blocksync, STATUS and which
+//!   rounds to make durable — one decision for the OS runtime and the
+//!   simulator alike;
 //! * [`recovery`] — the fork-recovery protocol (§8.2);
 //! * [`metrics`] — per-round records and per-stage pipeline counters.
 //!
 //! A [`Node`] talks to the world exclusively through [`WireMessage`]s and
-//! clock ticks, so the same code runs under the discrete-event simulator,
-//! the integration tests, and (in principle) a real gossip transport.
+//! clock ticks, and a [`Process`] through effects, so the same code runs
+//! under the discrete-event simulator, the integration tests, and the
+//! real node's TCP transport.
 
 #![forbid(unsafe_code)]
 
@@ -34,6 +39,7 @@ pub mod ingest;
 pub mod metrics;
 pub mod node;
 pub mod params;
+pub mod process;
 pub mod proposal;
 pub mod recovery;
 pub mod round;
@@ -43,6 +49,7 @@ pub mod wire;
 pub use metrics::{PipelineStats, RecoveryStats, RoundRecord};
 pub use node::{Delivery, Node};
 pub use params::{derive_keypairs, AlgorandParams, GENESIS_SEED};
+pub use process::{Blocksync, Effect, PeerId, Process};
 pub use proposal::{BlockMessage, PriorityMessage};
 pub use recovery::ForkProposalMessage;
 pub use verify::{PipelineVerifier, VerifiedBlock, VerifiedForkProposal, VerifiedPriority};

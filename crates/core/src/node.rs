@@ -104,8 +104,9 @@ pub struct Delivery {
     ///   other holder of the shared verify cache knows never changes
     ///   relay behavior.
     ///
-    /// Every other kind is relayed; whether catch-up traffic is gossiped
-    /// at all is the transport's routing decision, not a filter.
+    /// Every other kind is relayed. Catch-up traffic is never gossiped:
+    /// [`crate::Process`] sends requests and responses point to point,
+    /// whatever this says.
     pub relay: bool,
 }
 
@@ -267,11 +268,6 @@ impl Node {
         &self.verifier
     }
 
-    /// True if BA⋆ hung (MaxSteps) and the node awaits recovery.
-    pub fn is_hung(&self) -> bool {
-        self.hung
-    }
-
     /// Timeout, catch-up and fork-recovery counters, including the
     /// timeout escalations of the round in flight.
     pub fn recovery_stats(&self) -> RecoveryStats {
@@ -301,48 +297,6 @@ impl Node {
             .admit(tx.clone(), self.chain.accounts())
             .ok()
             .map(|()| WireMessage::Transaction(tx))
-    }
-
-    /// A one-line description of the node's phase (diagnostics only).
-    #[doc(hidden)]
-    pub fn debug_state(&self) -> String {
-        let phase = match &self.phase {
-            Phase::WaitProposals { until } => format!("WaitProposals(until={until})"),
-            Phase::WaitBlock { until, expected } => {
-                format!(
-                    "WaitBlock(until={until}, expected={:02x}{:02x})",
-                    expected[0], expected[1]
-                )
-            }
-            Phase::Ba { engine } => format!(
-                "Ba(deadline={:?}, finished={})",
-                engine.next_deadline(),
-                engine.is_finished()
-            ),
-            Phase::AwaitBlockContent { decision } => format!(
-                "AwaitBlockContent({:02x}{:02x})",
-                decision.value[0], decision.value[1]
-            ),
-            Phase::Recovery(_) => "Recovery".to_string(),
-        };
-        let best = self
-            .ctx
-            .best()
-            .map(|(p, _, bh)| {
-                format!(
-                    "best p={:02x}{:02x} bh={:02x}{:02x}",
-                    p[0], p[1], bh[0], bh[1]
-                )
-            })
-            .unwrap_or_else(|| "best none".into());
-        let empty_hash = self.ctx.empty_hash();
-        format!(
-            "round={} {phase} {best} empty={:02x}{:02x} equivocators={}",
-            self.ctx.round(),
-            empty_hash[0],
-            empty_hash[1],
-            self.ctx.equivocator_count()
-        )
     }
 
     // --- Driving ------------------------------------------------------------

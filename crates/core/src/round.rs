@@ -120,16 +120,6 @@ impl RoundContext {
         self.ba_started = Some(now);
     }
 
-    /// The best (priority, proposer, block hash) observed so far.
-    pub fn best(&self) -> Option<&(Priority, [u8; 32], [u8; 32])> {
-        self.best.as_ref()
-    }
-
-    /// Number of proposers caught equivocating this round.
-    pub fn equivocator_count(&self) -> usize {
-        self.equivocators.len()
-    }
-
     /// Folds a verified priority message into the proposal race:
     /// equivocation bookkeeping, then an unconditional best-priority
     /// update (§6). Callers gate on the proposal-collection phase.

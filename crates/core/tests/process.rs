@@ -1,0 +1,291 @@
+//! The one loop both adapters run, with no sockets and no simulator: a
+//! handful of [`Process`]es on an in-memory network that delivers every
+//! send at once, deduplicating by message id as a relay view would.
+//!
+//! * catch-up is point to point: a response goes to its requester alone,
+//!   and neither a request nor a response is ever forwarded;
+//! * the WAL cursor hands out each final round once, in order, and never
+//!   a tentative one;
+//! * blocksync asks the most advanced peer once per cooldown.
+
+use algorand_core::process::REQUEST_COOLDOWN;
+use algorand_core::wire::CatchupBatch;
+use algorand_core::{Effect, Node, PeerId, PipelineVerifier, Process, WireMessage};
+use algorand_crypto::Keypair;
+use algorand_ledger::{Blockchain, Transaction};
+use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
+
+mod common;
+use common::{certify, next_block, params, users, History, NOW, STAKE};
+
+/// `rounds` rounds of certified history over `kps`' genesis.
+fn history(kps: &[Keypair], rounds: u64) -> History {
+    let p = params(kps);
+    let mut chain = p.genesis(kps, STAKE);
+    let mut out = Vec::new();
+    for r in 1..=rounds {
+        let block = next_block(&chain, &kps[(r % kps.len() as u64) as usize], NOW + r);
+        let cert = certify(&chain, kps, &block);
+        chain
+            .append(block.clone(), Some(cert.clone()), false, NOW)
+            .unwrap();
+        out.push((block, cert));
+    }
+    out
+}
+
+/// A fresh-logged process for `kp` over genesis plus `entries`, of which
+/// rounds up to `final_through` are final.
+fn process(kps: &[Keypair], kp: &Keypair, entries: &History, final_through: u64) -> Process {
+    let p = params(kps);
+    let mut chain: Blockchain = p.genesis(kps, STAKE);
+    for (block, cert) in entries {
+        chain
+            .append(block.clone(), Some(cert.clone()), false, NOW)
+            .unwrap();
+    }
+    chain.finalize(final_through);
+    let verifier = Arc::new(PipelineVerifier::new());
+    Process::new(Node::new(kp.clone(), chain, p, verifier), 0)
+}
+
+fn sends_to(effects: &[Effect]) -> Vec<(PeerId, &WireMessage)> {
+    effects
+        .iter()
+        .filter_map(|e| match e {
+            Effect::SendTo(peer, msg) => Some((*peer, msg)),
+            _ => None,
+        })
+        .collect()
+}
+
+fn forwards(effects: &[Effect]) -> bool {
+    effects.iter().any(|e| matches!(e, Effect::Forward { .. }))
+}
+
+#[test]
+fn a_catchup_response_goes_only_to_its_requester_and_nothing_of_catchup_is_forwarded() {
+    let kps = users(4);
+    let observer = Keypair::from_seed([77u8; 32]);
+    let entries = history(&kps, 3);
+    let mut server = process(&kps, &observer, &entries, 3);
+    let mut lagging = process(&kps, &observer, &[].to_vec(), 0);
+
+    // Peer 7 asks for what follows genesis, and only peer 7 hears back.
+    let request = WireMessage::CatchupRequest {
+        have: 0,
+        tip_hash: lagging.node().chain().tip_hash(),
+    };
+    let effects = server.on_message(7, &request, true, NOW);
+    assert!(!forwards(&effects), "a catch-up request is never forwarded");
+    assert!(!effects.iter().any(|e| matches!(e, Effect::Broadcast(_))));
+    let sends = sends_to(&effects);
+    assert_eq!(sends.len(), 1, "{effects:?}");
+    let (peer, response) = sends[0];
+    assert_eq!(peer, 7);
+    assert!(matches!(response, WireMessage::CatchupResponse(_)));
+
+    // The requester applies it and does not pass it on either.
+    let effects = lagging.on_message(3, response, true, NOW);
+    assert!(
+        !forwards(&effects),
+        "a catch-up response is never forwarded"
+    );
+    assert_eq!(lagging.node().chain().tip().round, 3);
+
+    // Gossip, by contrast, goes on to everyone but its sender — when the
+    // relay rules allow it.
+    let pay = WireMessage::Transaction(Transaction::payment(&kps[0], kps[1].pk, 5, 1));
+    let effects = server.on_message(2, &pay, true, NOW);
+    assert!(matches!(effects[..], [Effect::Forward { exclude: 2 }, ..]));
+    let pay = WireMessage::Transaction(Transaction::payment(&kps[0], kps[1].pk, 6, 2));
+    assert!(!forwards(&server.on_message(2, &pay, false, NOW)));
+}
+
+/// An in-memory network of processes: every send arrives at once, each
+/// process drops what it has seen by id, and time jumps to the next
+/// deadline whenever nothing is in flight.
+struct Cluster {
+    procs: Vec<Process>,
+    seen: Vec<HashSet<[u8; 32]>>,
+    /// `(from, to, message)` in flight.
+    wire: VecDeque<(usize, usize, WireMessage)>,
+    now: u64,
+    /// Per process, every `AppendFinal` it emitted and whether the round
+    /// was final when it did.
+    appended: Vec<Vec<(u64, bool)>>,
+}
+
+impl Cluster {
+    fn new(procs: Vec<Process>) -> Cluster {
+        let n = procs.len();
+        Cluster {
+            procs,
+            seen: vec![HashSet::new(); n],
+            wire: VecDeque::new(),
+            now: NOW,
+            appended: vec![Vec::new(); n],
+        }
+    }
+
+    fn apply(&mut self, from: usize, effects: Vec<Effect>, delivered: Option<&WireMessage>) {
+        let n = self.procs.len();
+        for effect in effects {
+            match effect {
+                Effect::Broadcast(msg) => {
+                    self.seen[from].insert(msg.message_id());
+                    for to in (0..n).filter(|&to| to != from) {
+                        self.wire.push_back((from, to, msg.clone()));
+                    }
+                }
+                Effect::Forward { exclude } => {
+                    let msg = delivered.expect("a forward follows a delivery");
+                    for to in (0..n).filter(|&to| to != from && to as PeerId != exclude) {
+                        self.wire.push_back((from, to, msg.clone()));
+                    }
+                }
+                Effect::SendTo(to, msg) => self.wire.push_back((from, to as usize, msg)),
+                Effect::AppendFinal(r) => {
+                    let final_now = self.procs[from].node().chain().is_finalized(r);
+                    self.appended[from].push((r, final_now));
+                }
+                Effect::AnnounceTip(tip) => {
+                    for to in (0..n).filter(|&to| to != from) {
+                        self.procs[to].on_status(from as PeerId, tip);
+                    }
+                }
+            }
+        }
+    }
+
+    fn start(&mut self) {
+        for i in 0..self.procs.len() {
+            let effects = self.procs[i].start(self.now);
+            self.apply(i, effects, None);
+        }
+    }
+
+    /// Runs until every process's tip reaches `round`, or a virtual
+    /// minute passes.
+    fn run_to(&mut self, round: u64) {
+        let cap = self.now + 60_000_000;
+        while self
+            .procs
+            .iter()
+            .any(|p| p.node().chain().tip().round < round)
+        {
+            assert!(self.now < cap, "the cluster stalled");
+            if let Some((from, to, msg)) = self.wire.pop_front() {
+                if self.seen[to].insert(msg.message_id()) {
+                    let effects = self.procs[to].on_message(from as PeerId, &msg, true, self.now);
+                    self.apply(to, effects, Some(&msg));
+                }
+                continue;
+            }
+            let next = self.procs.iter().filter_map(Process::next_deadline).min();
+            self.now = next.expect("a process has a timer").max(self.now);
+            for i in 0..self.procs.len() {
+                if self.procs[i].next_deadline().is_some_and(|d| d <= self.now) {
+                    let effects = self.procs[i].on_tick(self.now);
+                    self.apply(i, effects, None);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn append_final_names_each_final_round_once_in_order_and_no_tentative_one() {
+    // Round 1 is final; rounds 2 and 3 are tentative, as on a node that
+    // has not seen a final round since.
+    let kps = users(4);
+    let entries = history(&kps, 3);
+    let procs = kps
+        .iter()
+        .map(|kp| process(&kps, kp, &entries, 1))
+        .collect();
+    let mut cluster = Cluster::new(procs);
+    cluster.start();
+    for (i, log) in cluster.appended.iter().enumerate() {
+        assert_eq!(log, &[(1, true)], "process {i} at start");
+    }
+
+    // Agreeing on round 4 finalizes it, and with it rounds 2 and 3.
+    cluster.run_to(4);
+    for (i, log) in cluster.appended.iter().enumerate() {
+        let chain = cluster.procs[i].node().chain();
+        let want: Vec<(u64, bool)> = (1..=chain.tip().round)
+            .take_while(|&r| chain.is_finalized(r))
+            .map(|r| (r, true))
+            .collect();
+        assert!(chain.is_finalized(4), "process {i}: round 4 was final");
+        assert_eq!(log, &want, "process {i}");
+        assert_eq!(cluster.procs[i].walled_through(), want.len() as u64);
+    }
+
+    // What a log fed those effects holds is what a restart reads back.
+    let p = &cluster.procs[0];
+    let restored = Node::restore(
+        kps[0].clone(),
+        params(&kps).genesis(&kps, STAKE),
+        params(&kps),
+        Arc::new(PipelineVerifier::new()),
+        &p.durable(),
+        0,
+    );
+    assert_eq!(restored.chain().tip().round, p.walled_through());
+    assert_eq!(
+        restored.chain().tip_hash(),
+        p.node()
+            .chain()
+            .block_at(p.walled_through())
+            .unwrap()
+            .hash()
+    );
+}
+
+#[test]
+fn blocksync_asks_the_most_advanced_peer_once_per_cooldown() {
+    let kps = users(4);
+    let observer = Keypair::from_seed([77u8; 32]);
+    let mut lagging = process(&kps, &observer, &[].to_vec(), 0);
+    let effects = lagging.start(NOW);
+    assert!(sends_to(&effects).is_empty(), "no peer is ahead yet");
+
+    // Two peers tie at the highest tip: the lower id is asked, at once.
+    lagging.on_status(9, 2);
+    lagging.on_status(5, 3);
+    lagging.on_status(4, 3);
+    let ask = |effects: &[Effect]| -> Vec<PeerId> {
+        sends_to(effects)
+            .into_iter()
+            .map(|(peer, msg)| {
+                assert!(matches!(msg, WireMessage::CatchupRequest { have: 0, .. }));
+                peer
+            })
+            .collect()
+    };
+    let t = NOW + 1;
+    assert!(lagging.next_deadline().unwrap() <= t, "ready to ask");
+    assert_eq!(ask(&lagging.on_tick(t)), [4]);
+    // Within the cooldown nothing more goes out, and the next deadline
+    // says when it may.
+    assert_eq!(ask(&lagging.on_tick(t + 1)), Vec::<PeerId>::new());
+    assert!(lagging.next_deadline().unwrap() <= t + REQUEST_COOLDOWN);
+    assert_eq!(ask(&lagging.on_tick(t + REQUEST_COOLDOWN)), [4]);
+    // A peer whose connection is gone is not asked again.
+    lagging.forget_peer(4);
+    assert_eq!(ask(&lagging.on_tick(t + 2 * REQUEST_COOLDOWN)), [5]);
+    assert_eq!(lagging.blocksync().requests_sent(), 3);
+
+    // Caught up: the response lands and the asking stops.
+    let batch = WireMessage::CatchupResponse(CatchupBatch {
+        entries: history(&kps, 3),
+    });
+    lagging.on_message(5, &batch, true, t + 2 * REQUEST_COOLDOWN);
+    assert_eq!(
+        ask(&lagging.on_tick(t + 4 * REQUEST_COOLDOWN)),
+        Vec::<PeerId>::new()
+    );
+}

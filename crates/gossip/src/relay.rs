@@ -6,8 +6,11 @@
 //! being overwhelmed by an adversary. Both drivers (`sim::des::engine`,
 //! `node::runtime`) consult this policy *first*, on every delivery and
 //! before the node has validated anything: a duplicate is dropped unread,
-//! anything else goes to `Node::on_message`, and validation gates only
-//! the *forwarding* of a [`RelayDecision::Relay`] (`Delivery::relay`).
+//! anything else goes to `core::Process::on_message` with `may_forward`
+//! set for a [`RelayDecision::Relay`], and the process's validation
+//! (`Delivery::relay`) gates only the *forwarding*. It stays with the
+//! loops rather than in the process because `core` does not depend on
+//! this crate.
 //! An invalid message therefore occupies an id — and, if vote-like, its
 //! claimed sender's slot — at the nodes it reached, and spreads no
 //! further.

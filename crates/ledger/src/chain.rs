@@ -163,6 +163,12 @@ impl Blockchain {
         &self.params
     }
 
+    /// The tip's round, without looking the block up: the canonical
+    /// chain holds one hash per round from genesis on.
+    pub fn tip_round(&self) -> u64 {
+        self.canonical.len() as u64 - 1
+    }
+
     /// The current tip block.
     pub fn tip(&self) -> &Block {
         let h = self.canonical.last().expect("genesis always present");

@@ -18,8 +18,8 @@
 //! * [`PEERS`] — payload is a list of listen addresses
 //!   (`u32 count`, then length-prefixed UTF-8 strings): gossip-learned
 //!   peer exchange, §4's relay discovery stand-in.
-//! * [`STATUS`] — payload is the sender's finalized tip round, a bare
-//!   `u64` LE (see [`encode_status`]). Feeds [`crate::blocksync`]'s
+//! * [`STATUS`] — payload is the sender's tip round, a bare
+//!   `u64` LE (see [`encode_status`]). Feeds [`algorand_core::Blocksync`]'s
 //!   choice of catch-up server; everything else a node knows about
 //!   itself is in its metrics exposition.
 //! * [`TELEMETRY`] — an on-demand scrape channel. The payload's first

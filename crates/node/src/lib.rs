@@ -9,15 +9,15 @@
 //! ```text
 //!            ┌────────────────────────────────────────────┐
 //!            │                 runtime                    │
-//!            │  ┌──────────┐   events    ┌─────────────┐  │
-//!  TCP ──────┼─►│ transport├────────────►│  core::Node │  │
-//!  peers ◄───┼──┤ (threads)│◄────────────┤  (sans-io)  │  │
-//!            │  └──────────┘   gossip    └──────┬──────┘  │
-//!            │   ▲   hello/peers/status         │ agreed  │
-//!            │   │                              ▼ rounds  │
-//!            │  ┌┴─────────┐               ┌──────────┐   │
-//!            │  │ blocksync│               │   WAL    │   │
-//!            │  └──────────┘               └──────────┘   │
+//!            │  ┌──────────┐   events    ┌──────────────┐ │
+//!  TCP ──────┼─►│ transport├────────────►│ core::Process│ │
+//!  peers ◄───┼──┤ (threads)│◄────────────┤  (sans-io)   │ │
+//!            │  └──────────┘   effects   └──────┬───────┘ │
+//!            │   hello/peers/status/gossip      │ final   │
+//!            │                                  ▼ rounds  │
+//!            │                             ┌──────────┐   │
+//!            │                             │   WAL    │   │
+//!            │                             └──────────┘   │
 //!            └────────────────────────────────────────────┘
 //! ```
 //!
@@ -29,14 +29,15 @@
 //!   `(block, certificate)` pairs, each written once when it becomes
 //!   final, with truncated-tail recovery, so `kill -9` + restart replays
 //!   from disk and keeps no round a reorg could still replace;
-//! * [`blocksync`] — fetches deep history from the most advanced peer in
-//!   bounded §8.3 catch-up batches after a restart or fresh join;
 //! * [`config`] — the node's config file (keys, peers, genesis, WAL dir)
 //!   and the deterministic key/workload derivations shared with the
 //!   simulator so a localhost deployment finalizes the *same chain
 //!   digest* as `sim::Simulation` under the same seed;
-//! * [`runtime`] — the single-threaded event loop tying it together, and
-//!   the `algorand-node` binary's whole substance;
+//! * [`runtime`] — the single-threaded event loop that carries out what
+//!   [`algorand_core::Process`] decides (relay forwarding, point-to-point
+//!   catch-up, blocksync, STATUS, which rounds to log) over these
+//!   sockets, this WAL and the wall clock, and the `algorand-node`
+//!   binary's whole substance;
 //! * [`telemetry`] — the scrape client for the TELEMETRY frame (metrics
 //!   exposition and trace drain served on the peer port), the
 //!   cluster-health merger behind `trace health`, and the
@@ -50,7 +51,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod blocksync;
 pub mod config;
 pub mod crash;
 pub mod frame;

@@ -1,21 +1,22 @@
-//! The node's event loop: sockets and a wall clock driving the sans-io
-//! core.
+//! The node's event loop: the OS adapter around the sans-io
+//! [`algorand_core::Process`].
 //!
-//! One thread owns the [`algorand_core::Node`]; the transport's reader
-//! threads feed it through a channel. Each iteration waits for the next
-//! inbound frame or the core's own deadline — whichever is sooner —
-//! then:
+//! One thread owns the process; the transport's reader threads feed it
+//! through a channel. Each iteration waits for the next inbound frame or
+//! the process's own deadline — whichever is sooner — then:
 //!
-//! 1. decodes and dispatches the frame (counting and attributing decode
-//!    failures by message kind and byte offset),
-//! 2. applies the §4 relay rules the simulator applies (content dedup,
-//!    one-message-per-key, §6 discard rules) before re-gossiping,
-//! 3. persists any newly final round to the WAL,
-//! 4. answers blocksync (STATUS tip tracking, catch-up requests when
-//!    behind).
+//! 1. decodes the frame (counting and attributing decode failures by
+//!    message kind and byte offset) and classifies it with the §4 relay
+//!    rules the simulator applies (content dedup, one-message-per-key),
+//! 2. hands it, a STATUS tip or the clock to the process,
+//! 3. carries out the [`Effect`]s: frames onto sockets, final rounds into
+//!    the WAL, the tip into STATUS frames.
+//!
+//! What to send where, when to announce and when to ask for history are
+//! the process's decisions, the same ones it makes under the simulator.
 //!
 //! The runtime is also the node's telemetry plane: one [`Registry`]
-//! threads through transport, WAL, and blocksync; the trace stream fans
+//! threads through transport and WAL; the trace stream fans
 //! out to an in-process [`MonitorHandle`] (the same invariant checks the
 //! simulator runs offline) and a [`FlightHandle`] ring that a panic
 //! dumps; and TELEMETRY frames are answered with the byte-stable metrics
@@ -28,14 +29,13 @@
 //! stragglers can finish — then writes its digest/trace/metrics files
 //! into the WAL directory, and returns.
 
-use crate::blocksync::Blocksync;
 use crate::config::NodeConfig;
 use crate::crash::CrashContext;
 use crate::frame;
 use crate::transport::{PeerId, Transport, TransportEvent};
 use crate::wal::{Wal, WalMetrics};
 use algorand_ba::Micros;
-use algorand_core::{Node, PipelineVerifier, WireMessage};
+use algorand_core::{Effect, Node, PipelineVerifier, Process, WireMessage};
 use algorand_gossip::{RelayDecision, RelayState};
 use algorand_obs::{
     expose, fanout, stable_id, write_jsonl, Counter, FlightHandle, MonitorHandle, Registry,
@@ -69,13 +69,6 @@ const DECODE_LOG_LINES: u32 = 8;
 /// reconnects to start a fresh allowance runs out of these instead.
 const DECODE_LOG_PEERS: usize = 1024;
 
-/// How often we announce our tip and poll blocksync even when idle.
-const STATUS_TICK: Duration = Duration::from_millis(500);
-
-/// Longest single wait: keeps STATUS/blocksync responsive regardless of
-/// how far away the core's next deadline is.
-const MAX_WAIT: Duration = Duration::from_millis(200);
-
 /// Whether a completed run did what it was asked to. Everything it
 /// counted along the way is in the `metrics.txt` it wrote.
 #[derive(Debug)]
@@ -98,23 +91,19 @@ impl RunSummary {
     }
 }
 
-/// One node process: core, WAL, transport, blocksync, telemetry.
+/// One node process: the sans-io process, WAL, transport, telemetry.
 pub struct Runtime {
     cfg: NodeConfig,
-    node: Node,
+    process: Process,
     wal: Wal,
     transport: Transport,
     relay: RelayState,
-    sync: Blocksync,
     registry: Registry,
     tracer: Tracer,
     monitor: MonitorHandle,
     flight: FlightHandle,
-    /// Highest round already persisted to the WAL: the end of the
-    /// finalized prefix, as far as the loop has seen it.
-    walled_through: u64,
-    /// Mirror of `walled_through` the crash hook can read from any
-    /// thread mid-panic.
+    /// The last round appended to the WAL, readable by the crash hook
+    /// from any thread mid-panic.
     last_wal_round: Arc<AtomicU64>,
     wal_replayed_rounds: u64,
     wal_truncated_bytes: u64,
@@ -196,18 +185,16 @@ impl Runtime {
 
         Ok(Runtime {
             cfg,
-            node,
+            process: Process::new(node, wal_replayed_rounds),
             wal,
             transport,
             relay: RelayState::new(),
-            sync: Blocksync::new(),
             decode_failures: registry.counter("node.decode_failures"),
             decode_logged: HashMap::new(),
             registry,
             tracer,
             monitor,
             flight,
-            walled_through: wal_replayed_rounds,
             last_wal_round: Arc::new(AtomicU64::new(wal_replayed_rounds)),
             wal_replayed_rounds,
             wal_truncated_bytes: replay.truncated_bytes,
@@ -248,57 +235,39 @@ impl Runtime {
         // its peers; the deadline budget is all consensus time.
         self.started = Instant::now();
         let deadline = self.started + Duration::from_secs(self.cfg.deadline_secs);
-        let outputs = self.node.start(self.now());
-        self.dispatch(outputs, None);
+        let effects = self.process.start(self.now());
+        self.apply(effects, None)?;
 
-        let mut next_status = self.started;
-        let mut linger_until: Option<Instant> = None;
+        let mut until = deadline;
+        let mut lingering = false;
         let timed_out = loop {
             let wall = Instant::now();
-            if wall >= deadline {
+            if wall >= until {
                 break self.target_pending();
             }
-            if let Some(t) = linger_until {
-                if wall >= t {
-                    break false;
-                }
-            }
 
-            let wait = self.next_wait(wall, next_status, deadline);
-            match self.transport.recv_timeout(wait) {
-                Some(TransportEvent::Gossip { from, bytes }) => self.on_gossip(from, &bytes),
-                Some(TransportEvent::Status { from, tip }) => self.sync.note_status(from, tip),
+            match self.transport.recv_timeout(self.next_wait(wall, until)) {
+                Some(TransportEvent::Gossip { from, bytes }) => self.on_gossip(from, &bytes)?,
+                Some(TransportEvent::Status { from, tip }) => self.process.on_status(from, tip),
                 Some(TransportEvent::Telemetry { from, op, body }) => {
                     self.on_telemetry(from, op, &body);
                 }
                 None => {}
             }
 
-            // Core timers (step timeouts, recovery, watchdog).
             let now = self.now();
-            if self.node.next_deadline().is_some_and(|d| d <= now) {
-                let outputs = self.node.on_tick(now);
-                self.dispatch(outputs, None);
+            if self.process.next_deadline().is_some_and(|d| d <= now) {
+                let effects = self.process.on_tick(now);
+                self.apply(effects, None)?;
             }
+            let node = self.process.node();
+            let horizon = node.params().relay_stall_horizon();
+            self.relay.prune(node.current_round(), now, horizon);
 
-            self.persist_new_rounds()?;
-            let horizon = self.node.params().relay_stall_horizon();
-            self.relay
-                .prune(self.node.current_round(), self.now(), horizon);
-
-            let wall = Instant::now();
-            if wall >= next_status {
-                next_status = wall + STATUS_TICK;
-                self.transport
-                    .broadcast_status(self.node.chain().tip().round);
-            }
-            self.request_catchup(wall);
-
-            if linger_until.is_none()
-                && self.cfg.target_round > 0
-                && self.node.chain().tip().round >= self.cfg.target_round
-            {
-                linger_until = Some(Instant::now() + Duration::from_secs(self.cfg.linger_secs));
+            if !lingering && self.cfg.target_round > 0 && !self.target_pending() {
+                lingering = true;
+                let linger = Instant::now() + Duration::from_secs(self.cfg.linger_secs);
+                until = until.min(linger);
             }
         };
 
@@ -332,42 +301,21 @@ impl Runtime {
     }
 
     fn target_pending(&self) -> bool {
-        self.cfg.target_round > 0 && self.node.chain().tip().round < self.cfg.target_round
+        self.cfg.target_round > 0 && self.process.node().chain().tip().round < self.cfg.target_round
     }
 
-    fn next_wait(&self, wall: Instant, next_status: Instant, deadline: Instant) -> Duration {
-        let mut wait = MAX_WAIT;
-        if let Some(d) = self.node.next_deadline() {
-            let now = self.now();
-            wait = wait.min(Duration::from_micros(d.saturating_sub(now)));
+    /// How long to wait for a frame: until the process's next deadline
+    /// or `until`, whichever is sooner, and at least a millisecond.
+    fn next_wait(&self, wall: Instant, until: Instant) -> Duration {
+        let mut wait = until.saturating_duration_since(wall);
+        if let Some(d) = self.process.next_deadline() {
+            wait = wait.min(Duration::from_micros(d.saturating_sub(self.now())));
         }
-        wait = wait.min(next_status.saturating_duration_since(wall));
-        wait = wait.min(deadline.saturating_duration_since(wall));
         wait.max(Duration::from_millis(1))
     }
 
-    /// Asks the most advanced peer for the rounds we lack, when
-    /// blocksync says to. A request that cannot be queued names a
-    /// connection that is gone (or a peer too backed up to serve us):
-    /// its tip is forgotten, so the next poll picks a live peer instead
-    /// of asking a dead connection forever. A live peer re-announces its
-    /// tip within one STATUS tick.
-    fn request_catchup(&mut self, wall: Instant) {
-        let tip = self.node.chain().tip().round;
-        let Some(peer) = self.sync.poll(tip, wall) else {
-            return;
-        };
-        let req = WireMessage::CatchupRequest {
-            have: tip,
-            tip_hash: self.node.chain().tip_hash(),
-        };
-        if !self.transport.send_gossip_to(peer, &req.encoded()) {
-            self.sync.forget(peer);
-        }
-    }
-
     /// Handles one inbound gossip frame end to end.
-    fn on_gossip(&mut self, from: PeerId, bytes: &[u8]) {
+    fn on_gossip(&mut self, from: PeerId, bytes: &[u8]) -> io::Result<()> {
         let msg = match WireMessage::decode_frame(bytes) {
             Ok(msg) => msg,
             Err(e) => {
@@ -378,12 +326,12 @@ impl Runtime {
                 if self.log_decode_failure(from) {
                     eprintln!("[node {}] peer {from}: {e}", self.cfg.index);
                 }
-                return;
+                return Ok(());
             }
         };
         let decision = self.relay.classify(msg.message_id(), msg.relay_slot());
         if decision == RelayDecision::Duplicate {
-            return;
+            return Ok(());
         }
         // Arrival half of a cross-process gossip hop: an instant stamped
         // with the message's content id. The sender's matching "send"
@@ -404,19 +352,9 @@ impl Runtime {
                     .instant();
             }
         }
-        let delivery = self.node.on_message(&msg, self.now());
-
-        // Catch-up traffic is point-to-point on this transport: the
-        // requester asked *us*, and our response goes only to them.
-        let point_to_point = matches!(
-            msg,
-            WireMessage::CatchupRequest { .. } | WireMessage::CatchupResponse(_)
-        );
-        if decision == RelayDecision::Relay && !point_to_point && delivery.relay {
-            self.trace_send(&msg, bytes.len());
-            self.transport.broadcast_gossip(bytes, Some(from));
-        }
-        self.dispatch(delivery.outputs, Some(from));
+        let may_forward = decision == RelayDecision::Relay;
+        let effects = self.process.on_message(from, &msg, may_forward, self.now());
+        self.apply(effects, Some((&msg, bytes)))
     }
 
     /// Whether one more malformed frame from `peer` is worth a log line.
@@ -484,33 +422,47 @@ impl Runtime {
         }
     }
 
-    /// Routes core outputs: catch-up responses back to the requester,
-    /// everything else to all peers (marked seen so echoes dedup).
-    fn dispatch(&mut self, outputs: Vec<WireMessage>, reply_to: Option<PeerId>) {
-        for out in outputs {
-            let bytes = out.encoded();
-            match (&out, reply_to) {
-                (WireMessage::CatchupResponse(_), Some(peer)) => {
-                    self.transport.send_gossip_to(peer, &bytes);
-                }
-                _ => {
-                    self.relay.classify(out.message_id(), out.relay_slot());
-                    self.trace_send(&out, bytes.len());
+    /// Carries out the process's effects. `delivered` is the message a
+    /// [`Effect::Forward`] sends on, with the frame it arrived in.
+    ///
+    /// A message the node emits is marked seen before it goes out, so
+    /// echoes dedup. A point-to-point send that cannot be queued names a
+    /// connection that is gone (or a peer too backed up to serve us): the
+    /// process forgets its tip, so blocksync stops choosing it. A final
+    /// round goes into the WAL before the next input, so a `kill -9`
+    /// from then on cannot lose it.
+    fn apply(
+        &mut self,
+        effects: Vec<Effect>,
+        delivered: Option<(&WireMessage, &[u8])>,
+    ) -> io::Result<()> {
+        for effect in effects {
+            match effect {
+                Effect::Broadcast(msg) => {
+                    let bytes = msg.encoded();
+                    self.relay.classify(msg.message_id(), msg.relay_slot());
+                    self.trace_send(&msg, bytes.len());
                     self.transport.broadcast_gossip(&bytes, None);
                 }
+                Effect::Forward { exclude } => {
+                    let (msg, bytes) = delivered.expect("a forward follows a delivery");
+                    self.trace_send(msg, bytes.len());
+                    self.transport.broadcast_gossip(bytes, Some(exclude));
+                }
+                Effect::SendTo(peer, msg) => {
+                    if !self.transport.send_gossip_to(peer, &msg.encoded()) {
+                        self.process.forget_peer(peer);
+                    }
+                }
+                Effect::AppendFinal(r) => {
+                    let (block, cert) = self.process.final_entry(r);
+                    self.wal.append_entry(r, block, cert)?;
+                    self.last_wal_round.store(r, Ordering::Relaxed);
+                }
+                Effect::AnnounceTip(tip) => {
+                    self.transport.broadcast_status(tip);
+                }
             }
-        }
-    }
-
-    /// Appends every newly final round to the WAL, so a `kill -9` from
-    /// here on cannot lose it. A tentative round waits until it, or a
-    /// successor, is final: until then a reorg may still replace it
-    /// (§8.2), and the WAL keeps only what cannot be replaced.
-    fn persist_new_rounds(&mut self) -> io::Result<()> {
-        for (r, block, cert) in self.node.final_rounds(self.walled_through + 1) {
-            self.wal.append_entry(r, block, cert)?;
-            self.walled_through = r;
-            self.last_wal_round.store(r, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -525,12 +477,13 @@ impl Runtime {
     /// node's exposition must not change between scrapes.
     fn publish_metrics(&mut self) {
         let reg = &self.registry;
+        let node = self.process.node();
         algorand_core::metrics::publish_metrics(
             reg,
-            &self.node.pipeline_stats(),
-            self.node.verifier(),
-            &self.node.recovery_stats(),
-            self.node.records().iter().map(|r| r.total()),
+            &node.pipeline_stats(),
+            node.verifier(),
+            &node.recovery_stats(),
+            node.records().iter().map(|r| r.total()),
         );
         // No fault injection in a real process: partitions stay 0 and a
         // restart is evidenced by a non-empty WAL replay.
@@ -541,9 +494,9 @@ impl Runtime {
             .set(reg.counter("transport.bytes_sent").get() as i64);
         reg.gauge("trace.dropped").set(self.tracer.dropped() as i64);
         reg.gauge("workload.injected").set(self.cfg.tx_count as i64);
-        let tip = self.node.chain().tip().round;
+        let tip = node.chain().tip().round;
         let committed: usize = (1..=tip)
-            .filter_map(|r| self.node.chain().block_at(r))
+            .filter_map(|r| node.chain().block_at(r))
             .map(|b| b.txs.len())
             .sum();
         reg.gauge("workload.committed").set(committed as i64);
@@ -551,21 +504,19 @@ impl Runtime {
         // Node-specific state the sim has no analogue for.
         reg.gauge("node.tip_round").set(tip as i64);
         reg.gauge("node.current_round")
-            .set(self.node.current_round() as i64);
-        let h = self.node.chain().tip_hash();
+            .set(node.current_round() as i64);
+        let h = node.chain().tip_hash();
         reg.gauge("node.tip_hash64")
             .set(u64::from_le_bytes(h[..8].try_into().expect("8 bytes")) as i64);
         reg.gauge("node.walled_round")
-            .set(self.walled_through as i64);
+            .set(self.process.walled_through() as i64);
         reg.gauge("wal.replayed_rounds")
             .set(self.wal_replayed_rounds as i64);
         reg.gauge("wal.truncated_bytes")
             .set(self.wal_truncated_bytes as i64);
         reg.gauge("wal.replay_us").set(self.wal_replay_us as i64);
         reg.gauge("blocksync.requests")
-            .set(self.sync.requests_sent() as i64);
-        reg.gauge("blocksync.cooldown_hits")
-            .set(self.sync.cooldown_hits() as i64);
+            .set(self.process.blocksync().requests_sent() as i64);
         reg.gauge("monitor.violations")
             .set(self.monitor.report().total_violations() as i64);
         // Process-wide: what `PublicKey::from_bytes` paid in full and
@@ -580,14 +531,13 @@ impl Runtime {
         self.transport.publish();
     }
 
-    /// Persists the last final rounds, then writes the digest/trace/
-    /// metrics exports.
+    /// Writes the digest/trace/metrics exports. Every final round is in
+    /// the WAL already: the process hands them out as they happen.
     fn finish(&mut self, timed_out: bool) -> io::Result<RunSummary> {
-        self.persist_new_rounds()?;
-
-        let reached = self.node.chain().tip().round;
+        let reached = self.process.node().chain().tip().round;
         let digest = if self.cfg.target_round > 0 {
-            self.node
+            self.process
+                .node()
                 .chain()
                 .digest_through(self.cfg.target_round)
                 .map(|d| hex(&d))
@@ -699,11 +649,21 @@ mod tests {
             .collect()
     }
 
-    /// Puts a node over `chain` into the runtime, as if it had agreed on
-    /// that chain itself.
+    /// Puts a fresh-logged process over `chain` into the runtime, as if
+    /// its node had agreed on that chain itself, and starts it: the
+    /// final rounds go to the WAL.
     fn adopt(rt: &mut Runtime, chain: Blockchain) {
         let verifier = Arc::new(PipelineVerifier::new());
-        rt.node = Node::new(rt.cfg.keypair(), chain, rt.cfg.params(), verifier);
+        let node = Node::new(rt.cfg.keypair(), chain, rt.cfg.params(), verifier);
+        rt.process = Process::new(node, 0);
+        let effects = rt.process.start(0);
+        rt.apply(effects, None).expect("WAL append");
+    }
+
+    /// Delivers `msg` from peer 0 and carries out what follows.
+    fn deliver(rt: &mut Runtime, msg: &WireMessage) {
+        let effects = rt.process.on_message(0, msg, true, 0);
+        rt.apply(effects, None).expect("WAL append");
     }
 
     fn append(chain: &mut Blockchain, (block, cert): &(Block, Certificate)) {
@@ -726,12 +686,11 @@ mod tests {
         chain.finalize(1);
         let was_final: Vec<bool> = (0..=3).map(|r| chain.is_finalized(r)).collect();
         adopt(&mut rt, chain);
-        rt.persist_new_rounds().expect("persist");
         rt.transport.shutdown();
         drop(rt);
 
         let rt = runtime(&dir);
-        let chain = rt.node.chain();
+        let chain = rt.process.node().chain();
         assert_eq!(chain.tip().round, 1, "only the final round was kept");
         assert_eq!(chain.tip_hash(), history[0].0.hash());
         for r in 0..=chain.tip().round {
@@ -774,25 +733,24 @@ mod tests {
         chain.finalize(1);
         append(&mut chain, &(divergent, cert));
         adopt(&mut rt, chain);
-        rt.persist_new_rounds().expect("persist");
 
         // The majority's longer chain displaces the tentative round 2.
         let majority = WireMessage::CatchupResponse(CatchupBatch {
             entries: history[1..].to_vec(),
         });
-        rt.node.on_message(&majority, 0);
-        assert_eq!(rt.node.recovery_stats().catchup_reorgs, 1);
-        assert_eq!(rt.node.chain().tip_hash(), history[2].0.hash());
-        rt.persist_new_rounds().expect("persist");
+        deliver(&mut rt, &majority);
+        let node = rt.process.node();
+        assert_eq!(node.recovery_stats().catchup_reorgs, 1);
+        assert_eq!(node.chain().tip_hash(), history[2].0.hash());
         rt.transport.shutdown();
         drop(rt);
 
         // Killed and restarted: the WAL holds nothing the reorg displaced,
         // so the majority batch applies again.
         let mut rt = runtime(&dir);
-        rt.node.on_message(&majority, 0);
+        deliver(&mut rt, &majority);
         assert_eq!(
-            rt.node.chain().tip_hash(),
+            rt.process.node().chain().tip_hash(),
             history[2].0.hash(),
             "the restarted node ends on the majority chain"
         );
@@ -806,7 +764,7 @@ mod tests {
         let mut rt = runtime(&dir);
 
         for i in 0..1_000u32 {
-            rt.on_gossip(7, &i.to_le_bytes());
+            rt.on_gossip(7, &i.to_le_bytes()).expect("no WAL append");
         }
         assert_eq!(rt.registry.counter("node.decode_failures").get(), 1_000);
         assert_eq!(rt.decode_logged[&7], DECODE_LOG_LINES);
@@ -814,10 +772,10 @@ mod tests {
 
         // Another connection has its own allowance, until connections
         // run out: then frames are counted and nothing more is kept.
-        rt.on_gossip(8, b"garbage");
+        rt.on_gossip(8, b"garbage").expect("no WAL append");
         assert_eq!(rt.decode_logged[&8], 1);
         for peer in 100..100 + 2 * DECODE_LOG_PEERS as PeerId {
-            rt.on_gossip(peer, b"garbage");
+            rt.on_gossip(peer, b"garbage").expect("no WAL append");
         }
         assert_eq!(rt.decode_logged.len(), DECODE_LOG_PEERS);
         assert_eq!(
@@ -836,12 +794,14 @@ mod tests {
 
         // Connection 99 announced round 5, then went away: the request
         // cannot be queued, and the next poll must not pick it again.
-        rt.sync.note_status(99, 5);
-        rt.request_catchup(Instant::now());
-        assert_eq!(rt.sync.requests_sent(), 1);
+        rt.process.on_status(99, 5);
+        let effects = rt.process.on_tick(rt.now());
+        rt.apply(effects, None).expect("no WAL append");
+        let sync = rt.process.blocksync();
+        assert_eq!(sync.requests_sent(), 1);
         assert_eq!(
-            rt.sync.best_tip(),
-            0,
+            sync.next_request(0, 0),
+            None,
             "the dead connection's tip is forgotten"
         );
 

@@ -1,7 +1,7 @@
 //! Write-ahead log of the node's final rounds, with crash recovery.
 //!
-//! The log keeps one fact: the finalized prefix of the chain,
-//! [`algorand_core::Node::final_rounds`]. Round r is appended once, as
+//! The log keeps one fact: the finalized prefix of the chain, as
+//! [`algorand_core::Effect::AppendFinal`] hands it out. Round r is appended once, as
 //! one `(block, certificate)` entry record, when it becomes final, and is
 //! never rewritten: a final round is never replaced (§8.2), so the log
 //! needs no rollback record, and a tentative round that a reorg may still

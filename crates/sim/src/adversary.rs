@@ -3,12 +3,13 @@
 //! The paper's misbehaving-user experiment (Figure 8) forces the
 //! highest-priority proposer to equivocate — one version of the block to
 //! half its peers, another to the rest — while malicious committee members
-//! vote for both versions. [`MaliciousNode`] implements exactly that: it
-//! runs the honest protocol internally (so it stays in sync and holds real
-//! stake), but rewrites its outgoing traffic.
+//! vote for both versions. [`Adversary`] implements exactly that: a
+//! malicious user runs the honest [`algorand_core::Process`] (so it stays
+//! in sync and holds real stake), and the adversary rewrites what it
+//! broadcasts.
 
 use algorand_ba::VoteMessage;
-use algorand_core::{BlockMessage, Node, PriorityMessage, WireMessage};
+use algorand_core::{BlockMessage, PriorityMessage, WireMessage};
 use algorand_crypto::Keypair;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -52,77 +53,19 @@ pub enum AdversaryKind {
     Withholder,
 }
 
-/// A colluding malicious user.
-pub struct MaliciousNode {
-    inner: Node,
-    keypair: Keypair,
-    kind: AdversaryKind,
-    shared: Arc<Mutex<AdversaryShared>>,
+/// A colluding malicious user's rewriting of its own broadcasts.
+pub struct Adversary {
+    /// The user's keypair: the twin messages are forged under its real
+    /// identity.
+    pub(crate) keypair: Keypair,
+    pub(crate) kind: AdversaryKind,
+    pub(crate) shared: Arc<Mutex<AdversaryShared>>,
 }
 
-impl MaliciousNode {
-    /// Wraps an honest node implementation with malicious output handling.
-    ///
-    /// `keypair` must be the same keypair `inner` runs with: the twin
-    /// messages are forged under the node's real identity.
-    pub fn new(
-        inner: Node,
-        keypair: Keypair,
-        shared: Arc<Mutex<AdversaryShared>>,
-    ) -> MaliciousNode {
-        Self::with_kind(inner, keypair, AdversaryKind::Equivocator, shared)
-    }
-
-    /// Wraps with an explicit attack flavour.
-    pub fn with_kind(
-        inner: Node,
-        keypair: Keypair,
-        kind: AdversaryKind,
-        shared: Arc<Mutex<AdversaryShared>>,
-    ) -> MaliciousNode {
-        debug_assert_eq!(inner.public_key(), keypair.pk);
-        MaliciousNode {
-            inner,
-            keypair,
-            kind,
-            shared,
-        }
-    }
-
-    /// Read-only access to the inner protocol state.
-    pub fn inner(&self) -> &Node {
-        &self.inner
-    }
-
-    /// Mutable access (e.g. to submit transactions).
-    pub fn inner_mut(&mut self) -> &mut Node {
-        &mut self.inner
-    }
-
-    /// Starts the node, rewriting outputs maliciously.
-    pub fn start(&mut self, now: u64) -> Vec<Outgoing> {
-        let outputs = self.inner.start(now);
-        self.rewrite(outputs)
-    }
-
-    /// Delivers a message, rewriting outputs maliciously.
-    pub fn on_message(&mut self, msg: &WireMessage, now: u64) -> Vec<Outgoing> {
-        let outputs = self.inner.on_message(msg, now).outputs;
-        self.rewrite(outputs)
-    }
-
-    /// Ticks the node, rewriting outputs maliciously.
-    pub fn on_tick(&mut self, now: u64) -> Vec<Outgoing> {
-        let outputs = self.inner.on_tick(now);
-        self.rewrite(outputs)
-    }
-
-    /// The next deadline of the inner node.
-    pub fn next_deadline(&self) -> Option<u64> {
-        self.inner.next_deadline()
-    }
-
-    fn rewrite(&mut self, outputs: Vec<WireMessage>) -> Vec<Outgoing> {
+impl Adversary {
+    /// Rewrites one batch of what the user's process broadcast, in order.
+    pub fn rewrite(&mut self, outputs: Vec<WireMessage>) -> Vec<Outgoing> {
+        let own = self.keypair.pk;
         if self.kind == AdversaryKind::Withholder {
             // Advertise our proposals but never send the block body; the
             // inner node otherwise behaves honestly (it still votes — a
@@ -131,8 +74,8 @@ impl MaliciousNode {
             return outputs
                 .into_iter()
                 .filter(|m| {
-                    let withheld = matches!(m, WireMessage::Block(b)
-                        if b.block.proposer == Some(self.inner.public_key()));
+                    let withheld =
+                        matches!(m, WireMessage::Block(b) if b.block.proposer == Some(own));
                     if withheld {
                         self.shared.lock().expect("adversary lock").withheld_blocks += 1;
                     }
@@ -146,7 +89,7 @@ impl MaliciousNode {
         let mut twin: Option<(BlockMessage, PriorityMessage, PriorityMessage)> = None;
         for msg in &outputs {
             let WireMessage::Block(b) = msg else { continue };
-            if b.block.proposer != Some(self.inner.public_key()) {
+            if b.block.proposer != Some(own) {
                 continue;
             }
             let mut other = b.block.clone();

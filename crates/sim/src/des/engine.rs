@@ -26,12 +26,15 @@
 //!    mutated in canonical order — are claimed by workers, each unit a
 //!    disjoint `&mut` loan of the engine's node cells. Each unit
 //!    processes its events in key order, touching only per-node state
-//!    (protocol node, relay view, private tracer, pending wake). Sends
-//!    are buffered as intents; chained timer wakes that land inside the
-//!    window run immediately, inheriting their trigger's hint.
+//!    (the node's [`Process`], relay view, private tracer, pending wake).
+//!    A delivery is classified by the relay view first, as on a real
+//!    node; what the process does with it comes back as effects, which
+//!    are buffered as send intents. Chained timer wakes that land inside
+//!    the window run immediately, inheriting their trigger's hint.
 //! 3. **Barrier (sequential).** Intents are sorted by
 //!    `(hint, emission index)` and replayed against the shared state in
-//!    that canonical order: topology fan-out, uplink serialization,
+//!    that canonical order: topology fan-out (a point-to-point send goes
+//!    to its one peer), uplink serialization,
 //!    jitter/loss RNG draws, delivery scheduling (which assigns the next
 //!    window's sequence numbers), and gossip-hop tracing. Per-node
 //!    trace buffers are then drained, merged by hint, fed to the
@@ -46,18 +49,20 @@
 //! traces are byte-identical at 1, 2, or N workers. The determinism gate
 //! (`bench/src/bin/chaos_determinism.rs`) enforces exactly that.
 
-use crate::adversary::{AdversaryShared, Outgoing};
+use crate::adversary::{Adversary, AdversaryShared, Outgoing};
 use crate::des::queue::{CalendarQueue, OrderKey, CLASS_DELIVER, CLASS_WAKE};
 use crate::event::Micros;
 use crate::faults::{FaultAction, FaultEvent, FaultSchedule};
 use crate::harness::{
-    self, FaultReport, InjectStep, KindBytes, NodeCarry, PipelineReport, SimConfig, SimMsg, Slot,
-    TxRecord, TxStats, Workload, ANNOUNCE_SIZE, TRACE_CAP,
+    self, FaultReport, InjectStep, KindBytes, NodeCarry, PipelineReport, SimConfig, SimMsg,
+    TxRecord, TxStats, Workload, ANNOUNCE_SIZE, STATUS_SIZE, TRACE_CAP,
 };
 use crate::metrics::{round_stats, RoundStats};
 use crate::network::Network;
-use algorand_core::catchup::encode_entry;
-use algorand_core::{derive_keypairs, Node, PipelineVerifier, RoundRecord, WireKind, WireMessage};
+use algorand_core::{
+    derive_keypairs, Effect, Node, PeerId, PipelineVerifier, Process, RoundRecord, WireKind,
+    WireMessage,
+};
 use algorand_crypto::rng::Rng;
 use algorand_crypto::Keypair;
 use algorand_gossip::{RelayDecision, RelayMetrics, RelayState, Topology};
@@ -105,6 +110,7 @@ impl From<SimConfig> for DesConfig {
 /// One node event, routed into a window inbox.
 enum DesEvent {
     Deliver { from: usize, msg: Arc<SimMsg> },
+    Status { from: usize, tip: u64 },
     Wake,
 }
 
@@ -125,14 +131,14 @@ struct InEvent {
 impl InEvent {
     fn class(&self) -> u8 {
         match self.kind {
-            DesEvent::Deliver { .. } => CLASS_DELIVER,
+            DesEvent::Deliver { .. } | DesEvent::Status { .. } => CLASS_DELIVER,
             DesEvent::Wake => CLASS_WAKE,
         }
     }
 
     fn tiebreak(&self, node: usize) -> u64 {
         match self.kind {
-            DesEvent::Deliver { .. } => self.hint,
+            DesEvent::Deliver { .. } | DesEvent::Status { .. } => self.hint,
             DesEvent::Wake => node as u64,
         }
     }
@@ -149,19 +155,22 @@ struct Intent {
 }
 
 enum IntentKind {
-    /// Gossip to every neighbour except `exclude`.
-    Forward {
-        msg: Arc<SimMsg>,
-        exclude: Option<usize>,
-    },
+    /// `body` to every neighbour except `exclude`.
+    Forward { body: Body, exclude: Option<usize> },
     /// Equivocation split: `a` to even-indexed peers, `b` to odd.
-    Split { a: Arc<SimMsg>, b: Arc<SimMsg> },
+    Split { a: Body, b: Body },
+    /// Point to point: `body` to node `to` alone, neighbour or not.
+    SendTo { body: Body, to: usize },
 }
 
 /// All state one node's events may touch during the parallel phase.
 struct NodeCell {
     id: usize,
-    slot: Slot,
+    /// Boxed, as each node is built: a process is ~2.5 KB, and the
+    /// engine walks cells.
+    process: Box<Process>,
+    /// What rewrites a malicious user's broadcasts (`None`: honest).
+    adversary: Option<Adversary>,
     relay: RelayState,
     /// This node's private trace buffer, merged canonically at barriers.
     tracer: Tracer,
@@ -172,11 +181,9 @@ struct NodeCell {
     enqueued_wake: Micros,
     /// Signed clock skew: the node's local clock reads `now + skew`.
     clock_skew: i64,
-    /// Down, not processing events.
+    /// Down, not processing events; a restart keeps of its process only
+    /// what a WAL fed its `AppendFinal` effects holds.
     crashed: bool,
-    /// Durable state saved at crash, for restart: the finalized prefix
-    /// the node's WAL would hold.
-    durable: Vec<u8>,
     /// Window inbox, filled in key order by the sequential extract phase
     /// and consumed from the front by the node phase.
     inbox: VecDeque<InEvent>,
@@ -184,7 +191,8 @@ struct NodeCell {
     outbox: Vec<Intent>,
     /// Emission counter for intent ordering, monotone per node.
     out_seq: u64,
-    /// Hint of the last processed event (inherited by chained wakes).
+    /// Hint of the last event that reached the process (inherited by
+    /// chained wakes); a dropped duplicate leaves it alone.
     last_hint: u64,
 }
 
@@ -269,25 +277,25 @@ impl Simulation {
         let monitor_feed = monitor.as_ref().map(MonitorHandle::observer);
         let pool_metrics = PoolMetrics::registered(&registry);
         let tracers: Vec<Tracer> = (0..cfg.n_users).map(|_| new_tracer()).collect();
-        let slots =
-            harness::build_slots(&cfg, &keypairs, &verifier, &adversary, &pool_metrics, |i| {
+        let processes =
+            harness::build_processes(&cfg, &keypairs, &verifier, &adversary, &pool_metrics, |i| {
                 tracers[i].clone()
             });
         let relay_metrics = RelayMetrics::registered(&registry);
-        let cells = slots
+        let cells = processes
             .into_iter()
             .zip(tracers)
             .enumerate()
-            .map(|(id, (slot, tracer))| NodeCell {
+            .map(|(id, ((process, adversary), tracer))| NodeCell {
                 id,
-                slot,
+                process,
+                adversary,
                 relay: RelayState::with_metrics(relay_metrics.clone()),
                 tracer,
                 next_wake: Micros::MAX,
                 enqueued_wake: Micros::MAX,
                 clock_skew: 0,
                 crashed: false,
-                durable: Vec::new(),
                 inbox: VecDeque::new(),
                 outbox: Vec::new(),
                 out_seq: 0,
@@ -345,11 +353,6 @@ impl Simulation {
         self.faults.extend(events);
     }
 
-    /// Whether node `i` is currently crashed.
-    pub fn is_crashed(&self, i: usize) -> bool {
-        self.cells[i].crashed
-    }
-
     /// Submits a transaction via node `node`, gossiping it to the network
     /// exactly as a user's client would (§4).
     pub fn submit_transaction(&mut self, node: usize, tx: Transaction) {
@@ -363,7 +366,7 @@ impl Simulation {
     /// relay rules decide whether it spreads.
     pub fn inject_message(&mut self, via: usize, msg: WireMessage) {
         // A self-loop `from` keeps the relay from skipping a peer.
-        let slot = self.bodies.open(SimMsg::new(msg));
+        let slot = self.bodies.open(Body::Gossip(SimMsg::new(msg)));
         self.schedule_delivery(via, via, slot, self.now);
     }
 
@@ -381,7 +384,7 @@ impl Simulation {
     /// proposer, block assembly is a pure function of the chain seed.
     pub fn preload_transactions(&mut self, txs: &[Transaction]) {
         for cell in &mut self.cells {
-            let node = cell.slot.node_mut();
+            let node = cell.process.node_mut();
             let accounts = node.chain().accounts().clone();
             for tx in txs {
                 let _ = node.pool.admit(tx.clone(), &accounts);
@@ -397,8 +400,8 @@ impl Simulation {
             let hint = self.next_order();
             let cell = &mut self.cells[i];
             cell.tracer.set_order_hint(hint);
-            let outgoing = cell.slot.start(0);
-            self.dispatch_sequential(i, outgoing, 0, hint);
+            let effects = cell.process.start(0);
+            self.dispatch_sequential(i, effects, 0, hint);
             self.reschedule_sequential(i);
         }
         if let Some(wl) = &self.workload {
@@ -463,7 +466,7 @@ impl Simulation {
         while !self
             .cells
             .iter()
-            .all(|c| c.crashed || c.slot.node().chain().tip().round >= rounds)
+            .all(|c| c.crashed || c.process.node().chain().tip().round >= rounds)
         {
             let Some(next) = self.next_event_time().filter(|&t| t <= t_cap) else {
                 return;
@@ -499,8 +502,11 @@ impl Simulation {
                 (key.tiebreak as usize, DesEvent::Wake)
             } else {
                 let (to, from, slot) = unpack_route(route);
-                let msg = self.bodies.take(slot);
-                (to, DesEvent::Deliver { from, msg })
+                let kind = match self.bodies.take(slot) {
+                    Body::Gossip(msg) => DesEvent::Deliver { from, msg },
+                    Body::Status(tip) => DesEvent::Status { from, tip },
+                };
+                (to, kind)
             };
             let cell = &mut self.cells[node];
             if cell.inbox.is_empty() {
@@ -584,6 +590,13 @@ impl Simulation {
             kind,
             ..
         } = intent;
+        if let IntentKind::SendTo { body, to } = kind {
+            if let Some(arrival) = self.transmit(from, to, &body, time, hint) {
+                let slot = self.bodies.open(body);
+                self.schedule_delivery(to, from, slot, arrival);
+            }
+            return;
+        }
         // Each body takes a slot at its first scheduled copy; a body no
         // copy left with (no peers, or every copy lost) takes none.
         let mut slots = [None, None];
@@ -591,18 +604,19 @@ impl Simulation {
         // is re-borrowed from the topology per hop, not held across one.
         for idx in 0..self.topology.neighbors(from).len() {
             let p = self.topology.neighbors(from)[idx];
-            let (msg, slot) = match &kind {
-                IntentKind::Forward { msg, exclude } => {
+            let (body, slot) = match &kind {
+                IntentKind::Forward { body, exclude } => {
                     if Some(p) == *exclude {
                         continue;
                     }
-                    (msg, &mut slots[0])
+                    (body, &mut slots[0])
                 }
-                IntentKind::Split { a, b } if idx % 2 == 0 => (a, &mut slots[0]),
+                IntentKind::Split { a, .. } if idx % 2 == 0 => (a, &mut slots[0]),
                 IntentKind::Split { b, .. } => (b, &mut slots[1]),
+                IntentKind::SendTo { .. } => unreachable!("sent above"),
             };
-            if let Some(arrival) = self.transmit(from, p, msg, time, hint) {
-                let slot = *slot.get_or_insert_with(|| self.bodies.open(msg.clone()));
+            if let Some(arrival) = self.transmit(from, p, body, time, hint) {
+                let slot = *slot.get_or_insert_with(|| self.bodies.open(body.clone()));
                 self.schedule_delivery(p, from, slot, arrival);
             }
         }
@@ -614,10 +628,13 @@ impl Simulation {
         &mut self,
         from: usize,
         to: usize,
-        msg: &Arc<SimMsg>,
+        body: &Body,
         now: Micros,
         hint: u64,
     ) -> Option<Micros> {
+        let Body::Gossip(msg) = body else {
+            return self.net.transmit(from, to, STATUS_SIZE, now);
+        };
         // Pull-based bodies: a peer that already holds the content costs
         // only the announcement round-trip.
         let size = if msg.pull_based && self.cells[to].relay.has_seen(&msg.id) {
@@ -731,16 +748,10 @@ impl Simulation {
         self.globals.push(Reverse((at, seq, kind)));
     }
 
-    /// Immediately fans node-originated messages out onto the network.
-    fn dispatch_sequential(
-        &mut self,
-        from: usize,
-        outgoing: Vec<Outgoing>,
-        now: Micros,
-        hint: u64,
-    ) {
+    /// Immediately carries out a process's effects on the network.
+    fn dispatch_sequential(&mut self, from: usize, effects: Vec<Effect>, now: Micros, hint: u64) {
         let cell = &mut self.cells[from];
-        buffer_outgoing(cell, hint, now, outgoing);
+        buffer_effects(cell, hint, now, effects, None);
         cell.relay.flush_metrics();
         for intent in std::mem::take(&mut cell.outbox) {
             self.replay(intent);
@@ -749,7 +760,7 @@ impl Simulation {
 
     /// Arms node `i`'s wake from its current deadline.
     fn reschedule_sequential(&mut self, i: usize) {
-        reschedule_local(&mut self.cells[i]);
+        reschedule_local(&mut self.cells[i], self.now);
         self.arm_wake(i);
     }
 
@@ -774,10 +785,10 @@ impl Simulation {
         let hint = self.next_order();
         let cell = &mut self.cells[node];
         cell.tracer.set_order_hint(hint);
-        let Some(msg) = cell.slot.node_mut().submit_transaction(tx) else {
+        let Some(msg) = cell.process.node_mut().submit_transaction(tx) else {
             return false;
         };
-        self.dispatch_sequential(node, vec![Outgoing::Broadcast(msg)], now, hint);
+        self.dispatch_sequential(node, vec![Effect::Broadcast(msg)], now, hint);
         true
     }
 
@@ -853,30 +864,19 @@ impl Simulation {
         }
     }
 
-    /// Crashes an honest node: its durable state — the finalized prefix
-    /// of its chain, [`Node::final_rounds`], encoded as its WAL holds it
-    /// — is kept, everything else (tentative rounds included) is lost,
-    /// and it stops processing events.
+    /// Crashes an honest node: it stops processing events, and its
+    /// restart keeps only its durable state.
     fn crash_node(&mut self, i: usize) {
         let cell = &mut self.cells[i];
-        if cell.crashed {
-            return;
-        }
-        let Slot::Honest(node) = &cell.slot else {
-            debug_assert!(false, "chaos scripts crash honest nodes only");
-            return;
-        };
-        cell.durable.clear();
-        for (_, block, cert) in node.final_rounds(1) {
-            encode_entry(block, cert, &mut cell.durable);
-        }
+        debug_assert!(cell.adversary.is_none(), "chaos crashes honest nodes only");
         cell.crashed = true;
         // Pending wakes for the dead process become stale.
         cell.next_wake = Micros::MAX;
     }
 
-    /// Restarts a crashed node from its durable state. The node
-    /// revalidates it as it would a catch-up batch, comes back with empty
+    /// Restarts a crashed node from its durable state,
+    /// [`Process::durable`]: what a WAL fed its process's `AppendFinal`
+    /// effects holds. The node revalidates it as it would a catch-up batch, comes back with empty
     /// volatile state (fresh relay view, empty mempool), and rejoins the
     /// round loop — fetching whatever it missed while down via §8.3
     /// catch-up.
@@ -886,13 +886,11 @@ impl Simulation {
         if !cell.crashed {
             return;
         }
-        let durable = std::mem::take(&mut cell.durable);
-        // Fold the dying node's counters into the carry before its slot
-        // is overwritten, so aggregated reports keep its pre-crash
+        let durable = cell.process.durable();
+        // Fold the dying node's counters into the carry before its
+        // process is replaced, so aggregated reports keep its pre-crash
         // history without ever double-counting it.
-        if let Slot::Honest(old) = &cell.slot {
-            self.carry.entry(i).or_default().fold_from(old);
-        }
+        self.carry.entry(i).or_default().fold_from(&cell.process);
         let genesis = self
             .cfg
             .params
@@ -906,27 +904,32 @@ impl Simulation {
             &durable,
             local,
         );
-        node.payload_bytes = self.cfg.payload_bytes;
-        node.block_tx_bytes = self.cfg.block_tx_bytes;
-        node.set_tracer(cell.tracer.clone(), i as u32);
-        node.pool
-            .set_metrics(PoolMetrics::registered(&self.registry));
-        cell.slot = Slot::Honest(Box::new(node));
+        let pool = PoolMetrics::registered(&self.registry);
+        self.cfg.fit(&mut node, cell.tracer.clone(), i, pool);
+        let walled = node.chain().tip().round;
+        *cell.process = Process::new(node, walled);
         // The dying relay's last counts go to the registry with it.
         cell.relay.flush_metrics();
         cell.relay = RelayState::with_metrics(RelayMetrics::registered(&self.registry));
         cell.crashed = false;
         cell.tracer.set_order_hint(hint);
-        let outgoing = cell.slot.start(local);
+        let effects = cell.process.start(local);
         self.restarts += 1;
-        self.dispatch_sequential(i, outgoing, now, hint);
+        self.dispatch_sequential(i, effects, now, hint);
         self.reschedule_sequential(i);
     }
 
     // --- Results and reports -------------------------------------------------
 
-    fn slots(&self) -> Vec<&Slot> {
-        self.cells.iter().map(|c| &c.slot).collect()
+    /// Every user's process, honest users first.
+    fn processes(&self) -> Vec<&Process> {
+        self.cells.iter().map(|c| &*c.process).collect()
+    }
+
+    /// The honest users' processes.
+    fn honest(&self) -> Vec<&Process> {
+        let n_honest = self.cfg.n_users - self.cfg.n_malicious;
+        self.cells[..n_honest].iter().map(|c| &*c.process).collect()
     }
 
     /// The current virtual time.
@@ -952,7 +955,7 @@ impl Simulation {
     /// Immutable access to node `i`'s protocol state (for a malicious
     /// user, the honest node its wrapper drives).
     pub fn honest_node(&self, i: usize) -> &Node {
-        self.cells[i].slot.node()
+        self.cells[i].process.node()
     }
 
     /// Node `i`'s chain tip round (progress probe).
@@ -964,14 +967,14 @@ impl Simulation {
     /// determinism check: identical `(seed, schedule)` runs must produce
     /// identical digests, at any worker count.
     pub fn chain_digest(&self) -> [u8; 32] {
-        harness::chain_digest(&self.slots())
+        harness::chain_digest(&self.honest())
     }
 
     /// Per-honest-node round records.
     pub fn honest_records(&self) -> Vec<&[RoundRecord]> {
-        self.cells
-            .iter()
-            .filter_map(|c| c.slot.honest().map(Node::records))
+        self.honest()
+            .into_iter()
+            .map(|p| p.node().records())
             .collect()
     }
 
@@ -980,7 +983,7 @@ impl Simulation {
     /// per node (a record carried from before the crash wins over a
     /// hypothetical re-measurement after it).
     pub fn combined_records(&self) -> Vec<Vec<RoundRecord>> {
-        harness::combined_records(&self.slots(), &self.carry)
+        harness::combined_records(&self.honest(), &self.carry)
     }
 
     /// Aggregated stats for one round.
@@ -998,13 +1001,13 @@ impl Simulation {
     /// Aggregated staged-pipeline counters across honest nodes plus the
     /// process-wide cache, for the metrics report.
     pub fn pipeline_report(&self) -> PipelineReport {
-        harness::pipeline_report(&self.slots(), &self.carry, &self.verifier)
+        harness::pipeline_report(&self.processes(), &self.carry, &self.verifier)
     }
 
     /// Fault-injection and recovery counters for this run.
     pub fn fault_report(&self) -> FaultReport {
         harness::fault_report(
-            &self.slots(),
+            &self.honest(),
             &self.carry,
             &self.net,
             self.partitions_activated,
@@ -1059,6 +1062,8 @@ impl Simulation {
         reg.gauge("faults.partitions")
             .set(f.partitions_activated as i64);
         reg.gauge("faults.restarts").set(f.restarts as i64);
+        reg.gauge("blocksync.requests")
+            .set(f.blocksync_requests as i64);
         reg.gauge("net.total_bytes_sent")
             .set(self.net.total_bytes_sent() as i64);
         reg.gauge("trace.dropped").set(self.trace_dropped() as i64);
@@ -1163,22 +1168,48 @@ fn disjoint_mut<'a, T>(mut rest: &'a mut [T], indices: &[usize]) -> Vec<&'a mut 
     out
 }
 
+/// What an in-flight delivery carries: a gossip message, or a STATUS
+/// announcement's tip.
+#[derive(Clone)]
+enum Body {
+    Gossip(Arc<SimMsg>),
+    Status(u64),
+}
+
 /// The bodies of in-flight deliveries, one slot per message a replayed
 /// intent put on the wire, however many copies of it are queued: a
 /// queued copy names its slot instead of holding the `Arc`. Filled in
 /// the barrier's replay; a slot is freed when its last copy is popped.
 #[derive(Default)]
 struct Bodies {
-    slots: Vec<(Option<Arc<SimMsg>>, u32)>,
+    slots: Vec<Slot>,
     free: Vec<u32>,
 }
 
+/// One body slot in 16 bytes: a gossip message, or none and a STATUS tip.
+#[derive(Default)]
+struct Slot {
+    msg: Option<Arc<SimMsg>>,
+    tip: u32,
+    copies: u32,
+}
+
 impl Bodies {
-    /// A slot for `msg`, holding no copies yet.
-    fn open(&mut self, msg: Arc<SimMsg>) -> u32 {
+    /// A slot for `body`, holding no copies yet.
+    fn open(&mut self, body: Body) -> u32 {
+        let entry = match body {
+            Body::Gossip(msg) => Slot {
+                msg: Some(msg),
+                ..Slot::default()
+            },
+            Body::Status(tip) => Slot {
+                tip: u32::try_from(tip).expect("a tip round fits a slot"),
+                ..Slot::default()
+            },
+        };
         match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize] = (Some(msg), 0);
+                self.slots[slot as usize] = entry;
                 slot
             }
             None => {
@@ -1187,25 +1218,27 @@ impl Bodies {
                     slot <= SLOT_MASK as u32,
                     "more in-flight bodies than a route holds"
                 );
-                self.slots.push((Some(msg), 0));
+                self.slots.push(entry);
                 slot
             }
         }
     }
 
     fn add_copy(&mut self, slot: u32) {
-        self.slots[slot as usize].1 += 1;
+        self.slots[slot as usize].copies += 1;
     }
 
     /// The body for one popped copy; the last copy frees the slot.
-    fn take(&mut self, slot: u32) -> Arc<SimMsg> {
-        let (msg, copies) = &mut self.slots[slot as usize];
-        *copies -= 1;
-        if *copies > 0 {
-            return msg.clone().expect("an open slot holds its body");
-        }
-        self.free.push(slot);
-        msg.take().expect("an open slot holds its body")
+    fn take(&mut self, slot: u32) -> Body {
+        let entry = &mut self.slots[slot as usize];
+        entry.copies -= 1;
+        let msg = if entry.copies > 0 {
+            entry.msg.clone()
+        } else {
+            self.free.push(slot);
+            entry.msg.take()
+        };
+        msg.map_or(Body::Status(u64::from(entry.tip)), Body::Gossip)
     }
 }
 
@@ -1270,12 +1303,20 @@ fn process_unit(unit: &mut [&mut NodeCell], ctx: &UnitCtx) {
             match e.kind {
                 DesEvent::Wake => run_wake(g, e.time, e.hint, true),
                 DesEvent::Deliver { from, msg } => run_deliver(g, e.time, e.hint, from, &msg, ctx),
+                // Blocksync acts on a tip at the wake it may bring forward.
+                DesEvent::Status { from, tip } if !g.crashed => {
+                    g.last_hint = e.hint;
+                    g.process.on_status(from as PeerId, tip);
+                    reschedule_local(g, e.time);
+                }
+                DesEvent::Status { .. } => {}
             }
         }
     }
 }
 
-/// One message delivery on a node (parallel phase).
+/// One message delivery on a node (parallel phase): the relay view
+/// classifies it, the process decides the rest.
 fn run_deliver(
     g: &mut NodeCell,
     time: Micros,
@@ -1290,38 +1331,31 @@ fn run_deliver(
     if ctx.cfg.bug_swallows(&msg.wire) {
         return; // Planted defect: ingest drops it.
     }
-    g.last_hint = hint;
     g.tracer.set_order_hint(hint);
     let decision = g.relay.classify(msg.id, msg.relay_slot);
     if decision == RelayDecision::Duplicate {
         return;
     }
+    g.last_hint = hint;
     let now_t = harness::skewed_local(time, g.clock_skew);
-    // §6: honest users discard block bodies that are not the
-    // highest-priority proposal they have seen; a transaction spreads
-    // only while its receiver still pools it (rejects and evictions die
-    // out here).
-    let (outgoing, forward) = g
-        .slot
-        .on_message(&msg.wire, now_t, ctx.cfg.relay_all_blocks);
-    if decision == RelayDecision::Relay && forward {
-        let seq = g.out_seq;
-        g.out_seq += 1;
-        g.outbox.push(Intent {
-            hint,
-            seq,
-            // Relay-forward happens on the node's local clock.
-            time: now_t,
-            from: g.id,
-            kind: IntentKind::Forward {
-                msg: msg.clone(),
-                exclude: Some(from),
-            },
-        });
+    let may_forward = decision == RelayDecision::Relay;
+    let mut effects = g
+        .process
+        .on_message(from as PeerId, &msg.wire, may_forward, now_t);
+    // The simulator's two overrides of the process's forward decision:
+    // malicious users relay everything, and the `relay_all_blocks`
+    // ablation switches §6's block rule off.
+    let forced = g.adversary.is_some()
+        || (ctx.cfg.relay_all_blocks && matches!(msg.wire, WireMessage::Block(_)));
+    let forward = Effect::Forward {
+        exclude: from as PeerId,
+    };
+    if may_forward && forced && !matches!(effects.first(), Some(Effect::Forward { .. })) {
+        effects.insert(0, forward);
     }
-    buffer_outgoing(g, hint, time, outgoing);
+    buffer_effects(g, hint, time, effects, Some(msg));
     prune_relay(g, time);
-    reschedule_local(g);
+    reschedule_local(g, time);
 }
 
 /// One timer wake on a node (parallel phase). `from_inbox` wakes carry
@@ -1337,65 +1371,111 @@ fn run_wake(g: &mut NodeCell, t: Micros, hint: u64, from_inbox: bool) {
     g.last_hint = hint;
     g.tracer.set_order_hint(hint);
     let local = harness::skewed_local(t, g.clock_skew);
-    let outgoing = g.slot.on_tick(local);
-    buffer_outgoing(g, hint, t, outgoing);
+    let effects = g.process.on_tick(local);
+    buffer_effects(g, hint, t, effects, None);
     prune_relay(g, t);
-    reschedule_local(g);
+    reschedule_local(g, t);
 }
 
 /// Lets the node's relay state rotate out messages two rounds old — or,
 /// during a stall, older than the relay stall horizon.
 fn prune_relay(g: &mut NodeCell, now: Micros) {
-    let node = g.slot.node();
+    let node = g.process.node();
     let horizon = node.params().relay_stall_horizon();
     g.relay.prune(node.current_round(), now, horizon);
 }
 
-/// Buffers node-originated messages as send intents, to be fanned out
-/// to all (or, for an equivocation split, alternating halves) of the
-/// node's peers in the next sequential phase. Origin-relay marking is
-/// per-node state and happens here.
-fn buffer_outgoing(g: &mut NodeCell, hint: u64, global_time: Micros, outgoing: Vec<Outgoing>) {
-    for o in outgoing {
-        // Mark as seen so an echoed copy is not re-processed.
-        let mut originate = |wire| {
-            let msg = SimMsg::new(wire);
-            g.relay.classify(msg.id, msg.relay_slot);
-            msg
-        };
-        let kind = match o {
-            Outgoing::Broadcast(wire) => IntentKind::Forward {
-                msg: originate(wire),
+/// Buffers a process's effects as send intents, to be replayed on the
+/// network in the next sequential phase. `delivered` is the message a
+/// [`Effect::Forward`] sends on. A message the node emits is marked seen
+/// in its relay view first, so an echoed copy is not re-processed; a
+/// malicious user's emissions go through its adversary as one batch.
+/// `AppendFinal` needs nothing here: the process keeps the cursor, and a
+/// crash reads what it covers.
+fn buffer_effects(
+    g: &mut NodeCell,
+    hint: u64,
+    time: Micros,
+    effects: Vec<Effect>,
+    delivered: Option<&Arc<SimMsg>>,
+) {
+    let mut emitted = Vec::new();
+    for effect in effects {
+        let kind = match effect {
+            Effect::Broadcast(wire) if g.adversary.is_some() => {
+                emitted.push(wire);
+                continue;
+            }
+            Effect::Broadcast(wire) => IntentKind::Forward {
+                body: originate(&mut g.relay, wire),
                 exclude: None,
             },
-            Outgoing::Split(wire_a, wire_b) => IntentKind::Split {
-                a: originate(wire_a),
-                b: originate(wire_b),
+            Effect::Forward { exclude } => IntentKind::Forward {
+                body: Body::Gossip(delivered.expect("a forward follows a delivery").clone()),
+                exclude: Some(exclude as usize),
+            },
+            Effect::SendTo(peer, wire) => IntentKind::SendTo {
+                body: Body::Gossip(SimMsg::new(wire)),
+                to: peer as usize,
+            },
+            Effect::AnnounceTip(tip) => IntentKind::Forward {
+                body: Body::Status(tip),
+                exclude: None,
+            },
+            Effect::AppendFinal(_) => continue,
+        };
+        push_intent(g, hint, time, kind);
+    }
+    let Some(adversary) = &mut g.adversary else {
+        return;
+    };
+    for out in adversary.rewrite(emitted) {
+        let kind = match out {
+            Outgoing::Broadcast(wire) => IntentKind::Forward {
+                body: originate(&mut g.relay, wire),
+                exclude: None,
+            },
+            Outgoing::Split(a, b) => IntentKind::Split {
+                a: originate(&mut g.relay, a),
+                b: originate(&mut g.relay, b),
             },
         };
-        g.outbox.push(Intent {
-            hint,
-            seq: g.out_seq,
-            time: global_time,
-            from: g.id,
-            kind,
-        });
-        g.out_seq += 1;
+        push_intent(g, hint, time, kind);
     }
 }
 
-/// Folds the node's next deadline into its pending wake (cell state
-/// only; a sequential phase arms the shared queue).
-fn reschedule_local(g: &mut NodeCell) {
+/// Buffers one send intent, next in the node's emission order.
+fn push_intent(g: &mut NodeCell, hint: u64, time: Micros, kind: IntentKind) {
+    g.outbox.push(Intent {
+        hint,
+        seq: g.out_seq,
+        time,
+        from: g.id,
+        kind,
+    });
+    g.out_seq += 1;
+}
+
+/// A message the node itself puts on the wire, marked seen.
+fn originate(relay: &mut RelayState, wire: WireMessage) -> Body {
+    let msg = SimMsg::new(wire);
+    relay.classify(msg.id, msg.relay_slot);
+    Body::Gossip(msg)
+}
+
+/// Folds the process's next deadline into the node's pending wake (cell
+/// state only; a sequential phase arms the shared queue). A deadline
+/// already past — blocksync may ask at once — wakes the node at `now`.
+fn reschedule_local(g: &mut NodeCell, now: Micros) {
     if g.crashed {
         // A dead process has no timers (a clock-skew fault may land on
         // one); restart arms its wake afresh.
         return;
     }
-    if let Some(d) = g.slot.next_deadline() {
-        // Node deadlines are on the node's (possibly skewed) local
-        // clock; the queue runs on global time.
-        let d = harness::unskewed_global(d, g.clock_skew);
+    if let Some(d) = g.process.next_deadline() {
+        // Deadlines are on the node's (possibly skewed) local clock; the
+        // queue runs on global time.
+        let d = harness::unskewed_global(d, g.clock_skew).max(now);
         if d < g.next_wake {
             g.next_wake = d;
         }
@@ -1405,6 +1485,45 @@ fn reschedule_local(g: &mut NodeCell) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use algorand_core::catchup::encode_entry;
+
+    #[test]
+    fn a_crash_keeps_exactly_what_the_process_handed_out_as_final() {
+        let mut cfg = SimConfig::new(5);
+        cfg.stake_per_user = 100;
+        let mut sim = Simulation::new(cfg);
+        sim.run_rounds(3, 120_000_000);
+
+        // Every final round, and nothing tentative, is what a WAL fed the
+        // process's `AppendFinal` effects holds.
+        let process = &sim.cells[1].process;
+        let chain = process.node().chain();
+        let walled = process.walled_through();
+        assert!(walled >= 2, "rounds were finalized: {walled}");
+        let final_prefix = (1..=chain.tip().round).take_while(|&r| chain.is_finalized(r));
+        assert_eq!(walled, final_prefix.last().unwrap_or(0));
+        let mut want = Vec::new();
+        for r in 1..=walled {
+            let (block, cert) = process.final_entry(r);
+            encode_entry(block, cert, &mut want);
+        }
+        assert_eq!(process.durable(), want);
+
+        // A crash and restart read exactly those rounds back, and log on
+        // from there.
+        let now = sim.now;
+        sim.apply_fault(FaultAction::Crash(1), now);
+        sim.apply_fault(FaultAction::Restart(1), now + 1);
+        let process = &sim.cells[1].process;
+        assert_eq!(process.node().chain().tip().round, walled);
+        assert_eq!(process.walled_through(), walled);
+        assert_eq!(process.durable(), want);
+    }
+
+    #[test]
+    fn a_body_slot_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
+    }
 
     #[test]
     fn routes_round_trip_at_their_limits() {

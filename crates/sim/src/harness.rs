@@ -1,17 +1,18 @@
-//! The simulation harness under the engine: configuration, node slots,
-//! in-flight messages, the open-loop workload, carried counters, and the
+//! The simulation harness under the engine: configuration, the node
+//! population, in-flight messages, the open-loop workload, carried counters, and the
 //! aggregate reports.
 //!
 //! [`crate::des::Simulation`] owns the schedule (calendar queue,
 //! lookahead windows); everything here is what it schedules and how a
 //! finished run is summarized.
 
-use crate::adversary::{AdversaryKind, AdversaryShared, MaliciousNode, Outgoing};
+use crate::adversary::{Adversary, AdversaryKind, AdversaryShared};
 use crate::event::Micros;
 use crate::metrics::Percentiles;
 use crate::network::{NetConfig, Network};
 use algorand_core::{
-    AlgorandParams, Node, PipelineStats, PipelineVerifier, RecoveryStats, RoundRecord, WireMessage,
+    AlgorandParams, Node, PipelineStats, PipelineVerifier, Process, RecoveryStats, RoundRecord,
+    WireMessage,
 };
 use algorand_crypto::rng::Rng;
 use algorand_crypto::Keypair;
@@ -27,6 +28,10 @@ pub(crate) const TRACE_CAP: usize = 1 << 21;
 
 /// Bytes for a block announcement (hash + round + priority material).
 pub(crate) const ANNOUNCE_SIZE: usize = 300;
+
+/// Bytes for a STATUS announcement: the tip round, as the real
+/// transport's STATUS payload carries it.
+pub(crate) const STATUS_SIZE: usize = 8;
 
 /// Node `local` clock reading at global instant `now` under a signed
 /// skew (positive runs fast, negative slow). Saturates at zero so a
@@ -167,6 +172,15 @@ impl SimConfig {
         }
     }
 
+    /// Fits node `i` out as this simulation runs it: block sizes, its
+    /// tracer, the shared pool metrics.
+    pub(crate) fn fit(&self, node: &mut Node, tracer: Tracer, i: usize, pool: PoolMetrics) {
+        node.payload_bytes = self.payload_bytes;
+        node.block_tx_bytes = self.block_tx_bytes;
+        node.set_tracer(tracer, i as u32);
+        node.pool.set_metrics(pool);
+    }
+
     /// Whether the planted [`InjectedBug::IgnoreCatchupResponses`]
     /// defect swallows this inbound message before ingest.
     pub(crate) fn bug_swallows(&self, wire: &WireMessage) -> bool {
@@ -176,36 +190,29 @@ impl SimConfig {
 }
 
 /// Builds the node population: equal genesis stake, deterministic keys,
-/// malicious users at the end of the index space. `tracer_for` supplies
-/// each node's recording handle: one private buffer per node, merged
-/// canonically at barriers.
-pub(crate) fn build_slots(
+/// one process per user, and an adversary for each malicious user at the
+/// end of the index space. `tracer_for` supplies each node's recording
+/// handle: one private buffer per node, merged canonically at barriers.
+pub(crate) fn build_processes(
     cfg: &SimConfig,
     keypairs: &[Keypair],
     verifier: &Arc<PipelineVerifier>,
     adversary: &Arc<Mutex<AdversaryShared>>,
     pool_metrics: &PoolMetrics,
     mut tracer_for: impl FnMut(usize) -> Tracer,
-) -> Vec<Slot> {
+) -> Vec<(Box<Process>, Option<Adversary>)> {
     let n_honest = cfg.n_users - cfg.n_malicious;
     (0..cfg.n_users)
         .map(|i| {
             let chain = cfg.params.genesis(keypairs, cfg.stake_per_user);
             let mut node = Node::new(keypairs[i].clone(), chain, cfg.params, verifier.clone());
-            node.payload_bytes = cfg.payload_bytes;
-            node.block_tx_bytes = cfg.block_tx_bytes;
-            node.set_tracer(tracer_for(i), i as u32);
-            node.pool.set_metrics(pool_metrics.clone());
-            if i < n_honest {
-                Slot::Honest(Box::new(node))
-            } else {
-                Slot::Malicious(Box::new(MaliciousNode::with_kind(
-                    node,
-                    keypairs[i].clone(),
-                    cfg.adversary_kind,
-                    adversary.clone(),
-                )))
-            }
+            cfg.fit(&mut node, tracer_for(i), i, pool_metrics.clone());
+            let malice = (i >= n_honest).then(|| Adversary {
+                keypair: keypairs[i].clone(),
+                kind: cfg.adversary_kind,
+                shared: adversary.clone(),
+            });
+            (Box::new(Process::new(node, 0)), malice)
         })
         .collect()
 }
@@ -234,79 +241,6 @@ impl KindBytes {
             ("bytes_tx", self.tx),
             ("bytes_catchup", self.catchup),
         ]
-    }
-}
-
-/// One node slot: the honest protocol, or its adversarial wrapper.
-pub(crate) enum Slot {
-    Honest(Box<Node>),
-    Malicious(Box<MaliciousNode>),
-}
-
-impl Slot {
-    /// The inner protocol node, whichever wrapper holds it.
-    pub(crate) fn node(&self) -> &Node {
-        match self {
-            Slot::Honest(n) => n,
-            Slot::Malicious(m) => m.inner(),
-        }
-    }
-
-    /// Mutable inner protocol node.
-    pub(crate) fn node_mut(&mut self) -> &mut Node {
-        match self {
-            Slot::Honest(n) => n,
-            Slot::Malicious(m) => m.inner_mut(),
-        }
-    }
-
-    /// The honest node, if this slot is honest.
-    pub(crate) fn honest(&self) -> Option<&Node> {
-        match self {
-            Slot::Honest(n) => Some(n),
-            Slot::Malicious(_) => None,
-        }
-    }
-
-    pub(crate) fn next_deadline(&self) -> Option<Micros> {
-        match self {
-            Slot::Honest(n) => n.next_deadline(),
-            Slot::Malicious(m) => m.next_deadline(),
-        }
-    }
-
-    pub(crate) fn start(&mut self, now: Micros) -> Vec<Outgoing> {
-        match self {
-            Slot::Honest(n) => wrap_broadcast(n.start(now)),
-            Slot::Malicious(m) => m.start(now),
-        }
-    }
-
-    pub(crate) fn on_tick(&mut self, now: Micros) -> Vec<Outgoing> {
-        match self {
-            Slot::Honest(n) => wrap_broadcast(n.on_tick(now)),
-            Slot::Malicious(m) => m.on_tick(now),
-        }
-    }
-
-    /// Delivers a message: what the node emits, and whether it forwards
-    /// the message itself ([`algorand_core::node::Delivery::relay`]).
-    /// Malicious nodes relay everything, and the `relay_all_blocks`
-    /// ablation switches §6's block rule off.
-    pub(crate) fn on_message(
-        &mut self,
-        msg: &WireMessage,
-        now: Micros,
-        relay_all_blocks: bool,
-    ) -> (Vec<Outgoing>, bool) {
-        match self {
-            Slot::Honest(n) => {
-                let delivery = n.on_message(msg, now);
-                let exempt = relay_all_blocks && matches!(msg, WireMessage::Block(_));
-                (wrap_broadcast(delivery.outputs), delivery.relay || exempt)
-            }
-            Slot::Malicious(m) => (m.on_message(msg, now), true),
-        }
     }
 }
 
@@ -492,14 +426,17 @@ pub(crate) struct NodeCarry {
     pub pipeline: PipelineStats,
     pub records: Vec<RoundRecord>,
     pub recovery: RecoveryStats,
+    pub blocksync_requests: u64,
 }
 
 impl NodeCarry {
-    /// Folds a dying node's counters in before its slot is overwritten.
-    pub(crate) fn fold_from(&mut self, node: &Node) {
+    /// Folds a dying process's counters in before it is replaced.
+    pub(crate) fn fold_from(&mut self, process: &Process) {
+        let node = process.node();
         self.pipeline.merge(&node.pipeline_stats());
         self.records.extend_from_slice(node.records());
         self.recovery.merge(&node.recovery_stats());
+        self.blocksync_requests += process.blocksync().requests_sent();
     }
 }
 
@@ -557,6 +494,8 @@ pub struct FaultReport {
     /// Timeout, catch-up and fork-recovery counters summed over honest
     /// nodes.
     pub recovery: RecoveryStats,
+    /// Catch-up requests blocksync sent, summed over honest nodes.
+    pub blocksync_requests: u64,
 }
 
 impl std::fmt::Display for FaultReport {
@@ -571,18 +510,15 @@ impl std::fmt::Display for FaultReport {
         )?;
         write!(
             f,
-            "recovery: timeout_escalations={} watchdog_catchups={} fork_recoveries={} catchups={} reorgs={}",
+            "recovery: timeout_escalations={} watchdog_catchups={} fork_recoveries={} catchups={} reorgs={} blocksync_requests={}",
             self.recovery.timeout_escalations,
             self.recovery.watchdog_catchups,
             self.recovery.recoveries_completed,
             self.recovery.catchups_applied,
             self.recovery.catchup_reorgs,
+            self.blocksync_requests,
         )
     }
-}
-
-pub(crate) fn wrap_broadcast(msgs: Vec<WireMessage>) -> Vec<Outgoing> {
-    msgs.into_iter().map(Outgoing::Broadcast).collect()
 }
 
 // --- Aggregation helpers -------------------------------------------------
@@ -590,11 +526,10 @@ pub(crate) fn wrap_broadcast(msgs: Vec<WireMessage>) -> Vec<Outgoing> {
 /// A digest of every honest node's canonical chain, for the determinism
 /// check: identical `(seed, schedule)` runs must produce identical
 /// digests.
-pub(crate) fn chain_digest(slots: &[&Slot]) -> [u8; 32] {
+pub(crate) fn chain_digest(honest: &[&Process]) -> [u8; 32] {
     let mut acc: Vec<u8> = Vec::new();
-    for slot in slots {
-        let Some(n) = slot.honest() else { continue };
-        let chain = n.chain();
+    for p in honest {
+        let chain = p.node().chain();
         for r in 1..=chain.tip().round {
             if let Some(b) = chain.block_at(r) {
                 acc.extend_from_slice(&b.hash());
@@ -610,12 +545,11 @@ pub(crate) fn chain_digest(slots: &[&Slot]) -> [u8; 32] {
 /// node (a record carried from before the crash wins over a hypothetical
 /// re-measurement after it).
 pub(crate) fn combined_records(
-    slots: &[&Slot],
+    honest: &[&Process],
     carry: &HashMap<usize, NodeCarry>,
 ) -> Vec<Vec<RoundRecord>> {
     let mut out = Vec::new();
-    for (i, slot) in slots.iter().enumerate() {
-        let Some(n) = slot.honest() else { continue };
+    for (i, p) in honest.iter().enumerate() {
         let mut seen = HashSet::new();
         let mut recs = Vec::new();
         if let Some(c) = carry.get(&i) {
@@ -625,7 +559,7 @@ pub(crate) fn combined_records(
                 }
             }
         }
-        for r in n.records() {
+        for r in p.node().records() {
             if seen.insert(r.round) {
                 recs.push(*r);
             }
@@ -635,16 +569,16 @@ pub(crate) fn combined_records(
     out
 }
 
-/// Aggregated staged-pipeline counters across honest nodes plus the
+/// Aggregated staged-pipeline counters across every node plus the
 /// process-wide cache, for the metrics report.
 pub(crate) fn pipeline_report(
-    slots: &[&Slot],
+    all: &[&Process],
     carry: &HashMap<usize, NodeCarry>,
     verifier: &PipelineVerifier,
 ) -> PipelineReport {
     let mut stages = PipelineStats::default();
-    for slot in slots {
-        stages.merge(&slot.node().pipeline_stats());
+    for p in all {
+        stages.merge(&p.node().pipeline_stats());
     }
     // Counters from nodes replaced by crash/restart, once per node id.
     for c in carry.values() {
@@ -661,19 +595,22 @@ pub(crate) fn pipeline_report(
 
 /// Fault-injection and recovery counters for one run.
 pub(crate) fn fault_report(
-    slots: &[&Slot],
+    honest: &[&Process],
     carry: &HashMap<usize, NodeCarry>,
     net: &Network,
     partitions_activated: usize,
     restarts: usize,
 ) -> FaultReport {
     let mut recovery = RecoveryStats::default();
-    for n in slots.iter().filter_map(|slot| slot.honest()) {
-        recovery.merge(&n.recovery_stats());
+    let mut blocksync_requests = 0;
+    for p in honest {
+        recovery.merge(&p.node().recovery_stats());
+        blocksync_requests += p.blocksync().requests_sent();
     }
     // Counters from nodes replaced by crash/restart, once per node id.
     for c in carry.values() {
         recovery.merge(&c.recovery);
+        blocksync_requests += c.blocksync_requests;
     }
     FaultReport {
         partitions_activated,
@@ -681,6 +618,7 @@ pub(crate) fn fault_report(
         dropped_by_partition: net.dropped_by_partition(),
         dropped_by_loss: net.dropped_by_loss(),
         recovery,
+        blocksync_requests,
     }
 }
 

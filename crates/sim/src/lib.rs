@@ -23,7 +23,7 @@ pub mod latency;
 pub mod metrics;
 pub mod network;
 
-pub use adversary::{AdversaryKind, AdversaryShared, MaliciousNode, Outgoing};
+pub use adversary::{AdversaryKind, AdversaryShared, Outgoing};
 pub use algorand_core::GENESIS_SEED;
 pub use des::{DesConfig, ParallelSim, Simulation};
 pub use epidemic::EpidemicConfig;

@@ -56,6 +56,12 @@ fn every_schedule_passes_and_its_faults_bite() {
         );
         assert_eq!(report.dropped_by_loss > 0, losses > 0, "{name}: {report}");
         assert_eq!(report.restarts, restarts, "{name}");
+        // A restarted node that missed rounds learns so from its peers'
+        // STATUS and asks one of them. (A restarted majority missed
+        // nothing: no one could finalize while it was down.)
+        if restarts > 0 && report.recovery.catchups_applied > 0 {
+            assert!(report.blocksync_requests > 0, "{name}: {report}");
+        }
         // A disconnected monitor must not pass vacuously.
         let seen = sim.monitor_report().expect("monitor attached").observed;
         assert!(
