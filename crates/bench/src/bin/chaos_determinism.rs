@@ -31,7 +31,7 @@ struct Outcome {
 }
 
 /// One judged run at the given worker count: the outcome plus the
-/// fault-report line.
+/// rendered fault report.
 fn run_once(name: &str, case: &FuzzCase, workers: usize) -> (Outcome, String) {
     let mut sim = Simulation::new(DesConfig {
         sim: case.config(),
@@ -39,20 +39,7 @@ fn run_once(name: &str, case: &FuzzCase, workers: usize) -> (Outcome, String) {
         trace_node_budget: 0,
     });
     let verdict = judge(&mut sim, case);
-    let report = sim.fault_report();
-    let line = format!(
-        "restarts={} partitions={} dropped(partition/loss)={}/{} \
-         escalations={} watchdog_catchups={} fork_recoveries={} catchups={} blocksync_requests={}",
-        report.restarts,
-        report.partitions_activated,
-        report.dropped_by_partition,
-        report.dropped_by_loss,
-        report.recovery.timeout_escalations,
-        report.recovery.watchdog_catchups,
-        report.recovery.recoveries_completed,
-        report.recovery.catchups_applied,
-        report.blocksync_requests,
-    );
+    let report = sim.fault_report().to_string();
     let outcome = Outcome {
         class: verdict.class,
         recovered_after: verdict.recovered_after,
@@ -60,7 +47,7 @@ fn run_once(name: &str, case: &FuzzCase, workers: usize) -> (Outcome, String) {
         monitor: sim.monitor_report().expect("monitor attached").to_string(),
         trace: sim.export_trace(name),
     };
-    (outcome, line)
+    (outcome, report)
 }
 
 fn hex8(d: &[u8; 32]) -> String {
@@ -72,7 +59,7 @@ fn main() {
     println!();
     let mut failed = false;
     for (name, case) in chaos_table() {
-        let (first, line) = run_once(name, &case, 1);
+        let (first, report) = run_once(name, &case, 1);
         let replay = run_once(name, &case, 1).0 == first;
         let parallel = [2, 4].iter().all(|&w| run_once(name, &case, w).0 == first);
         let verdict = |same| if same { "identical" } else { "DIVERGED" };
@@ -89,7 +76,9 @@ fn main() {
             verdict(replay),
             verdict(parallel),
         );
-        println!("  {line}");
+        for line in report.lines() {
+            println!("  {line}");
+        }
         failed |= !replay || !parallel || first.class != VerdictClass::Pass;
     }
     println!();

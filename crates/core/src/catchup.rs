@@ -4,11 +4,12 @@
 //! A lagging node asks peers for `(block, certificate)` pairs, a restarted
 //! one reads its final rounds back from its own log; both feed each pair
 //! through [`Blockchain::append_certified`], which trusts nothing but the
-//! chain it has built so far. Serving requests, the tentative-fork reorg and
-//! the liveness watchdog that triggers requests live here too.
+//! chain it has built so far. Serving requests and the tentative-fork reorg
+//! live here too; deciding *when* to ask is blocksync's, in
+//! [`crate::Process`].
 
 use crate::emit::Outbox;
-use crate::node::{Node, Phase};
+use crate::node::Node;
 use crate::params::AlgorandParams;
 use crate::verify::PipelineVerifier;
 use crate::wire::{CatchupBatch, WireMessage};
@@ -23,8 +24,9 @@ impl Node {
     /// Serves a catch-up request from canonical history (§8.3).
     ///
     /// Responses are bounded to a few rounds per message; a node far behind
-    /// iterates. Identical responses from different peers deduplicate by
-    /// content in the gossip layer.
+    /// iterates. Every request that arrives is answered: catch-up never
+    /// passes through relay dedup, so a retry, or a second lagging node at
+    /// the same tip, gets its own response.
     ///
     /// A requester whose tip hash differs from our canonical block at the
     /// same round sits on the losing side of a §8.2 tentative fork; merely
@@ -183,52 +185,6 @@ impl Node {
             .label("reorg")
             .value(rolled_back)
             .instant();
-    }
-
-    /// Emits a rate-limited catch-up request when the network's votes show
-    /// we are behind.
-    pub(crate) fn maybe_request_catchup(&mut self, now: Micros, out: &mut Outbox) {
-        if now < self.next_catchup_request {
-            return;
-        }
-        self.next_catchup_request = now + self.params.ba.lambda_step;
-        let have = self.chain.tip().round;
-        self.tracer
-            .span(SpanKind::Catchup, self.trace_node, have, now)
-            .label("request")
-            .instant();
-        out.push(WireMessage::CatchupRequest {
-            have,
-            tip_hash: self.chain.tip_hash(),
-        });
-    }
-
-    /// Liveness watchdog: a node stalled for half a recovery interval
-    /// starts probing peers for agreed rounds it may have missed — the
-    /// cheap first escalation rung, well before the §8.2 fork-recovery
-    /// machinery arms at the epoch boundary. Stalls this long never occur
-    /// in a healthy network (rounds conclude in seconds), so the watchdog
-    /// is silent outside fault windows.
-    pub(crate) fn watchdog_tick(&mut self, now: Micros, out: &mut Outbox) {
-        if self.params.recovery_interval == 0 || matches!(self.phase, Phase::Recovery(_)) {
-            return;
-        }
-        if now.saturating_sub(self.last_progress) <= self.params.recovery_interval / 2 {
-            return;
-        }
-        if now >= self.next_catchup_request {
-            self.recovery.watchdog_catchups += 1;
-            self.tracer
-                .span(
-                    SpanKind::Catchup,
-                    self.trace_node,
-                    self.chain.tip().round,
-                    now,
-                )
-                .label("watchdog")
-                .instant();
-            self.maybe_request_catchup(now, out);
-        }
     }
 
     // --- Crash/restart ---------------------------------------------------------

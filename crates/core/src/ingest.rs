@@ -3,8 +3,9 @@
 //! Wire decoding lives in [`crate::wire`] and content-addressed
 //! deduplication in the gossip relay; what remains here is the per-round
 //! classification that decides where a decoded message goes next:
-//! straight to the verify stage, into a buffer, or to the catch-up
-//! protocol.
+//! straight to the verify stage, into a buffer, or nowhere. A node that
+//! has fallen behind learns so from its peers' STATUS tips, not from
+//! votes: catching up is blocksync's ([`crate::Process`]).
 
 /// How far ahead of the local round incoming votes are buffered.
 pub const FUTURE_ROUND_WINDOW: u64 = 3;
@@ -16,7 +17,7 @@ pub enum RoundClass {
     Current,
     /// Within [`FUTURE_ROUND_WINDOW`]: buffer for replay.
     NearFuture,
-    /// Beyond the window: the network is far ahead — request catch-up.
+    /// Beyond the window: dropped.
     FarFuture,
     /// Already completed locally: drop.
     Past,

@@ -92,9 +92,6 @@ impl PipelineStats {
 pub struct RecoveryStats {
     /// BA⋆ step-timeout escalations.
     pub timeout_escalations: u64,
-    /// Catch-up requests fired by the liveness watchdog (stall-driven, as
-    /// opposed to far-future-vote-driven).
-    pub watchdog_catchups: u64,
     /// §8.2 fork recoveries completed.
     pub recoveries_completed: u64,
     /// Rounds adopted via §8.3 catch-up.
@@ -108,7 +105,6 @@ impl RecoveryStats {
     /// Adds another node's counters into this one (fleet aggregation).
     pub fn merge(&mut self, other: &RecoveryStats) {
         self.timeout_escalations += other.timeout_escalations;
-        self.watchdog_catchups += other.watchdog_catchups;
         self.recoveries_completed += other.recoveries_completed;
         self.catchups_applied += other.catchups_applied;
         self.catchup_reorgs += other.catchup_reorgs;
@@ -138,7 +134,6 @@ pub fn publish_metrics(
             verifier.unique_vote_verifications() as u64,
         ),
         ("recovery.timeout_escalations", recovery.timeout_escalations),
-        ("recovery.watchdog_catchups", recovery.watchdog_catchups),
         ("recovery.fork_recoveries", recovery.recoveries_completed),
         ("recovery.catchups_applied", recovery.catchups_applied),
     ] {

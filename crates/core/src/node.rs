@@ -139,8 +139,6 @@ pub struct Node {
     pub(crate) last_recovery_epoch: u64,
     /// Next wall-clock instant at which the recovery-epoch check runs.
     pub(crate) next_epoch_check: Micros,
-    /// Earliest time another catch-up request may be sent (rate limit).
-    pub(crate) next_catchup_request: Micros,
     /// Timeout, catch-up and fork-recovery counters; the escalations of
     /// the round in flight still sit in its engine.
     pub(crate) recovery: RecoveryStats,
@@ -201,7 +199,6 @@ impl Node {
             last_progress: 0,
             last_recovery_epoch: 0,
             next_epoch_check: params.recovery_interval.max(1),
-            next_catchup_request: 0,
             recovery: RecoveryStats::default(),
             stepvar_backoff: 0,
             tracer: Tracer::disabled(),
@@ -362,7 +359,6 @@ impl Node {
     pub fn on_tick(&mut self, now: Micros) -> Vec<WireMessage> {
         let mut out = Outbox::new();
         self.maybe_enter_recovery(now, &mut out);
-        self.watchdog_tick(now, &mut out);
         match &mut self.phase {
             Phase::WaitProposals { until } => {
                 if now >= *until {
@@ -629,8 +625,8 @@ impl Node {
             self.handle_engine_outputs(outputs, now, out);
             return matches!(verdict, Some(None));
         }
-        // Buffer near-future rounds; request catch-up when the network is
-        // clearly far ahead of us.
+        // Buffer near-future rounds. A node further behind hears of the
+        // gap from its peers' STATUS tips: catching up is blocksync's.
         match ingest::classify_round(v.round, self.ctx.round()) {
             RoundClass::NearFuture => {
                 let parked = self.future_votes.push(v);
@@ -653,17 +649,8 @@ impl Node {
                         .ok(parked)
                         .instant();
                 }
-                // A committee vote two rounds ahead proves the network has
-                // certified both our current round and the next: probe for
-                // the missing certificates now instead of drifting until
-                // the far-future window trips. Healthy nodes are never two
-                // rounds behind, so this only fires on a genuine lag (the
-                // request is rate-limited like every other catch-up).
-                if v.round >= self.ctx.round() + 2 {
-                    self.maybe_request_catchup(now, out);
-                }
             }
-            RoundClass::FarFuture => self.maybe_request_catchup(now, out),
+            RoundClass::FarFuture => {}
             RoundClass::Past => self.pipeline.rejected_ingest += 1,
             RoundClass::Current => {} // Handled by the phase match above.
         }

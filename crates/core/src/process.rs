@@ -10,15 +10,20 @@
 //! wall clock, and `sim::des` over a simulated network and virtual time.
 //!
 //! What stays with each adapter is relay classification, the first step
-//! on every delivery: the adapter asks its `RelayState` whether a message
-//! is a duplicate before handing it here, and passes whether the relay
-//! rules allow forwarding it as `may_forward` (`algorand-gossip`'s
-//! module doc says why it comes first).
+//! on every gossip delivery: the adapter asks its `RelayState` whether a
+//! message is a duplicate before handing it here, and passes whether the
+//! relay rules allow forwarding it as `may_forward` (`algorand-gossip`'s
+//! module doc says why it comes first). Catch-up
+//! ([`WireMessage::is_point_to_point`]) skips that step: it is never
+//! forwarded, so there is nothing to dedup, and every request is answered.
+//!
+//! Blocksync is the one catch-up trigger: the node itself never asks for
+//! history, and [`Process`] asks only a peer whose STATUS tip is ahead.
 //!
 //! Routing, in one place:
 //!
-//! * what the node emits on its own (proposals, votes, a watchdog's
-//!   catch-up request) goes to every peer: [`Effect::Broadcast`];
+//! * what the node emits on its own (proposals, votes, fork proposals)
+//!   goes to every peer: [`Effect::Broadcast`];
 //! * a delivered message the node judged worth relaying goes on to every
 //!   peer but its sender: [`Effect::Forward`] — never a catch-up request
 //!   or response, which are point to point;
@@ -143,7 +148,8 @@ impl Process {
 
     /// Delivers `msg` from `from`. `may_forward` is the adapter's relay
     /// classification: false when the one-message-per-key rule holds the
-    /// message back (a duplicate never gets here).
+    /// message back (a duplicate never gets here). A point-to-point
+    /// message arrives unclassified and is never forwarded.
     pub fn on_message(
         &mut self,
         from: PeerId,
@@ -152,12 +158,8 @@ impl Process {
         now: Micros,
     ) -> Vec<Effect> {
         let delivery = self.node.on_message(msg, now);
-        let point_to_point = matches!(
-            msg,
-            WireMessage::CatchupRequest { .. } | WireMessage::CatchupResponse(_)
-        );
         let mut effects = Vec::with_capacity(delivery.outputs.len() + 1);
-        if may_forward && delivery.relay && !point_to_point {
+        if may_forward && delivery.relay && !msg.is_point_to_point() {
             effects.push(Effect::Forward { exclude: from });
         }
         for out in delivery.outputs {
@@ -175,12 +177,6 @@ impl Process {
     /// forward when the tip is ahead of ours.
     pub fn on_status(&mut self, from: PeerId, tip: u64) {
         self.sync.tips.insert(from, tip);
-    }
-
-    /// Forgets a peer whose connection is gone, so blocksync stops
-    /// choosing it (a live peer re-announces within one STATUS tick).
-    pub fn forget_peer(&mut self, peer: PeerId) {
-        self.sync.tips.remove(&peer);
     }
 
     /// Runs whatever is due at `now`: the node's own timers, the STATUS
@@ -264,6 +260,11 @@ fn broadcast(outputs: Vec<WireMessage>) -> Vec<Effect> {
 /// receipt, walks it forward. A cooldown keeps a deeply behind node from
 /// asking faster than responses can land; each response advances the
 /// tip, so the next request asks from further along.
+///
+/// An announced tip is good for one request: asking a peer spends its
+/// tip until its next STATUS. A peer that announces a tip it never
+/// serves — or whose connection died — is asked at most once per
+/// announcement, and every other peer ahead is asked in between.
 #[derive(Default)]
 pub struct Blocksync {
     tips: BTreeMap<PeerId, u64>,
@@ -298,15 +299,18 @@ impl Blocksync {
         }
     }
 
-    /// If we are behind and off cooldown, the peer to ask; the caller
-    /// sends it `CatchupRequest { have: local_tip, tip_hash }`.
+    /// If we are behind and off cooldown, the peer to ask, whose tip the
+    /// request spends; the caller sends it `CatchupRequest { have:
+    /// local_tip, tip_hash }`.
     pub fn poll(&mut self, local_tip: u64, stalled_at: Micros, now: Micros) -> Option<PeerId> {
         if self.next_request(local_tip, stalled_at)? > now {
             return None;
         }
+        let (&peer, _) = self.best()?;
+        self.tips.remove(&peer);
         self.last_request = Some(now);
         self.requests_sent += 1;
-        self.best().map(|(&peer, _)| peer)
+        Some(peer)
     }
 
     /// Catch-up requests issued so far.
@@ -330,17 +334,18 @@ mod tests {
         bs.tips.insert(2, 9);
         assert_eq!(bs.next_request(5, 0), Some(0), "ahead, never asked: now");
         assert_eq!(bs.poll(5, 0, t0), Some(2));
-        // Cooldown suppresses an immediate repeat…
+        // The request spent peer 2's tip, and peer 1 is behind us.
+        assert_eq!(bs.next_request(5, 0), None);
+        // Once peer 2 re-announces, cooldown suppresses an immediate repeat…
+        bs.tips.insert(2, 9);
         assert_eq!(bs.next_request(5, 0), Some(t0 + REQUEST_COOLDOWN));
         assert_eq!(bs.poll(5, 0, t0 + 10_000), None);
         // …but not a request after it elapses.
         assert_eq!(bs.poll(5, 0, t0 + REQUEST_COOLDOWN), Some(2));
         // Caught up: nothing to ask.
+        bs.tips.insert(2, 9);
         assert_eq!(bs.poll(9, 0, t0 + 2 * REQUEST_COOLDOWN), None);
         assert_eq!(bs.next_request(9, 0), None);
-
-        bs.tips.remove(&2);
-        assert_eq!(bs.next_request(3, 0), None, "peer 1 is no further than us");
         assert_eq!(bs.requests_sent(), 2);
     }
 
@@ -352,6 +357,7 @@ mod tests {
         assert_eq!(bs.next_request(5, stalled_at), Some(stalled_at));
         assert_eq!(bs.poll(5, stalled_at, stalled_at - 1), None);
         assert_eq!(bs.poll(5, stalled_at, stalled_at), Some(4));
+        bs.tips.insert(4, 6);
         assert_eq!(
             bs.next_request(4, stalled_at),
             Some(stalled_at + REQUEST_COOLDOWN)
@@ -365,7 +371,6 @@ mod tests {
             bs.tips.insert(peer, if peer == 88 { 2 } else { 5 });
         }
         assert_eq!(bs.poll(0, 0, 0), Some(3));
-        bs.tips.remove(&3);
         assert_eq!(bs.poll(0, 0, REQUEST_COOLDOWN), Some(7));
     }
 }

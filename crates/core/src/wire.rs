@@ -171,6 +171,16 @@ impl WireMessage {
         }
     }
 
+    /// Whether this message goes to one peer and no further: §8.3
+    /// catch-up. Such a message never passes through relay dedup and is
+    /// never forwarded; every other kind is gossip.
+    pub fn is_point_to_point(&self) -> bool {
+        matches!(
+            self,
+            WireMessage::CatchupRequest { .. } | WireMessage::CatchupResponse(_)
+        )
+    }
+
     /// A content id for gossip dedup.
     pub fn message_id(&self) -> [u8; 32] {
         match self {
@@ -210,7 +220,7 @@ impl WireMessage {
             // Transactions dedup by content; senders may submit many per
             // round.
             WireMessage::Transaction(_) => None,
-            // Catch-up traffic dedups by content.
+            // Catch-up traffic never reaches the relay view.
             WireMessage::CatchupRequest { .. } => None,
             WireMessage::CatchupResponse(_) => None,
         }

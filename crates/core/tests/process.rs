@@ -1,14 +1,17 @@
 //! The one loop both adapters run, with no sockets and no simulator: a
 //! handful of [`Process`]es on an in-memory network that delivers every
-//! send at once, deduplicating by message id as a relay view would.
+//! send at once, deduplicating gossip by message id as a relay view
+//! would.
 //!
 //! * catch-up is point to point: a response goes to its requester alone,
 //!   and neither a request nor a response is ever forwarded;
 //! * the WAL cursor hands out each final round once, in order, and never
 //!   a tentative one;
-//! * blocksync asks the most advanced peer once per cooldown.
+//! * blocksync is the one catch-up trigger: it asks the most advanced
+//!   peer once per cooldown, spends each announced tip on one request,
+//!   and a stalled node with no peer ahead asks no one.
 
-use algorand_core::process::REQUEST_COOLDOWN;
+use algorand_core::process::{REQUEST_COOLDOWN, STATUS_TICK};
 use algorand_core::wire::CatchupBatch;
 use algorand_core::{Effect, Node, PeerId, PipelineVerifier, Process, WireMessage};
 use algorand_crypto::Keypair;
@@ -103,8 +106,17 @@ fn a_catchup_response_goes_only_to_its_requester_and_nothing_of_catchup_is_forwa
     assert!(!forwards(&server.on_message(2, &pay, false, NOW)));
 }
 
+/// Whether `effect` sends a catch-up request, to anyone.
+fn is_request(effect: &Effect) -> bool {
+    matches!(
+        effect,
+        Effect::Broadcast(WireMessage::CatchupRequest { .. })
+            | Effect::SendTo(_, WireMessage::CatchupRequest { .. })
+    )
+}
+
 /// An in-memory network of processes: every send arrives at once, each
-/// process drops what it has seen by id, and time jumps to the next
+/// process drops gossip it has seen by id, and time jumps to the next
 /// deadline whenever nothing is in flight.
 struct Cluster {
     procs: Vec<Process>,
@@ -115,6 +127,13 @@ struct Cluster {
     /// Per process, every `AppendFinal` it emitted and whether the round
     /// was final when it did.
     appended: Vec<Vec<(u64, bool)>>,
+    /// Per process, the last tip it announced.
+    announced: Vec<Option<u64>>,
+    /// Every catch-up request sent point to point: `(from, to, have, the
+    /// tip `to` had last announced)`.
+    requests: Vec<(usize, usize, u64, Option<u64>)>,
+    /// Catch-up requests sent to every peer.
+    broadcast_requests: usize,
 }
 
 impl Cluster {
@@ -126,6 +145,9 @@ impl Cluster {
             wire: VecDeque::new(),
             now: NOW,
             appended: vec![Vec::new(); n],
+            announced: vec![None; n],
+            requests: Vec::new(),
+            broadcast_requests: 0,
         }
     }
 
@@ -134,6 +156,9 @@ impl Cluster {
         for effect in effects {
             match effect {
                 Effect::Broadcast(msg) => {
+                    if matches!(msg, WireMessage::CatchupRequest { .. }) {
+                        self.broadcast_requests += 1;
+                    }
                     self.seen[from].insert(msg.message_id());
                     for to in (0..n).filter(|&to| to != from) {
                         self.wire.push_back((from, to, msg.clone()));
@@ -145,12 +170,19 @@ impl Cluster {
                         self.wire.push_back((from, to, msg.clone()));
                     }
                 }
-                Effect::SendTo(to, msg) => self.wire.push_back((from, to as usize, msg)),
+                Effect::SendTo(to, msg) => {
+                    let to = to as usize;
+                    if let WireMessage::CatchupRequest { have, .. } = msg {
+                        self.requests.push((from, to, have, self.announced[to]));
+                    }
+                    self.wire.push_back((from, to, msg));
+                }
                 Effect::AppendFinal(r) => {
                     let final_now = self.procs[from].node().chain().is_finalized(r);
                     self.appended[from].push((r, final_now));
                 }
                 Effect::AnnounceTip(tip) => {
+                    self.announced[from] = Some(tip);
                     for to in (0..n).filter(|&to| to != from) {
                         self.procs[to].on_status(from as PeerId, tip);
                     }
@@ -177,7 +209,7 @@ impl Cluster {
         {
             assert!(self.now < cap, "the cluster stalled");
             if let Some((from, to, msg)) = self.wire.pop_front() {
-                if self.seen[to].insert(msg.message_id()) {
+                if msg.is_point_to_point() || self.seen[to].insert(msg.message_id()) {
                     let effects = self.procs[to].on_message(from as PeerId, &msg, true, self.now);
                     self.apply(to, effects, Some(&msg));
                 }
@@ -246,7 +278,7 @@ fn append_final_names_each_final_round_once_in_order_and_no_tentative_one() {
 }
 
 #[test]
-fn blocksync_asks_the_most_advanced_peer_once_per_cooldown() {
+fn blocksync_asks_the_most_advanced_peer_once_per_cooldown_and_each_tip_once() {
     let kps = users(4);
     let observer = Keypair::from_seed([77u8; 32]);
     let mut lagging = process(&kps, &observer, &[].to_vec(), 0);
@@ -273,19 +305,115 @@ fn blocksync_asks_the_most_advanced_peer_once_per_cooldown() {
     // says when it may.
     assert_eq!(ask(&lagging.on_tick(t + 1)), Vec::<PeerId>::new());
     assert!(lagging.next_deadline().unwrap() <= t + REQUEST_COOLDOWN);
-    assert_eq!(ask(&lagging.on_tick(t + REQUEST_COOLDOWN)), [4]);
-    // A peer whose connection is gone is not asked again.
-    lagging.forget_peer(4);
-    assert_eq!(ask(&lagging.on_tick(t + 2 * REQUEST_COOLDOWN)), [5]);
-    assert_eq!(lagging.blocksync().requests_sent(), 3);
+    // Asking spent peer 4's tip: the next requests go down the others.
+    assert_eq!(ask(&lagging.on_tick(t + REQUEST_COOLDOWN)), [5]);
+    assert_eq!(ask(&lagging.on_tick(t + 2 * REQUEST_COOLDOWN)), [9]);
+    // Every tip spent: nothing more until a peer announces again.
+    assert_eq!(
+        ask(&lagging.on_tick(t + 3 * REQUEST_COOLDOWN)),
+        Vec::<PeerId>::new()
+    );
+    lagging.on_status(4, 3);
+    assert_eq!(ask(&lagging.on_tick(t + 4 * REQUEST_COOLDOWN)), [4]);
+    assert_eq!(lagging.blocksync().requests_sent(), 4);
 
     // Caught up: the response lands and the asking stops.
     let batch = WireMessage::CatchupResponse(CatchupBatch {
         entries: history(&kps, 3),
     });
-    lagging.on_message(5, &batch, true, t + 2 * REQUEST_COOLDOWN);
+    lagging.on_message(4, &batch, true, t + 4 * REQUEST_COOLDOWN);
+    lagging.on_status(4, 3);
+    lagging.on_status(5, 3);
     assert_eq!(
-        ask(&lagging.on_tick(t + 4 * REQUEST_COOLDOWN)),
+        ask(&lagging.on_tick(t + 6 * REQUEST_COOLDOWN)),
         Vec::<PeerId>::new()
     );
+}
+
+#[test]
+fn a_node_rounds_behind_asks_only_a_peer_that_announced_a_tip_ahead() {
+    // Four users agreed on rounds 1-3; an observer starts at genesis.
+    let kps = users(4);
+    let entries = history(&kps, 3);
+    let mut procs: Vec<Process> = kps
+        .iter()
+        .map(|kp| process(&kps, kp, &entries, 3))
+        .collect();
+    let observer = Keypair::from_seed([77u8; 32]);
+    procs.push(process(&kps, &observer, &[].to_vec(), 0));
+    let mut cluster = Cluster::new(procs);
+    cluster.start();
+    cluster.run_to(5);
+
+    let lagging = &cluster.procs[4];
+    assert!(lagging.node().recovery_stats().catchups_applied >= 3);
+    assert_eq!(cluster.broadcast_requests, 0, "a request went to everyone");
+    assert!(cluster.requests.iter().any(|&(from, ..)| from == 4));
+    for &(from, to, have, announced) in &cluster.requests {
+        assert!(
+            announced.is_some_and(|tip| tip > have),
+            "process {from} asked {to} from round {have}, which announced {announced:?}"
+        );
+    }
+}
+
+#[test]
+fn a_stalled_node_with_no_peer_ahead_asks_for_nothing() {
+    // One user of four cannot reach any threshold alone: its round never
+    // ends. Past half a recovery interval without progress — where a
+    // liveness watchdog would fire — it still asks no one, since every
+    // peer announces the tip it has.
+    let kps = users(4);
+    let mut p = params(&kps);
+    p.recovery_interval = 20_000_000;
+    let chain = p.genesis(&kps, STAKE);
+    let node = Node::new(kps[0].clone(), chain, p, Arc::new(PipelineVerifier::new()));
+    let mut lone = Process::new(node, 0);
+    let mut effects = lone.start(NOW);
+    let mut now = NOW;
+    while now <= NOW + p.recovery_interval {
+        for peer in 1..4 {
+            lone.on_status(peer, 0);
+        }
+        now = lone.next_deadline().expect("a timer").max(now + 1);
+        effects.extend(lone.on_tick(now));
+    }
+    assert_eq!(lone.node().chain().tip_round(), 0, "the round never ended");
+    let asks: Vec<&Effect> = effects.iter().filter(|e| is_request(e)).collect();
+    assert!(asks.is_empty(), "{asks:?}");
+}
+
+#[test]
+fn a_peer_announcing_a_tip_it_never_serves_does_not_starve_an_honest_one() {
+    const LIAR: PeerId = 1;
+    const HONEST: PeerId = 2;
+    const LAGGING: PeerId = 3;
+    let kps = users(4);
+    let observer = Keypair::from_seed([77u8; 32]);
+    let mut server = process(&kps, &observer, &history(&kps, 3), 3);
+    let mut lagging = process(&kps, &observer, &[].to_vec(), 0);
+    lagging.start(NOW);
+
+    // Both peers announce at the STATUS cadence; the liar never answers.
+    let mut asked = Vec::new();
+    let mut now = NOW;
+    while lagging.node().chain().tip_round() < 3 {
+        assert!(now < NOW + 10 * STATUS_TICK, "starved: asked {asked:?}");
+        if (now - NOW).is_multiple_of(STATUS_TICK) {
+            lagging.on_status(LIAR, u64::MAX);
+            lagging.on_status(HONEST, 3);
+        }
+        for (peer, request) in sends_to(&lagging.on_tick(now)) {
+            asked.push(peer);
+            if peer == HONEST {
+                for (to, response) in sends_to(&server.on_message(LAGGING, request, true, now)) {
+                    assert_eq!(to, LAGGING);
+                    lagging.on_message(HONEST, response, true, now);
+                }
+            }
+        }
+        now += STATUS_TICK / 5;
+    }
+    assert_eq!(asked[0], LIAR, "the higher tip is asked first");
+    assert!(asked.contains(&HONEST));
 }

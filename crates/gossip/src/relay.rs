@@ -4,8 +4,8 @@
 //! (2) forwards at most one message per public key per ⟨round, step⟩ — the
 //! anti-equivocation and anti-spam rules that keep the gossip network from
 //! being overwhelmed by an adversary. Both drivers (`sim::des::engine`,
-//! `node::runtime`) consult this policy *first*, on every delivery and
-//! before the node has validated anything: a duplicate is dropped unread,
+//! `node::runtime`) consult this policy *first*, on every gossip delivery
+//! and before the node has validated anything: a duplicate is dropped unread,
 //! anything else goes to `core::Process::on_message` with `may_forward`
 //! set for a [`RelayDecision::Relay`], and the process's validation
 //! (`Delivery::relay`) gates only the *forwarding*. It stays with the
@@ -14,6 +14,10 @@
 //! An invalid message therefore occupies an id — and, if vote-like, its
 //! claimed sender's slot — at the nodes it reached, and spreads no
 //! further.
+//!
+//! §8.3 catch-up is not gossip: a request or response goes to one peer
+//! and no further, so the drivers hand it to the process without asking
+//! this policy, and a retried request is answered again.
 //!
 //! Five of six deliveries are duplicates, so "seen it?" is the hottest
 //! question in the system. The answer lives in two flat tables (one of

@@ -329,10 +329,15 @@ impl Runtime {
                 return Ok(());
             }
         };
-        let decision = self.relay.classify(msg.message_id(), msg.relay_slot());
-        if decision == RelayDecision::Duplicate {
-            return Ok(());
-        }
+        // Catch-up is point to point: no relay view, never forwarded.
+        let may_forward = if msg.is_point_to_point() {
+            false
+        } else {
+            match self.relay.classify(msg.message_id(), msg.relay_slot()) {
+                RelayDecision::Duplicate => return Ok(()),
+                decision => decision == RelayDecision::Relay,
+            }
+        };
         // Arrival half of a cross-process gossip hop: an instant stamped
         // with the message's content id. The sender's matching "send"
         // instant lives in *its* trace; `obs::merge` fuses the two into
@@ -352,7 +357,6 @@ impl Runtime {
                     .instant();
             }
         }
-        let may_forward = decision == RelayDecision::Relay;
         let effects = self.process.on_message(from, &msg, may_forward, self.now());
         self.apply(effects, Some((&msg, bytes)))
     }
@@ -449,10 +453,11 @@ impl Runtime {
                     self.trace_send(msg, bytes.len());
                     self.transport.broadcast_gossip(bytes, Some(exclude));
                 }
+                // A send to a connection that is gone is lost: blocksync
+                // spent that peer's tip when it chose it, and a dead
+                // connection announces none again.
                 Effect::SendTo(peer, msg) => {
-                    if !self.transport.send_gossip_to(peer, &msg.encoded()) {
-                        self.process.forget_peer(peer);
-                    }
+                    self.transport.send_gossip_to(peer, &msg.encoded());
                 }
                 Effect::AppendFinal(r) => {
                     let (block, cert) = self.process.final_entry(r);
@@ -660,10 +665,10 @@ mod tests {
         rt.apply(effects, None).expect("WAL append");
     }
 
-    /// Delivers `msg` from peer 0 and carries out what follows.
+    /// Delivers `msg` from peer 0 as a frame, through the relay view,
+    /// and carries out what follows.
     fn deliver(rt: &mut Runtime, msg: &WireMessage) {
-        let effects = rt.process.on_message(0, msg, true, 0);
-        rt.apply(effects, None).expect("WAL append");
+        rt.on_gossip(0, &msg.encoded()).expect("WAL append");
     }
 
     fn append(chain: &mut Blockchain, (block, cert): &(Block, Certificate)) {
@@ -759,6 +764,34 @@ mod tests {
     }
 
     #[test]
+    fn the_same_catchup_request_is_answered_every_time() {
+        let dir = fresh_dir("catchup-twice");
+        let mut rt = runtime(&dir);
+        let history = majority_history(&rt.cfg, 2);
+        let mut chain = rt.cfg.genesis();
+        for entry in &history {
+            append(&mut chain, entry);
+        }
+        chain.finalize(2);
+        adopt(&mut rt, chain);
+
+        // A retry, or a second node lagging at the same tip, sends the
+        // same bytes again.
+        let request = WireMessage::CatchupRequest {
+            have: 0,
+            tip_hash: rt.cfg.genesis().tip_hash(),
+        };
+        let emitted = |rt: &Runtime| rt.process.node().pipeline_stats().emitted;
+        let before = emitted(&rt);
+        deliver(&mut rt, &request);
+        deliver(&mut rt, &request);
+        assert_eq!(emitted(&rt) - before, 2, "one response per request");
+
+        rt.transport.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_flood_of_garbage_frames_is_counted_in_full_and_logged_eight_times() {
         let dir = fresh_dir("runtime");
         let mut rt = runtime(&dir);
@@ -793,7 +826,8 @@ mod tests {
         let mut rt = runtime(&dir);
 
         // Connection 99 announced round 5, then went away: the request
-        // cannot be queued, and the next poll must not pick it again.
+        // cannot be queued, and the next poll must not pick it again —
+        // asking spent its tip, and a dead connection announces no other.
         rt.process.on_status(99, 5);
         let effects = rt.process.on_tick(rt.now());
         rt.apply(effects, None).expect("no WAL append");

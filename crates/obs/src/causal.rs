@@ -365,8 +365,14 @@ impl<'a> CausalGraph<'a> {
             })
             .copied()?;
 
+        // Steps already on the path. A merged trace sorts same-instant
+        // events by kind, not recording order, so a step gated by its own
+        // node's vote can sort before that vote's emission; the walk never
+        // steps back onto the path, and so always ends.
+        let mut on_path = BTreeSet::new();
         loop {
             let (idx, st) = cur;
+            on_path.insert(idx);
             push(
                 &mut pts,
                 Point::new(
@@ -380,7 +386,7 @@ impl<'a> CausalGraph<'a> {
             if st.cause == 0 {
                 // Timeout conclusion: the wait spans the whole step
                 // window; the predecessor concluded at the window's start.
-                match self.prev_phase(st.node, round, idx) {
+                match self.prev_phase(st.node, round, idx, &on_path) {
                     Some(prev) => cur = prev,
                     None => {
                         self.descend_proposal(st.node, round, &mut pts, &mut push);
@@ -423,7 +429,7 @@ impl<'a> CausalGraph<'a> {
                 &mut pts,
                 Point::new(em.start, em.node, em.node, EdgeKind::BaStep, "emit".into()),
             );
-            match self.prev_phase(em.node, round, eidx) {
+            match self.prev_phase(em.node, round, eidx, &on_path) {
                 Some(prev) => cur = prev,
                 None => {
                     self.descend_proposal(em.node, round, &mut pts, &mut push);
@@ -457,14 +463,20 @@ impl<'a> CausalGraph<'a> {
     }
 
     /// The step conclusion recorded at `node` for `round` immediately
-    /// before buffer index `before` — the phase whose conclusion
-    /// triggered whatever happened at `before`.
-    fn prev_phase(&self, node: u32, round: u64, before: usize) -> Option<(usize, &'a TraceEvent)> {
+    /// before buffer index `before`, and not already in `on_path` — the
+    /// phase whose conclusion triggered whatever happened at `before`.
+    fn prev_phase(
+        &self,
+        node: u32,
+        round: u64,
+        before: usize,
+        on_path: &BTreeSet<usize>,
+    ) -> Option<(usize, &'a TraceEvent)> {
         self.steps_seq
             .get(&(node, round))?
             .iter()
             .rev()
-            .find(|(i, _)| *i < before)
+            .find(|(i, _)| *i < before && !on_path.contains(i))
             .copied()
     }
 
@@ -659,6 +671,42 @@ mod tests {
         // Attribution sums back to the total.
         let total: u64 = p.attribution().iter().map(|(_, v)| v).sum();
         assert_eq!(total, p.attributed());
+    }
+
+    #[test]
+    fn a_step_sorted_before_its_own_gating_vote_does_not_loop_the_walk() {
+        // A merged trace sorts same-instant events by kind: node 0's step
+        // 2, gated by node 0's own vote, lands before that vote's
+        // emission. The walk goes from the emission on to step 1.
+        let t = Tracer::bounded(16);
+        let vote = stable_id(&[5u8; 32]);
+        let r = 3u64;
+        t.span(SpanKind::BaStep, 0, r, 100)
+            .step(1)
+            .label("binary")
+            .id(step_span_id(0, r, 1))
+            .end_at(200);
+        t.span(SpanKind::BaStep, 0, r, 200)
+            .step(2)
+            .label("binary")
+            .id(step_span_id(0, r, 2))
+            .cause(vote)
+            .end_at(200);
+        t.span(SpanKind::Sortition, 0, r, 200)
+            .label("committee")
+            .id(vote)
+            .value(1)
+            .instant();
+        t.span(SpanKind::Round, 0, r, 0)
+            .label("final")
+            .cause(step_span_id(0, r, 2))
+            .ok(true)
+            .end_at(200);
+        let events = t.events();
+        let paths = critical_paths(&events);
+        assert_eq!(paths.len(), 1);
+        let emits = paths[0].edges.iter().filter(|e| e.label == "emit").count();
+        assert_eq!(emits, 1);
     }
 
     #[test]

@@ -54,7 +54,8 @@ pub enum SpanKind {
     /// per-node `uplink_total`/`downlink_total` summary. `value` = bytes,
     /// `peer` = the sending node for per-hop spans.
     GossipHop,
-    /// Catch-up activity: `request`, `apply`, or `watchdog` (see labels).
+    /// Catch-up activity at the requester: `apply` (`value` = rounds
+    /// adopted) or `reorg` (`value` = tentative rounds rolled back).
     Catchup,
     /// A scripted fault application or a recovery-protocol milestone.
     Fault,

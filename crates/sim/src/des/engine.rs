@@ -1332,13 +1332,17 @@ fn run_deliver(
         return; // Planted defect: ingest drops it.
     }
     g.tracer.set_order_hint(hint);
-    let decision = g.relay.classify(msg.id, msg.relay_slot);
-    if decision == RelayDecision::Duplicate {
-        return;
-    }
+    // Catch-up is point to point: no relay view, never forwarded.
+    let may_forward = if msg.wire.is_point_to_point() {
+        false
+    } else {
+        match g.relay.classify(msg.id, msg.relay_slot) {
+            RelayDecision::Duplicate => return,
+            decision => decision == RelayDecision::Relay,
+        }
+    };
     g.last_hint = hint;
     let now_t = harness::skewed_local(time, g.clock_skew);
-    let may_forward = decision == RelayDecision::Relay;
     let mut effects = g
         .process
         .on_message(from as PeerId, &msg.wire, may_forward, now_t);
@@ -1518,6 +1522,42 @@ mod tests {
         assert_eq!(process.node().chain().tip().round, walled);
         assert_eq!(process.walled_through(), walled);
         assert_eq!(process.durable(), want);
+    }
+
+    #[test]
+    fn the_same_catchup_request_is_answered_every_time() {
+        let mut cfg = SimConfig::new(5);
+        cfg.stake_per_user = 100;
+        let mut sim = Simulation::new(cfg);
+        sim.run_rounds(2, 120_000_000);
+
+        // A retry, or a second node lagging at the same tip, carries the
+        // same bytes and so the same message id.
+        let genesis = sim.cells[1].process.node().chain().block_at(0).unwrap();
+        let request = SimMsg::new(WireMessage::CatchupRequest {
+            have: 0,
+            tip_hash: genesis.hash(),
+        });
+        let ctx = UnitCtx {
+            window_end: Micros::MAX,
+            cfg: &sim.cfg,
+        };
+        let g = &mut sim.cells[1];
+        let before = g.outbox.len();
+        for _ in 0..2 {
+            run_deliver(g, sim.now, 0, 2, &request, &ctx);
+        }
+        let responses = g.outbox[before..]
+            .iter()
+            .filter(|i| match &i.kind {
+                IntentKind::SendTo {
+                    body: Body::Gossip(m),
+                    to: 2,
+                } => matches!(m.wire, WireMessage::CatchupResponse(_)),
+                _ => false,
+            })
+            .count();
+        assert_eq!(responses, 2, "one response per request");
     }
 
     #[test]

@@ -510,9 +510,8 @@ impl std::fmt::Display for FaultReport {
         )?;
         write!(
             f,
-            "recovery: timeout_escalations={} watchdog_catchups={} fork_recoveries={} catchups={} reorgs={} blocksync_requests={}",
+            "recovery: timeout_escalations={} fork_recoveries={} catchups={} reorgs={} blocksync_requests={}",
             self.recovery.timeout_escalations,
-            self.recovery.watchdog_catchups,
             self.recovery.recoveries_completed,
             self.recovery.catchups_applied,
             self.recovery.catchup_reorgs,

@@ -91,8 +91,9 @@ fn crashed_node_rejoins_via_catchup_and_keeps_its_history() {
     // normally. The restarted node object starts from zero, while the
     // aggregating reports carry its pre-crash history exactly once.
     let (case, mut sim) = row("crash/rejoin via catch-up");
-    // Catch-up reconverges within a slice; re-latching onto live rounds
-    // takes about another minute (the gap-2 probe, DESIGN.md §9).
+    // Catch-up reconverges within a slice, and blocksync re-latches the
+    // node onto live rounds: it finishes its first one 3.6 virtual
+    // seconds after its restart (DESIGN.md §9). The window is margin.
     sim.run_until(sim.now() + 150 * SEC);
     let n = case.n_honest();
     assert!(
