@@ -13,8 +13,8 @@
 //!    missed via blocksync catch-up batches, and finalizes the same
 //!    chain as the survivors.
 //! 3. **Live telemetry** — mid-run, every process answers a TELEMETRY
-//!    scrape on its peer port: the merged cluster health report (written
-//!    to `results/cluster_health.txt`) must show five clean in-process
+//!    scrape on its peer port: the merged cluster health report (printed
+//!    to stdout) must show five clean in-process
 //!    monitor verdicts and non-zero transport/WAL/pipeline counters,
 //!    and no process may have run more full public-key checks, or built
 //!    more key combs, than the deployment has distinct keys.
@@ -29,9 +29,11 @@
 //!    under `Gate::CLUSTER`, what `trace check FILE` runs): no dropped
 //!    event, every clock aligned on ≥ 2 finalized-round anchors, and
 //!    contiguous chains covering ≥ 90% of every finalized round, one of
-//!    them crossing processes. Artifacts land in
-//!    `results/cluster_trace.{jsonl,txt}` and a raw scraped exposition
-//!    in `results/cluster_metrics.txt`.
+//!    them crossing processes. The merged trace and its report land in
+//!    the gate's scratch directory, `cluster_trace.{jsonl,txt}`, and the
+//!    written file is read back and held to the same gate, exactly as
+//!    `trace check FILE` does. The scratch directory is removed on
+//!    success and kept on failure; the checkout is left untouched.
 //! 5. **The WAL keeps one fact** — after phase B, a copy of every
 //!    node's WAL reopens to entry records only, for rounds 1, 2, … in
 //!    order, each once, as many as the node wrote across its lives
@@ -42,6 +44,7 @@
 //! Exit code 0 only if every assertion holds, so `scripts/ci.sh` can
 //! gate on it. Configuration is compiled in (it *is* the test).
 
+use algorand_bench::path_problems;
 use algorand_node::config::{derive_keypairs, workload_transactions};
 use algorand_node::telemetry::{
     collect_trace, discover, scrape_metrics, ClusterHealth, NodeHealth,
@@ -96,8 +99,6 @@ fn main() {
     let report = health.render();
     println!("{report}");
     let distinct_keys = distinct_keys();
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/cluster_health.txt", &report).expect("write cluster_health.txt");
     assert!(
         health.unreachable.is_empty(),
         "every process must answer a TELEMETRY scrape: {:?}",
@@ -147,16 +148,12 @@ fn main() {
     // Every process has then finalized several rounds and lingers, still
     // serving, so each clock can be aligned on more than one anchor.
     wait_walled(&cfgs, TARGET_A);
-    // Archive one raw exposition alongside the health report — the
-    // checked-in copy pins the expose parser's exact round trip.
-    let exposition =
-        scrape_metrics(&addrs[0], Duration::from_secs(10)).expect("scrape node 0 exposition");
-    std::fs::write("results/cluster_metrics.txt", &exposition).expect("write cluster_metrics.txt");
+    let trace_file = root.join("cluster_trace.jsonl");
     let merged = collect_trace(
         &addrs,
         Duration::from_secs(10),
-        Path::new("results/cluster_trace.jsonl"),
-        Path::new("results/cluster_trace.txt"),
+        &trace_file,
+        &root.join("cluster_trace.txt"),
     )
     .unwrap_or_else(|e| panic!("collect the cluster trace: {e}"));
     assert_eq!(merged.nodes.len(), N, "every process must be drained");
@@ -166,8 +163,9 @@ fn main() {
             n.node, n.offset, n.skew, n.anchors
         );
     }
-    let problems = merged.problems(&Gate::CLUSTER);
-    assert!(problems.is_empty(), "merged cluster trace: {problems:?}");
+    let written = std::fs::read_to_string(&trace_file).expect("read the merged trace back");
+    let problems = path_problems(&written, &written, &Gate::CLUSTER);
+    assert!(problems.is_empty(), "written cluster trace: {problems:?}");
     println!(
         "[localnet] cluster trace ok: {} rounds profiled across {N} processes",
         critical_paths(&merged.events).len()

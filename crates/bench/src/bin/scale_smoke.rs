@@ -11,7 +11,8 @@
 //!      under a fixed byte ceiling with exact `trimmed` accounting.
 //!
 //! Wall-clock numbers and the process's peak resident memory (VmHWM,
-//! over all three legs) go to stdout (CI log) and `results/scale.txt`.
+//! over all three legs) go to stdout. Each leg's simulation is dropped
+//! before the next is built, so the peak is one 1,000-node simulation's.
 //! Exit code is non-zero on any gate failure.
 
 use algorand_sim::{DesConfig, Micros, ParallelSim, SimConfig};
@@ -48,7 +49,17 @@ fn peak_rss() -> String {
     }
 }
 
-fn run_des(workers: usize) -> (ParallelSim, f64) {
+/// What the gates read from an untraced leg, kept after its
+/// simulation is dropped.
+struct Leg {
+    tip: u64,
+    digest: [u8; 32],
+    virtual_s: f64,
+    wall_s: f64,
+    committed: Option<(usize, usize)>,
+}
+
+fn run_des(workers: usize) -> Leg {
     let mut sim = ParallelSim::new(DesConfig {
         sim: config(),
         workers,
@@ -67,7 +78,13 @@ fn run_des(workers: usize) -> (ParallelSim, f64) {
             t0.elapsed().as_secs_f64()
         );
     }
-    (sim, t0.elapsed().as_secs_f64())
+    Leg {
+        tip: min_tip(&sim),
+        digest: sim.chain_digest(),
+        virtual_s: sim.now() as f64 / 1e6,
+        wall_s: t0.elapsed().as_secs_f64(),
+        committed: sim.tx_stats().map(|s| (s.committed, s.injected)),
+    }
 }
 
 fn main() -> ExitCode {
@@ -80,36 +97,27 @@ fn main() -> ExitCode {
     );
 
     // Gate 1+2: the parallel engine at 1 and 4 workers.
-    let (des1, wall1) = run_des(1);
-    let (des4, wall4) = run_des(4);
-    let tip1 = min_tip(&des1);
-    let tip4 = min_tip(&des4);
-    let _ = writeln!(
-        out,
-        "  des workers=1: {tip1} rounds in {wall1:.2}s wall ({:.1}s virtual)",
-        des1.now() as f64 / 1e6
-    );
-    let _ = writeln!(
-        out,
-        "  des workers=4: {tip4} rounds in {wall4:.2}s wall ({:.1}s virtual)",
-        des4.now() as f64 / 1e6
-    );
-    if tip1 < ROUNDS || tip4 < ROUNDS {
+    let one = run_des(1);
+    let four = run_des(4);
+    for (workers, leg) in [(1, &one), (4, &four)] {
+        let _ = writeln!(
+            out,
+            "  des workers={workers}: {} rounds in {:.2}s wall ({:.1}s virtual)",
+            leg.tip, leg.wall_s, leg.virtual_s
+        );
+    }
+    if one.tip < ROUNDS || four.tip < ROUNDS {
         let _ = writeln!(out, "  FAILED: fewer than {ROUNDS} rounds finalized");
         ok = false;
     }
-    if des1.chain_digest() != des4.chain_digest() {
+    if one.digest != four.digest {
         let _ = writeln!(out, "  FAILED: digest differs between 1 and 4 workers");
         ok = false;
     } else {
         let _ = writeln!(out, "  digest identical across worker counts: OK");
     }
-    if let Some(stats) = des4.tx_stats() {
-        let _ = writeln!(
-            out,
-            "  workload: {}/{} txs committed",
-            stats.committed, stats.injected
-        );
+    if let Some((committed, injected)) = four.committed {
+        let _ = writeln!(out, "  workload: {committed}/{injected} txs committed");
     }
 
     // Reported, not gated: on a single-core host the 4-worker leg pays
@@ -119,7 +127,7 @@ fn main() -> ExitCode {
     let _ = writeln!(
         out,
         "  workers=4 over workers=1: {:.2}x wall ({cores} core(s) available)",
-        wall4 / wall1
+        four.wall_s / one.wall_s
     );
 
     // Gate 3: traced at scale under a per-node retention budget.
@@ -171,9 +179,6 @@ fn main() -> ExitCode {
     let _ = writeln!(out, "  peak resident memory: {}", peak_rss());
     let _ = writeln!(out, "scale smoke: {}", if ok { "OK" } else { "FAILED" });
     print!("{out}");
-    if let Err(e) = std::fs::write("results/scale.txt", &out) {
-        eprintln!("warning: could not write results/scale.txt: {e}");
-    }
     if ok {
         ExitCode::SUCCESS
     } else {

@@ -44,7 +44,7 @@
 //! and agreeing on its tip), 1 on a failed check, collection or health,
 //! 2 on a usage error.
 
-use algorand_bench::run_payment_workload;
+use algorand_bench::{path_problems, run_payment_workload};
 use algorand_node::telemetry::{collect_trace, discover, ClusterHealth};
 use algorand_obs::merge::{parse_merged, render_report};
 use algorand_obs::{parse_jsonl, Gate, Percentiles, SpanKind, Trace, TraceEvent};
@@ -412,41 +412,6 @@ fn verdict(problems: &[String]) -> bool {
         println!("trace check: OK");
     }
     problems.is_empty()
-}
-
-/// The critical-path legs over two exports of one trace: each loads,
-/// both render the same report, and the first has no problems under
-/// `gate`. Only one loaded trace is held in memory at a time.
-fn path_problems(a: &str, b: &str, gate: &Gate) -> Vec<String> {
-    let load = |text: &str| parse_merged(text).map(|m| (render_report(&m), m));
-    let (report, first) = match load(a) {
-        Ok(loaded) => loaded,
-        Err(e) => return vec![format!("trace does not load: {e}")],
-    };
-    let mut problems = first.problems(gate);
-    if problems.is_empty() {
-        println!(
-            "trace check: critical paths clear the bar (>= {} rounds, contiguous, \
-             >= {:.0}% coverage{})",
-            gate.min_rounds,
-            gate.min_coverage * 100.0,
-            if gate.cross_process {
-                ", crossing processes"
-            } else {
-                ""
-            }
-        );
-    }
-    drop(first);
-    match load(b) {
-        Ok((again, _)) if again == report => println!(
-            "trace check: identical critical-path report across reruns ({} bytes)",
-            report.len()
-        ),
-        Ok(_) => problems.push("the same trace rendered two different reports".into()),
-        Err(e) => problems.push(format!("trace does not load: {e}")),
-    }
-    problems
 }
 
 /// The simulator's gate: tracing must be invisible to the protocol and

@@ -23,6 +23,8 @@ pub mod ablation;
 pub mod figures;
 pub mod timing;
 
+use algorand_obs::merge::{parse_merged, render_report};
+use algorand_obs::Gate;
 use algorand_sim::{SimConfig, Simulation};
 
 /// Virtual-time cap for a single simulated experiment.
@@ -42,4 +44,39 @@ pub fn run_payment_workload(trace: bool) -> Simulation {
     let mut sim = Simulation::new(cfg);
     sim.run_rounds(8, T_CAP);
     sim
+}
+
+/// The critical-path legs over two exports of one trace: each loads,
+/// both render the same report, and the first has no problems under
+/// `gate`. Only one loaded trace is held in memory at a time.
+pub fn path_problems(a: &str, b: &str, gate: &Gate) -> Vec<String> {
+    let load = |text: &str| parse_merged(text).map(|m| (render_report(&m), m));
+    let (report, first) = match load(a) {
+        Ok(loaded) => loaded,
+        Err(e) => return vec![format!("trace does not load: {e}")],
+    };
+    let mut problems = first.problems(gate);
+    if problems.is_empty() {
+        println!(
+            "trace check: critical paths clear the bar (>= {} rounds, contiguous, \
+             >= {:.0}% coverage{})",
+            gate.min_rounds,
+            gate.min_coverage * 100.0,
+            if gate.cross_process {
+                ", crossing processes"
+            } else {
+                ""
+            }
+        );
+    }
+    drop(first);
+    match load(b) {
+        Ok((again, _)) if again == report => println!(
+            "trace check: identical critical-path report across reruns ({} bytes)",
+            report.len()
+        ),
+        Ok(_) => problems.push("the same trace rendered two different reports".into()),
+        Err(e) => problems.push(format!("trace does not load: {e}")),
+    }
+    problems
 }

@@ -8,7 +8,6 @@
 //! live here too; deciding *when* to ask is blocksync's, in
 //! [`crate::Process`].
 
-use crate::emit::Outbox;
 use crate::node::Node;
 use crate::params::AlgorandParams;
 use crate::verify::PipelineVerifier;
@@ -34,7 +33,12 @@ impl Node {
     /// certificate binds the majority's previous-block hash. Serving from
     /// the disputed round itself gives the requester the competing
     /// certificate it needs to reorg onto the majority chain.
-    pub(crate) fn on_catchup_request(&mut self, have: u64, tip_hash: &[u8; 32], out: &mut Outbox) {
+    pub(crate) fn on_catchup_request(
+        &mut self,
+        have: u64,
+        tip_hash: &[u8; 32],
+        out: &mut Vec<WireMessage>,
+    ) {
         const MAX_ROUNDS_PER_RESPONSE: u64 = 4;
         let tip = self.chain.tip().round;
         if have >= tip {
@@ -70,7 +74,7 @@ impl Node {
         &mut self,
         batch: &CatchupBatch,
         now: Micros,
-        out: &mut Outbox,
+        out: &mut Vec<WireMessage>,
     ) {
         self.maybe_reorg_onto(batch, now);
         let mut applied = 0u64;

@@ -9,8 +9,7 @@
 //!   process-wide cache, producing type-state `Verified*` wrappers that
 //!   are the *only* inputs the consensus stage accepts;
 //! * [`round`] — stage 3: the per-round state machine ([`round::RoundContext`])
-//!   plus the cross-round buffers (block bodies, future votes);
-//! * [`emit`] — stage 4: the single exit point for outbound gossip.
+//!   plus the cross-round buffers (block bodies, future votes).
 //!
 //! Around the pipeline:
 //!
@@ -34,7 +33,6 @@
 #![forbid(unsafe_code)]
 
 pub mod catchup;
-pub mod emit;
 pub mod ingest;
 pub mod metrics;
 pub mod node;

@@ -10,7 +10,7 @@
 //! ```text
 //! ingest (decode/classify, crate::ingest) ──► verify (type-state
 //! wrappers from crate::verify) ──► consume (crate::round +
-//! ba::engine) ──► emit (crate::emit)
+//! ba::engine) ──► emit (Node::emit)
 //! ```
 //!
 //! The consume stage only has constructors for its inputs inside the
@@ -23,7 +23,6 @@
 //! start round r+1
 //! ```
 
-use crate::emit::Outbox;
 use crate::ingest::{self, RoundClass};
 use crate::metrics::{PipelineStats, RecoveryStats, RoundRecord};
 use crate::params::AlgorandParams;
@@ -300,7 +299,7 @@ impl Node {
 
     /// Begins participation: starts the next round.
     pub fn start(&mut self, now: Micros) -> Vec<WireMessage> {
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         self.start_round(now, &mut out);
         self.emit(out)
     }
@@ -308,7 +307,7 @@ impl Node {
     /// Delivers a gossip message: the pipeline's ingest entry point.
     pub fn on_message(&mut self, msg: &WireMessage, now: Micros) -> Delivery {
         self.pipeline.ingested += 1;
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         let mut relay = true;
         match msg {
             WireMessage::Priority(p) => self.on_priority(p, now, &mut out),
@@ -340,9 +339,9 @@ impl Node {
 
     /// The pipeline's emit stage: hands the accumulated gossip back to
     /// the driver and ticks the emit counter.
-    fn emit(&mut self, out: Outbox) -> Vec<WireMessage> {
+    fn emit(&mut self, out: Vec<WireMessage>) -> Vec<WireMessage> {
         self.pipeline.emitted += out.len() as u64;
-        out.into_vec()
+        out
     }
 
     /// Admits a gossiped payment into the mempool (§4: each user collects
@@ -357,7 +356,7 @@ impl Node {
 
     /// Advances clocks; fires any due timeouts.
     pub fn on_tick(&mut self, now: Micros) -> Vec<WireMessage> {
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         self.maybe_enter_recovery(now, &mut out);
         match &mut self.phase {
             Phase::WaitProposals { until } => {
@@ -410,7 +409,7 @@ impl Node {
 
     // --- Round lifecycle ------------------------------------------------------
 
-    pub(crate) fn start_round(&mut self, now: Micros, out: &mut Outbox) {
+    pub(crate) fn start_round(&mut self, now: Micros, out: &mut Vec<WireMessage>) {
         self.ctx = RoundContext::new(&self.chain, now);
         self.block_msg_ids.clear();
         self.ba_input = [0u8; 32];
@@ -504,7 +503,7 @@ impl Node {
         }
     }
 
-    fn on_priority(&mut self, p: &PriorityMessage, _now: Micros, _out: &mut Outbox) {
+    fn on_priority(&mut self, p: &PriorityMessage, _now: Micros, _out: &mut Vec<WireMessage>) {
         if p.round != self.ctx.round() || !matches!(self.phase, Phase::WaitProposals { .. }) {
             self.pipeline.rejected_ingest += 1;
             return;
@@ -533,7 +532,7 @@ impl Node {
 
     /// Returns the block's hash: the one this node takes of the body;
     /// everything below, and the relay verdict afterwards, works from it.
-    fn on_block(&mut self, b: &BlockMessage, now: Micros, out: &mut Outbox) -> [u8; 32] {
+    fn on_block(&mut self, b: &BlockMessage, now: Micros, out: &mut Vec<WireMessage>) -> [u8; 32] {
         let hash = self.chain.observe_block(b.block.clone());
         self.blocks.insert(hash, b.block.clone());
         if b.block.round != self.ctx.round() {
@@ -592,7 +591,7 @@ impl Node {
     }
 
     /// Returns whether this delivery verified the vote and rejected it.
-    fn on_vote(&mut self, v: &VoteMessage, now: Micros, out: &mut Outbox) -> bool {
+    fn on_vote(&mut self, v: &VoteMessage, now: Micros, out: &mut Vec<WireMessage>) -> bool {
         let engine = match &mut self.phase {
             Phase::Recovery(r) => match &mut r.phase {
                 RecoveryPhase::Ba { engine } => Some(engine),
@@ -658,7 +657,7 @@ impl Node {
     }
 
     /// End of the proposal wait: pick the highest-priority proposal.
-    fn adopt_best_proposal(&mut self, now: Micros, out: &mut Outbox) {
+    fn adopt_best_proposal(&mut self, now: Micros, out: &mut Vec<WireMessage>) {
         match self.ctx.best_candidate() {
             Some(block_hash) => {
                 if self.blocks.contains(&block_hash) {
@@ -675,7 +674,7 @@ impl Node {
     }
 
     /// Starts BA⋆ with the candidate block (validated) or the empty block.
-    fn begin_ba(&mut self, candidate: Option<[u8; 32]>, now: Micros, out: &mut Outbox) {
+    fn begin_ba(&mut self, candidate: Option<[u8; 32]>, now: Micros, out: &mut Vec<WireMessage>) {
         let initial = match candidate {
             Some(hash) => {
                 let valid = self
@@ -735,7 +734,7 @@ impl Node {
         &mut self,
         outputs: Vec<Output>,
         now: Micros,
-        out: &mut Outbox,
+        out: &mut Vec<WireMessage>,
     ) {
         // Flush all gossip first so the decision-time votes (the
         // three-extra-steps rule and the final vote) are not lost.
@@ -743,7 +742,7 @@ impl Node {
         let mut hung = false;
         for o in outputs {
             match o {
-                Output::Gossip(v) => out.vote(v),
+                Output::Gossip(v) => out.push(WireMessage::Vote(v)),
                 Output::BinaryDecided { .. } => {}
                 Output::Decided(d) => decided = Some(d),
                 Output::Hung => hung = true,
@@ -760,7 +759,7 @@ impl Node {
         }
     }
 
-    fn complete_round(&mut self, decision: Decision, now: Micros, out: &mut Outbox) {
+    fn complete_round(&mut self, decision: Decision, now: Micros, out: &mut Vec<WireMessage>) {
         let block = self
             .blocks
             .get(&decision.value)

@@ -17,7 +17,6 @@
 //! If an attempt fails (BA⋆ hangs or times out), the seed is re-hashed and
 //! the protocol retries until consensus is achieved.
 
-use crate::emit::Outbox;
 use crate::node::{Node, Phase, RecoveryPhase, RecoveryState};
 use crate::proposal::{compute_priority, proposal_sortition, Priority};
 use crate::wire::WireMessage;
@@ -204,7 +203,7 @@ pub fn fork_proposer_sortition(
 // --- The node's side of recovery ---------------------------------------------
 
 impl Node {
-    pub(crate) fn maybe_enter_recovery(&mut self, now: Micros, out: &mut Outbox) {
+    pub(crate) fn maybe_enter_recovery(&mut self, now: Micros, out: &mut Vec<WireMessage>) {
         if self.params.recovery_interval == 0 || now < self.next_epoch_check {
             return;
         }
@@ -235,7 +234,13 @@ impl Node {
         (seed, weights)
     }
 
-    fn enter_recovery(&mut self, epoch: u64, attempt: u32, now: Micros, out: &mut Outbox) {
+    fn enter_recovery(
+        &mut self,
+        epoch: u64,
+        attempt: u32,
+        now: Micros,
+        out: &mut Vec<WireMessage>,
+    ) {
         self.tracer
             .span(
                 SpanKind::Fault,
@@ -314,7 +319,7 @@ impl Node {
         &mut self,
         f: &ForkProposalMessage,
         now: Micros,
-        out: &mut Outbox,
+        out: &mut Vec<WireMessage>,
     ) {
         // Cache the proposed block regardless of phase, so a decision can
         // complete even if the proposal arrives late.
@@ -372,7 +377,7 @@ impl Node {
         }
     }
 
-    pub(crate) fn recovery_tick(&mut self, now: Micros, out: &mut Outbox) {
+    pub(crate) fn recovery_tick(&mut self, now: Micros, out: &mut Vec<WireMessage>) {
         let Phase::Recovery(r) = &mut self.phase else {
             return;
         };
@@ -431,14 +436,19 @@ impl Node {
 
     /// Gives up on the current recovery attempt and starts the next one
     /// at once, with a re-hashed seed.
-    pub(crate) fn retry_recovery(&mut self, now: Micros, out: &mut Outbox) {
+    pub(crate) fn retry_recovery(&mut self, now: Micros, out: &mut Vec<WireMessage>) {
         if let Phase::Recovery(r) = &self.phase {
             let (epoch, attempt) = (r.epoch, r.attempt + 1);
             self.enter_recovery(epoch, attempt, now, out);
         }
     }
 
-    pub(crate) fn complete_recovery(&mut self, decision: Decision, now: Micros, out: &mut Outbox) {
+    pub(crate) fn complete_recovery(
+        &mut self,
+        decision: Decision,
+        now: Micros,
+        out: &mut Vec<WireMessage>,
+    ) {
         let Some(block) = self.blocks.get(&decision.value).cloned() else {
             // We decided on a fork block we never saw.
             return self.retry_recovery(now, out);

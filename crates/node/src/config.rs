@@ -24,11 +24,6 @@
 //! # workload and observability
 //! tx_count = 24
 //! trace = 0
-//! # λ overrides in milliseconds (0 keeps the scaled default)
-//! lambda_priority_ms = 0
-//! lambda_stepvar_ms = 0
-//! lambda_step_ms = 0
-//! lambda_block_ms = 0
 //! ```
 //!
 //! The derivations are `algorand_core::params`'s — the ones the
@@ -83,14 +78,6 @@ pub struct NodeConfig {
     /// share a wall clock, so this aligns their round-1 openings to
     /// within milliseconds — well inside λ_priority.
     pub start_at_ms: u64,
-    /// λ_priority override in milliseconds (0 keeps the scaled default).
-    pub lambda_priority_ms: u64,
-    /// λ_stepvar override in milliseconds (0 keeps the scaled default).
-    pub lambda_stepvar_ms: u64,
-    /// λ_step override in milliseconds (0 keeps the scaled default).
-    pub lambda_step_ms: u64,
-    /// λ_block override in milliseconds (0 keeps the scaled default).
-    pub lambda_block_ms: u64,
     /// Record a bounded trace and export it on exit.
     pub trace: bool,
 }
@@ -111,10 +98,6 @@ impl Default for NodeConfig {
             tx_count: 0,
             min_peers: 0,
             start_at_ms: 0,
-            lambda_priority_ms: 0,
-            lambda_stepvar_ms: 0,
-            lambda_step_ms: 0,
-            lambda_block_ms: 0,
             trace: false,
         }
     }
@@ -171,10 +154,6 @@ impl NodeConfig {
                 "tx_count" => cfg.tx_count = parse_u64(value)? as usize,
                 "min_peers" => cfg.min_peers = parse_u64(value)? as usize,
                 "start_at_ms" => cfg.start_at_ms = parse_u64(value)?,
-                "lambda_priority_ms" => cfg.lambda_priority_ms = parse_u64(value)?,
-                "lambda_stepvar_ms" => cfg.lambda_stepvar_ms = parse_u64(value)?,
-                "lambda_step_ms" => cfg.lambda_step_ms = parse_u64(value)?,
-                "lambda_block_ms" => cfg.lambda_block_ms = parse_u64(value)?,
                 "trace" => cfg.trace = value == "true" || value == "1",
                 _ => return Err(bad(format!("line {}: unknown key {key:?}", lineno + 1))),
             }
@@ -213,33 +192,16 @@ impl NodeConfig {
         kv("tx_count", self.tx_count.to_string());
         kv("min_peers", self.min_peers.to_string());
         kv("start_at_ms", self.start_at_ms.to_string());
-        kv("lambda_priority_ms", self.lambda_priority_ms.to_string());
-        kv("lambda_stepvar_ms", self.lambda_stepvar_ms.to_string());
-        kv("lambda_step_ms", self.lambda_step_ms.to_string());
-        kv("lambda_block_ms", self.lambda_block_ms.to_string());
         kv("trace", if self.trace { "1" } else { "0" }.to_string());
         out
     }
 
     /// The protocol parameters this deployment runs: the laptop-scaled
     /// set with canonical timestamps (required for the digest cross-check
-    /// against the simulator), plus any λ overrides.
+    /// against the simulator).
     pub fn params(&self) -> AlgorandParams {
         let mut p = AlgorandParams::scaled_with_stake(self.n_users, self.stake_per_user);
         p.canonical_timestamps = true;
-        const MS: u64 = 1_000;
-        if self.lambda_priority_ms > 0 {
-            p.lambda_priority = self.lambda_priority_ms * MS;
-        }
-        if self.lambda_stepvar_ms > 0 {
-            p.lambda_stepvar = self.lambda_stepvar_ms * MS;
-        }
-        if self.lambda_step_ms > 0 {
-            p.ba.lambda_step = self.lambda_step_ms * MS;
-        }
-        if self.lambda_block_ms > 0 {
-            p.ba.lambda_block = self.lambda_block_ms * MS;
-        }
         p
     }
 
@@ -322,7 +284,7 @@ mod tests {
 
     #[test]
     fn config_roundtrips_through_render() {
-        let mut cfg = NodeConfig {
+        let cfg = NodeConfig {
             index: 2,
             n_users: 5,
             listen: "127.0.0.1:9102".into(),
@@ -333,14 +295,15 @@ mod tests {
             trace: true,
             ..NodeConfig::default()
         };
-        cfg.lambda_priority_ms = 500;
         let parsed = NodeConfig::parse(&cfg.render()).expect("parses");
         assert_eq!(parsed.index, 2);
         assert_eq!(parsed.peers.len(), 2);
         assert_eq!(parsed.target_round, 6);
-        assert_eq!(parsed.lambda_priority_ms, 500);
         assert!(parsed.trace);
-        assert_eq!(parsed.params().lambda_priority, 500_000);
+        assert_eq!(
+            parsed.params().lambda_priority,
+            AlgorandParams::scaled_with_stake(5, 10).lambda_priority
+        );
         assert!(parsed.params().canonical_timestamps);
     }
 
@@ -348,6 +311,7 @@ mod tests {
     fn unknown_keys_and_bad_index_rejected() {
         assert!(NodeConfig::parse("frobnicate = 3").is_err());
         assert!(NodeConfig::parse("index = 7\nn_users = 5").is_err());
+        assert!(NodeConfig::parse("lambda_step_ms = 1").is_err());
     }
 
     #[test]

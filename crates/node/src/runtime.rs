@@ -614,6 +614,7 @@ pub fn hex(bytes: &[u8]) -> String {
 mod tests {
     use super::*;
     use crate::config::derive_keypairs;
+    use crate::telemetry::scrape_metrics;
     use algorand_ba::{Certificate, VoteMessage};
     use algorand_core::CatchupBatch;
     use algorand_ledger::{Block, Blockchain};
@@ -786,6 +787,62 @@ mod tests {
         deliver(&mut rt, &request);
         deliver(&mut rt, &request);
         assert_eq!(emitted(&rt) - before, 2, "one response per request");
+
+        rt.transport.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn two_scrapes_of_an_idle_node_are_byte_identical() {
+        let dir = fresh_dir("idle-scrape");
+        let mut rt = Runtime::new(NodeConfig {
+            listen: "127.0.0.1:0".into(),
+            wal_dir: dir.clone(),
+            tx_count: 8,
+            trace: true,
+            ..NodeConfig::default()
+        })
+        .expect("runtime on an ephemeral port");
+        // Started and never ticked: no timer fires between the scrapes.
+        let effects = rt.process.start(rt.now());
+        rt.apply(effects, None).expect("no WAL append");
+
+        let addr = rt.transport.local_addr().to_string();
+        let scraper = std::thread::spawn(move || {
+            let timeout = Duration::from_secs(10);
+            let first = scrape_metrics(&addr, timeout).expect("first scrape");
+            std::thread::sleep(Duration::from_millis(400));
+            let second = scrape_metrics(&addr, timeout).expect("second scrape");
+            (first, second)
+        });
+        while !scraper.is_finished() {
+            if let Some(TransportEvent::Telemetry { from, op, body }) =
+                rt.transport.recv_timeout(Duration::from_millis(10))
+            {
+                rt.on_telemetry(from, op, &body);
+            }
+        }
+        let (first, second) = scraper.join().expect("scraper thread");
+
+        for required in [
+            "node.tip_round",
+            "pipeline.ingested",
+            "wal.entries",
+            "transport.frames_sent",
+            "monitor.violations 0",
+            "trace.dropped 0",
+        ] {
+            assert!(first.contains(required), "missing `{required}`:\n{first}");
+        }
+        // `node.key_*` read the crypto crate's process-wide key table,
+        // which the other tests in this binary move concurrently.
+        let own = |text: &str| -> Vec<String> {
+            text.lines()
+                .filter(|l| !l.starts_with("node.key_"))
+                .map(String::from)
+                .collect()
+        };
+        assert_eq!(own(&first), own(&second));
 
         rt.transport.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

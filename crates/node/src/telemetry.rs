@@ -12,8 +12,8 @@
 //!
 //! A scraper deliberately never sends HELLO, so the scraped node treats
 //! the connection as a non-protocol peer: no broadcasts arrive, nothing
-//! is counted, and (the `telemetry_smoke` gate's invariant) two scrapes
-//! of an idle node return byte-identical exposition text.
+//! is counted, and (as `runtime`'s tests check) two scrapes of an idle
+//! node return byte-identical exposition text.
 
 use crate::frame;
 use algorand_obs::expose::{self, Sample};

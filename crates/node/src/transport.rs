@@ -27,8 +27,8 @@
 //! send-queue drops and depth (keyed by the peer's advertised address via
 //! [`obs::labeled`]). TELEMETRY frames are excluded from every counter in
 //! both directions — scraping must not perturb the numbers being
-//! scraped, and the `telemetry_smoke` CI gate holds exposition output
-//! byte-identical across two scrapes of an idle node.
+//! scraped, and `runtime`'s tests hold exposition output byte-identical
+//! across two scrapes of an idle node.
 
 use crate::frame;
 use algorand_obs::{labeled, Counter, Registry};
@@ -921,6 +921,21 @@ mod tests {
         assert_eq!(metrics, forwarded);
         assert_eq!(throttled, REQUESTS - forwarded);
         assert!(throttled >= 1);
+
+        // A fresh connection has its own bucket: it is served at once.
+        let mut fresh = TcpStream::connect(a.local_addr()).unwrap();
+        fresh.write_all(&request).unwrap();
+        match a.recv_timeout(Duration::from_secs(5)) {
+            Some(TransportEvent::Telemetry { from, .. }) => {
+                assert!(a.send_telemetry(from, frame::TEL_METRICS_RESP, b"x 1\n"));
+            }
+            other => panic!("the fresh connection's request was not forwarded: {other:?}"),
+        }
+        let (kind, payload) = frame::read_frame(&mut BufReader::new(fresh)).unwrap();
+        assert_eq!(
+            (kind, payload[0]),
+            (frame::TELEMETRY, frame::TEL_METRICS_RESP)
+        );
         a.shutdown();
     }
 

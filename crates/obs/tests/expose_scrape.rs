@@ -1,6 +1,6 @@
 //! Exposition round-trip on a *real* scraped artifact: the checked-in
 //! `results/cluster_metrics.txt` is a TELEMETRY scrape of a live
-//! localnet node (archived by the `localnet` gate). Parsing it and
+//! localnet node, kept as a frozen fixture. Parsing it and
 //! re-rendering the samples must reproduce the file byte for byte —
 //! the exposition format's canonical-text promise, held against actual
 //! node output rather than hand-built fixtures.
@@ -13,9 +13,8 @@ fn scraped_exposition_roundtrips_byte_identically() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../results/cluster_metrics.txt"
     );
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!("missing scraped artifact {path} (regenerate with the localnet gate): {e}")
-    });
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("missing scraped fixture {path} (see results/README.md): {e}"));
     assert!(!text.is_empty(), "scraped exposition is empty");
     let samples = parse(&text).expect("scraped exposition must parse");
     assert!(

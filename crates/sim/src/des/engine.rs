@@ -81,6 +81,14 @@ use std::sync::{Arc, Mutex};
 /// saves.
 const PARALLEL_THRESHOLD: usize = 192;
 
+/// Gossip peers each user dials (paper: 4).
+const OUT_DEGREE: usize = 4;
+
+/// How often each user re-draws its gossip peers, roughly once per
+/// expected round (§8.4: "Algorand replaces gossip peers each round",
+/// which also heals nodes stuck in a disconnected component).
+const PEER_CHURN_INTERVAL: Micros = 15_000_000;
+
 /// Engine configuration: the simulated deployment plus how to run it.
 /// A bare [`SimConfig`] converts into one worker and unlimited trace
 /// retention.
@@ -305,16 +313,12 @@ impl Simulation {
         Simulation {
             cells,
             topology: draw_topology(&cfg, cfg.seed),
-            net: Network::new(cfg.n_users, cfg.net.clone()),
+            net: Network::new(cfg.n_users),
             queue: CalendarQueue::default(),
             bodies: Bodies::default(),
             globals: BinaryHeap::new(),
             faults: Vec::new(),
-            next_churn: if cfg.peer_churn_interval > 0 {
-                cfg.peer_churn_interval
-            } else {
-                u64::MAX
-            },
+            next_churn: PEER_CHURN_INTERVAL,
             churn_epoch: 0,
             verifier,
             adversary,
@@ -422,9 +426,7 @@ impl Simulation {
             // Between windows, so a window never straddles the change.
             while t >= self.next_churn {
                 self.churn_epoch += 1;
-                self.next_churn = self
-                    .next_churn
-                    .saturating_add(self.cfg.peer_churn_interval.max(1));
+                self.next_churn = self.next_churn.saturating_add(PEER_CHURN_INTERVAL);
                 self.topology = draw_topology(&self.cfg, self.cfg.seed ^ (self.churn_epoch << 32));
             }
             // Global events at the frontier run sequentially, before any
@@ -1149,7 +1151,7 @@ impl Simulation {
 fn draw_topology(cfg: &SimConfig, seed: u64) -> Topology {
     let weights = vec![cfg.stake_per_user; cfg.n_users];
     let mut rng = Rng::seed_from_u64(seed);
-    Topology::weighted(cfg.n_users, cfg.out_degree, &weights, &mut rng)
+    Topology::weighted(cfg.n_users, OUT_DEGREE, &weights, &mut rng)
 }
 
 /// Disjoint `&mut` loans of `cells[i]` for every `i` in the strictly

@@ -9,7 +9,7 @@
 use crate::adversary::{Adversary, AdversaryKind, AdversaryShared};
 use crate::event::Micros;
 use crate::metrics::Percentiles;
-use crate::network::{NetConfig, Network};
+use crate::network::Network;
 use algorand_core::{
     AlgorandParams, Node, PipelineStats, PipelineVerifier, Process, RecoveryStats, RoundRecord,
     WireMessage,
@@ -62,10 +62,6 @@ pub struct SimConfig {
     pub adversary_kind: AdversaryKind,
     /// Protocol parameters (typically [`AlgorandParams::scaled`]).
     pub params: AlgorandParams,
-    /// Transport configuration.
-    pub net: NetConfig,
-    /// Gossip out-degree (paper: 4).
-    pub out_degree: usize,
     /// Synthetic payload bytes per proposed block.
     pub payload_bytes: usize,
     /// Open-loop workload: transactions injected per second across the
@@ -80,10 +76,6 @@ pub struct SimConfig {
     /// Relay every block regardless of priority (ablation of §6's
     /// highest-priority discard rule; the paper behaviour is `false`).
     pub relay_all_blocks: bool,
-    /// How often each user re-draws its gossip peers (§8.4: "Algorand
-    /// replaces gossip peers each round", which also heals nodes stuck in
-    /// a disconnected component). 0 disables churn.
-    pub peer_churn_interval: u64,
     /// Seed for topology and deterministic keys.
     pub seed: u64,
     /// Record structured trace spans into the bounded in-memory buffer
@@ -147,16 +139,12 @@ impl SimConfig {
             n_malicious: 0,
             adversary_kind: AdversaryKind::default(),
             params: AlgorandParams::scaled(n),
-            net: NetConfig::default(),
-            out_degree: 4,
             payload_bytes: 0,
             tx_rate: 0.0,
             tx_total: 0,
             block_tx_bytes: 1 << 20,
             stake_per_user: 10,
             relay_all_blocks: false,
-            // Default: re-draw peers roughly once per expected round.
-            peer_churn_interval: 15_000_000,
             seed: 1,
             trace: false,
             monitor: false,

@@ -35,7 +35,7 @@ pub use fuzz::{
 };
 pub use harness::{FaultReport, InjectedBug, PipelineReport, SimConfig, TxRecord, TxStats};
 pub use metrics::{round_stats, Percentiles, RoundStats};
-pub use network::{NetConfig, Network, PartitionSpec};
+pub use network::{Network, PartitionSpec};
 
 // The shared observability layer (tracing + metrics registry), re-exported
 // so harnesses driving the simulator need not depend on the crate directly.

@@ -2,7 +2,7 @@
 //! liveness claims under attack (§3, §8.2, §8.4, §10.4).
 
 use algorand_sim::fuzz::{common_prefix, divergent_finality, min_tip};
-use algorand_sim::{FaultAction, FaultSchedule, NetConfig, PartitionSpec, SimConfig, Simulation};
+use algorand_sim::{FaultAction, FaultSchedule, PartitionSpec, SimConfig, Simulation};
 
 const MINUTE: u64 = 60 * 1_000_000;
 
@@ -164,16 +164,17 @@ fn long_partition_triggers_recovery_and_network_rejoins() {
 
 #[test]
 fn slow_network_still_safe_with_higher_latency() {
-    // Raise jitter and shrink bandwidth: rounds slow down but safety and
-    // consistency hold (the timeout parameters are conservative, §10.5).
-    let mut cfg = SimConfig::new(12);
-    cfg.net = NetConfig {
-        bandwidth_bps: 2_000_000, // 10× tighter than the paper's cap.
-        jitter_frac: 0.3,
-        loss_prob: 0.0,
-        seed: 9,
-    };
-    let mut sim = Simulation::new(cfg);
+    // Triple every latency and add 100 ms from the start: rounds slow
+    // down but safety and consistency hold (the timeout parameters are
+    // conservative, §10.5).
+    let mut sim = Simulation::new(SimConfig::new(12));
+    sim.set_fault_schedule(FaultSchedule::new().at(
+        0,
+        FaultAction::DelaySpike {
+            factor: 3.0,
+            extra: 100_000,
+        },
+    ));
     sim.run_rounds(2, 30 * MINUTE);
     assert!(!divergent_finality(&sim, 12), "divergent finalized blocks");
     for records in sim.honest_records() {

@@ -51,15 +51,9 @@ cargo run --release -p algorand-bench --bin trace -- check
 echo "== invariant monitor: baseline + violation-injection self-test =="
 cargo test --release -q -p algorand-sim --test monitor
 
-echo "== localnet: 5 real processes vs simulator digest, kill -9 rejoin, live scrape (full key checks, key combs <= distinct keys) + trace drain, every clock on >= 2 anchors; each WAL reopens to consecutive entry records only, as many as the node wrote, none larger than the biggest entry =="
+echo "== localnet: 5 real processes vs simulator digest, kill -9 rejoin, live scrape (full key checks, key combs <= distinct keys) + trace drain, every clock on >= 2 anchors, the written merged trace re-checked as trace check FILE does; each WAL reopens to consecutive entry records only, as many as the node wrote, none larger than the biggest entry =="
 cargo build --release -q -p algorand-node
 cargo run --release -p algorand-bench --bin localnet
-
-echo "== telemetry smoke: idle-node scrapes byte-identical, throttle trips =="
-cargo run --release -p algorand-bench --bin telemetry_smoke
-
-echo "== cluster trace: merged artifact re-checks offline =="
-cargo run --release -p algorand-bench --bin trace -- check results/cluster_trace.jsonl
 
 echo "== schedule-space fuzzer: 1000-case campaign + determinism + bug-injection =="
 cargo run --release -p algorand-bench --bin fuzz_campaign -- --budget 1000 --seed 42 --check
