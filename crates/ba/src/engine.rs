@@ -126,11 +126,8 @@ pub struct BaStar {
     timeout_streak: u32,
     /// Total timeout-fired steps over this engine's lifetime.
     timeout_escalations: u64,
-    /// Timestamps for metrics: when reduction / binary / final concluded.
-    reduction_done: Option<Micros>,
+    /// When BinaryBA⋆ concluded (the node's step-breakdown metrics).
     binary_done: Option<Micros>,
-    finished: Option<Micros>,
-    started: Micros,
     /// Trace sink ([`Tracer::disabled`] until the driver attaches one) and
     /// the node id stamped on emitted spans.
     tracer: Tracer,
@@ -192,10 +189,7 @@ impl BaStar {
             phase_started: now,
             timeout_streak: 0,
             timeout_escalations: 0,
-            reduction_done: None,
             binary_done: None,
-            finished: None,
-            started: now,
             tracer: Tracer::disabled(),
             trace_node: 0,
             last_concluded: 0,
@@ -275,7 +269,6 @@ impl BaStar {
         // Discard the reduction-one vote and jump straight to binary.
         out.clear();
         engine.binary_input = block_hash;
-        engine.reduction_done = Some(now);
         engine.enter_binary_step(1, block_hash, now, &mut out);
         (engine, out)
     }
@@ -433,24 +426,9 @@ impl BaStar {
         }
     }
 
-    /// When reduction concluded (for step-breakdown metrics).
-    pub fn reduction_done_at(&self) -> Option<Micros> {
-        self.reduction_done
-    }
-
     /// When BinaryBA⋆ concluded.
     pub fn binary_done_at(&self) -> Option<Micros> {
         self.binary_done
-    }
-
-    /// When the whole of BA⋆ (including the final count) concluded.
-    pub fn finished_at(&self) -> Option<Micros> {
-        self.finished
-    }
-
-    /// When this engine started.
-    pub fn started_at(&self) -> Micros {
-        self.started
     }
 
     // --- Internals ---------------------------------------------------------
@@ -622,7 +600,6 @@ impl BaStar {
                 }
                 Phase::Reduction2 => {
                     let hblock2 = outcome.unwrap_or(self.empty_hash);
-                    self.reduction_done = Some(now);
                     self.binary_input = hblock2;
                     self.enter_binary_step(1, hblock2, now, out);
                 }
@@ -679,7 +656,6 @@ impl BaStar {
                     let final_certificate =
                         (kind == ConsensusKind::Final).then(|| self.build_final_certificate(value));
                     self.phase = Phase::Done;
-                    self.finished = Some(now);
                     out.push(Output::Decided(Decision {
                         kind,
                         value,

@@ -127,8 +127,9 @@ impl Node {
     ///
     /// - the batch reaches strictly beyond our tip (a longer certified
     ///   chain; equal length never flips, so two sides cannot ping-pong);
-    /// - no displaced round is finalized (final blocks never fork —
-    ///   §8.2's safety guarantee stays intact);
+    /// - no displaced round is finalized ([`Blockchain::rollback_to`]
+    ///   refuses: final blocks never fork — §8.2's safety guarantee stays
+    ///   intact);
     /// - the batch is contiguous, each certificate naming its block;
     /// - the first block connects to our canonical chain at the round
     ///   before the divergence; and
@@ -147,9 +148,6 @@ impl Node {
         let fork = first_block.round;
         let tip = self.chain.tip().round;
         if fork == 0 || fork > tip || last_block.round <= tip {
-            return;
-        }
-        if (fork..=tip).any(|r| self.chain.is_finalized(r)) {
             return;
         }
         let contiguous = batch.entries.iter().enumerate().all(|(i, (b, c))| {
@@ -180,8 +178,10 @@ impl Node {
         {
             return; // Unproven competing chain; keep ours.
         }
+        let Ok(salvaged) = self.chain.rollback_to(fork - 1) else {
+            return; // A final round never forks; keep ours.
+        };
         let rolled_back = tip - fork + 1;
-        let salvaged = self.chain.rollback_to(fork - 1);
         self.pool.reinsert(salvaged, self.chain.accounts());
         self.recovery.catchup_reorgs += 1;
         self.tracer

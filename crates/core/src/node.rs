@@ -27,7 +27,7 @@ use crate::ingest::{self, RoundClass};
 use crate::metrics::{PipelineStats, RecoveryStats, RoundRecord};
 use crate::params::AlgorandParams;
 use crate::proposal::{proposer_sortition, BlockMessage, Priority, PriorityMessage};
-use crate::round::{BlockSighting, BlockStore, FutureVotes, RoundContext};
+use crate::round::{BlockSighting, FutureVotes, RoundContext};
 use crate::verify::PipelineVerifier;
 use crate::wire::WireMessage;
 use algorand_ba::{
@@ -125,8 +125,6 @@ pub struct Node {
     /// Synthetic payload bytes added to proposed blocks (block-size
     /// experiments; 0 for a real deployment).
     pub payload_bytes: usize,
-    /// All block bodies seen, by hash.
-    pub(crate) blocks: BlockStore,
     /// Votes for rounds we have not reached yet.
     pub(crate) future_votes: FutureVotes,
     pub(crate) ctx: RoundContext,
@@ -175,11 +173,11 @@ impl Node {
     /// [`Node::start`] to begin participating.
     pub fn new(
         keypair: Keypair,
-        chain: Blockchain,
+        mut chain: Blockchain,
         params: AlgorandParams,
         verifier: Arc<PipelineVerifier>,
     ) -> Node {
-        let ctx = RoundContext::new(&chain, 0);
+        let ctx = RoundContext::new(&mut chain, 0);
         Node {
             keypair,
             params,
@@ -188,7 +186,6 @@ impl Node {
             pool: TxPool::default(),
             block_tx_bytes: 1 << 20,
             payload_bytes: 0,
-            blocks: BlockStore::new(),
             future_votes: FutureVotes::new(),
             ctx,
             phase: Phase::WaitProposals { until: 0 },
@@ -410,11 +407,9 @@ impl Node {
     // --- Round lifecycle ------------------------------------------------------
 
     pub(crate) fn start_round(&mut self, now: Micros, out: &mut Vec<WireMessage>) {
-        self.ctx = RoundContext::new(&self.chain, now);
+        self.ctx = RoundContext::new(&mut self.chain, now);
         self.block_msg_ids.clear();
         self.ba_input = [0u8; 32];
-        self.blocks
-            .insert(self.ctx.empty_hash(), self.ctx.empty_block().clone());
         self.phase = Phase::WaitProposals {
             until: now + self.proposal_wait(),
         };
@@ -433,7 +428,6 @@ impl Node {
                 .instant();
             let block = self.assemble_block(now);
             let block_hash = self.chain.observe_block(block.clone());
-            self.blocks.insert(block_hash, block.clone());
             let msg = PriorityMessage::sign(
                 &self.keypair,
                 self.ctx.round(),
@@ -534,7 +528,6 @@ impl Node {
     /// everything below, and the relay verdict afterwards, works from it.
     fn on_block(&mut self, b: &BlockMessage, now: Micros, out: &mut Vec<WireMessage>) -> [u8; 32] {
         let hash = self.chain.observe_block(b.block.clone());
-        self.blocks.insert(hash, b.block.clone());
         if b.block.round != self.ctx.round() {
             return hash;
         }
@@ -660,7 +653,7 @@ impl Node {
     fn adopt_best_proposal(&mut self, now: Micros, out: &mut Vec<WireMessage>) {
         match self.ctx.best_candidate() {
             Some(block_hash) => {
-                if self.blocks.contains(&block_hash) {
+                if self.chain.block_by_hash(&block_hash).is_some() {
                     self.begin_ba(Some(block_hash), now, out);
                 } else {
                     self.phase = Phase::WaitBlock {
@@ -676,18 +669,8 @@ impl Node {
     /// Starts BA⋆ with the candidate block (validated) or the empty block.
     fn begin_ba(&mut self, candidate: Option<[u8; 32]>, now: Micros, out: &mut Vec<WireMessage>) {
         let initial = match candidate {
-            Some(hash) => {
-                let valid = self
-                    .blocks
-                    .get(&hash)
-                    .is_some_and(|b| self.chain.validate_next(b, now).is_ok());
-                if valid {
-                    hash
-                } else {
-                    self.ctx.empty_hash()
-                }
-            }
-            None => self.ctx.empty_hash(),
+            Some(hash) if self.chain.validate_next(&hash, now).is_ok() => hash,
+            _ => self.ctx.empty_hash(),
         };
         self.ctx.set_ba_started(now);
         self.ba_input = initial;
@@ -751,7 +734,9 @@ impl Node {
         let recovering = matches!(self.phase, Phase::Recovery(_));
         match decided {
             Some(d) if recovering => self.complete_recovery(d, now, out),
-            Some(d) if self.blocks.contains(&d.value) => self.complete_round(d, now, out),
+            Some(d) if self.chain.block_by_hash(&d.value).is_some() => {
+                self.complete_round(d, now, out)
+            }
             Some(d) => self.phase = Phase::AwaitBlockContent { decision: d },
             None if hung && recovering => self.retry_recovery(now, out),
             None if hung => self.hung = true,
@@ -761,8 +746,8 @@ impl Node {
 
     fn complete_round(&mut self, decision: Decision, now: Micros, out: &mut Vec<WireMessage>) {
         let block = self
-            .blocks
-            .get(&decision.value)
+            .chain
+            .block_by_hash(&decision.value)
             .expect("caller checked the store")
             .clone();
         let finalized = decision.kind == ConsensusKind::Final;
@@ -783,37 +768,29 @@ impl Node {
         } else {
             self.stepvar_backoff = 0;
         }
-        match self.chain.append(
-            block.clone(),
-            Some(decision.certificate.clone()),
-            finalized,
-            now,
-        ) {
-            Ok(()) => {}
-            Err(_) => {
-                // Consensus picked a block we cannot validate: freeze and
-                // wait for recovery rather than diverge.
-                self.hung = true;
-                return;
-            }
+        let (completed, block_bytes, seed) = (block.round, block.wire_size(), block.seed);
+        if self
+            .chain
+            .append(block, Some(decision.certificate.clone()), finalized, now)
+            .is_err()
+        {
+            // Consensus picked a block we cannot validate: freeze and
+            // wait for recovery rather than diverge.
+            self.hung = true;
+            return;
         }
-        if finalized {
-            self.chain.finalize(block.round);
-            self.chain.prune_side_blocks(block.round);
-        }
-        // Proposal bodies from completed rounds can no longer be decided
-        // on; keep only blocks that future rounds might still reference.
-        // First salvage the transactions of this round's *losing*
-        // proposals back into the mempool (our own taken ones, and any
-        // that reached us only inside a proposal body); the replay check
-        // against the just-updated accounts drops whatever the winning
-        // block committed.
-        let completed = block.round;
-        let losing_txs: Vec<Transaction> =
-            self.blocks.salvage_losing_txs(completed, decision.value);
+        // Salvage the transactions of this round's *losing* proposals back
+        // into the mempool (our own taken ones, and any that reached us
+        // only inside a proposal body) before finality prunes the round's
+        // side blocks; the replay check against the just-updated accounts
+        // drops whatever the winning block committed.
+        let losing_txs = self.chain.losing_txs(completed, decision.value);
         self.pool.reinsert(losing_txs, self.chain.accounts());
         self.pool.prune(self.chain.accounts());
-        self.blocks.prune_through(completed);
+        if finalized {
+            self.chain.finalize(completed);
+            self.chain.prune_side_blocks(completed);
+        }
         self.records.push(RoundRecord {
             round: self.ctx.round(),
             started: self.ctx.started(),
@@ -823,7 +800,7 @@ impl Node {
             kind: decision.kind,
             binary_step: decision.binary_step,
             empty: decision.value == self.ctx.empty_hash(),
-            block_bytes: block.wire_size(),
+            block_bytes,
         });
         if self.tracer.is_enabled() {
             let round = self.ctx.round();
@@ -851,7 +828,7 @@ impl Node {
                 .span(SpanKind::Verify, self.trace_node, round, now)
                 .label("seed")
                 .id(stable_id(&decision.value))
-                .value(stable_id(&block.seed))
+                .value(stable_id(&seed))
                 .ok(true)
                 .instant();
             self.tracer
@@ -860,7 +837,7 @@ impl Node {
                 .label(if finalized { "final" } else { "tentative" })
                 .id(stable_id(&decision.value))
                 .cause(concluded_span)
-                .value(block.wire_size() as u64)
+                .value(block_bytes as u64)
                 .ok(finalized)
                 .end_at(now);
         }

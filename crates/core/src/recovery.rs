@@ -271,7 +271,7 @@ impl Node {
                 .expect("longest fork tip is stored")
                 .clone();
             let block = Block::empty(tip.round + 1, tip_hash, &tip.seed);
-            self.blocks.insert(block.hash(), block.clone());
+            self.chain.observe_block(block.clone());
             let msg = ForkProposalMessage::sign(
                 &self.keypair,
                 epoch,
@@ -321,9 +321,9 @@ impl Node {
         now: Micros,
         out: &mut Vec<WireMessage>,
     ) {
-        // Cache the proposed block regardless of phase, so a decision can
+        // Store the proposed block regardless of phase, so a decision can
         // complete even if the proposal arrives late.
-        self.blocks.insert(f.block.hash(), f.block.clone());
+        self.chain.observe_block(f.block.clone());
         let Phase::Recovery(r) = &mut self.phase else {
             self.pipeline.rejected_ingest += 1;
             return;
@@ -449,18 +449,20 @@ impl Node {
         now: Micros,
         out: &mut Vec<WireMessage>,
     ) {
-        let Some(block) = self.blocks.get(&decision.value).cloned() else {
+        let Some(block) = self.chain.block_by_hash(&decision.value).cloned() else {
             // We decided on a fork block we never saw.
             return self.retry_recovery(now, out);
         };
-        // Adopt the agreed fork, then append the agreed empty block.
-        let adopted = block.prev_hash == self.chain.tip_hash()
-            || self.chain.switch_to_fork(block.prev_hash, now).is_ok();
-        if !adopted
-            || self
-                .chain
-                .append(block, Some(decision.certificate), false, now)
-                .is_err()
+        // Adopt the agreed fork (a no-op on our own tip), salvaging the
+        // abandoned blocks' payments, then append the agreed empty block.
+        let Ok(abandoned) = self.chain.switch_to_fork(block.prev_hash, now) else {
+            return self.retry_recovery(now, out);
+        };
+        self.pool.reinsert(abandoned, self.chain.accounts());
+        if self
+            .chain
+            .append(block, Some(decision.certificate), false, now)
+            .is_err()
         {
             return self.retry_recovery(now, out);
         }
@@ -477,8 +479,8 @@ impl Node {
             )
             .label("recovery_done")
             .instant();
-        // Fork switches rewind and replay state; re-anchor the mempool on
-        // the adopted fork's accounts.
+        // A fork switch rewinds state; re-anchor the mempool on the
+        // adopted fork's accounts.
         self.pool.prune(self.chain.accounts());
         self.start_round(now, out);
     }

@@ -7,14 +7,14 @@
 //! type system guarantees nothing unverified influences a round
 //! transition.
 //!
-//! [`BlockStore`] (block bodies by hash) and [`FutureVotes`] (votes for
-//! rounds we have not reached) are the cross-round buffers that used to
-//! live loose inside the node.
+//! [`FutureVotes`] (votes for rounds we have not reached) is the
+//! cross-round buffer. Block bodies live in the node's
+//! [`Blockchain`], its one block store.
 
 use crate::proposal::Priority;
 use crate::verify::{VerifiedBlock, VerifiedPriority};
 use algorand_ba::{Micros, RoundWeights, VoteMessage};
-use algorand_ledger::{Block, Blockchain, Transaction};
+use algorand_ledger::{Block, Blockchain};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -26,7 +26,6 @@ pub struct RoundContext {
     seed: [u8; 32],
     weights: Arc<RoundWeights>,
     prev_hash: [u8; 32],
-    empty_block: Block,
     empty_hash: [u8; 32],
     /// Best (priority, proposer, block hash) seen so far.
     best: Option<(Priority, [u8; 32], [u8; 32])>,
@@ -53,18 +52,17 @@ pub enum BlockSighting {
 }
 
 impl RoundContext {
-    /// Captures the chain-derived context for the next round.
-    pub fn new(chain: &Blockchain, now: Micros) -> RoundContext {
+    /// Captures the chain-derived context for the next round, filing the
+    /// round's fallback empty block in the chain.
+    pub fn new(chain: &mut Blockchain, now: Micros) -> RoundContext {
         let round = chain.next_round();
         let prev_hash = chain.tip_hash();
-        let empty_block = Block::empty(round, prev_hash, &chain.tip().seed);
-        let empty_hash = empty_block.hash();
+        let empty_hash = chain.observe_block(Block::empty(round, prev_hash, &chain.tip().seed));
         RoundContext {
             round,
             seed: chain.selection_seed(round),
             weights: Arc::new(chain.weights_for_round(round)),
             prev_hash,
-            empty_block,
             empty_hash,
             best: None,
             equivocators: HashSet::new(),
@@ -93,11 +91,6 @@ impl RoundContext {
     /// Hash of the previous block.
     pub fn prev_hash(&self) -> [u8; 32] {
         self.prev_hash
-    }
-
-    /// This round's fallback empty block.
-    pub fn empty_block(&self) -> &Block {
-        &self.empty_block
     }
 
     /// Hash of the fallback empty block.
@@ -203,52 +196,6 @@ impl RoundContext {
     /// Drains the pre-BA⋆ vote buffer for replay.
     pub fn take_vote_buffer(&mut self) -> Vec<VoteMessage> {
         std::mem::take(&mut self.vote_buffer)
-    }
-}
-
-/// All block bodies seen, by hash — proposal pre-images that a BA⋆
-/// decision (or a late-deciding peer's pull) may still need.
-#[derive(Default)]
-pub struct BlockStore {
-    blocks: HashMap<[u8; 32], Block>,
-}
-
-impl BlockStore {
-    /// Creates an empty store.
-    pub fn new() -> BlockStore {
-        BlockStore::default()
-    }
-
-    /// Stores a block body under its (precomputed) hash.
-    pub fn insert(&mut self, hash: [u8; 32], block: Block) {
-        self.blocks.insert(hash, block);
-    }
-
-    /// Whether the pre-image of `hash` is available.
-    pub fn contains(&self, hash: &[u8; 32]) -> bool {
-        self.blocks.contains_key(hash)
-    }
-
-    /// The block body for `hash`, if stored.
-    pub fn get(&self, hash: &[u8; 32]) -> Option<&Block> {
-        self.blocks.get(hash)
-    }
-
-    /// Transactions of round `completed`'s *losing* proposals, for
-    /// reinsertion into the mempool (the replay check against updated
-    /// accounts later drops whatever the winner committed).
-    pub fn salvage_losing_txs(&self, completed: u64, decided: [u8; 32]) -> Vec<Transaction> {
-        self.blocks
-            .iter()
-            .filter(|(hash, b)| b.round == completed && **hash != decided)
-            .flat_map(|(_, b)| b.txs.iter().cloned())
-            .collect()
-    }
-
-    /// Drops bodies from rounds at or before `completed`; they can no
-    /// longer be decided on.
-    pub fn prune_through(&mut self, completed: u64) {
-        self.blocks.retain(|_, b| b.round > completed);
     }
 }
 

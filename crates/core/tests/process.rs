@@ -9,7 +9,9 @@
 //!   a tentative one;
 //! * blocksync is the one catch-up trigger: it asks the most advanced
 //!   peer once per cooldown, spends each announced tip on one request,
-//!   and a stalled node with no peer ahead asks no one.
+//!   and a stalled node with no peer ahead asks no one;
+//! * a recovery that abandons a fork puts the fork's payments back in the
+//!   pool.
 
 use algorand_core::process::{REQUEST_COOLDOWN, STATUS_TICK};
 use algorand_core::wire::CatchupBatch;
@@ -416,4 +418,81 @@ fn a_peer_announcing_a_tip_it_never_serves_does_not_starve_an_honest_one() {
     }
     assert_eq!(asked[0], LIAR, "the higher tip is asked first");
     assert!(asked.contains(&HONEST));
+}
+
+#[test]
+fn a_recovery_onto_the_other_fork_puts_the_abandoned_payment_back() {
+    // Two users adopted one certified round-1 block, two a rival one, and
+    // all four hold both: each half has half the stake, so no round-2 vote
+    // reaches a threshold and only recovery (§8.2) can pick a fork. Both
+    // blocks are newer than the recovery cutoff, so every node draws the
+    // same recovery seed from genesis.
+    let kps = users(4);
+    let mut p = params(&kps);
+    p.recovery_interval = 5_000_000;
+    let genesis = p.genesis(&kps, STAKE);
+    let pays = [
+        Transaction::payment(&kps[0], kps[2].pk, 10, 1),
+        Transaction::payment(&kps[1], kps[3].pk, 10, 1),
+    ];
+    let rivals: Vec<_> = pays
+        .iter()
+        .enumerate()
+        .map(|(i, pay)| {
+            let mut block = next_block(&genesis, &kps[i], NOW + p.recovery_interval);
+            block.txs = vec![pay.clone()];
+            let cert = certify(&genesis, &kps, &block);
+            (block, cert)
+        })
+        .collect();
+    let procs = kps
+        .iter()
+        .enumerate()
+        .map(|(i, kp)| {
+            let (ours, theirs) = (&rivals[i % 2], &rivals[1 - i % 2]);
+            // Theirs is known, certified, and rolled back; ours is the tip.
+            let mut chain = p.genesis(&kps, STAKE);
+            chain
+                .append(theirs.0.clone(), Some(theirs.1.clone()), false, NOW)
+                .unwrap();
+            chain.rollback_to(0).unwrap();
+            chain
+                .append(ours.0.clone(), Some(ours.1.clone()), false, NOW)
+                .unwrap();
+            let verifier = Arc::new(PipelineVerifier::new());
+            Process::new(Node::new(kp.clone(), chain, p, verifier), 0)
+        })
+        .collect();
+    let mut cluster = Cluster::new(procs);
+    cluster.start();
+    cluster.run_to(2);
+
+    let adopted = cluster.procs[0].node().chain().block_at(1).unwrap().hash();
+    let lost = if adopted == rivals[0].0.hash() {
+        &pays[1]
+    } else {
+        &pays[0]
+    };
+    for (i, proc) in cluster.procs.iter().enumerate() {
+        let node = proc.node();
+        let stats = node.recovery_stats();
+        assert_eq!(stats.recoveries_completed, 1, "process {i}");
+        assert_eq!(stats.catchup_reorgs, 0, "process {i}");
+        assert_eq!(node.chain().block_at(1).unwrap().hash(), adopted);
+    }
+    // The losing half put its abandoned payment back in the pool, so it
+    // is proposed again until some round commits it.
+    let confirmed = |cluster: &Cluster| {
+        cluster
+            .procs
+            .iter()
+            .all(|proc| proc.node().chain().confirmed_round(&lost.id()).is_some())
+    };
+    assert!(
+        (3..=12).any(|round| {
+            cluster.run_to(round);
+            confirmed(&cluster)
+        }),
+        "the abandoned payment was never committed"
+    );
 }

@@ -92,11 +92,6 @@ impl Rng {
         result
     }
 
-    /// The next 32-bit word.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Fills `dest` with random bytes.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(8) {

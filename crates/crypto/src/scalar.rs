@@ -14,7 +14,7 @@
 //! reference.
 //!
 //! Verification multiplies by public scalars only, and recodes them into
-//! width-w non-adjacent form first ([`Scalar::non_adjacent_form`]).
+//! width-w non-adjacent form first (`Scalar::non_adjacent_form`).
 
 /// The group order ℓ as four little-endian 64-bit limbs.
 const L: [u64; 4] = [

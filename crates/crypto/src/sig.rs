@@ -10,7 +10,7 @@
 use crate::edwards::{Comb, EdwardsPoint};
 use crate::error::CryptoError;
 use crate::scalar::Scalar;
-use crate::sha256::{sha256_concat, Sha256};
+use crate::sha256::Sha256;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, OnceLock, PoisonError, RwLock};
@@ -81,10 +81,10 @@ impl SecretKey {
     }
 }
 
-/// Most keys the process remembers as proven valid (see [`KeyTable`]).
+/// Most keys the process remembers as proven valid (see `KeyTable`).
 pub const KEY_TABLE_CAPACITY: usize = 8192;
 
-/// The most memory [`KeyTable`] holds, in bytes: every key with a comb
+/// The most memory `KeyTable` holds, in bytes: every key with a comb
 /// (an `Arc`'s two counts, the entry, the boxed comb), and each
 /// generation's map at its largest (4,096 entries in 8,192 slots of
 /// encoding, pointer and control byte).
@@ -402,11 +402,6 @@ pub fn verify(pk: &PublicKey, msg: &[u8], sig: &Signature) -> Result<(), CryptoE
     } else {
         Err(CryptoError::InvalidSignature)
     }
-}
-
-/// Convenience: hash used to bind structured messages before signing.
-pub fn message_digest(parts: &[&[u8]]) -> [u8; 32] {
-    sha256_concat(parts)
 }
 
 #[cfg(test)]

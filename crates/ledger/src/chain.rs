@@ -1,11 +1,19 @@
 //! The blockchain store: canonical chain, forks, finality, and bootstrap.
 //!
-//! Each node keeps every block it learns about (§8.2 has users passively
-//! track *all* forks via BA⋆ votes), an adopted canonical chain with its
-//! account states, finality marks, and certificates (§8.3). Recovery
-//! switches the canonical chain to the longest observed fork; bootstrap
-//! rebuilds a chain from scratch by validating blocks and certificates in
-//! order from genesis.
+//! This is a node's one store of block bodies. It keeps every block the
+//! node learns about — its own and others' proposals, each round's empty
+//! block, fork proposals (§8.2 has users passively track *all* forks via
+//! BA⋆ votes) — and an adopted canonical chain with its account states,
+//! finality marks, and certificates (§8.3). Side blocks at or below a
+//! final round are pruned.
+//!
+//! A canonical suffix is replaced in one way: [`Blockchain::rollback_to`],
+//! which refuses to displace a final round, since final blocks never fork.
+//! Catch-up rolls back before re-appending certified history; recovery's
+//! [`Blockchain::switch_to_fork`] rolls back to the fork's newest
+//! canonical ancestor once the fork has validated on that ancestor's
+//! state. Bootstrap rebuilds a chain from scratch by validating blocks
+//! and certificates in order from genesis.
 
 use crate::account::Accounts;
 use crate::block::{Block, BlockError, Micros};
@@ -60,8 +68,12 @@ pub enum ChainError {
     /// A `(block, certificate)` entry is for some round other than the
     /// next one: stale, or ahead of a gap.
     NotNextRound,
-    /// The requested fork tip is not a stored block.
+    /// The named block (a fork tip, or a block to validate) is not
+    /// stored, or its ancestry does not reach this chain's genesis.
     UnknownFork,
+    /// The change would displace a final round (§8.2: final blocks
+    /// never fork).
+    Finalized,
 }
 
 impl std::fmt::Display for ChainError {
@@ -71,7 +83,8 @@ impl std::fmt::Display for ChainError {
             ChainError::UnknownParent => f.write_str("unknown or non-tip parent"),
             ChainError::BadCertificate => f.write_str("invalid certificate"),
             ChainError::NotNextRound => f.write_str("entry is not for the next round"),
-            ChainError::UnknownFork => f.write_str("unknown fork tip"),
+            ChainError::UnknownFork => f.write_str("unknown block or fork ancestry"),
+            ChainError::Finalized => f.write_str("would displace a final round"),
         }
     }
 }
@@ -99,8 +112,6 @@ pub struct Blockchain {
     canonical: Vec<[u8; 32]>,
     /// `states[r]` is the account state after applying `canonical[r]`.
     states: Vec<Accounts>,
-    /// Transaction id → confirming round, over the canonical chain.
-    tx_index: HashMap<[u8; 32], u64>,
     /// The hash of the block [`Blockchain::validate_next`] last accepted:
     /// appending that block does not verify its seed proof again.
     validated: Option<[u8; 32]>,
@@ -153,7 +164,6 @@ impl Blockchain {
             all_blocks,
             canonical: vec![ghash],
             states: vec![accounts],
-            tx_index: HashMap::new(),
             validated: None,
         }
     }
@@ -257,19 +267,26 @@ impl Blockchain {
         }
     }
 
-    /// [`Block::validate`] for a successor of the tip, against the tip's
-    /// stored hash instead of a fresh one: what a node asks of a proposal
-    /// before handing its hash to BA⋆ (§8.1). The chain remembers the
-    /// last block it accepts, so appending that block after BA⋆ skips the
-    /// seed's VRF verification; every other check, the timestamp against
-    /// the append's clock included, runs again.
+    /// [`Block::validate`] for the stored block `hash` as a successor of
+    /// the tip, against the tip's stored hash instead of a fresh one: what
+    /// a node asks of a proposal before handing its hash to BA⋆ (§8.1).
+    /// The chain remembers the last block it accepts, so appending that
+    /// block after BA⋆ skips the seed's VRF verification; every other
+    /// check, the timestamp against the append's clock included, runs
+    /// again.
     ///
     /// # Errors
     ///
-    /// Returns the first [`BlockError`] found.
-    pub fn validate_next(&mut self, block: &Block, now: Micros) -> Result<(), BlockError> {
+    /// [`ChainError::UnknownFork`] if no block is stored under `hash`
+    /// (observe it first), or the first [`BlockError`] found.
+    pub fn validate_next(&mut self, hash: &[u8; 32], now: Micros) -> Result<(), ChainError> {
+        let block = &self
+            .all_blocks
+            .get(hash)
+            .ok_or(ChainError::UnknownFork)?
+            .block;
         self.validated_next(block, now, false)?;
-        self.validated = Some(block.hash());
+        self.validated = Some(*hash);
         Ok(())
     }
 
@@ -322,9 +339,6 @@ impl Blockchain {
         // its hash commits to the parent.
         let seed_verified = self.validated.take() == Some(hash);
         let state = self.validated_next(&block, now, seed_verified)?;
-        for tx in &block.txs {
-            self.tx_index.insert(tx.id(), block.round);
-        }
         self.all_blocks.insert(
             hash,
             Stored {
@@ -399,26 +413,41 @@ impl Blockchain {
     /// partition can leave a minority holding tentatively-certified blocks
     /// the rest of the network never adopted. Catch-up resolves this by
     /// rolling the tentative suffix back and re-appending the majority's
-    /// certified chain. Finalized rounds can never fork, so the caller must
-    /// keep `round` at or above the finalized prefix; rolled-back rounds
-    /// are asserted tentative. The dropped blocks stay in the fork store
+    /// certified chain; recovery by [`Blockchain::switch_to_fork`], which
+    /// rolls back through here. The dropped blocks stay in the fork store
     /// for §8.2 bookkeeping.
-    pub fn rollback_to(&mut self, round: u64) -> Vec<Transaction> {
-        let tip = self.tip().round;
-        debug_assert!(round <= tip);
-        let mut dropped = Vec::new();
-        for r in round + 1..=tip {
-            let h = self.canonical[r as usize];
-            let stored = &self.all_blocks[&h];
-            assert!(!stored.finalized, "cannot roll back a finalized round");
-            for tx in &stored.block.txs {
-                self.tx_index.remove(&tx.id());
-                dropped.push(tx.clone());
-            }
+    ///
+    /// # Errors
+    ///
+    /// [`ChainError::Finalized`] if any round above `round` is final:
+    /// final blocks never fork, so this is the one place a displaced round
+    /// is checked. The chain is unchanged then.
+    pub fn rollback_to(&mut self, round: u64) -> Result<Vec<Transaction>, ChainError> {
+        let keep = round as usize + 1;
+        let suffix = self.canonical.get(keep..).unwrap_or_default();
+        if suffix.iter().any(|h| self.all_blocks[h].finalized) {
+            return Err(ChainError::Finalized);
         }
-        self.canonical.truncate(round as usize + 1);
-        self.states.truncate(round as usize + 1);
-        dropped
+        let dropped = suffix
+            .iter()
+            .flat_map(|h| self.all_blocks[h].block.txs.iter().cloned())
+            .collect();
+        self.canonical.truncate(keep);
+        self.states.truncate(keep);
+        Ok(dropped)
+    }
+
+    /// The transactions of round `round`'s stored blocks other than
+    /// `decided`: the proposals that lost the round, for a node to salvage
+    /// back into its pool (the replay check against updated accounts drops
+    /// whatever the winner committed). Ask before
+    /// [`Blockchain::prune_side_blocks`] passes `round`.
+    pub fn losing_txs(&self, round: u64, decided: [u8; 32]) -> Vec<Transaction> {
+        self.all_blocks
+            .iter()
+            .filter(|(h, s)| s.block.round == round && **h != decided)
+            .flat_map(|(_, s)| s.block.txs.iter().cloned())
+            .collect()
     }
 
     /// Drops non-canonical blocks at or below `round` from the fork store.
@@ -433,9 +462,10 @@ impl Blockchain {
         });
     }
 
-    /// Stores a block that is *not* (yet) on the canonical chain — fork
-    /// tracking for recovery (§8.2) — and returns the hash it was stored
-    /// under, so the caller need not hash the body again.
+    /// Stores a block that is *not* (yet) on the canonical chain — a
+    /// proposal, a round's empty block, a fork proposal (§8.2) — and
+    /// returns the hash it was stored under, so the caller need not hash
+    /// the body again.
     pub fn observe_block(&mut self, block: Block) -> [u8; 32] {
         let hash = block.hash();
         self.all_blocks.entry(hash).or_insert(Stored {
@@ -446,9 +476,17 @@ impl Blockchain {
         hash
     }
 
-    /// The round a transaction was confirmed in, if on the canonical chain.
+    /// The round a transaction was confirmed in, if on the canonical
+    /// chain: a scan of the canonical blocks.
     pub fn confirmed_round(&self, tx_id: &[u8; 32]) -> Option<u64> {
-        self.tx_index.get(tx_id).copied()
+        let confirms = |h: &[u8; 32]| {
+            self.all_blocks[h]
+                .block
+                .txs
+                .iter()
+                .any(|t| t.id() == *tx_id)
+        };
+        self.canonical.iter().position(confirms).map(|r| r as u64)
     }
 
     /// A confirmed transaction is *safely* confirmed once its block or any
@@ -545,57 +583,57 @@ impl Blockchain {
         }
     }
 
-    /// Re-roots the canonical chain at the fork ending in `tip`.
+    /// Re-roots the canonical chain at the fork ending in `tip`, returning
+    /// the transactions of the abandoned canonical blocks.
     ///
-    /// Used by recovery once BA⋆ agrees which fork to adopt. Account
-    /// states and the transaction index are rebuilt by replaying the fork
-    /// from genesis.
+    /// Used by recovery once BA⋆ agrees which fork to adopt. Walks back
+    /// from `tip` to its newest canonical ancestor, validates the fork's
+    /// blocks on that ancestor's state, and only then rolls the canonical
+    /// suffix back through [`Blockchain::rollback_to`] and adopts them.
     ///
     /// # Errors
     ///
-    /// Returns [`ChainError::UnknownFork`] if any ancestor is missing, or a
-    /// validation error if the fork contains an invalid block (an honest
-    /// node never proposes such a fork).
-    pub fn switch_to_fork(&mut self, tip: [u8; 32], now: Micros) -> Result<(), ChainError> {
-        // Collect the fork from tip to genesis.
+    /// [`ChainError::UnknownFork`] if an ancestor is missing or the fork
+    /// does not reach this chain's genesis, a validation error if the fork
+    /// contains an invalid block (an honest node never proposes such a
+    /// fork), or [`ChainError::Finalized`] if the switch would displace a
+    /// final round. The chain is unchanged on any error.
+    pub fn switch_to_fork(
+        &mut self,
+        tip: [u8; 32],
+        now: Micros,
+    ) -> Result<Vec<Transaction>, ChainError> {
+        // The fork's blocks above the canonical chain, tip first. A
+        // foreign genesis ends the walk at its all-zero parent.
         let mut path = Vec::new();
-        let mut cur = tip;
-        loop {
-            let stored = self.all_blocks.get(&cur).ok_or(ChainError::UnknownFork)?;
-            path.push(cur);
-            if stored.block.round == 0 {
-                break;
+        let mut base = tip;
+        let base_round = loop {
+            let block = self.block_by_hash(&base).ok_or(ChainError::UnknownFork)?;
+            if self.canonical.get(block.round as usize) == Some(&base) {
+                break block.round;
             }
-            cur = stored.block.prev_hash;
-        }
-        path.reverse();
-        if path[0] != self.canonical[0] {
-            return Err(ChainError::UnknownFork);
-        }
-        // Replay states along the fork.
-        let mut states = vec![self.states[0].clone()];
-        let mut tx_index = HashMap::new();
-        for pair in path.windows(2) {
-            let prev = &self.all_blocks[&pair[0]].block;
-            let block = &self.all_blocks[&pair[1]].block;
-            let state = states.last().expect("nonempty");
-            let next = block.validated_state(
-                prev,
-                &pair[0],
+            path.push(base);
+            base = block.prev_hash;
+        };
+        let mut states = Vec::with_capacity(path.len());
+        let mut prev = base;
+        for &hash in path.iter().rev() {
+            let state = states.last().unwrap_or(&self.states[base_round as usize]);
+            let next = self.all_blocks[&hash].block.validated_state(
+                &self.all_blocks[&prev].block,
+                &prev,
                 state,
                 now,
                 self.params.max_timestamp_skew,
                 false,
             )?;
-            for tx in &block.txs {
-                tx_index.insert(tx.id(), block.round);
-            }
             states.push(next);
+            prev = hash;
         }
-        self.canonical = path;
-        self.states = states;
-        self.tx_index = tx_index;
-        Ok(())
+        let abandoned = self.rollback_to(base_round)?;
+        self.canonical.extend(path.iter().rev());
+        self.states.extend(states);
+        Ok(abandoned)
     }
 
     /// Bootstraps a chain by validating `(block, certificate)` pairs in

@@ -147,9 +147,10 @@ fn a_remembered_refusal_is_refused_by_validate_and_append() {
         block.validate(chain.tip(), chain.accounts(), NOW + 1, HOUR),
         Err(BlockError::BadTransaction)
     );
+    let hash = chain.observe_block(block.clone());
     assert_eq!(
-        chain.validate_next(&block, NOW + 1),
-        Err(BlockError::BadTransaction)
+        chain.validate_next(&hash, NOW + 1),
+        Err(ChainError::Block(BlockError::BadTransaction))
     );
     assert_eq!(
         chain.append(block, None, false, NOW + 1),
@@ -167,14 +168,15 @@ fn a_validated_proposal_is_appended_under_the_appends_clock() {
     let pay = |amount| Transaction::payment(&keypairs[0], keypairs[1].pk, amount, 1);
     let block = make_block(&chain, &keypairs[2], vec![pay(25)]);
     let rival = make_block(&chain, &keypairs[1], vec![pay(40)]);
+    let hash = chain.observe_block(block.clone());
     // Valid before BA⋆ starts, stale by the time it ends.
-    chain.validate_next(&block, NOW + 1).unwrap();
+    chain.validate_next(&hash, NOW + 1).unwrap();
     assert_eq!(
         chain.append(block.clone(), None, false, NOW + 2 * HOUR),
         Err(ChainError::Block(BlockError::BadTimestamp))
     );
     // Any other block than the one validated has its seed checked.
-    chain.validate_next(&block, NOW + 1).unwrap();
+    chain.validate_next(&hash, NOW + 1).unwrap();
     let mut forged = rival.clone();
     forged.seed = [9u8; 32];
     assert_eq!(
@@ -182,12 +184,13 @@ fn a_validated_proposal_is_appended_under_the_appends_clock() {
         Err(ChainError::Block(BlockError::BadSeed))
     );
     assert_eq!(chain.next_round(), 1, "nothing was appended");
-    chain.validate_next(&block, NOW + 1).unwrap();
+    chain.validate_next(&hash, NOW + 1).unwrap();
     chain.append(rival, None, false, NOW + 1).unwrap();
     assert_eq!(chain.accounts().balance(&keypairs[1].pk), 140);
     // The validated block itself appends, its payment applied once.
     let mut chain = new_chain(&keypairs);
-    chain.validate_next(&block, NOW + 1).unwrap();
+    chain.observe_block(block.clone());
+    chain.validate_next(&hash, NOW + 1).unwrap();
     chain.append(block, None, false, NOW + 1).unwrap();
     assert_eq!(chain.accounts().balance(&keypairs[0].pk), 75);
     assert_eq!(chain.accounts().balance(&keypairs[1].pk), 125);
@@ -326,6 +329,64 @@ fn fork_switch_replays_transactions() {
     assert_eq!(chain.accounts().balance(&keypairs[2].pk), 140);
     assert_eq!(chain.confirmed_round(&tx_ours.id()), None);
     assert_eq!(chain.confirmed_round(&tx_theirs.id()), Some(1));
+}
+
+/// A chain holding `ours` at rounds 1 and 2 (round 2 pays user 1),
+/// final through `final_through`, which has observed `theirs`: a fork off
+/// round 1 that pays user 2 at round 2 and is one block longer.
+fn forked_at_round_two(keypairs: &[Keypair], final_through: u64) -> (Blockchain, Blockchain) {
+    let mut chain = new_chain(keypairs);
+    let mut theirs = new_chain(keypairs);
+    let b1 = make_block(&chain, &keypairs[0], vec![]);
+    chain.append(b1.clone(), None, false, NOW + 1).unwrap();
+    theirs.append(b1, None, false, NOW + 1).unwrap();
+    let ours = Transaction::payment(&keypairs[0], keypairs[1].pk, 10, 1);
+    let b2 = make_block(&chain, &keypairs[0], vec![ours]);
+    chain.append(b2, None, false, NOW + 2).unwrap();
+    chain.finalize(final_through);
+    let other = Transaction::payment(&keypairs[0], keypairs[2].pk, 40, 1);
+    for (r, txs) in [(2, vec![other]), (3, vec![])] {
+        let block = make_block(&theirs, &keypairs[1], txs);
+        chain.observe_block(block.clone());
+        theirs.append(block, None, false, NOW + r).unwrap();
+    }
+    (chain, theirs)
+}
+
+#[test]
+fn switch_to_fork_refuses_to_displace_a_final_round() {
+    let keypairs = users(3);
+    let (mut chain, theirs) = forked_at_round_two(&keypairs, 2);
+    let (tip, accounts) = (chain.tip_hash(), chain.accounts().clone());
+    assert_eq!(
+        chain.switch_to_fork(theirs.tip_hash(), NOW + 4),
+        Err(ChainError::Finalized)
+    );
+    assert_eq!(chain.tip_hash(), tip);
+    assert_eq!(chain.accounts(), &accounts);
+    assert!(chain.is_finalized(2));
+
+    // Final only through the fork's parent, the same switch goes through,
+    // and round 2 is no longer one this node holds as final.
+    let (mut chain, theirs) = forked_at_round_two(&keypairs, 1);
+    chain.switch_to_fork(theirs.tip_hash(), NOW + 4).unwrap();
+    assert_eq!(chain.tip_hash(), theirs.tip_hash());
+    assert!(chain.is_finalized(1));
+    assert!(!chain.is_finalized(2));
+}
+
+#[test]
+fn switch_to_fork_returns_the_abandoned_payments_and_adopts_the_forks_state() {
+    let keypairs = users(3);
+    let (mut chain, theirs) = forked_at_round_two(&keypairs, 1);
+    let ours = chain.tip().txs[0].clone();
+    let abandoned = chain.switch_to_fork(theirs.tip_hash(), NOW + 4).unwrap();
+    assert_eq!(abandoned.len(), 1);
+    assert!(abandoned[0].same_body(&ours));
+    assert_eq!(chain.accounts(), theirs.accounts());
+    assert_eq!(chain.accounts().balance(&keypairs[2].pk), 140);
+    // Back on our own suffix: nothing to adopt, nothing abandoned.
+    assert_eq!(chain.switch_to_fork(chain.tip_hash(), NOW + 4), Ok(vec![]));
 }
 
 #[test]
@@ -510,7 +571,7 @@ fn rollback_discards_tentative_suffix_and_salvages_txs() {
     chain.append(b2, None, false, NOW + 2).unwrap();
     assert_eq!(chain.confirmed_round(&tx_id), Some(2));
 
-    let salvaged = chain.rollback_to(1);
+    let salvaged = chain.rollback_to(1).unwrap();
     assert_eq!(chain.tip().round, 1);
     assert_eq!(salvaged.len(), 1, "dropped block's txs come back");
     assert_eq!(salvaged[0].id(), tx_id);
@@ -530,12 +591,14 @@ fn rollback_discards_tentative_suffix_and_salvages_txs() {
 }
 
 #[test]
-#[should_panic(expected = "finalized")]
 fn rollback_refuses_to_drop_finalized_rounds() {
     let keypairs = users(3);
     let mut chain = new_chain(&keypairs);
     let b1 = make_block(&chain, &keypairs[0], vec![]);
     chain.append(b1, None, false, NOW + 1).unwrap();
     chain.finalize(1);
-    chain.rollback_to(0);
+    let tip = chain.tip_hash();
+    assert_eq!(chain.rollback_to(0), Err(ChainError::Finalized));
+    assert_eq!(chain.tip_hash(), tip, "the chain is unchanged");
+    assert!(chain.is_finalized(1));
 }

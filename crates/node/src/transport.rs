@@ -25,7 +25,7 @@
 //! Metrics live in the shared [`Registry`]: total and per-kind frame and
 //! byte counters each direction, lifetime connection count, and per-peer
 //! send-queue drops and depth (keyed by the peer's advertised address via
-//! [`obs::labeled`]). TELEMETRY frames are excluded from every counter in
+//! [`algorand_obs::labeled`]). TELEMETRY frames are excluded from every counter in
 //! both directions — scraping must not perturb the numbers being
 //! scraped, and `runtime`'s tests hold exposition output byte-identical
 //! across two scrapes of an idle node.

@@ -389,7 +389,7 @@ pub struct MonitorReport {
     pub observed: Observed,
     /// Exact violation count per invariant class.
     pub counts: [(Invariant, u64); 5],
-    /// The first [`MAX_STORED`] violations, verbatim.
+    /// The first `MAX_STORED` (64) violations, verbatim.
     pub violations: Vec<Violation>,
 }
 

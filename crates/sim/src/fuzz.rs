@@ -362,7 +362,7 @@ pub fn recovery_bound(schedule: &FaultSchedule) -> Micros {
 /// assertions.
 ///
 /// Drive: install the schedule, run to its last event, then advance in
-/// [`SLICE`]-sized steps. At every step the safety oracles are checked
+/// five-second steps. At every step the safety oracles are checked
 /// (monitor first — it names the violated invariant — then
 /// [`divergent_finality`]). The run passes once every honest node has
 /// advanced ≥ 2 rounds past its post-schedule baseline onto a

@@ -147,7 +147,7 @@ const NEGLIGIBLE: f64 = 1e-20;
 ///
 /// Divides [0,1) into consecutive intervals `I_j` of the binomial CDF for
 /// `Binomial(w, p)` and returns the `j` whose interval contains
-/// `hash / 2^hashlen`, clamped to [`TAIL`, 1 − [`TAIL`]].
+/// `hash / 2^hashlen`, clamped to lie between `TAIL` (10⁻¹⁰) and 1 − `TAIL`.
 ///
 /// The masses are summed upward from `B(0; w, p)` by the multiplicative
 /// recurrence. Once w·p passes ~700 that first mass underflows, and so

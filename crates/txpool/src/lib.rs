@@ -14,7 +14,7 @@
 //! whatever a newly finalized block made stale.
 //!
 //! Priority is the transferred amount — a stand-in for a fee market the
-//! paper leaves out ("we expect that [incentives] can be provided using
+//! paper leaves out ("we expect that \[incentives\] can be provided using
 //! the cryptocurrency itself", §2). Ties break on the transaction hash so
 //! every node evicts identically.
 

@@ -13,6 +13,9 @@ cargo fmt --check
 echo "== style: cargo clippy, test and bench targets included (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== docs: rustdoc on every crate, no broken or private intra-doc links (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== tier-1: cargo build --release =="
 cargo build --release
 
