@@ -16,7 +16,9 @@
 //! release-only like the corpus replay suite; the CI fuzz gate runs it
 //! with `--include-ignored`.
 
-use algorand_sim::fuzz::{generate, judge, parse_case, run_case, serialize_case, shrink};
+use algorand_sim::fuzz::{
+    generate, judge, parse_case, run_case, serialize_case, shrink, FuzzCase, ShrinkOutcome,
+};
 use algorand_sim::{InjectedBug, Simulation, VerdictClass};
 
 #[test]
@@ -58,8 +60,39 @@ fn shrinker_steps_stay_well_formed_and_keep_the_verdict() {
         }
     }
     let (case, class) = failing.expect("the planted defect must be reachable within 40 draws");
+    let outcome = shrink_faithfully(&case, class);
 
-    let outcome = shrink(&case, 60);
+    // Pinned output: the first failing draw loses its partition and
+    // keeps one crash/restart pair.
+    assert_eq!(case.case_seed, 6);
+    assert_eq!((outcome.attempts, outcome.accepted.len()), (7, 4));
+    assert_eq!(
+        event_lines(&outcome.minimized, class),
+        [
+            "event at=9442250 crash node=5",
+            "event at=10618152 restart node=5"
+        ]
+    );
+
+    // A second input that exercises the adversary move: draw 14 starts
+    // with two malicious users and ends with none.
+    let case = generate(14, Some(InjectedBug::IgnoreCatchupResponses));
+    let class = run_case(&case).class;
+    assert_ne!(class, VerdictClass::Pass, "draw 14 must fail");
+    let outcome = shrink_faithfully(&case, class);
+    assert_eq!((case.n_malicious, outcome.minimized.n_malicious), (2, 0));
+    assert_eq!((outcome.attempts, outcome.accepted.len()), (9, 4));
+    assert_eq!(
+        event_lines(&outcome.minimized, class),
+        ["event at=9773984 partition", "event at=12019530 heal"]
+    );
+}
+
+/// Shrinks `case` and checks the walk's promises: the verdict class
+/// survives, the attempt budget holds, and every accepted step is
+/// well formed, no larger than the last and replayable as written.
+fn shrink_faithfully(case: &FuzzCase, class: VerdictClass) -> ShrinkOutcome {
+    let outcome = shrink(case, 60);
     assert_eq!(
         outcome.verdict, class,
         "shrinking changed the verdict class"
@@ -109,4 +142,14 @@ fn shrinker_steps_stay_well_formed_and_keep_the_verdict() {
     assert_eq!(recorded, class);
     assert_eq!(serialize_case(&parsed, recorded), text, "not canonical");
     assert_eq!(run_case(&parsed).class, class, "parsed reproducer drifted");
+    outcome
+}
+
+/// The reproducer's `event` lines, cut after the action's name.
+fn event_lines(case: &FuzzCase, class: VerdictClass) -> Vec<String> {
+    serialize_case(case, class)
+        .lines()
+        .filter(|l| l.starts_with("event "))
+        .map(|l| l.split(" groups=").next().unwrap_or(l).to_string())
+        .collect()
 }
