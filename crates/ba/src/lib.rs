@@ -36,7 +36,7 @@ pub mod weights;
 pub use certificate::{Certificate, CertificateError};
 pub use engine::{AblationFlags, BaStar, ConsensusKind, Decision, Output};
 pub use msg::{StepKind, Value, VoteMessage};
-pub use params::{BaParams, Micros, SECOND};
+pub use params::{BaParams, Micros, SECOND, T_FINAL, T_STEP};
 pub use verify::{
     verify_sortition, verify_vote_message, CachedVerifier, RealVerifier, VerdictCache,
     VerifiedVote, VoteContext, VoteVerifier,

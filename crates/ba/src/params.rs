@@ -7,17 +7,19 @@ pub type Micros = u64;
 /// One second in [`Micros`].
 pub const SECOND: Micros = 1_000_000;
 
+/// Vote threshold fraction per step (T_step; Figure 4: 68.5%).
+pub const T_STEP: f64 = 0.685;
+
+/// Vote threshold fraction for the final step (T_final; Figure 4: 74%).
+pub const T_FINAL: f64 = 0.74;
+
 /// Parameters governing one execution of BA⋆.
 #[derive(Clone, Copy, Debug)]
 pub struct BaParams {
     /// Expected committee size per step (τ_step; paper: 2000).
     pub tau_step: f64,
-    /// Vote threshold fraction per step (T_step; paper: 0.685).
-    pub t_step: f64,
     /// Expected committee size for the final step (τ_final; paper: 10000).
     pub tau_final: f64,
-    /// Vote threshold fraction for the final step (T_final; paper: 0.74).
-    pub t_final: f64,
     /// Maximum BinaryBA⋆ steps before hanging (MaxSteps; paper: 150).
     pub max_steps: u32,
     /// Timeout for one BA⋆ step (λ_step; paper: 20 s).
@@ -38,9 +40,7 @@ impl BaParams {
     pub fn paper() -> BaParams {
         BaParams {
             tau_step: 2000.0,
-            t_step: 0.685,
             tau_final: 10_000.0,
-            t_final: 0.74,
             max_steps: 150,
             lambda_step: 20 * SECOND,
             lambda_block: 60 * SECOND,
@@ -50,12 +50,12 @@ impl BaParams {
 
     /// The number of votes needed to conclude a non-final step: > T·τ.
     pub fn step_vote_threshold(&self) -> f64 {
-        self.t_step * self.tau_step
+        T_STEP * self.tau_step
     }
 
     /// The number of votes needed to conclude the final step.
     pub fn final_vote_threshold(&self) -> f64 {
-        self.t_final * self.tau_final
+        T_FINAL * self.tau_final
     }
 
     /// τ for a given step (the final step uses the larger committee).
@@ -85,9 +85,7 @@ mod tests {
     fn paper_parameters_match_figure4() {
         let p = BaParams::paper();
         assert_eq!(p.tau_step, 2000.0);
-        assert_eq!(p.t_step, 0.685);
         assert_eq!(p.tau_final, 10_000.0);
-        assert_eq!(p.t_final, 0.74);
         assert_eq!(p.max_steps, 150);
         assert_eq!(p.lambda_step, 20 * SECOND);
         assert_eq!(p.lambda_block, 60 * SECOND);

@@ -68,24 +68,6 @@ impl RoundWeights {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-
-    /// The element-wise minimum of two snapshots.
-    ///
-    /// §5.3's "nothing at stake" mitigation: weighing users by
-    /// `min(current balance, look-back balance)` means money moved since
-    /// the look-back block cannot vote, so a seller who has divested keeps
-    /// no residual voting power.
-    pub fn min_with(&self, other: &RoundWeights) -> RoundWeights {
-        let mut map = HashMap::new();
-        for (pk, w) in &self.map {
-            let m = (*w).min(other.map.get(pk).copied().unwrap_or(0));
-            if m > 0 {
-                map.insert(*pk, m);
-            }
-        }
-        let total = map.values().sum();
-        RoundWeights { map, total }
-    }
 }
 
 #[cfg(test)]

@@ -22,9 +22,7 @@ fn test_params(total_weight: u64) -> BaParams {
     BaParams {
         // τ = W: every sub-user selected, fully deterministic committees.
         tau_step: total_weight as f64,
-        t_step: 0.685,
         tau_final: total_weight as f64,
-        t_final: 0.74,
         max_steps: 30,
         lambda_step: 20 * SECOND,
         lambda_block: 60 * SECOND,
@@ -318,9 +316,7 @@ fn isolated_users_hang_at_max_steps() {
     // times out, and after MaxSteps the engine hangs for recovery (§8.2).
     let params = BaParams {
         tau_step: 1000.0,
-        t_step: 0.685,
         tau_final: 1000.0,
-        t_final: 0.74,
         max_steps: 7,
         lambda_step: SECOND,
         lambda_block: SECOND,

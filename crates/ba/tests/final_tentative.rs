@@ -30,9 +30,7 @@ fn setup(n: usize) -> (Vec<BaStar>, Vec<VoteMessage>, BaParams) {
     ));
     let params = BaParams {
         tau_step: n as f64 * 10.0,
-        t_step: 0.685,
         tau_final: n as f64 * 10.0,
-        t_final: 0.74,
         max_steps: 15,
         lambda_step: SECOND,
         lambda_block: SECOND,

@@ -201,9 +201,7 @@ fn bench_certificate_validation() {
     let weights = RoundWeights::from_pairs(keypairs.iter().map(|k| (k.pk, 1000u64)));
     let params = BaParams {
         tau_step: 20_000.0, // τ = W: everyone selected.
-        t_step: 0.685,
         tau_final: 20_000.0,
-        t_final: 0.74,
         max_steps: 10,
         lambda_step: SECOND,
         lambda_block: SECOND,

@@ -68,9 +68,7 @@ impl Cluster {
         let total = weights.total() as f64;
         let params = BaParams {
             tau_step: total,
-            t_step: 0.685,
             tau_final: total,
-            t_final: 0.74,
             max_steps,
             lambda_step: SECOND,
             lambda_block: SECOND,

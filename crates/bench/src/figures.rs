@@ -14,8 +14,8 @@
 
 use crate::ablation::{self, COIN_ADVERSARIES, COIN_GROUP_A, HONEST_USERS};
 use crate::T_CAP;
-use algorand_ba::{Micros, VoteMessage, SECOND};
-use algorand_core::AlgorandParams;
+use algorand_ba::{Micros, VoteMessage, SECOND, T_FINAL, T_STEP};
+use algorand_core::{AlgorandParams, HONEST_FRACTION};
 use algorand_ledger::Transaction;
 use algorand_sim::{DesConfig, EpidemicConfig, RoundStats, SimConfig, Simulation, TxStats};
 use algorand_sortition::committee::{
@@ -195,13 +195,13 @@ fn fig4() -> Vec<Claim> {
     let secs = |us: Micros| format!("{} s", us as f64 / 1e6);
     say!("parameter      meaning                                               value");
     let values = [
-        pct(p.honest_fraction, 0),
+        pct(HONEST_FRACTION, 0),
         p.chain.seed_refresh_interval.to_string(),
         p.tau_proposer.to_string(),
         p.ba.tau_step.to_string(),
-        pct(p.ba.t_step, 1),
+        pct(T_STEP, 1),
         p.ba.tau_final.to_string(),
-        pct(p.ba.t_final, 0),
+        pct(T_FINAL, 0),
         p.ba.max_steps.to_string(),
         secs(p.lambda_priority),
         secs(p.ba.lambda_block),
@@ -223,11 +223,11 @@ fn fig4() -> Vec<Claim> {
 /// Figure 4 is a table of choices, not a measurement: every value exactly
 /// the paper's.
 fn fig4_is_paper(p: &AlgorandParams) -> bool {
-    p.honest_fraction == 0.80
+    HONEST_FRACTION == 0.80
         && p.chain.seed_refresh_interval == 1000
         && p.tau_proposer == 26.0
-        && (p.ba.tau_step, p.ba.t_step) == (2000.0, 0.685)
-        && (p.ba.tau_final, p.ba.t_final) == (10_000.0, 0.74)
+        && (p.ba.tau_step, T_STEP) == (2000.0, 0.685)
+        && (p.ba.tau_final, T_FINAL) == (10_000.0, 0.74)
         && p.ba.max_steps == 150
         && (p.lambda_priority, p.lambda_stepvar) == (5 * SECOND, 5 * SECOND)
         && (p.ba.lambda_block, p.ba.lambda_step) == (60 * SECOND, 20 * SECOND)
@@ -839,7 +839,6 @@ fn epidemic_vs_des() -> Vec<Claim> {
         model.fanout = 4;
         model.block_bytes = 2_000;
         model.tau_step = params.ba.tau_step;
-        model.threshold = params.ba.t_step;
         let predicted = model.round_latency_s(&params);
         let measured = epidemic_measure_des(n);
         match measured {

@@ -46,7 +46,7 @@ pub mod wire;
 
 pub use metrics::{PipelineStats, RecoveryStats, RoundRecord};
 pub use node::{Delivery, Node};
-pub use params::{derive_keypairs, AlgorandParams, GENESIS_SEED};
+pub use params::{derive_keypairs, AlgorandParams, GENESIS_SEED, HONEST_FRACTION};
 pub use process::{Blocksync, Effect, PeerId, Process};
 pub use proposal::{BlockMessage, PriorityMessage};
 pub use recovery::ForkProposalMessage;

@@ -69,6 +69,20 @@ pub(crate) struct RecoveryState {
     pub(crate) attempt_deadline: Micros,
 }
 
+impl Phase {
+    /// The timeout escalations of this phase's BA⋆ engine, if it runs one.
+    fn timeout_escalations(&self) -> u64 {
+        match self {
+            Phase::Ba { engine }
+            | Phase::Recovery(RecoveryState {
+                phase: RecoveryPhase::Ba { engine },
+                ..
+            }) => engine.timeout_escalations(),
+            _ => 0,
+        }
+    }
+}
+
 #[allow(clippy::large_enum_variant)] // One per node during recovery only.
 pub(crate) enum RecoveryPhase {
     WaitProposals {
@@ -194,7 +208,7 @@ impl Node {
             hung: false,
             last_progress: 0,
             last_recovery_epoch: 0,
-            next_epoch_check: params.recovery_interval.max(1),
+            next_epoch_check: params.recovery_interval,
             recovery: RecoveryStats::default(),
             stepvar_backoff: 0,
             tracer: Tracer::disabled(),
@@ -264,16 +278,9 @@ impl Node {
     /// Timeout, catch-up and fork-recovery counters, including the
     /// timeout escalations of the round in flight.
     pub fn recovery_stats(&self) -> RecoveryStats {
-        let live = match &self.phase {
-            Phase::Ba { engine }
-            | Phase::Recovery(RecoveryState {
-                phase: RecoveryPhase::Ba { engine },
-                ..
-            }) => engine.timeout_escalations(),
-            _ => 0,
-        };
         RecoveryStats {
-            timeout_escalations: self.recovery.timeout_escalations + live,
+            timeout_escalations: self.recovery.timeout_escalations
+                + self.phase.timeout_escalations(),
             ..self.recovery
         }
     }
@@ -377,8 +384,8 @@ impl Node {
         self.emit(out)
     }
 
-    /// The next instant at which [`Node::on_tick`] must run, if any.
-    pub fn next_deadline(&self) -> Option<Micros> {
+    /// The next instant at which [`Node::on_tick`] must run.
+    pub fn next_deadline(&self) -> Micros {
         let phase_deadline = match &self.phase {
             Phase::WaitProposals { until } => Some(*until),
             Phase::WaitBlock { until, .. } => Some(*until),
@@ -393,26 +400,26 @@ impl Node {
             }
         };
         // Also wake at the next recovery-epoch boundary check.
-        let epoch_deadline = if self.params.recovery_interval > 0 {
-            Some(self.next_epoch_check)
-        } else {
-            None
-        };
-        match (phase_deadline, epoch_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        phase_deadline.map_or(self.next_epoch_check, |d| d.min(self.next_epoch_check))
     }
 
     // --- Round lifecycle ------------------------------------------------------
+
+    /// Moves to `phase`. Every phase change goes through here, so the
+    /// timeout escalations of a BA⋆ engine that leaves are counted once,
+    /// whichever route it leaves by.
+    pub(crate) fn set_phase(&mut self, phase: Phase) {
+        let left = std::mem::replace(&mut self.phase, phase);
+        self.recovery.timeout_escalations += left.timeout_escalations();
+    }
 
     pub(crate) fn start_round(&mut self, now: Micros, out: &mut Vec<WireMessage>) {
         self.ctx = RoundContext::new(&mut self.chain, now);
         self.block_msg_ids.clear();
         self.ba_input = [0u8; 32];
-        self.phase = Phase::WaitProposals {
+        self.set_phase(Phase::WaitProposals {
             until: now + self.proposal_wait(),
-        };
+        });
         // Proposer sortition (§6).
         if let Some((sorthash, sort_proof, priority)) = proposer_sortition(
             &self.keypair,
@@ -656,10 +663,10 @@ impl Node {
                 if self.chain.block_by_hash(&block_hash).is_some() {
                     self.begin_ba(Some(block_hash), now, out);
                 } else {
-                    self.phase = Phase::WaitBlock {
+                    self.set_phase(Phase::WaitBlock {
                         until: now + self.params.ba.lambda_block,
                         expected: block_hash,
-                    };
+                    });
                 }
             }
             None => self.begin_ba(None, now, out),
@@ -703,9 +710,9 @@ impl Node {
             }
         }
         outputs.extend(engine.on_tick(now));
-        self.phase = Phase::Ba {
+        self.set_phase(Phase::Ba {
             engine: Box::new(engine),
-        };
+        });
         self.handle_engine_outputs(outputs, now, out);
     }
 
@@ -737,7 +744,7 @@ impl Node {
             Some(d) if self.chain.block_by_hash(&d.value).is_some() => {
                 self.complete_round(d, now, out)
             }
-            Some(d) => self.phase = Phase::AwaitBlockContent { decision: d },
+            Some(d) => self.set_phase(Phase::AwaitBlockContent { decision: d }),
             None if hung && recovering => self.retry_recovery(now, out),
             None if hung => self.hung = true,
             None => {}
@@ -761,8 +768,8 @@ impl Node {
             _ => (now, 0, 0),
         };
         // Adaptive λ_stepvar: a round whose BA⋆ burned timeouts doubles
-        // the next proposal wait; a clean round resets the backoff.
-        self.recovery.timeout_escalations += escalations;
+        // the next proposal wait; a clean round resets the backoff. The
+        // escalations themselves are counted when the engine leaves.
         if escalations > 0 {
             self.stepvar_backoff = (self.stepvar_backoff + 1).min(Self::MAX_STEPVAR_DOUBLINGS);
         } else {

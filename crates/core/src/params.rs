@@ -15,6 +15,10 @@ use algorand_sortition::binomial::binomial_cdf;
 /// restarts).
 pub const GENESIS_SEED: [u8; 32] = [0x47u8; 32];
 
+/// Assumed fraction of honest weighted users (h; Figure 4: 80%), the
+/// value behind Figure 4's committee sizes and thresholds.
+pub const HONEST_FRACTION: f64 = 0.80;
+
 /// The deterministic keypair of every user of a deployment.
 pub fn derive_keypairs(seed: u64, n_users: usize) -> Vec<Keypair> {
     (0..n_users)
@@ -43,8 +47,6 @@ fn committee_upper_bound(total_weight: u64, tau: f64) -> u64 {
 /// All implementation parameters of Figure 4, plus the chain-level ones.
 #[derive(Clone, Copy, Debug)]
 pub struct AlgorandParams {
-    /// Assumed fraction of honest weighted users (h; paper: 80%).
-    pub honest_fraction: f64,
     /// Expected number of block proposers (τ_proposer; paper: 26).
     pub tau_proposer: f64,
     /// BA⋆ committee and timing parameters.
@@ -76,7 +78,6 @@ impl AlgorandParams {
     /// The paper's production parameters (Figure 4).
     pub fn paper() -> AlgorandParams {
         AlgorandParams {
-            honest_fraction: 0.80,
             tau_proposer: 26.0,
             ba: BaParams::paper(),
             chain: ChainParams::paper(),
@@ -126,7 +127,6 @@ impl AlgorandParams {
             seed_refresh_interval: 10,
             weight_lookback: 2,
             max_timestamp_skew: 3600 * SECOND,
-            min_balance_weights: false,
         };
         p.recovery_interval = 120 * SECOND;
         p
@@ -175,11 +175,11 @@ impl AlgorandParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use algorand_ba::T_STEP;
 
     #[test]
     fn paper_values_match_figure4() {
         let p = AlgorandParams::paper();
-        assert_eq!(p.honest_fraction, 0.80);
         assert_eq!(p.tau_proposer, 26.0);
         assert_eq!(p.chain.seed_refresh_interval, 1000);
         assert_eq!(p.lambda_priority, 5 * SECOND);
@@ -201,7 +201,7 @@ mod tests {
             // with variance τ(1−τ/W).
             let sel_p = p.ba.tau_step / total_stake;
             let sigma = (p.ba.tau_step * (1.0 - sel_p)).sqrt();
-            let margin = (1.0 - p.ba.t_step) * p.ba.tau_step / sigma;
+            let margin = (1.0 - T_STEP) * p.ba.tau_step / sigma;
             assert!(margin > 3.0, "n={n} margin={margin}");
         }
     }

@@ -183,7 +183,7 @@ impl Process {
     /// announcement, blocksync's request.
     pub fn on_tick(&mut self, now: Micros) -> Vec<Effect> {
         let mut effects = Vec::new();
-        if self.node.next_deadline().is_some_and(|d| d <= now) {
+        if self.node.next_deadline() <= now {
             effects = broadcast(self.node.on_tick(now));
         }
         self.timers(now, &mut effects);
@@ -193,16 +193,11 @@ impl Process {
     /// The next instant [`Process::on_tick`] has work: the earliest of
     /// the node's deadline, the next STATUS, and blocksync's next request
     /// (possibly already past) while a peer is ahead.
-    pub fn next_deadline(&self) -> Option<Micros> {
+    pub fn next_deadline(&self) -> Micros {
         let tip = self.node.chain().tip_round();
-        [
-            self.node.next_deadline(),
-            Some(self.next_status),
-            self.sync.next_request(tip, self.stalled_at()),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
+        let sync = self.sync.next_request(tip, self.stalled_at());
+        let own = self.node.next_deadline().min(self.next_status);
+        sync.map_or(own, |d| d.min(own))
     }
 
     /// The WAL cursor, then STATUS and blocksync.

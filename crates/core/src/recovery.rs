@@ -204,7 +204,7 @@ pub fn fork_proposer_sortition(
 
 impl Node {
     pub(crate) fn maybe_enter_recovery(&mut self, now: Micros, out: &mut Vec<WireMessage>) {
-        if self.params.recovery_interval == 0 || now < self.next_epoch_check {
+        if now < self.next_epoch_check {
             return;
         }
         // Advance the check cursor first so a node that stays healthy (or
@@ -298,7 +298,7 @@ impl Node {
                 None => debug_assert!(false, "own freshly signed fork proposal must verify"),
             }
         }
-        self.phase = Phase::Recovery(RecoveryState {
+        self.set_phase(Phase::Recovery(RecoveryState {
             epoch,
             attempt,
             seed,
@@ -312,7 +312,7 @@ impl Node {
                 + self.params.proposal_wait()
                 + self.params.ba.lambda_block
                 + 6 * self.params.ba.lambda_step,
-        });
+        }));
     }
 
     pub(crate) fn on_fork_proposal(

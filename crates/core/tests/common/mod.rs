@@ -3,7 +3,7 @@
 
 #![allow(dead_code)] // Each test crate uses its own share.
 
-use algorand_ba::{BaParams, Certificate, StepKind, VoteMessage};
+use algorand_ba::{BaParams, Certificate, StepKind, VoteMessage, SECOND};
 use algorand_core::AlgorandParams;
 use algorand_crypto::vrf::{VrfOutput, VrfProof};
 use algorand_crypto::Keypair;
@@ -29,7 +29,8 @@ pub fn params(users: &[Keypair]) -> AlgorandParams {
         tau_final: total,
         ..p.ba
     };
-    p.recovery_interval = 0;
+    // No §8.2 epoch boundary falls inside any fixture's run.
+    p.recovery_interval = 1_000_000 * SECOND;
     p
 }
 

@@ -11,7 +11,9 @@
 //!   peer once per cooldown, spends each announced tip on one request,
 //!   and a stalled node with no peer ahead asks no one;
 //! * a recovery that abandons a fork puts the fork's payments back in the
-//!   pool.
+//!   pool;
+//! * the timeout-escalation counter never goes down, whichever route a
+//!   round's BA⋆ engine leaves by.
 
 use algorand_core::process::{REQUEST_COOLDOWN, STATUS_TICK};
 use algorand_core::wire::CatchupBatch;
@@ -217,10 +219,10 @@ impl Cluster {
                 }
                 continue;
             }
-            let next = self.procs.iter().filter_map(Process::next_deadline).min();
-            self.now = next.expect("a process has a timer").max(self.now);
+            let next = self.procs.iter().map(Process::next_deadline).min();
+            self.now = next.expect("a process").max(self.now);
             for i in 0..self.procs.len() {
-                if self.procs[i].next_deadline().is_some_and(|d| d <= self.now) {
+                if self.procs[i].next_deadline() <= self.now {
                     let effects = self.procs[i].on_tick(self.now);
                     self.apply(i, effects, None);
                 }
@@ -301,12 +303,12 @@ fn blocksync_asks_the_most_advanced_peer_once_per_cooldown_and_each_tip_once() {
             .collect()
     };
     let t = NOW + 1;
-    assert!(lagging.next_deadline().unwrap() <= t, "ready to ask");
+    assert!(lagging.next_deadline() <= t, "ready to ask");
     assert_eq!(ask(&lagging.on_tick(t)), [4]);
     // Within the cooldown nothing more goes out, and the next deadline
     // says when it may.
     assert_eq!(ask(&lagging.on_tick(t + 1)), Vec::<PeerId>::new());
-    assert!(lagging.next_deadline().unwrap() <= t + REQUEST_COOLDOWN);
+    assert!(lagging.next_deadline() <= t + REQUEST_COOLDOWN);
     // Asking spent peer 4's tip: the next requests go down the others.
     assert_eq!(ask(&lagging.on_tick(t + REQUEST_COOLDOWN)), [5]);
     assert_eq!(ask(&lagging.on_tick(t + 2 * REQUEST_COOLDOWN)), [9]);
@@ -377,12 +379,36 @@ fn a_stalled_node_with_no_peer_ahead_asks_for_nothing() {
         for peer in 1..4 {
             lone.on_status(peer, 0);
         }
-        now = lone.next_deadline().expect("a timer").max(now + 1);
+        now = lone.next_deadline().max(now + 1);
         effects.extend(lone.on_tick(now));
     }
     assert_eq!(lone.node().chain().tip_round(), 0, "the round never ended");
     let asks: Vec<&Effect> = effects.iter().filter(|e| is_request(e)).collect();
     assert!(asks.is_empty(), "{asks:?}");
+}
+
+#[test]
+fn a_catchup_that_restarts_the_round_keeps_its_timeout_escalations() {
+    // One user of four times out every BA⋆ step of round 1; a catch-up
+    // batch then lands and restarts the node at round 4, dropping the
+    // round's engine without completing it.
+    let kps = users(4);
+    let mut lone = process(&kps, &kps[0], &[].to_vec(), 0);
+    lone.start(NOW);
+    let mut now = NOW;
+    let escalations = |p: &Process| p.node().recovery_stats().timeout_escalations;
+    while escalations(&lone) < 2 {
+        assert!(now < NOW + 600_000_000, "no step timed out");
+        now = lone.next_deadline().max(now + 1);
+        lone.on_tick(now);
+    }
+    let before = escalations(&lone);
+    let batch = WireMessage::CatchupResponse(CatchupBatch {
+        entries: history(&kps, 3),
+    });
+    lone.on_message(1, &batch, true, now);
+    assert_eq!(lone.node().chain().tip_round(), 3, "the batch applied");
+    assert_eq!(escalations(&lone), before, "the counter went down");
 }
 
 #[test]

@@ -296,8 +296,8 @@ impl RelayState {
     }
 
     /// Rotates the generations when `round` has advanced past the last
-    /// rotation — or, if `stall_horizon > 0`, when more than that much
-    /// time has passed since the last rotation with no round progress.
+    /// rotation, or when more than `stall_horizon` has passed since the
+    /// last rotation with no round progress.
     /// Entries recorded two rotations ago are dropped.
     ///
     /// Call with the node's current round and clock whenever convenient
@@ -312,10 +312,9 @@ impl RelayState {
     /// advances, so without it the per-⟨key, round, step⟩ slots pin the
     /// *first* message forever and recovery-vote retries are dropped as
     /// equivocations network-wide. Pick a horizon of several λ_step so
-    /// rotation never fires during healthy rounds. Pass `0` to disable.
+    /// rotation never fires during healthy rounds.
     pub fn prune(&mut self, round: u64, now: u64, stall_horizon: u64) {
-        let stalled =
-            stall_horizon > 0 && now.saturating_sub(self.last_rotation_at) > stall_horizon;
+        let stalled = now.saturating_sub(self.last_rotation_at) > stall_horizon;
         if round <= self.pruned_round && !stalled {
             return;
         }

@@ -43,8 +43,7 @@ impl Oracle {
     }
 
     fn prune(&mut self, round: u64, now: u64, stall_horizon: u64) {
-        let stalled =
-            stall_horizon > 0 && now.saturating_sub(self.last_rotation_at) > stall_horizon;
+        let stalled = now.saturating_sub(self.last_rotation_at) > stall_horizon;
         if round <= self.pruned_round && !stalled {
             return;
         }

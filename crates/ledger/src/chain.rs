@@ -35,11 +35,6 @@ pub struct ChainParams {
     /// Maximum accepted divergence between a block timestamp and the
     /// validator's clock (§8.1: "say, within an hour").
     pub max_timestamp_skew: Micros,
-    /// §5.3's "nothing at stake" mitigation: weigh users by the *minimum*
-    /// of their look-back and current balances, so divested money cannot
-    /// vote. The paper names this option but does not deploy it; off by
-    /// default here too.
-    pub min_balance_weights: bool,
 }
 
 impl ChainParams {
@@ -50,7 +45,6 @@ impl ChainParams {
             seed_refresh_interval: 1000,
             weight_lookback: 1000,
             max_timestamp_skew: 3_600_000_000,
-            min_balance_weights: false,
         }
     }
 }
@@ -250,21 +244,12 @@ impl Blockchain {
     }
 
     /// The weight snapshot to use for `round` (§5.3's look-back rule).
-    ///
-    /// With [`ChainParams::min_balance_weights`] set, the look-back weights
-    /// are clamped by current balances (§5.3's "nothing at stake"
-    /// mitigation).
     pub fn weights_for_round(&self, round: u64) -> RoundWeights {
         let seed_round = selection_seed_round(round, self.params.seed_refresh_interval);
         let weight_round = seed_round
             .saturating_sub(self.params.weight_lookback)
             .min(self.tip().round);
-        let lookback = self.states[weight_round as usize].weights();
-        if self.params.min_balance_weights {
-            lookback.min_with(&self.accounts().weights())
-        } else {
-            lookback
-        }
+        self.states[weight_round as usize].weights()
     }
 
     /// [`Block::validate`] for the stored block `hash` as a successor of

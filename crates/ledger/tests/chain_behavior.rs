@@ -23,7 +23,6 @@ fn params() -> ChainParams {
         seed_refresh_interval: 5,
         weight_lookback: 2,
         max_timestamp_skew: HOUR,
-        min_balance_weights: false,
     }
 }
 
@@ -101,9 +100,7 @@ fn make_certificate(
 fn ba_params(total_weight: u64) -> BaParams {
     BaParams {
         tau_step: total_weight as f64,
-        t_step: 0.685,
         tau_final: total_weight as f64,
-        t_final: 0.74,
         max_steps: 30,
         lambda_step: SECOND,
         lambda_block: SECOND,
@@ -509,18 +506,16 @@ fn sharded_storage_is_a_fraction_of_full() {
 }
 
 #[test]
-fn min_balance_weights_remove_divested_stake() {
-    // §5.3's "nothing at stake" mitigation: with min-balance weights, a
-    // user who sold their look-back stake carries no voting power even
-    // though the look-back snapshot still lists them.
+fn lookback_weights_keep_stake_sold_after_the_lookback_point() {
+    // §5.3's look-back rule: a round's weights come from the snapshot
+    // before its seed round, so a user who sells after that point still
+    // votes with the stake the snapshot lists.
     let keypairs = users(3);
-    let mut p = params();
-    p.min_balance_weights = true;
-    let mut chain = Blockchain::new(p, keypairs.iter().map(|k| (k.pk, 100u64)), GENESIS_SEED);
+    let mut chain = new_chain(&keypairs);
     for r in 1..=6u64 {
         let txs = if r == 5 {
             // User 0 divests everything at round 5 — *after* the look-back
-            // point for the rounds we inspect below.
+            // point for round 7 (R=5, lookback=2).
             vec![Transaction::payment(&keypairs[0], keypairs[1].pk, 100, 1)]
         } else {
             vec![]
@@ -528,33 +523,14 @@ fn min_balance_weights_remove_divested_stake() {
         let block = make_block(&chain, &keypairs[2], txs);
         chain.append(block, None, false, NOW + r).unwrap();
     }
-    // Round 7's look-back snapshot (R=5, lookback=2) predates the sale and
-    // lists user 0 with 100 units — but min-balance clamps them to 0.
+    assert_eq!(chain.accounts().balance(&keypairs[0].pk), 0);
     let w = chain.weights_for_round(7);
-    assert_eq!(
-        w.weight_of(&keypairs[0].pk),
-        0,
-        "divested stake must not vote"
-    );
+    assert_eq!(w.weight_of(&keypairs[0].pk), 100, "sold stake still listed");
     assert_eq!(
         w.weight_of(&keypairs[2].pk),
         100,
         "unmoved stake unaffected"
     );
-    // Without the option the stale snapshot would still empower user 0.
-    let mut plain = params();
-    plain.min_balance_weights = false;
-    let mut chain2 = Blockchain::new(plain, keypairs.iter().map(|k| (k.pk, 100u64)), GENESIS_SEED);
-    for r in 1..=6u64 {
-        let txs = if r == 5 {
-            vec![Transaction::payment(&keypairs[0], keypairs[1].pk, 100, 1)]
-        } else {
-            vec![]
-        };
-        let block = make_block(&chain2, &keypairs[2], txs);
-        chain2.append(block, None, false, NOW + r).unwrap();
-    }
-    assert_eq!(chain2.weights_for_round(7).weight_of(&keypairs[0].pk), 100);
 }
 
 #[test]

@@ -256,7 +256,7 @@ impl Runtime {
             }
 
             let now = self.now();
-            if self.process.next_deadline().is_some_and(|d| d <= now) {
+            if self.process.next_deadline() <= now {
                 let effects = self.process.on_tick(now);
                 self.apply(effects, None)?;
             }
@@ -308,9 +308,8 @@ impl Runtime {
     /// or `until`, whichever is sooner, and at least a millisecond.
     fn next_wait(&self, wall: Instant, until: Instant) -> Duration {
         let mut wait = until.saturating_duration_since(wall);
-        if let Some(d) = self.process.next_deadline() {
-            wait = wait.min(Duration::from_micros(d.saturating_sub(self.now())));
-        }
+        let d = self.process.next_deadline();
+        wait = wait.min(Duration::from_micros(d.saturating_sub(self.now())));
         wait.max(Duration::from_millis(1))
     }
 

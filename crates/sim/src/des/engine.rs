@@ -1478,13 +1478,11 @@ fn reschedule_local(g: &mut NodeCell, now: Micros) {
         // one); restart arms its wake afresh.
         return;
     }
-    if let Some(d) = g.process.next_deadline() {
-        // Deadlines are on the node's (possibly skewed) local clock; the
-        // queue runs on global time.
-        let d = harness::unskewed_global(d, g.clock_skew).max(now);
-        if d < g.next_wake {
-            g.next_wake = d;
-        }
+    // Deadlines are on the node's (possibly skewed) local clock; the
+    // queue runs on global time.
+    let d = harness::unskewed_global(g.process.next_deadline(), g.clock_skew).max(now);
+    if d < g.next_wake {
+        g.next_wake = d;
     }
 }
 

@@ -17,8 +17,15 @@
 //! VM's 1 Gbit/s NIC among 500 processes, a ~12.5× tighter budget than the
 //! 20 Mbit/s cap of Figure 5, which is why its latencies are ~4× higher.
 
-use algorand_ba::VoteMessage;
+use algorand_ba::{VoteMessage, T_STEP};
 use algorand_core::AlgorandParams;
+
+/// Effective per-message transmission redundancy after dedup.
+///
+/// A relay dials `fanout` peers but most already hold the message by the
+/// time it forwards (duplicate suppression, §4); measurements of gossip
+/// networks put the effective copies-per-node near 2.
+const REDUNDANCY: f64 = 2.0;
 
 /// Inputs to the analytic model.
 #[derive(Clone, Copy, Debug)]
@@ -33,17 +40,8 @@ pub struct EpidemicConfig {
     pub mean_latency_s: f64,
     /// Gossip fan-out (each hop transmits to this many peers).
     pub fanout: usize,
-    /// Effective per-message transmission redundancy after dedup.
-    ///
-    /// A relay dials `fanout` peers but most already hold the message by
-    /// the time it forwards (duplicate suppression, §4); measurements of
-    /// gossip networks put the effective copies-per-node near 2.
-    pub redundancy: f64,
     /// Expected committee size per step.
     pub tau_step: f64,
-    /// Vote threshold fraction: a step concludes once this fraction of the
-    /// committee's votes has arrived, not all of them.
-    pub threshold: f64,
 }
 
 impl EpidemicConfig {
@@ -57,9 +55,7 @@ impl EpidemicConfig {
             bandwidth_bps: 1e9 / 500.0,
             mean_latency_s: 0.06,
             fanout: 8,
-            redundancy: 2.0,
             tau_step: params.ba.tau_step,
-            threshold: params.ba.t_step,
         }
     }
 
@@ -78,18 +74,19 @@ impl EpidemicConfig {
     /// own uplink (serialization) and the last copy must still propagate
     /// (latency).
     pub fn dissemination_s(&self, bytes: usize) -> f64 {
-        let tx = (bytes as f64) * 8.0 * self.redundancy / self.bandwidth_bps;
+        let tx = (bytes as f64) * 8.0 * REDUNDANCY / self.bandwidth_bps;
         self.hops() * (tx + self.mean_latency_s)
     }
 
     /// Time for one BA⋆ voting step: committee votes disseminate to all.
     ///
-    /// Votes from τ members travel concurrently; the per-relay uplink
-    /// must carry all τ vote copies once, so serialization is τ votes.
+    /// Votes from τ members travel concurrently; a step concludes once
+    /// T_step of them have arrived, so the per-relay uplink carries T·τ
+    /// vote copies.
     pub fn step_s(&self) -> f64 {
         let vote_bytes = VoteMessage::WIRE_SIZE;
-        let tx = (vote_bytes as f64) * 8.0 * self.redundancy * self.tau_step * self.threshold
-            / self.bandwidth_bps;
+        let tx =
+            (vote_bytes as f64) * 8.0 * REDUNDANCY * self.tau_step * T_STEP / self.bandwidth_bps;
         self.hops() * self.mean_latency_s + tx
     }
 

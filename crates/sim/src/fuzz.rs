@@ -581,179 +581,161 @@ pub fn shrink(case: &FuzzCase, max_attempts: usize) -> ShrinkOutcome {
         target != VerdictClass::Pass,
         "shrink called on a passing case"
     );
-    let mut current = case.clone();
-    let mut attempts = 1usize;
-    let mut accepted: Vec<FuzzCase> = Vec::new();
-
-    // Tries one candidate; accepts it into `current` iff it validates
-    // and reproduces `target`.
-    let try_case = |candidate: FuzzCase,
-                    current: &mut FuzzCase,
-                    attempts: &mut usize,
-                    accepted: &mut Vec<FuzzCase>|
-     -> bool {
-        if *attempts >= max_attempts {
-            return false;
-        }
-        if candidate.schedule.validate(candidate.n_users).is_err() {
-            return false;
-        }
-        *attempts += 1;
-        if run_case(&candidate).class == target {
-            *current = candidate;
-            accepted.push(current.clone());
-            true
-        } else {
-            false
-        }
+    let mut s = Shrinker {
+        target,
+        max_attempts,
+        current: case.clone(),
+        attempts: 1,
+        accepted: Vec::new(),
     };
-
-    let rebuild = |case: &FuzzCase, events: Vec<FaultEvent>| -> FuzzCase {
-        let mut c = case.clone();
-        c.schedule = FaultSchedule::from_events(events);
-        c
-    };
-
     loop {
-        let before = attempts;
-        let mut changed = false;
+        let before = s.attempts;
+        let mut changed = s.ddmin();
+        for edit in [shorter_windows, smaller_partitions, fewer_adversaries] {
+            while s.accept_first(edit(&s.current)) {
+                changed = true;
+            }
+        }
+        if !changed || s.attempts >= max_attempts || s.attempts == before {
+            break;
+        }
+    }
+    ShrinkOutcome {
+        minimized: s.current,
+        verdict: target,
+        attempts: s.attempts,
+        accepted: s.accepted,
+    }
+}
 
-        // 1. ddmin over removal units.
-        let mut chunk = removal_units(current.schedule.events())
+/// The shrinker's walk: the case it holds and the replays it has spent.
+struct Shrinker {
+    target: VerdictClass,
+    max_attempts: usize,
+    current: FuzzCase,
+    attempts: usize,
+    accepted: Vec<FuzzCase>,
+}
+
+impl Shrinker {
+    /// Replays `candidates` in order, within the attempt budget, and
+    /// adopts the first that validates and keeps the verdict class.
+    fn accept_first(&mut self, candidates: Vec<FuzzCase>) -> bool {
+        for candidate in candidates {
+            if self.attempts >= self.max_attempts {
+                return false;
+            }
+            if candidate.schedule.validate(candidate.n_users).is_err() {
+                continue;
+            }
+            self.attempts += 1;
+            if run_case(&candidate).class == self.target {
+                self.accepted.push(candidate.clone());
+                self.current = candidate;
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Move 1, delta debugging over removal units: drop chunks of units,
+    /// halving the chunk size down to single units.
+    fn ddmin(&mut self) -> bool {
+        let mut changed = false;
+        let mut chunk = removal_units(self.current.schedule.events())
             .len()
             .div_ceil(2)
             .max(1);
         loop {
-            let events = current.schedule.clone().into_events();
+            let events = self.current.schedule.clone().into_events();
             let units = removal_units(&events);
-            if units.is_empty() || attempts >= max_attempts {
-                break;
+            if units.is_empty() || self.attempts >= self.max_attempts {
+                return changed;
             }
             chunk = chunk.min(units.len());
-            let mut any = false;
-            let mut start = 0;
-            while start < units.len() {
-                let drop: std::collections::HashSet<usize> = units
-                    [start..(start + chunk).min(units.len())]
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .collect();
-                let kept: Vec<FaultEvent> = events
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| !drop.contains(i))
-                    .map(|(_, e)| e.clone())
-                    .collect();
-                if try_case(
-                    rebuild(&current, kept),
-                    &mut current,
-                    &mut attempts,
-                    &mut accepted,
-                ) {
-                    any = true;
-                    changed = true;
-                    break; // unit indices are stale; recompute
-                }
-                start += chunk;
+            let candidates = units
+                .chunks(chunk)
+                .map(|dropped| {
+                    let drop: std::collections::HashSet<usize> =
+                        dropped.iter().flatten().copied().collect();
+                    let kept = events
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| !drop.contains(i))
+                        .map(|(_, e)| e.clone())
+                        .collect();
+                    with_events(&self.current, kept)
+                })
+                .collect();
+            if self.accept_first(candidates) {
+                changed = true; // unit indices are stale; recompute
+            } else if chunk == 1 {
+                return changed;
+            } else {
+                chunk /= 2;
             }
-            if !any {
-                if chunk == 1 {
-                    break;
-                }
-                chunk = (chunk / 2).max(1);
-            }
-        }
-
-        // 2. Window shortening: halve each surviving pair's gap.
-        loop {
-            let events = current.schedule.clone().into_events();
-            let units = removal_units(&events);
-            let mut any = false;
-            for unit in &units {
-                let [onset, clear] = unit.as_slice() else {
-                    continue;
-                };
-                let gap = events[*clear].at.saturating_sub(events[*onset].at);
-                if gap <= 2 * SEC {
-                    continue;
-                }
-                let mut shortened = events.clone();
-                shortened[*clear].at = events[*onset].at + gap / 2;
-                if try_case(
-                    rebuild(&current, shortened),
-                    &mut current,
-                    &mut attempts,
-                    &mut accepted,
-                ) {
-                    any = true;
-                    changed = true;
-                    break;
-                }
-            }
-            if !any || attempts >= max_attempts {
-                break;
-            }
-        }
-
-        // 3. Partition-set shrinking: halve the smallest group.
-        loop {
-            let events = current.schedule.clone().into_events();
-            let mut any = false;
-            for (i, e) in events.iter().enumerate() {
-                let FaultAction::Partition(spec) = &e.action else {
-                    continue;
-                };
-                let Some(shrunk) = shrink_partition(spec) else {
-                    continue;
-                };
-                let mut edited = events.clone();
-                edited[i].action = FaultAction::Partition(shrunk);
-                if try_case(
-                    rebuild(&current, edited),
-                    &mut current,
-                    &mut attempts,
-                    &mut accepted,
-                ) {
-                    any = true;
-                    changed = true;
-                    break;
-                }
-            }
-            if !any || attempts >= max_attempts {
-                break;
-            }
-        }
-
-        // 4. Adversary reduction: zero first, then halves.
-        while current.n_malicious > 0 && attempts < max_attempts {
-            let mut c = current.clone();
-            c.n_malicious = 0;
-            if try_case(c, &mut current, &mut attempts, &mut accepted) {
-                changed = true;
-                continue;
-            }
-            let mut c = current.clone();
-            c.n_malicious = current.n_malicious / 2;
-            if c.n_malicious == current.n_malicious
-                || !try_case(c, &mut current, &mut attempts, &mut accepted)
-            {
-                break;
-            }
-            changed = true;
-        }
-
-        if !changed || attempts >= max_attempts || attempts == before {
-            break;
         }
     }
+}
 
-    ShrinkOutcome {
-        minimized: current,
-        verdict: target,
-        attempts,
-        accepted,
+/// `case` with its schedule replaced by `events`.
+fn with_events(case: &FuzzCase, events: Vec<FaultEvent>) -> FuzzCase {
+    let mut c = case.clone();
+    c.schedule = FaultSchedule::from_events(events);
+    c
+}
+
+/// Move 2: each surviving onset/clear pair with its gap halved (floor
+/// 2 s).
+fn shorter_windows(case: &FuzzCase) -> Vec<FuzzCase> {
+    let events = case.schedule.clone().into_events();
+    removal_units(&events)
+        .iter()
+        .filter_map(|unit| {
+            let [onset, clear] = unit.as_slice() else {
+                return None;
+            };
+            let gap = events[*clear].at.saturating_sub(events[*onset].at);
+            if gap <= 2 * SEC {
+                return None;
+            }
+            let mut shortened = events.clone();
+            shortened[*clear].at = events[*onset].at + gap / 2;
+            Some(with_events(case, shortened))
+        })
+        .collect()
+}
+
+/// Move 3: each partition with half of its smallest group moved into
+/// its largest.
+fn smaller_partitions(case: &FuzzCase) -> Vec<FuzzCase> {
+    let events = case.schedule.clone().into_events();
+    events
+        .iter()
+        .enumerate()
+        .filter_map(|(i, e)| {
+            let FaultAction::Partition(spec) = &e.action else {
+                return None;
+            };
+            let mut edited = events.clone();
+            edited[i].action = FaultAction::Partition(shrink_partition(spec)?);
+            Some(with_events(case, edited))
+        })
+        .collect()
+}
+
+/// Move 4: zero malicious users, then half as many.
+fn fewer_adversaries(case: &FuzzCase) -> Vec<FuzzCase> {
+    if case.n_malicious == 0 {
+        return Vec::new();
     }
+    [0, case.n_malicious / 2]
+        .into_iter()
+        .map(|n_malicious| FuzzCase {
+            n_malicious,
+            ..case.clone()
+        })
+        .collect()
 }
 
 /// Moves half of a partition's smallest group into its largest,

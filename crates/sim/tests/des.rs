@@ -254,7 +254,6 @@ fn epidemic_model_agrees_with_des_at_overlapping_size() {
     model.fanout = 4;
     model.block_bytes = 2_000;
     model.tau_step = params.ba.tau_step;
-    model.threshold = params.ba.t_step;
     let predicted_s = model.round_latency_s(&params);
 
     let ratio = mean_s / predicted_s;

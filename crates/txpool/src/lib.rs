@@ -7,7 +7,7 @@
 //! rejects duplicates and replays, screens signatures (the payment
 //! remembers its own verdict, so one gossiped along many paths, taken
 //! into a proposal and handed back is checked once), evicts the
-//! lowest-priority traffic under byte/count caps, and hands a proposer a
+//! lowest-priority traffic above a count cap, and hands a proposer a
 //! balance- and nonce-consistent prefix via [`TxPool::take_block`].
 //! Transactions from proposals that lose BA⋆ are fed back with
 //! [`TxPool::reinsert`] so they are not lost, and [`TxPool::prune`] drops
@@ -24,27 +24,13 @@ use algorand_ledger::{Accounts, Transaction};
 use algorand_obs::{Counter, Registry};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// Size and shape limits for a [`TxPool`].
-#[derive(Clone, Copy, Debug)]
-pub struct PoolConfig {
-    /// Total wire bytes of queued transactions before eviction kicks in.
-    pub max_bytes: usize,
-    /// Total queued transaction count before eviction kicks in.
-    pub max_txs: usize,
-    /// Longest nonce run buffered per sender (also bounds how far ahead
-    /// of the committed nonce a transaction may be).
-    pub max_per_sender: usize,
-}
+/// Queued transactions before eviction kicks in. Every payment is
+/// [`Transaction::WIRE_SIZE`] bytes, so a full pool holds 2.36 MB.
+pub const MAX_TXS: usize = 16_384;
 
-impl Default for PoolConfig {
-    fn default() -> PoolConfig {
-        PoolConfig {
-            max_bytes: 4 << 20,
-            max_txs: 16_384,
-            max_per_sender: 256,
-        }
-    }
-}
+/// How far ahead of the sender's committed nonce a transaction may be
+/// buffered (also the longest nonce run one sender can queue).
+pub const MAX_NONCE_AHEAD: u64 = 256;
 
 /// Why [`TxPool::admit`] refused a transaction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -109,9 +95,10 @@ impl PoolMetrics {
 }
 
 /// A size-bounded mempool of signed payments, ordered per sender by nonce.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct TxPool {
-    cfg: PoolConfig,
+    /// The count cap: [`MAX_TXS`], smaller only in this crate's tests.
+    max_txs: usize,
     /// Per-sender nonce chain. The `BTreeMap` may have gaps; only the
     /// contiguous run starting at the committed nonce is proposable.
     by_sender: HashMap<[u8; 32], BTreeMap<u64, Transaction>>,
@@ -121,11 +108,17 @@ pub struct TxPool {
     metrics: PoolMetrics,
 }
 
+impl Default for TxPool {
+    fn default() -> TxPool {
+        TxPool::with_cap(MAX_TXS)
+    }
+}
+
 impl TxPool {
-    /// An empty pool with the given limits.
-    pub fn new(cfg: PoolConfig) -> TxPool {
+    /// An empty pool that evicts above `max_txs` queued transactions.
+    fn with_cap(max_txs: usize) -> TxPool {
         TxPool {
-            cfg,
+            max_txs,
             by_sender: HashMap::new(),
             ids: HashSet::new(),
             metrics: PoolMetrics::default(),
@@ -163,7 +156,7 @@ impl TxPool {
     /// `accounts` is the node's current committed state; it anchors the
     /// replay check (nonces at or below the committed nonce are dead) and
     /// the balance screen. Out-of-order nonces within
-    /// [`PoolConfig::max_per_sender`] of the committed nonce are buffered
+    /// [`MAX_NONCE_AHEAD`] of the committed nonce are buffered
     /// so gossip reordering does not drop traffic.
     ///
     /// # Errors
@@ -189,7 +182,7 @@ impl TxPool {
         if tx.nonce <= committed {
             return Err(AdmitError::Replay);
         }
-        if tx.nonce > committed + self.cfg.max_per_sender as u64 {
+        if tx.nonce > committed + MAX_NONCE_AHEAD {
             return Err(AdmitError::NonceTooFar);
         }
         if tx.amount > accounts.balance(&tx.from) {
@@ -221,12 +214,12 @@ impl TxPool {
     }
 
     /// Evicts chain-tail transactions, lowest priority first, until the
-    /// pool fits its byte and count caps.
+    /// pool fits its count cap.
     ///
     /// Only each sender's highest nonce is a candidate, so surviving
     /// chains stay contiguous and proposable.
     fn evict_overflow(&mut self) {
-        while self.bytes() > self.cfg.max_bytes || self.len() > self.cfg.max_txs {
+        while self.len() > self.max_txs {
             let victim = self
                 .by_sender
                 .values()
@@ -342,11 +335,7 @@ mod tests {
     }
 
     fn small_pool() -> TxPool {
-        TxPool::new(PoolConfig {
-            max_bytes: 4 * Transaction::WIRE_SIZE,
-            max_txs: 4,
-            max_per_sender: 8,
-        })
+        TxPool::with_cap(4)
     }
 
     #[test]
@@ -354,7 +343,7 @@ mod tests {
         let a = kp(1);
         let b = kp(2);
         let accounts = Accounts::genesis([(a.pk, 100)]);
-        let mut pool = TxPool::new(PoolConfig::default());
+        let mut pool = TxPool::default();
         // Nonces arrive 3, 1, 2 — gossip reordering.
         pool.admit(Transaction::payment(&a, b.pk, 1, 3), &accounts)
             .unwrap();
@@ -379,7 +368,7 @@ mod tests {
     fn duplicate_hash_rejected() {
         let a = kp(1);
         let accounts = Accounts::genesis([(a.pk, 100)]);
-        let mut pool = TxPool::new(PoolConfig::default());
+        let mut pool = TxPool::default();
         let tx = Transaction::payment(&a, kp(2).pk, 5, 1);
         pool.admit(tx.clone(), &accounts).unwrap();
         assert_eq!(pool.admit(tx, &accounts), Err(AdmitError::Duplicate));
@@ -393,7 +382,7 @@ mod tests {
         let mut accounts = Accounts::genesis([(a.pk, 100)]);
         let tx = Transaction::payment(&a, b.pk, 5, 1);
         accounts.apply(&tx).unwrap();
-        let mut pool = TxPool::new(PoolConfig::default());
+        let mut pool = TxPool::default();
         assert_eq!(pool.admit(tx, &accounts), Err(AdmitError::Replay));
     }
 
@@ -401,7 +390,7 @@ mod tests {
     fn bad_signature_rejected_and_remembered_as_bad() {
         let a = kp(1);
         let accounts = Accounts::genesis([(a.pk, 100)]);
-        let mut pool = TxPool::new(PoolConfig::default());
+        let mut pool = TxPool::default();
         let signed = Transaction::payment(&kp(3), kp(2).pk, 5, 1);
         // Forged sender: kp(3)'s signature under a's name.
         let tx = Transaction::from_parts(a.pk, signed.to, signed.amount, signed.nonce, signed.sig);
@@ -485,7 +474,7 @@ mod tests {
     #[test]
     fn take_block_respects_byte_budget_and_priority() {
         let accounts = Accounts::genesis((1..=5u8).map(|i| (kp(i).pk, 100)));
-        let mut pool = TxPool::new(PoolConfig::default());
+        let mut pool = TxPool::default();
         for (i, amount) in (1..=4u8).zip([10u64, 40, 20, 30]) {
             pool.admit(Transaction::payment(&kp(i), kp(5).pk, amount, 1), &accounts)
                 .unwrap();
@@ -502,7 +491,7 @@ mod tests {
         let b = kp(2);
         // b starts broke; a's payment inside the block funds b's payment.
         let accounts = Accounts::genesis([(a.pk, 50)]);
-        let mut pool = TxPool::new(PoolConfig::default());
+        let mut pool = TxPool::default();
         pool.admit(Transaction::payment(&a, b.pk, 50, 1), &accounts)
             .unwrap();
         // b's spend of the incoming 50 is admitted only once funded, so
@@ -517,7 +506,7 @@ mod tests {
             .apply(&Transaction::payment(&a, b.pk, 50, 1))
             .unwrap();
         // Once the ledger shows the funding, the spend is admissible.
-        let mut pool2 = TxPool::new(PoolConfig::default());
+        let mut pool2 = TxPool::default();
         pool2.admit(spend, &funded).unwrap();
         assert_eq!(pool2.take_block(&funded, 1 << 20).len(), 1);
         // And the original pool proposes just the funding payment.
@@ -529,7 +518,7 @@ mod tests {
         let a = kp(1);
         let b = kp(2);
         let accounts = Accounts::genesis([(a.pk, 10)]);
-        let mut pool = TxPool::new(PoolConfig::default());
+        let mut pool = TxPool::default();
         pool.admit(Transaction::payment(&a, b.pk, 7, 1), &accounts)
             .unwrap();
         pool.admit(Transaction::payment(&a, b.pk, 7, 2), &accounts)
@@ -544,7 +533,7 @@ mod tests {
         let a = kp(1);
         let b = kp(2);
         let accounts = Accounts::genesis([(a.pk, 100)]);
-        let mut pool = TxPool::new(PoolConfig::default());
+        let mut pool = TxPool::default();
         for n in 1..=3u64 {
             pool.admit(Transaction::payment(&a, b.pk, 1, n), &accounts)
                 .unwrap();
@@ -567,7 +556,7 @@ mod tests {
         let a = kp(1);
         let b = kp(2);
         let accounts = Accounts::genesis([(a.pk, 100)]);
-        let mut pool = TxPool::new(PoolConfig::default());
+        let mut pool = TxPool::default();
         for n in 1..=3u64 {
             pool.admit(Transaction::payment(&a, b.pk, 1, n), &accounts)
                 .unwrap();
@@ -591,7 +580,7 @@ mod tests {
         let a = kp(1);
         let b = kp(2);
         let accounts = Accounts::genesis([(a.pk, 100)]);
-        let mut pool = TxPool::new(PoolConfig::default());
+        let mut pool = TxPool::default();
         let txs: Vec<Transaction> = (1..=3u64)
             .map(|n| Transaction::payment(&a, b.pk, 1, n))
             .collect();
@@ -612,7 +601,7 @@ mod tests {
         let a = kp(1);
         let b = kp(2);
         let accounts = Accounts::genesis([(a.pk, 100)]);
-        let mut pool = TxPool::new(PoolConfig::default());
+        let mut pool = TxPool::default();
         let cheap = Transaction::payment(&a, b.pk, 5, 1);
         let rich = Transaction::payment(&a, b.pk, 9, 1);
         pool.admit(cheap.clone(), &accounts).unwrap();
@@ -635,12 +624,12 @@ mod tests {
     fn nonce_too_far_ahead_rejected() {
         let a = kp(1);
         let accounts = Accounts::genesis([(a.pk, 100)]);
-        let mut pool = small_pool(); // max_per_sender: 8
+        let mut pool = TxPool::default();
         assert_eq!(
-            pool.admit(Transaction::payment(&a, kp(2).pk, 1, 9), &accounts),
+            pool.admit(Transaction::payment(&a, kp(2).pk, 1, 257), &accounts),
             Err(AdmitError::NonceTooFar)
         );
-        pool.admit(Transaction::payment(&a, kp(2).pk, 1, 8), &accounts)
+        pool.admit(Transaction::payment(&a, kp(2).pk, 1, 256), &accounts)
             .unwrap();
     }
 
@@ -649,7 +638,7 @@ mod tests {
         let a = kp(1);
         let b = kp(2);
         let accounts = Accounts::genesis([(a.pk, 100)]);
-        let mut pool = TxPool::new(PoolConfig::default());
+        let mut pool = TxPool::default();
         let tx = Transaction::payment(&a, b.pk, 1, 1);
         assert_eq!(tx.verdict(), None);
         pool.admit(tx.clone(), &accounts).unwrap();
@@ -667,7 +656,7 @@ mod tests {
     #[test]
     fn byte_accounting_is_exact() {
         let accounts = Accounts::genesis((1..=4u8).map(|i| (kp(i).pk, 100)));
-        let mut pool = TxPool::new(PoolConfig::default());
+        let mut pool = TxPool::default();
         for i in 1..=3u8 {
             pool.admit(Transaction::payment(&kp(i), kp(4).pk, 1, 1), &accounts)
                 .unwrap();

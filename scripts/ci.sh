@@ -58,8 +58,9 @@ echo "== localnet: 5 real processes vs simulator digest, kill -9 rejoin, live sc
 cargo build --release -q -p algorand-node
 cargo run --release -p algorand-bench --bin localnet
 
-echo "== schedule-space fuzzer: 1000-case campaign + determinism + bug-injection =="
-cargo run --release -p algorand-bench --bin fuzz_campaign -- --budget 1000 --seed 42 --check
+echo "== schedule-space fuzzer: 1000-case campaign + determinism + bug-injection; reprints results/fuzz.txt byte for byte, its host-timing line aside =="
+cargo run --release -p algorand-bench --bin fuzz_campaign -- --budget 1000 --seed 42 --check \
+    | grep -v '^honest leg:' | diff <(grep -v '^honest leg:' results/fuzz.txt) -
 
 echo "== fuzz corpus replay + shrinker property test =="
 cargo test --release -q -p algorand-sim --test corpus --test fuzz -- --include-ignored
