@@ -20,20 +20,19 @@
 //!    more key combs, than the deployment has distinct keys.
 //!    And the asymmetry that makes `crash.jsonl` trustworthy: `kill -9`
 //!    leaves no dump (only a panic writes one).
-//! 4. **Cluster trace plane** — once every process has persisted
-//!    [`TARGET_A`] rounds, and while they linger, the harness drains
-//!    every process's bounded trace buffer over the TELEMETRY
-//!    `TRACE_DRAIN` op and merges the five per-process traces onto one
+//! 4. **Cluster trace plane** — once phase A's processes have exited,
+//!    the harness merges the `trace.jsonl` each wrote at exit onto one
 //!    clock (`node::telemetry::collect_trace`, what `trace collect`
 //!    runs). The merge must clear the cluster gate (`Merged::problems`
 //!    under `Gate::CLUSTER`, what `trace check FILE` runs): no dropped
-//!    event, every clock aligned on ≥ 2 finalized-round anchors, and
-//!    contiguous chains covering ≥ 90% of every finalized round, one of
-//!    them crossing processes. The merged trace and its report land in
-//!    the gate's scratch directory, `cluster_trace.{jsonl,txt}`, and the
-//!    written file is read back and held to the same gate, exactly as
-//!    `trace check FILE` does. The scratch directory is removed on
-//!    success and kept on failure; the checkout is left untouched.
+//!    event, every clock aligned on ≥ 3 finalized-round anchors, ≥ 3
+//!    rounds profiled, and contiguous chains covering ≥ 90% of every
+//!    finalized round, one of them crossing processes. The merged trace
+//!    and its report land in the gate's scratch directory,
+//!    `cluster_trace.{jsonl,txt}`, and the written file is read back and
+//!    held to the same gate, exactly as `trace check FILE` does. The
+//!    scratch directory is removed on success and kept on failure; the
+//!    checkout is left untouched.
 //! 5. **The WAL keeps one fact** — after phase B, a copy of every
 //!    node's WAL reopens to entry records only, for rounds 1, 2, … in
 //!    order, each once, as many as the node wrote across its lives
@@ -90,7 +89,11 @@ fn main() {
     // Wait until every node has persisted a round, so the core counters
     // the health report asserts on are necessarily non-zero.
     wait_walled(&cfgs, 1);
-    let addrs = discover(&root).expect("every node publishes its address");
+    let addrs: Vec<String> = discover(&root)
+        .expect("every node publishes its address")
+        .into_iter()
+        .map(|(_, addr)| addr)
+        .collect();
     let health = ClusterHealth::collect_with_rates(
         &addrs,
         Duration::from_secs(10),
@@ -144,19 +147,24 @@ fn main() {
     );
     println!("[localnet] telemetry ok: {N} clean scrapes mid-run");
 
-    // --- Cluster trace plane: drain all N once the chain has history. -
-    // Every process has then finalized several rounds and lingers, still
-    // serving, so each clock can be aligned on more than one anchor.
-    wait_walled(&cfgs, TARGET_A);
+    let summaries = wait_all(children, Duration::from_secs(180));
+    for (i, ok) in summaries.iter().enumerate() {
+        assert!(*ok, "phase A: node {i} exited unsuccessfully");
+    }
+    for (i, cfg) in cfgs.iter().enumerate() {
+        let digest = read_trimmed(&cfg.wal_dir.join("digest"));
+        assert_eq!(
+            digest, reference,
+            "phase A: node {i} digest disagrees with simulator"
+        );
+    }
+    println!("[localnet] phase A ok: all {N} digests match the simulator");
+
+    // --- Cluster trace plane: merge the traces phase A wrote at exit. --
     let trace_file = root.join("cluster_trace.jsonl");
-    let merged = collect_trace(
-        &addrs,
-        Duration::from_secs(10),
-        &trace_file,
-        &root.join("cluster_trace.txt"),
-    )
-    .unwrap_or_else(|e| panic!("collect the cluster trace: {e}"));
-    assert_eq!(merged.nodes.len(), N, "every process must be drained");
+    let merged = collect_trace(&root, &trace_file, &root.join("cluster_trace.txt"))
+        .unwrap_or_else(|e| panic!("collect the cluster trace: {e}"));
+    assert_eq!(merged.nodes.len(), N, "every node's trace is merged");
     for n in &merged.nodes {
         println!(
             "[localnet] node {} clock: offset {:+}us, skew bound {}us over {} anchors",
@@ -170,19 +178,6 @@ fn main() {
         "[localnet] cluster trace ok: {} rounds profiled across {N} processes",
         critical_paths(&merged.events).len()
     );
-
-    let summaries = wait_all(children, Duration::from_secs(180));
-    for (i, ok) in summaries.iter().enumerate() {
-        assert!(*ok, "phase A: node {i} exited unsuccessfully");
-    }
-    for (i, cfg) in cfgs.iter().enumerate() {
-        let digest = read_trimmed(&cfg.wal_dir.join("digest"));
-        assert_eq!(
-            digest, reference,
-            "phase A: node {i} digest disagrees with simulator"
-        );
-    }
-    println!("[localnet] phase A ok: all {N} digests match the simulator");
 
     // --- Phase B: continue from the WALs; kill -9 one node mid-run. ---
     // Thresholds are relative to the longest phase-A WAL (linger
@@ -362,12 +357,11 @@ fn sample(node: &NodeHealth, name: &str) -> i64 {
         .unwrap_or_else(|| panic!("{}: no sample {name}", node.addr)) as i64
 }
 
-/// One config per node: a star of static peers around node 0, the rest
-/// of the mesh forming via gossip-learned peer exchange (`min_peers`
-/// holds consensus until it has). Every node binds an ephemeral port
-/// (`127.0.0.1:0`); real ports are exchanged at spawn time via each
-/// process's published `addr` file, so concurrent harness runs can
-/// never collide on a fixed port range.
+/// One config per node. Every node binds an ephemeral port
+/// (`127.0.0.1:0`); its peers, the nodes started before it, are filled
+/// in at spawn time from each process's published `addr` file, so
+/// concurrent harness runs can never collide on a fixed port range.
+/// `min_peers` holds consensus until the mesh is whole.
 fn node_configs(root: &Path) -> Vec<NodeConfig> {
     (0..N)
         .map(|i| NodeConfig {
@@ -376,7 +370,7 @@ fn node_configs(root: &Path) -> Vec<NodeConfig> {
             stake_per_user: STAKE,
             seed: SEED,
             listen: "127.0.0.1:0".into(),
-            peers: Vec::new(), // Filled with node 0's resolved address at spawn.
+            peers: Vec::new(), // Filled with the earlier nodes' addresses at spawn.
             wal_dir: root.join(format!("n{i}")),
             deadline_secs: 150,
             linger_secs: 6,
@@ -390,31 +384,30 @@ fn node_configs(root: &Path) -> Vec<NodeConfig> {
         .collect()
 }
 
-/// Spawns the deployment with ephemeral-port exchange: node 0 starts
-/// first on `:0` and publishes its resolved address to `n0/addr`; the
-/// other configs are then written with that real endpoint as their
-/// static peer and spawned. The start-time barrier in the configs keeps
-/// consensus clocks aligned despite the stagger.
+/// Spawns the deployment as the benchmark does: one node after another,
+/// each configured with the resolved addresses of the nodes before it,
+/// read from their `addr` files, so the mesh is whole once the last one
+/// has dialled. The start-time barrier in the configs keeps consensus
+/// clocks aligned despite the stagger.
 fn spawn_all(root: &Path, cfgs: &mut [NodeConfig]) -> Vec<Child> {
     // A stale addr file from an earlier phase must not be read back (nor
     // scraped: its port may now belong to another node).
     for cfg in cfgs.iter() {
         let _ = std::fs::remove_file(cfg.wal_dir.join("addr"));
     }
-    std::fs::write(root.join("n0.conf"), cfgs[0].render()).expect("write config");
-    let mut children = vec![spawn_node(root, 0)];
-    let addr_file = cfgs[0].wal_dir.join("addr");
-    wait_until(
-        || addr_file.exists(),
-        Duration::from_secs(30),
-        "node 0 to publish its resolved address",
-    );
-    let hub = read_trimmed(&addr_file);
-    println!("[localnet] node 0 bound {hub}");
-    for (i, cfg) in cfgs.iter_mut().enumerate().skip(1) {
-        cfg.peers = vec![hub.clone()];
+    let mut children = Vec::with_capacity(cfgs.len());
+    let mut addrs = Vec::with_capacity(cfgs.len());
+    for (i, cfg) in cfgs.iter_mut().enumerate() {
+        cfg.peers.clone_from(&addrs);
         std::fs::write(root.join(format!("n{i}.conf")), cfg.render()).expect("write config");
         children.push(spawn_node(root, i));
+        let addr_file = cfg.wal_dir.join("addr");
+        wait_until(
+            || addr_file.exists(),
+            Duration::from_secs(30),
+            &format!("node {i} to publish its resolved address"),
+        );
+        addrs.push(read_trimmed(&addr_file));
     }
     children
 }

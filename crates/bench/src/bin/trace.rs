@@ -1,12 +1,12 @@
 //! The trace tool: reads the paper's §10 latency breakdown back out of
-//! traces, simulated or drained from a live cluster.
+//! traces, simulated or written by a cluster's processes.
 //!
 //! ```text
 //! trace report                  §10 figures from two traced simulator runs
 //! trace paths                   every payment round's critical path
 //! trace check                   the simulator's trace gate
 //! trace check FILE              the gate on a merged cluster trace
-//! trace collect ADDR... | --dir ROOT [--out FILE] [--report FILE]
+//! trace collect --dir ROOT [--out FILE] [--report FILE]
 //! trace health ADDR... | --dir ROOT [--out FILE] [--interval-ms N]
 //! ```
 //!
@@ -33,12 +33,12 @@
 //! byte for byte; `Merged::problems` adds the record-time drops and the
 //! per-node anchor count to both.
 //!
-//! `collect` drains every node's trace buffer over TELEMETRY and merges
-//! the drains into one cluster trace (defaults
-//! `results/cluster_trace.{jsonl,txt}`). `health` scrapes every node
-//! twice, `--interval-ms` apart (default 750), and prints the cluster
-//! health report. `--dir` reads the endpoints a deployment publishes in
-//! its `*/addr` files.
+//! `collect` merges the `trace.jsonl` files a deployment's processes
+//! wrote at exit, one per `ROOT/*/` node directory, into one cluster
+//! trace (defaults `results/cluster_trace.{jsonl,txt}`). `health`
+//! scrapes every live node twice, `--interval-ms` apart (default 750),
+//! and prints the cluster health report; its `--dir` reads the endpoints
+//! a deployment publishes in its `*/addr` files.
 //!
 //! Exit code: 0 on success (for `health`: every node reachable, clean
 //! and agreeing on its tip), 1 on a failed check, collection or health,
@@ -47,7 +47,7 @@
 use algorand_bench::{path_problems, run_payment_workload};
 use algorand_node::telemetry::{collect_trace, discover, ClusterHealth};
 use algorand_obs::merge::{parse_merged, render_report};
-use algorand_obs::{parse_jsonl, Gate, Percentiles, SpanKind, Trace, TraceEvent};
+use algorand_obs::{expose, parse_jsonl, Gate, Percentiles, SpanKind, Trace, TraceEvent};
 use algorand_sim::{DesConfig, FaultSchedule, Micros, ParallelSim, SimConfig, Simulation};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -67,7 +67,7 @@ const SIM_GATE: Gate = Gate {
 };
 
 const USAGE: &str = "usage: trace report | paths | check [FILE]
-       trace collect ADDR... | --dir ROOT [--out FILE] [--report FILE]
+       trace collect --dir ROOT [--out FILE] [--report FILE]
        trace health ADDR... | --dir ROOT [--out FILE] [--interval-ms N]";
 
 fn main() -> ExitCode {
@@ -369,7 +369,7 @@ fn report() -> bool {
         "registry ({} metrics), selected entries:",
         sim.registry().len()
     );
-    for line in sim.registry().render().lines() {
+    for line in expose::render(sim.registry()).lines() {
         if ["round.", "gossip.", "txpool.", "workload."]
             .iter()
             .any(|prefix| line.starts_with(prefix))
@@ -472,44 +472,41 @@ fn check_file(path: &str) -> bool {
     }
 }
 
-/// Splits `ADDR... [--dir ROOT] [FLAG VALUE]...` into endpoints — a
-/// `--dir` root adds every address its nodes publish — and the values
-/// given for `flags`.
-fn endpoints<'a>(
+/// Splits `ARG... [FLAG VALUE]...` into the plain arguments and the
+/// values given for `flags`.
+fn split_flags<'a>(
     args: &'a [String],
     flags: &[&str],
 ) -> Result<(Vec<String>, BTreeMap<&'a str, &'a str>), String> {
-    let mut addrs = Vec::new();
+    let mut plain = Vec::new();
     let mut values = BTreeMap::new();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
-        if arg == "--dir" || flags.contains(&arg.as_str()) {
+        if flags.contains(&arg.as_str()) {
             let value = args.next().ok_or(format!("{arg} needs a value"))?;
-            if arg == "--dir" {
-                addrs.extend(discover(Path::new(value))?);
-            } else {
-                values.insert(arg.as_str(), value.as_str());
-            }
+            values.insert(arg.as_str(), value.as_str());
         } else if arg.starts_with("--") {
             return Err(format!("unknown flag {arg}"));
         } else {
-            addrs.push(arg.clone());
+            plain.push(arg.clone());
         }
     }
-    if addrs.is_empty() {
-        return Err("no addresses: pass host:port endpoints or --dir ROOT".into());
-    }
-    Ok((addrs, values))
+    Ok((plain, values))
 }
 
 fn collect(args: &[String]) -> Result<bool, String> {
-    let (addrs, flags) = endpoints(args, &["--out", "--report"])?;
+    let (plain, flags) = split_flags(args, &["--dir", "--out", "--report"])?;
+    let (Some(root), true) = (flags.get("--dir"), plain.is_empty()) else {
+        return Err("collect reads the files under --dir ROOT, and takes no address".into());
+    };
+    // A root that publishes no node is a bad command line, as for `health`.
+    discover(Path::new(root))?;
     let out = flags.get("--out").unwrap_or(&"results/cluster_trace.jsonl");
     let report = flags
         .get("--report")
         .unwrap_or(&"results/cluster_trace.txt");
-    println!("trace collect: draining {} nodes", addrs.len());
-    match collect_trace(&addrs, SCRAPE_TIMEOUT, Path::new(out), Path::new(report)) {
+    println!("trace collect: merging the exit traces under {root}");
+    match collect_trace(Path::new(root), Path::new(out), Path::new(report)) {
         Ok(merged) => {
             print!("{}", render_report(&merged));
             println!("trace collect: merged trace -> {out}, report -> {report}");
@@ -523,7 +520,13 @@ fn collect(args: &[String]) -> Result<bool, String> {
 }
 
 fn health(args: &[String]) -> Result<bool, String> {
-    let (addrs, flags) = endpoints(args, &["--out", "--interval-ms"])?;
+    let (mut addrs, flags) = split_flags(args, &["--dir", "--out", "--interval-ms"])?;
+    if let Some(root) = flags.get("--dir") {
+        addrs.extend(discover(Path::new(root))?.into_iter().map(|(_, addr)| addr));
+    }
+    if addrs.is_empty() {
+        return Err("no addresses: pass host:port endpoints or --dir ROOT".into());
+    }
     let interval_ms: u64 = match flags.get("--interval-ms") {
         Some(ms) => ms.parse().map_err(|_| "--interval-ms needs a number")?,
         None => 750,

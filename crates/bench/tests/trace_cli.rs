@@ -25,6 +25,12 @@ fn a_bad_command_line_exits_2() {
         Some(2)
     );
     assert_eq!(code(&["collect", "--dir", "/nonexistent/deploy"]), Some(2));
+    assert_eq!(code(&["collect"]), Some(2), "no --dir");
+    assert_eq!(
+        code(&["collect", "127.0.0.1:1"]),
+        Some(2),
+        "nothing to drain"
+    );
 }
 
 #[test]

@@ -494,7 +494,7 @@ impl Node {
             seed,
             seed_proof: Some(seed_proof),
             proposer: Some(self.keypair.pk),
-            timestamp: if self.params.canonical_timestamps {
+            timestamp: if self.params.chain.canonical_timestamps {
                 prev.timestamp + 1
             } else {
                 now.max(prev.timestamp + 1)

@@ -60,18 +60,6 @@ pub struct AlgorandParams {
     /// Interval of the loosely-synchronized-clock recovery trigger (§8.2;
     /// "every hour" in the paper).
     pub recovery_interval: Micros,
-    /// Stamp proposed blocks with the canonical `prev.timestamp + 1`
-    /// instead of the proposer's clock.
-    ///
-    /// Block timestamps are covered by the block hash, so any two
-    /// deployments that should finalize *bit-identical* chains — the
-    /// discrete-event simulator and a real multi-process network run from
-    /// the same seed — must derive timestamps from chain position, not
-    /// wall clocks. Canonical stamps remain strictly increasing and stay
-    /// within `max_timestamp_skew` of any validator clock for runs
-    /// shorter than the skew bound. Production deployments leave this
-    /// `false`.
-    pub canonical_timestamps: bool,
 }
 
 impl AlgorandParams {
@@ -84,7 +72,6 @@ impl AlgorandParams {
             lambda_priority: 5 * SECOND,
             lambda_stepvar: 5 * SECOND,
             recovery_interval: 3600 * SECOND,
-            canonical_timestamps: false,
         }
     }
 
@@ -127,6 +114,7 @@ impl AlgorandParams {
             seed_refresh_interval: 10,
             weight_lookback: 2,
             max_timestamp_skew: 3600 * SECOND,
+            canonical_timestamps: false,
         };
         p.recovery_interval = 120 * SECOND;
         p

@@ -13,8 +13,12 @@
 //! * a recovery that abandons a fork puts the fork's payments back in the
 //!   pool;
 //! * the timeout-escalation counter never goes down, whichever route a
-//!   round's BA⋆ engine leaves by.
+//!   round's BA⋆ engine leaves by;
+//! * canonical timestamps are judged by chain position, not by a clock:
+//!   processes up for more than `max_timestamp_skew` still commit
+//!   proposed blocks.
 
+use algorand_ba::SECOND;
 use algorand_core::process::{REQUEST_COOLDOWN, STATUS_TICK};
 use algorand_core::wire::CatchupBatch;
 use algorand_core::{Effect, Node, PeerId, PipelineVerifier, Process, WireMessage};
@@ -521,4 +525,40 @@ fn a_recovery_onto_the_other_fork_puts_the_abandoned_payment_back() {
         }),
         "the abandoned payment was never committed"
     );
+}
+
+#[test]
+fn canonical_stamps_commit_after_an_hour_of_uptime() {
+    // A real node's clock counts from its start, and its proposers stamp
+    // `prev + 1` µs. Past `max_timestamp_skew` (an hour) of uptime no
+    // clock window holds such a stamp; the chain position still does.
+    let kps = users(4);
+    let mut p = params(&kps);
+    p.chain.canonical_timestamps = true;
+    let procs = kps
+        .iter()
+        .map(|kp| {
+            let verifier = Arc::new(PipelineVerifier::new());
+            Process::new(
+                Node::new(kp.clone(), p.genesis(&kps, STAKE), p, verifier),
+                0,
+            )
+        })
+        .collect();
+    let mut cluster = Cluster::new(procs);
+    cluster.now = 3_601 * SECOND;
+    assert!(cluster.now > p.chain.max_timestamp_skew);
+    cluster.start();
+    cluster.run_to(2);
+    for (i, proc) in cluster.procs.iter().enumerate() {
+        let chain = proc.node().chain();
+        for r in 1..=2 {
+            let block = chain.block_at(r).expect("an agreed round");
+            assert!(
+                !block.is_empty_block(),
+                "process {i}: round {r} fell back to the empty block"
+            );
+            assert_eq!(block.timestamp, r, "process {i}: round {r}'s stamp");
+        }
+    }
 }

@@ -220,7 +220,7 @@ impl Block {
         now: Micros,
         max_skew: Micros,
     ) -> Result<(), BlockError> {
-        self.validated_state(prev, &prev.hash(), accounts, now, max_skew, false)
+        self.validated_state(prev, &prev.hash(), accounts, now, Some(max_skew), false)
             .map(|_| ())
     }
 
@@ -230,14 +230,16 @@ impl Block {
     /// [`crate::Blockchain`] keeps that copy rather than applying every
     /// payment a second time. With `seed_verified`, the caller vouches
     /// that this very block's seed proof already verified against `prev`,
-    /// and the VRF is not checked again.
+    /// and the VRF is not checked again. A `window` of `None` is a
+    /// canonical-timestamp chain's: the block must be stamped exactly
+    /// `prev.timestamp + 1`, whatever `now` reads.
     pub(crate) fn validated_state(
         &self,
         prev: &Block,
         prev_hash: &[u8; 32],
         accounts: &Accounts,
         now: Micros,
-        max_skew: Micros,
+        window: Option<Micros>,
         seed_verified: bool,
     ) -> Result<Accounts, BlockError> {
         if self.round != prev.round + 1 {
@@ -257,10 +259,15 @@ impl Block {
         let (Some(proposer), Some(seed_proof)) = (&self.proposer, &self.seed_proof) else {
             return Err(BlockError::MissingProposer);
         };
-        if self.timestamp <= prev.timestamp && prev.timestamp != 0 {
-            return Err(BlockError::BadTimestamp);
-        }
-        if self.timestamp > now + max_skew || self.timestamp + max_skew < now {
+        let stamped_ok = match window {
+            None => self.timestamp == prev.timestamp + 1,
+            Some(skew) => {
+                (self.timestamp > prev.timestamp || prev.timestamp == 0)
+                    && self.timestamp <= now + skew
+                    && self.timestamp + skew >= now
+            }
+        };
+        if !stamped_ok {
             return Err(BlockError::BadTimestamp);
         }
         if !seed_verified {

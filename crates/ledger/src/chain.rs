@@ -35,6 +35,19 @@ pub struct ChainParams {
     /// Maximum accepted divergence between a block timestamp and the
     /// validator's clock (§8.1: "say, within an hour").
     pub max_timestamp_skew: Micros,
+    /// Stamp proposed blocks with the canonical `prev.timestamp + 1`
+    /// instead of the proposer's clock, and accept exactly that stamp in
+    /// place of the clock window.
+    ///
+    /// Block timestamps are covered by the block hash, so any two
+    /// deployments that should finalize *bit-identical* chains — the
+    /// discrete-event simulator and a real multi-process network run from
+    /// the same seed — must derive timestamps from chain position, not
+    /// wall clocks. Canonical stamps say nothing about time, so no clock
+    /// judges them: a node up for longer than `max_timestamp_skew`
+    /// accepts them as on its first round. Production deployments leave
+    /// this `false`.
+    pub canonical_timestamps: bool,
 }
 
 impl ChainParams {
@@ -45,6 +58,7 @@ impl ChainParams {
             seed_refresh_interval: 1000,
             weight_lookback: 1000,
             max_timestamp_skew: 3_600_000_000,
+            canonical_timestamps: false,
         }
     }
 }
@@ -286,9 +300,15 @@ impl Blockchain {
             &self.tip_hash(),
             self.accounts(),
             now,
-            self.params.max_timestamp_skew,
+            self.timestamp_window(),
             seed_verified,
         )
+    }
+
+    /// The clock window block timestamps are judged by; `None` on a
+    /// canonical-timestamp chain, which judges them by position.
+    fn timestamp_window(&self) -> Option<Micros> {
+        (!self.params.canonical_timestamps).then_some(self.params.max_timestamp_skew)
     }
 
     /// Appends a block to the canonical chain after validating it.
@@ -609,7 +629,7 @@ impl Blockchain {
                 &prev,
                 state,
                 now,
-                self.params.max_timestamp_skew,
+                self.timestamp_window(),
                 false,
             )?;
             states.push(next);

@@ -23,6 +23,7 @@ fn params() -> ChainParams {
         seed_refresh_interval: 5,
         weight_lookback: 2,
         max_timestamp_skew: HOUR,
+        canonical_timestamps: false,
     }
 }
 
@@ -191,6 +192,35 @@ fn a_validated_proposal_is_appended_under_the_appends_clock() {
     chain.append(block, None, false, NOW + 1).unwrap();
     assert_eq!(chain.accounts().balance(&keypairs[0].pk), 75);
     assert_eq!(chain.accounts().balance(&keypairs[1].pk), 125);
+}
+
+#[test]
+fn a_canonical_chain_judges_stamps_by_position_not_by_the_clock() {
+    let keypairs = users(3);
+    let mut chain = Blockchain::new(
+        ChainParams {
+            canonical_timestamps: true,
+            ..params()
+        },
+        keypairs.iter().map(|k| (k.pk, 100u64)),
+        GENESIS_SEED,
+    );
+    let stamped = |chain: &Blockchain, timestamp| Block {
+        timestamp,
+        ..make_block(chain, &keypairs[0], Vec::new())
+    };
+    // Two hours in, no clock window holds either stamp; one is the
+    // predecessor's plus one, which is what every proposer stamps.
+    let now = 2 * HOUR;
+    let genesis_stamp = chain.tip().timestamp;
+    assert_eq!(
+        chain.append(stamped(&chain, genesis_stamp + 2), None, false, now),
+        Err(ChainError::Block(BlockError::BadTimestamp))
+    );
+    chain
+        .append(stamped(&chain, genesis_stamp + 1), None, false, now)
+        .unwrap();
+    assert_eq!(chain.next_round(), 2);
 }
 
 #[test]

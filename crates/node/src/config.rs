@@ -54,7 +54,8 @@ pub struct NodeConfig {
     pub seed: u64,
     /// TCP listen address, e.g. `127.0.0.1:9000`.
     pub listen: String,
-    /// Static peer addresses; more are learned via peer exchange.
+    /// Peer addresses this node dials, retrying forever; anyone may also
+    /// dial in. A deployment lists every process started before this one.
     pub peers: Vec<String>,
     /// Directory for the WAL, digest, trace and metrics files.
     pub wal_dir: PathBuf,
@@ -201,7 +202,7 @@ impl NodeConfig {
     /// against the simulator).
     pub fn params(&self) -> AlgorandParams {
         let mut p = AlgorandParams::scaled_with_stake(self.n_users, self.stake_per_user);
-        p.canonical_timestamps = true;
+        p.chain.canonical_timestamps = true;
         p
     }
 
@@ -304,7 +305,7 @@ mod tests {
             parsed.params().lambda_priority,
             AlgorandParams::scaled_with_stake(5, 10).lambda_priority
         );
-        assert!(parsed.params().canonical_timestamps);
+        assert!(parsed.params().chain.canonical_timestamps);
     }
 
     #[test]

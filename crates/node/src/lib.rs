@@ -13,7 +13,7 @@
 //!  TCP ──────┼─►│ transport├────────────►│ core::Process│ │
 //!  peers ◄───┼──┤ (threads)│◄────────────┤  (sans-io)   │ │
 //!            │  └──────────┘   effects   └──────┬───────┘ │
-//!            │   hello/peers/status/gossip      │ final   │
+//!            │   hello/status/gossip/telemetry  │ final   │
 //!            │                                  ▼ rounds  │
 //!            │                             ┌──────────┐   │
 //!            │                             │   WAL    │   │
@@ -22,9 +22,10 @@
 //! ```
 //!
 //! * [`transport`] — threaded TCP speaking the existing
-//!   [`algorand_core::wire`] codec inside length-delimited frames, with
-//!   static peers plus gossip-learned peer exchange and per-peer bounded
-//!   send queues (backpressure drops, never blocks consensus);
+//!   [`algorand_core::wire`] codec inside length-delimited frames: it
+//!   dials its configured peers, accepts whoever dials in, and keeps
+//!   per-peer bounded send queues (backpressure drops, never blocks
+//!   consensus);
 //! * [`wal`] — a CRC-guarded write-ahead log of the final rounds'
 //!   `(block, certificate)` pairs, each written once when it becomes
 //!   final, with truncated-tail recovery, so `kill -9` + restart replays
@@ -38,10 +39,10 @@
 //!   catch-up, blocksync, STATUS, which rounds to log) over these
 //!   sockets, this WAL and the wall clock, and the `algorand-node`
 //!   binary's whole substance;
-//! * [`telemetry`] — the scrape client for the TELEMETRY frame (metrics
-//!   exposition and trace drain served on the peer port), the
-//!   cluster-health merger behind `trace health`, and the
-//!   address discovery and trace collection behind `trace collect`;
+//! * [`telemetry`] — the scrape client for the TELEMETRY frame (the
+//!   metrics exposition, served on the peer port), the cluster-health
+//!   merger behind `trace health`, and the discovery and exit-file
+//!   merge behind `trace collect`;
 //! * [`crash`] — a panic hook that dumps the flight recorder and last
 //!   WAL round to `<wal_dir>/crash.jsonl` on the way down.
 //!

@@ -20,14 +20,16 @@
 //! out to an in-process [`MonitorHandle`] (the same invariant checks the
 //! simulator runs offline) and a [`FlightHandle`] ring that a panic
 //! dumps; and TELEMETRY frames are answered with the byte-stable metrics
-//! exposition or a trace-buffer chunk — on the same port peers use, no
-//! second listener. The exposition is the one place a node reports on
-//! itself: STATUS tells peers only the tip.
+//! exposition — on the same port peers use, no second listener. The
+//! exposition is the one place a live node reports on itself: STATUS
+//! tells peers only the tip.
 //!
 //! Exit: once the chain reaches `target_round` the loop lingers a
 //! configured grace period — still serving votes and catch-up batches so
 //! stragglers can finish — then writes its digest/trace/metrics files
-//! into the WAL directory, and returns.
+//! into the WAL directory, and returns. The trace file is the one way a
+//! node's trace leaves the process; its header's `schedule` names the
+//! node (`node=<index>`), which is what merging a cluster's files keys on.
 
 use crate::config::NodeConfig;
 use crate::crash::CrashContext;
@@ -38,8 +40,7 @@ use algorand_ba::Micros;
 use algorand_core::{Effect, Node, PipelineVerifier, Process, WireMessage};
 use algorand_gossip::{RelayDecision, RelayState};
 use algorand_obs::{
-    expose, fanout, stable_id, write_jsonl, Counter, FlightHandle, MonitorHandle, Registry,
-    SpanKind, Tracer,
+    expose, fanout, stable_id, Counter, FlightHandle, MonitorHandle, Registry, SpanKind, Tracer,
 };
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -56,11 +57,6 @@ const TRACE_CAP: usize = 200_000;
 /// the main trace buffer has filled, so a crash dump always shows what
 /// happened *last*.
 const FLIGHT_CAP: usize = 4096;
-
-/// Events per TELEMETRY `TRACE_DRAIN` response chunk: large enough that
-/// a localnet-scale trace drains in one or two round trips, small enough
-/// that a chunk stays a few MB under [`frame::MAX_FRAME`].
-const TRACE_CHUNK: usize = 16_384;
 
 /// Malformed frames logged per connection before they are only counted.
 const DECODE_LOG_LINES: u32 = 8;
@@ -249,9 +245,7 @@ impl Runtime {
             match self.transport.recv_timeout(self.next_wait(wall, until)) {
                 Some(TransportEvent::Gossip { from, bytes }) => self.on_gossip(from, &bytes)?,
                 Some(TransportEvent::Status { from, tip }) => self.process.on_status(from, tip),
-                Some(TransportEvent::Telemetry { from, op, body }) => {
-                    self.on_telemetry(from, op, &body);
-                }
+                Some(TransportEvent::Telemetry { from }) => self.on_telemetry(from),
                 None => {}
             }
 
@@ -399,30 +393,15 @@ impl Runtime {
             .instant();
     }
 
-    /// Serves one telemetry request: refresh the registry, render, and
-    /// reply on the requester's own connection. TELEMETRY traffic is
-    /// unmetered, so serving a scrape perturbs none of the counters it
-    /// reports — two scrapes of an idle node are byte-identical.
-    fn on_telemetry(&mut self, from: PeerId, op: u8, body: &[u8]) {
-        match op {
-            frame::TEL_METRICS_REQ => {
-                self.publish_metrics();
-                let text = expose::render(&self.registry);
-                self.transport
-                    .send_telemetry(from, frame::TEL_METRICS_RESP, text.as_bytes());
-            }
-            frame::TEL_TRACE_REQ => {
-                let cursor = frame::decode_trace_req(body).unwrap_or(0) as usize;
-                let (events, total) = self.tracer.events_from(cursor, TRACE_CHUNK);
-                let next = (cursor.min(total) + events.len()) as u64;
-                let schedule = format!("drain node={} cursor={cursor}", self.cfg.index);
-                let jsonl = write_jsonl(self.cfg.seed, &schedule, self.tracer.dropped(), &events);
-                let resp = frame::encode_trace_resp(next, total as u64, &jsonl);
-                self.transport
-                    .send_telemetry(from, frame::TEL_TRACE_RESP, &resp);
-            }
-            _ => {}
-        }
+    /// Serves one metrics scrape: refresh the registry, render, and reply
+    /// on the requester's own connection. TELEMETRY traffic is unmetered,
+    /// so serving a scrape perturbs none of the counters it reports — two
+    /// scrapes of an idle node are byte-identical.
+    fn on_telemetry(&mut self, from: PeerId) {
+        self.publish_metrics();
+        let text = expose::render(&self.registry);
+        self.transport
+            .send_telemetry(from, frame::TEL_METRICS_RESP, text.as_bytes());
     }
 
     /// Carries out the process's effects. `delivered` is the message a
@@ -562,12 +541,9 @@ impl Runtime {
         )?;
 
         if self.tracer.is_enabled() {
-            let jsonl = write_jsonl(
-                self.cfg.seed,
-                "localnet",
-                self.tracer.dropped(),
-                &self.tracer.events(),
-            );
+            let jsonl = self
+                .tracer
+                .export_jsonl(self.cfg.seed, &format!("node={}", self.cfg.index));
             write_atomic(&self.cfg.wal_dir.join("trace.jsonl"), jsonl.as_bytes())?;
         }
 
@@ -815,10 +791,10 @@ mod tests {
             (first, second)
         });
         while !scraper.is_finished() {
-            if let Some(TransportEvent::Telemetry { from, op, body }) =
+            if let Some(TransportEvent::Telemetry { from }) =
                 rt.transport.recv_timeout(Duration::from_millis(10))
             {
-                rt.on_telemetry(from, op, &body);
+                rt.on_telemetry(from);
             }
         }
         let (first, second) = scraper.join().expect("scraper thread");

@@ -1,14 +1,15 @@
-//! Telemetry scrape client and cluster health reporting.
+//! Telemetry scrape client, cluster health reporting and cluster-trace
+//! collection.
 //!
 //! The serving side lives in the transport/runtime (a TELEMETRY frame on
-//! the ordinary peer port answers with the metrics exposition or a
-//! trace-buffer chunk). This module is the *consuming* side: a blocking
-//! [`scrape_metrics`] / [`drain_trace`] client that speaks just enough
-//! of the framing to ask and read the answer, and the
-//! [`ClusterHealth`] merger that `trace health` and the localnet CI gate
-//! render operator reports from. [`discover`] finds a deployment's
-//! endpoints and [`collect_trace`] turns them into one merged cluster
-//! trace, for `trace collect` and localnet alike.
+//! the ordinary peer port answers with the metrics exposition). This
+//! module is the *consuming* side: a blocking [`scrape_metrics`] client
+//! that speaks just enough of the framing to ask and read the answer,
+//! and the [`ClusterHealth`] merger that `trace health` and the localnet
+//! CI gate render operator reports from. [`discover`] finds a
+//! deployment's node directories and endpoints, and [`collect_trace`]
+//! merges the `trace.jsonl` files its processes wrote at exit into one
+//! cluster trace, for `trace collect` and localnet alike.
 //!
 //! A scraper deliberately never sends HELLO, so the scraped node treats
 //! the connection as a non-protocol peer: no broadcasts arrive, nothing
@@ -18,35 +19,28 @@
 use crate::frame;
 use algorand_obs::expose::{self, Sample};
 use algorand_obs::merge::{merge, render_report, write_merged, Merged, NodeTrace};
-use algorand_obs::{parse_jsonl, Trace};
+use algorand_obs::parse_jsonl;
 use std::io::{self, BufReader, Write};
 use std::net::TcpStream;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// One request/response exchange: connect, send the `req_op` TELEMETRY
-/// frame with `body`, read frames until the matching response op
-/// arrives. Returns the response payload *after* the op byte.
+/// Scrapes a node's metrics exposition text: connect, send a
+/// [`frame::TEL_METRICS_REQ`], read frames until the response arrives.
 ///
 /// # Errors
 ///
-/// I/O failures, timeout, a throttled-scrape error frame, or a
-/// malformed/mismatched response.
-fn scrape_raw(
-    addr: &str,
-    req_op: u8,
-    body: &[u8],
-    resp_op: u8,
-    timeout: Duration,
-) -> io::Result<Vec<u8>> {
+/// I/O failures, timeout, a throttled-scrape error frame, or a non-UTF-8
+/// response.
+pub fn scrape_metrics(addr: &str, timeout: Duration) -> io::Result<String> {
     let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     let mut writer = stream.try_clone()?;
-    let mut req = Vec::with_capacity(1 + body.len());
-    req.push(req_op);
-    req.extend_from_slice(body);
-    writer.write_all(&frame::encode_frame(frame::TELEMETRY, &req)?)?;
+    writer.write_all(&frame::encode_frame(
+        frame::TELEMETRY,
+        &[frame::TEL_METRICS_REQ],
+    )?)?;
     writer.flush()?;
     let mut reader = BufReader::new(stream);
     let deadline = Instant::now() + timeout;
@@ -54,96 +48,33 @@ fn scrape_raw(
         if Instant::now() >= deadline {
             return Err(io::Error::new(io::ErrorKind::TimedOut, "scrape timed out"));
         }
-        let (kind, payload) = frame::read_frame(&mut reader)?;
-        if kind != frame::TELEMETRY {
-            // The node may push HELLO/PEERS/etc. before answering; skip
-            // anything that is not a telemetry frame.
-            continue;
-        }
-        if payload.first() == Some(&frame::TEL_THROTTLED) {
+        let (kind, mut payload) = frame::read_frame(&mut reader)?;
+        match (kind, payload.first()) {
             // Waiting out a throttle would just hang until the timeout;
             // surface it so the caller can back off deliberately.
-            return Err(io::Error::other("scrape throttled by node rate limit"));
-        }
-        if payload.first() != Some(&resp_op) {
-            continue;
-        }
-        return Ok(payload[1..].to_vec());
-    }
-}
-
-/// Scrapes a node's metrics exposition text.
-///
-/// # Errors
-///
-/// I/O failures, timeout, or a non-UTF-8 response.
-pub fn scrape_metrics(addr: &str, timeout: Duration) -> io::Result<String> {
-    let payload = scrape_raw(
-        addr,
-        frame::TEL_METRICS_REQ,
-        &[],
-        frame::TEL_METRICS_RESP,
-        timeout,
-    )?;
-    String::from_utf8(payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
-/// Drains a node's whole trace buffer: each `TEL_TRACE_REQ` asks from a
-/// cursor and the answer carries the next cursor plus a chunk of trace
-/// JSONL (its `schedule` names the node index and cursor), resumed until
-/// a chunk comes back empty. A live node keeps appending while we drain,
-/// so this always issues at least two requests — the final empty read
-/// doubles as proof the cursor protocol resumes cleanly. Returns the
-/// drained trace (header from the first chunk, events concatenated in
-/// buffer order).
-///
-/// # Errors
-///
-/// Any exchange failing, a malformed answer, or a node that moves the
-/// cursor backwards.
-pub fn drain_trace(addr: &str, timeout: Duration) -> io::Result<Trace> {
-    let bad = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
-    let (mut cursor, mut drained) = (0u64, None::<Trace>);
-    loop {
-        let req = frame::encode_trace_req(cursor);
-        let body = scrape_raw(
-            addr,
-            frame::TEL_TRACE_REQ,
-            &req,
-            frame::TEL_TRACE_RESP,
-            timeout,
-        )?;
-        let (next, _total, jsonl) =
-            frame::decode_trace_resp(&body).ok_or_else(|| bad("bad TRACE_RESP body".into()))?;
-        let chunk = parse_jsonl(jsonl).map_err(bad)?;
-        if next < cursor {
-            return Err(bad(format!(
-                "trace cursor moved backwards: {cursor} -> {next}"
-            )));
-        }
-        match &mut drained {
-            None => drained = Some(chunk),
-            Some(d) => {
-                d.dropped = chunk.dropped;
-                d.events.extend(chunk.events);
+            (frame::TELEMETRY, Some(&frame::TEL_THROTTLED)) => {
+                return Err(io::Error::other("scrape throttled by node rate limit"));
             }
+            (frame::TELEMETRY, Some(&frame::TEL_METRICS_RESP)) => {
+                payload.remove(0);
+                return String::from_utf8(payload)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
+            }
+            // Anything else is not the answer; keep reading.
+            _ => {}
         }
-        if next == cursor {
-            return Ok(drained.expect("a chunk was read"));
-        }
-        cursor = next;
     }
 }
 
-/// The endpoints a deployment publishes: one `<root>/<node dir>/addr`
+/// The processes a deployment publishes: one `<root>/<node dir>/addr`
 /// file per process (`n0/addr`, `n1/addr`, … as a localnet harness lays
-/// them out), in node order.
+/// them out), as `(node dir, address)` pairs in node order.
 ///
 /// # Errors
 ///
 /// An unreadable `root`, an `addr` file that cannot be read or is empty
 /// (the message names it), or no `*/addr` file under `root` at all.
-pub fn discover(root: &Path) -> Result<Vec<String>, String> {
+pub fn discover(root: &Path) -> Result<Vec<(PathBuf, String)>, String> {
     let unreadable = |e: io::Error| format!("read_dir {}: {e}", root.display());
     let mut found = Vec::new();
     for entry in std::fs::read_dir(root).map_err(unreadable)? {
@@ -160,50 +91,55 @@ pub fn discover(root: &Path) -> Result<Vec<String>, String> {
         let name = dir.file_name().map(|n| n.to_string_lossy().into_owned());
         let name = name.unwrap_or_default();
         // Shorter names first, so `n2` sorts before `n10`.
-        found.push((name.len(), name, addr.trim().to_string()));
+        found.push((name.len(), name, dir, addr.trim().to_string()));
     }
     if found.is_empty() {
         return Err(format!("no */addr files under {}", root.display()));
     }
     found.sort();
-    Ok(found.into_iter().map(|(_, _, addr)| addr).collect())
+    Ok(found
+        .into_iter()
+        .map(|(_, _, dir, addr)| (dir, addr))
+        .collect())
 }
 
-/// Drains every node at `addrs`, merges the drains, merges them again
-/// and demands the same bytes — the merge must be a pure function of the
-/// drains, or artifacts could not be compared across reruns — then
-/// writes the merged JSONL to `out` and its critical-path report
-/// ([`render_report`]) to `report`.
+/// Reads the `trace.jsonl` every process under `root` wrote at exit
+/// (its header's `schedule` is `node=<index>`), merges the traces,
+/// merges them again and demands the same bytes — the merge must be a
+/// pure function of its inputs, or artifacts could not be compared
+/// across reruns — then writes the merged JSONL to `out` and its
+/// critical-path report ([`render_report`]) to `report`.
 ///
 /// # Errors
 ///
-/// The first drain that fails or whose header names no node index, a
-/// merge that fails or differs on the second try, or a failed write.
-pub fn collect_trace(
-    addrs: &[String],
-    timeout: Duration,
-    out: &Path,
-    report: &Path,
-) -> Result<Merged, String> {
+/// What [`discover`] reports, the first trace file that cannot be read
+/// or parsed or whose header names no node (the message names the
+/// file), a merge that fails or differs on the second try, or a failed
+/// write.
+pub fn collect_trace(root: &Path, out: &Path, report: &Path) -> Result<Merged, String> {
     let mut traces = Vec::new();
-    for addr in addrs {
-        let trace = drain_trace(addr, timeout).map_err(|e| format!("drain {addr}: {e}"))?;
+    for (dir, addr) in discover(root)? {
+        let file = dir.join("trace.jsonl");
+        let text =
+            std::fs::read_to_string(&file).map_err(|e| format!("read {}: {e}", file.display()))?;
+        let trace = parse_jsonl(&text).map_err(|e| format!("{}: {e}", file.display()))?;
         let node = trace
             .schedule
-            .strip_prefix("drain node=")
-            .and_then(|rest| rest.split_whitespace().next())
+            .strip_prefix("node=")
             .and_then(|n| n.parse().ok())
-            .ok_or_else(|| format!("drain {addr}: header names no node: {:?}", trace.schedule))?;
-        traces.push(NodeTrace {
-            node,
-            addr: addr.clone(),
-            trace,
-        });
+            .ok_or_else(|| {
+                format!(
+                    "{}: header names no node: {:?}",
+                    file.display(),
+                    trace.schedule
+                )
+            })?;
+        traces.push(NodeTrace { node, addr, trace });
     }
     let merged = merge(&traces)?;
     let artifact = write_merged(&merged);
     if write_merged(&merge(&traces)?) != artifact {
-        return Err("merge is not deterministic: re-merging the same drains differed".into());
+        return Err("merge is not deterministic: re-merging the same traces differed".into());
     }
     for (path, text) in [(out, artifact), (report, render_report(&merged))] {
         if let Some(dir) = path.parent() {
@@ -424,7 +360,7 @@ impl ClusterHealth {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use algorand_obs::{labeled, Registry};
+    use algorand_obs::{labeled, stable_id, Registry, SpanKind, Tracer};
 
     fn exposition(tip: i64, hash: i64, violations: i64) -> String {
         let reg = Registry::new();
@@ -555,15 +491,10 @@ mod tests {
         for i in [2, 0, 10, 1] {
             std::fs::write(node(&format!("n{i}")), format!("127.0.0.1:90{i:02}\n")).unwrap();
         }
-        assert_eq!(
-            discover(&root).unwrap(),
-            [
-                "127.0.0.1:9000",
-                "127.0.0.1:9001",
-                "127.0.0.1:9002",
-                "127.0.0.1:9010"
-            ]
-        );
+        let expected: Vec<(PathBuf, String)> = [0, 1, 2, 10]
+            .map(|i| (root.join(format!("n{i}")), format!("127.0.0.1:90{i:02}")))
+            .into();
+        assert_eq!(discover(&root).unwrap(), expected);
 
         let n1 = node("n1");
         std::fs::write(&n1, " \n").unwrap();
@@ -583,5 +514,57 @@ mod tests {
 
         std::fs::remove_dir_all(&root).unwrap();
         assert!(discover(&root).unwrap_err().starts_with("read_dir "));
+    }
+
+    #[test]
+    fn collect_trace_merges_the_exit_files_of_every_node() {
+        let root = std::env::temp_dir().join(format!("algorand-collect-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        // Two processes that both finalized round 1 on the same block,
+        // each on its own clock, as they write `trace.jsonl` at exit.
+        let block = stable_id(&[7u8; 32]);
+        for (i, start) in [(0u32, 1_000_000u64), (1, 400_000)] {
+            let dir = root.join(format!("n{i}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join("addr"), format!("127.0.0.1:900{i}\n")).unwrap();
+            let t = Tracer::bounded(8);
+            t.span(SpanKind::Round, i, 1, start)
+                .label("final")
+                .id(block)
+                .ok(true)
+                .end_at(start + 300);
+            let jsonl = t.export_jsonl(7, &format!("node={i}"));
+            std::fs::write(dir.join("trace.jsonl"), jsonl).unwrap();
+        }
+        let (out, report) = (root.join("out/merged.jsonl"), root.join("out/report.txt"));
+
+        let merged = collect_trace(&root, &out, &report).unwrap();
+        let nodes: Vec<(u32, &str, u64)> = merged
+            .nodes
+            .iter()
+            .map(|n| (n.node, n.addr.as_str(), n.anchors))
+            .collect();
+        assert_eq!(nodes, [(0, "127.0.0.1:9000", 1), (1, "127.0.0.1:9001", 1)]);
+        assert_eq!(
+            std::fs::read_to_string(&out).unwrap(),
+            write_merged(&merged)
+        );
+        assert_eq!(
+            std::fs::read_to_string(&report).unwrap(),
+            render_report(&merged)
+        );
+
+        // A trace whose header names no node is an error naming its file.
+        let file = root.join("n1/trace.jsonl");
+        let renamed = std::fs::read_to_string(&file)
+            .unwrap()
+            .replacen("node=1", "localnet", 1);
+        std::fs::write(&file, renamed).unwrap();
+        let err = collect_trace(&root, &out, &report).unwrap_err();
+        assert_eq!(
+            err,
+            format!("{}: header names no node: \"localnet\"", file.display())
+        );
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

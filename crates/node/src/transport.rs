@@ -1,5 +1,5 @@
-//! Threaded TCP transport with static peers, peer exchange, per-peer
-//! bounded send queues, and first-class telemetry.
+//! Threaded TCP transport with configured peers, per-peer bounded send
+//! queues, and first-class telemetry.
 //!
 //! Each connection gets a reader thread (parses [`crate::frame`] frames,
 //! forwards gossip and status to the runtime over a channel) and a
@@ -10,17 +10,17 @@
 //! agreement, the same pressure-shedding posture the paper's gossip
 //! network takes.
 //!
-//! Connectivity is static peers plus gossip-learned peer exchange: every
+//! Connectivity is the configured peers plus whoever dials in: a
+//! maintenance thread keeps dialing every configured address that lacks
+//! a live connection, forever, and the listener accepts anyone. Every
 //! *outbound* connection starts with a HELLO advertising the sender's
 //! listen address; an *inbound* connection becomes a **protocol peer**
 //! only once that HELLO arrives (we reply with ours). Connections that
 //! never say HELLO — telemetry scrapers — are served [`frame::TELEMETRY`]
-//! responses but are excluded from peer counts, broadcasts, and peer
-//! exchange, so observing a node cannot change its gossip behavior.
-//! Peers periodically swap known-address sets, and a maintenance thread
-//! keeps dialing any known address that lacks a live connection: start
-//! five processes each knowing only one other and the deployment
-//! converges to full connectivity.
+//! responses but are excluded from peer counts and broadcasts, so
+//! observing a node cannot change its gossip behavior. Start five
+//! processes, each configured with the addresses of those started before
+//! it, and the deployment is a full mesh once the last one has dialled.
 //!
 //! Metrics live in the shared [`Registry`]: total and per-kind frame and
 //! byte counters each direction, lifetime connection count, and per-peer
@@ -48,7 +48,7 @@ const SEND_QUEUE: usize = 1024;
 /// Inbound frames buffered for the runtime before readers block (which
 /// in turn backpressures the kernel socket, then the sender).
 const EVENT_QUEUE: usize = 4096;
-/// Maintenance cadence: redial pass every tick, peer exchange every 4th.
+/// Maintenance cadence: one redial pass per tick.
 const MAINTENANCE_TICK: Duration = Duration::from_millis(500);
 
 /// What the transport hands the consensus loop.
@@ -69,17 +69,12 @@ pub enum TransportEvent {
         /// The announced tip.
         tip: u64,
     },
-    /// A telemetry scrape request ([`frame::TEL_METRICS_REQ`] or
-    /// [`frame::TEL_TRACE_REQ`]); the runtime renders the body and
-    /// answers via [`Transport::send_telemetry`].
+    /// A metrics scrape request ([`frame::TEL_METRICS_REQ`]); the
+    /// runtime renders the exposition and answers via
+    /// [`Transport::send_telemetry`].
     Telemetry {
         /// Connection the request arrived on.
         from: PeerId,
-        /// The request op code.
-        op: u8,
-        /// The request body after the op byte (the drain cursor for
-        /// [`frame::TEL_TRACE_REQ`]; empty otherwise).
-        body: Vec<u8>,
     },
 }
 
@@ -92,10 +87,9 @@ const TELEMETRY_PER_SEC: u64 = 16;
 /// connection's TELEMETRY requests: at most [`TELEMETRY_BURST`] tokens,
 /// refilled at [`TELEMETRY_PER_SEC`]. Each request consumes one token;
 /// an empty bucket gets a [`frame::TEL_THROTTLED`] error frame instead
-/// of service. Buckets are per connection, so a multi-chunk trace drain
-/// over fresh connections is never throttled by an earlier scraper's
-/// appetite. Tokens are tracked in millionths so refill math stays
-/// integral.
+/// of service. Buckets are per connection, so a scrape over a fresh
+/// connection is never throttled by an earlier scraper's appetite.
+/// Tokens are tracked in millionths so refill math stays integral.
 struct TokenBucket {
     micro: u64,
     last: std::time::Instant,
@@ -129,7 +123,6 @@ fn kind_name(kind: u8) -> Option<&'static str> {
     match kind {
         frame::HELLO => Some("hello"),
         frame::GOSSIP => Some("gossip"),
-        frame::PEERS => Some("peers"),
         frame::STATUS => Some("status"),
         _ => None,
     }
@@ -146,16 +139,16 @@ struct Metrics {
     send_drops: Counter,
     connections: Counter,
     /// Indexed by `kind - 1` for kinds HELLO..=STATUS.
-    frames_sent_kind: [Counter; 4],
-    bytes_sent_kind: [Counter; 4],
-    frames_received_kind: [Counter; 4],
-    bytes_received_kind: [Counter; 4],
+    frames_sent_kind: [Counter; 3],
+    bytes_sent_kind: [Counter; 3],
+    frames_received_kind: [Counter; 3],
+    bytes_received_kind: [Counter; 3],
 }
 
 impl Metrics {
     fn new(registry: &Registry) -> Metrics {
-        let by_kind = |base: &str| -> [Counter; 4] {
-            [frame::HELLO, frame::GOSSIP, frame::PEERS, frame::STATUS].map(|k| {
+        let by_kind = |base: &str| -> [Counter; 3] {
+            [frame::HELLO, frame::GOSSIP, frame::STATUS].map(|k| {
                 registry.counter(&labeled(base, &[("kind", kind_name(k).expect("metered"))]))
             })
         };
@@ -222,8 +215,6 @@ struct Shared {
     registry: Registry,
     metrics: Metrics,
     peers: Mutex<HashMap<PeerId, Peer>>,
-    /// Dialable listen addresses learned from config or peer exchange.
-    known: Mutex<HashSet<String>>,
     /// Addresses with a dial attempt in flight.
     dialing: Mutex<HashSet<String>>,
     /// Advertised addresses with a live connection.
@@ -242,18 +233,14 @@ pub struct Transport {
 }
 
 impl Transport {
-    /// Binds `listen`, connects to `static_peers` (retrying forever —
+    /// Binds `listen`, connects to `peers` (retrying forever —
     /// deployment processes start in arbitrary order), and starts the
     /// maintenance thread. Counters register into `registry`.
     ///
     /// # Errors
     ///
     /// Fails only if the listen socket cannot be bound.
-    pub fn start(
-        listen: &str,
-        static_peers: &[String],
-        registry: Registry,
-    ) -> io::Result<Transport> {
+    pub fn start(listen: &str, peers: &[String], registry: Registry) -> io::Result<Transport> {
         let listener = TcpListener::bind(listen)?;
         let local_addr = listener.local_addr()?.to_string();
         // What peers should dial back: the configured string, unless it
@@ -270,7 +257,6 @@ impl Transport {
             registry,
             metrics,
             peers: Mutex::new(HashMap::new()),
-            known: Mutex::new(static_peers.iter().cloned().collect()),
             dialing: Mutex::new(HashSet::new()),
             connected: Mutex::new(HashSet::new()),
             next_id: AtomicU64::new(1),
@@ -284,9 +270,10 @@ impl Transport {
             .spawn(move || accept_loop(&listener, &accept_shared))?;
 
         let maint_shared = Arc::clone(&shared);
+        let peers = peers.to_vec();
         std::thread::Builder::new()
             .name("maintenance".into())
-            .spawn(move || maintenance_loop(&maint_shared))?;
+            .spawn(move || maintenance_loop(&maint_shared, &peers))?;
 
         Ok(Transport {
             shared,
@@ -470,18 +457,15 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Redials missing peers every tick and runs peer exchange every fourth.
-fn maintenance_loop(shared: &Arc<Shared>) {
-    let mut tick = 0u64;
+/// Redials every configured peer that lacks a live connection, each tick.
+fn maintenance_loop(shared: &Arc<Shared>, peers: &[String]) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(MAINTENANCE_TICK);
-        tick += 1;
 
         let targets: Vec<String> = {
-            let known = shared.known.lock().unwrap();
             let connected = shared.connected.lock().unwrap();
             let dialing = shared.dialing.lock().unwrap();
-            known
+            peers
                 .iter()
                 .filter(|a| {
                     **a != shared.advertised && !connected.contains(*a) && !dialing.contains(*a)
@@ -501,24 +485,6 @@ fn maintenance_loop(shared: &Arc<Shared>) {
                         spawn_connection(stream, dial_shared, Some(addr));
                     }
                 });
-        }
-
-        if tick.is_multiple_of(4) {
-            let mut addrs: Vec<String> = {
-                let known = shared.known.lock().unwrap();
-                known.iter().cloned().collect()
-            };
-            addrs.push(shared.advertised.clone());
-            addrs.sort();
-            addrs.dedup();
-            let payload = frame::encode_peers(&addrs);
-            if let Ok(framed) = frame::encode_frame(frame::PEERS, &payload) {
-                let framed = Arc::new(framed);
-                let peers = shared.peers.lock().unwrap();
-                for peer in peers.values().filter(|p| p.protocol) {
-                    enqueue(shared, peer, &framed);
-                }
-            }
         }
     }
 }
@@ -657,22 +623,8 @@ fn reader_loop(stream: TcpStream, id: PeerId, shared: &Arc<Shared>) {
                 if promoted {
                     shared.metrics.connections.inc();
                 }
-                shared.connected.lock().unwrap().insert(addr.clone());
-                if addr != shared.advertised {
-                    shared.known.lock().unwrap().insert(addr);
-                }
-            }
-            frame::PEERS => {
-                let Some(addrs) = frame::decode_peers(&payload) else {
-                    return; // Malformed peer exchange: drop the peer.
-                };
-                let mut known = shared.known.lock().unwrap();
-                for addr in addrs {
-                    if addr != shared.advertised {
-                        known.insert(addr);
-                    }
-                }
-                // The maintenance loop dials anything new next tick.
+                // A configured peer that dialled us needs no dial back.
+                shared.connected.lock().unwrap().insert(addr);
             }
             frame::GOSSIP => {
                 // Blocking send: a full runtime queue backpressures this
@@ -702,10 +654,7 @@ fn reader_loop(stream: TcpStream, id: PeerId, shared: &Arc<Shared>) {
                 }
             }
             frame::TELEMETRY => {
-                let Some(&op) = payload.first() else {
-                    return;
-                };
-                if op != frame::TEL_METRICS_REQ && op != frame::TEL_TRACE_REQ {
+                if payload.first() != Some(&frame::TEL_METRICS_REQ) {
                     return; // We serve scrapes; we never accept responses.
                 }
                 // Rate limit per connection: an over-budget request is
@@ -718,11 +667,7 @@ fn reader_loop(stream: TcpStream, id: PeerId, shared: &Arc<Shared>) {
                 }
                 if shared
                     .events
-                    .send(TransportEvent::Telemetry {
-                        from: id,
-                        op,
-                        body: payload[1..].to_vec(),
-                    })
+                    .send(TransportEvent::Telemetry { from: id })
                     .is_err()
                 {
                     return;
@@ -748,8 +693,9 @@ mod tests {
     }
 
     #[test]
-    fn gossip_status_and_peer_exchange_flow() {
-        // a knows b; c knows only b. Peer exchange must connect a and c.
+    fn gossip_and_status_flow_over_a_mesh_of_earlier_peers() {
+        // Each node is configured with the nodes started before it: a
+        // with none, b with a, c with a and b. That alone is a full mesh.
         let reg_a = Registry::new();
         let a = Transport::start("127.0.0.1:0", &[], reg_a.clone()).unwrap();
         let b = Transport::start(
@@ -760,12 +706,15 @@ mod tests {
         .unwrap();
         let c = Transport::start(
             "127.0.0.1:0",
-            &[b.local_addr().to_string()],
+            &[a.local_addr().to_string(), b.local_addr().to_string()],
             Registry::new(),
         )
         .unwrap();
 
-        wait_for(|| a.peer_count() >= 2 && c.peer_count() >= 2, "full mesh");
+        wait_for(
+            || a.peer_count() == 2 && b.peer_count() == 2 && c.peer_count() == 2,
+            "full mesh",
+        );
 
         // Gossip from a reaches both b and c.
         assert!(a.broadcast_gossip(b"payload-one", None) >= 2);
@@ -844,14 +793,13 @@ mod tests {
             .unwrap();
 
         // The runtime-side event arrives; answer it.
-        let (from, op) = loop {
+        let from = loop {
             match a.recv_timeout(Duration::from_secs(5)) {
-                Some(TransportEvent::Telemetry { from, op, .. }) => break (from, op),
+                Some(TransportEvent::Telemetry { from }) => break from,
                 Some(_) => continue,
                 None => panic!("no telemetry request"),
             }
         };
-        assert_eq!(op, frame::TEL_METRICS_REQ);
         assert!(a.send_telemetry(from, frame::TEL_METRICS_RESP, b"x 1\n"));
 
         let mut reader = BufReader::new(client.try_clone().unwrap());

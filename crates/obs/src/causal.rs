@@ -179,9 +179,10 @@ pub struct Gate {
 impl Gate {
     /// A merged cluster trace. Per-node clocks agree exactly only at the
     /// anchor instants, so fused hops carry skew residue a single clock
-    /// never sees; and a merge that no chain crosses proves nothing.
+    /// never sees; a merge that no chain crosses proves nothing; and one
+    /// profiled round could be a lucky one.
     pub const CLUSTER: Gate = Gate {
-        min_rounds: 1,
+        min_rounds: 3,
         min_coverage: 0.90,
         cross_process: true,
     };
@@ -819,7 +820,14 @@ mod tests {
     fn gate_passes_a_contiguous_covered_crossing_chain() {
         assert_eq!(crossing().processes(), BTreeSet::from([0, 1]));
         assert!(gate(1, true).check(&[crossing()]).is_empty());
-        assert!(Gate::CLUSTER.check(&[crossing()]).is_empty());
+        fails_with(Gate::CLUSTER, &[crossing()], "only 1 of 3 rounds");
+        let three: Vec<CriticalPath> = (1..=3)
+            .map(|round| CriticalPath {
+                round,
+                ..crossing()
+            })
+            .collect();
+        assert!(Gate::CLUSTER.check(&three).is_empty());
     }
 
     #[test]

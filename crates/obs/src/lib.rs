@@ -21,8 +21,8 @@
 //!   round's certificate backward across nodes to the proposal that
 //!   seeded it, with per-edge latency attribution, and [`Gate`] is the
 //!   one statement of what those paths must satisfy.
-//! - **Cluster merge** ([`merge`]): fuses per-process trace drains into
-//!   one causal graph — clocks aligned via finalized-round anchor spans
+//! - **Cluster merge** ([`merge`]): fuses per-process traces into one
+//!   causal graph — clocks aligned via finalized-round anchor spans
 //!   (content-hashed ids match across processes), per-node skew bounds
 //!   recorded, sender/receiver hop halves fused into sim-shaped hops —
 //!   so [`causal::critical_paths`] walks a live cluster's rounds across

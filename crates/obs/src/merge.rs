@@ -1,5 +1,5 @@
-//! Cluster trace merging: fuses per-process trace drains into one
-//! causal graph on a common clock.
+//! Cluster trace merging: fuses per-process traces into one causal
+//! graph on a common clock.
 //!
 //! A live deployment has no shared simulator clock — every node stamps
 //! events with its own monotonic microsecond counter, started whenever
@@ -18,14 +18,14 @@
 //! 3. shift every event by its node's offset and rebase the whole
 //!    merged timeline to start at 0.
 //!
-//! Canonicalization then makes the merge a pure function of the drained
+//! Canonicalization then makes the merge a pure function of the input
 //! traces: the **horizon** is the earliest "last aligned event" over
 //! all nodes, round conclusions past it are dropped (some process
 //! stopped observing before they settled, so cross-process chains could
 //! be silently truncated), and events are sorted by a total key in
 //! which *end time comes first* — effects follow their causes, and the
 //! causal walker's recording-order assumptions keep holding on the
-//! merged stream. Merging the same drains twice is byte-identical.
+//! merged stream. Merging the same traces twice is byte-identical.
 //!
 //! Gossip hops are recorded half per process: the sender logs a `send`
 //! instant (queue depth, wire bytes) and the receiver logs an arrival
@@ -47,22 +47,23 @@ use std::fmt::Write as _;
 
 /// Finalized-round anchors each node's clock must rest on. With one, the
 /// offset is that anchor's delta and the skew bound is 0 by
-/// construction: the alignment has not been tested at all.
-const MIN_ANCHORS: u64 = 2;
+/// construction: the alignment has not been tested at all. With three,
+/// the median delta outvotes one anchor that disagrees.
+const MIN_ANCHORS: u64 = 3;
 
 /// Edges listed per round before the listing is elided (the attribution
 /// sums always cover the full chain).
 const MAX_EDGES_SHOWN: usize = 24;
 
-/// One node's drained trace, tagged with the index and address it was
-/// collected from.
+/// One node's trace, tagged with the node's index and the address it
+/// published.
 #[derive(Clone, Debug)]
 pub struct NodeTrace {
-    /// The node's cluster index (from the drain header).
+    /// The node's cluster index (from the trace header).
     pub node: u32,
-    /// The address the trace was drained from.
+    /// The address the node published.
     pub addr: String,
-    /// The drained trace.
+    /// The node's trace.
     pub trace: Trace,
 }
 
@@ -71,7 +72,7 @@ pub struct NodeTrace {
 pub struct NodeMeta {
     /// The node's cluster index.
     pub node: u32,
-    /// The address the trace was drained from.
+    /// The address the node published.
     pub addr: String,
     /// Microseconds added to this node's clock to align it with the
     /// reference node (0 for the reference itself). Negative when the
@@ -136,7 +137,7 @@ fn median(sorted: &[i64]) -> i64 {
     }
 }
 
-/// Merges per-node trace drains into one canonical cluster trace.
+/// Merges per-node traces into one canonical cluster trace.
 ///
 /// # Errors
 ///
@@ -380,7 +381,7 @@ impl Merged {
     /// Every way this trace falls short as a profile of its rounds, empty
     /// when it has none: events dropped at record time (each per-span
     /// figure would undercount), a node whose clock rests on fewer than
-    /// two finalized-round anchors, and whatever `gate` finds in its
+    /// three finalized-round anchors, and whatever `gate` finds in its
     /// critical paths.
     pub fn problems(&self, gate: &Gate) -> Vec<String> {
         let mut problems = Vec::new();
@@ -612,12 +613,12 @@ mod tests {
             NodeTrace {
                 node: 0,
                 addr: "127.0.0.1:9000".into(),
-                trace: parse_jsonl(&t0.export_jsonl(7, "drain node=0 cursor=0")).unwrap(),
+                trace: parse_jsonl(&t0.export_jsonl(7, "node=0")).unwrap(),
             },
             NodeTrace {
                 node: 1,
                 addr: "127.0.0.1:9001".into(),
-                trace: parse_jsonl(&t1.export_jsonl(7, "drain node=1 cursor=0")).unwrap(),
+                trace: parse_jsonl(&t1.export_jsonl(7, "node=1")).unwrap(),
             },
         ]
     }
@@ -710,29 +711,29 @@ mod tests {
     #[test]
     fn problems_name_drops_thin_alignment_and_gate_failures() {
         let mut m = merge(&two_process_round()).unwrap();
-        assert!(Gate::CLUSTER.check(&critical_paths(&m.events)).is_empty());
+        let one_round = Gate {
+            min_rounds: 1,
+            ..Gate::CLUSTER
+        };
+        assert!(one_round.check(&critical_paths(&m.events)).is_empty());
         // One shared round: each clock rests on a single anchor.
         assert_eq!(
-            m.problems(&Gate::CLUSTER),
+            m.problems(&one_round),
             [
-                "node 0 aligned on 1 anchors, below 2",
-                "node 1 aligned on 1 anchors, below 2"
+                "node 0 aligned on 1 anchors, below 3",
+                "node 1 aligned on 1 anchors, below 3"
             ]
         );
         for n in &mut m.nodes {
             n.anchors = MIN_ANCHORS;
         }
-        assert!(m.problems(&Gate::CLUSTER).is_empty());
+        assert!(m.problems(&one_round).is_empty());
         m.dropped = 1;
-        let strict = Gate {
-            min_rounds: 2,
-            ..Gate::CLUSTER
-        };
         assert_eq!(
-            m.problems(&strict),
+            m.problems(&Gate::CLUSTER),
             [
                 "trace truncated: 1 events dropped",
-                "only 1 of 2 rounds produced a critical path"
+                "only 1 of 3 rounds produced a critical path"
             ]
         );
     }

@@ -175,31 +175,6 @@ impl Registry {
             })
             .collect()
     }
-
-    /// Renders every metric, one line each, sorted by name — the textual
-    /// report the sim and benches print. Times recorded in µs are shown
-    /// raw; callers choose the unit at recording time.
-    pub fn render(&self) -> String {
-        let map = self.0.lock().expect("registry lock");
-        let mut out = String::new();
-        for (name, metric) in map.iter() {
-            match metric {
-                Metric::Counter(c) => out.push_str(&format!("{name} = {}\n", c.get())),
-                Metric::Gauge(g) => out.push_str(&format!("{name} = {}\n", g.get())),
-                Metric::Histogram(h) => {
-                    let h = h.snapshot();
-                    match (h.min(), h.p50(), h.p99(), h.max()) {
-                        (Some(min), Some(p50), Some(p99), Some(max)) => out.push_str(&format!(
-                            "{name}: count={} min={min} p50={p50} p99={p99} max={max}\n",
-                            h.count()
-                        )),
-                        _ => out.push_str(&format!("{name}: count=0\n")),
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -234,20 +209,5 @@ mod tests {
         g.set(7);
         g.set(7);
         assert_eq!(g.get(), 7);
-    }
-
-    #[test]
-    fn render_is_sorted_and_stable() {
-        let reg = Registry::new();
-        reg.counter("b.count").add(2);
-        reg.gauge("a.level").set(-1);
-        reg.histogram("c.lat");
-        let r1 = reg.render();
-        let r2 = reg.render();
-        assert_eq!(r1, r2);
-        let lines: Vec<&str> = r1.lines().collect();
-        assert!(lines[0].starts_with("a.level"));
-        assert!(lines[1].starts_with("b.count"));
-        assert!(lines[2].starts_with("c.lat: count=0"));
     }
 }

@@ -333,25 +333,6 @@ impl Tracer {
             .map_or_else(Vec::new, |b| b.lock().expect("trace lock").events.clone())
     }
 
-    /// A snapshot of at most `max` buffered events starting at buffer
-    /// index `cursor`, plus the current buffer length. The buffer keeps
-    /// the *first* `cap` events in stable order and is append-only, so
-    /// `(cursor, returned.len())` form a resumable drain position: a
-    /// later call with `cursor + returned.len()` continues exactly where
-    /// this one stopped, and re-reading an old cursor returns the same
-    /// prefix bytes. This is what the node's TELEMETRY `TRACE_DRAIN` op
-    /// serves.
-    pub fn events_from(&self, cursor: usize, max: usize) -> (Vec<TraceEvent>, usize) {
-        let Some(buf) = &self.0 else {
-            return (Vec::new(), 0);
-        };
-        let buf = buf.lock().expect("trace lock");
-        let total = buf.events.len();
-        let lo = cursor.min(total);
-        let hi = lo.saturating_add(max).min(total);
-        (buf.events[lo..hi].to_vec(), total)
-    }
-
     /// Exports the buffer as JSONL keyed by `(seed, schedule)`; see
     /// [`write_jsonl`].
     pub fn export_jsonl(&self, seed: u64, schedule: &str) -> String {
@@ -792,31 +773,6 @@ mod tests {
         let without = write_jsonl_trimmed(1, "s", 0, 0, &events);
         assert_eq!(without, write_jsonl(1, "s", 0, &events));
         assert_eq!(parse_jsonl(&without).unwrap().trimmed, 0);
-    }
-
-    #[test]
-    fn cursor_reads_are_resumable_and_stable() {
-        let t = Tracer::bounded(16);
-        for i in 0..10u64 {
-            t.span(SpanKind::Verify, 0, i, i).instant();
-        }
-        let (chunk1, total1) = t.events_from(0, 4);
-        assert_eq!((chunk1.len(), total1), (4, 10));
-        // More events arrive between reads; the old range re-reads
-        // identically (append-only, first-N retention).
-        for i in 10..13u64 {
-            t.span(SpanKind::Verify, 0, i, i).instant();
-        }
-        let (again, total2) = t.events_from(0, 4);
-        assert_eq!(again, chunk1);
-        assert_eq!(total2, 13);
-        // Resuming from the previous position drains the rest.
-        let (rest, _) = t.events_from(4, usize::MAX);
-        assert_eq!(rest.len(), 9);
-        assert_eq!(rest[0].round, 4);
-        // Past-the-end and disabled tracers return empty.
-        assert_eq!(t.events_from(99, 4).0.len(), 0);
-        assert_eq!(Tracer::disabled().events_from(0, 4), (Vec::new(), 0));
     }
 
     #[test]

@@ -724,12 +724,15 @@ fn smaller_partitions(case: &FuzzCase) -> Vec<FuzzCase> {
         .collect()
 }
 
-/// Move 4: zero malicious users, then half as many.
+/// Move 4: zero malicious users, then half as many (unless half is
+/// zero too).
 fn fewer_adversaries(case: &FuzzCase) -> Vec<FuzzCase> {
     if case.n_malicious == 0 {
         return Vec::new();
     }
-    [0, case.n_malicious / 2]
+    let half = case.n_malicious / 2;
+    let counts = if half > 0 { vec![0, half] } else { vec![0] };
+    counts
         .into_iter()
         .map(|n_malicious| FuzzCase {
             n_malicious,
@@ -1169,6 +1172,23 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fewer_adversaries_offers_each_count_once() {
+        let counts = |n_malicious| -> Vec<usize> {
+            let case = FuzzCase {
+                n_malicious,
+                ..generate(6, None)
+            };
+            fewer_adversaries(&case)
+                .iter()
+                .map(|c| c.n_malicious)
+                .collect()
+        };
+        assert_eq!(counts(0), [0usize; 0]);
+        assert_eq!(counts(1), [0]);
+        assert_eq!(counts(4), [0, 2]);
+    }
 
     #[test]
     fn generated_schedules_validate_and_pair_every_onset() {

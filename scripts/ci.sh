@@ -54,7 +54,7 @@ cargo run --release -p algorand-bench --bin trace -- check
 echo "== invariant monitor: baseline + violation-injection self-test =="
 cargo test --release -q -p algorand-sim --test monitor
 
-echo "== localnet: 5 real processes vs simulator digest, kill -9 rejoin, live scrape (full key checks, key combs <= distinct keys) + trace drain, every clock on >= 2 anchors, the written merged trace re-checked as trace check FILE does; each WAL reopens to consecutive entry records only, as many as the node wrote, none larger than the biggest entry =="
+echo "== localnet: 5 real processes vs simulator digest, kill -9 rejoin, live scrape (full key checks, key combs <= distinct keys) + cluster trace merged from the processes' exit files, every clock on >= 3 anchors, >= 3 rounds profiled, the written merged trace re-checked as trace check FILE does; each WAL reopens to consecutive entry records only, as many as the node wrote, none larger than the biggest entry =="
 cargo build --release -q -p algorand-node
 cargo run --release -p algorand-bench --bin localnet
 
