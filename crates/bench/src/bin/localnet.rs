@@ -12,9 +12,10 @@
 //!    restarted rejoins: it replays its WAL from disk, fetches what it
 //!    missed via blocksync catch-up batches, and finalizes the same
 //!    chain as the survivors.
-//! 3. **Live telemetry** — mid-run, every process answers a TELEMETRY
-//!    scrape on its peer port: the merged cluster health report (printed
-//!    to stdout) must show five clean in-process
+//! 3. **Live telemetry** — mid-run, every process has rewritten the
+//!    `metrics.txt` in its node directory at its last STATUS tick: the
+//!    merged cluster health report read from those files (printed to
+//!    stdout) must show five clean in-process
 //!    monitor verdicts and non-zero transport/WAL/pipeline counters,
 //!    and no process may have run more full public-key checks, or built
 //!    more key combs, than the deployment has distinct keys.
@@ -45,9 +46,7 @@
 
 use algorand_bench::path_problems;
 use algorand_node::config::{derive_keypairs, workload_transactions};
-use algorand_node::telemetry::{
-    collect_trace, discover, scrape_metrics, ClusterHealth, NodeHealth,
-};
+use algorand_node::telemetry::{collect_trace, ClusterHealth, NodeHealth};
 use algorand_node::{wal, NodeConfig, Wal};
 use algorand_obs::{critical_paths, expose, Gate};
 use algorand_sim::{SimConfig, Simulation};
@@ -85,27 +84,19 @@ fn main() {
     }
     let children = spawn_all(&root, &mut cfgs);
 
-    // --- Mid-run telemetry: scrape all N while they are consensing. ---
+    // --- Mid-run telemetry: read all N while they are consensing. ----
     // Wait until every node has persisted a round, so the core counters
     // the health report asserts on are necessarily non-zero.
     wait_walled(&cfgs, 1);
-    let addrs: Vec<String> = discover(&root)
-        .expect("every node publishes its address")
-        .into_iter()
-        .map(|(_, addr)| addr)
-        .collect();
-    let health = ClusterHealth::collect_with_rates(
-        &addrs,
-        Duration::from_secs(10),
-        Duration::from_millis(750),
-    );
+    let health = ClusterHealth::collect_with_rates(&root, Duration::from_millis(750))
+        .expect("every node publishes its address");
     let report = health.render();
     println!("{report}");
     let distinct_keys = distinct_keys();
     assert!(
-        health.unreachable.is_empty(),
-        "every process must answer a TELEMETRY scrape: {:?}",
-        health.unreachable
+        health.unreadable.is_empty(),
+        "every process must keep a readable metrics.txt: {:?}",
+        health.unreadable
     );
     assert_eq!(health.nodes.len(), N);
     for n in &health.nodes {
@@ -145,7 +136,7 @@ fn main() {
         health.digests_agree(),
         "nodes at the same tip must agree on the tip hash"
     );
-    println!("[localnet] telemetry ok: {N} clean scrapes mid-run");
+    println!("[localnet] telemetry ok: {N} clean metrics.txt files mid-run");
 
     let summaries = wait_all(children, Duration::from_secs(180));
     for (i, ok) in summaries.iter().enumerate() {
@@ -181,7 +172,7 @@ fn main() {
 
     // --- Phase B: continue from the WALs; kill -9 one node mid-run. ---
     // Thresholds are relative to the longest phase-A WAL (linger
-    // overshoot included), read from each process's exit exposition.
+    // overshoot included), read from the exposition each wrote at exit.
     let phase_a_tip = cfgs
         .iter()
         .map(|c| exported(&c.wal_dir, "node.walled_round").unwrap_or(TARGET_A))
@@ -206,7 +197,7 @@ fn main() {
     // Let the victim make fresh progress past its phase-A WAL first, so
     // the restart demonstrably replays *this* deployment's history too.
     wait_until(
-        || live(&victim_dir, "node.walled_round").is_some_and(|w| w >= kill_after),
+        || exported(&victim_dir, "node.walled_round").is_some_and(|w| w >= kill_after),
         Duration::from_secs(120),
         "victim to persist fresh phase-B rounds",
     );
@@ -351,7 +342,8 @@ fn distinct_keys() -> i64 {
     keys.len() as i64
 }
 
-/// An unlabelled sample of a scraped node; its absence fails the gate.
+/// An unlabelled sample of a node's exposition; its absence fails the
+/// gate.
 fn sample(node: &NodeHealth, name: &str) -> i64 {
     expose::unlabelled(&node.samples, name)
         .unwrap_or_else(|| panic!("{}: no sample {name}", node.addr)) as i64
@@ -390,10 +382,12 @@ fn node_configs(root: &Path) -> Vec<NodeConfig> {
 /// has dialled. The start-time barrier in the configs keeps consensus
 /// clocks aligned despite the stagger.
 fn spawn_all(root: &Path, cfgs: &mut [NodeConfig]) -> Vec<Child> {
-    // A stale addr file from an earlier phase must not be read back (nor
-    // scraped: its port may now belong to another node).
+    // Stale addr and metrics files from an earlier phase must not be
+    // read back: the port may now belong to another node, and the
+    // metrics describe the life that ended.
     for cfg in cfgs.iter() {
         let _ = std::fs::remove_file(cfg.wal_dir.join("addr"));
+        let _ = std::fs::remove_file(cfg.wal_dir.join("metrics.txt"));
     }
     let mut children = Vec::with_capacity(cfgs.len());
     let mut addrs = Vec::with_capacity(cfgs.len());
@@ -460,7 +454,7 @@ fn wait_all(children: Vec<Child>, timeout: Duration) -> Vec<bool> {
 fn wait_walled(cfgs: &[NodeConfig], round: u64) {
     for cfg in cfgs {
         wait_until(
-            || live(&cfg.wal_dir, "node.walled_round").is_some_and(|w| w >= round),
+            || exported(&cfg.wal_dir, "node.walled_round").is_some_and(|w| w >= round),
             Duration::from_secs(120),
             &format!("every node to persist round {round}"),
         );
@@ -475,15 +469,8 @@ fn wait_until(mut cond: impl FnMut() -> bool, timeout: Duration, what: &str) {
     }
 }
 
-/// One unlabelled sample of a running node's exposition, scraped at the
-/// address it published; `None` until it is up and answering.
-fn live(wal_dir: &Path, name: &str) -> Option<u64> {
-    let addr = std::fs::read_to_string(wal_dir.join("addr")).ok()?;
-    let text = scrape_metrics(addr.trim(), Duration::from_secs(5)).ok()?;
-    value(&text, name)
-}
-
-/// One unlabelled sample of the exposition a node wrote as it exited.
+/// One unlabelled sample of the `metrics.txt` a node rewrites at every
+/// STATUS tick and at exit; `None` until it has written one.
 fn exported(wal_dir: &Path, name: &str) -> Option<u64> {
     value(
         &std::fs::read_to_string(wal_dir.join("metrics.txt")).ok()?,

@@ -7,7 +7,7 @@
 //! trace check                   the simulator's trace gate
 //! trace check FILE              the gate on a merged cluster trace
 //! trace collect --dir ROOT [--out FILE] [--report FILE]
-//! trace health ADDR... | --dir ROOT [--out FILE] [--interval-ms N]
+//! trace health --dir ROOT [--out FILE] [--interval-ms N]
 //! ```
 //!
 //! `report` runs the 50-user payment workload traced and rebuilds from
@@ -36,13 +36,14 @@
 //! `collect` merges the `trace.jsonl` files a deployment's processes
 //! wrote at exit, one per `ROOT/*/` node directory, into one cluster
 //! trace (defaults `results/cluster_trace.{jsonl,txt}`). `health`
-//! scrapes every live node twice, `--interval-ms` apart (default 750),
-//! and prints the cluster health report; its `--dir` reads the endpoints
-//! a deployment publishes in its `*/addr` files.
+//! reads the `metrics.txt` every node under `ROOT/*/` rewrites at each
+//! STATUS tick, twice, `--interval-ms` apart (default 750), and prints
+//! the cluster health report. It needs the nodes' directories: there is
+//! no way to ask a node for its metrics over the network.
 //!
-//! Exit code: 0 on success (for `health`: every node reachable, clean
-//! and agreeing on its tip), 1 on a failed check, collection or health,
-//! 2 on a usage error.
+//! Exit code: 0 on success (for `health`: every node's file readable,
+//! clean and agreeing on its tip), 1 on a failed check, collection or
+//! health, 2 on a usage error.
 
 use algorand_bench::{path_problems, run_payment_workload};
 use algorand_node::telemetry::{collect_trace, discover, ClusterHealth};
@@ -56,8 +57,6 @@ use std::time::Duration;
 
 const SEC: Micros = 1_000_000;
 
-const SCRAPE_TIMEOUT: Duration = Duration::from_secs(10);
-
 /// The simulator's bar: all 8 payment rounds, and 95% of each finalized
 /// round's latency — one clock leaves no alignment residue.
 const SIM_GATE: Gate = Gate {
@@ -68,7 +67,7 @@ const SIM_GATE: Gate = Gate {
 
 const USAGE: &str = "usage: trace report | paths | check [FILE]
        trace collect --dir ROOT [--out FILE] [--report FILE]
-       trace health ADDR... | --dir ROOT [--out FILE] [--interval-ms N]";
+       trace health --dir ROOT [--out FILE] [--interval-ms N]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -520,22 +519,17 @@ fn collect(args: &[String]) -> Result<bool, String> {
 }
 
 fn health(args: &[String]) -> Result<bool, String> {
-    let (mut addrs, flags) = split_flags(args, &["--dir", "--out", "--interval-ms"])?;
-    if let Some(root) = flags.get("--dir") {
-        addrs.extend(discover(Path::new(root))?.into_iter().map(|(_, addr)| addr));
-    }
-    if addrs.is_empty() {
-        return Err("no addresses: pass host:port endpoints or --dir ROOT".into());
-    }
+    let (plain, flags) = split_flags(args, &["--dir", "--out", "--interval-ms"])?;
+    let (Some(root), true) = (flags.get("--dir"), plain.is_empty()) else {
+        return Err("health reads the files under --dir ROOT, and takes no address".into());
+    };
     let interval_ms: u64 = match flags.get("--interval-ms") {
         Some(ms) => ms.parse().map_err(|_| "--interval-ms needs a number")?,
         None => 750,
     };
-    let health = ClusterHealth::collect_with_rates(
-        &addrs,
-        SCRAPE_TIMEOUT,
-        Duration::from_millis(interval_ms),
-    );
+    // A root that publishes no node is a bad command line, as for `collect`.
+    let health =
+        ClusterHealth::collect_with_rates(Path::new(root), Duration::from_millis(interval_ms))?;
     let report = health.render();
     print!("{report}");
     if let Some(path) = flags.get("--out") {
@@ -544,5 +538,5 @@ fn health(args: &[String]) -> Result<bool, String> {
             return Ok(false);
         }
     }
-    Ok(health.unreachable.is_empty() && health.total_violations() == 0 && health.digests_agree())
+    Ok(health.unreadable.is_empty() && health.total_violations() == 0 && health.digests_agree())
 }

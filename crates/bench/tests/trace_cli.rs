@@ -19,11 +19,9 @@ fn code(args: &[&str]) -> Option<i32> {
 fn a_bad_command_line_exits_2() {
     assert_eq!(code(&[]), Some(2));
     assert_eq!(code(&["paths", "--check"]), Some(2));
-    assert_eq!(code(&["health"]), Some(2), "no addresses");
-    assert_eq!(
-        code(&["health", "--interval-ms", "soon", "127.0.0.1:1"]),
-        Some(2)
-    );
+    assert_eq!(code(&["health"]), Some(2), "no --dir");
+    assert_eq!(code(&["health", "127.0.0.1:1"]), Some(2), "nothing to dial");
+    assert_eq!(code(&["health", "--dir", "/nonexistent/deploy"]), Some(2));
     assert_eq!(code(&["collect", "--dir", "/nonexistent/deploy"]), Some(2));
     assert_eq!(code(&["collect"]), Some(2), "no --dir");
     assert_eq!(
@@ -34,15 +32,34 @@ fn a_bad_command_line_exits_2() {
 }
 
 #[test]
-fn an_unreachable_node_is_unhealthy() {
-    // A port that was just free: nothing answers there.
-    let addr = std::net::TcpListener::bind("127.0.0.1:0")
-        .and_then(|l| l.local_addr())
-        .unwrap()
-        .to_string();
-    let out = trace(&["health", "--interval-ms", "0", &addr]);
+fn health_reads_metrics_files_alone() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let metrics = std::fs::read_to_string(repo.join("results/cluster_metrics.txt")).unwrap();
+    let root = std::env::temp_dir().join(format!("algorand-health-cli-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    for i in 0..2 {
+        let dir = root.join(format!("n{i}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("addr"), format!("127.0.0.1:900{i}\n")).unwrap();
+        std::fs::write(dir.join("metrics.txt"), &metrics).unwrap();
+    }
+    let dir = root.to_str().unwrap();
+    let health = || trace(&["health", "--dir", dir, "--interval-ms", "0"]);
+
+    let out = health();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("nodes=2 unreadable=0"), "{stdout}");
+    assert_eq!(
+        code(&["health", "--interval-ms", "soon", "--dir", dir]),
+        Some(2)
+    );
+
+    std::fs::remove_file(root.join("n1/metrics.txt")).unwrap();
+    let out = health();
     assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("UNREACHABLE"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("UNREADABLE"));
+    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]

@@ -113,21 +113,25 @@ impl NodeConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error for unreadable files, unknown keys, or
-    /// unparsable values — a misconfigured node should refuse to start,
-    /// not limp into a deployment it disagrees with.
+    /// Returns an error for unreadable files, unknown or repeated keys,
+    /// or unparsable values — a misconfigured node should refuse to
+    /// start, not limp into a deployment it disagrees with.
     pub fn load(path: &std::path::Path) -> io::Result<NodeConfig> {
         let text = std::fs::read_to_string(path)?;
         Self::parse(&text)
     }
 
-    /// Parses config text (see the module docs for the format).
+    /// Parses config text (see the module docs for the format). Every
+    /// key but `peer` may appear once; `trace` is `0`, `1`, `true` or
+    /// `false`.
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown keys or unparsable values.
+    /// Returns an error for unknown or repeated keys or unparsable
+    /// values.
     pub fn parse(text: &str) -> io::Result<NodeConfig> {
         let mut cfg = NodeConfig::default();
+        let mut seen = Vec::new();
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
@@ -137,6 +141,10 @@ impl NodeConfig {
                 .split_once('=')
                 .ok_or_else(|| bad(format!("line {}: expected key = value", lineno + 1)))?;
             let (key, value) = (key.trim(), value.trim());
+            if key != "peer" && seen.contains(&key) {
+                return Err(bad(format!("line {}: repeated key {key:?}", lineno + 1)));
+            }
+            seen.push(key);
             let parse_u64 = |v: &str| {
                 v.parse::<u64>()
                     .map_err(|_| bad(format!("line {}: bad number {v:?}", lineno + 1)))
@@ -155,7 +163,18 @@ impl NodeConfig {
                 "tx_count" => cfg.tx_count = parse_u64(value)? as usize,
                 "min_peers" => cfg.min_peers = parse_u64(value)? as usize,
                 "start_at_ms" => cfg.start_at_ms = parse_u64(value)?,
-                "trace" => cfg.trace = value == "true" || value == "1",
+                "trace" => {
+                    cfg.trace = match value {
+                        "1" | "true" => true,
+                        "0" | "false" => false,
+                        _ => {
+                            return Err(bad(format!(
+                                "line {}: bad flag {value:?} (0, 1, true or false)",
+                                lineno + 1
+                            )))
+                        }
+                    }
+                }
                 _ => return Err(bad(format!("line {}: unknown key {key:?}", lineno + 1))),
             }
         }
@@ -313,6 +332,27 @@ mod tests {
         assert!(NodeConfig::parse("frobnicate = 3").is_err());
         assert!(NodeConfig::parse("index = 7\nn_users = 5").is_err());
         assert!(NodeConfig::parse("lambda_step_ms = 1").is_err());
+    }
+
+    #[test]
+    fn a_flag_is_0_1_true_or_false_and_nothing_else() {
+        for (value, on) in [("0", false), ("1", true), ("false", false), ("true", true)] {
+            let cfg = NodeConfig::parse(&format!("trace = {value}")).expect("a flag");
+            assert_eq!(cfg.trace, on, "{value}");
+        }
+        for value in ["yes", "on", "2", "TRUE", ""] {
+            let err = NodeConfig::parse(&format!("index = 0\ntrace = {value}")).unwrap_err();
+            assert!(err.to_string().starts_with("line 2: bad flag"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_repeated_key_is_an_error_naming_its_line() {
+        let err = NodeConfig::parse("seed = 1\n# again\nseed = 2").unwrap_err();
+        assert_eq!(err.to_string(), "line 3: repeated key \"seed\"");
+        // `peer` is the one key that lists.
+        let cfg = NodeConfig::parse("peer = a:1\npeer = b:2").expect("two peers");
+        assert_eq!(cfg.peers, ["a:1", "b:2"]);
     }
 
     #[test]

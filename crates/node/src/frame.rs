@@ -9,21 +9,18 @@
 //!
 //! Kinds:
 //!
-//! * [`HELLO`] — first frame on every connection; payload is the
-//!   sender's advertised listen address (UTF-8), which keys the
-//!   connection's per-peer counters.
+//! * [`HELLO`] — first frame each side sends on a connection, and only
+//!   once; payload is the sender's advertised listen address (UTF-8, at
+//!   most [`MAX_HELLO_ADDR`] bytes), which keys the connection's
+//!   per-peer counters.
 //! * [`GOSSIP`] — payload is one [`algorand_core::WireMessage`] encoding,
 //!   exactly the bytes the simulator would put on a virtual link.
 //! * [`STATUS`] — payload is the sender's tip round, a bare
 //!   `u64` LE (see [`encode_status`]). Feeds [`algorand_core::Blocksync`]'s
 //!   choice of catch-up server; everything else a node knows about
-//!   itself is in its metrics exposition.
-//! * [`TELEMETRY`] — an on-demand metrics scrape. The payload's first
-//!   byte is an op code ([`TEL_METRICS_REQ`], [`TEL_METRICS_RESP`] or
-//!   [`TEL_THROTTLED`]); the rest is the body (empty for the request,
-//!   the metrics exposition text for the response). Telemetry frames are
-//!   deliberately *excluded* from the transport's frame/byte counters so
-//!   that scraping a node never perturbs the numbers being scraped.
+//!   itself is in the `metrics.txt` it rewrites beside its WAL.
+//!
+//! Any other kind drops the connection.
 //!
 //! The length bound is the transport's OOM defense: a malicious or
 //! corrupt peer can make us read at most [`MAX_FRAME`] bytes before the
@@ -38,17 +35,9 @@ pub const HELLO: u8 = 1;
 pub const GOSSIP: u8 = 2;
 /// Tip-round announcement for blocksync server selection.
 pub const STATUS: u8 = 3;
-/// On-demand metrics scrape (op byte + body; see [`TEL_METRICS_REQ`]).
-pub const TELEMETRY: u8 = 4;
-
-/// [`TELEMETRY`] op: request the metrics exposition text.
-pub const TEL_METRICS_REQ: u8 = 1;
-/// [`TELEMETRY`] op: response body is the exposition text.
-pub const TEL_METRICS_RESP: u8 = 2;
-/// [`TELEMETRY`] op: error response when a connection exceeds its
-/// telemetry token bucket. Body is empty. Clients should back off;
-/// opening a new connection gets a fresh bucket.
-pub const TEL_THROTTLED: u8 = 3;
+/// Longest advertised address a [`HELLO`] may carry. It becomes a
+/// per-peer metric label, so it is bounded like one.
+pub const MAX_HELLO_ADDR: usize = 255;
 
 /// Largest frame a peer can make us buffer (includes the kind byte).
 pub const MAX_FRAME: usize = 32 << 20;

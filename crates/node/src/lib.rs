@@ -7,18 +7,18 @@
 //! driven by real sockets and a real clock.
 //!
 //! ```text
-//!            ┌────────────────────────────────────────────┐
-//!            │                 runtime                    │
-//!            │  ┌──────────┐   events    ┌──────────────┐ │
-//!  TCP ──────┼─►│ transport├────────────►│ core::Process│ │
-//!  peers ◄───┼──┤ (threads)│◄────────────┤  (sans-io)   │ │
-//!            │  └──────────┘   effects   └──────┬───────┘ │
-//!            │   hello/status/gossip/telemetry  │ final   │
-//!            │                                  ▼ rounds  │
-//!            │                             ┌──────────┐   │
-//!            │                             │   WAL    │   │
-//!            │                             └──────────┘   │
-//!            └────────────────────────────────────────────┘
+//!            ┌──────────────────────────────────────────────────┐
+//!            │                     runtime                      │
+//!            │  ┌──────────┐   events    ┌────────────────┐     │
+//!  TCP ──────┼─►│ transport├────────────►│  core::Process │     │
+//!  peers ◄───┼──┤ (threads)│◄────────────┤   (sans-io)    │     │
+//!            │  └──────────┘   effects   └───┬──────────┬─┘     │
+//!            │   hello/gossip/status   final │      tip │       │
+//!            │                        rounds ▼          ▼       │
+//!            │                          ┌─────┐ ┌───────────┐   │
+//!            │                          │ WAL │ │metrics.txt│   │
+//!            │                          └─────┘ └───────────┘   │
+//!            └──────────────────────────────────────────────────┘
 //! ```
 //!
 //! * [`transport`] — threaded TCP speaking the existing
@@ -39,10 +39,10 @@
 //!   catch-up, blocksync, STATUS, which rounds to log) over these
 //!   sockets, this WAL and the wall clock, and the `algorand-node`
 //!   binary's whole substance;
-//! * [`telemetry`] — the scrape client for the TELEMETRY frame (the
-//!   metrics exposition, served on the peer port), the cluster-health
-//!   merger behind `trace health`, and the discovery and exit-file
-//!   merge behind `trace collect`;
+//! * [`telemetry`] — the reading side of a deployment's files: the
+//!   cluster-health merger behind `trace health`, which reads the
+//!   `metrics.txt` every node rewrites at each STATUS tick, and the
+//!   discovery and exit-file merge behind `trace collect`;
 //! * [`crash`] — a panic hook that dumps the flight recorder and last
 //!   WAL round to `<wal_dir>/crash.jsonl` on the way down.
 //!

@@ -9,7 +9,8 @@
 //! the configured `target_round` is finalized — writing `digest`,
 //! `metrics.txt` and optionally `trace.jsonl` into the WAL directory.
 //! With `target_round = 0` it runs until `deadline_secs`. While it runs,
-//! a TELEMETRY scrape of its peer port reads the same exposition live.
+//! it rewrites `metrics.txt` at every STATUS tick (500 ms), so the file
+//! is never more than one tick old.
 
 use algorand_node::{NodeConfig, Runtime};
 use std::process::ExitCode;

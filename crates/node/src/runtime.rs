@@ -19,21 +19,21 @@
 //! threads through transport and WAL; the trace stream fans
 //! out to an in-process [`MonitorHandle`] (the same invariant checks the
 //! simulator runs offline) and a [`FlightHandle`] ring that a panic
-//! dumps; and TELEMETRY frames are answered with the byte-stable metrics
-//! exposition — on the same port peers use, no second listener. The
-//! exposition is the one place a live node reports on itself: STATUS
-//! tells peers only the tip.
+//! dumps; and at every STATUS announcement, and at exit, the runtime
+//! rewrites `<wal_dir>/metrics.txt` with the byte-stable metrics
+//! exposition. That file is the one place a live node reports on itself:
+//! STATUS tells peers only the tip, and the peer port answers nothing
+//! else.
 //!
 //! Exit: once the chain reaches `target_round` the loop lingers a
 //! configured grace period — still serving votes and catch-up batches so
-//! stragglers can finish — then writes its digest/trace/metrics files
+//! stragglers can finish — then writes its digest/metrics/trace files
 //! into the WAL directory, and returns. The trace file is the one way a
 //! node's trace leaves the process; its header's `schedule` names the
 //! node (`node=<index>`), which is what merging a cluster's files keys on.
 
 use crate::config::NodeConfig;
 use crate::crash::CrashContext;
-use crate::frame;
 use crate::transport::{PeerId, Transport, TransportEvent};
 use crate::wal::{Wal, WalMetrics};
 use algorand_ba::Micros;
@@ -245,7 +245,6 @@ impl Runtime {
             match self.transport.recv_timeout(self.next_wait(wall, until)) {
                 Some(TransportEvent::Gossip { from, bytes }) => self.on_gossip(from, &bytes)?,
                 Some(TransportEvent::Status { from, tip }) => self.process.on_status(from, tip),
-                Some(TransportEvent::Telemetry { from }) => self.on_telemetry(from),
                 None => {}
             }
 
@@ -393,17 +392,6 @@ impl Runtime {
             .instant();
     }
 
-    /// Serves one metrics scrape: refresh the registry, render, and reply
-    /// on the requester's own connection. TELEMETRY traffic is unmetered,
-    /// so serving a scrape perturbs none of the counters it reports — two
-    /// scrapes of an idle node are byte-identical.
-    fn on_telemetry(&mut self, from: PeerId) {
-        self.publish_metrics();
-        let text = expose::render(&self.registry);
-        self.transport
-            .send_telemetry(from, frame::TEL_METRICS_RESP, text.as_bytes());
-    }
-
     /// Carries out the process's effects. `delivered` is the message a
     /// [`Effect::Forward`] sends on, with the frame it arrived in.
     ///
@@ -444,6 +432,7 @@ impl Runtime {
                 }
                 Effect::AnnounceTip(tip) => {
                     self.transport.broadcast_status(tip);
+                    self.write_metrics()?;
                 }
             }
         }
@@ -457,7 +446,7 @@ impl Runtime {
     /// read either; transport and WAL counters are live and need no
     /// refresh. Idempotent — gauges overwrite, the histogram is
     /// replaced. Deliberately no wall-clock-derived values: an idle
-    /// node's exposition must not change between scrapes.
+    /// node's exposition must not change between writes.
     fn publish_metrics(&mut self) {
         let reg = &self.registry;
         let node = self.process.node();
@@ -514,6 +503,16 @@ impl Runtime {
         self.transport.publish();
     }
 
+    /// Rewrites `<wal_dir>/metrics.txt` with the current exposition. No
+    /// counter moves doing it, so an idle node rewrites the same bytes.
+    fn write_metrics(&mut self) -> io::Result<()> {
+        self.publish_metrics();
+        write_atomic(
+            &self.cfg.wal_dir.join("metrics.txt"),
+            expose::render(&self.registry).as_bytes(),
+        )
+    }
+
     /// Writes the digest/trace/metrics exports. Every final round is in
     /// the WAL already: the process hands them out as they happen.
     fn finish(&mut self, timed_out: bool) -> io::Result<RunSummary> {
@@ -534,11 +533,7 @@ impl Runtime {
             )?;
         }
 
-        self.publish_metrics();
-        write_atomic(
-            &self.cfg.wal_dir.join("metrics.txt"),
-            expose::render(&self.registry).as_bytes(),
-        )?;
+        self.write_metrics()?;
 
         if self.tracer.is_enabled() {
             let jsonl = self
@@ -589,7 +584,6 @@ pub fn hex(bytes: &[u8]) -> String {
 mod tests {
     use super::*;
     use crate::config::derive_keypairs;
-    use crate::telemetry::scrape_metrics;
     use algorand_ba::{Certificate, VoteMessage};
     use algorand_core::CatchupBatch;
     use algorand_ledger::{Block, Blockchain};
@@ -768,8 +762,8 @@ mod tests {
     }
 
     #[test]
-    fn two_scrapes_of_an_idle_node_are_byte_identical() {
-        let dir = fresh_dir("idle-scrape");
+    fn two_status_ticks_of_an_idle_node_write_byte_identical_metrics() {
+        let dir = fresh_dir("idle-metrics");
         let mut rt = Runtime::new(NodeConfig {
             listen: "127.0.0.1:0".into(),
             wal_dir: dir.clone(),
@@ -778,26 +772,21 @@ mod tests {
             ..NodeConfig::default()
         })
         .expect("runtime on an ephemeral port");
-        // Started and never ticked: no timer fires between the scrapes.
-        let effects = rt.process.start(rt.now());
-        rt.apply(effects, None).expect("no WAL append");
-
-        let addr = rt.transport.local_addr().to_string();
-        let scraper = std::thread::spawn(move || {
-            let timeout = Duration::from_secs(10);
-            let first = scrape_metrics(&addr, timeout).expect("first scrape");
-            std::thread::sleep(Duration::from_millis(400));
-            let second = scrape_metrics(&addr, timeout).expect("second scrape");
-            (first, second)
-        });
-        while !scraper.is_finished() {
-            if let Some(TransportEvent::Telemetry { from }) =
-                rt.transport.recv_timeout(Duration::from_millis(10))
-            {
-                rt.on_telemetry(from);
-            }
-        }
-        let (first, second) = scraper.join().expect("scraper thread");
+        let metrics = dir.join("metrics.txt");
+        // Starting announces the tip: the first write.
+        let effects = rt.process.start(0);
+        rt.apply(effects, None).expect("first write");
+        let first = std::fs::read_to_string(&metrics).expect("first metrics.txt");
+        // The next deadline is the next STATUS tick, and nothing else is
+        // due there: the node's own timers fire later.
+        let tick = rt.process.next_deadline();
+        let effects = rt.process.on_tick(tick);
+        assert!(
+            matches!(effects[..], [Effect::AnnounceTip(0)]),
+            "{effects:?}"
+        );
+        rt.apply(effects, None).expect("second write");
+        let second = std::fs::read_to_string(&metrics).expect("second metrics.txt");
 
         for required in [
             "node.tip_round",

@@ -1,70 +1,21 @@
-//! Telemetry scrape client, cluster health reporting and cluster-trace
-//! collection.
+//! Cluster health reporting and cluster-trace collection: the reading
+//! side of the files a deployment's processes write into their node
+//! directories.
 //!
-//! The serving side lives in the transport/runtime (a TELEMETRY frame on
-//! the ordinary peer port answers with the metrics exposition). This
-//! module is the *consuming* side: a blocking [`scrape_metrics`] client
-//! that speaks just enough of the framing to ask and read the answer,
-//! and the [`ClusterHealth`] merger that `trace health` and the localnet
-//! CI gate render operator reports from. [`discover`] finds a
-//! deployment's node directories and endpoints, and [`collect_trace`]
-//! merges the `trace.jsonl` files its processes wrote at exit into one
-//! cluster trace, for `trace collect` and localnet alike.
-//!
-//! A scraper deliberately never sends HELLO, so the scraped node treats
-//! the connection as a non-protocol peer: no broadcasts arrive, nothing
-//! is counted, and (as `runtime`'s tests check) two scrapes of an idle
-//! node return byte-identical exposition text.
+//! [`discover`] finds a deployment's node directories and endpoints. A
+//! running node rewrites `metrics.txt` there at every STATUS tick and at
+//! exit, and [`ClusterHealth`] reads those files into the operator
+//! report that `trace health` and the localnet CI gate render.
+//! [`collect_trace`] merges the `trace.jsonl` files the processes wrote
+//! at exit into one cluster trace, for `trace collect` and localnet
+//! alike.
 
-use crate::frame;
 use algorand_obs::expose::{self, Sample};
 use algorand_obs::merge::{merge, render_report, write_merged, Merged, NodeTrace};
 use algorand_obs::parse_jsonl;
-use std::io::{self, BufReader, Write};
-use std::net::TcpStream;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
-
-/// Scrapes a node's metrics exposition text: connect, send a
-/// [`frame::TEL_METRICS_REQ`], read frames until the response arrives.
-///
-/// # Errors
-///
-/// I/O failures, timeout, a throttled-scrape error frame, or a non-UTF-8
-/// response.
-pub fn scrape_metrics(addr: &str, timeout: Duration) -> io::Result<String> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(&frame::encode_frame(
-        frame::TELEMETRY,
-        &[frame::TEL_METRICS_REQ],
-    )?)?;
-    writer.flush()?;
-    let mut reader = BufReader::new(stream);
-    let deadline = Instant::now() + timeout;
-    loop {
-        if Instant::now() >= deadline {
-            return Err(io::Error::new(io::ErrorKind::TimedOut, "scrape timed out"));
-        }
-        let (kind, mut payload) = frame::read_frame(&mut reader)?;
-        match (kind, payload.first()) {
-            // Waiting out a throttle would just hang until the timeout;
-            // surface it so the caller can back off deliberately.
-            (frame::TELEMETRY, Some(&frame::TEL_THROTTLED)) => {
-                return Err(io::Error::other("scrape throttled by node rate limit"));
-            }
-            (frame::TELEMETRY, Some(&frame::TEL_METRICS_RESP)) => {
-                payload.remove(0);
-                return String::from_utf8(payload)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
-            }
-            // Anything else is not the answer; keep reading.
-            _ => {}
-        }
-    }
-}
+use std::time::Duration;
 
 /// The processes a deployment publishes: one `<root>/<node dir>/addr`
 /// file per process (`n0/addr`, `n1/addr`, … as a localnet harness lays
@@ -150,10 +101,10 @@ pub fn collect_trace(root: &Path, out: &Path, report: &Path) -> Result<Merged, S
     Ok(merged)
 }
 
-/// One scraped node's digest of health-relevant samples.
+/// One node's digest of health-relevant samples.
 #[derive(Clone, Debug)]
 pub struct NodeHealth {
-    /// The address scraped.
+    /// The address the node published.
     pub addr: String,
     /// `node.tip_round`.
     pub tip: i64,
@@ -165,7 +116,7 @@ pub struct NodeHealth {
     /// `trace.dropped`.
     pub trace_dropped: i64,
     /// Total send-queue drops plus the deepest per-peer queue: the
-    /// node's outbound pressure at scrape time.
+    /// node's outbound pressure when it wrote the file.
     pub queue_pressure: i64,
     /// `pipeline.ingested`.
     pub pipeline_ingested: i64,
@@ -178,13 +129,13 @@ pub struct NodeHealth {
 }
 
 impl NodeHealth {
-    /// Parses a scraped exposition text into a health digest.
+    /// Parses an exposition text into a health digest.
     ///
     /// # Errors
     ///
     /// Returns the parser's description of the first malformed line, or
     /// `missing sample <name>`: the runtime publishes every unlabelled
-    /// sample read here on each scrape, so an absent one is a sick node,
+    /// sample read here on each write, so an absent one is a sick node,
     /// not a zero. (The per-peer queue depths may legitimately be empty.)
     pub fn from_exposition(addr: &str, text: &str) -> Result<NodeHealth, String> {
         let samples = expose::parse(text)?;
@@ -224,52 +175,59 @@ impl NodeHealth {
     }
 }
 
-/// Scraped health across a whole deployment, with round rates from a
-/// second scrape pass.
+/// Health across a whole deployment, with round rates from a second
+/// reading.
 #[derive(Clone, Debug)]
 pub struct ClusterHealth {
-    /// Per-node digests, in scrape order.
+    /// Per-node digests, in node order.
     pub nodes: Vec<NodeHealth>,
-    /// Rounds/second per node between the two scrape passes (None when
-    /// only one pass ran).
+    /// Rounds/second per node between the two readings (None when only
+    /// one ran).
     pub round_rates: Option<Vec<f64>>,
-    /// Addresses that failed to scrape, with the error.
-    pub unreachable: Vec<(String, String)>,
+    /// Addresses whose `metrics.txt` was missing or unparsable or lacked
+    /// a sample, with the error.
+    pub unreadable: Vec<(String, String)>,
 }
 
 impl ClusterHealth {
-    /// Scrapes every address once. Unreachable nodes are recorded, not
-    /// fatal — a health report that dies on the first sick node is
-    /// useless for diagnosing it.
-    pub fn collect(addrs: &[String], timeout: Duration) -> ClusterHealth {
+    /// Reads `metrics.txt` in every node directory [`discover`] finds
+    /// under `root`. Unreadable nodes are recorded, not fatal — a health
+    /// report that dies on the first sick node is useless for diagnosing
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// What [`discover`] reports.
+    pub fn collect(root: &Path) -> Result<ClusterHealth, String> {
         let mut nodes = Vec::new();
-        let mut unreachable = Vec::new();
-        for addr in addrs {
-            match scrape_metrics(addr, timeout)
-                .map_err(|e| e.to_string())
-                .and_then(|text| NodeHealth::from_exposition(addr, &text))
+        let mut unreadable = Vec::new();
+        for (dir, addr) in discover(root)? {
+            let file = dir.join("metrics.txt");
+            match std::fs::read_to_string(&file)
+                .map_err(|e| format!("read {}: {e}", file.display()))
+                .and_then(|text| NodeHealth::from_exposition(&addr, &text))
             {
                 Ok(h) => nodes.push(h),
-                Err(e) => unreachable.push((addr.clone(), e)),
+                Err(e) => unreadable.push((addr, e)),
             }
         }
-        ClusterHealth {
+        Ok(ClusterHealth {
             nodes,
             round_rates: None,
-            unreachable,
-        }
+            unreadable,
+        })
     }
 
-    /// Scrapes twice, `interval` apart, and derives per-node round rates
+    /// Reads twice, `interval` apart, and derives per-node round rates
     /// from the tip movement.
-    pub fn collect_with_rates(
-        addrs: &[String],
-        timeout: Duration,
-        interval: Duration,
-    ) -> ClusterHealth {
-        let first = ClusterHealth::collect(addrs, timeout);
+    ///
+    /// # Errors
+    ///
+    /// What [`discover`] reports.
+    pub fn collect_with_rates(root: &Path, interval: Duration) -> Result<ClusterHealth, String> {
+        let first = ClusterHealth::collect(root)?;
         std::thread::sleep(interval);
-        let mut second = ClusterHealth::collect(addrs, timeout);
+        let mut second = ClusterHealth::collect(root)?;
         let secs = interval.as_secs_f64().max(1e-9);
         second.round_rates = Some(
             second
@@ -285,11 +243,11 @@ impl ClusterHealth {
                 })
                 .collect(),
         );
-        second
+        Ok(second)
     }
 
-    /// Max tip minus min tip across reachable nodes (0 when fewer than
-    /// two nodes answered).
+    /// Max tip minus min tip across readable nodes (0 when fewer than
+    /// two were read).
     pub fn tip_spread(&self) -> i64 {
         let tips: Vec<i64> = self.nodes.iter().map(|n| n.tip).collect();
         match (tips.iter().max(), tips.iter().min()) {
@@ -342,13 +300,13 @@ impl ClusterHealth {
                 }
             }
         }
-        for (addr, err) in &self.unreachable {
-            out.push_str(&format!("node {addr}\n  UNREACHABLE: {err}\n"));
+        for (addr, err) in &self.unreadable {
+            out.push_str(&format!("node {addr}\n  UNREADABLE: {err}\n"));
         }
         out.push_str(&format!(
-            "cluster: nodes={} unreachable={} tip_spread={} digests_agree={} violations={}\n",
+            "cluster: nodes={} unreadable={} tip_spread={} digests_agree={} violations={}\n",
             self.nodes.len(),
-            self.unreachable.len(),
+            self.unreadable.len(),
             self.tip_spread(),
             self.digests_agree(),
             self.total_violations(),
@@ -361,6 +319,22 @@ impl ClusterHealth {
 mod tests {
     use super::*;
     use algorand_obs::{labeled, stable_id, Registry, SpanKind, Tracer};
+
+    /// A deployment root `n0/`, `n1/`, … whose node `i` published
+    /// `127.0.0.1:900i` and, if given, wrote `metrics[i]`.
+    fn deployment(name: &str, metrics: &[Option<&str>]) -> PathBuf {
+        let root = std::env::temp_dir().join(format!("algorand-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        for (i, text) in metrics.iter().enumerate() {
+            let dir = root.join(format!("n{i}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join("addr"), format!("127.0.0.1:900{i}\n")).unwrap();
+            if let Some(text) = text {
+                std::fs::write(dir.join("metrics.txt"), text).unwrap();
+            }
+        }
+        root
+    }
 
     fn exposition(tip: i64, hash: i64, violations: i64) -> String {
         let reg = Registry::new();
@@ -406,31 +380,25 @@ mod tests {
         // No labelled per-peer depth is fine: an idle node has no peers.
         let h = NodeHealth::from_exposition("n0", &without("transport.send_queue_depth")).unwrap();
         assert_eq!(h.queue_pressure, 2, "drops only");
-        // A live node's scrape carries every sample the digest reads.
+        // A live node's exposition carries every sample the digest reads.
         let live = include_str!("../../../results/cluster_metrics.txt");
         let h = NodeHealth::from_exposition("live", live).unwrap();
         assert_eq!(h.verdict(), "clean");
 
-        // Scraped over the wire, the sick node is filed under
-        // `unreachable` (which `trace health` exits 1 on), not rendered
-        // as `verdict=clean`.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            let (mut conn, _) = listener.accept().unwrap();
-            frame::read_frame(&mut BufReader::new(conn.try_clone().unwrap())).unwrap();
-            let mut resp = vec![frame::TEL_METRICS_RESP];
-            resp.extend_from_slice(sick.as_bytes());
-            conn.write_all(&frame::encode_frame(frame::TELEMETRY, &resp).unwrap())
-                .unwrap();
-        });
-        let health = ClusterHealth::collect(std::slice::from_ref(&addr), Duration::from_secs(5));
-        server.join().unwrap();
+        // Read from its file, the sick node is filed under `unreadable`
+        // (which `trace health` exits 1 on), not rendered as
+        // `verdict=clean`.
+        let root = deployment("sick", &[Some(&sick)]);
+        let health = ClusterHealth::collect(&root).unwrap();
         assert!(health.nodes.is_empty());
         assert_eq!(
-            health.unreachable,
-            vec![(addr, "missing sample monitor.violations".to_string())]
+            health.unreadable,
+            vec![(
+                "127.0.0.1:9000".to_string(),
+                "missing sample monitor.violations".to_string()
+            )]
         );
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -441,7 +409,7 @@ mod tests {
         let agree = ClusterHealth {
             nodes: vec![mk("a", 5, 10, 0), mk("b", 5, 10, 0), mk("c", 4, 99, 0)],
             round_rates: None,
-            unreachable: Vec::new(),
+            unreadable: Vec::new(),
         };
         assert_eq!(agree.tip_spread(), 1);
         assert!(agree.digests_agree(), "different rounds may differ");
@@ -450,7 +418,7 @@ mod tests {
         let split = ClusterHealth {
             nodes: vec![mk("a", 5, 10, 0), mk("b", 5, 11, 2)],
             round_rates: None,
-            unreachable: Vec::new(),
+            unreadable: Vec::new(),
         };
         assert!(!split.digests_agree());
         assert_eq!(split.total_violations(), 2);
@@ -460,17 +428,28 @@ mod tests {
     }
 
     #[test]
-    fn unreachable_nodes_are_reported_not_fatal() {
-        // Nothing listens on this port (bind+drop grabs a free one).
-        let addr = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().to_string()
+    fn unreadable_nodes_are_reported_not_fatal() {
+        // n1 has published its address but written no metrics yet.
+        let root = deployment("unreadable", &[Some(&exposition(3, 7, 0)), None]);
+        let health = ClusterHealth::collect_with_rates(&root, Duration::ZERO).unwrap();
+        assert_eq!(health.nodes.len(), 1);
+        assert_eq!(health.round_rates, Some(vec![0.0]));
+        let [(addr, err)] = &health.unreadable[..] else {
+            panic!("one unreadable node: {:?}", health.unreadable);
         };
-        let health =
-            ClusterHealth::collect(std::slice::from_ref(&addr), Duration::from_millis(200));
-        assert!(health.nodes.is_empty());
-        assert_eq!(health.unreachable.len(), 1);
-        assert!(health.render().contains("UNREACHABLE"));
+        let missing = root.join("n1/metrics.txt").display().to_string();
+        assert_eq!(addr, "127.0.0.1:9001");
+        assert!(err.starts_with(&format!("read {missing}: ")), "{err}");
+        let report = health.render();
+        assert!(
+            report.contains("node 127.0.0.1:9001\n  UNREADABLE: "),
+            "{report}"
+        );
+        assert!(report.contains("nodes=1 unreadable=1"), "{report}");
+        std::fs::remove_dir_all(&root).unwrap();
+        assert!(ClusterHealth::collect(&root)
+            .unwrap_err()
+            .starts_with("read_dir "));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Threaded TCP transport with configured peers, per-peer bounded send
-//! queues, and first-class telemetry.
+//! Threaded TCP transport with configured peers and per-peer bounded
+//! send queues.
 //!
 //! Each connection gets a reader thread (parses [`crate::frame`] frames,
 //! forwards gossip and status to the runtime over a channel) and a
@@ -15,20 +15,21 @@
 //! a live connection, forever, and the listener accepts anyone. Every
 //! *outbound* connection starts with a HELLO advertising the sender's
 //! listen address; an *inbound* connection becomes a **protocol peer**
-//! only once that HELLO arrives (we reply with ours). Connections that
-//! never say HELLO — telemetry scrapers — are served [`frame::TELEMETRY`]
-//! responses but are excluded from peer counts and broadcasts, so
-//! observing a node cannot change its gossip behavior. Start five
+//! only once that HELLO arrives (we reply with ours). Until then the
+//! connection is a stranger: it gets no broadcasts, is not counted as a
+//! peer, and may send nothing but its HELLO. Each side says HELLO once
+//! per connection, with an address of at most [`frame::MAX_HELLO_ADDR`]
+//! bytes; a second HELLO, a longer address or a frame of any kind but
+//! HELLO, GOSSIP and STATUS drops the connection. Start five
 //! processes, each configured with the addresses of those started before
 //! it, and the deployment is a full mesh once the last one has dialled.
 //!
 //! Metrics live in the shared [`Registry`]: total and per-kind frame and
 //! byte counters each direction, lifetime connection count, and per-peer
 //! send-queue drops and depth (keyed by the peer's advertised address via
-//! [`algorand_obs::labeled`]). TELEMETRY frames are excluded from every counter in
-//! both directions — scraping must not perturb the numbers being
-//! scraped, and `runtime`'s tests hold exposition output byte-identical
-//! across two scrapes of an idle node.
+//! [`algorand_obs::labeled`]). Every frame of a kind the port accepts
+//! is counted, in both directions; the runtime renders them into its
+//! `metrics.txt`.
 
 use crate::frame;
 use algorand_obs::{labeled, Counter, Registry};
@@ -69,68 +70,15 @@ pub enum TransportEvent {
         /// The announced tip.
         tip: u64,
     },
-    /// A metrics scrape request ([`frame::TEL_METRICS_REQ`]); the
-    /// runtime renders the exposition and answers via
-    /// [`Transport::send_telemetry`].
-    Telemetry {
-        /// Connection the request arrived on.
-        from: PeerId,
-    },
 }
 
-/// TELEMETRY requests an idle connection may burst before throttling.
-pub const TELEMETRY_BURST: u64 = 32;
-/// TELEMETRY tokens a connection earns back per second.
-const TELEMETRY_PER_SEC: u64 = 16;
-
-/// The reader-thread-local token bucket that rate-limits one
-/// connection's TELEMETRY requests: at most [`TELEMETRY_BURST`] tokens,
-/// refilled at [`TELEMETRY_PER_SEC`]. Each request consumes one token;
-/// an empty bucket gets a [`frame::TEL_THROTTLED`] error frame instead
-/// of service. Buckets are per connection, so a scrape over a fresh
-/// connection is never throttled by an earlier scraper's appetite.
-/// Tokens are tracked in millionths so refill math stays integral.
-struct TokenBucket {
-    micro: u64,
-    last: std::time::Instant,
-}
-
-impl TokenBucket {
-    fn new() -> TokenBucket {
-        TokenBucket {
-            micro: TELEMETRY_BURST * 1_000_000,
-            last: std::time::Instant::now(),
-        }
-    }
-
-    fn try_take(&mut self) -> bool {
-        let now = std::time::Instant::now();
-        let refill = now.duration_since(self.last).as_micros() as u64 * TELEMETRY_PER_SEC;
-        self.last = now;
-        self.micro = (self.micro + refill).min(TELEMETRY_BURST * 1_000_000);
-        if self.micro >= 1_000_000 {
-            self.micro -= 1_000_000;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// The wire name of a metered frame kind (`None` for TELEMETRY, which
-/// is deliberately unmetered, and for unknown kinds).
-fn kind_name(kind: u8) -> Option<&'static str> {
-    match kind {
-        frame::HELLO => Some("hello"),
-        frame::GOSSIP => Some("gossip"),
-        frame::STATUS => Some("status"),
-        _ => None,
-    }
-}
+/// The wire names of the kinds the port accepts, indexed by
+/// `kind - HELLO`: the `kind` label of the per-kind counters.
+const KIND_NAMES: [&str; 3] = ["hello", "gossip", "status"];
 
 /// Registry-backed transport counters. Totals and the per-kind splits
 /// are pre-registered at startup so the exposition line set is stable
-/// from the first scrape.
+/// from the first `metrics.txt`.
 struct Metrics {
     frames_sent: Counter,
     frames_received: Counter,
@@ -148,9 +96,7 @@ struct Metrics {
 impl Metrics {
     fn new(registry: &Registry) -> Metrics {
         let by_kind = |base: &str| -> [Counter; 3] {
-            [frame::HELLO, frame::GOSSIP, frame::STATUS].map(|k| {
-                registry.counter(&labeled(base, &[("kind", kind_name(k).expect("metered"))]))
-            })
+            KIND_NAMES.map(|k| registry.counter(&labeled(base, &[("kind", k)])))
         };
         Metrics {
             frames_sent: registry.counter("transport.frames_sent"),
@@ -183,8 +129,8 @@ impl Metrics {
     }
 }
 
-/// Per-kind counter index for metered kinds; `None` leaves the frame
-/// uncounted (TELEMETRY, unknown).
+/// Per-kind counter index; `None` leaves a frame of an unknown kind
+/// uncounted.
 fn metered_index(kind: u8) -> Option<usize> {
     (frame::HELLO..=frame::STATUS)
         .contains(&kind)
@@ -200,8 +146,8 @@ struct Peer {
     /// for outbound, at HELLO for inbound).
     addr: Option<String>,
     /// Whether this connection spoke the peer protocol (sent or will be
-    /// sent HELLO). Non-protocol connections — telemetry scrapers — get
-    /// no broadcasts and don't count as peers.
+    /// sent HELLO). Strangers — inbound connections that have not said
+    /// HELLO yet — get no broadcasts and don't count as peers.
     protocol: bool,
     /// Frames enqueued but not yet written (send-queue occupancy).
     depth: Arc<AtomicI64>,
@@ -311,13 +257,6 @@ impl Transport {
             .is_some_and(|p| enqueue(&self.shared, p, &framed))
     }
 
-    /// Queues a telemetry frame (`op` byte + `body`) to one connection —
-    /// protocol peer or scraper alike. Unmetered: drops are not counted
-    /// and no counter moves, so serving a scrape never perturbs metrics.
-    pub fn send_telemetry(&self, peer: PeerId, op: u8, body: &[u8]) -> bool {
-        send_telemetry_frame(&self.shared, peer, op, body)
-    }
-
     /// Announces our finalized tip to every protocol peer.
     pub fn broadcast_status(&self, tip: u64) -> usize {
         self.broadcast_frame(frame::STATUS, &frame::encode_status(tip), None)
@@ -341,7 +280,7 @@ impl Transport {
         queued
     }
 
-    /// Live protocol-peer count (telemetry scrapers excluded).
+    /// Live protocol-peer count (strangers excluded).
     pub fn peer_count(&self) -> usize {
         self.shared
             .peers
@@ -396,28 +335,6 @@ impl Transport {
         for peer in peers.values() {
             let _ = peer.stream.shutdown(std::net::Shutdown::Both);
         }
-    }
-}
-
-/// Queues a telemetry frame (`op` byte + `body`) to one connection —
-/// protocol peer or scraper alike. Unmetered: drops are not counted and
-/// no counter moves, so serving a scrape never perturbs metrics.
-fn send_telemetry_frame(shared: &Shared, peer: PeerId, op: u8, body: &[u8]) -> bool {
-    let mut payload = Vec::with_capacity(1 + body.len());
-    payload.push(op);
-    payload.extend_from_slice(body);
-    let Ok(framed) = frame::encode_frame(frame::TELEMETRY, &payload) else {
-        return false;
-    };
-    let peers = shared.peers.lock().unwrap();
-    let Some(p) = peers.get(&peer) else {
-        return false;
-    };
-    if p.queue.try_send(Arc::new(framed)).is_ok() {
-        p.depth.fetch_add(1, Ordering::Relaxed);
-        true
-    } else {
-        false
     }
 }
 
@@ -567,14 +484,14 @@ fn writer_loop(
             return;
         }
         depth.fetch_sub(1, Ordering::Relaxed);
-        // framed[4] is the kind byte; TELEMETRY stays uncounted.
+        // framed[4] is the kind byte.
         shared.metrics.count_sent(framed[4], framed.len() as u64);
     }
 }
 
 fn reader_loop(stream: TcpStream, id: PeerId, shared: &Arc<Shared>) {
     let mut reader = BufReader::new(stream);
-    let mut bucket = TokenBucket::new();
+    let mut said_hello = false;
     loop {
         let Ok((kind, payload)) = frame::read_frame(&mut reader) else {
             return;
@@ -582,20 +499,26 @@ fn reader_loop(stream: TcpStream, id: PeerId, shared: &Arc<Shared>) {
         shared
             .metrics
             .count_received(kind, 5 + payload.len() as u64);
-        // Anything beyond HELLO and TELEMETRY requires the connection to
-        // have identified itself as a protocol peer. Outbound HELLO is
-        // always the first frame, so this only rejects strangers.
+        // Anything beyond HELLO requires the connection to have
+        // identified itself as a protocol peer. Outbound HELLO is always
+        // the first frame, so this only rejects strangers.
         let is_protocol = shared
             .peers
             .lock()
             .unwrap()
             .get(&id)
             .is_some_and(|p| p.protocol);
-        if !is_protocol && kind != frame::HELLO && kind != frame::TELEMETRY {
+        if !is_protocol && kind != frame::HELLO {
             return;
         }
         match kind {
             frame::HELLO => {
+                // One bounded HELLO per connection: its address becomes
+                // a metric label and an entry of `connected`.
+                if said_hello || payload.len() > frame::MAX_HELLO_ADDR {
+                    return;
+                }
+                said_hello = true;
                 let Ok(addr) = String::from_utf8(payload) else {
                     return;
                 };
@@ -648,26 +571,6 @@ fn reader_loop(stream: TcpStream, id: PeerId, shared: &Arc<Shared>) {
                 if shared
                     .events
                     .send(TransportEvent::Status { from: id, tip })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            frame::TELEMETRY => {
-                if payload.first() != Some(&frame::TEL_METRICS_REQ) {
-                    return; // We serve scrapes; we never accept responses.
-                }
-                // Rate limit per connection: an over-budget request is
-                // answered with a throttled error frame and *not*
-                // forwarded; the connection stays up and earns tokens
-                // back at the refill rate.
-                if !bucket.try_take() {
-                    send_telemetry_frame(shared, id, frame::TEL_THROTTLED, &[]);
-                    continue;
-                }
-                if shared
-                    .events
-                    .send(TransportEvent::Telemetry { from: id })
                     .is_err()
                 {
                     return;
@@ -781,109 +684,94 @@ mod tests {
         b.shutdown();
     }
 
+    /// A raw client of `t`'s port whose reads give up after 10 s.
+    fn raw_client(t: &Transport) -> TcpStream {
+        let client = TcpStream::connect(t.local_addr()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        client
+    }
+
+    fn send(client: &mut TcpStream, kind: u8, payload: &[u8]) {
+        client
+            .write_all(&frame::encode_frame(kind, payload).unwrap())
+            .unwrap();
+    }
+
+    /// Reads frames until the node closes the connection; returns their
+    /// kinds. A read timeout fails the test: the node kept it open.
+    fn kinds_until_closed(client: &TcpStream) -> Vec<u8> {
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let mut kinds = Vec::new();
+        loop {
+            match frame::read_frame(&mut reader) {
+                Ok((kind, _)) => kinds.push(kind),
+                Err(e) => {
+                    assert!(
+                        matches!(
+                            e.kind(),
+                            io::ErrorKind::UnexpectedEof | io::ErrorKind::ConnectionReset
+                        ),
+                        "the node kept the connection open: {e}"
+                    );
+                    return kinds;
+                }
+            }
+        }
+    }
+
     #[test]
-    fn scraper_connection_is_served_but_is_not_a_peer() {
+    fn a_long_or_repeated_hello_drops_the_connection_unlabelled() {
         let registry = Registry::new();
         let a = Transport::start("127.0.0.1:0", &[], registry.clone()).unwrap();
-
-        // A raw client that never says HELLO: a telemetry scraper.
-        let mut client = TcpStream::connect(a.local_addr()).unwrap();
-        client
-            .write_all(&frame::encode_frame(frame::TELEMETRY, &[frame::TEL_METRICS_REQ]).unwrap())
-            .unwrap();
-
-        // The runtime-side event arrives; answer it.
-        let from = loop {
-            match a.recv_timeout(Duration::from_secs(5)) {
-                Some(TransportEvent::Telemetry { from }) => break from,
-                Some(_) => continue,
-                None => panic!("no telemetry request"),
-            }
+        let labelled = |addr: &str| {
+            algorand_obs::expose::render(&registry)
+                .contains(&format!("transport.send_drops{{peer=\"{addr}\"}}"))
         };
-        assert!(a.send_telemetry(from, frame::TEL_METRICS_RESP, b"x 1\n"));
 
-        let mut reader = BufReader::new(client.try_clone().unwrap());
-        let (kind, payload) = frame::read_frame(&mut reader).unwrap();
-        assert_eq!(kind, frame::TELEMETRY);
-        assert_eq!(payload[0], frame::TEL_METRICS_RESP);
-        assert_eq!(&payload[1..], b"x 1\n");
+        // An address one byte over the bound is never a label.
+        let long = "9".repeat(frame::MAX_HELLO_ADDR + 1);
+        let mut client = raw_client(&a);
+        send(&mut client, frame::HELLO, long.as_bytes());
+        assert_eq!(kinds_until_closed(&client), [], "no HELLO back");
+        assert!(!labelled(&long));
 
-        // The scraper is not a protocol peer: no peer count, no
-        // broadcasts reach it, no counters moved.
-        assert_eq!(a.peer_count(), 0);
-        assert_eq!(a.broadcast_status(1), 0);
-        let count = |name: &str| registry.counter(name).get();
-        assert_eq!(count("transport.frames_sent"), 0, "telemetry is unmetered");
-        assert_eq!(
-            count("transport.frames_received"),
-            0,
-            "telemetry is unmetered"
+        // The first HELLO is answered; the second closes the connection
+        // before its address is registered anywhere.
+        let mut client = raw_client(&a);
+        send(&mut client, frame::HELLO, b"127.0.0.1:1");
+        send(&mut client, frame::HELLO, b"127.0.0.1:2");
+        assert_eq!(kinds_until_closed(&client), [frame::HELLO]);
+        assert!(labelled("127.0.0.1:1"));
+        assert!(!labelled("127.0.0.1:2"));
+        wait_for(
+            || a.peer_count() == 0 && a.shared.connected.lock().unwrap().is_empty(),
+            "the dropped peer to be forgotten",
         );
-        assert_eq!(
-            count("transport.connections"),
-            0,
-            "scraper is not a connection"
-        );
-
         a.shutdown();
     }
 
     #[test]
-    fn over_limit_scrapes_get_throttled_error_frames() {
+    fn strangers_may_only_say_hello_and_peers_only_the_three_kinds() {
         let a = Transport::start("127.0.0.1:0", &[], Registry::new()).unwrap();
 
-        // Answer every forwarded request so the client can count
-        // replies; the transport itself answers throttled ones.
-        let mut client = TcpStream::connect(a.local_addr()).unwrap();
-        const REQUESTS: usize = 2 * TELEMETRY_BURST as usize;
-        let request = frame::encode_frame(frame::TELEMETRY, &[frame::TEL_METRICS_REQ]).unwrap();
-        client.write_all(&request.repeat(REQUESTS)).unwrap();
-        let mut forwarded = 0;
-        while let Some(ev) = a.recv_timeout(Duration::from_millis(800)) {
-            if let TransportEvent::Telemetry { from, .. } = ev {
-                assert!(a.send_telemetry(from, frame::TEL_METRICS_RESP, b"x 1\n"));
-                forwarded += 1;
-            }
-        }
-        assert!(
-            forwarded < REQUESTS,
-            "a burst of {REQUESTS} must not all pass a burst-{TELEMETRY_BURST} bucket"
-        );
-        assert!(
-            forwarded >= TELEMETRY_BURST as usize,
-            "the burst allowance must be served"
-        );
+        // GOSSIP before HELLO: dropped, never a peer, nothing delivered.
+        let mut stranger = raw_client(&a);
+        send(&mut stranger, frame::GOSSIP, b"payload");
+        assert_eq!(a.peer_count(), 0);
+        assert_eq!(kinds_until_closed(&stranger), []);
+        assert_eq!(a.peer_count(), 0);
+        assert!(a.recv_timeout(Duration::from_millis(200)).is_none());
 
-        let mut reader = BufReader::new(client.try_clone().unwrap());
-        let mut throttled = 0;
-        let mut metrics = 0;
-        for _ in 0..REQUESTS {
-            let (kind, payload) = frame::read_frame(&mut reader).unwrap();
-            assert_eq!(kind, frame::TELEMETRY);
-            match payload[0] {
-                frame::TEL_THROTTLED => throttled += 1,
-                frame::TEL_METRICS_RESP => metrics += 1,
-                other => panic!("unexpected telemetry op {other}"),
-            }
-        }
-        assert_eq!(metrics, forwarded);
-        assert_eq!(throttled, REQUESTS - forwarded);
-        assert!(throttled >= 1);
-
-        // A fresh connection has its own bucket: it is served at once.
-        let mut fresh = TcpStream::connect(a.local_addr()).unwrap();
-        fresh.write_all(&request).unwrap();
-        match a.recv_timeout(Duration::from_secs(5)) {
-            Some(TransportEvent::Telemetry { from, .. }) => {
-                assert!(a.send_telemetry(from, frame::TEL_METRICS_RESP, b"x 1\n"));
-            }
-            other => panic!("the fresh connection's request was not forwarded: {other:?}"),
-        }
-        let (kind, payload) = frame::read_frame(&mut BufReader::new(fresh)).unwrap();
-        assert_eq!(
-            (kind, payload[0]),
-            (frame::TELEMETRY, frame::TEL_METRICS_RESP)
-        );
+        // A protocol peer that sends kind 4, the first past STATUS, is
+        // dropped as for any unknown kind.
+        let mut peer = raw_client(&a);
+        send(&mut peer, frame::HELLO, b"127.0.0.1:1");
+        wait_for(|| a.peer_count() == 1, "the HELLO to promote the peer");
+        send(&mut peer, 4, &[1]);
+        assert_eq!(kinds_until_closed(&peer), [frame::HELLO]);
+        wait_for(|| a.peer_count() == 0, "the peer to be dropped");
         a.shutdown();
     }
 

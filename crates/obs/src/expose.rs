@@ -3,8 +3,9 @@
 //! The format is Prometheus-*style*, hand-rolled and dependency-free,
 //! designed for two consumers that must agree byte-for-byte:
 //!
-//! 1. the node's TELEMETRY frame (a scrape returns exactly these bytes),
-//! 2. the cluster-health scraper, which parses them back with
+//! 1. the node's `metrics.txt`, rewritten with exactly these bytes at
+//!    every STATUS tick and at exit,
+//! 2. the cluster-health reader, which parses them back with
 //!    [`parse`] — a full round trip through this module.
 //!
 //! Grammar (one sample per line, `\n` terminated):
@@ -219,8 +220,8 @@ pub fn render(registry: &Registry) -> String {
 
 /// Re-renders parsed samples into exposition text. For canonical text
 /// (anything [`render`] produced), `render_samples(&parse(text)?)`
-/// reproduces the input byte for byte — the exactness the scraped-
-/// artifact round-trip test pins down.
+/// reproduces the input byte for byte — the exactness the round-trip
+/// test on a real node's exposition pins down.
 pub fn render_samples(samples: &[Sample]) -> String {
     let mut out = String::new();
     for s in samples {

@@ -35,8 +35,8 @@
 //!   FutureVotes staleness.
 //! - **Exposition** ([`expose`]): a byte-stable plain-text metrics
 //!   format (`name{labels} value`, deterministic ordering, escaped
-//!   label values) with a hand-rolled round-trip parser — what the live
-//!   node serves over its TELEMETRY frame.
+//!   label values) with a hand-rolled round-trip parser — what a live
+//!   node rewrites into its `metrics.txt`.
 //! - **Flight recorder** ([`flight`]): a bounded ring of the *most
 //!   recent* trace events (the tracer buffer keeps the first N; crash
 //!   forensics need the last N), dumpable as the same JSONL as a full

@@ -1,6 +1,8 @@
-//! Exposition round-trip on a *real* scraped artifact: the checked-in
-//! `results/cluster_metrics.txt` is a TELEMETRY scrape of a live
-//! localnet node, kept as a frozen fixture. Parsing it and
+//! Exposition round-trip on a *real* node's output: the checked-in
+//! `results/cluster_metrics.txt` is the exposition of a live localnet
+//! node, kept as a frozen fixture (it was read over a peer-port request
+//! nodes no longer answer; today the same bytes go to `metrics.txt`).
+//! Parsing it and
 //! re-rendering the samples must reproduce the file byte for byte —
 //! the exposition format's canonical-text promise, held against actual
 //! node output rather than hand-built fixtures.
