@@ -46,6 +46,7 @@
 
 use algorand_bench::path_problems;
 use algorand_node::config::{derive_keypairs, workload_transactions};
+use algorand_node::runtime::hex;
 use algorand_node::telemetry::{collect_trace, ClusterHealth, NodeHealth};
 use algorand_node::{wal, NodeConfig, Wal};
 use algorand_obs::{critical_paths, expose, Gate};
@@ -88,8 +89,7 @@ fn main() {
     // Wait until every node has persisted a round, so the core counters
     // the health report asserts on are necessarily non-zero.
     wait_walled(&cfgs, 1);
-    let health = ClusterHealth::collect_with_rates(&root, Duration::from_millis(750))
-        .expect("every node publishes its address");
+    let health = ClusterHealth::collect(&root).expect("every node publishes its address");
     let report = health.render();
     println!("{report}");
     let distinct_keys = distinct_keys();
@@ -368,8 +368,8 @@ fn node_configs(root: &Path) -> Vec<NodeConfig> {
             linger_secs: 6,
             tx_count: TX_COUNT,
             min_peers: N - 1,
-            // Tracing feeds the in-process monitor and flight recorder
-            // the telemetry assertions below exercise.
+            // Tracing feeds the in-process monitor and the exit traces
+            // the telemetry and trace-merge assertions below exercise.
             trace: true,
             ..NodeConfig::default()
         })
@@ -494,8 +494,4 @@ fn unix_ms() -> u64 {
         .duration_since(UNIX_EPOCH)
         .expect("clock")
         .as_millis() as u64
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }

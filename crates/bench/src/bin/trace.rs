@@ -7,7 +7,7 @@
 //! trace check                   the simulator's trace gate
 //! trace check FILE              the gate on a merged cluster trace
 //! trace collect --dir ROOT [--out FILE] [--report FILE]
-//! trace health --dir ROOT [--out FILE] [--interval-ms N]
+//! trace health --dir ROOT [--out FILE]
 //! ```
 //!
 //! `report` runs the 50-user payment workload traced and rebuilds from
@@ -37,9 +37,9 @@
 //! wrote at exit, one per `ROOT/*/` node directory, into one cluster
 //! trace (defaults `results/cluster_trace.{jsonl,txt}`). `health`
 //! reads the `metrics.txt` every node under `ROOT/*/` rewrites at each
-//! STATUS tick, twice, `--interval-ms` apart (default 750), and prints
-//! the cluster health report. It needs the nodes' directories: there is
-//! no way to ask a node for its metrics over the network.
+//! STATUS tick, once, and prints the cluster health report. It needs the
+//! nodes' directories: there is no way to ask a node for its metrics
+//! over the network.
 //!
 //! Exit code: 0 on success (for `health`: every node's file readable,
 //! clean and agreeing on its tip), 1 on a failed check, collection or
@@ -53,7 +53,6 @@ use algorand_sim::{DesConfig, FaultSchedule, Micros, ParallelSim, SimConfig, Sim
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
-use std::time::Duration;
 
 const SEC: Micros = 1_000_000;
 
@@ -67,7 +66,7 @@ const SIM_GATE: Gate = Gate {
 
 const USAGE: &str = "usage: trace report | paths | check [FILE]
        trace collect --dir ROOT [--out FILE] [--report FILE]
-       trace health --dir ROOT [--out FILE] [--interval-ms N]";
+       trace health --dir ROOT [--out FILE]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -519,17 +518,12 @@ fn collect(args: &[String]) -> Result<bool, String> {
 }
 
 fn health(args: &[String]) -> Result<bool, String> {
-    let (plain, flags) = split_flags(args, &["--dir", "--out", "--interval-ms"])?;
+    let (plain, flags) = split_flags(args, &["--dir", "--out"])?;
     let (Some(root), true) = (flags.get("--dir"), plain.is_empty()) else {
         return Err("health reads the files under --dir ROOT, and takes no address".into());
     };
-    let interval_ms: u64 = match flags.get("--interval-ms") {
-        Some(ms) => ms.parse().map_err(|_| "--interval-ms needs a number")?,
-        None => 750,
-    };
     // A root that publishes no node is a bad command line, as for `collect`.
-    let health =
-        ClusterHealth::collect_with_rates(Path::new(root), Duration::from_millis(interval_ms))?;
+    let health = ClusterHealth::collect(Path::new(root))?;
     let report = health.render();
     print!("{report}");
     if let Some(path) = flags.get("--out") {

@@ -44,7 +44,7 @@ fn health_reads_metrics_files_alone() {
         std::fs::write(dir.join("metrics.txt"), &metrics).unwrap();
     }
     let dir = root.to_str().unwrap();
-    let health = || trace(&["health", "--dir", dir, "--interval-ms", "0"]);
+    let health = || trace(&["health", "--dir", dir]);
 
     let out = health();
     let stdout = String::from_utf8_lossy(&out.stdout);

@@ -43,7 +43,7 @@
 //!   cluster-health merger behind `trace health`, which reads the
 //!   `metrics.txt` every node rewrites at each STATUS tick, and the
 //!   discovery and exit-file merge behind `trace collect`;
-//! * [`crash`] — a panic hook that dumps the flight recorder and last
+//! * [`crash`] — a panic hook that dumps the trace buffer and last
 //!   WAL round to `<wal_dir>/crash.jsonl` on the way down.
 //!
 //! The split keeps the property the CADP formal-model line of work

@@ -36,7 +36,7 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    // From here on a panic dumps the flight recorder to crash.jsonl;
+    // From here on a panic dumps the trace buffer to crash.jsonl;
     // an orderly exit (either arm of the match) disarms first.
     algorand_node::crash::arm(runtime.crash_context());
     let outcome = runtime.run();

@@ -16,10 +16,11 @@
 //! the process's decisions, the same ones it makes under the simulator.
 //!
 //! The runtime is also the node's telemetry plane: one [`Registry`]
-//! threads through transport and WAL; the trace stream fans
-//! out to an in-process [`MonitorHandle`] (the same invariant checks the
-//! simulator runs offline) and a [`FlightHandle`] ring that a panic
-//! dumps; and at every STATUS announcement, and at exit, the runtime
+//! threads through transport and WAL; the trace stream lands in one
+//! bounded [`Tracer`] buffer of the most recent events, which exit
+//! writes and a panic dumps, and feeds an in-process [`MonitorHandle`]
+//! (the same invariant checks the simulator runs offline); and at every
+//! STATUS announcement, and at exit, the runtime
 //! rewrites `<wal_dir>/metrics.txt` with the byte-stable metrics
 //! exposition. That file is the one place a live node reports on itself:
 //! STATUS tells peers only the tip, and the peer port answers nothing
@@ -39,9 +40,7 @@ use crate::wal::{Wal, WalMetrics};
 use algorand_ba::Micros;
 use algorand_core::{Effect, Node, PipelineVerifier, Process, WireMessage};
 use algorand_gossip::{RelayDecision, RelayState};
-use algorand_obs::{
-    expose, fanout, stable_id, Counter, FlightHandle, MonitorHandle, Registry, SpanKind, Tracer,
-};
+use algorand_obs::{expose, stable_id, Counter, MonitorHandle, Registry, SpanKind, Tracer};
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::PathBuf;
@@ -50,13 +49,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Trace-buffer cap when `trace = 1` (matches the simulator's default
-/// order of magnitude; bounded so long runs cannot balloon).
+/// order of magnitude; bounded so long runs cannot balloon). A full
+/// buffer evicts its oldest event, so the exit trace and a crash dump
+/// both show what happened *last*.
 const TRACE_CAP: usize = 200_000;
-
-/// Flight-recorder ring size: the most recent events, kept even after
-/// the main trace buffer has filled, so a crash dump always shows what
-/// happened *last*.
-const FLIGHT_CAP: usize = 4096;
 
 /// Malformed frames logged per connection before they are only counted.
 const DECODE_LOG_LINES: u32 = 8;
@@ -97,7 +93,6 @@ pub struct Runtime {
     registry: Registry,
     tracer: Tracer,
     monitor: MonitorHandle,
-    flight: FlightHandle,
     /// The last round appended to the WAL, readable by the crash hook
     /// from any thread mid-panic.
     last_wal_round: Arc<AtomicU64>,
@@ -155,20 +150,18 @@ impl Runtime {
             let _ = node.pool.admit(tx, &accounts);
         }
 
-        // Monitor and flight recorder attach to the trace stream; both
-        // are created unconditionally (the crash hook needs a flight
-        // handle either way), but see no events unless tracing is on.
+        // The monitor is the trace stream's one observer; it is created
+        // unconditionally, but sees no events unless tracing is on.
         // The tracer attaches *after* restore, so WAL replay — a
         // re-application of already-checked rounds — is not re-audited.
         let monitor = MonitorHandle::new(cfg.monitor_config());
-        let flight = FlightHandle::new(FLIGHT_CAP);
         let tracer = if cfg.trace {
             Tracer::bounded(TRACE_CAP)
         } else {
             Tracer::disabled()
         };
         if tracer.is_enabled() {
-            tracer.set_observer(fanout(vec![monitor.observer(), flight.observer()]));
+            tracer.set_observer(monitor.observer());
             node.set_tracer(tracer.clone(), cfg.index as u32);
         }
 
@@ -190,7 +183,6 @@ impl Runtime {
             registry,
             tracer,
             monitor,
-            flight,
             last_wal_round: Arc::new(AtomicU64::new(wal_replayed_rounds)),
             wal_replayed_rounds,
             wal_truncated_bytes: replay.truncated_bytes,
@@ -200,13 +192,13 @@ impl Runtime {
     }
 
     /// What the panic hook needs: arm this with [`crate::crash::arm`]
-    /// and a panicking process dumps its flight recorder to
+    /// and a panicking process dumps its trace buffer to
     /// `<wal_dir>/crash.jsonl` before dying.
     pub fn crash_context(&self) -> CrashContext {
         CrashContext {
             wal_dir: self.cfg.wal_dir.clone(),
             seed: self.cfg.seed,
-            flight: self.flight.clone(),
+            tracer: self.tracer.clone(),
             last_wal_round: Arc::clone(&self.last_wal_round),
         }
     }

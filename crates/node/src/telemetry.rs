@@ -15,7 +15,6 @@ use algorand_obs::merge::{merge, render_report, write_merged, Merged, NodeTrace}
 use algorand_obs::parse_jsonl;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// The processes a deployment publishes: one `<root>/<node dir>/addr`
 /// file per process (`n0/addr`, `n1/addr`, … as a localnet harness lays
@@ -175,15 +174,11 @@ impl NodeHealth {
     }
 }
 
-/// Health across a whole deployment, with round rates from a second
-/// reading.
+/// Health across a whole deployment, from one reading of its files.
 #[derive(Clone, Debug)]
 pub struct ClusterHealth {
     /// Per-node digests, in node order.
     pub nodes: Vec<NodeHealth>,
-    /// Rounds/second per node between the two readings (None when only
-    /// one ran).
-    pub round_rates: Option<Vec<f64>>,
     /// Addresses whose `metrics.txt` was missing or unparsable or lacked
     /// a sample, with the error.
     pub unreadable: Vec<(String, String)>,
@@ -211,39 +206,7 @@ impl ClusterHealth {
                 Err(e) => unreadable.push((addr, e)),
             }
         }
-        Ok(ClusterHealth {
-            nodes,
-            round_rates: None,
-            unreadable,
-        })
-    }
-
-    /// Reads twice, `interval` apart, and derives per-node round rates
-    /// from the tip movement.
-    ///
-    /// # Errors
-    ///
-    /// What [`discover`] reports.
-    pub fn collect_with_rates(root: &Path, interval: Duration) -> Result<ClusterHealth, String> {
-        let first = ClusterHealth::collect(root)?;
-        std::thread::sleep(interval);
-        let mut second = ClusterHealth::collect(root)?;
-        let secs = interval.as_secs_f64().max(1e-9);
-        second.round_rates = Some(
-            second
-                .nodes
-                .iter()
-                .map(|after| {
-                    let before = first
-                        .nodes
-                        .iter()
-                        .find(|b| b.addr == after.addr)
-                        .map_or(after.tip, |b| b.tip);
-                    (after.tip - before) as f64 / secs
-                })
-                .collect(),
-        );
-        Ok(second)
+        Ok(ClusterHealth { nodes, unreadable })
     }
 
     /// Max tip minus min tip across readable nodes (0 when fewer than
@@ -279,7 +242,7 @@ impl ClusterHealth {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("cluster health\n==============\n");
-        for (i, n) in self.nodes.iter().enumerate() {
+        for n in &self.nodes {
             out.push_str(&format!(
                 "node {addr}\n  tip={tip} hash64={hash:#018x} verdict={verdict}\n  \
                  pipeline.ingested={ing} transport.frames_sent={fs} wal.entries={we}\n  \
@@ -294,11 +257,6 @@ impl ClusterHealth {
                 qp = n.queue_pressure,
                 td = n.trace_dropped,
             ));
-            if let Some(rates) = &self.round_rates {
-                if let Some(rate) = rates.get(i) {
-                    out.push_str(&format!("  round_rate={rate:.2}/s\n"));
-                }
-            }
         }
         for (addr, err) in &self.unreadable {
             out.push_str(&format!("node {addr}\n  UNREADABLE: {err}\n"));
@@ -408,7 +366,6 @@ mod tests {
         };
         let agree = ClusterHealth {
             nodes: vec![mk("a", 5, 10, 0), mk("b", 5, 10, 0), mk("c", 4, 99, 0)],
-            round_rates: None,
             unreadable: Vec::new(),
         };
         assert_eq!(agree.tip_spread(), 1);
@@ -417,7 +374,6 @@ mod tests {
 
         let split = ClusterHealth {
             nodes: vec![mk("a", 5, 10, 0), mk("b", 5, 11, 2)],
-            round_rates: None,
             unreadable: Vec::new(),
         };
         assert!(!split.digests_agree());
@@ -431,9 +387,8 @@ mod tests {
     fn unreadable_nodes_are_reported_not_fatal() {
         // n1 has published its address but written no metrics yet.
         let root = deployment("unreadable", &[Some(&exposition(3, 7, 0)), None]);
-        let health = ClusterHealth::collect_with_rates(&root, Duration::ZERO).unwrap();
+        let health = ClusterHealth::collect(&root).unwrap();
         assert_eq!(health.nodes.len(), 1);
-        assert_eq!(health.round_rates, Some(vec![0.0]));
         let [(addr, err)] = &health.unreadable[..] else {
             panic!("one unreadable node: {:?}", health.unreadable);
         };

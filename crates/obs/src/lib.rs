@@ -6,8 +6,10 @@
 //!   event API over the fixed [`SpanKind`] taxonomy (round, proposal, BA⋆
 //!   step, sortition, verify, gossip hop, catch-up, fault). Events carry
 //!   node id, round, step, and sim-time start/end, live in a bounded
-//!   in-memory buffer, and export as byte-stable JSONL keyed by
-//!   `(seed, schedule)` — see [`write_jsonl`] / [`parse_jsonl`].
+//!   in-memory buffer that keeps the most recent events, and export as
+//!   byte-stable JSONL keyed by `(seed, schedule)` — see
+//!   [`write_jsonl`] / [`parse_jsonl`]. On a real node that one buffer
+//!   is both the exit trace and the crash dump.
 //! - **Metrics registry** ([`Registry`]): process-wide named counters,
 //!   gauges, and histograms behind cloneable typed handles. Registration
 //!   is idempotent by name, so nodes recreated after a crash/restart
@@ -37,11 +39,6 @@
 //!   format (`name{labels} value`, deterministic ordering, escaped
 //!   label values) with a hand-rolled round-trip parser — what a live
 //!   node rewrites into its `metrics.txt`.
-//! - **Flight recorder** ([`flight`]): a bounded ring of the *most
-//!   recent* trace events (the tracer buffer keeps the first N; crash
-//!   forensics need the last N), dumpable as the same JSONL as a full
-//!   trace. [`fanout`] shares the tracer's single observer slot between
-//!   the monitor and the recorder.
 //!
 //! Everything here is write-only from the instrumented code's point of
 //! view and consumes no randomness, so enabling or disabling observability
@@ -52,7 +49,6 @@
 
 pub mod causal;
 pub mod expose;
-pub mod flight;
 mod hist;
 pub mod merge;
 pub mod monitor;
@@ -61,14 +57,13 @@ pub mod trace;
 
 pub use causal::{critical_paths, CausalGraph, CriticalPath, Edge, EdgeKind, Gate};
 pub use expose::{labeled, Sample};
-pub use flight::{FlightHandle, FlightRecorder};
 pub use hist::{Histogram, Percentiles};
 pub use merge::{Merged, NodeMeta, NodeTrace};
 pub use monitor::{Invariant, InvariantMonitor, MonitorConfig, MonitorHandle, MonitorReport};
 pub use registry::{Counter, Gauge, HistHandle, MetricSnapshot, Registry};
 pub use trace::{
-    fanout, parse_jsonl, span_id, stable_id, write_jsonl, write_jsonl_trimmed, Micros, Span,
-    SpanKind, Trace, TraceEvent, TraceObserver, Tracer, NO_NODE,
+    parse_jsonl, span_id, stable_id, write_jsonl, write_jsonl_trimmed, Micros, Span, SpanKind,
+    Trace, TraceEvent, TraceObserver, Tracer, NO_NODE,
 };
 
 #[cfg(test)]

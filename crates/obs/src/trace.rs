@@ -1,5 +1,5 @@
-//! Structured trace spans with a bounded in-memory buffer and byte-stable
-//! JSONL export.
+//! Structured trace spans with a bounded in-memory buffer, which keeps
+//! the most recent events, and byte-stable JSONL export.
 //!
 //! Every span carries the same shape: a [`SpanKind`] from the fixed
 //! taxonomy (round, BA⋆ step, sortition, verify, gossip hop, catch-up,
@@ -20,7 +20,8 @@
 //! counts — the property the CI trace-determinism gate asserts.
 
 use std::borrow::Cow;
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, TryLockError};
 
 /// Virtual time in microseconds (the simulator's clock).
 pub type Micros = u64;
@@ -168,41 +169,33 @@ pub fn span_id(node: u32, round: u64, step: u32, tag: u8) -> u64 {
 }
 
 /// A live consumer of every recorded event (the invariant monitor).
-/// Observers see events *before* the buffer-cap check, so a truncated
-/// trace still feeds the full stream to the observer.
+/// Observers see every event, including those a full buffer later
+/// evicts. They run inside the tracer's lock, so an observer must not
+/// call back into its tracer.
 pub trait TraceObserver: Send {
     /// Called once per recorded event, in recording order.
     fn observe(&mut self, ev: &TraceEvent);
 }
 
-struct Fanout(Vec<Box<dyn TraceObserver>>);
-
-impl TraceObserver for Fanout {
-    fn observe(&mut self, ev: &TraceEvent) {
-        for obs in &mut self.0 {
-            obs.observe(ev);
-        }
-    }
-}
-
-/// Combines observers into one, feeding each every event in order — the
-/// tracer has a single observer slot, and the live node needs both the
-/// invariant monitor and the flight recorder on it.
-pub fn fanout(observers: Vec<Box<dyn TraceObserver>>) -> Box<dyn TraceObserver> {
-    Box::new(Fanout(observers))
-}
-
 struct Buffer {
-    events: Vec<TraceEvent>,
-    /// Canonical-order keys assigned by the simulation engine, one per
-    /// buffered event (see [`Tracer::set_order_hint`]). All zeros on a
-    /// real node, where buffer order *is* canonical order.
-    hints: Vec<u64>,
+    /// The retained events, oldest first, each with the canonical-order
+    /// key it was recorded under (see [`Tracer::set_order_hint`]). The
+    /// keys are all zero on a real node, where buffer order *is*
+    /// canonical order.
+    events: VecDeque<(u64, TraceEvent)>,
     /// The hint stamped onto the next recorded events.
     hint: u64,
     cap: usize,
+    /// Events evicted to make room.
     dropped: u64,
     observer: Option<Box<dyn TraceObserver>>,
+}
+
+impl Buffer {
+    fn export_jsonl(&self, seed: u64, schedule: &str) -> String {
+        let events: Vec<TraceEvent> = self.events.iter().map(|(_, ev)| ev.clone()).collect();
+        write_jsonl(seed, schedule, self.dropped, &events)
+    }
 }
 
 /// A cheap, cloneable recording handle. [`Tracer::disabled`] is inert:
@@ -217,12 +210,12 @@ impl Tracer {
         Tracer(None)
     }
 
-    /// A tracer with a bounded in-memory buffer; events past `cap` are
-    /// counted as dropped instead of growing memory without bound.
+    /// A tracer that keeps the most recent `cap` events: when full, each
+    /// new event evicts the oldest, which is counted as dropped, so
+    /// memory stays bounded however long the run.
     pub fn bounded(cap: usize) -> Tracer {
         Tracer(Some(Arc::new(Mutex::new(Buffer {
-            events: Vec::new(),
-            hints: Vec::new(),
+            events: VecDeque::new(),
             hint: 0,
             cap,
             dropped: 0,
@@ -250,12 +243,11 @@ impl Tracer {
         if let Some(observer) = buf.observer.as_mut() {
             observer.observe(&ev);
         }
-        if buf.events.len() >= buf.cap {
+        let hint = buf.hint;
+        buf.events.push_back((hint, ev));
+        if buf.events.len() > buf.cap {
+            buf.events.pop_front();
             buf.dropped += 1;
-        } else {
-            let hint = buf.hint;
-            buf.events.push(ev);
-            buf.hints.push(hint);
         }
     }
 
@@ -278,10 +270,7 @@ impl Tracer {
         let Some(buf) = &self.0 else {
             return Vec::new();
         };
-        let mut buf = buf.lock().expect("trace lock");
-        let events = std::mem::take(&mut buf.events);
-        let hints = std::mem::take(&mut buf.hints);
-        hints.into_iter().zip(events).collect()
+        buf.lock().expect("trace lock").events.drain(..).collect()
     }
 
     /// Opens a span guard at `start`. Builder methods fill in the fields;
@@ -319,24 +308,45 @@ impl Tracer {
         self.len() == 0
     }
 
-    /// Events dropped because the buffer was full.
+    /// Events evicted from the full buffer.
     pub fn dropped(&self) -> u64 {
         self.0
             .as_ref()
             .map_or(0, |b| b.lock().expect("trace lock").dropped)
     }
 
-    /// A snapshot copy of the buffered events.
+    /// A snapshot copy of the buffered events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.0
-            .as_ref()
-            .map_or_else(Vec::new, |b| b.lock().expect("trace lock").events.clone())
+        self.0.as_ref().map_or_else(Vec::new, |b| {
+            let buf = b.lock().expect("trace lock");
+            buf.events.iter().map(|(_, ev)| ev.clone()).collect()
+        })
     }
 
     /// Exports the buffer as JSONL keyed by `(seed, schedule)`; see
-    /// [`write_jsonl`].
+    /// [`write_jsonl`]. The header's `dropped` counts the evicted events.
     pub fn export_jsonl(&self, seed: u64, schedule: &str) -> String {
-        write_jsonl(seed, schedule, self.dropped(), &self.events())
+        match &self.0 {
+            Some(buf) => buf.lock().expect("trace lock").export_jsonl(seed, schedule),
+            None => write_jsonl(seed, schedule, 0, &[]),
+        }
+    }
+
+    /// [`Tracer::export_jsonl`] for a panic hook: never waits for the
+    /// lock. `None` when the lock is held — by another thread, or by
+    /// this one mid-record, when an observer panicked — since waiting
+    /// could deadlock. A lock poisoned by an earlier panic is still read.
+    pub fn try_export_jsonl(&self, seed: u64, schedule: &str) -> Option<String> {
+        let Some(buf) = &self.0 else {
+            return Some(write_jsonl(seed, schedule, 0, &[]));
+        };
+        match buf.try_lock() {
+            Ok(buf) => Some(buf.export_jsonl(seed, schedule)),
+            Err(TryLockError::Poisoned(poisoned)) => {
+                Some(poisoned.into_inner().export_jsonl(seed, schedule))
+            }
+            Err(TryLockError::WouldBlock) => None,
+        }
     }
 }
 
@@ -680,9 +690,41 @@ mod tests {
         }
         assert_eq!(t.len(), 2);
         assert_eq!(t.dropped(), 3);
+        // The newest two survive, oldest first.
+        let starts: Vec<u64> = t.events().iter().map(|e| e.start).collect();
+        assert_eq!(starts, vec![3, 4]);
         let parsed = parse_jsonl(&t.export_jsonl(9, "s")).unwrap();
         assert_eq!(parsed.dropped, 3);
-        assert_eq!(parsed.events.len(), 2);
+        assert_eq!(parsed.events, t.events());
+    }
+
+    #[test]
+    fn zero_capacity_keeps_nothing_and_counts_everything() {
+        let t = Tracer::bounded(0);
+        for i in 0..3u64 {
+            t.span(SpanKind::Verify, 0, 1, i).instant();
+        }
+        assert!(t.is_empty());
+        assert_eq!(t.dropped(), 3);
+        let parsed = parse_jsonl(&t.export_jsonl(9, "s")).unwrap();
+        assert_eq!((parsed.events.len(), parsed.dropped), (0, 3));
+    }
+
+    #[test]
+    fn crash_dump_after_overflow_holds_the_newest_events() {
+        let t = Tracer::bounded(3);
+        for i in 0..9u64 {
+            t.span(SpanKind::Verify, 0, i, i).label("vote").instant();
+            assert_eq!(t.dropped() + t.len() as u64, i + 1);
+        }
+        let dump = t.try_export_jsonl(7, "crash wal_round=9").unwrap();
+        assert_eq!(dump, t.export_jsonl(7, "crash wal_round=9"));
+        let parsed = parse_jsonl(&dump).unwrap();
+        assert_eq!(parsed.seed, 7);
+        assert_eq!(parsed.schedule, "crash wal_round=9");
+        assert_eq!(parsed.dropped, 6);
+        let rounds: Vec<u64> = parsed.events.iter().map(|e| e.round).collect();
+        assert_eq!(rounds, vec![6, 7, 8]);
     }
 
     #[test]
