@@ -18,7 +18,9 @@
 //!    stdout) must show five clean in-process
 //!    monitor verdicts and non-zero transport/WAL/pipeline counters,
 //!    and no process may have run more full public-key checks, or built
-//!    more key combs, than the deployment has distinct keys.
+//!    more key combs, than the deployment has distinct keys. The mesh
+//!    has no duplicate connection: every process reads
+//!    `transport.peers` = N − 1, and no sample carries a `peer` label.
 //!    And the asymmetry that makes `crash.jsonl` trustworthy: `kill -9`
 //!    leaves no dump (only a panic writes one).
 //! 4. **Cluster trace plane** — once phase A's processes have exited,
@@ -129,6 +131,21 @@ fn main() {
         assert!(
             sample(n, "node.key_comb_hits") > 0,
             "{}: no verification read a key comb",
+            n.addr
+        );
+        // One connection per pair of nodes, and no series keyed by a
+        // peer.
+        assert_eq!(
+            sample(n, "transport.peers"),
+            N as i64 - 1,
+            "{}: a duplicate or missing connection",
+            n.addr
+        );
+        assert!(
+            n.samples
+                .iter()
+                .all(|s| s.labels.iter().all(|(key, _)| key != "peer")),
+            "{}: a per-peer series",
             n.addr
         );
     }

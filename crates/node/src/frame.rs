@@ -9,10 +9,11 @@
 //!
 //! Kinds:
 //!
-//! * [`HELLO`] — first frame each side sends on a connection, and only
-//!   once; payload is the sender's advertised listen address (UTF-8, at
-//!   most [`MAX_HELLO_ADDR`] bytes), which keys the connection's
-//!   per-peer counters.
+//! * [`HELLO`] — the first frame of a connection, sent once and only by
+//!   the side that dialled; payload is the dialer's advertised listen
+//!   address (UTF-8, at most [`MAX_HELLO_ADDR`] bytes), which names the
+//!   connection in the accepting side's connection table. Nothing
+//!   answers it.
 //! * [`GOSSIP`] — payload is one [`algorand_core::WireMessage`] encoding,
 //!   exactly the bytes the simulator would put on a virtual link.
 //! * [`STATUS`] — payload is the sender's tip round, a bare
@@ -29,14 +30,15 @@
 
 use std::io::{self, Read, Write};
 
-/// Handshake frame carrying the sender's advertised listen address.
+/// One-way handshake frame carrying the dialer's advertised listen
+/// address.
 pub const HELLO: u8 = 1;
 /// One encoded [`algorand_core::WireMessage`].
 pub const GOSSIP: u8 = 2;
 /// Tip-round announcement for blocksync server selection.
 pub const STATUS: u8 = 3;
-/// Longest advertised address a [`HELLO`] may carry. It becomes a
-/// per-peer metric label, so it is bounded like one.
+/// Longest advertised address a [`HELLO`] may carry. The accepting side
+/// holds it for as long as the connection lives, so it is bounded.
 pub const MAX_HELLO_ADDR: usize = 255;
 
 /// Largest frame a peer can make us buffer (includes the kind byte).

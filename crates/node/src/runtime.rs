@@ -41,7 +41,6 @@ use algorand_ba::Micros;
 use algorand_core::{Effect, Node, PipelineVerifier, Process, WireMessage};
 use algorand_gossip::{RelayDecision, RelayState};
 use algorand_obs::{expose, stable_id, Counter, MonitorHandle, Registry, SpanKind, Tracer};
-use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,12 +53,9 @@ use std::time::{Duration, Instant};
 /// both show what happened *last*.
 const TRACE_CAP: usize = 200_000;
 
-/// Malformed frames logged per connection before they are only counted.
-const DECODE_LOG_LINES: u32 = 8;
-
-/// Connections whose malformed frames are logged at all: a peer that
-/// reconnects to start a fresh allowance runs out of these instead.
-const DECODE_LOG_PEERS: usize = 1024;
+/// Malformed frames the process logs before it only counts them: one
+/// budget however many connections send them.
+const DECODE_LOG_LINES: u32 = 64;
 
 /// Whether a completed run did what it was asked to. Everything it
 /// counted along the way is in the `metrics.txt` it wrote.
@@ -101,9 +97,8 @@ pub struct Runtime {
     wal_replay_us: u64,
     /// `node.decode_failures`: every frame that failed wire decoding.
     decode_failures: Counter,
-    /// How many of them were logged, per connection
-    /// ([`DECODE_LOG_LINES`] each, [`DECODE_LOG_PEERS`] connections).
-    decode_logged: HashMap<PeerId, u32>,
+    /// How many of them were logged, at most [`DECODE_LOG_LINES`].
+    decode_logged: u32,
     started: Instant,
 }
 
@@ -179,7 +174,7 @@ impl Runtime {
             transport,
             relay: RelayState::new(),
             decode_failures: registry.counter("node.decode_failures"),
-            decode_logged: HashMap::new(),
+            decode_logged: 0,
             registry,
             tracer,
             monitor,
@@ -304,10 +299,11 @@ impl Runtime {
             Ok(msg) => msg,
             Err(e) => {
                 // A malformed frame names its message kind and byte
-                // offset, attributed to a peer — for the first few; a
-                // hostile peer gets a counter, not a log of its own.
+                // offset, attributed to a connection — for the first
+                // few in the process; the rest only count.
                 self.decode_failures.inc();
-                if self.log_decode_failure(from) {
+                if self.decode_logged < DECODE_LOG_LINES {
+                    self.decode_logged += 1;
                     eprintln!("[node {}] peer {from}: {e}", self.cfg.index);
                 }
                 return Ok(());
@@ -343,17 +339,6 @@ impl Runtime {
         }
         let effects = self.process.on_message(from, &msg, may_forward, self.now());
         self.apply(effects, Some((&msg, bytes)))
-    }
-
-    /// Whether one more malformed frame from `peer` is worth a log line.
-    fn log_decode_failure(&mut self, peer: PeerId) -> bool {
-        if !self.decode_logged.contains_key(&peer) && self.decode_logged.len() >= DECODE_LOG_PEERS {
-            return false;
-        }
-        let logged = self.decode_logged.entry(peer).or_insert(0);
-        let more = *logged < DECODE_LOG_LINES;
-        *logged += u32::from(more);
-        more
     }
 
     /// Send half of a cross-process gossip hop: an instant recorded at
@@ -805,29 +790,25 @@ mod tests {
     }
 
     #[test]
-    fn a_flood_of_garbage_frames_is_counted_in_full_and_logged_eight_times() {
+    fn a_flood_of_garbage_frames_is_counted_in_full_and_logged_up_to_the_budget() {
         let dir = fresh_dir("runtime");
         let mut rt = runtime(&dir);
 
+        // Four connections share one budget.
         for i in 0..1_000u32 {
-            rt.on_gossip(7, &i.to_le_bytes()).expect("no WAL append");
+            rt.on_gossip(PeerId::from(i % 4), &i.to_le_bytes())
+                .expect("no WAL append");
         }
         assert_eq!(rt.registry.counter("node.decode_failures").get(), 1_000);
-        assert_eq!(rt.decode_logged[&7], DECODE_LOG_LINES);
-        assert_eq!(rt.decode_logged.len(), 1);
+        assert_eq!(rt.decode_logged, DECODE_LOG_LINES);
 
-        // Another connection has its own allowance, until connections
-        // run out: then frames are counted and nothing more is kept.
-        rt.on_gossip(8, b"garbage").expect("no WAL append");
-        assert_eq!(rt.decode_logged[&8], 1);
-        for peer in 100..100 + 2 * DECODE_LOG_PEERS as PeerId {
+        // A fresh connection starts no fresh allowance: its frames are
+        // counted and the budget stays spent.
+        for peer in 100..100 + 2_048 {
             rt.on_gossip(peer, b"garbage").expect("no WAL append");
         }
-        assert_eq!(rt.decode_logged.len(), DECODE_LOG_PEERS);
-        assert_eq!(
-            rt.decode_failures.get(),
-            1_001 + 2 * DECODE_LOG_PEERS as u64
-        );
+        assert_eq!(rt.registry.counter("node.decode_failures").get(), 3_048);
+        assert_eq!(rt.decode_logged, DECODE_LOG_LINES);
 
         rt.transport.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

@@ -114,8 +114,10 @@ pub struct NodeHealth {
     pub monitor_violations: i64,
     /// `trace.dropped`.
     pub trace_dropped: i64,
-    /// Total send-queue drops plus the deepest per-peer queue: the
-    /// node's outbound pressure when it wrote the file.
+    /// Total send-queue drops plus the deepest peer send queue
+    /// (`transport.send_queue_depth`, the largest of its samples, so a
+    /// file from before the gauge, one sample per peer, reads the same):
+    /// the node's outbound pressure when it wrote the file.
     pub queue_pressure: i64,
     /// `pipeline.ingested`.
     pub pipeline_ingested: i64,
@@ -135,7 +137,8 @@ impl NodeHealth {
     /// Returns the parser's description of the first malformed line, or
     /// `missing sample <name>`: the runtime publishes every unlabelled
     /// sample read here on each write, so an absent one is a sick node,
-    /// not a zero. (The per-peer queue depths may legitimately be empty.)
+    /// not a zero. (A queue depth may be absent: older files carry one
+    /// sample per peer, and an idle node had none.)
     pub fn from_exposition(addr: &str, text: &str) -> Result<NodeHealth, String> {
         let samples = expose::parse(text)?;
         let get = |name: &str| -> Result<i64, String> {
@@ -276,7 +279,7 @@ impl ClusterHealth {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use algorand_obs::{labeled, stable_id, Registry, SpanKind, Tracer};
+    use algorand_obs::{stable_id, Registry, SpanKind, Tracer};
 
     /// A deployment root `n0/`, `n1/`, … whose node `i` published
     /// `127.0.0.1:900i` and, if given, wrote `metrics[i]`.
@@ -301,11 +304,7 @@ mod tests {
         reg.gauge("monitor.violations").set(violations);
         reg.gauge("trace.dropped").set(0);
         reg.counter("transport.send_drops").add(2);
-        reg.gauge(&labeled(
-            "transport.send_queue_depth",
-            &[("peer", "127.0.0.1:9001")],
-        ))
-        .set(5);
+        reg.gauge("transport.send_queue_depth").set(5);
         reg.gauge("pipeline.ingested").set(100);
         reg.counter("transport.frames_sent").add(40);
         reg.counter("wal.entries").add(3);
@@ -335,7 +334,8 @@ mod tests {
         let sick = without("monitor.violations");
         let err = NodeHealth::from_exposition("n0", &sick).unwrap_err();
         assert_eq!(err, "missing sample monitor.violations");
-        // No labelled per-peer depth is fine: an idle node has no peers.
+        // No depth sample is fine: an idle node of an older file had no
+        // per-peer one.
         let h = NodeHealth::from_exposition("n0", &without("transport.send_queue_depth")).unwrap();
         assert_eq!(h.queue_pressure, 2, "drops only");
         // A live node's exposition carries every sample the digest reads.

@@ -10,32 +10,37 @@
 //! agreement, the same pressure-shedding posture the paper's gossip
 //! network takes.
 //!
-//! Connectivity is the configured peers plus whoever dials in: a
-//! maintenance thread keeps dialing every configured address that lacks
-//! a live connection, forever, and the listener accepts anyone. Every
-//! *outbound* connection starts with a HELLO advertising the sender's
-//! listen address; an *inbound* connection becomes a **protocol peer**
-//! only once that HELLO arrives (we reply with ours). Until then the
-//! connection is a stranger: it gets no broadcasts, is not counted as a
-//! peer, and may send nothing but its HELLO. Each side says HELLO once
-//! per connection, with an address of at most [`frame::MAX_HELLO_ADDR`]
-//! bytes; a second HELLO, a longer address or a frame of any kind but
-//! HELLO, GOSSIP and STATUS drops the connection. Start five
-//! processes, each configured with the addresses of those started before
-//! it, and the deployment is a full mesh once the last one has dialled.
+//! The transport's one piece of state is its connection table. A
+//! connection is a **protocol peer** exactly when its address is known.
+//! An *outbound* connection knows it from the start: the configured
+//! string it dialled, which nothing replaces. An *inbound* connection
+//! learns it from its HELLO, the dialer's listen address in at most
+//! [`frame::MAX_HELLO_ADDR`] bytes, which must be the connection's first
+//! frame. Until then the connection is a stranger: it gets no
+//! broadcasts, is not counted as a peer, and may send nothing but that
+//! HELLO. HELLO is one-way — the accepting side never answers it — so a
+//! HELLO anywhere else, a longer address or a frame of any kind but
+//! HELLO, GOSSIP and STATUS drops the connection.
+//!
+//! A maintenance thread dials, each tick and inline, every configured
+//! address that no connection in the table is known by; the listener
+//! accepts anyone. Start five processes, each configured with the
+//! addresses of those started before it, and the deployment is a full
+//! mesh once the last one has dialled.
 //!
 //! Metrics live in the shared [`Registry`]: total and per-kind frame and
-//! byte counters each direction, lifetime connection count, and per-peer
-//! send-queue drops and depth (keyed by the peer's advertised address via
-//! [`algorand_obs::labeled`]). Every frame of a kind the port accepts
-//! is counted, in both directions; the runtime renders them into its
-//! `metrics.txt`.
+//! byte counters each direction, the lifetime connection count, total
+//! send-queue drops, and the two gauges [`Transport::publish`] sets: the
+//! peer count and the deepest peer send queue. No series is keyed by a
+//! peer, so the exposition does not grow with the addresses that say
+//! HELLO. Every frame of a kind the port accepts is counted, in both
+//! directions; the runtime renders them into its `metrics.txt`.
 
 use crate::frame;
-use algorand_obs::{labeled, Counter, Registry};
-use std::collections::{HashMap, HashSet};
+use algorand_obs::{labeled, Counter, Gauge, Registry};
+use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
@@ -49,7 +54,8 @@ const SEND_QUEUE: usize = 1024;
 /// Inbound frames buffered for the runtime before readers block (which
 /// in turn backpressures the kernel socket, then the sender).
 const EVENT_QUEUE: usize = 4096;
-/// Maintenance cadence: one redial pass per tick.
+/// Maintenance cadence: one redial pass per tick, and the longest a
+/// single dial may take.
 const MAINTENANCE_TICK: Duration = Duration::from_millis(500);
 
 /// What the transport hands the consensus loop.
@@ -76,9 +82,9 @@ pub enum TransportEvent {
 /// `kind - HELLO`: the `kind` label of the per-kind counters.
 const KIND_NAMES: [&str; 3] = ["hello", "gossip", "status"];
 
-/// Registry-backed transport counters. Totals and the per-kind splits
-/// are pre-registered at startup so the exposition line set is stable
-/// from the first `metrics.txt`.
+/// Registry-backed transport metrics. Every series is pre-registered at
+/// startup so the exposition line set is stable from the first
+/// `metrics.txt`.
 struct Metrics {
     frames_sent: Counter,
     frames_received: Counter,
@@ -91,6 +97,8 @@ struct Metrics {
     bytes_sent_kind: [Counter; 3],
     frames_received_kind: [Counter; 3],
     bytes_received_kind: [Counter; 3],
+    peers: Gauge,
+    send_queue_depth: Gauge,
 }
 
 impl Metrics {
@@ -109,6 +117,8 @@ impl Metrics {
             bytes_sent_kind: by_kind("transport.bytes_sent"),
             frames_received_kind: by_kind("transport.frames_received"),
             bytes_received_kind: by_kind("transport.bytes_received"),
+            peers: registry.gauge("transport.peers"),
+            send_queue_depth: registry.gauge("transport.send_queue_depth"),
         }
     }
 
@@ -137,34 +147,32 @@ fn metered_index(kind: u8) -> Option<usize> {
         .then(|| (kind - frame::HELLO) as usize)
 }
 
+/// One live connection.
 struct Peer {
     queue: SyncSender<Arc<Vec<u8>>>,
     /// Clone of the socket so [`Transport::shutdown`] can unblock the
     /// reader thread.
     stream: TcpStream,
-    /// The peer's advertised listen address, once known (at dial time
-    /// for outbound, at HELLO for inbound).
+    /// The peer's listen address: the configured string an outbound
+    /// connection dialled, or the one an inbound connection's HELLO
+    /// named. `None` is a stranger, which gets no broadcasts and does
+    /// not count as a peer.
     addr: Option<String>,
-    /// Whether this connection spoke the peer protocol (sent or will be
-    /// sent HELLO). Strangers — inbound connections that have not said
-    /// HELLO yet — get no broadcasts and don't count as peers.
-    protocol: bool,
     /// Frames enqueued but not yet written (send-queue occupancy).
     depth: Arc<AtomicI64>,
-    /// Per-peer send-queue drop counter, registered once the advertised
-    /// address is known.
-    drops: Option<Counter>,
+}
+
+impl Peer {
+    fn is_protocol(&self) -> bool {
+        self.addr.is_some()
+    }
 }
 
 struct Shared {
     advertised: String,
-    registry: Registry,
     metrics: Metrics,
+    /// Every live connection, strangers included.
     peers: Mutex<HashMap<PeerId, Peer>>,
-    /// Addresses with a dial attempt in flight.
-    dialing: Mutex<HashSet<String>>,
-    /// Advertised addresses with a live connection.
-    connected: Mutex<HashSet<String>>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
     events: SyncSender<TransportEvent>,
@@ -197,14 +205,10 @@ impl Transport {
             listen.to_string()
         };
         let (events_tx, events_rx) = mpsc::sync_channel(EVENT_QUEUE);
-        let metrics = Metrics::new(&registry);
         let shared = Arc::new(Shared {
             advertised,
-            registry,
-            metrics,
+            metrics: Metrics::new(&registry),
             peers: Mutex::new(HashMap::new()),
-            dialing: Mutex::new(HashSet::new()),
-            connected: Mutex::new(HashSet::new()),
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             events: events_tx,
@@ -270,7 +274,7 @@ impl Transport {
         let peers = self.shared.peers.lock().unwrap();
         let mut queued = 0;
         for (&id, peer) in peers.iter() {
-            if Some(id) == except || !peer.protocol {
+            if Some(id) == except || !peer.is_protocol() {
                 continue;
             }
             if enqueue(&self.shared, peer, &framed) {
@@ -287,28 +291,19 @@ impl Transport {
             .lock()
             .unwrap()
             .values()
-            .filter(|p| p.protocol)
+            .filter(|p| p.is_protocol())
             .count()
     }
 
-    /// Publishes point-in-time transport gauges into the registry:
-    /// `transport.peers` and per-peer `transport.send_queue_depth`.
+    /// Publishes the point-in-time transport gauges into the registry:
+    /// `transport.peers` and `transport.send_queue_depth`, the value
+    /// [`Transport::max_send_queue_depth`] returns.
     pub fn publish(&self) {
-        let peers = self.shared.peers.lock().unwrap();
-        let mut count = 0i64;
-        for p in peers.values() {
-            if !p.protocol {
-                continue;
-            }
-            count += 1;
-            if let Some(addr) = &p.addr {
-                self.shared
-                    .registry
-                    .gauge(&labeled("transport.send_queue_depth", &[("peer", addr)]))
-                    .set(p.depth.load(Ordering::Relaxed));
-            }
-        }
-        self.shared.registry.gauge("transport.peers").set(count);
+        let metrics = &self.shared.metrics;
+        metrics.peers.set(self.peer_count() as i64);
+        metrics
+            .send_queue_depth
+            .set(self.max_send_queue_depth() as i64);
     }
 
     /// The deepest current send-queue occupancy across protocol peers:
@@ -319,7 +314,7 @@ impl Transport {
         let peers = self.shared.peers.lock().unwrap();
         peers
             .values()
-            .filter(|p| p.protocol)
+            .filter(|p| p.is_protocol())
             .map(|p| p.depth.load(Ordering::Relaxed).max(0) as u64)
             .max()
             .unwrap_or(0)
@@ -346,20 +341,10 @@ fn enqueue(shared: &Shared, peer: &Peer, framed: &Arc<Vec<u8>>) -> bool {
         }
         Err(TrySendError::Full(_)) => {
             shared.metrics.send_drops.inc();
-            if let Some(drops) = &peer.drops {
-                drops.inc();
-            }
             false
         }
         Err(TrySendError::Disconnected(_)) => false,
     }
-}
-
-/// The per-peer drop counter for an advertised address.
-fn drop_counter(shared: &Shared, addr: &str) -> Counter {
-    shared
-        .registry
-        .counter(&labeled("transport.send_drops", &[("peer", addr)]))
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
@@ -374,102 +359,77 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Redials every configured peer that lacks a live connection, each tick.
+/// Each tick, dials in turn every configured address that no live
+/// connection is known by (our own excepted), each dial bounded by the
+/// tick.
 fn maintenance_loop(shared: &Arc<Shared>, peers: &[String]) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(MAINTENANCE_TICK);
-
-        let targets: Vec<String> = {
-            let connected = shared.connected.lock().unwrap();
-            let dialing = shared.dialing.lock().unwrap();
-            peers
-                .iter()
-                .filter(|a| {
-                    **a != shared.advertised && !connected.contains(*a) && !dialing.contains(*a)
-                })
-                .cloned()
-                .collect()
-        };
-        for addr in targets {
-            shared.dialing.lock().unwrap().insert(addr.clone());
-            let dial_shared = Arc::clone(shared);
-            let _ = std::thread::Builder::new()
-                .name(format!("dial-{addr}"))
-                .spawn(move || {
-                    let result = TcpStream::connect(&addr);
-                    dial_shared.dialing.lock().unwrap().remove(&addr);
-                    if let Ok(stream) = result {
-                        spawn_connection(stream, dial_shared, Some(addr));
-                    }
-                });
+        for addr in peers.iter().filter(|a| **a != shared.advertised) {
+            let known = shared
+                .peers
+                .lock()
+                .unwrap()
+                .values()
+                .any(|p| p.addr.as_ref() == Some(addr));
+            if known {
+                continue;
+            }
+            if let Some(stream) = dial(addr) {
+                spawn_connection(stream, Arc::clone(shared), Some(addr.clone()));
+            }
         }
     }
 }
 
-/// Registers the connection and starts its reader and writer threads.
-/// Outbound connections (`remote_addr` known) are protocol peers from
-/// the start and lead with HELLO; inbound ones start non-protocol and
-/// are promoted when their HELLO arrives.
-fn spawn_connection(stream: TcpStream, shared: Arc<Shared>, remote_addr: Option<String>) {
+/// Connects to the first of `addr`'s resolved socket addresses that
+/// accepts within [`MAINTENANCE_TICK`].
+fn dial(addr: &str) -> Option<TcpStream> {
+    addr.to_socket_addrs()
+        .ok()?
+        .find_map(|a| TcpStream::connect_timeout(&a, MAINTENANCE_TICK).ok())
+}
+
+/// Enters the connection into the table and starts its writer and
+/// reader threads. An outbound connection (`addr` is the configured
+/// string it dialled) is a protocol peer from the start and leads with
+/// HELLO; an inbound one is a stranger until its HELLO names it.
+fn spawn_connection(stream: TcpStream, shared: Arc<Shared>, addr: Option<String>) {
     let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
+    let (Ok(write_half), Ok(shutdown_half)) = (stream.try_clone(), stream.try_clone()) else {
         return;
     };
     let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
-    let outbound = remote_addr.is_some();
-    let (queue_tx, queue_rx) = mpsc::sync_channel::<Arc<Vec<u8>>>(SEND_QUEUE);
-    let depth = Arc::new(AtomicI64::new(0));
-    if let Some(addr) = &remote_addr {
-        shared.connected.lock().unwrap().insert(addr.clone());
-    }
-
+    let (queue, queue_rx) = mpsc::sync_channel::<Arc<Vec<u8>>>(SEND_QUEUE);
+    let peer = Peer {
+        queue,
+        stream: shutdown_half,
+        addr,
+        depth: Arc::new(AtomicI64::new(0)),
+    };
+    let outbound = peer.is_protocol();
     // Outbound leads with HELLO, queued *before* the peer is visible to
-    // broadcasts so it is guaranteed to be the first frame on the wire —
-    // the accepting side keys protocol promotion on it.
+    // broadcasts so it is guaranteed to be the first frame on the wire.
     if outbound {
         shared.metrics.connections.inc();
         if let Ok(hello) = frame::encode_frame(frame::HELLO, shared.advertised.as_bytes()) {
-            if queue_tx.try_send(Arc::new(hello)).is_ok() {
-                depth.fetch_add(1, Ordering::Relaxed);
-            }
+            enqueue(&shared, &peer, &Arc::new(hello));
         }
     }
-
-    {
-        let Ok(shutdown_half) = stream.try_clone() else {
-            return;
-        };
-        let drops = remote_addr.as_deref().map(|a| drop_counter(&shared, a));
-        let mut peers = shared.peers.lock().unwrap();
-        peers.insert(
-            id,
-            Peer {
-                queue: queue_tx.clone(),
-                stream: shutdown_half,
-                addr: remote_addr.clone(),
-                protocol: outbound,
-                depth: Arc::clone(&depth),
-                drops,
-            },
-        );
-    }
+    let depth = Arc::clone(&peer.depth);
+    shared.peers.lock().unwrap().insert(id, peer);
 
     let writer_shared = Arc::clone(&shared);
-    let writer_depth = Arc::clone(&depth);
     let _ = std::thread::Builder::new()
         .name(format!("writer-{id}"))
-        .spawn(move || writer_loop(write_half, &queue_rx, &writer_shared, &writer_depth));
+        .spawn(move || writer_loop(write_half, &queue_rx, &writer_shared, &depth));
 
-    let reader_shared = Arc::clone(&shared);
     let _ = std::thread::Builder::new()
         .name(format!("reader-{id}"))
         .spawn(move || {
-            reader_loop(stream, id, &reader_shared);
+            reader_loop(stream, id, outbound, &shared);
             // Reader exit means the connection is dead: deregister.
-            let removed = reader_shared.peers.lock().unwrap().remove(&id);
-            if let Some(addr) = removed.and_then(|p| p.addr) {
-                reader_shared.connected.lock().unwrap().remove(&addr);
-            }
+            shared.peers.lock().unwrap().remove(&id);
         });
 }
 
@@ -489,9 +449,11 @@ fn writer_loop(
     }
 }
 
-fn reader_loop(stream: TcpStream, id: PeerId, shared: &Arc<Shared>) {
+/// Reads frames until the connection ends or breaks a rule. `protocol`
+/// is the connection's own view of whether its address is known: true
+/// from the start for outbound, set by an inbound connection's HELLO.
+fn reader_loop(stream: TcpStream, id: PeerId, mut protocol: bool, shared: &Shared) {
     let mut reader = BufReader::new(stream);
-    let mut said_hello = false;
     loop {
         let Ok((kind, payload)) = frame::read_frame(&mut reader) else {
             return;
@@ -499,56 +461,20 @@ fn reader_loop(stream: TcpStream, id: PeerId, shared: &Arc<Shared>) {
         shared
             .metrics
             .count_received(kind, 5 + payload.len() as u64);
-        // Anything beyond HELLO requires the connection to have
-        // identified itself as a protocol peer. Outbound HELLO is always
-        // the first frame, so this only rejects strangers.
-        let is_protocol = shared
-            .peers
-            .lock()
-            .unwrap()
-            .get(&id)
-            .is_some_and(|p| p.protocol);
-        if !is_protocol && kind != frame::HELLO {
-            return;
-        }
         match kind {
-            frame::HELLO => {
-                // One bounded HELLO per connection: its address becomes
-                // a metric label and an entry of `connected`.
-                if said_hello || payload.len() > frame::MAX_HELLO_ADDR {
-                    return;
-                }
-                said_hello = true;
+            // A stranger's one bounded HELLO names it. Any other HELLO,
+            // and anything else from a stranger, drops the connection.
+            frame::HELLO if !protocol && payload.len() <= frame::MAX_HELLO_ADDR => {
                 let Ok(addr) = String::from_utf8(payload) else {
                     return;
                 };
-                let mut promoted = false;
                 if let Some(peer) = shared.peers.lock().unwrap().get_mut(&id) {
-                    peer.addr = Some(addr.clone());
-                    if peer.drops.is_none() {
-                        peer.drops = Some(drop_counter(shared, &addr));
-                    }
-                    if !peer.protocol {
-                        peer.protocol = true;
-                        promoted = true;
-                        // Reply with our HELLO so the dialer learns our
-                        // advertised address (and symmetric promotion
-                        // holds for simultaneous dials).
-                        if let Ok(hello) =
-                            frame::encode_frame(frame::HELLO, shared.advertised.as_bytes())
-                        {
-                            if peer.queue.try_send(Arc::new(hello)).is_ok() {
-                                peer.depth.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
+                    peer.addr = Some(addr);
                 }
-                if promoted {
-                    shared.metrics.connections.inc();
-                }
-                // A configured peer that dialled us needs no dial back.
-                shared.connected.lock().unwrap().insert(addr);
+                protocol = true;
+                shared.metrics.connections.inc();
             }
+            _ if !protocol => return,
             frame::GOSSIP => {
                 // Blocking send: a full runtime queue backpressures this
                 // connection (and, via TCP, its sender) instead of
@@ -576,7 +502,7 @@ fn reader_loop(stream: TcpStream, id: PeerId, shared: &Arc<Shared>) {
                     return;
                 }
             }
-            _ => return, // Unknown frame kind: drop the peer.
+            _ => return, // A second HELLO or an unknown kind: drop the peer.
         }
     }
 }
@@ -723,32 +649,21 @@ mod tests {
 
     #[test]
     fn a_long_or_repeated_hello_drops_the_connection_unlabelled() {
-        let registry = Registry::new();
-        let a = Transport::start("127.0.0.1:0", &[], registry.clone()).unwrap();
-        let labelled = |addr: &str| {
-            algorand_obs::expose::render(&registry)
-                .contains(&format!("transport.send_drops{{peer=\"{addr}\"}}"))
-        };
+        let a = Transport::start("127.0.0.1:0", &[], Registry::new()).unwrap();
 
-        // An address one byte over the bound is never a label.
+        // An address one byte over the bound never names a peer.
         let long = "9".repeat(frame::MAX_HELLO_ADDR + 1);
         let mut client = raw_client(&a);
         send(&mut client, frame::HELLO, long.as_bytes());
         assert_eq!(kinds_until_closed(&client), [], "no HELLO back");
-        assert!(!labelled(&long));
 
-        // The first HELLO is answered; the second closes the connection
-        // before its address is registered anywhere.
+        // The first HELLO is not answered; the second closes the
+        // connection.
         let mut client = raw_client(&a);
         send(&mut client, frame::HELLO, b"127.0.0.1:1");
         send(&mut client, frame::HELLO, b"127.0.0.1:2");
-        assert_eq!(kinds_until_closed(&client), [frame::HELLO]);
-        assert!(labelled("127.0.0.1:1"));
-        assert!(!labelled("127.0.0.1:2"));
-        wait_for(
-            || a.peer_count() == 0 && a.shared.connected.lock().unwrap().is_empty(),
-            "the dropped peer to be forgotten",
-        );
+        assert_eq!(kinds_until_closed(&client), []);
+        wait_for(|| a.peer_count() == 0, "the dropped peer to be forgotten");
         a.shutdown();
     }
 
@@ -770,36 +685,94 @@ mod tests {
         send(&mut peer, frame::HELLO, b"127.0.0.1:1");
         wait_for(|| a.peer_count() == 1, "the HELLO to promote the peer");
         send(&mut peer, 4, &[1]);
-        assert_eq!(kinds_until_closed(&peer), [frame::HELLO]);
+        assert_eq!(kinds_until_closed(&peer), []);
         wait_for(|| a.peer_count() == 0, "the peer to be dropped");
         a.shutdown();
     }
 
     #[test]
-    fn per_peer_drop_counters_surface_by_address() {
-        let reg_a = Registry::new();
-        let a = Transport::start("127.0.0.1:0", &[], reg_a.clone()).unwrap();
+    fn hellos_from_many_addresses_add_no_samples() {
+        let registry = Registry::new();
+        let a = Transport::start("127.0.0.1:0", &[], registry.clone()).unwrap();
+        let samples = || {
+            a.publish();
+            let text = algorand_obs::expose::render(&registry);
+            algorand_obs::expose::parse(&text).unwrap().len()
+        };
+        let before = samples();
+
+        // Each client says one distinct HELLO and leaves: the addresses
+        // it named must leave nothing behind in the exposition.
+        for i in 0..300u32 {
+            let mut client = raw_client(&a);
+            send(
+                &mut client,
+                frame::HELLO,
+                format!("10.0.{}.{}:9001", i / 256, i % 256).as_bytes(),
+            );
+        }
+        let connections = registry.counter("transport.connections");
+        wait_for(
+            || connections.get() == 300 && a.peer_count() == 0,
+            "every HELLO to be read and its connection dropped",
+        );
+        assert_eq!(samples(), before);
+        a.shutdown();
+    }
+
+    #[test]
+    fn a_configured_peer_that_dialled_in_first_is_not_dialled_back() {
+        // a and b are each configured with the other. b starts half a
+        // tick before a, so its first dial reaches a half a tick before
+        // a's first maintenance pass looks for b.
+        let held = [(); 2].map(|()| TcpListener::bind("127.0.0.1:0").unwrap());
+        let [addr_a, addr_b] = held.map(|l| l.local_addr().unwrap().to_string());
+        let (reg_a, reg_b) = (Registry::new(), Registry::new());
+        let b = Transport::start(&addr_b, std::slice::from_ref(&addr_a), reg_b.clone()).unwrap();
+        std::thread::sleep(MAINTENANCE_TICK / 2);
+        let a = Transport::start(&addr_a, &[addr_b], reg_a.clone()).unwrap();
+        std::thread::sleep(MAINTENANCE_TICK * 3 + MAINTENANCE_TICK / 5);
+
+        for (name, t, reg) in [("a", &a, &reg_a), ("b", &b, &reg_b)] {
+            assert_eq!(t.peer_count(), 1, "{name}'s peers");
+            assert_eq!(
+                reg.counter("transport.connections").get(),
+                1,
+                "{name}'s connections"
+            );
+        }
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn a_peer_configured_under_another_name_is_dialled_again_after_a_restart() {
+        // b knows a as `localhost:PORT`; a advertises `127.0.0.1:PORT`.
+        let a = Transport::start("127.0.0.1:0", &[], Registry::new()).unwrap();
+        let listen = a.local_addr().to_string();
+        let port = listen.rsplit(':').next().unwrap();
         let b = Transport::start(
             "127.0.0.1:0",
-            &[a.local_addr().to_string()],
+            &[format!("localhost:{port}")],
             Registry::new(),
         )
         .unwrap();
-        wait_for(|| a.peer_count() >= 1 && b.peer_count() >= 1, "a-b link");
+        wait_for(|| a.peer_count() == 1 && b.peer_count() == 1, "b to dial a");
 
-        a.publish();
-        let exposed = algorand_obs::expose::render(&reg_a);
-        assert!(exposed.contains("transport.peers 1"), "{exposed}");
-        assert!(
-            exposed.contains(&format!(
-                "transport.send_drops{{peer=\"{}\"}} 0",
-                b.local_addr()
-            )),
-            "one protocol peer, by its advertised address: {exposed}"
+        a.shutdown();
+        wait_for(|| b.peer_count() == 0, "b to see a go");
+        let mut restarted = None;
+        wait_for(
+            || {
+                restarted = Transport::start(&listen, &[], Registry::new()).ok();
+                restarted.is_some()
+            },
+            "a's port to be free again",
         );
-        assert!(
-            exposed.contains("transport.send_queue_depth{peer="),
-            "{exposed}"
+        let a = restarted.unwrap();
+        wait_for(
+            || a.peer_count() == 1 && b.peer_count() == 1,
+            "b to dial the restarted a",
         );
         a.shutdown();
         b.shutdown();

@@ -32,8 +32,8 @@
 //!   `<name>_max` lines sharing the base name's labels.
 //!
 //! Registry keys produced by [`labeled`] carry their labels *inside the
-//! key string* in canonical form, which is what makes per-peer metrics
-//! (`transport.send_drops{peer="127.0.0.1:9001"}`) first-class registry
+//! key string* in canonical form, which is what makes labelled metrics
+//! (`transport.frames_received{kind="gossip"}`) first-class registry
 //! citizens with deterministic ordering for free.
 
 use crate::registry::{MetricSnapshot, Registry};
