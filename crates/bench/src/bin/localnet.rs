@@ -28,7 +28,7 @@
 //!    clock (`node::telemetry::collect_trace`, what `trace collect`
 //!    runs). The merge must clear the cluster gate (`Merged::problems`
 //!    under `Gate::CLUSTER`, what `trace check FILE` runs): no dropped
-//!    event, every clock aligned on ≥ 3 finalized-round anchors, ≥ 3
+//!    event, every clock aligned on ≥ 3 finalized-round anchors, ≥ 5
 //!    rounds profiled, and contiguous chains covering ≥ 90% of every
 //!    finalized round, one of them crossing processes. The merged trace
 //!    and its report land in the gate's scratch directory,

@@ -18,9 +18,10 @@
 //! The runtime is also the node's telemetry plane: one [`Registry`]
 //! threads through transport and WAL; the trace stream lands in one
 //! bounded [`Tracer`] buffer of the most recent events, which exit
-//! writes and a panic dumps, and feeds an in-process [`MonitorHandle`]
-//! (the same invariant checks the simulator runs offline); and at every
-//! STATUS announcement, and at exit, the runtime
+//! writes and a panic dumps; the runtime reads what the buffer recorded
+//! after every input and feeds it to its own [`InvariantMonitor`] (the
+//! same checks the simulator runs), outside the tracer's lock; and at
+//! every STATUS announcement, and at exit, the runtime
 //! rewrites `<wal_dir>/metrics.txt` with the byte-stable metrics
 //! exposition. That file is the one place a live node reports on itself:
 //! STATUS tells peers only the tip, and the peer port answers nothing
@@ -40,7 +41,7 @@ use crate::wal::{Wal, WalMetrics};
 use algorand_ba::Micros;
 use algorand_core::{Effect, Node, PipelineVerifier, Process, WireMessage};
 use algorand_gossip::{RelayDecision, RelayState};
-use algorand_obs::{expose, stable_id, Counter, MonitorHandle, Registry, SpanKind, Tracer};
+use algorand_obs::{expose, stable_id, Counter, InvariantMonitor, Registry, SpanKind, Tracer};
 use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,7 +51,9 @@ use std::time::{Duration, Instant};
 /// Trace-buffer cap when `trace = 1` (matches the simulator's default
 /// order of magnitude; bounded so long runs cannot balloon). A full
 /// buffer evicts its oldest event, so the exit trace and a crash dump
-/// both show what happened *last*.
+/// both show what happened *last*. One input records far fewer events
+/// than this, so the monitor, which reads after every input, sees each
+/// event before it can be evicted.
 const TRACE_CAP: usize = 200_000;
 
 /// Malformed frames the process logs before it only counts them: one
@@ -88,7 +91,11 @@ pub struct Runtime {
     relay: RelayState,
     registry: Registry,
     tracer: Tracer,
-    monitor: MonitorHandle,
+    /// Checks every event the tracer records; see
+    /// [`Runtime::check_invariants`].
+    monitor: InvariantMonitor,
+    /// Events the tracer had recorded as of the monitor's last read.
+    monitor_seen: u64,
     /// The last round appended to the WAL, readable by the crash hook
     /// from any thread mid-panic.
     last_wal_round: Arc<AtomicU64>,
@@ -145,20 +152,18 @@ impl Runtime {
             let _ = node.pool.admit(tx, &accounts);
         }
 
-        // The monitor is the trace stream's one observer; it is created
-        // unconditionally, but sees no events unless tracing is on.
-        // The tracer attaches *after* restore, so WAL replay — a
-        // re-application of already-checked rounds — is not re-audited.
-        let monitor = MonitorHandle::new(cfg.monitor_config());
+        // The monitor sees no events unless tracing is on. The tracer
+        // attaches *after* restore, so WAL replay — a re-application of
+        // already-checked rounds — is not re-audited.
         let tracer = if cfg.trace {
             Tracer::bounded(TRACE_CAP)
         } else {
             Tracer::disabled()
         };
         if tracer.is_enabled() {
-            tracer.set_observer(monitor.observer());
             node.set_tracer(tracer.clone(), cfg.index as u32);
         }
+        let monitor = InvariantMonitor::new(cfg.monitor_config());
 
         let transport = Transport::start(&cfg.listen, &cfg.peers, registry.clone())?;
         // Publish the *resolved* listen address (meaningful when the
@@ -178,6 +183,7 @@ impl Runtime {
             registry,
             tracer,
             monitor,
+            monitor_seen: 0,
             last_wal_round: Arc::new(AtomicU64::new(wal_replayed_rounds)),
             wal_replayed_rounds,
             wal_truncated_bytes: replay.truncated_bytes,
@@ -220,6 +226,7 @@ impl Runtime {
         let deadline = self.started + Duration::from_secs(self.cfg.deadline_secs);
         let effects = self.process.start(self.now());
         self.apply(effects, None)?;
+        self.check_invariants();
 
         let mut until = deadline;
         let mut lingering = false;
@@ -240,6 +247,7 @@ impl Runtime {
                 let effects = self.process.on_tick(now);
                 self.apply(effects, None)?;
             }
+            self.check_invariants();
             let node = self.process.node();
             let horizon = node.params().relay_stall_horizon();
             self.relay.prune(node.current_round(), now, horizon);
@@ -416,6 +424,16 @@ impl Runtime {
         Ok(())
     }
 
+    /// Feeds the monitor every event the tracer recorded since the last
+    /// feed. The read clones them under the tracer's lock; the checks run
+    /// outside it, so a check that panics leaves the buffer readable for
+    /// the crash dump.
+    fn check_invariants(&mut self) {
+        for ev in self.tracer.events_since(&mut self.monitor_seen) {
+            self.monitor.observe(&ev);
+        }
+    }
+
     /// Refreshes every derived gauge on the registry. The names the
     /// simulator's exposition shares (`pipeline.*`, `verify.*`,
     /// `recovery.*`, `round.latency_us`) come from the one function that
@@ -483,6 +501,7 @@ impl Runtime {
     /// Rewrites `<wal_dir>/metrics.txt` with the current exposition. No
     /// counter moves doing it, so an idle node rewrites the same bytes.
     fn write_metrics(&mut self) -> io::Result<()> {
+        self.check_invariants();
         self.publish_metrics();
         write_atomic(
             &self.cfg.wal_dir.join("metrics.txt"),
@@ -786,6 +805,42 @@ mod tests {
         assert_eq!(own(&first), own(&second));
 
         rt.transport.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_live_monitor_reports_what_the_exported_trace_shows() {
+        let dir = fresh_dir("live-monitor");
+        let mut rt = Runtime::new(NodeConfig {
+            listen: "127.0.0.1:0".into(),
+            wal_dir: dir.clone(),
+            trace: true,
+            ..NodeConfig::default()
+        })
+        .expect("runtime on an ephemeral port");
+        let history = majority_history(&rt.cfg, 3);
+        let effects = rt.process.start(0);
+        rt.apply(effects, None).expect("first write");
+        let batch = WireMessage::CatchupResponse(CatchupBatch { entries: history });
+        deliver(&mut rt, &batch);
+        // A minute of the node's timers: round 4's steps time out.
+        while rt.process.next_deadline() < 60_000_000 {
+            let effects = rt.process.on_tick(rt.process.next_deadline());
+            rt.apply(effects, None).expect("WAL append");
+        }
+        rt.finish(false).expect("exit files");
+        let live = rt.monitor.report();
+        // The node's own votes in round 4 entered its tally.
+        assert!(live.observed.tally_adds > 0, "{live}");
+
+        let text = std::fs::read_to_string(dir.join("trace.jsonl")).expect("trace.jsonl");
+        let exported = algorand_obs::parse_jsonl(&text).expect("an exported trace");
+        assert_eq!(exported.dropped, 0);
+        let mut offline = InvariantMonitor::new(rt.cfg.monitor_config());
+        for ev in &exported.events {
+            offline.observe(ev);
+        }
+        assert_eq!(live, offline.report());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

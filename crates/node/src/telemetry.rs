@@ -115,9 +115,8 @@ pub struct NodeHealth {
     /// `trace.dropped`.
     pub trace_dropped: i64,
     /// Total send-queue drops plus the deepest peer send queue
-    /// (`transport.send_queue_depth`, the largest of its samples, so a
-    /// file from before the gauge, one sample per peer, reads the same):
-    /// the node's outbound pressure when it wrote the file.
+    /// (`transport.send_queue_depth`): the node's outbound pressure when
+    /// it wrote the file.
     pub queue_pressure: i64,
     /// `pipeline.ingested`.
     pub pipeline_ingested: i64,
@@ -137,8 +136,7 @@ impl NodeHealth {
     /// Returns the parser's description of the first malformed line, or
     /// `missing sample <name>`: the runtime publishes every unlabelled
     /// sample read here on each write, so an absent one is a sick node,
-    /// not a zero. (A queue depth may be absent: older files carry one
-    /// sample per peer, and an idle node had none.)
+    /// not a zero.
     pub fn from_exposition(addr: &str, text: &str) -> Result<NodeHealth, String> {
         let samples = expose::parse(text)?;
         let get = |name: &str| -> Result<i64, String> {
@@ -146,20 +144,13 @@ impl NodeHealth {
                 .map(|v| v as i64)
                 .ok_or_else(|| format!("missing sample {name}"))
         };
-        let drops_total = get("transport.send_drops")?;
-        let max_depth = samples
-            .iter()
-            .filter(|s| s.name == "transport.send_queue_depth")
-            .map(|s| s.value as i64)
-            .max()
-            .unwrap_or(0);
         Ok(NodeHealth {
             addr: addr.to_string(),
             tip: get("node.tip_round")?,
             tip_hash64: get("node.tip_hash64")?,
             monitor_violations: get("monitor.violations")?,
             trace_dropped: get("trace.dropped")?,
-            queue_pressure: drops_total + max_depth,
+            queue_pressure: get("transport.send_drops")? + get("transport.send_queue_depth")?,
             pipeline_ingested: get("pipeline.ingested")?,
             frames_sent: get("transport.frames_sent")?,
             wal_entries: get("wal.entries")?,
@@ -334,10 +325,13 @@ mod tests {
         let sick = without("monitor.violations");
         let err = NodeHealth::from_exposition("n0", &sick).unwrap_err();
         assert_eq!(err, "missing sample monitor.violations");
-        // No depth sample is fine: an idle node of an older file had no
-        // per-peer one.
-        let h = NodeHealth::from_exposition("n0", &without("transport.send_queue_depth")).unwrap();
-        assert_eq!(h.queue_pressure, 2, "drops only");
+        // The depth is one pre-registered gauge, so it is never absent
+        // either.
+        let err = NodeHealth::from_exposition("n0", &without("transport.send_queue_depth"));
+        assert_eq!(
+            err.unwrap_err(),
+            "missing sample transport.send_queue_depth"
+        );
         // A live node's exposition carries every sample the digest reads.
         let live = include_str!("../../../results/cluster_metrics.txt");
         let h = NodeHealth::from_exposition("live", live).unwrap();

@@ -180,9 +180,10 @@ impl Gate {
     /// A merged cluster trace. Per-node clocks agree exactly only at the
     /// anchor instants, so fused hops carry skew residue a single clock
     /// never sees; a merge that no chain crosses proves nothing; and one
-    /// profiled round could be a lucky one.
+    /// profiled round could be a lucky one. Five rounds is what the
+    /// `localnet` gate's phase A profiles.
     pub const CLUSTER: Gate = Gate {
-        min_rounds: 3,
+        min_rounds: 5,
         min_coverage: 0.90,
         cross_process: true,
     };
@@ -820,14 +821,15 @@ mod tests {
     fn gate_passes_a_contiguous_covered_crossing_chain() {
         assert_eq!(crossing().processes(), BTreeSet::from([0, 1]));
         assert!(gate(1, true).check(&[crossing()]).is_empty());
-        fails_with(Gate::CLUSTER, &[crossing()], "only 1 of 3 rounds");
-        let three: Vec<CriticalPath> = (1..=3)
+        fails_with(Gate::CLUSTER, &[crossing()], "only 1 of 5 rounds");
+        let five: Vec<CriticalPath> = (1..=5)
             .map(|round| CriticalPath {
                 round,
                 ..crossing()
             })
             .collect();
-        assert!(Gate::CLUSTER.check(&three).is_empty());
+        fails_with(Gate::CLUSTER, &five[..4], "only 4 of 5 rounds");
+        assert!(Gate::CLUSTER.check(&five).is_empty());
     }
 
     #[test]

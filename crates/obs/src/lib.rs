@@ -31,10 +31,11 @@
 //!   process boundaries. [`merge::parse_merged`] loads a merged or a
 //!   plain trace, and [`merge::render_report`] renders either one's
 //!   paths: the `trace` bench bin is a command line over these.
-//! - **Invariant monitor** ([`monitor`]): an online checker fed live
-//!   from the tracer's observer slot — conflicting certificates,
-//!   committee tail bounds, seed-chain validity, vote accounting, and
-//!   FutureVotes staleness.
+//! - **Invariant monitor** ([`monitor`]): an online checker that the
+//!   adapter running the protocol feeds from the stream it already reads
+//!   — conflicting certificates, committee tail bounds, seed-chain
+//!   validity, vote accounting, and FutureVotes staleness. The tracer
+//!   itself only records and exports.
 //! - **Exposition** ([`expose`]): a byte-stable plain-text metrics
 //!   format (`name{labels} value`, deterministic ordering, escaped
 //!   label values) with a hand-rolled round-trip parser — what a live
@@ -59,11 +60,11 @@ pub use causal::{critical_paths, CausalGraph, CriticalPath, Edge, EdgeKind, Gate
 pub use expose::{labeled, Sample};
 pub use hist::{Histogram, Percentiles};
 pub use merge::{Merged, NodeMeta, NodeTrace};
-pub use monitor::{Invariant, InvariantMonitor, MonitorConfig, MonitorHandle, MonitorReport};
+pub use monitor::{Invariant, InvariantMonitor, MonitorConfig, MonitorReport};
 pub use registry::{Counter, Gauge, HistHandle, MetricSnapshot, Registry};
 pub use trace::{
     parse_jsonl, span_id, stable_id, write_jsonl, write_jsonl_trimmed, Micros, Span, SpanKind,
-    Trace, TraceEvent, TraceObserver, Tracer, NO_NODE,
+    Trace, TraceEvent, Tracer, NO_NODE,
 };
 
 #[cfg(test)]

@@ -51,6 +51,11 @@ use std::fmt::Write as _;
 /// the median delta outvotes one anchor that disagrees.
 const MIN_ANCHORS: u64 = 3;
 
+/// Timestamps a node's trace may carry lie below this, µs (about 73,000
+/// years of uptime): aligning, rebasing and fusing such times in `i64`
+/// cannot overflow, whatever offsets the anchors imply.
+const MAX_TIME: u64 = 1 << 61;
+
 /// Edges listed per round before the listing is elided (the attribution
 /// sums always cover the full chain).
 const MAX_EDGES_SHOWN: usize = 24;
@@ -142,6 +147,8 @@ fn median(sorted: &[i64]) -> i64 {
 /// # Errors
 ///
 /// - fewer than one input, duplicate node indices, or mismatched seeds;
+/// - a `start` or `end` at or past 2^61 µs (the message names the node
+///   and the field);
 /// - a node sharing **no** finalized-round anchor with the reference
 ///   node — its clock cannot be aligned, and merging it unaligned would
 ///   fabricate causality.
@@ -161,6 +168,16 @@ pub fn merge(inputs: &[NodeTrace]) -> Result<Merged, String> {
                 "seed mismatch: node {} has {}, node {} has {seed}",
                 n.node, n.trace.seed, first.node
             ));
+        }
+        for ev in &n.trace.events {
+            for (field, t) in [("start", ev.start), ("end", ev.end)] {
+                if t >= MAX_TIME {
+                    return Err(format!(
+                        "node {}: {field} {t} is past the clock range (2^61 us)",
+                        n.node
+                    ));
+                }
+            }
         }
     }
 
@@ -733,7 +750,7 @@ mod tests {
             m.problems(&Gate::CLUSTER),
             [
                 "trace truncated: 1 events dropped",
-                "only 1 of 3 rounds produced a critical path"
+                "only 1 of 5 rounds produced a critical path"
             ]
         );
     }
@@ -759,6 +776,22 @@ mod tests {
             .iter()
             .all(|e| e.kind != SpanKind::Round || e.round != 2));
         assert_eq!(critical_paths(&m.events).len(), 1);
+    }
+
+    #[test]
+    fn a_timestamp_past_the_clock_range_is_an_error_naming_node_and_field() {
+        // On the anchor, past 2^63: the cast wraps and the delta overflows.
+        let mut inputs = two_process_round();
+        let anchor = inputs[1].trace.events.iter_mut();
+        let anchor = anchor.filter(|e| e.kind == SpanKind::Round).last().unwrap();
+        anchor.end = 1 << 63;
+        let err = merge(&inputs).unwrap_err();
+        assert!(err.contains("node 1") && err.contains("end"), "{err}");
+        // Elsewhere: the rebase onto the earliest instant overflows.
+        let mut inputs = two_process_round();
+        inputs[0].trace.events[0].start = u64::MAX;
+        let err = merge(&inputs).unwrap_err();
+        assert!(err.contains("node 0") && err.contains("start"), "{err}");
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //!
 //! Formal-verification work checks Algorand's safety invariants offline
 //! on abstract models; this module runs the same checks *online* against
-//! the real implementation: attach a [`MonitorHandle`]'s observer to the
-//! run's [`crate::Tracer`] and every recorded event is checked as it
-//! happens (observers run before the buffer cap, so a truncated trace
-//! still feeds the monitor the full stream).
+//! the real implementation. The adapter that runs the protocol owns one
+//! [`InvariantMonitor`] and feeds it the stream it already reads: the
+//! simulator the merged batch at each window barrier, a node what its
+//! [`crate::Tracer`] recorded since the last read
+//! ([`crate::Tracer::events_since`]), after every input. Either way the
+//! monitor sees every event, in recording order, before a full buffer
+//! can evict it, and it runs outside the tracer's lock.
 //!
 //! Checked invariants:
 //!
@@ -31,10 +34,9 @@
 //! Recovery-protocol engines carry no causal stamps and are excluded
 //! from vote accounting by construction.
 
-use crate::trace::{SpanKind, TraceEvent, TraceObserver};
+use crate::trace::{SpanKind, TraceEvent};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 /// How many rounds of committee / dedup state to retain behind the
 /// latest observed round.
@@ -87,7 +89,7 @@ impl Invariant {
 }
 
 /// One flagged violation.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Violation {
     /// Which invariant broke.
     pub invariant: Invariant,
@@ -128,7 +130,7 @@ struct RoundState {
 
 /// Live observation counters — nonzero values prove the checks actually
 /// saw traffic (the vacuity guard the CI suite asserts on).
-#[derive(Clone, Copy, Default, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct Observed {
     /// Round conclusions checked (final + tentative).
     pub certificates: u64,
@@ -145,8 +147,8 @@ pub struct Observed {
     pub tentative_conflicts: u64,
 }
 
-/// The online checker. Feed it via [`MonitorHandle`] or call
-/// [`InvariantMonitor::observe`] directly on parsed events.
+/// The online checker: [`InvariantMonitor::observe`] every event, live
+/// or parsed from an exported trace.
 pub struct InvariantMonitor {
     cfg: MonitorConfig,
     finalized: HashMap<u64, u64>,
@@ -198,7 +200,7 @@ impl InvariantMonitor {
     }
 
     /// Checks one event. Order-sensitive state (restart slates, pruning)
-    /// assumes recording order, which the live observer guarantees.
+    /// assumes recording order, which every feed keeps.
     pub fn observe(&mut self, ev: &TraceEvent) {
         match ev.kind {
             SpanKind::Round if ev.label == "final" || ev.label == "tentative" => {
@@ -383,7 +385,7 @@ impl InvariantMonitor {
 }
 
 /// A point-in-time summary of the monitor's state.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MonitorReport {
     /// What the checks saw (vacuity guard).
     pub observed: Observed,
@@ -465,34 +467,6 @@ impl fmt::Display for MonitorReport {
     }
 }
 
-/// A cloneable, shareable monitor: one half feeds the tracer's observer
-/// slot, the other is queried for the report after the run.
-#[derive(Clone)]
-pub struct MonitorHandle(Arc<Mutex<InvariantMonitor>>);
-
-impl MonitorHandle {
-    /// Wraps a fresh monitor.
-    pub fn new(cfg: MonitorConfig) -> MonitorHandle {
-        MonitorHandle(Arc::new(Mutex::new(InvariantMonitor::new(cfg))))
-    }
-
-    /// An observer to attach via [`crate::Tracer::set_observer`].
-    pub fn observer(&self) -> Box<dyn TraceObserver> {
-        struct Feed(Arc<Mutex<InvariantMonitor>>);
-        impl TraceObserver for Feed {
-            fn observe(&mut self, ev: &TraceEvent) {
-                self.0.lock().expect("monitor lock").observe(ev);
-            }
-        }
-        Box::new(Feed(self.0.clone()))
-    }
-
-    /// The current summary.
-    pub fn report(&self) -> MonitorReport {
-        self.0.lock().expect("monitor lock").report()
-    }
-}
-
 /// Deliberate violation injection: feeds one synthetic violating stream
 /// per invariant class into a fresh monitor and verifies each is
 /// flagged (and nothing else is). This is the self-test the CI suite
@@ -514,9 +488,11 @@ pub fn violation_selftest() -> Result<(), String> {
     };
     let inject = |expected: Invariant, feed: &dyn Fn(&Tracer)| -> Result<(), String> {
         let tracer = Tracer::bounded(64);
-        let monitor = MonitorHandle::new(cfg);
-        tracer.set_observer(monitor.observer());
         feed(&tracer);
+        let mut monitor = InvariantMonitor::new(cfg);
+        for ev in tracer.events() {
+            monitor.observe(&ev);
+        }
         let report = monitor.report();
         if report.count(expected) == 0 {
             return Err(format!("injected {} went undetected", expected.as_str()));
@@ -617,8 +593,6 @@ mod tests {
     #[test]
     fn clean_stream_reports_zero_violations() {
         let t = Tracer::bounded(64);
-        let m = MonitorHandle::new(cfg());
-        t.set_observer(m.observer());
         // Two nodes agree on round 5, tallies stay deduped and bounded,
         // seeds verify, a future vote parks within the window.
         t.span(SpanKind::Tally, 0, 5, 0)
@@ -670,6 +644,10 @@ mod tests {
             .id(0xcc)
             .ok(true)
             .end_at(12);
+        let mut m = InvariantMonitor::new(cfg());
+        for ev in t.events() {
+            m.observe(&ev);
+        }
         let r = m.report();
         assert_eq!(r.total_violations(), 0, "{r}");
         assert_eq!(r.observed.certificates, 2);

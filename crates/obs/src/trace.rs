@@ -8,6 +8,11 @@
 //! is kind-specific (verification verdict, votes-vs-timeout, final-vs-
 //! tentative).
 //!
+//! The tracer only records and exports: no consumer code runs under its
+//! lock. A consumer that checks the stream while the run goes on (a
+//! node's invariant monitor) reads it with [`Tracer::events_since`] and
+//! does its work outside the lock.
+//!
 //! Determinism: recording only *reads* values the simulation already
 //! computed — it never draws randomness, never reorders events, and the
 //! instrumented hot paths are no-ops when the tracer is disabled. With
@@ -168,15 +173,6 @@ pub fn span_id(node: u32, round: u64, step: u32, tag: u8) -> u64 {
     }
 }
 
-/// A live consumer of every recorded event (the invariant monitor).
-/// Observers see every event, including those a full buffer later
-/// evicts. They run inside the tracer's lock, so an observer must not
-/// call back into its tracer.
-pub trait TraceObserver: Send {
-    /// Called once per recorded event, in recording order.
-    fn observe(&mut self, ev: &TraceEvent);
-}
-
 struct Buffer {
     /// The retained events, oldest first, each with the canonical-order
     /// key it was recorded under (see [`Tracer::set_order_hint`]). The
@@ -188,7 +184,6 @@ struct Buffer {
     cap: usize,
     /// Events evicted to make room.
     dropped: u64,
-    observer: Option<Box<dyn TraceObserver>>,
 }
 
 impl Buffer {
@@ -219,7 +214,6 @@ impl Tracer {
             hint: 0,
             cap,
             dropped: 0,
-            observer: None,
         }))))
     }
 
@@ -228,21 +222,11 @@ impl Tracer {
         self.0.is_some()
     }
 
-    /// Attaches a live observer fed every subsequent event. No-op on a
-    /// disabled tracer. A later call replaces the previous observer.
-    pub fn set_observer(&self, observer: Box<dyn TraceObserver>) {
-        if let Some(buf) = &self.0 {
-            buf.lock().expect("trace lock").observer = Some(observer);
-        }
-    }
-
-    /// Records a complete event.
+    /// Records a complete event. Nothing but the push and the eviction
+    /// runs under the lock.
     pub fn record(&self, ev: TraceEvent) {
         let Some(buf) = &self.0 else { return };
         let mut buf = buf.lock().expect("trace lock");
-        if let Some(observer) = buf.observer.as_mut() {
-            observer.observe(&ev);
-        }
         let hint = buf.hint;
         buf.events.push_back((hint, ev));
         if buf.events.len() > buf.cap {
@@ -315,6 +299,25 @@ impl Tracer {
             .map_or(0, |b| b.lock().expect("trace lock").dropped)
     }
 
+    /// The events recorded since the last read, oldest first, cloned
+    /// under the lock so the caller consumes them outside it. `seen`
+    /// counts the events ever recorded (evicted ones included) as of the
+    /// last read; the read advances it to the current count. Events
+    /// evicted before a read are skipped, so a consumer that reads after
+    /// every burst of at most `cap` events sees each event once, in
+    /// recording order. A drained tracer is read by
+    /// [`Tracer::drain_with_hints`] instead.
+    pub fn events_since(&self, seen: &mut u64) -> Vec<TraceEvent> {
+        let Some(buf) = &self.0 else {
+            return Vec::new();
+        };
+        let buf = buf.lock().expect("trace lock");
+        let len = buf.events.len();
+        let skip = (seen.saturating_sub(buf.dropped) as usize).min(len);
+        *seen = buf.dropped + len as u64;
+        buf.events.range(skip..).map(|(_, ev)| ev.clone()).collect()
+    }
+
     /// A snapshot copy of the buffered events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
         self.0.as_ref().map_or_else(Vec::new, |b| {
@@ -333,9 +336,8 @@ impl Tracer {
     }
 
     /// [`Tracer::export_jsonl`] for a panic hook: never waits for the
-    /// lock. `None` when the lock is held — by another thread, or by
-    /// this one mid-record, when an observer panicked — since waiting
-    /// could deadlock. A lock poisoned by an earlier panic is still read.
+    /// lock. `None` when another thread holds it, since waiting could
+    /// deadlock. A lock poisoned by an earlier panic is still read.
     pub fn try_export_jsonl(&self, seed: u64, schedule: &str) -> Option<String> {
         let Some(buf) = &self.0 else {
             return Some(write_jsonl(seed, schedule, 0, &[]));
@@ -818,21 +820,26 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_events_past_the_buffer_cap() {
-        struct Counter(Arc<Mutex<u64>>);
-        impl TraceObserver for Counter {
-            fn observe(&mut self, _ev: &TraceEvent) {
-                *self.0.lock().unwrap() += 1;
+    fn reads_between_bursts_hand_out_every_event_once_in_order() {
+        let t = Tracer::bounded(4);
+        let (mut seen, mut read, mut next) = (0u64, Vec::new(), 0u64);
+        for burst in [1u64, 4, 0, 3, 4, 2] {
+            for _ in 0..burst {
+                t.span(SpanKind::Verify, 0, next, next).instant();
+                next += 1;
             }
+            read.extend(t.events_since(&mut seen).iter().map(|e| e.round));
+            assert_eq!(seen, next);
         }
-        let seen = Arc::new(Mutex::new(0u64));
-        let t = Tracer::bounded(2);
-        t.set_observer(Box::new(Counter(seen.clone())));
-        for i in 0..5u64 {
-            t.span(SpanKind::Verify, 0, 1, i).instant();
+        assert_eq!(read, (0..next).collect::<Vec<_>>());
+        assert!(t.dropped() > 0, "the bursts overflowed the buffer");
+        assert!(t.events_since(&mut seen).is_empty());
+        // A read that falls behind the buffer skips what was evicted.
+        for i in 0..6 {
+            t.span(SpanKind::Verify, 0, next + i, 0).instant();
         }
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.dropped(), 3);
-        assert_eq!(*seen.lock().unwrap(), 5);
+        let rounds: Vec<u64> = t.events_since(&mut seen).iter().map(|e| e.round).collect();
+        assert_eq!(rounds, (next + 2..next + 6).collect::<Vec<_>>());
+        assert!(Tracer::disabled().events_since(&mut seen).is_empty());
     }
 }

@@ -68,8 +68,8 @@ use algorand_crypto::Keypair;
 use algorand_gossip::{RelayDecision, RelayMetrics, RelayState, Topology};
 use algorand_ledger::Transaction;
 use algorand_obs::{
-    stable_id, write_jsonl_trimmed, MonitorHandle, MonitorReport, Registry, SpanKind, TraceEvent,
-    TraceObserver, Tracer, NO_NODE,
+    stable_id, write_jsonl_trimmed, InvariantMonitor, MonitorReport, Registry, SpanKind,
+    TraceEvent, Tracer, NO_NODE,
 };
 use algorand_txpool::PoolMetrics;
 use std::cmp::Reverse;
@@ -234,10 +234,9 @@ pub struct Simulation {
     registry: Registry,
     /// Engine-owned tracer for hop/fault spans (sequential phases only).
     engine_tracer: Tracer,
-    /// The online invariant checker (present only when `cfg.monitor`).
-    monitor: Option<MonitorHandle>,
-    /// The monitor's live feed, driven manually with the merged stream.
-    monitor_feed: Option<Box<dyn TraceObserver>>,
+    /// The online invariant checker (present only when `cfg.monitor`),
+    /// fed the merged stream at every barrier.
+    monitor: Option<InvariantMonitor>,
     /// Per-kind transmitted-byte totals, exported with the trace.
     kind_bytes: KindBytes,
     /// Counters carried over from nodes replaced by crash/restart,
@@ -280,9 +279,8 @@ impl Simulation {
         let monitor = (cfg.monitor && cfg.trace).then(|| {
             let total_weight = cfg.n_users as u64 * cfg.stake_per_user;
             let n_honest = cfg.n_users - cfg.n_malicious;
-            MonitorHandle::new(cfg.params.monitor_config(total_weight, n_honest))
+            InvariantMonitor::new(cfg.params.monitor_config(total_weight, n_honest))
         });
-        let monitor_feed = monitor.as_ref().map(MonitorHandle::observer);
         let pool_metrics = PoolMetrics::registered(&registry);
         let tracers: Vec<Tracer> = (0..cfg.n_users).map(|_| new_tracer()).collect();
         let processes =
@@ -329,7 +327,6 @@ impl Simulation {
             registry,
             engine_tracer: new_tracer(),
             monitor,
-            monitor_feed,
             kind_bytes: KindBytes::default(),
             carry: HashMap::new(),
             order: 0,
@@ -718,9 +715,9 @@ impl Simulation {
         // precede the hops they caused (stable sort keeps source order).
         batch.extend(self.engine_tracer.drain_with_hints());
         batch.sort_by_key(|(h, _)| *h);
-        if let Some(feed) = &mut self.monitor_feed {
+        if let Some(monitor) = &mut self.monitor {
             for (_, ev) in &batch {
-                feed.observe(ev);
+                monitor.observe(ev);
             }
         }
         let budget = self.trace_node_budget;
@@ -1079,7 +1076,7 @@ impl Simulation {
     /// one to this run. The monitor is fed the canonically merged
     /// stream, so its verdicts are worker-count independent too.
     pub fn monitor_report(&self) -> Option<MonitorReport> {
-        self.monitor.as_ref().map(MonitorHandle::report)
+        self.monitor.as_ref().map(InvariantMonitor::report)
     }
 
     /// Events dropped by tracer buffer caps (0 = complete stream).

@@ -7,6 +7,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# No gate may write into the checkout (benchmark/Cargo.lock included):
+# the last gate compares the tree with this snapshot.
+status_before=$(git status --porcelain)
+diff_before=$(git diff HEAD | sha256sum)
+
 echo "== style: cargo fmt --check =="
 cargo fmt --check
 
@@ -54,7 +59,7 @@ cargo run --release -p algorand-bench --bin trace -- check
 echo "== invariant monitor: baseline + violation-injection self-test =="
 cargo test --release -q -p algorand-sim --test monitor
 
-echo "== localnet: 5 real processes vs simulator digest, kill -9 rejoin, mid-run metrics.txt (full key checks, key combs <= distinct keys, transport.peers = N-1 and no peer= label) + cluster trace merged from the processes' exit files, every clock on >= 3 anchors, >= 3 rounds profiled, the written merged trace re-checked as trace check FILE does; each WAL reopens to consecutive entry records only, as many as the node wrote, none larger than the biggest entry =="
+echo "== localnet: 5 real processes vs simulator digest, kill -9 rejoin, mid-run metrics.txt (full key checks, key combs <= distinct keys, transport.peers = N-1 and no peer= label) + cluster trace merged from the processes' exit files, every clock on >= 3 anchors, >= 5 rounds profiled, the written merged trace re-checked as trace check FILE does; each WAL reopens to consecutive entry records only, as many as the node wrote, none larger than the biggest entry =="
 cargo build --release -q -p algorand-node
 cargo run --release -p algorand-bench --bin localnet
 
@@ -67,5 +72,13 @@ cargo test --release -q -p algorand-sim --test corpus --test fuzz -- --include-i
 
 echo "== engine: 1000-node scale smoke (the slowest gate, so it runs last) =="
 cargo run --release -p algorand-bench --bin scale_smoke
+
+echo "== checkout: no gate changed a tracked file or left an untracked one =="
+if [ "$(git status --porcelain)" != "$status_before" ] || [ "$(git diff HEAD | sha256sum)" != "$diff_before" ]; then
+    echo "the run changed the checkout:"
+    diff <(echo "$status_before") <(git status --porcelain) || true
+    git diff HEAD --stat
+    exit 1
+fi
 
 echo "== CI OK =="
